@@ -36,10 +36,11 @@ golden:
 	$(GO) test -run 'Golden' -count=1 -v ./internal/incident/
 
 # alloc-guards re-runs the allocation-budget tests on their own (-count=1
-# bypasses the test cache): resolver cache hits, interner hit paths and the
-# compiled CDN-map matcher must stay within their per-op budgets.
+# bypasses the test cache): resolver cache hits, interner hit paths, the
+# compiled CDN-map matcher and the outage simulator's RunCounts with a
+# warmed scratch must stay within their per-op budgets.
 alloc-guards:
-	$(GO) test -run 'Alloc' -count=1 ./internal/resolver/ ./internal/measure/ ./internal/intern/
+	$(GO) test -run 'Alloc' -count=1 ./internal/resolver/ ./internal/measure/ ./internal/intern/ ./internal/core/
 
 # docs-check re-runs the documentation drift tests on their own (-count=1
 # bypasses the test cache): every relative link/anchor in the curated docs

@@ -1,9 +1,80 @@
 package core
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
+
+// RandomGraph exposes the property-test graph generator to the external
+// core_test package.
+func RandomGraph(seed int64) *Graph { return randomGraph(seed) }
+
+// ScanCounts is the per-site scan RunCounts answered with before the
+// provider→site rows: the same cascade, then every site's arrangements
+// evaluated against the final provider states. It is the test oracle for
+// RunCounts and is kept out of production code.
+func (s *OutageSim) ScanCounts(targets []int32, o OutageOpts) (down, degraded int) {
+	var sc SimScratch
+	s.cascade(targets, o, &sc)
+	for i := range s.g.Sites {
+		worst := ProviderUp
+		for _, a := range s.siteArrs[i] {
+			if as := arrState(a, sc.state, o.JointFailures); as > worst {
+				worst = as
+			}
+		}
+		switch worst {
+		case ProviderDown:
+			down++
+		case ProviderDegraded:
+			degraded++
+		}
+	}
+	return down, degraded
+}
+
+// ScanRun is the oracle for Run: it classifies every site and lists every
+// non-Up provider by scanning the whole universe, where Run visits only the
+// affected sites and the touched providers.
+func (s *OutageSim) ScanRun(targets []string, o OutageOpts) *OutageResult {
+	var sc SimScratch
+	isTarget := make([]bool, len(s.e.names))
+	var ids []int32
+	for _, t := range targets {
+		if id, ok := s.e.ids[t]; ok {
+			isTarget[id] = true
+			ids = append(ids, int32(id))
+		}
+	}
+	s.cascade(ids, o, &sc)
+	n := len(s.g.Sites)
+	res := &OutageResult{
+		Outcomes:          make([]SiteOutcome, n),
+		Resilience:        make([]float64, n),
+		Direct:            make([]bool, n),
+		LostByService:     make(map[Service]int),
+		DegradedByService: make(map[Service]int),
+	}
+	for i := range s.g.Sites {
+		res.Resilience[i] = 1
+		s.classify(i, sc.state, isTarget, o.JointFailures, res)
+		if res.Outcomes[i] == SiteUnaffected {
+			res.Unaffected++
+		}
+	}
+	for id, st := range sc.state[:len(s.e.names)] {
+		switch st {
+		case ProviderDown:
+			res.DownProviders = append(res.DownProviders, s.e.names[id])
+		case ProviderDegraded:
+			res.DegradedProviders = append(res.DegradedProviders, s.e.names[id])
+		}
+	}
+	sort.Strings(res.DownProviders)
+	sort.Strings(res.DegradedProviders)
+	return res
+}
 
 func TestWriteDOT(t *testing.T) {
 	g := paperGraph()

@@ -157,7 +157,7 @@ type Graph struct {
 	// a graph delta touches, and most derived graphs are only ever queried
 	// through the metrics engine.
 	siteOnce  sync.Once
-	siteIndex map[string]*Site
+	siteIndex map[string]int32 // name → index into Sites
 	// usersOf[service][provider] caches direct site users.
 	usersOf map[Service]map[string][]*Site
 	// criticalUsersOf likewise for critical users only.
@@ -265,14 +265,24 @@ func indexChainEdges(users, critical map[string][]*Site, s *Site) {
 // use; duplicate names resolve to the later node, matching the historical
 // eager index.
 func (g *Graph) Site(name string) *Site {
+	if i, ok := g.SiteIndex(name); ok {
+		return g.Sites[i]
+	}
+	return nil
+}
+
+// SiteIndex returns the position in Sites of the site Site(name) returns —
+// the index OutageResult slices use.
+func (g *Graph) SiteIndex(name string) (int, bool) {
 	g.siteOnce.Do(g.buildSiteIndex)
-	return g.siteIndex[name]
+	i, ok := g.siteIndex[name]
+	return int(i), ok
 }
 
 func (g *Graph) buildSiteIndex() {
-	m := make(map[string]*Site, len(g.Sites))
-	for _, s := range g.Sites {
-		m[s.Name] = s
+	m := make(map[string]int32, len(g.Sites))
+	for i, s := range g.Sites {
+		m[s.Name] = int32(i)
 	}
 	g.siteIndex = m
 }

@@ -630,7 +630,9 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(i int) { b[i/64] |= 1 << uint(i%64) }
+func (b bitset) set(i int) { b[uint(i)/64] |= 1 << (uint(i) % 64) }
+
+func (b bitset) has(i int) bool { return b[uint(i)/64]&(1<<(uint(i)%64)) != 0 }
 
 func (b bitset) unionWith(o bitset) {
 	for i, w := range o {

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // This file implements the what-if outage simulator underneath
 // internal/incident. Where the metrics engine answers "how many sites does
@@ -36,6 +39,14 @@ import "sort"
 // impaired, unaffected otherwise. Its resilience score generalizes the §8.3
 // defense metric to outage states: 1 minus the mean penalty over consumed
 // services (lost = 1, degraded = ½, healthy = 0).
+//
+// Sites are classified from the provider side. Construction inverts every
+// site arrangement into provider→site rows, and after a cascade only the
+// rows of the providers that left Up are visited: O(Σ row lengths of the
+// touched providers + sites/64) per run, where a pass over every site's
+// arrangements would cost O(sites × arrangements). An arrangement is non-Up
+// exactly when one of its providers is, so the rows find every affected
+// site; the test oracle in export_test.go is that full scan.
 
 // ProviderState is a provider's health during a simulated outage. Order
 // matters: states only ever escalate (up → degraded → down).
@@ -128,7 +139,7 @@ type OutageResult struct {
 }
 
 // simArr is one actor's dependency arrangement for one service, resolved to
-// provider ids: the unit the cascade and the site sweep evaluate.
+// provider ids: the unit the cascade and the site classification evaluate.
 type simArr struct {
 	svc     Service
 	class   DepClass
@@ -136,10 +147,50 @@ type simArr struct {
 	provs   []int32
 }
 
+// critical reports whether losing any provider loses the arrangement's
+// service: a single third party, a private-infrastructure node or a chain
+// vendor.
+func (a simArr) critical() bool { return a.private || a.class.Critical() }
+
+// jointArr is one site's multi-third arrangement, the only kind redundancy
+// exhaustion (OutageOpts.JointFailures) can take down.
+type jointArr struct {
+	site  int32
+	provs []int32
+}
+
+// csr is a compressed sparse row table of int32 ids: row r is
+// ids[off[r]:off[r+1]].
+type csr struct {
+	off []int32
+	ids []int32
+}
+
+func (c csr) row(r int32) []int32 { return c.ids[c.off[r]:c.off[r+1]] }
+
+// buildCSR assembles an n-row table from the (row, id) pairs fill emits.
+// fill runs twice — once to size the rows, once to write them — so it must
+// emit the same pairs both times.
+func buildCSR(n int, fill func(emit func(row, id int32))) csr {
+	c := csr{off: make([]int32, n+1)}
+	fill(func(r, _ int32) { c.off[r+1]++ })
+	for r := 0; r < n; r++ {
+		c.off[r+1] += c.off[r]
+	}
+	c.ids = make([]int32, c.off[n])
+	next := append([]int32(nil), c.off[:n]...)
+	fill(func(r, id int32) {
+		c.ids[next[r]] = id
+		next[r]++
+	})
+	return c
+}
+
 // OutageSim is the reusable simulator for one (Graph, TraversalOpts) pair.
 // Construction resolves every dependency arrangement to metric-engine ids
-// once; each Run is then pure integer work. Obtain one via Graph.OutageSim.
-// An OutageSim is safe for concurrent Runs.
+// once and inverts the site arrangements into provider→site rows; each Run
+// is then pure integer work over the providers the cascade reaches. Obtain
+// one via Graph.OutageSim. An OutageSim is safe for concurrent Runs.
 type OutageSim struct {
 	g   *Graph
 	e   *MetricsEngine
@@ -148,6 +199,29 @@ type OutageSim struct {
 	provArrs [][]simArr // per provider id: the provider's own arrangements
 	siteArrs [][]simArr // per site index: third-party + private arrangements
 	consumed []int      // per site: number of consumed services (resilience denominator)
+
+	// Provider→site rows. A site is affected exactly when a non-Up provider
+	// appears in one of its arrangements, and loses a service when a down
+	// provider appears in a critical arrangement or, under JointFailures,
+	// when every provider of one of its multi-third arrangements is down.
+	// siteRows row 2p lists the sites with a critical arrangement naming
+	// provider p, row 2p+1 the other sites naming it (see critSites,
+	// otherSites, namingSites); jointRows row p indexes joint.
+	siteRows  csr
+	joint     []jointArr
+	jointRows csr
+}
+
+// critSites lists the sites with a critical arrangement naming provider p.
+func (s *OutageSim) critSites(p int32) []int32 { return s.siteRows.row(2 * p) }
+
+// otherSites lists the sites naming p only in redundant arrangements.
+func (s *OutageSim) otherSites(p int32) []int32 { return s.siteRows.row(2*p + 1) }
+
+// namingSites lists every site with an arrangement naming p: critSites and
+// otherSites are adjacent rows.
+func (s *OutageSim) namingSites(p int32) []int32 {
+	return s.siteRows.ids[s.siteRows.off[2*p]:s.siteRows.off[2*p+2]]
 }
 
 // OutageSim returns the graph's shared simulator for opts, building it on
@@ -235,15 +309,50 @@ func newOutageSim(g *Graph, via uint8) *OutageSim {
 		}
 		s.consumed[i] = len(seen)
 	}
-	return s
-}
 
-// HasProvider reports whether name exists in the simulator's provider
-// universe (any name the metrics engine can score, including leaf DNS
-// providers and private-infrastructure nodes).
-func (s *OutageSim) HasProvider(name string) bool {
-	_, ok := s.e.ids[name]
-	return ok
+	n := len(e.names)
+	s.siteRows = buildCSR(2*n, func(emit func(row, id int32)) {
+		// crit[p] / other[p] hold the last site emitted into p's row, plus
+		// one, so each (provider, site) pair lands in exactly one row once.
+		crit, other := make([]int32, n), make([]int32, n)
+		for i, arrs := range s.siteArrs {
+			mark := int32(i) + 1
+			for _, a := range arrs {
+				if !a.critical() {
+					continue
+				}
+				for _, p := range a.provs {
+					if crit[p] != mark {
+						crit[p] = mark
+						emit(2*p, int32(i))
+					}
+				}
+			}
+			for _, a := range arrs {
+				for _, p := range a.provs {
+					if crit[p] != mark && other[p] != mark {
+						other[p] = mark
+						emit(2*p+1, int32(i))
+					}
+				}
+			}
+		}
+	})
+	for i, arrs := range s.siteArrs {
+		for _, a := range arrs {
+			if a.class == ClassMultiThird && len(a.provs) > 0 {
+				s.joint = append(s.joint, jointArr{site: int32(i), provs: a.provs})
+			}
+		}
+	}
+	s.jointRows = buildCSR(n, func(emit func(row, id int32)) {
+		for j, a := range s.joint {
+			for _, p := range a.provs {
+				emit(p, int32(j))
+			}
+		}
+	})
+	return s
 }
 
 // arrState evaluates one arrangement against the current provider states.
@@ -262,7 +371,7 @@ func arrState(a simArr, st []ProviderState, joint bool) ProviderState {
 		return ProviderUp
 	}
 	switch {
-	case a.private || a.class.Critical():
+	case a.critical():
 		// Critical arrangement: as unhealthy as its unhealthiest provider.
 		return worst
 	case a.class == ClassMultiThird && joint && all:
@@ -291,28 +400,36 @@ func (s *OutageSim) providerState(id int32, st []ProviderState, joint bool) Prov
 	return worst
 }
 
-// Run simulates the outage of targets under o and classifies every site.
-// Target names absent from the graph are ignored (they exist nowhere, so
-// nothing depends on them); callers wanting strict validation check
-// HasProvider first.
-func (s *OutageSim) Run(targets []string, o OutageOpts) *OutageResult {
+// cascade runs the outage worklist for targets under o. On return
+// sc.state holds every provider's final state and sc.touched lists, once
+// each, the providers that left Up; every other provider is Up. Run and
+// RunCounts share it, so both answer over the identical fixpoint.
+func (s *OutageSim) cascade(targets []int32, o OutageOpts, sc *SimScratch) {
+	// Only the previous cascade's touched providers can be off Up. Reset
+	// them before any resize: sc.state may have been sized by another
+	// simulator with a larger universe.
+	for _, p := range sc.touched {
+		sc.state[p] = ProviderUp
+	}
+	touched := sc.touched[:0]
 	n := len(s.e.names)
-	state := make([]ProviderState, n)
+	if len(sc.state) < n {
+		sc.state = make([]ProviderState, n)
+	}
+	state := sc.state[:n]
+
 	targetState := ProviderDown
 	if o.Severity > 0 && o.Severity < 1 {
 		targetState = ProviderDegraded
 	}
-	isTarget := make(map[int32]bool, len(targets))
-	var queue []int32
-	for _, t := range targets {
-		id, ok := s.e.ids[t]
-		if !ok {
-			continue
-		}
-		isTarget[int32(id)] = true
+	queue := sc.queue[:0]
+	for _, id := range targets {
 		if state[id] < targetState {
+			if state[id] == ProviderUp {
+				touched = append(touched, id)
+			}
 			state[id] = targetState
-			queue = append(queue, int32(id))
+			queue = append(queue, id)
 		}
 	}
 
@@ -333,80 +450,111 @@ func (s *OutageSim) Run(targets []string, o OutageOpts) *OutageResult {
 				continue
 			}
 			if ns := s.providerState(k, state, o.JointFailures); ns > state[k] {
+				if state[k] == ProviderUp {
+					touched = append(touched, k)
+				}
 				state[k] = ns
 				queue = append(queue, k)
 			}
 		}
 	}
+	sc.queue = queue
+	sc.touched = touched
+}
 
+// markSites unions the rows of the last cascade's touched providers into
+// two site bitsets. sc.down gets the sites that lose a service: a critical
+// arrangement naming a down provider, or under JointFailures a multi-third
+// arrangement whose providers are all down. sc.impaired gets the other
+// sites naming a non-Up provider. Their union is exactly the sites with a
+// non-Up arrangement, since an arrangement is non-Up exactly when one of
+// its providers is; sites in neither are unaffected, and a site's bit may
+// be in both. Every row entry is visited once.
+func (s *OutageSim) markSites(o OutageOpts, sc *SimScratch) {
+	words := (len(s.siteArrs) + 63) / 64
+	if cap(sc.impaired) < words {
+		sc.impaired = make(bitset, words)
+		sc.down = make(bitset, words)
+	}
+	sc.impaired = sc.impaired[:words]
+	sc.down = sc.down[:words]
+	clear(sc.impaired)
+	clear(sc.down)
+	state := sc.state
+	for _, p := range sc.touched {
+		if state[p] != ProviderDown {
+			for _, i := range s.namingSites(p) {
+				sc.impaired.set(int(i))
+			}
+			continue
+		}
+		for _, i := range s.critSites(p) {
+			sc.down.set(int(i))
+		}
+		for _, i := range s.otherSites(p) {
+			sc.impaired.set(int(i))
+		}
+		if !o.JointFailures {
+			continue
+		}
+	arrs:
+		for _, j := range s.jointRows.row(p) {
+			a := s.joint[j]
+			if sc.down.has(int(a.site)) {
+				continue
+			}
+			for _, q := range a.provs {
+				if state[q] != ProviderDown {
+					continue arrs
+				}
+			}
+			sc.down.set(int(a.site))
+		}
+	}
+}
+
+// Run simulates the outage of targets under o and classifies every site:
+// the sites markSites finds affected in full, every other site as
+// unaffected with resilience 1. Target names absent from the graph are
+// ignored (they exist nowhere, so nothing depends on them); callers wanting
+// strict validation check Graph.HasProvider first.
+func (s *OutageSim) Run(targets []string, o OutageOpts) *OutageResult {
+	var sc SimScratch
+	isTarget := make([]bool, len(s.e.names))
+	ids := make([]int32, 0, len(targets))
+	for _, t := range targets {
+		if id, ok := s.e.ids[t]; ok {
+			isTarget[id] = true
+			ids = append(ids, int32(id))
+		}
+	}
+	s.cascade(ids, o, &sc)
+	s.markSites(o, &sc)
+
+	nSites := len(s.g.Sites)
 	res := &OutageResult{
-		Outcomes:          make([]SiteOutcome, len(s.g.Sites)),
-		Resilience:        make([]float64, len(s.g.Sites)),
-		Direct:            make([]bool, len(s.g.Sites)),
+		Outcomes:          make([]SiteOutcome, nSites),
+		Resilience:        make([]float64, nSites),
+		Direct:            make([]bool, nSites),
 		LostByService:     make(map[Service]int),
 		DegradedByService: make(map[Service]int),
 	}
-	for i := range s.g.Sites {
-		// Per-service status: the worst arrangement state of each consumed
-		// service decides whether that service is lost or just impaired.
-		var svcState [numServices]ProviderState
-		var svcSeen [numServices]bool
-		direct := false
-		for _, a := range s.siteArrs[i] {
-			as := arrState(a, state, o.JointFailures)
-			if int(a.svc) < len(svcState) {
-				svcSeen[a.svc] = true
-				if as > svcState[a.svc] {
-					svcState[a.svc] = as
-				}
-			}
-			if !direct {
-				for _, p := range a.provs {
-					if isTarget[p] {
-						direct = true
-						break
-					}
-				}
-			}
-		}
-		res.Direct[i] = direct
-		outcome := SiteUnaffected
-		penalty := 0.0
-		for svc := range svcState {
-			if !svcSeen[svc] {
-				continue
-			}
-			switch svcState[svc] {
-			case ProviderDown:
-				res.LostByService[Service(svc)]++
-				penalty += 1
-				outcome = SiteDown
-			case ProviderDegraded:
-				res.DegradedByService[Service(svc)]++
-				penalty += 0.5
-				if outcome < SiteDegraded {
-					outcome = SiteDegraded
-				}
-			}
-		}
-		res.Outcomes[i] = outcome
-		if s.consumed[i] > 0 {
-			res.Resilience[i] = 1 - penalty/float64(s.consumed[i])
-		} else {
-			res.Resilience[i] = 1
-		}
-		switch outcome {
-		case SiteDown:
-			res.Down++
-		case SiteDegraded:
-			res.Degraded++
-		default:
-			res.Unaffected++
+	for i := range res.Resilience {
+		res.Resilience[i] = 1
+	}
+	// Targets are never Up, so a site outside the affected set names no
+	// target either: Unaffected, resilience 1 and Direct false all hold.
+	for w, down := range sc.down {
+		for word := down | sc.impaired[w]; word != 0; {
+			i := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			s.classify(i, sc.state, isTarget, o.JointFailures, res)
 		}
 	}
+	res.Unaffected = nSites - res.Down - res.Degraded
 
-	for id, st := range state {
-		switch st {
+	for _, id := range sc.touched {
+		switch sc.state[id] {
 		case ProviderDown:
 			res.DownProviders = append(res.DownProviders, s.e.names[id])
 		case ProviderDegraded:
@@ -416,6 +564,63 @@ func (s *OutageSim) Run(targets []string, o OutageOpts) *OutageResult {
 	sort.Strings(res.DownProviders)
 	sort.Strings(res.DegradedProviders)
 	return res
+}
+
+// classify evaluates site i against the final provider states and records
+// its outcome, resilience, Direct flag and per-service losses in res.
+func (s *OutageSim) classify(i int, state []ProviderState, isTarget []bool, joint bool, res *OutageResult) {
+	// Per-service status: the worst arrangement state of each consumed
+	// service decides whether that service is lost or just impaired.
+	var svcState [numServices]ProviderState
+	var svcSeen [numServices]bool
+	direct := false
+	for _, a := range s.siteArrs[i] {
+		as := arrState(a, state, joint)
+		if int(a.svc) < len(svcState) {
+			svcSeen[a.svc] = true
+			if as > svcState[a.svc] {
+				svcState[a.svc] = as
+			}
+		}
+		if !direct {
+			for _, p := range a.provs {
+				if isTarget[p] {
+					direct = true
+					break
+				}
+			}
+		}
+	}
+	res.Direct[i] = direct
+	outcome := SiteUnaffected
+	penalty := 0.0
+	for svc := range svcState {
+		if !svcSeen[svc] {
+			continue
+		}
+		switch svcState[svc] {
+		case ProviderDown:
+			res.LostByService[Service(svc)]++
+			penalty += 1
+			outcome = SiteDown
+		case ProviderDegraded:
+			res.DegradedByService[Service(svc)]++
+			penalty += 0.5
+			if outcome < SiteDegraded {
+				outcome = SiteDegraded
+			}
+		}
+	}
+	res.Outcomes[i] = outcome
+	if s.consumed[i] > 0 {
+		res.Resilience[i] = 1 - penalty/float64(s.consumed[i])
+	}
+	switch outcome {
+	case SiteDown:
+		res.Down++
+	case SiteDegraded:
+		res.Degraded++
+	}
 }
 
 // numServices sizes the per-site service-status scratch arrays; Service
@@ -440,78 +645,32 @@ func (s *OutageSim) ProviderNameOf(id int32) string {
 // A SimScratch must not be shared between concurrent RunCounts calls; give
 // each worker its own.
 type SimScratch struct {
-	state []ProviderState
-	queue []int32
+	state   []ProviderState // per provider id; Up outside touched
+	queue   []int32
+	touched []int32 // providers the last cascade moved off Up
+	// Site bitsets markSites fills: sites/8 bytes each, 2.5 KB at 20K sites.
+	down     bitset
+	impaired bitset
 }
 
 // RunCounts simulates the outage of the given provider ids under o and
 // returns only the aggregate outcome counts. It is the Monte-Carlo inner
-// loop: the same cascade and site classification as Run, minus every
-// allocation Run spends on the full report (outcome slices, resilience
-// scores, provider name lists). Unknown ids are the caller's bug; obtain
-// ids via ProviderID.
+// loop: the same cascade as Run, after which the counts come straight from
+// the provider→site rows of the touched providers — down = |D| and
+// degraded = |A \ D|, where A is the sites with an arrangement naming a
+// non-Up provider and D ⊆ A the sites that lost a service (see markSites).
+// A scenario costs O(Σ row lengths of touched providers + sites/64), not
+// O(sites × arrangements), and with a warmed SimScratch allocates nothing.
+// Unknown ids are the caller's bug; obtain ids via ProviderID.
 func (s *OutageSim) RunCounts(targets []int32, o OutageOpts, sc *SimScratch) (down, degraded int) {
-	n := len(s.e.names)
-	if cap(sc.state) < n {
-		sc.state = make([]ProviderState, n)
-	}
-	state := sc.state[:n]
-	for i := range state {
-		state[i] = ProviderUp
-	}
-	targetState := ProviderDown
-	if o.Severity > 0 && o.Severity < 1 {
-		targetState = ProviderDegraded
-	}
-	queue := sc.queue[:0]
-	for _, id := range targets {
-		if state[id] < targetState {
-			state[id] = targetState
-			queue = append(queue, id)
-		}
-	}
-	if len(queue) == 0 {
-		sc.queue = queue
+	s.cascade(targets, o, sc)
+	if len(sc.touched) == 0 {
 		return 0, 0
 	}
-
-	// The same worklist fixpoint as Run: states only escalate, so the
-	// cascade converges through provider cycles.
-	for len(queue) > 0 {
-		p := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, ed := range s.e.edges[p] {
-			if s.via&(1<<uint(ed.svc)) == 0 {
-				continue
-			}
-			k := ed.to
-			if state[k] == ProviderDown {
-				continue
-			}
-			if ns := s.providerState(k, state, o.JointFailures); ns > state[k] {
-				state[k] = ns
-				queue = append(queue, k)
-			}
-		}
-	}
-	sc.queue = queue
-
-	for i := range s.g.Sites {
-		worst := ProviderUp
-		for _, a := range s.siteArrs[i] {
-			if as := arrState(a, state, o.JointFailures); as > worst {
-				worst = as
-				if worst == ProviderDown {
-					break
-				}
-			}
-		}
-		switch worst {
-		case ProviderDown:
-			down++
-		case ProviderDegraded:
-			degraded++
-		}
+	s.markSites(o, sc)
+	for w, d := range sc.down {
+		down += bits.OnesCount64(d)
+		degraded += bits.OnesCount64(sc.impaired[w] &^ d)
 	}
 	return down, degraded
 }
@@ -525,6 +684,27 @@ func (g *Graph) ProviderNames() []string {
 	out := append([]string(nil), e.names...)
 	sort.Strings(out)
 	return out
+}
+
+// HasProvider reports whether name is in the ProviderNames universe — any
+// name the metrics engine and the simulator know, including leaf DNS
+// providers and private-infrastructure nodes — without copying or sorting
+// it.
+func (g *Graph) HasProvider(name string) bool {
+	e := g.Metrics()
+	e.initOnce.Do(e.init)
+	_, ok := e.ids[name]
+	return ok
+}
+
+// EachProviderName calls fn for every ProviderNames entry, in no
+// particular order and without copying the universe.
+func (g *Graph) EachProviderName(fn func(name string)) {
+	e := g.Metrics()
+	e.initOnce.Do(e.init)
+	for _, n := range e.names {
+		fn(n)
+	}
 }
 
 // ProvidersOfService returns the third-party provider names of svc — the

@@ -202,6 +202,33 @@ func TestSimulateSeverity(t *testing.T) {
 	}
 }
 
+// TestRunCountsAllocs guards the Monte-Carlo inner loop: with a warmed
+// SimScratch, RunCounts allocates nothing, in every outage mode.
+func TestRunCountsAllocs(t *testing.T) {
+	g := randomGraph(7)
+	sim := g.OutageSim(AllIndirect())
+	var ids []int32
+	for _, n := range g.ProviderNames() {
+		id, _ := sim.ProviderID(n)
+		ids = append(ids, id)
+	}
+	ids = ids[:(len(ids)+1)/2]
+	modes := []OutageOpts{{}, {Severity: 0.5}, {JointFailures: true}}
+	var sc SimScratch
+	run := func() {
+		for _, o := range modes {
+			sim.RunCounts(ids, o, &sc)
+		}
+	}
+	run()
+	if down, _ := sim.RunCounts(ids, OutageOpts{}, &sc); down == 0 {
+		t.Fatal("fixture takes no site down; the guard would measure nothing")
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("RunCounts with a warmed scratch: %v allocs per run, want 0", allocs)
+	}
+}
+
 // Regression: degenerate inputs — empty graphs and zero-site graphs — yield
 // empty metric results and outcome-free simulations instead of allocating
 // zero-width bitset views (or panicking).

@@ -103,14 +103,15 @@ func Simulate(ctx context.Context, g *core.Graph, sc *Scenario) (*Report, error)
 
 	// A single-provider full-severity scenario must reproduce the metric
 	// engine's I_p exactly — membership, not just count. Record the check
-	// so every report carries its own consistency proof.
+	// so every report carries its own consistency proof. Equal sizes plus
+	// I_p ⊆ down make the sets equal, so the check costs O(|I_p|).
 	if len(cumulative) == 1 && rep.Severity == 1 && final != nil {
 		p := cumulative[0]
 		impact := g.ImpactSet(p, opts)
 		match := len(impact) == final.Down
 		if match {
-			for i, s := range g.Sites {
-				if (final.Outcomes[i] == core.SiteDown) != impact[s.Name] {
+			for name := range impact {
+				if i, ok := g.SiteIndex(name); !ok || final.Outcomes[i] != core.SiteDown {
 					match = false
 					break
 				}

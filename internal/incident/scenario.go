@@ -224,29 +224,24 @@ func ResolveTargets(g *core.Graph, t Targets, opts core.TraversalOpts) ([]string
 	}
 	selected := make(map[string]bool)
 
-	if len(t.Providers) > 0 {
-		universe := make(map[string]bool)
-		for _, n := range g.ProviderNames() {
-			universe[n] = true
+	for _, p := range t.Providers {
+		if !g.HasProvider(p) {
+			return nil, fmt.Errorf("incident: unknown provider %q in this snapshot", p)
 		}
-		for _, p := range t.Providers {
-			if !universe[p] {
-				return nil, fmt.Errorf("incident: unknown provider %q in this snapshot", p)
-			}
-			selected[p] = true
-		}
+		selected[p] = true
 	}
 
 	if t.Entity != "" {
 		want := strings.ToLower(strings.TrimSpace(t.Entity))
 		matched := false
-		for _, n := range g.ProviderNames() {
+		// Unordered is fine: the selection is sorted on the way out.
+		g.EachProviderName(func(n string) {
 			ent := entityOf(n)
 			if ent == want || sld(ent) == want || strings.ToLower(n) == want {
 				selected[n] = true
 				matched = true
 			}
-		}
+		})
 		if !matched {
 			return nil, fmt.Errorf("incident: entity %q matches no provider in this snapshot", t.Entity)
 		}
