@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt examples race golden verify alloc-guards docs-check bench bench-pipeline bench-incident bench-delta bench-chain bench-scale bench-compare loadtest loadtest-smoke scale-smoke
+.PHONY: all build test vet fmt examples race golden verify alloc-guards docs-check bench-smoke bench bench-pipeline bench-incident bench-delta bench-chain bench-scale bench-compare loadtest loadtest-smoke scale-smoke
 
 all: build test
 
@@ -49,16 +49,23 @@ alloc-guards:
 docs-check:
 	$(GO) test -run 'TestDoc' -count=1 .
 
+# bench-smoke vets and tests the repo benchmark harness under bench/ (a Go
+# module of its own, so ./... from the root never reaches it). It builds
+# against this checkout's internal packages, so an API change that breaks
+# the harness fails here rather than in a benchmark run.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # verify is the full pre-merge gate: compile, static checks, formatting
 # (gofmt -l walks the whole tree, internal/intern included), the plain
 # suite, the race-enabled suite (which covers the pipeline cancellation,
 # simulation-abort and pool-shutdown tests), the golden byte-pinning tests,
 # the allocation budgets, the example builds, the documentation drift
-# checks, a small end-to-end load smoke of the query API (depserver +
-# depload, scale 300, 1s), and the memory-budget smoke of the streaming
-# engine (50K -compact run: completes under a workable budget, fails fast
-# under an impossible one).
-verify: build vet fmt test race golden examples alloc-guards docs-check loadtest-smoke scale-smoke
+# checks, the benchmark harness's vet and smoke tests, a small end-to-end
+# load smoke of the query API (depserver + depload, scale 300, 1s), and the
+# memory-budget smoke of the streaming engine (50K -compact run: completes
+# under a workable budget, fails fast under an impossible one).
+verify: build vet fmt test race golden examples alloc-guards docs-check bench-smoke loadtest-smoke scale-smoke
 
 # loadtest runs the recorded serve load measurement: a prewarmed depserver
 # at scale 2000 driven by cmd/depload over the default endpoint mix, with

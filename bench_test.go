@@ -216,16 +216,12 @@ func BenchmarkFigure5ProviderConcentration(b *testing.B) {
 	}
 }
 
-// BenchmarkTopProvidersBatch prices the metrics engine's two cold-fill
-// strategies against each other and against the raw recursion, on the
-// measured 2020 snapshot: every arm answers C_p and I_p for every declared
-// provider, starting cold. The "batch" arm forces the SCC+bitset
-// propagation (the whole 854-name universe up front); the "perprovider" arm
-// walks the recursive sets with no engine at all, the shape every Figure 5
-// render used to pay; the "auto" arm leaves the crossover heuristic in
-// charge — this snapshot sits below batchCrossoverNames, so auto must track
-// the lazy per-name walks, not the batch fill (the 100K-scale counterpart
-// in internal/core proves the opposite choice).
+// BenchmarkTopProvidersBatch prices the metrics engine's cold fill against
+// the raw recursion on the measured 2020 snapshot: every arm answers C_p and
+// I_p for every declared provider, starting cold. The "batch" arm runs the
+// SCC+bitset propagation (the whole 854-name universe up front); the
+// "perprovider" arm walks the recursive sets with no engine at all, the
+// shape every Figure 5 render used to pay.
 func BenchmarkTopProvidersBatch(b *testing.B) {
 	run := benchFixture(b)
 	g := run.Y2020.Graph
@@ -242,14 +238,6 @@ func BenchmarkTopProvidersBatch(b *testing.B) {
 		}
 	}
 	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e := core.NewMetricsEngine(g, 0)
-			e.SetStrategy(core.StrategyBatch)
-			queryAll(b, e)
-		}
-	})
-	b.Run("auto", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			queryAll(b, core.NewMetricsEngine(g, 0))

@@ -306,7 +306,9 @@ func main() {
 		return
 	}
 	if *outage != "" {
-		analysis.RenderOutage(os.Stdout, run, *outage)
+		if err := analysis.RenderOutage(os.Stdout, run, *outage); err != nil {
+			log.Fatal(err)
+		}
 		errorFooter()
 		return
 	}

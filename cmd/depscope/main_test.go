@@ -92,4 +92,12 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 	if !strings.Contains(out, "unknown incident scenario") || !strings.Contains(out, "dyn-replay") {
 		t.Errorf("-incident output missing preset listing:\n%s", out)
 	}
+
+	out, failed = rerun(t, "-scale", "300", "-q", "-outage", "no-such-provider.example")
+	if !failed {
+		t.Fatalf("-outage no-such-provider.example exited zero:\n%s", out)
+	}
+	if !strings.Contains(out, `unknown provider "no-such-provider.example"`) {
+		t.Errorf("-outage output does not name the unknown provider:\n%s", out)
+	}
 }

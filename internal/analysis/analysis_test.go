@@ -318,9 +318,25 @@ func TestOutageReport(t *testing.T) {
 		t.Error("no sample sites")
 	}
 	var sb strings.Builder
-	RenderOutage(&sb, run, "dnsmadeeasy.com")
+	if err := RenderOutage(&sb, run, "dnsmadeeasy.com"); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(sb.String(), "digicert.com") {
 		t.Errorf("outage render missing provider chain:\n%s", sb.String())
+	}
+}
+
+// TestOutageUnknownProvider: a provider the snapshot does not know is an
+// error naming it, with nothing rendered — not a report of zeros.
+func TestOutageUnknownProvider(t *testing.T) {
+	run := getRun(t)
+	var sb strings.Builder
+	err := RenderOutage(&sb, run, "no-such-provider.example")
+	if err == nil || !strings.Contains(err.Error(), `"no-such-provider.example"`) {
+		t.Errorf("RenderOutage(unknown) error = %v, want one naming the provider", err)
+	}
+	if sb.Len() != 0 {
+		t.Errorf("RenderOutage(unknown) wrote output:\n%s", sb.String())
 	}
 }
 

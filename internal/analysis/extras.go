@@ -60,8 +60,12 @@ func Outage(run *Run, provider string) OutageReport {
 	return rep
 }
 
-// RenderOutage prints an outage report.
-func RenderOutage(w io.Writer, run *Run, provider string) {
+// RenderOutage prints an outage report. A provider the 2020 snapshot does
+// not know is an error, not an empty report.
+func RenderOutage(w io.Writer, run *Run, provider string) error {
+	if !run.Y2020.Graph.HasProvider(provider) {
+		return fmt.Errorf("analysis: unknown provider %q in the 2020 snapshot", provider)
+	}
 	rep := Outage(run, provider)
 	header(w, fmt.Sprintf("Outage what-if: %s (2020)", rep.Provider))
 	fmt.Fprintf(w, "sites down via direct dependency:     %d\n", rep.Direct)
@@ -72,6 +76,7 @@ func RenderOutage(w io.Writer, run *Run, provider string) {
 	if len(rep.SampleSites) > 0 {
 		fmt.Fprintf(w, "highest-ranked affected sites:        %v\n", rep.SampleSites)
 	}
+	return nil
 }
 
 // RenderRobustness prints the §8.3 defense-metric distribution plus the

@@ -3,7 +3,6 @@ package analysis
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"depscope/internal/core"
@@ -14,8 +13,9 @@ import (
 // graph — map lookups and bounded walks, no locks — so a server can call it
 // on the request hot path against a published snapshot. The only exception
 // is RankedProviders, which goes through the graph's metrics engine (a
-// mutex-guarded lazy cache): callers serving rankings under load should
-// compute them once at snapshot-build time and serve the result.
+// per-traversal cache whose first query runs the batch propagation over
+// every provider): callers serving rankings under load should compute them
+// once at snapshot-build time and serve the result.
 
 // ErrUnknownSite marks a site lookup that found no such site in the
 // snapshot; the query API maps it to 404 where every other view error is a
@@ -44,7 +44,7 @@ type SiteView struct {
 	Services []ServiceDep `json:"services"`
 	// CriticalProviders lists every provider the site depends on critically,
 	// directly or transitively through provider-to-provider dependencies —
-	// the per-site expansion behind Graph.CriticalDepsPerSite(true).
+	// Graph.CriticalProviders, the set CriticalDepsPerSite(true) counts.
 	CriticalProviders []string `json:"critical_providers,omitempty"`
 }
 
@@ -88,50 +88,8 @@ func SiteBreakdown(run *Run, snapshot, site string) (*SiteView, error) {
 			PrivateInfra: infra,
 		})
 	}
-	view.CriticalProviders = criticalProviders(g, s)
+	view.CriticalProviders = g.CriticalProviders(s)
 	return view, nil
-}
-
-// criticalProviders expands the site's critical dependencies transitively
-// over provider-to-provider critical edges (the CriticalDepsPerSite(true)
-// walk, surfaced per site).
-func criticalProviders(g *core.Graph, s *core.Site) []string {
-	set := make(map[string]bool)
-	visited := make(map[string]bool)
-	var walk func(p string)
-	walk = func(p string) {
-		if visited[p] {
-			return
-		}
-		visited[p] = true
-		set[p] = true
-		prov, ok := g.Providers[p]
-		if !ok {
-			return
-		}
-		for _, d := range prov.Deps {
-			if !d.Class.Critical() {
-				continue
-			}
-			for _, dep := range d.Providers {
-				walk(dep)
-			}
-		}
-	}
-	for _, d := range s.Deps {
-		if !d.Class.Critical() {
-			continue
-		}
-		for _, p := range d.Providers {
-			walk(p)
-		}
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SiteNames returns the snapshot's site names in rank order.

@@ -142,9 +142,7 @@ func (cg *CompactGraph) SetMetricsWorkers(n int) {
 // Metrics returns the graph's batched metrics engine, built directly over
 // the columnar arrays on first use: site rows are the bitset indexes, so
 // the engine's init() never runs — names, bases and edges are materialized
-// here and the SCC/propagation machinery consumes them as-is. The engine is
-// pinned to StrategyBatch: the lazy recursive strategy walks the pointer
-// graph, which a compact-built engine does not have.
+// here and the SCC/propagation machinery consumes them as-is.
 func (cg *CompactGraph) Metrics() *MetricsEngine {
 	cg.metricsMu.Lock()
 	defer cg.metricsMu.Unlock()
@@ -173,7 +171,7 @@ func (cg *CompactGraph) buildEngine(workers int) *MetricsEngine {
 
 	// Universe: declared providers, third-party dependency targets, chain
 	// vendors, private-infrastructure nodes, provider dependency targets —
-	// the same membership rule as initNames (insertion order differs, which
+	// the same membership rule as init (insertion order differs, which
 	// only permutes internal ids, never counts).
 	e.ids = make(map[string]int)
 	add := func(id uint32) int {
@@ -284,13 +282,9 @@ func (cg *CompactGraph) buildEngine(workers int) *MetricsEngine {
 		}
 	}
 
-	// The engine is born initialized: consume both onces so entry() goes
-	// straight to propagation, and pin the batch strategy — the lazy path
-	// needs a pointer graph this engine deliberately lacks.
-	e.namesOnce.Do(func() {})
+	// The engine is born initialized: consume the once so entry() goes
+	// straight to propagation.
 	e.initOnce.Do(func() {})
-	e.initDone.Store(true)
-	e.strategy = StrategyBatch
 	return e
 }
 

@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// This file carries a MetricsEngine across a graph delta. The batch engine's
+// This file carries a MetricsEngine across a graph delta. The engine's
 // expensive artifacts — the provider universe, the per-name direct-user
 // rows, the SCC condensation and the per-component dependent-site bitsets —
 // are all keyed by structure a small delta barely touches, so instead of
@@ -40,7 +40,6 @@ func (e *MetricsEngine) ApplyDelta(ng *Graph, eff *DeltaEffect) (*MetricsEngine,
 	ne := NewMetricsEngine(ng, 0)
 	e.mu.Lock()
 	ne.workers = e.workers
-	ne.strategy = e.strategy
 	entries := make(map[uint8]*metricsEntry, len(e.cache))
 	for k, ent := range e.cache {
 		if ent.ready.Load() {
@@ -77,7 +76,6 @@ func (e *MetricsEngine) ApplyDelta(ng *Graph, eff *DeltaEffect) (*MetricsEngine,
 		return ne, 0
 	}
 	ne.names, ne.ids = names, ids
-	ne.namesOnce.Do(func() {})
 
 	dirtyIDs := make([]int, 0, len(eff.Dirty))
 	for name := range eff.Dirty {
@@ -90,13 +88,13 @@ func (e *MetricsEngine) ApplyDelta(ng *Graph, eff *DeltaEffect) (*MetricsEngine,
 	}
 	sort.Ints(touchedIDs)
 
-	if e.initDone.Load() {
-		e.patchInit(ne, eff, touchedIDs)
-	}
+	// Every ready entry ran init() before its fill, so the base state is
+	// there to carry.
+	e.patchInit(ne, eff, touchedIDs)
 
 	carried := 0
 	for key, ent := range entries {
-		nent := e.patchEntry(ne, ent, key, eff, dirtyIDs)
+		nent := ne.patchEntry(ent, dirtyIDs)
 		if nent == nil {
 			continue
 		}
@@ -106,10 +104,11 @@ func (e *MetricsEngine) ApplyDelta(ng *Graph, eff *DeltaEffect) (*MetricsEngine,
 	return ne, carried
 }
 
-// patchInit carries the batch-layer init() state: stable site ids (extended
-// for added sites), reverse edges (valid verbatim — the delta was not
-// structural) and direct-user rows recomputed for touched names only: the
-// wider dirty closure re-unions existing rows but never changes them.
+// patchInit carries the rest of the init() state onto ne, whose universe the
+// caller already set: stable site ids (extended for added sites), reverse
+// edges (valid verbatim — the delta was not structural) and direct-user rows
+// recomputed for touched names only: the wider dirty closure re-unions
+// existing rows but never changes them.
 func (e *MetricsEngine) patchInit(ne *MetricsEngine, eff *DeltaEffect, touchedIDs []int) {
 	ne.siteID = e.siteID
 	ne.nSiteIDs = e.nSiteIDs
@@ -131,7 +130,6 @@ func (e *MetricsEngine) patchInit(ne *MetricsEngine, eff *DeltaEffect, touchedID
 		ne.baseAll[u], ne.baseCrit[u] = siteBaseRows(ne.g, ne.names[u], ne.siteID)
 	}
 	ne.initOnce.Do(func() {})
-	ne.initDone.Store(true)
 }
 
 // growRows clones a row slice's spine to n slots; rows stay shared.
@@ -141,86 +139,26 @@ func growRows[T any](in [][]T, n int) [][]T {
 	return out
 }
 
-// patchEntry carries one cached traversal result onto the new engine, or
-// returns nil when the entry is better recomputed on demand.
-func (e *MetricsEngine) patchEntry(ne *MetricsEngine, ent *metricsEntry, key uint8, eff *DeltaEffect, dirtyIDs []int) *metricsEntry {
+// patchEntry carries one cached traversal result onto the new engine by
+// re-unioning only the dirty components, or returns nil when the entry is
+// better recomputed on demand.
+func (ne *MetricsEngine) patchEntry(ent *metricsEntry, dirtyIDs []int) *metricsEntry {
+	if ent.stateConc == nil || ent.stateImp == nil {
+		return nil
+	}
 	nent := &metricsEntry{}
-	if ent.lazy.Load() {
-		// Lazy entry: drop dirty memos, keep the rest. Dropped and
-		// never-walked names recompute on first query against ng.
-		ent.mu.Lock()
-		nent.lconc = cloneWithout(ent.lconc, eff.Dirty)
-		nent.limp = cloneWithout(ent.limp, eff.Dirty)
-		ent.mu.Unlock()
-		nent.lazy.Store(true)
-		nent.once.Do(func() {})
-		nent.ready.Store(true)
-		return nent
+	var ok bool
+	nent.conc, nent.stateConc, ok = ne.repropagate(ent.conc, ent.stateConc, false, dirtyIDs)
+	if !ok {
+		return nil
 	}
-	if ent.stateConc != nil && ent.stateImp != nil && e.initDone.Load() {
-		// Batch entry with retained propagation state: re-union only the
-		// dirty components.
-		var ok bool
-		nent.conc, nent.stateConc, ok = ne.repropagate(ent.conc, ent.stateConc, false, dirtyIDs)
-		if !ok {
-			return nil
-		}
-		nent.imp, nent.stateImp, ok = ne.repropagate(ent.imp, ent.stateImp, true, dirtyIDs)
-		if !ok {
-			return nil
-		}
-		nent.once.Do(func() {})
-		nent.ready.Store(true)
-		return nent
+	nent.imp, nent.stateImp, ok = ne.repropagate(ent.imp, ent.stateImp, true, dirtyIDs)
+	if !ok {
+		return nil
 	}
-	// Complete maps without state (promoted from lazy): patch by reference
-	// walks on the new graph — these entries only exist on small universes
-	// where a walk is cheap.
-	nent.conc = patchByWalk(ent.conc, ne, dirtyIDs, false, key)
-	nent.imp = patchByWalk(ent.imp, ne, dirtyIDs, true, key)
 	nent.once.Do(func() {})
 	nent.ready.Store(true)
 	return nent
-}
-
-func cloneWithout(in map[string]int, drop map[string]bool) map[string]int {
-	out := make(map[string]int, len(in))
-	for k, v := range in {
-		if !drop[k] {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// patchByWalk clones a complete count map and recomputes dirty names with
-// the reference recursive set walks.
-func patchByWalk(in map[string]int, ne *MetricsEngine, dirtyIDs []int, critical bool, key uint8) map[string]int {
-	opts := optsForBits(key)
-	out := maps.Clone(in)
-	if out == nil {
-		out = make(map[string]int, len(dirtyIDs))
-	}
-	for _, u := range dirtyIDs {
-		name := ne.names[u]
-		if critical {
-			out[name] = len(ne.g.ImpactSet(name, opts))
-		} else {
-			out[name] = len(ne.g.ConcentrationSet(name, opts))
-		}
-	}
-	return out
-}
-
-// optsForBits reverses viaBits for the patch walks.
-func optsForBits(key uint8) TraversalOpts {
-	var opts TraversalOpts
-	for _, svc := range AllServices {
-		if key&(1<<uint(svc)) != 0 {
-			opts.ViaProviders = append(opts.ViaProviders, svc)
-		}
-	}
-	return opts
 }
 
 // repropagate patches one metric's retained propagation state for the new

@@ -137,7 +137,7 @@ func (g *Graph) RobustnessOf(site string) (Robustness, error) {
 		svcCritical := map[string]bool{}
 		if d.Class.Critical() {
 			for _, p := range d.Providers {
-				g.expandCritical(p, true, svcCritical, map[string]bool{})
+				g.criticalClosure(p, true, svcCritical)
 			}
 		}
 		// Private infrastructure with its own critical chain also pins the
@@ -147,7 +147,7 @@ func (g *Graph) RobustnessOf(site string) (Robustness, error) {
 				for _, pd := range prov.Deps {
 					if pd.Class.Critical() {
 						for _, dep := range pd.Providers {
-							g.expandCritical(dep, true, svcCritical, map[string]bool{})
+							g.criticalClosure(dep, true, svcCritical)
 						}
 					}
 				}

@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// topProvidersRecursive is the seed per-provider ranking, the reference
+// that equivalence tests and benchmarks hold the batched engine against.
+func (g *Graph) topProvidersRecursive(svc Service, opts TraversalOpts, byImpact bool, n int) []ProviderStat {
+	return g.topProviders(svc, byImpact, n, func(pname string) (int, int) {
+		return len(g.ConcentrationSet(pname, opts)), len(g.ImpactSet(pname, opts))
+	})
+}
+
 // RandomGraph exposes the property-test graph generator to the external
 // core_test package.
 func RandomGraph(seed int64) *Graph { return randomGraph(seed) }

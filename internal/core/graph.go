@@ -402,24 +402,13 @@ type ProviderStat struct {
 }
 
 // TopProviders ranks the providers of svc by the chosen metric under opts,
-// descending; n <= 0 returns all. Metrics come from the engine's per-name
-// queries: at snapshot scale those are lookups into one cached batch
-// propagation, and on small graphs the engine's lazy strategy instead pays
-// one memoized recursive walk per ranked name — either way far cheaper than
-// the seed's unconditional walk per provider per render.
+// descending; n <= 0 returns all. Metrics are lookups into the engine's
+// cached batch propagation for opts, which every ranking of the graph
+// shares.
 func (g *Graph) TopProviders(svc Service, opts TraversalOpts, byImpact bool, n int) []ProviderStat {
 	m := g.Metrics()
 	return g.topProviders(svc, byImpact, n, func(pname string) (int, int) {
 		return m.Concentration(pname, opts), m.Impact(pname, opts)
-	})
-}
-
-// topProvidersRecursive is the seed per-provider implementation, retained as
-// the reference that equivalence tests and benchmarks hold the batched
-// engine against.
-func (g *Graph) topProvidersRecursive(svc Service, opts TraversalOpts, byImpact bool, n int) []ProviderStat {
-	return g.topProviders(svc, byImpact, n, func(pname string) (int, int) {
-		return len(g.ConcentrationSet(pname, opts)), len(g.ImpactSet(pname, opts))
 	})
 }
 
@@ -492,25 +481,47 @@ func (g *Graph) hasPublicUsers(pname string) bool {
 func (g *Graph) CriticalDepsPerSite(indirect bool) map[string]int {
 	out := make(map[string]int, len(g.Sites))
 	for _, s := range g.Sites {
-		set := make(map[string]bool)
-		for _, d := range s.Deps {
-			if !d.Class.Critical() {
-				continue
-			}
-			for _, pname := range d.Providers {
-				g.expandCritical(pname, indirect, set, map[string]bool{})
-			}
-		}
-		out[s.Name] = len(set)
+		out[s.Name] = len(g.criticalSet(s, indirect))
 	}
 	return out
 }
 
-func (g *Graph) expandCritical(p string, indirect bool, set, visited map[string]bool) {
-	if visited[p] {
+// CriticalProviders returns, sorted, every provider s depends on critically,
+// directly or transitively through provider-to-provider critical
+// dependencies — the per-site set CriticalDepsPerSite(true) counts.
+func (g *Graph) CriticalProviders(s *Site) []string {
+	set := g.criticalSet(s, true)
+	out := make([]string, 0, len(set))
+	for p := range set {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// criticalSet collects the providers of s's critical arrangements and, with
+// indirect, their critical closures.
+func (g *Graph) criticalSet(s *Site, indirect bool) map[string]bool {
+	set := make(map[string]bool)
+	for _, d := range s.Deps {
+		if !d.Class.Critical() {
+			continue
+		}
+		for _, pname := range d.Providers {
+			g.criticalClosure(pname, indirect, set)
+		}
+	}
+	return set
+}
+
+// criticalClosure adds p to set and, with indirect, every provider p
+// depends on critically, transitively. set doubles as the visited set, so
+// one set shared across a site's roots walks each provider once; the result
+// is the union of the roots' closures.
+func (g *Graph) criticalClosure(p string, indirect bool, set map[string]bool) {
+	if set[p] {
 		return
 	}
-	visited[p] = true
 	set[p] = true
 	if !indirect {
 		return
@@ -521,7 +532,7 @@ func (g *Graph) expandCritical(p string, indirect bool, set, visited map[string]
 				continue
 			}
 			for _, dep := range d.Providers {
-				g.expandCritical(dep, indirect, set, visited)
+				g.criticalClosure(dep, indirect, set)
 			}
 		}
 	}

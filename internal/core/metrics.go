@@ -25,39 +25,9 @@ import (
 //
 // Results are cached per traversal key. Graphs are immutable after NewGraph
 // (nothing in the package mutates Sites, Providers or the indexes), so cache
-// entries never need invalidation.
-//
-// The batch pass wins at snapshot scale, but its fixed costs (condensation,
-// per-component bitsets over every site) lose to the plain recursion on small
-// provider universes — the measured 10K-site fixture resolves to under a
-// thousand provider names, and ranking workloads there only ever query the
-// ~500 of them that are real third parties. entry() therefore picks a
-// strategy per traversal key: at or above batchCrossoverNames universe names
-// it runs the batch propagation up front; below it, the entry stays lazy and
-// each queried name pays one recursive set walk, memoized — a ranking pass
-// costs walks for exactly the names it ranks instead of a propagation over
-// the whole universe. A lazy entry is promoted to complete maps only if a
-// caller asks for Counts (which needs every name).
-
-// Strategy selects how a cold metrics cache entry is computed.
-type Strategy int
-
-const (
-	// StrategyAuto picks per traversal key: batch propagation at or above
-	// batchCrossoverNames universe names, lazy per-name recursion below.
-	StrategyAuto Strategy = iota
-	// StrategyBatch forces SCC condensation + bitset propagation.
-	StrategyBatch
-	// StrategyRecursive forces lazy, memoized per-name recursive set walks.
-	StrategyRecursive
-)
-
-// batchCrossoverNames is the universe size at which batch propagation starts
-// beating per-name recursion. Calibrated on the committed benchmarks: on the
-// 10K-site fixture (854 universe names, ~500 ranked) the recursive ranking
-// pass beats the batch fill by ~30% (BENCH_metrics.json), while the
-// 100K-site/1000-provider graph fills ~5x faster batched.
-const batchCrossoverNames = 1000
+// entries never need invalidation. The batch pass is the only fill strategy:
+// the recursive set walks (ConcentrationSet, ImpactSet) remain the reference
+// the property tests hold it against, not a code path queries take.
 
 // MetricsEngine computes provider concentration |C_p| and impact |I_p| for
 // all providers of a Graph in one batched pass and caches the result per
@@ -66,15 +36,14 @@ const batchCrossoverNames = 1000
 type MetricsEngine struct {
 	g *Graph
 
-	// namesOnce builds just the universe (names, ids) — all the lazy
-	// recursive strategy ever needs; initOnce additionally resolves the
-	// bases and edges the batch propagation and the outage simulator use.
-	namesOnce sync.Once
-	initOnce  sync.Once
-	initDone  atomic.Bool    // set once init() finished (queried by ApplyDelta)
-	names     []string       // provider id → name (every name a query can hit)
-	ids       map[string]int // provider name → id
-	edges     [][]metricEdge // edges[p] = providers depending on p
+	// initOnce guards init(): the universe (names, ids), the direct-user
+	// rows and the reverse edges the propagation and the outage simulator
+	// walk. Engines built by CompactGraph and ApplyDelta are born
+	// initialized and consume it with a no-op.
+	initOnce sync.Once
+	names    []string       // provider id → name (every name a query can hit)
+	ids      map[string]int // provider name → id
+	edges    [][]metricEdge // edges[p] = providers depending on p
 	// Direct-user site ids per provider, resolved once so propagation is
 	// pure integer work shared by every traversal key and both metrics.
 	baseAll  [][]int32 // third-party users of any class + private owners
@@ -86,10 +55,9 @@ type MetricsEngine struct {
 	siteID   map[string]int32
 	nSiteIDs int // bitset width: ids handed out so far
 
-	mu       sync.Mutex
-	workers  int
-	strategy Strategy
-	cache    map[uint8]*metricsEntry
+	mu      sync.Mutex
+	workers int
+	cache   map[uint8]*metricsEntry
 }
 
 // metricEdge is one "provider `to` depends on the edge's source" link,
@@ -103,26 +71,11 @@ type metricEdge struct {
 }
 
 // metricsEntry is one cached (TraversalOpts) result; once guards the
-// strategy decision (and, for batch, the propagation) so concurrent first
-// queries do the setup exactly once.
-//
-// A batch entry is immutable after once: conc and imp hold complete maps and
-// reads are lock-free. A lazy (recursive-strategy) entry memoizes per-name
-// walks in lconc/limp under mu until Counts needs every name, at which point
-// full.Do computes complete maps, publishes them into conc/imp and clears
-// lazy — after the promotion reads are lock-free again. The memo maps stay
-// distinct from the published ones so a straggler still on the lazy path
-// never writes into a map lock-free readers hold.
+// propagation so concurrent first queries fill it exactly once. conc and imp
+// are complete maps, immutable after once, so reads are lock-free.
 type metricsEntry struct {
 	once sync.Once
-	lazy atomic.Bool
-	full sync.Once
-
-	mu    sync.Mutex // guards lconc/limp while lazy is true
-	lconc map[string]int
-	limp  map[string]int
-
-	conc map[string]int // complete; immutable once published
+	conc map[string]int
 	imp  map[string]int
 
 	// ready flips after once's body completes, so ApplyDelta can tell a
@@ -130,10 +83,10 @@ type metricsEntry struct {
 	// fields above are unsafe to read until then).
 	ready atomic.Bool
 
-	// Batch fills retain their propagation state (condensation, per-
-	// component site bitsets) so a later ApplyDelta can recompute only the
-	// components reachable from touched names instead of re-propagating
-	// the whole DAG. nil for lazy and promoted-from-lazy entries.
+	// The propagation state (condensation, per-component site bitsets) is
+	// retained so a later ApplyDelta can recompute only the components
+	// reachable from touched names instead of re-propagating the whole DAG.
+	// nil when the graph has no providers or no sites.
 	stateConc *propState
 	stateImp  *propState
 }
@@ -164,30 +117,6 @@ func (e *MetricsEngine) SetWorkers(n int) {
 	e.mu.Unlock()
 }
 
-// SetStrategy overrides the automatic batch/recursive crossover. It affects
-// cache entries not yet computed; already-filled traversal keys keep their
-// results (both strategies produce identical counts, so this only matters
-// for benchmarks pricing a particular fill path).
-func (e *MetricsEngine) SetStrategy(s Strategy) {
-	e.mu.Lock()
-	e.strategy = s
-	e.mu.Unlock()
-}
-
-// strategyFor resolves the fill strategy for a universe of n names.
-func (e *MetricsEngine) strategyFor(n int) Strategy {
-	e.mu.Lock()
-	s := e.strategy
-	e.mu.Unlock()
-	if s != StrategyAuto {
-		return s
-	}
-	if n >= batchCrossoverNames {
-		return StrategyBatch
-	}
-	return StrategyRecursive
-}
-
 func (e *MetricsEngine) workerCount() int {
 	e.mu.Lock()
 	w := e.workers
@@ -198,58 +127,20 @@ func (e *MetricsEngine) workerCount() int {
 	return w
 }
 
-// Concentration returns |C_p| under opts. On a lazy entry the first query
-// for p pays one recursive set walk; every later query is a map lookup.
+// Concentration returns |C_p| under opts.
 func (e *MetricsEngine) Concentration(p string, opts TraversalOpts) int {
-	ent := e.entry(opts)
-	if !ent.lazy.Load() {
-		return ent.conc[p]
-	}
-	return ent.lazyLookup(p, func() int { return len(e.g.ConcentrationSet(p, opts)) }, true)
+	return e.entry(opts).conc[p]
 }
 
-// Impact returns |I_p| under opts, lazily like Concentration.
+// Impact returns |I_p| under opts.
 func (e *MetricsEngine) Impact(p string, opts TraversalOpts) int {
-	ent := e.entry(opts)
-	if !ent.lazy.Load() {
-		return ent.imp[p]
-	}
-	return ent.lazyLookup(p, func() int { return len(e.g.ImpactSet(p, opts)) }, false)
-}
-
-// lazyLookup memoizes one per-name metric on a lazy entry. The walk runs
-// outside the lock: concurrent first queries for the same name may duplicate
-// the walk, but both compute the same deterministic value.
-func (ent *metricsEntry) lazyLookup(p string, walk func() int, isConc bool) int {
-	m := ent.limp
-	if isConc {
-		m = ent.lconc
-	}
-	ent.mu.Lock()
-	v, ok := m[p]
-	ent.mu.Unlock()
-	if ok {
-		return v
-	}
-	v = walk()
-	ent.mu.Lock()
-	m[p] = v
-	ent.mu.Unlock()
-	return v
+	return e.entry(opts).imp[p]
 }
 
 // Counts returns |C_p| and |I_p| for every provider under opts. The maps are
-// shared cache state; callers must not mutate them. On a lazy entry the
-// first Counts call promotes it: complete maps are computed once and served
-// from then on.
+// shared cache state; callers must not mutate them.
 func (e *MetricsEngine) Counts(opts TraversalOpts) (conc, imp map[string]int) {
 	ent := e.entry(opts)
-	if ent.lazy.Load() {
-		ent.full.Do(func() {
-			ent.conc, ent.imp = e.recursiveFill(opts)
-			ent.lazy.Store(false)
-		})
-	}
 	return ent.conc, ent.imp
 }
 
@@ -277,47 +168,21 @@ func (e *MetricsEngine) entry(opts TraversalOpts) *metricsEntry {
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
-		e.namesOnce.Do(e.initNames)
-		if e.strategyFor(len(e.names)) == StrategyRecursive {
-			ent.lconc = make(map[string]int)
-			ent.limp = make(map[string]int)
-			ent.lazy.Store(true)
-		} else {
-			e.initOnce.Do(e.init)
-			ent.conc, ent.stateConc = e.propagate(key, false)
-			ent.imp, ent.stateImp = e.propagate(key, true)
-		}
+		e.initOnce.Do(e.init)
+		ent.conc, ent.stateConc = e.propagate(key, false)
+		ent.imp, ent.stateImp = e.propagate(key, true)
 		ent.ready.Store(true)
 	})
 	return ent
 }
 
-// recursiveFill computes both metrics for every universe name by running the
-// reference recursive set walks, one name per worker-pool task. It backs the
-// Counts promotion of a lazy entry — the only consumer that needs complete
-// maps rather than the handful of names a ranking queries.
-func (e *MetricsEngine) recursiveFill(opts TraversalOpts) (concM, impM map[string]int) {
-	n := len(e.names)
-	concCounts := make([]int, n)
-	impCounts := make([]int, n)
-	conc.Do(n, e.workerCount(), func(i int) {
-		name := e.names[i]
-		concCounts[i] = len(e.g.ConcentrationSet(name, opts))
-		impCounts[i] = len(e.g.ImpactSet(name, opts))
-	})
-	concM = make(map[string]int, n)
-	impM = make(map[string]int, n)
-	for i, name := range e.names {
-		concM[name] = concCounts[i]
-		impM[name] = impCounts[i]
-	}
-	return concM, impM
-}
-
-// initNames builds the provider universe: every name a query can return a
-// non-zero count for — declared providers, third-party user indexes,
-// private-infrastructure nodes and depended-upon names.
-func (e *MetricsEngine) initNames() {
+// init builds the provider universe — every name a query can return a
+// non-zero count for: declared providers, third-party user indexes,
+// private-infrastructure nodes and depended-upon names — then resolves the
+// per-name direct-user site lists and the reverse dependency edges shared by
+// every traversal key, the state the batch propagation and the outage
+// simulator walk.
+func (e *MetricsEngine) init() {
 	g := e.g
 	e.ids = make(map[string]int)
 	add := func(name string) {
@@ -340,14 +205,6 @@ func (e *MetricsEngine) initNames() {
 	for name := range g.providerUsersOf {
 		add(name)
 	}
-}
-
-// init resolves the per-name direct-user site lists and the reverse
-// dependency edges shared by every traversal key — the state the batch
-// propagation and the outage simulator walk.
-func (e *MetricsEngine) init() {
-	e.namesOnce.Do(e.initNames)
-	g := e.g
 
 	e.siteID = make(map[string]int32, len(g.Sites))
 	for i, s := range g.Sites {
@@ -382,7 +239,6 @@ func (e *MetricsEngine) init() {
 			})
 		}
 	}
-	e.initDone.Store(true)
 }
 
 // siteBaseRows resolves one name's direct-user site id lists — the init()

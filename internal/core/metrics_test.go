@@ -6,12 +6,9 @@ import (
 )
 
 // TestMetricsEngineMatchesSetsOnPaperGraph pins the engine to the recursive
-// set formulas on the canonical paper examples, across traversal views. The
-// paper graph is far below the crossover, so the batch path is forced — the
-// equivalence being tested is batch-vs-recursion, not recursion-vs-itself.
+// set formulas on the canonical paper examples, across traversal views.
 func TestMetricsEngineMatchesSetsOnPaperGraph(t *testing.T) {
 	g := paperGraph()
-	g.Metrics().SetStrategy(StrategyBatch)
 	optsList := []TraversalOpts{
 		DirectOnly(), AllIndirect(),
 		{ViaProviders: []Service{CA}},
@@ -120,7 +117,6 @@ func sameMap(a, b map[string]int) bool {
 // paper graph (byte-identical slices, both ranking modes).
 func TestTopProvidersBatchedEqualsRecursive(t *testing.T) {
 	g := paperGraph()
-	g.Metrics().SetStrategy(StrategyBatch)
 	for _, svc := range Services {
 		for _, byImpact := range []bool{false, true} {
 			batch := g.TopProviders(svc, AllIndirect(), byImpact, 0)
@@ -132,63 +128,38 @@ func TestTopProvidersBatchedEqualsRecursive(t *testing.T) {
 	}
 }
 
-// TestMetricsStrategiesAgree drives both fill strategies over the same
-// synthetic snapshot-shaped graph and requires identical counts for every
-// name under every traversal view — the invariant that makes the crossover
-// heuristic a pure performance choice.
+// TestMetricsStrategiesAgree holds the batch engine to the reference
+// recursive set walks over a synthetic snapshot-shaped graph: identical
+// counts for every name under every traversal view, through per-name
+// queries (issued before Counts, against a cold engine) and the complete
+// Counts maps.
 func TestMetricsStrategiesAgree(t *testing.T) {
 	g := metricsBenchGraph(2000, 300)
 	optsList := []TraversalOpts{
 		DirectOnly(), AllIndirect(), {ViaProviders: []Service{DNS}},
 	}
 	for _, opts := range optsList {
-		batch := NewMetricsEngine(g, 0)
-		batch.SetStrategy(StrategyBatch)
-		rec := NewMetricsEngine(g, 0)
-		rec.SetStrategy(StrategyRecursive)
-		// Per-name queries first, so the lazy memo path itself is exercised
-		// before Counts promotes the entry to complete maps.
+		e := NewMetricsEngine(g, 0)
 		for _, name := range []string{"prov0", "prov7", "prov299", "absent"} {
-			if got, want := rec.Concentration(name, opts), batch.Concentration(name, opts); got != want {
-				t.Errorf("opts %v: lazy C(%s) = %d, batch = %d", opts, name, got, want)
+			if got, want := e.Concentration(name, opts), len(g.ConcentrationSet(name, opts)); got != want {
+				t.Errorf("opts %v: C(%s) = %d, reference walk = %d", opts, name, got, want)
 			}
-			if got, want := rec.Impact(name, opts), batch.Impact(name, opts); got != want {
-				t.Errorf("opts %v: lazy I(%s) = %d, batch = %d", opts, name, got, want)
+			if got, want := e.Impact(name, opts), len(g.ImpactSet(name, opts)); got != want {
+				t.Errorf("opts %v: I(%s) = %d, reference walk = %d", opts, name, got, want)
 			}
 		}
-		bc, bi := batch.Counts(opts)
-		rc, ri := rec.Counts(opts)
-		if !reflect.DeepEqual(bc, rc) {
-			t.Errorf("opts %v: concentration maps differ (batch %d names, recursive %d)", opts, len(bc), len(rc))
+		conc, imp := e.Counts(opts)
+		if len(conc) != len(e.names) || len(imp) != len(e.names) {
+			t.Errorf("opts %v: Counts has %d/%d names, universe %d", opts, len(conc), len(imp), len(e.names))
 		}
-		if !reflect.DeepEqual(bi, ri) {
-			t.Errorf("opts %v: impact maps differ (batch %d names, recursive %d)", opts, len(bi), len(ri))
+		for _, name := range e.names {
+			if got, want := conc[name], len(g.ConcentrationSet(name, opts)); got != want {
+				t.Errorf("opts %v: Counts C(%s) = %d, reference walk = %d", opts, name, got, want)
+			}
+			if got, want := imp[name], len(g.ImpactSet(name, opts)); got != want {
+				t.Errorf("opts %v: Counts I(%s) = %d, reference walk = %d", opts, name, got, want)
+			}
 		}
-		// After promotion, per-name queries must read the complete maps.
-		if got := rec.Concentration("prov0", opts); got != rc["prov0"] {
-			t.Errorf("opts %v: post-promotion C(prov0) = %d, want %d", opts, got, rc["prov0"])
-		}
-	}
-}
-
-// TestMetricsStrategyCrossover pins the auto heuristic: recursion below the
-// calibrated universe size, batch at and above it, and explicit overrides in
-// both directions.
-func TestMetricsStrategyCrossover(t *testing.T) {
-	e := NewMetricsEngine(paperGraph(), 0)
-	if got := e.strategyFor(batchCrossoverNames - 1); got != StrategyRecursive {
-		t.Errorf("strategyFor(%d) = %v, want StrategyRecursive", batchCrossoverNames-1, got)
-	}
-	if got := e.strategyFor(batchCrossoverNames); got != StrategyBatch {
-		t.Errorf("strategyFor(%d) = %v, want StrategyBatch", batchCrossoverNames, got)
-	}
-	e.SetStrategy(StrategyBatch)
-	if got := e.strategyFor(1); got != StrategyBatch {
-		t.Errorf("forced batch: strategyFor(1) = %v", got)
-	}
-	e.SetStrategy(StrategyRecursive)
-	if got := e.strategyFor(batchCrossoverNames * 10); got != StrategyRecursive {
-		t.Errorf("forced recursive: strategyFor(%d) = %v", batchCrossoverNames*10, got)
 	}
 }
 
@@ -228,24 +199,11 @@ func metricsBenchGraph(nSites, nProviders int) *Graph {
 // BenchmarkTopProvidersBatch100K proves the batched engine's win at the
 // paper's full scale: 100K sites, 1000 providers, full transitive traversal.
 // The "batch" arm prices one cold engine pass over every provider; the
-// "recursive" arm is the seed shape — one recursive walk per provider. The
-// "auto" arm leaves the crossover heuristic in charge: at this scale it must
-// track the batch arm, not the recursive one.
+// "recursive" arm is the seed shape — one recursive walk per provider.
 func BenchmarkTopProvidersBatch100K(b *testing.B) {
 	g := metricsBenchGraph(100000, 1000)
 	opts := AllIndirect()
 	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e := NewMetricsEngine(g, 0)
-			e.SetStrategy(StrategyBatch)
-			conc, _ := e.Counts(opts)
-			if conc["prov0"] == 0 {
-				b.Fatal("empty counts")
-			}
-		}
-	})
-	b.Run("auto", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			e := NewMetricsEngine(g, 0)

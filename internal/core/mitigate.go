@@ -155,7 +155,7 @@ func (h *candHeap) Pop() any {
 // by site rank, then service order.
 func (g *Graph) MitigationPlan(k int, opts TraversalOpts) *MitigationPlan {
 	e := g.Metrics()
-	e.namesOnce.Do(e.initNames)
+	e.initOnce.Do(e.init)
 	nbits := len(e.names)
 	plan := &MitigationPlan{K: k}
 	if k <= 0 || nbits == 0 {
