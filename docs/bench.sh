@@ -24,8 +24,10 @@
 # at least 10x faster than the rebuild arm. Suite "chain" runs the
 # chain-enabled measurement pipeline benchmark (BenchmarkChainMeasure: all
 # four passes with resource chains materialized, a 2K arm and the
-# paper-scale 100K arm) and rewrites BENCH_chain.json; the edges/s metric
-# in the raw output is informational — only ns/op is recorded and compared.
+# paper-scale 100K arm) plus the page layer alone (BenchmarkMaterializePages:
+# every 10K-scale Y2020 landing page with chains, one batch) and rewrites
+# BENCH_chain.json; the edges/s metric in the raw output is informational —
+# only ns/op is recorded and compared.
 # Suite "scale" runs the columnar-engine scale benchmarks
 # (BenchmarkGraphBytes: pointer vs compact graph construction at 100K with
 # the retained bytes_per_site metric; BenchmarkMeasureRun1M: the full
@@ -145,6 +147,8 @@ if [ "$suite" = "compare" ]; then
 		-benchmem -benchtime 5x ./internal/incident/ | tee -a "$raw"
 	go test -run '^$' -bench 'BenchmarkChainMeasure' \
 		-benchmem -benchtime 3x ./internal/measure/ | tee -a "$raw"
+	go test -run '^$' -bench 'BenchmarkMaterializePages$' \
+		-benchmem -benchtime 10x ./internal/ecosystem/ | tee -a "$raw"
 	# The scale suite's 1M arm is deliberately not re-run here (it is a
 	# multi-minute full pipeline); it shows up as "missing", which does not
 	# fail the comparison. The 100K bytes_per_site arms are cheap enough.
@@ -307,6 +311,9 @@ if [ "$suite" = "chain" ] || [ "$suite" = "all" ]; then
 	# noisy sample, so the record averages three.
 	go test -run '^$' -bench 'BenchmarkChainMeasure' \
 		-benchmem -benchtime 3x -timeout 20m ./internal/measure/ | tee "$raw"
+	# The page layer on its own: cheap, so ten iterations per record.
+	go test -run '^$' -bench 'BenchmarkMaterializePages$' \
+		-benchmem -benchtime 10x ./internal/ecosystem/ | tee -a "$raw"
 	warn_low_iters "$raw"
 	{
 		echo "["

@@ -3,7 +3,7 @@ package ecosystem
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
+	"strconv"
 
 	"depscope/internal/chain"
 	"depscope/internal/dnsmsg"
@@ -65,28 +65,38 @@ func chainVendorUniverse(n int) []chainVendor {
 	return out
 }
 
-// MaterializeChains extends w with the chain vendor universe and per-page
-// resource chains. It must run after Materialize (it needs the provider
-// zones and landing pages) and is a no-op when cfg is disabled
-// (MaxDepth <= 1). The page walk visits w.Sites in rank order with a
-// per-site seeded RNG, so results are independent of everything but
-// (universe, cfg).
-func MaterializeChains(u *Universe, w *World, cfg chain.Config) {
+// chainPlan is what chain growth needs once the vendor zones exist: the
+// config and the vendor universe it derives.
+type chainPlan struct {
+	cfg     chain.Config
+	vendors []chainVendor
+}
+
+// vendorZones materializes the vendor universe's zones into the world and
+// returns the plan pages grow their chains from, or nil when cfg is
+// disabled (MaxDepth <= 1).
+func (m *materializer) vendorZones(cfg chain.Config) *chainPlan {
 	if !cfg.Enabled() {
-		return
+		return nil
 	}
-	vendors := chainVendorUniverse(cfg.Vendors)
+	ch := &chainPlan{cfg: cfg, vendors: chainVendorUniverse(cfg.Vendors)}
+	for i := range ch.vendors {
+		m.chainVendorZone(&ch.vendors[i])
+	}
+	return ch
+}
+
+// MaterializeChains extends w with the chain vendor universe and replaces
+// every landing page with the same page grown with its resource chains. It
+// must run after Materialize (it needs the provider zones) and is a no-op
+// when cfg is disabled (MaxDepth <= 1). Pages are rebuilt through the
+// shared page routine — in parallel, one reseeded RNG per task, inserted
+// in rank order — and each site's chains come from its own seeded RNG
+// stream, so results are independent of everything but (universe, cfg).
+func MaterializeChains(u *Universe, w *World, cfg chain.Config) {
 	m := &materializer{u: u, w: w, snap: w.Snapshot}
-	for i := range vendors {
-		m.chainVendorZone(&vendors[i])
-	}
-	for _, site := range w.Sites {
-		page := w.Pages[site]
-		if page == nil {
-			continue
-		}
-		rng := rand.New(rand.NewSource(chainSeed(cfg.Seed, site)))
-		growChains(page, vendors, cfg, rng)
+	if ch := m.vendorZones(cfg); ch != nil {
+		m.buildPages(existingSites(u, w.Snapshot), ch)
 	}
 }
 
@@ -120,42 +130,52 @@ func (m *materializer) chainVendorZone(v *chainVendor) {
 // geometric tail, and a page must stay a page, not a crawl frontier.
 const maxChainResources = 256
 
-// growChains appends child resources to page for depths 2..MaxDepth. Every
-// existing (page-level) resource is a depth-1 chain root; each frontier
-// resource spawns a geometric number of children with mean cfg.FanOut, and
-// each child is vendor-hosted with probability cfg.ThirdPartyRatio or
-// same-host otherwise (a site's own bundle pulling a second internal
-// asset).
-func growChains(page *webpage.Page, vendors []chainVendor, cfg chain.Config, rng *rand.Rand) {
-	type node struct {
-		idx  int    // 1-based resource index
-		host string // serving host
-	}
-	frontier := make([]node, 0, len(page.Resources))
+// chainNode is a chain frontier entry: a resource that may load children.
+type chainNode struct {
+	idx  int    // 1-based resource index
+	host string // serving host
+}
+
+// growChains appends child resources to page for depths 2..MaxDepth,
+// drawing from b.rng: the page routine builds pages in parallel with one
+// RNG per task, reseeds it from chainSeed before each site's growth, and
+// inserts the finished pages in rank order, so the draws depend on the
+// site alone. Every existing (page-level) resource is a depth-1 chain
+// root; each frontier resource spawns a geometric number of children with
+// mean cfg.FanOut, and each child is vendor-hosted with probability
+// cfg.ThirdPartyRatio or same-host otherwise (a site's own bundle pulling a
+// second internal asset). Children are appended with their known host and
+// parent index.
+func (b *pageBuilder) growChains(page *webpage.Page) {
+	cfg, vendors := b.chains.cfg, b.chains.vendors
+	b.frontier = b.frontier[:0]
 	for i, r := range page.Resources {
-		frontier = append(frontier, node{idx: i + 1, host: r.Host})
+		b.frontier = append(b.frontier, chainNode{idx: i + 1, host: r.Host})
 	}
 	p := cfg.FanOut / (1 + cfg.FanOut)
 	added := 0
-	for depth := 2; depth <= cfg.MaxDepth && len(frontier) > 0; depth++ {
-		var next []node
-		for _, parent := range frontier {
+	for depth := 2; depth <= cfg.MaxDepth && len(b.frontier) > 0; depth++ {
+		b.next = b.next[:0]
+		for _, parent := range b.frontier {
 			k := 0
-			for rng.Float64() < p && k < 8 {
+			for b.rng.Float64() < p && k < 8 {
 				k++
 			}
 			for j := 0; j < k && added < maxChainResources; j++ {
 				host := parent.host
-				if rng.Float64() < cfg.ThirdPartyRatio {
-					host = vendors[rng.Intn(len(vendors))].host
+				if b.rng.Float64() < cfg.ThirdPartyRatio {
+					host = vendors[b.rng.Intn(len(vendors))].host
 				}
-				url := fmt.Sprintf("https://%s/chain-d%d-%d.js", host, depth, added)
-				idx := page.AddResourceAt(url, parent.idx)
-				next = append(next, node{idx: idx, host: host})
+				page.Resources = append(page.Resources, webpage.Resource{
+					URL:    "https://" + host + "/chain-d" + strconv.Itoa(depth) + "-" + strconv.Itoa(added) + ".js",
+					Host:   host,
+					Parent: parent.idx,
+				})
+				b.next = append(b.next, chainNode{idx: len(page.Resources), host: host})
 				added++
 			}
 		}
-		frontier = next
+		b.frontier, b.next = b.next, b.frontier
 	}
 }
 

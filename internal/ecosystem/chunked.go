@@ -1,8 +1,6 @@
 package ecosystem
 
 import (
-	"math/rand"
-
 	"depscope/internal/certs"
 	"depscope/internal/chain"
 	"depscope/internal/dnszone"
@@ -14,10 +12,14 @@ import (
 // CNAME→CDN map are still fully resident — the measurement's inter-service
 // passes and the validation baselines resolve against them after the site
 // sweep — but pages exist only between MaterializePages and ReleasePages
-// for one batch at a time. The per-site materialization is exactly the
-// monolithic one (siteZone/sitePage in the same per-site order), so a
-// chunked world with all pages materialized is byte-identical to
-// Materialize's output; the invariants tests pin this via SiteFingerprints.
+// for one batch at a time. Materialize is this type driven with a single
+// batch, so a chunked world with all pages materialized is byte-identical
+// to Materialize's output; the invariants tests pin this via
+// SiteFingerprints and the page digests of TestPagesGolden.
+//
+// Each MaterializePages call builds its batch's pages through the shared
+// page routine: in parallel over contiguous chunks of the batch, one RNG
+// per task reseeded per site, inserted into World.Pages in rank order.
 //
 // The intended driving sequence (see analysis.Execute's compact path):
 //
@@ -30,17 +32,22 @@ import (
 //	    ... measure the batch ...
 //	    c.ReleasePages(lo, hi)
 type Chunked struct {
-	u       *Universe
 	m       *materializer
-	pending []*Site // existing sites of the snapshot, rank order
-
-	chainCfg     *chain.Config
-	chainVendors []chainVendor
+	pending []*Site    // existing sites of the snapshot, rank order
+	chains  *chainPlan // nil until EnableChains with an enabled config
 }
 
 // NewChunked builds the base world — provider and external zones — and the
 // ranked list of sites to stream. No site data is materialized yet.
 func NewChunked(u *Universe, snap Snapshot) *Chunked {
+	c := newChunked(u, snap)
+	c.m.w.Streamed = true
+	return c
+}
+
+// newChunked is NewChunked without marking the world streamed: Materialize
+// drives it with one batch and keeps every page.
+func newChunked(u *Universe, snap Snapshot) *Chunked {
 	w := &World{
 		Snapshot:   snap,
 		Scale:      u.Scale,
@@ -48,17 +55,23 @@ func NewChunked(u *Universe, snap Snapshot) *Chunked {
 		Certs:      certs.NewStore(),
 		Pages:      make(map[string]*webpage.Page),
 		CNAMEToCDN: make(map[string]string),
-		Streamed:   true,
 	}
-	c := &Chunked{u: u, m: &materializer{u: u, w: w, snap: snap}}
+	c := &Chunked{m: &materializer{u: u, w: w, snap: snap}, pending: existingSites(u, snap)}
 	c.m.providerZones()
 	c.m.externalZones()
+	return c
+}
+
+// existingSites returns the sites that exist in snap, in rank order — the
+// order of World.Sites.
+func existingSites(u *Universe, snap Snapshot) []*Site {
+	var out []*Site
 	for _, site := range u.List(snap) {
 		if site.Snap[snap].Exists {
-			c.pending = append(c.pending, site)
+			out = append(out, site)
 		}
 	}
-	return c
+	return out
 }
 
 // World returns the (incrementally filled) world. Sites appear in it as
@@ -81,19 +94,17 @@ func (c *Chunked) SiteNames() []string {
 
 // EnableChains switches on chain materialization: the vendor universe's
 // zones are added to the world now, and MaterializePages grows per-page
-// chains with the same per-site seeded RNG as MaterializeChains — chain
-// content is a pure function of (universe, cfg, site), so batch boundaries
-// cannot perturb it. Must be called before the first MaterializePages; a
-// disabled cfg is a no-op, matching MaterializeChains.
+// chains with the same per-site seeded RNG stream as MaterializeChains —
+// chain content is a pure function of (universe, cfg, site), so batch
+// boundaries cannot perturb it. A disabled cfg is a no-op, matching
+// MaterializeChains. It must be called before the first AddSites, and
+// panics otherwise: a late call would leave earlier batches without
+// chains while still producing a report.
 func (c *Chunked) EnableChains(cfg chain.Config) {
-	if !cfg.Enabled() {
-		return
+	if len(c.m.w.Sites) > 0 {
+		panic("ecosystem: Chunked.EnableChains after AddSites")
 	}
-	c.chainCfg = &cfg
-	c.chainVendors = chainVendorUniverse(cfg.Vendors)
-	for i := range c.chainVendors {
-		c.m.chainVendorZone(&c.chainVendors[i])
-	}
+	c.chains = c.m.vendorZones(cfg)
 }
 
 // AddSites materializes zones, certificates and CNAME→CDN entries for the
@@ -116,14 +127,7 @@ func (c *Chunked) MaterializePages(lo, hi int) {
 	if hi > len(c.m.w.Sites) {
 		panic("ecosystem: Chunked.MaterializePages before AddSites")
 	}
-	for _, s := range c.pending[lo:hi] {
-		c.m.sitePage(s)
-		if c.chainCfg != nil {
-			page := c.m.w.Pages[s.Domain]
-			rng := rand.New(rand.NewSource(chainSeed(c.chainCfg.Seed, s.Domain)))
-			growChains(page, c.chainVendors, *c.chainCfg, rng)
-		}
-	}
+	c.m.buildPages(c.pending[lo:hi], c.chains)
 }
 
 // ReleasePages drops the landing pages of the site range [lo, hi) so the

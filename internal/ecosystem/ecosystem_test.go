@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"depscope/internal/chain"
 	"depscope/internal/dnsmsg"
 )
 
@@ -355,6 +356,28 @@ func BenchmarkMaterialize5K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Materialize(u, Y2020)
+	}
+}
+
+// BenchmarkMaterializePages times the page layer alone: one batch of every
+// 10K-scale Y2020 landing page with chain growth, zones already in place.
+// Pages are released between iterations outside the timer.
+func BenchmarkMaterializePages(b *testing.B) {
+	u, err := Generate(Options{Scale: 10000, Seed: 2020})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewChunked(u, Y2020)
+	c.EnableChains(chain.Default())
+	n := c.Len()
+	c.AddSites(0, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.MaterializePages(0, n)
+		b.StopTimer()
+		c.ReleasePages(0, n)
+		b.StartTimer()
 	}
 }
 

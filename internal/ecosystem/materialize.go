@@ -50,26 +50,13 @@ var externalDomains = []string{"ext-analytics.com", "ext-fonts.net", "ext-widget
 
 // Materialize renders the snapshot's artifacts from the universe's ground
 // truth: provider zones, site zones, certificates, landing pages and the
-// CNAME→CDN map.
+// CNAME→CDN map. It is the streaming materializer (Chunked) driven with one
+// batch covering every site, with no page released.
 func Materialize(u *Universe, snap Snapshot) *World {
-	w := &World{
-		Snapshot:   snap,
-		Scale:      u.Scale,
-		Zones:      dnszone.NewStore(),
-		Certs:      certs.NewStore(),
-		Pages:      make(map[string]*webpage.Page),
-		CNAMEToCDN: make(map[string]string),
-	}
-	m := &materializer{u: u, w: w, snap: snap}
-	m.providerZones()
-	m.externalZones()
-	for _, site := range u.List(snap) {
-		if site.Snap[snap].Exists {
-			m.site(site)
-			w.Sites = append(w.Sites, site.Domain)
-		}
-	}
-	return w
+	c := newChunked(u, snap)
+	c.AddSites(0, c.Len())
+	c.MaterializePages(0, c.Len())
+	return c.World()
 }
 
 type materializer struct {
@@ -252,16 +239,6 @@ func pkiDomain(site *Site) string {
 	return base + "-pki.net"
 }
 
-// site materializes one website: its zone(s), certificate and landing page.
-// The zone and page halves are separable so the chunked path (chunked.go)
-// can materialize all zones in one sweep and pages batch-by-batch; calling
-// them back to back here produces a world byte-identical to the historical
-// single-pass materialization (pinned by the invariants tests).
-func (m *materializer) site(s *Site) {
-	m.siteZone(s)
-	m.sitePage(s)
-}
-
 // siteInternalHosts returns the site-owned hosts its landing page loads
 // assets from — the coupling point between the zone half (which wires the
 // hosts into DNS) and the page half (which references them). It is a pure
@@ -374,21 +351,6 @@ func (m *materializer) siteZone(s *Site) {
 	if ss.HTTPS {
 		m.certificate(s, &ss, needsAlias)
 	}
-}
-
-// sitePage materializes one website's landing page: an asset per internal
-// host (recomputed from the same snapshot state siteZone wired into DNS)
-// plus the shared external resources.
-func (m *materializer) sitePage(s *Site) {
-	ss := s.Snap[m.snap]
-	d := s.Domain
-	page := &webpage.Page{Site: d}
-	for _, host := range siteInternalHosts(s, &ss) {
-		page.AddResource("https://" + host + "/asset-" + slugOf(host) + ".js")
-	}
-	page.AddResource("https://cdn." + externalDomains[0] + "/analytics.js")
-	page.AddResource("https://fonts." + externalDomains[1] + "/font.woff2")
-	m.w.Pages[d] = page
 }
 
 // aliasZone materializes the site's brand-alias domain.
