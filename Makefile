@@ -30,12 +30,13 @@ race:
 
 # golden re-runs every byte-pinning golden test in the module on its own
 # (-count=1 bypasses the test cache) so an intentional output change
-# surfaces the new hashes to pin: the Dyn replay, the mc-baseline
-# Monte-Carlo sweep and the K=25 mitigation plan (internal/incident), the
-# per-site breakdown (internal/analysis), and the landing pages with their
-# chains (internal/ecosystem).
+# surfaces the new hashes to pin: the measurement pinning test and the
+# chain-pass golden (internal/measure), the Dyn replay, the
+# mc-baseline Monte-Carlo sweep and the K=25 mitigation plan
+# (internal/incident), the per-site breakdown (internal/analysis), and the
+# landing pages with their chains (internal/ecosystem).
 golden:
-	$(GO) test -run 'Golden' -count=1 -v ./...
+	$(GO) test -run 'Golden|Pinned' -count=1 -v ./...
 
 # alloc-guards re-runs the allocation-budget tests on their own (-count=1
 # bypasses the test cache): resolver cache hits, interner hit paths, the

@@ -174,9 +174,6 @@ func main() {
 		}
 		*compactOn = true
 	}
-	if *compactOn && *ckptPath != "" {
-		log.Fatal("-compact/-mem-budget runs do not support -checkpoint")
-	}
 	var stream *analysis.DeltaStream
 	if *timelineIn != "" {
 		f, err := os.Open(*timelineIn)

@@ -100,4 +100,20 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 	if !strings.Contains(out, `unknown provider "no-such-provider.example"`) {
 		t.Errorf("-outage output does not name the unknown provider:\n%s", out)
 	}
+
+	out, failed = rerun(t, "-scale", "300", "-compact", "-checkpoint", filepath.Join(t.TempDir(), "cp"))
+	if !failed {
+		t.Fatalf("-compact -checkpoint exited zero:\n%s", out)
+	}
+	if !strings.Contains(out, "resident world") || !strings.Contains(out, "-checkpoint without -compact") {
+		t.Errorf("-compact -checkpoint output missing reason or flag hint:\n%s", out)
+	}
+
+	out, failed = rerun(t, "-scale", "300", "-batch-size", "100")
+	if !failed {
+		t.Fatalf("-batch-size without -compact exited zero:\n%s", out)
+	}
+	if !strings.Contains(out, "-batch-size") || !strings.Contains(out, "-compact") {
+		t.Errorf("-batch-size output missing flag hint:\n%s", out)
+	}
 }

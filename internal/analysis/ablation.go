@@ -48,7 +48,7 @@ func HeuristicAblation(ctx context.Context, run *Run) ([]AblationRow, error) {
 	}
 	world := run.Y2020.World
 	if world.Streamed {
-		return nil, fmt.Errorf("analysis: ablations re-measure the world and need resident pages; run without -compact/-mem-budget")
+		return nil, fmt.Errorf("%w: ablations re-measure every page; run without -compact/-mem-budget", ErrStreamedWorld)
 	}
 
 	var out []AblationRow
@@ -119,7 +119,7 @@ type ThresholdRow struct {
 func ThresholdSweep(ctx context.Context, run *Run, thresholds []int) ([]ThresholdRow, error) {
 	world := run.Y2020.World
 	if world.Streamed {
-		return nil, fmt.Errorf("analysis: threshold sweeps re-measure the world and need resident pages; run without -compact/-mem-budget")
+		return nil, fmt.Errorf("%w: threshold sweeps re-measure every page; run without -compact/-mem-budget", ErrStreamedWorld)
 	}
 	var out []ThresholdRow
 	for _, th := range thresholds {

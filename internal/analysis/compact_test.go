@@ -14,7 +14,9 @@ import (
 // execPair runs the same experiment down the default and the compact path.
 func execPair(t *testing.T, opts Options) (*Run, *Run) {
 	t.Helper()
-	normal, err := Execute(context.Background(), opts)
+	resident := opts
+	resident.BatchSize = 0 // a batch size applies only to the compact run
+	normal, err := Execute(context.Background(), resident)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +115,26 @@ func TestCompactRejectsCheckpointing(t *testing.T) {
 	_, err := Execute(context.Background(), Options{
 		Scale: 10, Seed: 1, Compact: true, CheckpointPath: "/tmp/cp",
 	})
-	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("want checkpoint rejection, got %v", err)
+	if !errors.Is(err, ErrStreamedWorld) {
+		t.Fatalf("want ErrStreamedWorld, got %v", err)
+	}
+}
+
+// TestBatchSizeRequiresCompact: a batch size on a resident run is refused
+// instead of silently ignored; MemBudget still implies Compact.
+func TestBatchSizeRequiresCompact(t *testing.T) {
+	_, err := Execute(context.Background(), Options{Scale: 10, Seed: 1, BatchSize: 100})
+	if err == nil || !strings.Contains(err.Error(), "BatchSize") {
+		t.Fatalf("want BatchSize rejection, got %v", err)
+	}
+	run, err := Execute(context.Background(), Options{
+		Scale: 50, Seed: 1, BatchSize: 16, MemBudget: 64 * membudget.GiB,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Y2020.Compact == nil {
+		t.Error("MemBudget with BatchSize did not run the compact path")
 	}
 }
 
@@ -150,12 +170,10 @@ func TestAblationsRejectStreamedWorlds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := HeuristicAblation(context.Background(), run); err == nil ||
-		!strings.Contains(err.Error(), "resident pages") {
+	if _, err := HeuristicAblation(context.Background(), run); !errors.Is(err, ErrStreamedWorld) {
 		t.Fatalf("HeuristicAblation on streamed world: %v", err)
 	}
-	if _, err := ThresholdSweep(context.Background(), run, []int{50}); err == nil ||
-		!strings.Contains(err.Error(), "resident pages") {
+	if _, err := ThresholdSweep(context.Background(), run, []int{50}); !errors.Is(err, ErrStreamedWorld) {
 		t.Fatalf("ThresholdSweep on streamed world: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ package analysis
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -83,8 +84,10 @@ type Options struct {
 	// each batch), snapshots run sequentially instead of concurrently, and
 	// each snapshot additionally carries a core.CompactGraph. The report
 	// output is byte-identical to the default path. Incompatible with
-	// checkpointing (a stream exists to avoid holding what a checkpoint
-	// would record).
+	// checkpointing (ErrStreamedWorld): the measurement stream itself can
+	// checkpoint, but the per-site fingerprints a checkpoint is keyed on
+	// (ecosystem.World.SiteFingerprints) hash every zone and landing page,
+	// which a streamed world never holds at once.
 	Compact bool
 	// MemBudget, in bytes, soft-limits live heap on the compact path:
 	// checked at batch boundaries, a run that stays over budget after GC
@@ -92,9 +95,15 @@ type Options struct {
 	// 0 means unlimited.
 	MemBudget uint64
 	// BatchSize is the compact path's streaming batch length in sites;
-	// values < 1 mean 8192.
+	// values < 1 mean 8192. Setting it on a non-compact run is an error.
 	BatchSize int
 }
+
+// ErrStreamedWorld is returned for work that needs a resident world — every
+// site's zones and landing pages held at once — asked of a compact
+// (streamed) run, whose pages are released batch by batch. It is wrapped
+// with the reason and the flags to drop.
+var ErrStreamedWorld = errors.New("analysis: needs a resident world, not a compact (streamed) one")
 
 // defaultBatchSize is the compact path's streaming batch length when
 // Options.BatchSize is unset: big enough to amortize per-batch overheads,
@@ -112,8 +121,12 @@ func Execute(ctx context.Context, opts Options) (*Run, error) {
 	if opts.MemBudget > 0 {
 		opts.Compact = true
 	}
-	if opts.Compact && (opts.CheckpointPath != "" || opts.Resume) {
-		return nil, fmt.Errorf("analysis: compact (streamed) runs do not support checkpointing")
+	if opts.Compact && opts.CheckpointPath != "" {
+		return nil, fmt.Errorf("%w: checkpoints fingerprint every site's zones and landing page; "+
+			"run -checkpoint without -compact/-mem-budget", ErrStreamedWorld)
+	}
+	if opts.BatchSize > 0 && !opts.Compact {
+		return nil, fmt.Errorf("analysis: BatchSize (-batch-size) applies only to compact runs; add -compact or -mem-budget")
 	}
 	if opts.BatchSize < 1 {
 		opts.BatchSize = defaultBatchSize
@@ -187,16 +200,7 @@ func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.
 	if opts.Chains != nil && opts.Chains.Enabled() {
 		ecosystem.MaterializeChains(u, w, *opts.Chains)
 	}
-	cfg := measure.Config{
-		Resolver:               w.NewResolver(),
-		Certs:                  w.Certs,
-		Pages:                  w,
-		CDNMap:                 measure.CDNMap(w.CNAMEToCDN),
-		Workers:                opts.Workers,
-		ConcentrationThreshold: opts.ConcentrationThreshold,
-		ErrorPolicy:            opts.ErrorPolicy,
-		Chains:                 opts.Chains,
-	}
+	cfg := measureConfig(w, opts)
 	if opts.CheckpointPath != "" {
 		path := fmt.Sprintf("%s.%s", opts.CheckpointPath, snap)
 		cfg.CheckpointLabel = snap.String()
@@ -226,6 +230,21 @@ func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.
 	}, nil
 }
 
+// measureConfig is the measurement configuration of one snapshot's world,
+// shared by the resident and the streamed path.
+func measureConfig(w *ecosystem.World, opts Options) measure.Config {
+	return measure.Config{
+		Resolver:               w.NewResolver(),
+		Certs:                  w.Certs,
+		Pages:                  w,
+		CDNMap:                 measure.CDNMap(w.CNAMEToCDN),
+		Workers:                opts.Workers,
+		ConcentrationThreshold: opts.ConcentrationThreshold,
+		ErrorPolicy:            opts.ErrorPolicy,
+		Chains:                 opts.Chains,
+	}
+}
+
 // measureSnapshotCompact is the streaming/columnar form of measureSnapshot:
 // site zones and landing pages are materialized in Options.BatchSize
 // batches, pages are released after their batch is measured, the memory
@@ -239,16 +258,7 @@ func measureSnapshotCompact(ctx context.Context, u *ecosystem.Universe, snap eco
 		c.EnableChains(*opts.Chains)
 	}
 	w := c.World()
-	st, err := measure.NewStream(c.SiteNames(), measure.Config{
-		Resolver:               w.NewResolver(),
-		Certs:                  w.Certs,
-		Pages:                  w,
-		CDNMap:                 measure.CDNMap(w.CNAMEToCDN),
-		Workers:                opts.Workers,
-		ConcentrationThreshold: opts.ConcentrationThreshold,
-		ErrorPolicy:            opts.ErrorPolicy,
-		Chains:                 opts.Chains,
-	})
+	st, err := measure.NewStream(c.SiteNames(), measureConfig(w, opts))
 	if err != nil {
 		return nil, err
 	}

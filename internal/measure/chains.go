@@ -117,49 +117,8 @@ func (m *measurer) classifySiteChains(_ context.Context, site string) ([]ChainRe
 	return refs, nil
 }
 
-// chainService is the chain inter-service pass: it resolves each
-// discovered vendor's own DNS arrangement (owner heuristics, like CDN/CA
-// apexes) and detects CDNs fronting the vendor's observed resource hosts,
-// filling Results.ResourceToDNS / ResourceToCDN. It also publishes the
-// run-level chain telemetry aggregates.
-func (m *measurer) chainService(ctx context.Context, res *Results) error {
-	vendors := m.chainAggregates(res)
-
-	// Observed hosts per vendor (for CNAME-chain CDN detection), gathered
-	// sequentially from the pages so the host lists are deterministic.
-	vendorHosts := make(map[string][]string, len(vendors))
-	if m.cfg.Pages != nil {
-		for i := range res.Sites {
-			if len(res.Sites[i].Chains) == 0 {
-				continue
-			}
-			page := m.cfg.Pages.Page(res.Sites[i].Site)
-			if page == nil {
-				continue
-			}
-			for _, r := range page.Resources {
-				if r.Host == "" {
-					continue
-				}
-				rd := publicsuffix.RegistrableDomain(r.Host)
-				if !vendors[rd] {
-					continue
-				}
-				if hosts := vendorHosts[rd]; !containsStr(hosts, r.Host) {
-					vendorHosts[rd] = append(vendorHosts[rd], r.Host)
-				}
-			}
-		}
-	}
-	sortVendorHosts(vendorHosts)
-
-	return m.chainResolve(ctx, res, vendors, vendorHosts)
-}
-
 // chainAggregates derives the vendor population from the site pass and
-// publishes the run-level chain telemetry. Shared between the monolithic
-// pass above and the streaming Finish, which gathers vendor hosts per batch
-// instead (pages are gone by the time the vendor population is complete).
+// publishes the run-level chain telemetry.
 func (m *measurer) chainAggregates(res *Results) map[string]bool {
 	vendors := make(map[string]bool)
 	edges, depthSum, maxDepth := 0, 0, 0
@@ -182,11 +141,29 @@ func (m *measurer) chainAggregates(res *Results) map[string]bool {
 	return vendors
 }
 
-// sortVendorHosts orders each vendor's observed host list.
-func sortVendorHosts(vendorHosts map[string][]string) {
+// chainFinish is the chain inter-service pass (pass 4): it resolves each
+// discovered vendor's own DNS arrangement (owner heuristics, like CDN/CA
+// apexes) and detects CDNs fronting the vendor's observed resource hosts,
+// filling Results.ResourceToDNS / ResourceToCDN. The vendor population is
+// complete only now, after the last batch, so the per-batch host candidates
+// are filtered through it here, in site order with first-seen dedup.
+func (s *Stream) chainFinish(ctx context.Context, res *Results) error {
+	vendors := s.m.chainAggregates(res)
+	vendorHosts := make(map[string][]string, len(vendors))
+	for i := range res.Sites {
+		for _, c := range s.hostCand[i] {
+			if !vendors[c.rd] {
+				continue
+			}
+			if hosts := vendorHosts[c.rd]; !containsStr(hosts, c.host) {
+				vendorHosts[c.rd] = append(vendorHosts[c.rd], c.host)
+			}
+		}
+	}
 	for _, hosts := range vendorHosts {
 		sort.Strings(hosts)
 	}
+	return s.m.chainResolve(ctx, res, vendors, vendorHosts)
 }
 
 // chainResolve resolves every vendor's own DNS/CDN arrangement into

@@ -172,3 +172,53 @@ func BenchmarkChainMeasure(b *testing.B) {
 		})
 	}
 }
+
+// chainGoldenHashes pin the streamHash view (the pinned subset plus
+// ResourceToDNS/ResourceToCDN) of a chains-on Run at scale 2000, workers 8,
+// with chain.Default(). They were captured while Run still carried its own
+// monolithic chain pass, so they hold the streaming chain pass to that
+// walk's output byte for byte.
+var chainGoldenHashes = map[int64]map[ecosystem.Snapshot]string{
+	1: {
+		ecosystem.Y2016: "9733c54713715333f595c5cd7c764fb1bd774da59f2d08756bc41ca8def42e69",
+		ecosystem.Y2020: "24137ac009ddae17ca0bed126802a4ba495f9171b62fac2e1383350a2f1bcd56",
+	},
+	2020: {
+		ecosystem.Y2016: "78bb6bbbf8168a18ff3a5a40df9368fed138157c3fd146c83be388853195a51e",
+		ecosystem.Y2020: "74b5c215a197984991ee06fc187e488380493524a37e7fce2f5bc80ecd62fdc9",
+	},
+}
+
+// TestChainMeasurementGolden pins pass 4 (the chain inter-service pass),
+// which TestRunPinnedAgainstPreRefactor does not cover, for seeds {1, 2020}
+// at scale 2K in both snapshots.
+func TestChainMeasurementGolden(t *testing.T) {
+	cfg := chain.Default()
+	for seed, wantBySnap := range chainGoldenHashes {
+		u, err := ecosystem.Generate(ecosystem.Options{Scale: 2000, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for snap, want := range wantBySnap {
+			w := ecosystem.Materialize(u, snap)
+			ecosystem.MaterializeChains(u, w, cfg)
+			res, err := Run(context.Background(), w.Sites, Config{
+				Resolver: w.NewResolver(),
+				Certs:    w.Certs,
+				Pages:    w,
+				CDNMap:   CDNMap(w.CNAMEToCDN),
+				Workers:  8,
+				Chains:   &cfg,
+			})
+			if err != nil {
+				t.Fatalf("seed %d snap %s: %v", seed, snap, err)
+			}
+			if len(res.ResourceToDNS) == 0 {
+				t.Fatalf("seed %d snap %s: chains-on run resolved no vendors", seed, snap)
+			}
+			if got := streamHash(t, res); got != want {
+				t.Errorf("seed %d snap %s: chain measurement hash %s, want %s", seed, snap, got, want)
+			}
+		}
+	}
+}

@@ -34,8 +34,8 @@ const CheckpointVersion = 1
 type Checkpoint struct {
 	// Version is the file-format version (CheckpointVersion).
 	Version int `json:"version"`
-	// Label identifies the run (depscope uses the snapshot year). Run
-	// refuses to resume from a checkpoint whose label differs from the
+	// Label identifies the run (depscope uses the snapshot year). NewStream
+	// (and so Run) refuses to resume from a checkpoint whose label differs from the
 	// configured one.
 	Label string `json:"label,omitempty"`
 	// Sites holds per-site progress, keyed by site domain.
@@ -196,21 +196,32 @@ func newCkptRun(cfg *Config, nSites int) (*ckptRun, error) {
 	return ck, nil
 }
 
+// The query and emission methods below are no-ops on a nil *ckptRun, so an
+// uncheckpointed stream calls them unconditionally.
+
 // priorNS returns a checkpointed pass-1 NS set still valid for site.
 func (ck *ckptRun) priorNS(site string) ([]string, bool) {
+	if ck == nil {
+		return nil, false
+	}
 	sc := ck.prior[site]
 	if sc == nil || !sc.NSDone {
 		return nil, false
 	}
+	ckptNSReused.Inc()
 	return sc.NS, true
 }
 
 // priorResult returns a checkpointed pass-2 result still valid for site.
 func (ck *ckptRun) priorResult(site string) *SiteResult {
+	if ck == nil {
+		return nil
+	}
 	sc := ck.prior[site]
 	if sc == nil || !sc.Done {
 		return nil
 	}
+	ckptReused.Inc()
 	return sc.Result
 }
 
@@ -229,6 +240,9 @@ func (ck *ckptRun) recordNS(site string, ns []string) {
 // every `every` completions. The result is copied so the checkpoint never
 // aliases the live Results slice.
 func (ck *ckptRun) siteDone(site string, sr *SiteResult) error {
+	if ck == nil {
+		return nil
+	}
 	r := *sr
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
@@ -247,6 +261,9 @@ func (ck *ckptRun) siteDone(site string, sr *SiteResult) error {
 
 // emitNow emits a snapshot unconditionally (stage boundaries, end of run).
 func (ck *ckptRun) emitNow() error {
+	if ck == nil {
+		return nil
+	}
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	ck.pending = 0

@@ -3,6 +3,9 @@ package measure
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -274,5 +277,72 @@ func TestEditedUniverseRemeasuresOnlyChangedSites(t *testing.T) {
 	}
 	if got := measurementHash(t, res); got != want {
 		t.Fatalf("incremental re-measurement hash %s, want %s", got, want)
+	}
+}
+
+// ckptEmission summarizes one OnCheckpoint snapshot: how many sites carry a
+// pass-1 NS set and how many a completed pass-2 result.
+type ckptEmission struct{ NSDone, Done int }
+
+func summarizeCheckpoint(cp *Checkpoint) ckptEmission {
+	var e ckptEmission
+	for _, sc := range cp.Sites {
+		if sc.NSDone {
+			e.NSDone++
+		}
+		if sc.Done {
+			e.Done++
+		}
+	}
+	return e
+}
+
+// checkpointSitesHash hashes the JSON encoding of a checkpoint's per-site
+// progress (encoding/json sorts the map keys, so it is canonical).
+func checkpointSitesHash(t *testing.T, cp *Checkpoint) string {
+	t.Helper()
+	b, err := json.Marshal(cp.Sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// finalCheckpointGolden is the Sites hash of the final checkpoint a 400-site
+// seed-1 2020 run emits; captured before checkpointing moved into Stream.
+const finalCheckpointGolden = "4f4a0adfc86d3ad187897f91a8d5920575a5b7af8bfbc8a266b4d1e3d20944f4"
+
+// TestCheckpointEmissionSequence pins when a checkpointed Run emits: one
+// pass-1 boundary snapshot (every NS set, no results), one snapshot per
+// CheckpointEvery completed sites, then the final snapshot of the whole run.
+func TestCheckpointEmissionSequence(t *testing.T) {
+	const scale = 400
+	w := checkpointWorld(t, scale, 1, ecosystem.Y2020)
+	cfg := checkpointConfig(w)
+	cfg.CheckpointLabel = "2020"
+	cfg.CheckpointEvery = 100
+	var got []ckptEmission
+	var last *Checkpoint
+	cfg.OnCheckpoint = func(cp *Checkpoint) error {
+		if cp.Version != CheckpointVersion || cp.Label != "2020" {
+			t.Errorf("emission %d: version %d label %q", len(got), cp.Version, cp.Label)
+		}
+		if len(cp.Resolver) == 0 {
+			t.Errorf("emission %d carries no resolver cache", len(got))
+		}
+		got = append(got, summarizeCheckpoint(cp))
+		last = cp
+		return nil
+	}
+	if _, err := Run(context.Background(), w.Sites, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := []ckptEmission{{scale, 0}, {scale, 100}, {scale, 200}, {scale, 300}, {scale, 400}, {scale, 400}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("emission sequence %v, want %v", got, want)
+	}
+	if h := checkpointSitesHash(t, last); h != finalCheckpointGolden {
+		t.Errorf("final checkpoint sites hash %s, want %s", h, finalCheckpointGolden)
 	}
 }

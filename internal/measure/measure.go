@@ -24,7 +24,6 @@ package measure
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"depscope/internal/certs"
@@ -94,10 +93,11 @@ type Config struct {
 	// equals the current one; with no fingerprints at all, entries match on
 	// equal empty strings — a plain same-universe resume.
 	Fingerprints map[string]string
-	// OnCheckpoint, when set, receives progress snapshots: after pass 1,
-	// every CheckpointEvery site completions during pass 2, and at the end
-	// of the run. The callback owns the snapshot (typically SaveCheckpoint);
-	// a returned error aborts the run.
+	// OnCheckpoint, when set, receives progress snapshots: after pass 1
+	// (as the first MeasureBatch starts), every CheckpointEvery site
+	// completions during pass 2, and at the end of the run (in Finish).
+	// The callback owns the snapshot (typically SaveCheckpoint); a returned
+	// error aborts the run.
 	OnCheckpoint func(*Checkpoint) error
 	// CheckpointEvery is the site-completion interval between OnCheckpoint
 	// emissions during pass 2; values < 1 mean len(sites)/10, at least 200.
@@ -242,140 +242,24 @@ type ProviderDep struct {
 	Deps []string
 }
 
-// Run executes the full pipeline over the ranked site list.
+// Run executes the full pipeline over the ranked site list. It is a Stream
+// driven with one batch spanning every site, so the world's zones and
+// landing pages must all be materialized; checkpointing (Config.Checkpoint,
+// Config.OnCheckpoint) behaves exactly as on any other Stream.
 func Run(ctx context.Context, sites []string, cfg Config) (*Results, error) {
-	if cfg.Resolver == nil {
-		return nil, fmt.Errorf("measure: Config.Resolver is required")
-	}
-	if cfg.ConcentrationThreshold == 0 {
-		cfg.ConcentrationThreshold = 50
-	}
 	defer telemetry.StartSpan("measure.run").End()
-	m := &measurer{
-		cfg:    cfg,
-		cdn:    cfg.CDNMap.compile(),
-		stages: defaultStages(),
-		diag:   newDiagCollector(),
-	}
-	if m.chainEnabled() {
-		m.stages = append(m.stages, chainStage{})
-	}
-	m.initTelemetry()
-	ck, err := newCkptRun(&cfg, len(sites))
+	st, err := NewStream(sites, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	// Pass 1: NS sets for every site (needed for the concentration signal).
-	resolvePass := telemetry.StartSpan("measure.resolve_pass")
-	nsSets, err := m.collectNS(ctx, sites, ck)
-	resolvePass.End()
-	if err != nil {
+	if err := st.ResolveBatch(ctx, 0, len(sites)); err != nil {
 		return nil, err
 	}
-	if ck != nil {
-		for i := range sites {
-			ck.recordNS(sites[i], nsSets[i])
-		}
-		if err := ck.emitNow(); err != nil {
-			return nil, err
-		}
-	}
-	concSignal := concentration(nsSets)
-
-	res := &Results{
-		NSConcentration: concSignal,
-		CDNToDNS:        make(map[string]ProviderDep),
-		CAToDNS:         make(map[string]ProviderDep),
-		CAToCDN:         make(map[string]ProviderDep),
-	}
-
-	// Pass 2: per-site classification — one visit per site, dispatched
-	// through every registered stage.
-	sitePass := telemetry.StartSpan("measure.site_pass")
-	res.Sites = make([]SiteResult, len(sites))
-	err = conc.ForEach(ctx, len(sites), cfg.Workers, conc.FailFast, func(ctx context.Context, i int) error {
-		if ck != nil {
-			if prior := ck.priorResult(sites[i]); prior != nil {
-				// Reuse the checkpointed result, re-anchoring identity and
-				// rank in case the edited universe reordered the list.
-				res.Sites[i] = *prior
-				res.Sites[i].Site, res.Sites[i].Rank = sites[i], i+1
-				ckptReused.Inc()
-				return ck.siteDone(sites[i], &res.Sites[i])
-			}
-		}
-		sc := &SiteContext{
-			Site:   sites[i],
-			Rank:   i + 1,
-			NS:     nsSets[i],
-			Conc:   concSignal,
-			Result: &res.Sites[i],
-			m:      m,
-		}
-		sc.Result.Site, sc.Result.Rank = sc.Site, sc.Rank
-		if err := m.dispatch(ctx, sc); err != nil {
-			return err
-		}
-		if ck != nil {
-			return ck.siteDone(sc.Site, sc.Result)
-		}
-		return nil
-	})
-	sitePass.End()
-	if err != nil {
+	st.Seal()
+	if err := st.MeasureBatch(ctx, 0, len(sites)); err != nil {
 		return nil, err
 	}
-
-	// Pair accounting over distinct (site, nameserver) pairs.
-	res.EvidenceCounts = make(map[string]int)
-	for i := range res.Sites {
-		if res.Sites[i].DNS.Class == core.ClassUnknown {
-			uncharacterizedSites.Inc()
-		}
-		for _, pair := range res.Sites[i].DNS.Pairs {
-			res.PairStats.Total++
-			switch pair.Class {
-			case Private:
-				res.PairStats.Private++
-			case Third:
-				res.PairStats.Third++
-			default:
-				res.PairStats.Uncharacterized++
-			}
-			if pair.Evidence != "" {
-				res.EvidenceCounts[pair.Evidence]++
-			}
-		}
-	}
-
-	// Pass 3: inter-service dependencies over the discovered providers.
-	interPass := telemetry.StartSpan("measure.interservice_pass")
-	err = m.interService(ctx, res)
-	interPass.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Pass 4 (chain runs only): vendor dependency resolution.
-	if m.chainEnabled() {
-		chainPass := telemetry.StartSpan("measure.chain_pass")
-		err = m.chainService(ctx, res)
-		chainPass.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if ck != nil {
-		// Final snapshot: the complete run, usable later as the baseline for
-		// an edited-universe incremental re-measurement.
-		if err := ck.emitNow(); err != nil {
-			return nil, err
-		}
-	}
-	res.Diagnostics = m.diag.snapshot(m.stageOrder(), cfg.Resolver.Stats())
-	res.Telemetry = telemetry.Default.Snapshot()
-	return res, nil
+	return st.Finish(ctx)
 }
 
 type measurer struct {
@@ -422,38 +306,6 @@ func (m *measurer) dispatch(ctx context.Context, sc *SiteContext) error {
 		return fmt.Errorf("site %s %s: %w", sc.Site, st.Name(), err)
 	}
 	return nil
-}
-
-// collectNS performs the NS pass (stage "resolve"). Under conc.Collect an
-// unresolvable site keeps a nil NS set — the DNS stage then reports it
-// uncharacterized — and the error is recorded instead of aborting the run.
-func (m *measurer) collectNS(ctx context.Context, sites []string, ck *ckptRun) ([][]string, error) {
-	out := make([][]string, len(sites))
-	err := conc.ForEach(ctx, len(sites), m.cfg.Workers, conc.FailFast, func(ctx context.Context, i int) error {
-		if ck != nil {
-			if ns, ok := ck.priorNS(sites[i]); ok {
-				out[i] = ns
-				ckptNSReused.Inc()
-				return nil
-			}
-		}
-		start := time.Now()
-		ns, err := m.cfg.Resolver.NS(ctx, sites[i])
-		m.resolveHist.ObserveDuration(time.Since(start))
-		m.diag.observe(stageResolve, err)
-		if err != nil {
-			if m.cfg.ErrorPolicy == conc.Collect {
-				m.diag.record(sites[i], stageResolve, err)
-				out[i] = nil
-				return nil
-			}
-			return fmt.Errorf("NS(%s): %w", sites[i], err)
-		}
-		sort.Strings(ns)
-		out[i] = ns
-		return nil
-	})
-	return out, err
 }
 
 // concentration counts, per nameserver registrable domain, the number of

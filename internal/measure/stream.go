@@ -12,8 +12,9 @@ import (
 	"depscope/internal/telemetry"
 )
 
-// Stream is the batched form of Run for worlds whose landing pages are
-// materialized and released one batch at a time. The driving sequence is
+// Stream is the measurement pipeline, driven one batch of sites at a time
+// so that landing pages can be materialized and released per batch. The
+// driving sequence is
 //
 //	st, _ := NewStream(sites, cfg)
 //	for each batch: st.ResolveBatch(ctx, lo, hi)   // zones must exist
@@ -21,30 +22,35 @@ import (
 //	for each batch: st.MeasureBatch(ctx, lo, hi)   // pages must exist
 //	res, _ := st.Finish(ctx)
 //
-// and yields Results identical to Run over the same fully-materialized
-// world (the ecosystem invariants tests pin this, worker counts included).
-// The split exists because of two global signals: the §3.1 concentration
-// signal needs every site's NS set before any site can be classified
-// (hence the Seal barrier between the resolve and measure sweeps), and the
-// chain vendor population is only complete after the last batch (hence
-// vendor hosts are gathered per batch, while the batch's pages are still
-// live, and resolved in Finish).
+// and Run is this sequence with one batch spanning every site. Results do
+// not depend on the batch size or the worker count (the stream tests pin
+// both). The split exists because of two global signals: the §3.1
+// concentration signal needs every site's NS set before any site can be
+// classified (hence the Seal barrier between the resolve and measure
+// sweeps), and the chain vendor population is only complete after the last
+// batch (hence vendor hosts are gathered per batch, while the batch's pages
+// are still live, and resolved in Finish).
 //
-// Checkpointing is not supported on the streaming path: a stream exists to
-// avoid holding what a checkpoint would have to record.
+// A checkpointed stream (Config.Checkpoint / Config.OnCheckpoint) reuses
+// still-valid NS sets in ResolveBatch and site results in MeasureBatch, and
+// emits the pass-1 boundary snapshot as the first MeasureBatch starts, one
+// snapshot every CheckpointEvery completed sites, and the final snapshot in
+// Finish.
 type Stream struct {
 	m      *measurer
 	sites  []string
 	nsSets [][]string
 	res    *Results
 
-	sealed   bool
-	finished bool
+	ck *ckptRun // nil unless checkpointed
+
+	sealed    bool
+	measuring bool // the first MeasureBatch has emitted the pass-1 snapshot
+	finished  bool
 
 	// hostCand[i] holds site i's deduplicated (registrable domain, host)
 	// resource pairs, captured during the site's batch. Finish filters them
-	// through the complete vendor population — replaying exactly the
-	// sequential page walk chainService performs monolithically. Nil unless
+	// through the complete vendor population, in site order. Nil unless
 	// chains are enabled.
 	hostCand [][]rdHost
 }
@@ -52,13 +58,12 @@ type Stream struct {
 type rdHost struct{ rd, host string }
 
 // NewStream validates cfg and prepares a stream over the full ranked site
-// list (known up front; only the per-site artifacts stream).
+// list (known up front; only the per-site artifacts stream). A prior
+// checkpoint is validated against the run label and its resolver cache
+// seeded back here.
 func NewStream(sites []string, cfg Config) (*Stream, error) {
 	if cfg.Resolver == nil {
 		return nil, fmt.Errorf("measure: Config.Resolver is required")
-	}
-	if cfg.Checkpoint != nil || cfg.OnCheckpoint != nil {
-		return nil, fmt.Errorf("measure: checkpointing is not supported on the streaming path")
 	}
 	if cfg.ConcentrationThreshold == 0 {
 		cfg.ConcentrationThreshold = 50
@@ -72,7 +77,11 @@ func NewStream(sites []string, cfg Config) (*Stream, error) {
 		m.stages = append(m.stages, chainStage{})
 	}
 	m.initTelemetry()
-	return &Stream{m: m, sites: sites, nsSets: make([][]string, len(sites))}, nil
+	ck, err := newCkptRun(&cfg, len(sites))
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{m: m, sites: sites, nsSets: make([][]string, len(sites)), ck: ck}, nil
 }
 
 // Len returns the number of sites in the stream.
@@ -82,15 +91,21 @@ func (s *Stream) Len() int { return len(s.sites) }
 func (s *Stream) SiteResult(i int) *SiteResult { return &s.res.Sites[i] }
 
 // ResolveBatch runs the pass-1 NS resolution for sites [lo, hi). The
-// sites' zones must be materialized; pages are not needed.
+// sites' zones must be materialized; pages are not needed. Under conc.Collect
+// an unresolvable site keeps a nil NS set — the DNS stage then reports it
+// uncharacterized — and the error is recorded instead of aborting the run.
 func (s *Stream) ResolveBatch(ctx context.Context, lo, hi int) error {
 	if s.sealed {
 		panic("measure: Stream.ResolveBatch after Seal")
 	}
 	m := s.m
 	defer telemetry.StartSpan("measure.resolve_pass").End()
-	return conc.ForEach(ctx, hi-lo, m.cfg.Workers, conc.FailFast, func(ctx context.Context, j int) error {
+	err := conc.ForEach(ctx, hi-lo, m.cfg.Workers, conc.FailFast, func(ctx context.Context, j int) error {
 		i := lo + j
+		if ns, ok := s.ck.priorNS(s.sites[i]); ok {
+			s.nsSets[i] = ns
+			return nil
+		}
 		start := time.Now()
 		ns, err := m.cfg.Resolver.NS(ctx, s.sites[i])
 		m.resolveHist.ObserveDuration(time.Since(start))
@@ -107,6 +122,13 @@ func (s *Stream) ResolveBatch(ctx context.Context, lo, hi int) error {
 		s.nsSets[i] = ns
 		return nil
 	})
+	if err != nil || s.ck == nil {
+		return err
+	}
+	for i := lo; i < hi; i++ {
+		s.ck.recordNS(s.sites[i], s.nsSets[i])
+	}
+	return nil
 }
 
 // Seal closes pass 1: the concentration signal is computed over the full
@@ -140,10 +162,24 @@ func (s *Stream) MeasureBatch(ctx context.Context, lo, hi int) error {
 	if !s.sealed {
 		panic("measure: Stream.MeasureBatch before Seal")
 	}
+	if !s.measuring {
+		s.measuring = true
+		if err := s.ck.emitNow(); err != nil {
+			return err
+		}
+	}
 	m := s.m
 	sitePass := telemetry.StartSpan("measure.site_pass")
 	err := conc.ForEach(ctx, hi-lo, m.cfg.Workers, conc.FailFast, func(ctx context.Context, j int) error {
 		i := lo + j
+		if prior := s.ck.priorResult(s.sites[i]); prior != nil {
+			// Reuse the checkpointed result, re-anchoring identity and rank
+			// in case the edited universe reordered the list.
+			r := &s.res.Sites[i]
+			*r = *prior
+			r.Site, r.Rank = s.sites[i], i+1
+			return s.ck.siteDone(r.Site, r)
+		}
 		sc := &SiteContext{
 			Site:   s.sites[i],
 			Rank:   i + 1,
@@ -153,7 +189,10 @@ func (s *Stream) MeasureBatch(ctx context.Context, lo, hi int) error {
 			m:      m,
 		}
 		sc.Result.Site, sc.Result.Rank = sc.Site, sc.Rank
-		return m.dispatch(ctx, sc)
+		if err := m.dispatch(ctx, sc); err != nil {
+			return err
+		}
+		return s.ck.siteDone(sc.Site, sc.Result)
 	})
 	sitePass.End()
 	if err != nil {
@@ -195,8 +234,9 @@ func (s *Stream) MeasureBatch(ctx context.Context, lo, hi int) error {
 	return nil
 }
 
-// Finish runs the cross-site accounting and the pass-3/pass-4
-// inter-service measurements, and returns the completed Results. Pages may
+// Finish runs the cross-site pair accounting and the pass-3/pass-4
+// inter-service measurements, emits the final checkpoint snapshot, and
+// returns the completed Results. Pages may
 // already be fully released: pass 3 needs only the per-site aggregates and
 // the resident zones, and pass 4 replays the vendor-host candidates
 // captured batch by batch.
@@ -247,29 +287,13 @@ func (s *Stream) Finish(ctx context.Context) (*Results, error) {
 			return nil, err
 		}
 	}
+	// Final snapshot: the complete run, usable later as the baseline for an
+	// edited-universe incremental re-measurement.
+	if err := s.ck.emitNow(); err != nil {
+		return nil, err
+	}
 
 	res.Diagnostics = m.diag.snapshot(m.stageOrder(), m.cfg.Resolver.Stats())
 	res.Telemetry = telemetry.Default.Snapshot()
 	return res, nil
-}
-
-// chainFinish is the streaming pass 4: the vendor population is complete
-// only now, so the per-batch host candidates are filtered through it —
-// site order and first-seen dedup reproduce the monolithic walk exactly —
-// and the vendors resolved as usual.
-func (s *Stream) chainFinish(ctx context.Context, res *Results) error {
-	vendors := s.m.chainAggregates(res)
-	vendorHosts := make(map[string][]string, len(vendors))
-	for i := range res.Sites {
-		for _, c := range s.hostCand[i] {
-			if !vendors[c.rd] {
-				continue
-			}
-			if hosts := vendorHosts[c.rd]; !containsStr(hosts, c.host) {
-				vendorHosts[c.rd] = append(vendorHosts[c.rd], c.host)
-			}
-		}
-	}
-	sortVendorHosts(vendorHosts)
-	return s.m.chainResolve(ctx, res, vendors, vendorHosts)
 }

@@ -5,7 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"strings"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"depscope/internal/chain"
@@ -49,54 +50,59 @@ func streamHash(t *testing.T, res *Results) string {
 func driveStream(t *testing.T, u *ecosystem.Universe, snap ecosystem.Snapshot,
 	chains *chain.Config, workers, batch int) *Results {
 	t.Helper()
+	res, err := streamRun(u, snap, chains, workers, batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// streamRun is driveStream returning its error; adjust, when non-nil, edits
+// the stream's Config (checkpoint fields) before NewStream.
+func streamRun(u *ecosystem.Universe, snap ecosystem.Snapshot, chains *chain.Config,
+	workers, batch int, adjust func(*Config)) (*Results, error) {
 	c := ecosystem.NewChunked(u, snap)
 	if chains != nil {
 		c.EnableChains(*chains)
 	}
 	w := c.World()
-	st, err := NewStream(c.SiteNames(), Config{
+	cfg := Config{
 		Resolver: w.NewResolver(),
 		Certs:    w.Certs,
 		Pages:    w,
 		CDNMap:   CDNMap(w.CNAMEToCDN),
 		Workers:  workers,
 		Chains:   chains,
-	})
+	}
+	if adjust != nil {
+		adjust(&cfg)
+	}
+	st, err := NewStream(c.SiteNames(), cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	ctx := context.Background()
 	n := c.Len()
 	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+batch, n)
 		c.AddSites(lo, hi)
 		if err := st.ResolveBatch(ctx, lo, hi); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	st.Seal()
 	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+batch, n)
 		c.MaterializePages(lo, hi)
 		if err := st.MeasureBatch(ctx, lo, hi); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		c.ReleasePages(lo, hi)
 	}
 	if len(w.Pages) != 0 {
-		t.Fatalf("stream left %d pages resident", len(w.Pages))
+		return nil, fmt.Errorf("stream left %d pages resident", len(w.Pages))
 	}
-	res, err := st.Finish(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return st.Finish(ctx)
 }
 
 // TestStreamMatchesRun is the streaming pinning property: batching the
@@ -160,20 +166,72 @@ func TestStreamWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsCheckpointing: the streaming path refuses checkpoint
-// configs instead of silently ignoring them.
-func TestStreamRejectsCheckpointing(t *testing.T) {
-	u, err := ecosystem.Generate(ecosystem.Options{Scale: 10, Seed: 1})
+// TestStreamCheckpointsMatchRun: a checkpointed multi-batch stream ends on a
+// final checkpoint whose per-site progress encodes identically to Run's, and
+// a fresh stream resumed from one of its mid-pass snapshots reproduces the
+// uninterrupted measurement — chain pass included, whose host candidates
+// must be captured for reused sites too.
+func TestStreamCheckpointsMatchRun(t *testing.T) {
+	const scale, seed, batch = 300, 2020, 37
+	cfg := chain.Default()
+	u, err := ecosystem.Generate(ecosystem.Options{Scale: scale, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ecosystem.NewChunked(u, ecosystem.Y2020)
-	w := c.World()
-	_, err = NewStream(c.SiteNames(), Config{
-		Resolver:     w.NewResolver(),
-		OnCheckpoint: func(*Checkpoint) error { return nil },
+	w := ecosystem.Materialize(u, ecosystem.Y2020)
+	ecosystem.MaterializeChains(u, w, cfg)
+	var runFinal *Checkpoint
+	mono, err := Run(context.Background(), w.Sites, Config{
+		Resolver:        w.NewResolver(),
+		Certs:           w.Certs,
+		Pages:           w,
+		CDNMap:          CDNMap(w.CNAMEToCDN),
+		Workers:         4,
+		Chains:          &cfg,
+		CheckpointLabel: "2020",
+		OnCheckpoint:    func(cp *Checkpoint) error { runFinal = cp; return nil },
 	})
-	if err == nil || !strings.Contains(err.Error(), "streaming") {
-		t.Fatalf("want streaming-checkpoint rejection, got %v", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := streamHash(t, mono)
+
+	var emitted []*Checkpoint
+	res, err := streamRun(u, ecosystem.Y2020, &cfg, 4, batch, func(c *Config) {
+		c.CheckpointLabel = "2020"
+		c.CheckpointEvery = 100
+		c.OnCheckpoint = func(cp *Checkpoint) error { emitted = append(emitted, cp); return nil }
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := streamHash(t, res); got != want {
+		t.Fatalf("checkpointed stream hash %s, want %s", got, want)
+	}
+	var seq []ckptEmission
+	for _, cp := range emitted {
+		seq = append(seq, summarizeCheckpoint(cp))
+	}
+	wantSeq := []ckptEmission{{scale, 0}, {scale, 100}, {scale, 200}, {scale, 300}, {scale, 300}}
+	if !reflect.DeepEqual(seq, wantSeq) {
+		t.Fatalf("stream emission sequence %v, want %v", seq, wantSeq)
+	}
+	if got, wantSites := checkpointSitesHash(t, emitted[len(emitted)-1]), checkpointSitesHash(t, runFinal); got != wantSites {
+		t.Fatalf("stream final checkpoint sites hash %s, want Run's %s", got, wantSites)
+	}
+
+	reusedBefore := ckptReused.Value()
+	resumed, err := streamRun(u, ecosystem.Y2020, &cfg, 4, batch, func(c *Config) {
+		c.CheckpointLabel = "2020"
+		c.Checkpoint = emitted[1]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ckptReused.Value() - reusedBefore; got != 100 {
+		t.Fatalf("resumed stream reused %d checkpointed sites, want 100", got)
+	}
+	if got := streamHash(t, resumed); got != want {
+		t.Fatalf("resumed stream hash %s, want uninterrupted %s", got, want)
 	}
 }
