@@ -3,6 +3,8 @@ package analysis
 import (
 	"fmt"
 	"io"
+	"strings"
+	"unicode/utf8"
 
 	"depscope/internal/core"
 	"depscope/internal/telemetry"
@@ -81,12 +83,9 @@ func RenderErrorSummary(w io.Writer, run *Run) {
 	}
 }
 
+// header writes title underlined with one dash per rune, in one write.
 func header(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n%s\n", title)
-	for range title {
-		fmt.Fprint(w, "-")
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("-", utf8.RuneCountInString(title)))
 }
 
 // RenderTable1 prints the 2020 dataset summary.

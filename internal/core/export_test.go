@@ -42,6 +42,20 @@ func (s *OutageSim) ScanCounts(targets []int32, o OutageOpts) (down, degraded in
 	return down, degraded
 }
 
+// RowForms counts the non-empty provider→site rows markSites ORs in from a
+// dense bitset and those it walks entry by entry.
+func (s *OutageSim) RowForms() (dense, sparse int) {
+	for r, d := range s.dense {
+		switch {
+		case d != nil:
+			dense++
+		case len(s.siteRows.row(int32(r))) > 0:
+			sparse++
+		}
+	}
+	return dense, sparse
+}
+
 // ScanRun is the oracle for Run: it classifies every site and lists every
 // non-Up provider by scanning the whole universe, where Run visits only the
 // affected sites and the touched providers.

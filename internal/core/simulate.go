@@ -42,11 +42,16 @@ import (
 //
 // Sites are classified from the provider side. Construction inverts every
 // site arrangement into provider→site rows, and after a cascade only the
-// rows of the providers that left Up are visited: O(Σ row lengths of the
-// touched providers + sites/64) per run, where a pass over every site's
-// arrangements would cost O(sites × arrangements). An arrangement is non-Up
-// exactly when one of its providers is, so the rows find every affected
-// site; the test oracle in export_test.go is that full scan.
+// rows of the providers that left Up are visited. A row with at least as
+// many entries as the site bitset has words also gets a prebuilt bitset,
+// which is ORed in word by word; shorter rows set one bit per entry. A
+// dense row's bitset costs at most twice the bytes of its int32 entries
+// (8 bytes a word, at most one word per entry). A run therefore costs
+// O(Σ min(row length, sites/64) over the touched providers' rows +
+// sites/64), where a pass over every site's arrangements would cost
+// O(sites × arrangements). An arrangement is non-Up exactly when one of its
+// providers is, so the rows find every affected site; the test oracle in
+// export_test.go is that full scan.
 
 // ProviderState is a provider's health during a simulated outage. Order
 // matters: states only ever escalate (up → degraded → down).
@@ -205,23 +210,25 @@ type OutageSim struct {
 	// provider appears in a critical arrangement or, under JointFailures,
 	// when every provider of one of its multi-third arrangements is down.
 	// siteRows row 2p lists the sites with a critical arrangement naming
-	// provider p, row 2p+1 the other sites naming it (see critSites,
-	// otherSites, namingSites); jointRows row p indexes joint.
+	// provider p, row 2p+1 the other sites naming it; jointRows row p
+	// indexes joint. dense[r] is siteRows row r as a site bitset when the
+	// row has at least as many entries as the bitset has words, else nil.
 	siteRows  csr
+	dense     []bitset
 	joint     []jointArr
 	jointRows csr
 }
 
-// critSites lists the sites with a critical arrangement naming provider p.
-func (s *OutageSim) critSites(p int32) []int32 { return s.siteRows.row(2 * p) }
-
-// otherSites lists the sites naming p only in redundant arrangements.
-func (s *OutageSim) otherSites(p int32) []int32 { return s.siteRows.row(2*p + 1) }
-
-// namingSites lists every site with an arrangement naming p: critSites and
-// otherSites are adjacent rows.
-func (s *OutageSim) namingSites(p int32) []int32 {
-	return s.siteRows.ids[s.siteRows.off[2*p]:s.siteRows.off[2*p+2]]
+// unionRow ORs the sites of siteRows row r into b: word by word from the
+// row's dense bitset when it has one, one bit per entry otherwise.
+func (s *OutageSim) unionRow(b bitset, r int32) {
+	if d := s.dense[r]; d != nil {
+		b.unionWith(d)
+		return
+	}
+	for _, i := range s.siteRows.row(r) {
+		b.set(int(i))
+	}
 }
 
 // OutageSim returns the graph's shared simulator for opts, building it on
@@ -338,6 +345,21 @@ func newOutageSim(g *Graph, via uint8) *OutageSim {
 			}
 		}
 	})
+	// Every site bitset of a run has words words, so a row of at least that
+	// many entries is cheaper to OR in than to set bit by bit.
+	words := (len(s.siteArrs) + 63) / 64
+	s.dense = make([]bitset, 2*n)
+	for r := range s.dense {
+		row := s.siteRows.row(int32(r))
+		if len(row) == 0 || len(row) < words {
+			continue
+		}
+		d := make(bitset, words)
+		for _, i := range row {
+			d.set(int(i))
+		}
+		s.dense[r] = d
+	}
 	for i, arrs := range s.siteArrs {
 		for _, a := range arrs {
 			if a.class == ClassMultiThird && len(a.provs) > 0 {
@@ -469,7 +491,8 @@ func (s *OutageSim) cascade(targets []int32, o OutageOpts, sc *SimScratch) {
 // sites naming a non-Up provider. Their union is exactly the sites with a
 // non-Up arrangement, since an arrangement is non-Up exactly when one of
 // its providers is; sites in neither are unaffected, and a site's bit may
-// be in both. Every row entry is visited once.
+// be in both. Each touched row is ORed in once, from its dense bitset or
+// entry by entry (see unionRow).
 func (s *OutageSim) markSites(o OutageOpts, sc *SimScratch) {
 	words := (len(s.siteArrs) + 63) / 64
 	if cap(sc.impaired) < words {
@@ -483,17 +506,12 @@ func (s *OutageSim) markSites(o OutageOpts, sc *SimScratch) {
 	state := sc.state
 	for _, p := range sc.touched {
 		if state[p] != ProviderDown {
-			for _, i := range s.namingSites(p) {
-				sc.impaired.set(int(i))
-			}
+			s.unionRow(sc.impaired, 2*p)
+			s.unionRow(sc.impaired, 2*p+1)
 			continue
 		}
-		for _, i := range s.critSites(p) {
-			sc.down.set(int(i))
-		}
-		for _, i := range s.otherSites(p) {
-			sc.impaired.set(int(i))
-		}
+		s.unionRow(sc.down, 2*p)
+		s.unionRow(sc.impaired, 2*p+1)
 		if !o.JointFailures {
 			continue
 		}
@@ -659,8 +677,10 @@ type SimScratch struct {
 // the provider→site rows of the touched providers — down = |D| and
 // degraded = |A \ D|, where A is the sites with an arrangement naming a
 // non-Up provider and D ⊆ A the sites that lost a service (see markSites).
-// A scenario costs O(Σ row lengths of touched providers + sites/64), not
-// O(sites × arrangements), and with a warmed SimScratch allocates nothing.
+// Rows with at least sites/64 entries are ORed in from prebuilt bitsets, so
+// a scenario costs O(Σ min(row length, sites/64) over the touched
+// providers' rows + sites/64), not O(sites × arrangements), and with a
+// warmed SimScratch allocates nothing.
 // Unknown ids are the caller's bug; obtain ids via ProviderID.
 func (s *OutageSim) RunCounts(targets []int32, o OutageOpts, sc *SimScratch) (down, degraded int) {
 	s.cascade(targets, o, sc)

@@ -69,31 +69,50 @@ func checkAgainstScan(t *testing.T, label string, g *core.Graph, optsList []core
 		var sc core.SimScratch // shared across rounds: reuse must not leak state
 		for _, o := range outageModes {
 			for r := 0; r < rounds; r++ {
-				targets := draw()
-				var ids []int32
-				for _, n := range targets {
-					if id, ok := sim.ProviderID(n); ok {
-						ids = append(ids, id)
-					}
-				}
-				down, degraded := sim.RunCounts(ids, o, &sc)
-				wantDown, wantDegraded := sim.ScanCounts(ids, o)
-				if down != wantDown || degraded != wantDegraded {
-					t.Fatalf("%s via %v %+v targets %v: RunCounts = (%d, %d), scan = (%d, %d)",
-						label, opts.ViaProviders, o, targets, down, degraded, wantDown, wantDegraded)
-				}
-				got, want := sim.Run(targets, o), sim.ScanRun(targets, o)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s via %v %+v targets %v: Run differs from scan\nrun:  %+v\nscan: %+v",
-						label, opts.ViaProviders, o, targets, got, want)
-				}
-				if got.Down != down || got.Degraded != degraded {
-					t.Fatalf("%s via %v %+v targets %v: Run counts (%d, %d), RunCounts (%d, %d)",
-						label, opts.ViaProviders, o, targets, got.Down, got.Degraded, down, degraded)
-				}
+				matchScan(t, fmt.Sprintf("%s via %v", label, opts.ViaProviders), sim, draw(), o, &sc)
 			}
 		}
 	}
+}
+
+// matchScan fails unless RunCounts and Run agree with the scan oracle, and
+// with each other, on one outage of targets under o.
+func matchScan(t *testing.T, label string, sim *core.OutageSim, targets []string, o core.OutageOpts, sc *core.SimScratch) {
+	t.Helper()
+	var ids []int32
+	for _, n := range targets {
+		if id, ok := sim.ProviderID(n); ok {
+			ids = append(ids, id)
+		}
+	}
+	down, degraded := sim.RunCounts(ids, o, sc)
+	wantDown, wantDegraded := sim.ScanCounts(ids, o)
+	if down != wantDown || degraded != wantDegraded {
+		t.Fatalf("%s %+v targets %v: RunCounts = (%d, %d), scan = (%d, %d)",
+			label, o, targets, down, degraded, wantDown, wantDegraded)
+	}
+	got, want := sim.Run(targets, o), sim.ScanRun(targets, o)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %+v targets %v: Run differs from scan\nrun:  %+v\nscan: %+v",
+			label, o, targets, got, want)
+	}
+	if got.Down != down || got.Degraded != degraded {
+		t.Fatalf("%s %+v targets %v: Run counts (%d, %d), RunCounts (%d, %d)",
+			label, o, targets, got.Down, got.Degraded, down, degraded)
+	}
+}
+
+// checkMeasuredAgainstScan is checkAgainstScan for a measured graph, which
+// is large enough to hold both row forms: it first requires at least one
+// dense and one sparse provider→site row, so the comparison exercises both
+// ways markSites unions a row.
+func checkMeasuredAgainstScan(t *testing.T, label string, g *core.Graph, optsList []core.TraversalOpts, rounds int, seed int64) {
+	t.Helper()
+	dense, sparse := g.OutageSim(optsList[0]).RowForms()
+	if dense == 0 || sparse == 0 {
+		t.Fatalf("%s: %d dense and %d sparse rows, want at least one of each", label, dense, sparse)
+	}
+	checkAgainstScan(t, label, g, optsList, rounds, seed)
 }
 
 var allTraversals = []core.TraversalOpts{
@@ -162,11 +181,11 @@ func TestRunMatchesSiteScanMeasured(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sd := range []*analysis.SnapshotData{run.Y2016, run.Y2020} {
-			checkAgainstScan(t, fmt.Sprintf("seed %d %s", seed, sd.Snapshot), sd.Graph, allTraversals, 40, seed)
+			checkMeasuredAgainstScan(t, fmt.Sprintf("seed %d %s", seed, sd.Snapshot), sd.Graph, allTraversals, 40, seed)
 		}
 		if seed == 2020 {
 			ng := applyDelta(t, run.Y2020.Graph)
-			checkAgainstScan(t, "seed 2020 after Apply", ng, allTraversals, 40, seed)
+			checkMeasuredAgainstScan(t, "seed 2020 after Apply", ng, allTraversals, 40, seed)
 		}
 	}
 
@@ -185,7 +204,7 @@ func TestRunMatchesSiteScanMeasured(t *testing.T) {
 	if edges == 0 {
 		t.Fatal("chains-enabled run produced no chain edges")
 	}
-	checkAgainstScan(t, "seed 2020 chains", g, []core.TraversalOpts{core.AllIndirect(), core.DirectOnly(), core.AllImplicit()}, 40, 7)
+	checkMeasuredAgainstScan(t, "seed 2020 chains", g, []core.TraversalOpts{core.AllIndirect(), core.DirectOnly(), core.AllImplicit()}, 40, 7)
 }
 
 // applyDelta swaps the DNS provider of a few single-third sites, removes one
@@ -222,4 +241,60 @@ func applyDelta(t *testing.T, g *core.Graph) *core.Graph {
 		t.Fatal(err)
 	}
 	return ng
+}
+
+// TestRunMatchesSiteScanRowBoundary pins the density rule at its edge: at
+// 200 sites the site bitset has 4 words, so a row of 4 entries is ORed in
+// as a bitset and a row of 3 is walked entry by entry. Each provider has
+// one row of each length, placed across word boundaries and in the partial
+// last word, and every subset of providers fails in every outage mode.
+func TestRunMatchesSiteScanRowBoundary(t *testing.T) {
+	const nSites = 200
+	dep := func(class core.DepClass, provs ...string) core.Dep { return core.Dep{Class: class, Providers: provs} }
+	sites := make([]*core.Site, nSites)
+	for i := range sites {
+		sites[i] = &core.Site{Name: fmt.Sprintf("s%d.example", i), Rank: i + 1, Deps: map[core.Service]core.Dep{
+			core.DNS: dep(core.ClassSingleThird, "filler.example"),
+		}}
+	}
+	set := func(svc core.Service, d core.Dep, idx ...int) {
+		for _, i := range idx {
+			sites[i].Deps[svc] = d
+		}
+	}
+	// a: critical row of 4 (dense), redundant row of 3 (sparse).
+	set(core.DNS, dep(core.ClassSingleThird, "a.example"), 0, 63, 64, 199)
+	set(core.CDN, dep(core.ClassMultiThird, "a.example", "b.example"), 1, 127, 128)
+	// b: critical row of 3 (sparse), redundant row of 4 (dense).
+	set(core.CDN, dep(core.ClassSingleThird, "b.example"), 2, 65, 190)
+	set(core.DNS, dep(core.ClassMultiThird, "b.example", "c.example"), 3)
+	providers := []*core.Provider{
+		{Name: "a.example", Service: core.DNS},
+		{Name: "b.example", Service: core.CDN, Deps: map[core.Service]core.Dep{core.DNS: dep(core.ClassSingleThird, "a.example")}},
+		{Name: "c.example", Service: core.DNS},
+		{Name: "filler.example", Service: core.DNS},
+	}
+	g := core.NewGraph(sites, providers)
+
+	// Dense: a's critical row, b's redundant row, filler's critical row of
+	// 195. Sparse: a's redundant row, b's critical row, c's redundant row.
+	if dense, sparse := g.OutageSim(core.AllIndirect()).RowForms(); dense != 3 || sparse != 3 {
+		t.Fatalf("row forms = (%d dense, %d sparse), want (3, 3)", dense, sparse)
+	}
+	names := []string{"a.example", "b.example", "c.example", "filler.example"}
+	for _, opts := range allTraversals {
+		sim := g.OutageSim(opts)
+		var sc core.SimScratch
+		for _, o := range outageModes {
+			for mask := 0; mask < 1<<len(names); mask++ {
+				var targets []string
+				for k, n := range names {
+					if mask&(1<<k) != 0 {
+						targets = append(targets, n)
+					}
+				}
+				matchScan(t, fmt.Sprintf("boundary via %v", opts.ViaProviders), sim, targets, o, &sc)
+			}
+		}
+	}
 }

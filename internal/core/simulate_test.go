@@ -203,10 +203,14 @@ func TestSimulateSeverity(t *testing.T) {
 }
 
 // TestRunCountsAllocs guards the Monte-Carlo inner loop: with a warmed
-// SimScratch, RunCounts allocates nothing, in every outage mode.
+// SimScratch, RunCounts allocates nothing, in every outage mode, including
+// when markSites ORs in a dense row.
 func TestRunCountsAllocs(t *testing.T) {
 	g := randomGraph(7)
 	sim := g.OutageSim(AllIndirect())
+	if dense, _ := sim.RowForms(); dense == 0 {
+		t.Fatal("fixture has no dense provider→site row; the guard would miss that path")
+	}
 	var ids []int32
 	for _, n := range g.ProviderNames() {
 		id, _ := sim.ProviderID(n)
