@@ -33,8 +33,9 @@ race:
 # surfaces the new hashes to pin: the measurement pinning test and the
 # chain-pass golden (internal/measure), the Dyn replay, the
 # mc-baseline Monte-Carlo sweep and the K=25 mitigation plan
-# (internal/incident), the per-site breakdown (internal/analysis), and the
-# landing pages with their chains (internal/ecosystem).
+# (internal/incident), the per-site breakdown and the -outage and
+# robustness reports (internal/analysis), and the landing pages with
+# their chains (internal/ecosystem).
 golden:
 	$(GO) test -run 'Golden|Pinned' -count=1 -v ./...
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"sort"
+	"strconv"
 
 	"depscope/internal/core"
 	"depscope/internal/ecosystem"
@@ -27,7 +28,7 @@ type DatasetSummary struct {
 
 // Table1 summarizes the 2020 dataset.
 func Table1(run *Run) DatasetSummary {
-	return datasetSummary("Table 1: 2020 dataset ("+itoa(run.Scale)+" sites)", run.Y2020.Results)
+	return datasetSummary("Table 1: 2020 dataset ("+strconv.Itoa(run.Scale)+" sites)", run.Y2020.Results)
 }
 
 func datasetSummary(title string, res *measure.Results) DatasetSummary {
@@ -127,7 +128,7 @@ func caBands(res *measure.Results, scale int) [4]CABandRow {
 	var all, https, third, stapled [4]int
 	for i := range res.Sites {
 		sr := &res.Sites[i]
-		b := bandOf(sr.Rank, scale)
+		b := core.BandOf(sr.Rank, scale)
 		for k := b; k < 4; k++ {
 			all[k]++
 			if !sr.CA.HTTPS {
@@ -144,7 +145,7 @@ func caBands(res *measure.Results, scale int) [4]CABandRow {
 	}
 	var out [4]CABandRow
 	for i := range out {
-		out[i].Label = bandLabel(i, scale)
+		out[i].Label = core.BandLabel(i, scale)
 		out[i].HTTPSFrac = frac(https[i], all[i])
 		out[i].ThirdCAFrac = frac(third[i], https[i])
 		out[i].StaplingFrac = frac(stapled[i], https[i])
@@ -602,22 +603,4 @@ func frac(a, b int) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-func bandOf(rank, scale int) int { return ecosystem.BandOf(rank, scale) }
-
-func bandLabel(band, scale int) string { return ecosystem.BandLabel(band, scale) }
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

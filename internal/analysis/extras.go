@@ -26,14 +26,20 @@ type OutageReport struct {
 	SampleSites []string
 }
 
-// Outage computes the blast radius of one provider in the 2020 snapshot.
+// Outage computes the blast radius of one provider in the 2020 snapshot
+// from single-target outage simulations, whose down sets are I_p by
+// construction: Direct under DirectOnly, Transitive and SampleSites under
+// AllIndirect.
 func Outage(run *Run, provider string) OutageReport {
 	g := run.Y2020.Graph
+	targets := []string{provider}
+	res := g.OutageSim(core.AllIndirect()).Run(targets, core.OutageOpts{})
 	rep := OutageReport{
 		Provider:   provider,
-		Direct:     g.Impact(provider, core.DirectOnly()),
-		Transitive: g.Impact(provider, core.AllIndirect()),
+		Direct:     g.OutageSim(core.DirectOnly()).Run(targets, core.OutageOpts{}).Down,
+		Transitive: res.Down,
 	}
+	// One hop only: the simulator's DownProviders is the whole cascade.
 	for name, p := range g.Providers {
 		for _, d := range p.Deps {
 			if d.Class.Critical() {
@@ -46,10 +52,9 @@ func Outage(run *Run, provider string) OutageReport {
 		}
 	}
 	sort.Strings(rep.AffectedProviders)
-	affected := g.ImpactSet(provider, core.AllIndirect())
 	var sites []*core.Site
-	for _, s := range g.Sites {
-		if affected[s.Name] {
+	for i, s := range g.Sites {
+		if res.Outcomes[i] == core.SiteDown {
 			sites = append(sites, s)
 		}
 	}

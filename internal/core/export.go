@@ -137,7 +137,7 @@ func (g *Graph) RobustnessOf(site string) (Robustness, error) {
 		svcCritical := map[string]bool{}
 		if d.Class.Critical() {
 			for _, p := range d.Providers {
-				g.criticalClosure(p, true, svcCritical)
+				g.criticalClosure(p, walkAll, svcCritical)
 			}
 		}
 		// Private infrastructure with its own critical chain also pins the
@@ -147,7 +147,7 @@ func (g *Graph) RobustnessOf(site string) (Robustness, error) {
 				for _, pd := range prov.Deps {
 					if pd.Class.Critical() {
 						for _, dep := range pd.Providers {
-							g.criticalClosure(dep, true, svcCritical)
+							g.criticalClosure(dep, walkAll, svcCritical)
 						}
 					}
 				}
@@ -180,29 +180,33 @@ func (g *Graph) RobustnessOf(site string) (Robustness, error) {
 	return out, nil
 }
 
-// RobustnessDistribution buckets all sites by score (0, (0,0.5], (0.5,1),
-// 1) — the fleet-level view a "neutral audit service" (§8.2) would expose.
+// RobustnessDistribution buckets sites by score (0, (0,0.5], (0.5,1), 1)
+// — the fleet-level view a "neutral audit service" (§8.2) would expose.
 type RobustnessDistribution struct {
 	Zero, Low, High, Full int
+}
+
+// Add counts one score into its bucket. The §8.3 robustness report and the
+// incident engine's resilience distribution share this rule.
+func (d *RobustnessDistribution) Add(score float64) {
+	switch {
+	case score == 0:
+		d.Zero++
+	case score <= 0.5:
+		d.Low++
+	case score < 1:
+		d.High++
+	default:
+		d.Full++
+	}
 }
 
 // RobustnessAll computes the distribution across all sites.
 func (g *Graph) RobustnessAll() RobustnessDistribution {
 	var d RobustnessDistribution
 	for _, s := range g.Sites {
-		r, err := g.RobustnessOf(s.Name)
-		if err != nil {
-			continue
-		}
-		switch {
-		case r.Score == 0:
-			d.Zero++
-		case r.Score <= 0.5:
-			d.Low++
-		case r.Score < 1:
-			d.High++
-		default:
-			d.Full++
+		if r, err := g.RobustnessOf(s.Name); err == nil {
+			d.Add(r.Score)
 		}
 	}
 	return d

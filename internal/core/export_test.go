@@ -208,3 +208,15 @@ func TestRobustnessAll(t *testing.T) {
 		t.Errorf("distribution = %+v", d)
 	}
 }
+
+// TestRobustnessDistributionAdd pins the bucket boundaries: 0, (0,0.5],
+// (0.5,1) and 1.
+func TestRobustnessDistributionAdd(t *testing.T) {
+	var d RobustnessDistribution
+	for _, score := range []float64{0, 0.25, 0.5, 0.5 + 1e-9, 0.75, 1} {
+		d.Add(score)
+	}
+	if want := (RobustnessDistribution{Zero: 1, Low: 2, High: 2, Full: 1}); d != want {
+		t.Errorf("distribution = %+v, want %+v", d, want)
+	}
+}

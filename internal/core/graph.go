@@ -412,25 +412,11 @@ func (g *Graph) TopProviders(svc Service, opts TraversalOpts, byImpact bool, n i
 	})
 }
 
-// topProviders collects, filters and ranks provider stats with metrics
+// topProviders ranks the ProvidersOfService candidates with metrics
 // supplied by the given lookup.
 func (g *Graph) topProviders(svc Service, byImpact bool, n int, metrics func(string) (conc, imp int)) []ProviderStat {
 	var stats []ProviderStat
-	seen := make(map[string]bool)
-	collect := func(pname string) {
-		if seen[pname] {
-			return
-		}
-		seen[pname] = true
-		if p, ok := g.Providers[pname]; ok && p.Service != svc {
-			return
-		}
-		// Pure private-infrastructure nodes (a site's own CDN or PKI
-		// domain) are not third-party providers; keep them out of the
-		// ranking even though impact flows through them.
-		if len(g.privateUsersOf[pname]) > 0 && !g.hasPublicUsers(pname) {
-			return
-		}
+	for _, pname := range g.ProvidersOfService(svc) {
 		conc, imp := metrics(pname)
 		stats = append(stats, ProviderStat{
 			Name:          pname,
@@ -438,14 +424,6 @@ func (g *Graph) topProviders(svc Service, byImpact bool, n int, metrics func(str
 			Concentration: conc,
 			Impact:        imp,
 		})
-	}
-	for pname := range g.usersOf[svc] {
-		collect(pname)
-	}
-	for pname, p := range g.Providers {
-		if p.Service == svc {
-			collect(pname)
-		}
 	}
 	sort.Slice(stats, func(i, j int) bool {
 		a, b := stats[i], stats[j]
@@ -474,14 +452,23 @@ func (g *Graph) hasPublicUsers(pname string) bool {
 	return false
 }
 
+// walkAll is the closure gate of the site-side critical-dependency walks:
+// it continues through providers of every service. Hoisted so no walk
+// allocates its traversal.
+var walkAll = AllImplicit()
+
 // CriticalDepsPerSite returns, for each site, the number of distinct
 // providers it critically depends on. With indirect true, a provider's own
 // critical dependencies are charged to the sites critically depending on it
 // (§8.1: 25% of sites have ≥3 critical dependencies vs 9.6% direct).
 func (g *Graph) CriticalDepsPerSite(indirect bool) map[string]int {
+	opts := DirectOnly()
+	if indirect {
+		opts = walkAll
+	}
 	out := make(map[string]int, len(g.Sites))
 	for _, s := range g.Sites {
-		out[s.Name] = len(g.criticalSet(s, indirect))
+		out[s.Name] = len(g.criticalSet(s, opts))
 	}
 	return out
 }
@@ -490,7 +477,7 @@ func (g *Graph) CriticalDepsPerSite(indirect bool) map[string]int {
 // directly or transitively through provider-to-provider critical
 // dependencies — the per-site set CriticalDepsPerSite(true) counts.
 func (g *Graph) CriticalProviders(s *Site) []string {
-	set := g.criticalSet(s, true)
+	set := g.criticalSet(s, walkAll)
 	out := make([]string, 0, len(set))
 	for p := range set {
 		out = append(out, p)
@@ -499,41 +486,41 @@ func (g *Graph) CriticalProviders(s *Site) []string {
 	return out
 }
 
-// criticalSet collects the providers of s's critical arrangements and, with
-// indirect, their critical closures.
-func (g *Graph) criticalSet(s *Site, indirect bool) map[string]bool {
+// criticalSet collects the critical closures of the providers of s's
+// critical arrangements.
+func (g *Graph) criticalSet(s *Site, opts TraversalOpts) map[string]bool {
 	set := make(map[string]bool)
 	for _, d := range s.Deps {
 		if !d.Class.Critical() {
 			continue
 		}
 		for _, pname := range d.Providers {
-			g.criticalClosure(pname, indirect, set)
+			g.criticalClosure(pname, opts, set)
 		}
 	}
 	return set
 }
 
-// criticalClosure adds p to set and, with indirect, every provider p
-// depends on critically, transitively. set doubles as the visited set, so
-// one set shared across a site's roots walks each provider once; the result
-// is the union of the roots' closures.
-func (g *Graph) criticalClosure(p string, indirect bool, set map[string]bool) {
+// criticalClosure is the one walk over provider-to-provider critical
+// edges. Reaching a provider adds it to set; walking on through it requires
+// opts to allow its service. set doubles as the visited set, so one set
+// shared across several roots walks each provider once and ends as the
+// union of the roots' closures.
+func (g *Graph) criticalClosure(p string, opts TraversalOpts, set map[string]bool) {
 	if set[p] {
 		return
 	}
 	set[p] = true
-	if !indirect {
+	prov, ok := g.Providers[p]
+	if !ok || !opts.allows(prov.Service) {
 		return
 	}
-	if prov, ok := g.Providers[p]; ok {
-		for _, d := range prov.Deps {
-			if !d.Class.Critical() {
-				continue
-			}
-			for _, dep := range d.Providers {
-				g.criticalClosure(dep, indirect, set)
-			}
+	for _, d := range prov.Deps {
+		if !d.Class.Critical() {
+			continue
+		}
+		for _, dep := range d.Providers {
+			g.criticalClosure(dep, opts, set)
 		}
 	}
 }

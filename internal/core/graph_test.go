@@ -187,6 +187,40 @@ func TestServiceBandsCumulative(t *testing.T) {
 	}
 }
 
+// TestBands pins the one rank-banding rule: band boundaries at scale/1000,
+// /100 and /10, and labels that carry a K suffix only for whole thousands.
+func TestBands(t *testing.T) {
+	bandOf := []struct{ rank, scale, want int }{
+		{1, 100000, 0}, {100, 100000, 0}, {101, 100000, 1},
+		{1000, 100000, 1}, {1001, 100000, 2}, {10000, 100000, 2},
+		{10001, 100000, 3}, {100000, 100000, 3},
+		{1, 2000, 0}, {2, 2000, 0}, {3, 2000, 1}, {20, 2000, 1}, {21, 2000, 2},
+		{2, 2500, 0}, {3, 2500, 1}, {25, 2500, 1}, {26, 2500, 2},
+		{250, 2500, 2}, {251, 2500, 3}, {2500, 2500, 3},
+	}
+	for _, tt := range bandOf {
+		if got := BandOf(tt.rank, tt.scale); got != tt.want {
+			t.Errorf("BandOf(%d, %d) = %d, want %d", tt.rank, tt.scale, got, tt.want)
+		}
+	}
+	labels := []struct {
+		scale int
+		want  [4]string
+	}{
+		{2500, [4]string{"k=2", "k=25", "k=250", "k=2500"}},
+		{2000, [4]string{"k=2", "k=20", "k=200", "k=2K"}},
+		{10000, [4]string{"k=10", "k=100", "k=1K", "k=10K"}},
+		{100000, [4]string{"k=100", "k=1K", "k=10K", "k=100K"}},
+	}
+	for _, tt := range labels {
+		for b, want := range tt.want {
+			if got := BandLabel(b, tt.scale); got != want {
+				t.Errorf("BandLabel(%d, %d) = %q, want %q", b, tt.scale, got, want)
+			}
+		}
+	}
+}
+
 func TestConcentrationCDF(t *testing.T) {
 	var sites []*Site
 	for i := 1; i <= 100; i++ {

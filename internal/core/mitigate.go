@@ -24,11 +24,13 @@ import (
 // over (site, service) candidates with per-site re-evaluation is exact for
 // the sites it picks; the lazy-re-evaluation heap keeps it near-linear.
 //
-// Closures are provider-id bitsets on the metrics engine's universe — the
-// same ids and critical edges the batch C_p/I_p propagation walks, so the
-// optimizer's "before" totals agree with the engine by construction (the
-// property tests in mitigate_test.go pin both that and the "after" totals
-// against graph surgery).
+// Closures come from the graph's one critical-provider walk
+// (criticalClosure, which also answers CriticalProviders and RobustnessOf)
+// under the plan's traversal, stored as provider-id bitsets on the metrics
+// engine's universe. The walk follows the same critical edges and service
+// gate as the batch C_p/I_p propagation, so the optimizer's "before" totals
+// agree with the engine (the property tests in mitigate_test.go pin both
+// that and the "after" totals against graph surgery).
 
 // MitigationOption is one ranked recommendation: add a second provider to
 // this site's arrangement for this service.
@@ -162,55 +164,19 @@ func (g *Graph) MitigationPlan(k int, opts TraversalOpts) *MitigationPlan {
 		return plan
 	}
 
-	// Forward critical adjacency: provider id → the provider ids it
-	// critically depends on. The closure gate matches gather(): descending
-	// out of a provider requires the traversal to allow that provider's own
-	// service type.
-	critDeps := make([][]int32, nbits)
-	allowed := make([]bool, nbits)
-	for name, p := range g.Providers {
-		id := e.ids[name]
-		allowed[id] = opts.allows(p.Service)
-		for _, d := range p.Deps {
-			if !d.Class.Critical() {
-				continue
-			}
-			for _, dep := range d.Providers {
-				if did, ok := e.ids[dep]; ok {
-					critDeps[id] = append(critDeps[id], int32(did))
-				}
-			}
-		}
-	}
-
-	// closure(root) = {root} ∪ (allowed[root] ? closures of its critical
-	// deps, recursively). Memoized per root; the DFS handles cycles with a
-	// per-root visited set, mirroring the \{p} exclusion of the formulas.
-	closures := make(map[int32]bitset)
-	var closureOf func(root int32) bitset
-	closureOf = func(root int32) bitset {
+	// A root's closure is the one critical-provider walk (criticalClosure)
+	// under opts, memoized per root and mapped onto the engine's ids.
+	closures := make(map[string]bitset)
+	rootClosure := func(root string) bitset {
 		if bs, ok := closures[root]; ok {
 			return bs
 		}
+		set := make(map[string]bool)
+		g.criticalClosure(root, opts, set)
 		bs := newBitset(nbits)
-		visited := make([]bool, nbits)
-		stack := []int32{root}
-		visited[root] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			bs.set(int(v))
-			// Reaching a provider puts it in the closure unconditionally;
-			// continuing *through* it requires the traversal to allow its
-			// service type — the same gate gather() applies per chain node.
-			if !allowed[v] {
-				continue
-			}
-			for _, d := range critDeps[v] {
-				if !visited[d] {
-					visited[d] = true
-					stack = append(stack, d)
-				}
+		for name := range set {
+			if id, ok := e.ids[name]; ok {
+				bs.set(id)
 			}
 		}
 		closures[root] = bs
@@ -229,9 +195,7 @@ func (g *Graph) MitigationPlan(k int, opts TraversalOpts) *MitigationPlan {
 			if d, ok := s.Deps[svc]; ok && d.Class.Critical() && len(d.Providers) > 0 {
 				cl := newBitset(nbits)
 				for _, pname := range d.Providers {
-					if id, idOK := e.ids[pname]; idOK {
-						cl.unionWith(closureOf(int32(id)))
-					}
+					cl.unionWith(rootClosure(pname))
 				}
 				ms.chains = append(ms.chains, critChain{
 					svc:       svc,
@@ -241,10 +205,10 @@ func (g *Graph) MitigationPlan(k int, opts TraversalOpts) *MitigationPlan {
 				})
 			}
 			for _, pname := range s.PrivateInfra[svc] {
-				if id, idOK := e.ids[pname]; idOK {
+				if _, known := e.ids[pname]; known {
 					ms.chains = append(ms.chains, critChain{
 						svc:     svc,
-						closure: closureOf(int32(id)),
+						closure: rootClosure(pname),
 					})
 				}
 			}

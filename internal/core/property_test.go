@@ -3,9 +3,13 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
+
+// itoa names the generated nodes of the test graphs.
+func itoa(v int) string { return strconv.Itoa(v) }
 
 // randomGraph builds a random but structurally valid dependency graph:
 // sites over three services with arbitrary classes, providers with random

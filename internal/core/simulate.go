@@ -728,31 +728,21 @@ func (g *Graph) EachProviderName(fn func(name string)) {
 }
 
 // ProvidersOfService returns the third-party provider names of svc — the
-// same candidate set TopProviders ranks: names sites use for svc plus
-// declared provider nodes of svc, excluding pure private-infrastructure
-// nodes. Sorted.
+// candidate set TopProviders ranks: names sites use for svc plus declared
+// provider nodes of svc, excluding pure private-infrastructure nodes (a
+// site's own CDN or PKI domain), through which impact flows but which are
+// not third parties. Sorted.
 func (g *Graph) ProvidersOfService(svc Service) []string {
 	seen := make(map[string]bool)
-	collect := func(pname string) {
-		if seen[pname] {
-			return
-		}
-		seen[pname] = true
-	}
 	for pname := range g.usersOf[svc] {
-		if p, ok := g.Providers[pname]; ok && p.Service != svc {
-			continue
+		if p, ok := g.Providers[pname]; !ok || p.Service == svc {
+			seen[pname] = true
 		}
-		collect(pname)
 	}
 	for pname, p := range g.Providers {
-		if p.Service != svc {
-			continue
+		if p.Service == svc && (len(g.privateUsersOf[pname]) == 0 || g.hasPublicUsers(pname)) {
+			seen[pname] = true
 		}
-		if len(g.privateUsersOf[pname]) > 0 && !g.hasPublicUsers(pname) {
-			continue
-		}
-		collect(pname)
 	}
 	out := make([]string, 0, len(seen))
 	for pname := range seen {

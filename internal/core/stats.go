@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"sort"
+	"strconv"
+)
 
 // BandStats aggregates site dependency classes for one service over a rank
 // band (the paper's Figures 2–4 series).
@@ -40,8 +43,13 @@ func frac(a, b int) float64 {
 	return float64(a) / float64(b)
 }
 
-// bandOf mirrors the generator's banding: band 0 holds ranks ≤ scale/1000.
-func bandOf(rank, scale int) int {
+// Rank bands generalise the paper's k=100, 1K, 10K, 100K to fractions of
+// the list length N: band 0 holds ranks (0, N/1000], band 1 (N/1000,
+// N/100], band 2 (N/100, N/10], band 3 (N/10, N]. The generator, the figure
+// and trend tables and the incident engine all band through BandOf.
+
+// BandOf returns the band index of rank within a list of length scale.
+func BandOf(rank, scale int) int {
 	switch {
 	case rank*1000 <= scale:
 		return 0
@@ -54,50 +62,33 @@ func bandOf(rank, scale int) int {
 	}
 }
 
-// bandLabels produces "k=100"-style labels.
-func bandLabels(scale int) [4]string {
-	divs := [4]int{1000, 100, 10, 1}
-	var out [4]string
-	for i, d := range divs {
-		k := scale / d
-		if k >= 1000 {
-			out[i] = "k=" + itoa(k/1000) + "K"
-		} else {
-			out[i] = "k=" + itoa(k)
-		}
+// BandTop names band's rank cutoff in a list of length scale: "25",
+// "2500", "2K". The K suffix is written only for whole thousands.
+func BandTop(band, scale int) string {
+	k := scale / [4]int{1000, 100, 10, 1}[band]
+	if k >= 1000 && k%1000 == 0 {
+		return strconv.Itoa(k/1000) + "K"
 	}
-	return out
+	return strconv.Itoa(k)
 }
 
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
+// BandLabel names a band for the figure and trend tables: "k=25", "k=2K".
+func BandLabel(band, scale int) string { return "k=" + BandTop(band, scale) }
 
 // ServiceBands computes cumulative band statistics for a service: band i
 // covers ranks 1..scale/10^(3-i), matching the paper's "top-k" series where
 // each k includes all more-popular sites.
 func ServiceBands(g *Graph, svc Service, scale int) [4]BandStats {
-	labels := bandLabels(scale)
 	var out [4]BandStats
 	for i := range out {
-		out[i] = BandStats{Band: i, Label: labels[i]}
+		out[i] = BandStats{Band: i, Label: BandLabel(i, scale)}
 	}
 	for _, s := range g.Sites {
 		d, ok := s.Deps[svc]
 		if !ok || d.Class == ClassNone {
 			continue
 		}
-		b := bandOf(s.Rank, scale)
+		b := BandOf(s.Rank, scale)
 		// Cumulative: a rank in band b contributes to bands b..3.
 		for i := b; i < 4; i++ {
 			if d.Class == ClassUnknown {

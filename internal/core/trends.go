@@ -24,7 +24,6 @@ type SiteClasses map[string]DepClass
 // list per §3); scale is the list length. Only sites present and
 // characterized in both snapshots count.
 func ModeTrends(old, new SiteClasses, ranks map[string]int, scale int) [4]TrendRow {
-	labels := bandLabels(scale)
 	var rows [4]TrendRow
 	var totals [4]int
 	type delta struct {
@@ -40,7 +39,7 @@ func ModeTrends(old, new SiteClasses, ranks map[string]int, scale int) [4]TrendR
 		if !ok {
 			continue
 		}
-		b := bandOf(rank, scale)
+		b := BandOf(rank, scale)
 		for i := b; i < 4; i++ {
 			totals[i]++
 			if oc == ClassPrivate && nc == ClassSingleThird {
@@ -64,7 +63,7 @@ func ModeTrends(old, new SiteClasses, ranks map[string]int, scale int) [4]TrendR
 		}
 	}
 	for i := range rows {
-		rows[i].Label = labels[i]
+		rows[i].Label = BandLabel(i, scale)
 		if totals[i] == 0 {
 			continue
 		}
@@ -90,7 +89,6 @@ type StaplingTrendRow struct {
 // in both snapshots, in percent. stapledOld/New report stapling; membership
 // in the maps means the site supported HTTPS in that snapshot.
 func StaplingTrends(stapledOld, stapledNew map[string]bool, ranks map[string]int, scale int) [4]StaplingTrendRow {
-	labels := bandLabels(scale)
 	var rows [4]StaplingTrendRow
 	var totals, toNo, toYes [4]int
 	for site, so := range stapledOld {
@@ -102,7 +100,7 @@ func StaplingTrends(stapledOld, stapledNew map[string]bool, ranks map[string]int
 		if !ok {
 			continue
 		}
-		b := bandOf(rank, scale)
+		b := BandOf(rank, scale)
 		for i := b; i < 4; i++ {
 			totals[i]++
 			if so && !sn {
@@ -114,7 +112,7 @@ func StaplingTrends(stapledOld, stapledNew map[string]bool, ranks map[string]int
 		}
 	}
 	for i := range rows {
-		rows[i].Label = labels[i]
+		rows[i].Label = BandLabel(i, scale)
 		if totals[i] == 0 {
 			continue
 		}

@@ -5,52 +5,11 @@ package ecosystem
 // pipeline re-derives these aggregates from the generated artifacts, so the
 // experiment harness checks amount to closed-loop validation.
 //
-// Band semantics: rank bands k=100, 1K, 10K, 100K of the paper generalise to
-// fractions of the list length N: band 0 holds ranks (0, N/1000], band 1
-// (N/1000, N/100], band 2 (N/100, N/10], band 3 (N/10, N].
+// Band semantics are core.BandOf's: the paper's rank bands k=100, 1K, 10K,
+// 100K as fractions of the list length.
 
 // NumBands is the number of popularity bands.
 const NumBands = 4
-
-// BandOf returns the band index of rank within a list of length scale.
-func BandOf(rank, scale int) int {
-	switch {
-	case rank*1000 <= scale:
-		return 0
-	case rank*100 <= scale:
-		return 1
-	case rank*10 <= scale:
-		return 2
-	default:
-		return 3
-	}
-}
-
-// BandLabel names a band for display, given the list length.
-func BandLabel(band, scale int) string {
-	div := []int{1000, 100, 10, 1}[band]
-	k := scale / div
-	switch {
-	case k >= 1000:
-		return "k=" + itoa(k/1000) + "K"
-	default:
-		return "k=" + itoa(k)
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
 
 // Share assigns a probability mass to a provider.
 type Share struct {

@@ -314,20 +314,6 @@ func TestSOATrapWiring(t *testing.T) {
 	}
 }
 
-func TestBandOf(t *testing.T) {
-	tests := []struct{ rank, scale, want int }{
-		{1, 100000, 0}, {100, 100000, 0}, {101, 100000, 1},
-		{1000, 100000, 1}, {1001, 100000, 2}, {10000, 100000, 2},
-		{10001, 100000, 3}, {100000, 100000, 3},
-		{1, 2000, 0}, {2, 2000, 0}, {3, 2000, 1}, {20, 2000, 1}, {21, 2000, 2},
-	}
-	for _, tt := range tests {
-		if got := BandOf(tt.rank, tt.scale); got != tt.want {
-			t.Errorf("BandOf(%d, %d) = %d, want %d", tt.rank, tt.scale, got, tt.want)
-		}
-	}
-}
-
 func TestDepModeHelpers(t *testing.T) {
 	if !DepSingleThird.Critical() || DepMultiThird.Critical() {
 		t.Error("Critical() wrong")

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"depscope/internal/core"
 )
 
 // Options configures generation.
@@ -271,7 +273,7 @@ func (g *generator) buildSites() {
 func bandSites(list []*Site, scale int) [NumBands][]*Site {
 	var bands [NumBands][]*Site
 	for i, s := range list {
-		b := BandOf(i+1, scale)
+		b := core.BandOf(i+1, scale)
 		bands[b] = append(bands[b], s)
 	}
 	return bands

@@ -85,29 +85,6 @@ type BandCount struct {
 	Down  int    `json:"down"`
 }
 
-// bandOf mirrors the paper's rank banding (Figures 2–4): band 0 holds
-// ranks ≤ scale/1000, then /100, /10, and the full list.
-func bandOf(rank, scale int) int {
-	switch {
-	case rank*1000 <= scale:
-		return 0
-	case rank*100 <= scale:
-		return 1
-	case rank*10 <= scale:
-		return 2
-	default:
-		return 3
-	}
-}
-
-func bandLabel(band, scale int) string {
-	k := scale / []int{1000, 100, 10, 1}[band]
-	if k >= 1000 && k%1000 == 0 {
-		return fmt.Sprintf("top %dK", k/1000)
-	}
-	return fmt.Sprintf("top %d", k)
-}
-
 // buildStage aggregates one cumulative simulation result.
 func buildStage(g *core.Graph, name string, targets, added []string, res *core.OutageResult, prev []core.SiteOutcome) StageReport {
 	scale := len(g.Sites)
@@ -122,23 +99,14 @@ func buildStage(g *core.Graph, name string, targets, added []string, res *core.O
 	sort.Strings(sr.Targets)
 
 	for b := range sr.DownByBand {
-		sr.DownByBand[b].Label = bandLabel(b, scale)
+		sr.DownByBand[b].Label = "top " + core.BandTop(b, scale)
 	}
 	var downSites []*core.Site
 	resSum := 0.0
 	for i, s := range g.Sites {
 		resSum += res.Resilience[i]
-		switch {
-		case res.Resilience[i] == 0:
-			sr.ResilienceDist.Zero++
-		case res.Resilience[i] <= 0.5:
-			sr.ResilienceDist.Low++
-		case res.Resilience[i] < 1:
-			sr.ResilienceDist.High++
-		default:
-			sr.ResilienceDist.Full++
-		}
-		b := bandOf(s.Rank, scale)
+		sr.ResilienceDist.Add(res.Resilience[i])
+		b := core.BandOf(s.Rank, scale)
 		sr.DownByBand[b].Total++
 		if res.Outcomes[i] != core.SiteDown {
 			continue
