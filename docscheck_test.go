@@ -1,14 +1,16 @@
 package depscope
 
 // Documentation drift checks, wired into `make docs-check` (and through it
-// into `make verify`). Two invariants:
+// into `make verify`). Three invariants:
 //
 //   - every relative markdown link (and its #anchor, if any) in the curated
 //     docs resolves to a real file and a real heading;
 //   - every flag documented in a flag table (`| `-name ...` rows) is an
-//     actual flag.Xxx("name", ...) definition in some cmd/ binary.
+//     actual flag.Xxx("name", ...) definition in some cmd/ binary;
+//   - every `make <target>` the docs, the CI workflow and the verify skill
+//     name is a target the Makefile defines.
 //
-// Both walk the committed sources, so they need no network and no build
+// All walk the committed sources, so they need no network and no build
 // artifacts; a doc edit that invents a flag or breaks a link fails go test.
 
 import (
@@ -158,6 +160,58 @@ func TestDocumentedFlagsExist(t *testing.T) {
 			for _, m := range flagDoc.FindAllStringSubmatch(line, -1) {
 				if !defined[m[1]] {
 					t.Errorf("%s:%d: documents flag -%s, which no cmd/ binary defines", doc, n+1, m[1])
+				}
+			}
+		}
+	}
+}
+
+var (
+	makeTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	makeInline = regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
+	makeLine   = regexp.MustCompile(`^\s*(?:- run: )?make ([a-z][a-z0-9-]*)`)
+)
+
+// TestDocMakeTargets checks that every make target named in the curated
+// docs (CHANGES.md excepted: it is history), the CI workflow and the
+// verify skill is defined in the Makefile — inline as `make target`, or as
+// a command line in a fenced block or a workflow step.
+func TestDocMakeTargets(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	for _, m := range makeTarget.FindAllStringSubmatch(string(mk), -1) {
+		defined[m[1]] = true
+	}
+	if !defined["verify"] {
+		t.Fatal("no verify target found in the Makefile")
+	}
+	files := []string{".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
+	for _, doc := range curatedDocs(t) {
+		if doc != "CHANGES.md" {
+			files = append(files, doc)
+		}
+	}
+	for _, doc := range files {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("read %s: %v", doc, err)
+		}
+		commands := !strings.HasSuffix(doc, ".md") // a workflow: every line
+		for n, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				commands = !commands
+				continue
+			}
+			refs := makeInline.FindAllStringSubmatch(line, -1)
+			if commands {
+				refs = append(refs, makeLine.FindAllStringSubmatch(line, -1)...)
+			}
+			for _, m := range refs {
+				if !defined[m[1]] {
+					t.Errorf("%s:%d: names `make %s`, which the Makefile does not define", doc, n+1, m[1])
 				}
 			}
 		}

@@ -57,8 +57,8 @@ func sweepFixture(b *testing.B) (*core.Graph, []*incident.Scenario) {
 }
 
 // BenchmarkIncidentSweep fans the top-100 providers' single-outage
-// scenarios through Sweep at scale 2K — the workload behind
-// BENCH_incident.json (docs/bench.sh incident).
+// scenarios through Sweep at scale 2K. bench/'s risk-20k workload runs the
+// same sweep at 20K as part of each timed round.
 func BenchmarkIncidentSweep(b *testing.B) {
 	g, scenarios := sweepFixture(b)
 	b.ResetTimer()
@@ -76,7 +76,7 @@ func BenchmarkIncidentSweep(b *testing.B) {
 
 // BenchmarkIncidentMonteCarlo samples 1000 C_p-weighted randomized failure
 // scenarios per iteration at scale 2K (the mc-baseline shape) and reports
-// scenarios/sec alongside ns/op — the other half of BENCH_incident.json.
+// scenarios/sec alongside ns/op.
 func BenchmarkIncidentMonteCarlo(b *testing.B) {
 	g, _ := sweepFixture(b)
 	const scenarios = 1000

@@ -127,8 +127,9 @@ func TestChainsOffByteIdentity(t *testing.T) {
 // passes) with the chain stage doing real work: chains are materialized
 // once, each iteration re-measures with a cold resolver cache. The custom
 // edges/s metric counts classified chain edges per second of wall time.
-// docs/bench.sh appends its numbers to BENCH_chain.json; the 100K arm is the
-// paper-scale datapoint and only sensible with -benchtime=1x.
+// BENCH_chain.json is a frozen record of both arms (docs/chains.md gives
+// the go test -bench command that reproduces it); the 100K arm is the
+// paper-scale datapoint.
 func BenchmarkChainMeasure(b *testing.B) {
 	arms := []struct {
 		label string

@@ -238,38 +238,9 @@ func TestRunCancellationPromptNoLeaks(t *testing.T) {
 
 // BenchmarkMeasureRun benchmarks the full staged pipeline (all three passes)
 // at scale 10K against the in-process world, with a cold resolver cache per
-// iteration. docs/bench.sh appends its numbers to BENCH_pipeline.json.
+// iteration. No record is kept; a traced run of bench/'s paper-10k workload
+// reports the same passes as measure.run_s.
 func BenchmarkMeasureRun(b *testing.B) {
-	u, err := ecosystem.Generate(ecosystem.Options{Scale: 10000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := ecosystem.Materialize(u, ecosystem.Y2020)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), w.Sites, Config{
-			Resolver: w.NewResolver(),
-			Certs:    w.Certs,
-			Pages:    w,
-			CDNMap:   CDNMap(w.CNAMEToCDN),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Sites) != len(w.Sites) {
-			b.Fatal("short run")
-		}
-	}
-}
-
-// BenchmarkTelemetryOverhead is the same workload as BenchmarkMeasureRun and
-// exists as a separately-named series: compare its ns/op against the
-// BENCH_pipeline.json entry recorded before the pipeline was instrumented
-// (docs/bench.sh appends both). The telemetry layer's budget is a ≤3% ns/op
-// regression; everything it records in this run (per-stage histograms,
-// resolver counters, conc pool accounting) is on by default, so this IS the
-// instrumented number — there is no off switch to toggle.
-func BenchmarkTelemetryOverhead(b *testing.B) {
 	u, err := ecosystem.Generate(ecosystem.Options{Scale: 10000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)

@@ -1,10 +1,13 @@
+//go:build !race
+
 package depscope
 
 // Scale benchmarks: the columnar graph engine's memory story and the
-// memory-budgeted 1M-site end-to-end run. docs/bench.sh's "scale" suite
-// records both into BENCH_scale.json; the suite's awk gate fails unless the
-// compact representation holds at least 4x fewer bytes per site than the
-// pointer graph at the paper's 100K scale.
+// memory-budgeted 1M-site end-to-end run. BENCH_scale.json is a frozen
+// record of both (docs/scale.md gives the command that reproduces it);
+// TestGateCompactBytesPerSite fails unless the compact representation
+// holds at least 4x fewer bytes per site than the pointer graph at the
+// paper's 100K scale.
 //
 // bytes_per_site is measured as retained live heap: GC, read HeapAlloc,
 // build the graph from the shared measurement results, GC again, read
@@ -35,8 +38,8 @@ var (
 
 // scaleFixture measures a 100K-site 2020 world once and shares the results
 // across benchmark arms, so each arm times only its graph construction.
-func scaleFixture(b *testing.B) *measure.Results {
-	b.Helper()
+func scaleFixture(tb testing.TB) *measure.Results {
+	tb.Helper()
 	scaleOnce.Do(func() {
 		u, err := ecosystem.Generate(ecosystem.Options{Scale: scaleBenchSites, Seed: 1})
 		if err != nil {
@@ -52,7 +55,7 @@ func scaleFixture(b *testing.B) *measure.Results {
 		})
 	})
 	if scaleErr != nil {
-		b.Fatal(scaleErr)
+		tb.Fatal(scaleErr)
 	}
 	return scaleRes
 }
@@ -74,46 +77,66 @@ func retainedBytes(build func() any) (any, uint64) {
 	return v, after.HeapAlloc - before.HeapAlloc
 }
 
-// BenchmarkGraphBytes prices the two graph representations against each
-// other at 100K sites: ns/op is construction time, bytes_per_site is the
-// retained footprint per site. The compact arm's ≥4x advantage is the
-// tentpole acceptance gate, enforced by docs/bench.sh scale.
-func BenchmarkGraphBytes(b *testing.B) {
-	res := scaleFixture(b)
-	nSites := float64(len(res.Sites))
-
-	// Warm-up builds: populate the interner's global dictionary and touch
-	// both construction paths once, so neither arm's first iteration pays
-	// one-time process-wide costs.
+// graphBytesArms returns BenchmarkGraphBytes's two arms over the shared
+// 100K fixture: each builds its representation and reports the retained
+// bytes_per_site of the last build. Warm-up builds populate the interner's
+// global dictionary and touch both construction paths once, so neither
+// arm's first iteration pays one-time process-wide costs.
+func graphBytesArms(tb testing.TB) (pointer, compact func(*testing.B)) {
+	res := scaleFixture(tb)
 	analysis.BuildGraph(res)
 	analysis.BuildCompactGraph(res)
+	arm := func(build func() any) func(*testing.B) {
+		return func(b *testing.B) {
+			var perSite float64
+			for i := 0; i < b.N; i++ {
+				g, bytes := retainedBytes(build)
+				perSite = float64(bytes) / float64(len(res.Sites))
+				runtime.KeepAlive(g)
+			}
+			b.ReportMetric(perSite, "bytes_per_site")
+		}
+	}
+	return arm(func() any { return analysis.BuildGraph(res) }),
+		arm(func() any { return analysis.BuildCompactGraph(res) })
+}
 
-	b.Run("pointer-100K", func(b *testing.B) {
-		var perSite float64
-		for i := 0; i < b.N; i++ {
-			g, bytes := retainedBytes(func() any { return analysis.BuildGraph(res) })
-			perSite = float64(bytes) / nSites
-			runtime.KeepAlive(g)
-		}
-		b.ReportMetric(perSite, "bytes_per_site")
-	})
-	b.Run("compact-100K", func(b *testing.B) {
-		var perSite float64
-		for i := 0; i < b.N; i++ {
-			cg, bytes := retainedBytes(func() any { return analysis.BuildCompactGraph(res) })
-			perSite = float64(bytes) / nSites
-			runtime.KeepAlive(cg)
-		}
-		b.ReportMetric(perSite, "bytes_per_site")
-	})
+// BenchmarkGraphBytes prices the two graph representations against each
+// other at 100K sites: ns/op is construction time, bytes_per_site is the
+// retained footprint per site.
+func BenchmarkGraphBytes(b *testing.B) {
+	pointer, compact := graphBytesArms(b)
+	b.Run("pointer-100K", pointer)
+	b.Run("compact-100K", compact)
+}
+
+// TestGateCompactBytesPerSite is the columnar engine's acceptance gate, run
+// by `make bench-gates`: at 100K sites the compact graph must retain at
+// least 4x fewer bytes per site than the pointer graph. It runs
+// BenchmarkGraphBytes's own arms. It reads HeapAlloc, so it must not run
+// in parallel with other tests.
+func TestGateCompactBytesPerSite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures a 100K-site world")
+	}
+	pointer, compact := graphBytesArms(t)
+	p := testing.Benchmark(pointer).Extra["bytes_per_site"]
+	c := testing.Benchmark(compact).Extra["bytes_per_site"]
+	if p == 0 || c == 0 {
+		t.Fatalf("no bytes_per_site measured (pointer %.0f, compact %.0f)", p, c)
+	}
+	t.Logf("compact graph advantage at 100K: %.1fx (%.2f vs %.2f bytes/site)", p/c, c, p)
+	if p/c < 4 {
+		t.Errorf("compact graph advantage at 100K is %.1fx, below the required 4x", p/c)
+	}
 }
 
 // BenchmarkMeasureRun1M is the first-class 1M-site run: the full compact
 // pipeline — generate, stream-materialize, measure in batches, build the
 // columnar graph — under an 8GiB live-heap budget. One iteration is a
-// complete run; docs/bench.sh scale records it with -benchtime 1x (the
-// single-iteration allowlist in its low-iteration warning). bytes_per_site
-// here is the columnar graph's own accounting at 1M sites.
+// complete run, so BENCH_scale.json's frozen record was taken with
+// -benchtime 1x. bytes_per_site here is the columnar graph's own
+// accounting at 1M sites.
 func BenchmarkMeasureRun1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("1M-site arm")
