@@ -109,10 +109,12 @@ func main() {
 		mitigateK  = flag.Int("mitigate", 0, "print a greedy mitigation plan: the K sites that should add a second provider to shrink aggregate impact the most (see docs/risk.md)")
 		chainsOn   = flag.Bool("chains", false, "measure transitive resource-inclusion chains: implicitly-trusted script/font vendors become a fourth dependency type (see docs/chains.md)")
 		chainsCfg  = flag.String("chain-config", "", "chain configuration JSON file overriding the -chains defaults (implies -chains; see docs/chains.md)")
-		compactOn  = flag.Bool("compact", false, "use the streaming/columnar engine: sites are materialized and measured in batches with landing pages released as the run advances, and the graph is stored columnar; output is identical (see docs/scale.md)")
-		memBudget  = flag.String("mem-budget", "", "soft live-heap limit for the run, e.g. 8GiB (implies -compact; checked at batch boundaries, over-budget runs fail fast; see docs/scale.md)")
-		batchSize  = flag.Int("batch-size", 0, "streaming batch length in sites for -compact runs (values < 1 mean 8192)")
+		memBudget  = flag.String("mem-budget", "", "soft live-heap limit for the run, e.g. 8GiB (checked at batch boundaries, over-budget runs fail fast; the snapshots are then measured one after the other; see docs/scale.md)")
+		batchSize  = flag.Int("batch-size", 0, "streaming batch length in sites: sites are materialized and measured in batches with landing pages released as the run advances (values < 1 mean 8192)")
 	)
+	// -compact is accepted and ignored: every run streams. It remains only so
+	// existing invocations keep working.
+	flag.Bool("compact", false, "no-op: every run streams (kept for existing invocations; see docs/scale.md)")
 	flag.Parse()
 	if *showTelem {
 		// Written to stderr on every normal exit path so -json/-csv output
@@ -172,7 +174,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		*compactOn = true
 	}
 	var stream *analysis.DeltaStream
 	if *timelineIn != "" {
@@ -262,7 +263,6 @@ func main() {
 		CheckpointPath: *ckptPath,
 		Resume:         *resume,
 		Chains:         chainCfg,
-		Compact:        *compactOn,
 		MemBudget:      budget,
 		BatchSize:      *batchSize,
 	})

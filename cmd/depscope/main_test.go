@@ -100,20 +100,31 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 	if !strings.Contains(out, `unknown provider "no-such-provider.example"`) {
 		t.Errorf("-outage output does not name the unknown provider:\n%s", out)
 	}
+}
 
-	out, failed = rerun(t, "-scale", "300", "-compact", "-checkpoint", filepath.Join(t.TempDir(), "cp"))
-	if !failed {
-		t.Fatalf("-compact -checkpoint exited zero:\n%s", out)
+// TestStreamingFlags: every run streams, so the streaming flags compose with
+// everything and change no output. -batch-size alone, the no-op -compact, and
+// a budgeted checkpointed run and its resume all print the plain run's
+// report.
+func TestStreamingFlags(t *testing.T) {
+	base := []string{"-scale", "300", "-q"}
+	plain, failed := rerun(t, base...)
+	if failed || !strings.Contains(plain, "Validation:") {
+		t.Fatalf("plain run failed or printed no report:\n%s", plain)
 	}
-	if !strings.Contains(out, "resident world") || !strings.Contains(out, "-checkpoint without -compact") {
-		t.Errorf("-compact -checkpoint output missing reason or flag hint:\n%s", out)
-	}
-
-	out, failed = rerun(t, "-scale", "300", "-batch-size", "100")
-	if !failed {
-		t.Fatalf("-batch-size without -compact exited zero:\n%s", out)
-	}
-	if !strings.Contains(out, "-batch-size") || !strings.Contains(out, "-compact") {
-		t.Errorf("-batch-size output missing flag hint:\n%s", out)
+	cp := filepath.Join(t.TempDir(), "cp")
+	for _, extra := range [][]string{
+		{"-batch-size", "100"},
+		{"-compact"},
+		{"-mem-budget", "1GiB", "-checkpoint", cp},
+		{"-mem-budget", "1GiB", "-checkpoint", cp, "-resume"},
+	} {
+		out, failed := rerun(t, append(base, extra...)...)
+		if failed {
+			t.Fatalf("%v exited non-zero:\n%s", extra, out)
+		}
+		if out != plain {
+			t.Errorf("%v output differs from the plain run", extra)
+		}
 	}
 }

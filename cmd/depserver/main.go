@@ -70,8 +70,7 @@ func run() error {
 		zonefile     = flag.String("zonefile", "", "additionally serve a zone from this RFC 1035 master file")
 		export       = flag.String("export", "", "write the zone of this domain to stdout as a master file and exit")
 		chainsOn     = flag.Bool("chains", false, "measure transitive resource-inclusion chains in the analysis snapshot and serve GET /v1/chains (see docs/chains.md)")
-		compact      = flag.Bool("compact", false, "build analysis snapshots with the streaming/columnar engine; provider rankings are served straight off the columnar graph (see docs/scale.md)")
-		memBudgetStr = flag.String("mem-budget", "", "soft live-heap limit for snapshot builds, e.g. 8GiB (implies -compact; see docs/scale.md)")
+		memBudgetStr = flag.String("mem-budget", "", "soft live-heap limit for snapshot builds, e.g. 8GiB (checked at batch boundaries; see docs/scale.md)")
 	)
 	flag.Parse()
 
@@ -82,7 +81,6 @@ func run() error {
 			return err
 		}
 		memBudget = b
-		*compact = true
 	}
 
 	snap := ecosystem.Y2020
@@ -152,8 +150,7 @@ func run() error {
 		}
 		mgr := serve.NewManager(ctx, func(bctx context.Context) (*analysis.Run, error) {
 			return analysis.Execute(bctx, analysis.Options{
-				Scale: *scale, Seed: *seed, Chains: chainCfg,
-				Compact: *compact, MemBudget: memBudget,
+				Scale: *scale, Seed: *seed, Chains: chainCfg, MemBudget: memBudget,
 			})
 		}, opts...)
 		if *prewarm {

@@ -46,19 +46,13 @@ func HeuristicAblation(ctx context.Context, run *Run) ([]AblationRow, error) {
 			truth[s.Domain] = s.Snap[ecosystem.Y2020]
 		}
 	}
+	// The run's world has released its landing pages; only DNS classes are
+	// read here, and no page affects them.
 	world := run.Y2020.World
-	if world.Streamed {
-		return nil, fmt.Errorf("%w: ablations re-measure every page; run without -compact/-mem-budget", ErrStreamedWorld)
-	}
 
 	var out []AblationRow
 	for _, v := range variants {
-		cfg := measure.Config{
-			Resolver: world.NewResolver(),
-			Certs:    world.Certs,
-			Pages:    world,
-			CDNMap:   measure.CDNMap(world.CNAMEToCDN),
-		}
+		cfg := measureConfig(world, Options{})
 		v.adjust(&cfg)
 		res, err := measure.Run(ctx, world.Sites, cfg)
 		if err != nil {
@@ -117,19 +111,10 @@ type ThresholdRow struct {
 // get misclassified as third parties; too high and big-provider customers
 // with provider-pointing SOAs become unmeasurable.
 func ThresholdSweep(ctx context.Context, run *Run, thresholds []int) ([]ThresholdRow, error) {
-	world := run.Y2020.World
-	if world.Streamed {
-		return nil, fmt.Errorf("%w: threshold sweeps re-measure every page; run without -compact/-mem-budget", ErrStreamedWorld)
-	}
+	world := run.Y2020.World // pageless, as in HeuristicAblation
 	var out []ThresholdRow
 	for _, th := range thresholds {
-		res, err := measure.Run(ctx, world.Sites, measure.Config{
-			Resolver:               world.NewResolver(),
-			Certs:                  world.Certs,
-			Pages:                  world,
-			CDNMap:                 measure.CDNMap(world.CNAMEToCDN),
-			ConcentrationThreshold: th,
-		})
+		res, err := measure.Run(ctx, world.Sites, measureConfig(world, Options{ConcentrationThreshold: th}))
 		if err != nil {
 			return nil, err
 		}

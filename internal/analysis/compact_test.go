@@ -2,74 +2,153 @@ package analysis
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
 
 	"depscope/internal/chain"
 	"depscope/internal/core"
+	"depscope/internal/ecosystem"
+	"depscope/internal/measure"
 	"depscope/internal/membudget"
 )
 
-// execPair runs the same experiment down the default and the compact path.
-func execPair(t *testing.T, opts Options) (*Run, *Run) {
+// residentRun is the test-only reference driver Execute is pinned against:
+// each snapshot's world is materialized whole (every page resident), measured
+// by measure.Run in one batch and scored on a pointer graph built directly
+// from the results, with no columnar graph.
+func residentRun(t *testing.T, opts Options) *Run {
 	t.Helper()
-	resident := opts
-	resident.BatchSize = 0 // a batch size applies only to the compact run
-	normal, err := Execute(context.Background(), resident)
+	u, err := ecosystem.Generate(ecosystem.Options{Scale: opts.Scale, Seed: opts.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Compact = true
-	compact, err := Execute(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
+	run := &Run{Scale: opts.Scale, Universe: u}
+	for _, snap := range []ecosystem.Snapshot{ecosystem.Y2016, ecosystem.Y2020} {
+		w := ecosystem.Materialize(u, snap)
+		if opts.Chains != nil && opts.Chains.Enabled() {
+			ecosystem.MaterializeChains(u, w, *opts.Chains)
+		}
+		res, err := measure.Run(context.Background(), w.Sites, measure.Config{
+			Resolver: w.NewResolver(),
+			Certs:    w.Certs,
+			Pages:    w,
+			CDNMap:   measure.CDNMap(w.CNAMEToCDN),
+			Chains:   opts.Chains,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd := &SnapshotData{Snapshot: snap, World: w, Results: res, Graph: BuildGraph(res)}
+		if snap == ecosystem.Y2016 {
+			run.Y2016 = sd
+		} else {
+			run.Y2020 = sd
+		}
 	}
-	return normal, compact
+	return run
 }
 
-// TestCompactExecuteReportByteIdentical is the tentpole pinning property at
-// the report level: the streamed/columnar path must render the exact same
-// report bytes as the default path — for the pinned seeds, with and without
-// chains, across batch sizes that do not divide the scale.
+// reportHash is the hex SHA-256 of the run's rendered Report.
+func reportHash(run *Run) string {
+	var b strings.Builder
+	Report(&b, run)
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// defaultChains is the chain configuration of the chain-enabled test runs.
+var defaultChains = chain.Default()
+
+// reportCases are the pinned Execute runs at scale 2000: both seeds, with and
+// without chains, the second with a batch size that does not divide the
+// scale. golden is the SHA-256 of the run's report, recorded before every run
+// streamed (when seed 1 still took a resident path).
+var reportCases = []struct {
+	name   string
+	opts   Options
+	golden string
+}{
+	{"seed1", Options{Scale: 2000, Seed: 1},
+		"2a29eda3f3a3b887d58b46aecafe4b3f314344a778b124224accbbd8205f9f35"},
+	{"seed2020-chains-batch700", Options{Scale: 2000, Seed: 2020, BatchSize: 700, Chains: &defaultChains},
+		"87389fb6c915489617b45f1d51d24c13ca4ce7d69687db4a92eee0557563cbc5"},
+}
+
+// TestCompactExecuteReportByteIdentical is the driver's pinning property at
+// the report level: Execute's streamed, columnar run renders the exact same
+// report bytes as the resident reference, and leaves no page resident.
 func TestCompactExecuteReportByteIdentical(t *testing.T) {
-	chains := chain.Default()
-	for _, tc := range []struct {
-		name   string
-		seed   int64
-		batch  int
-		chains *chain.Config
-	}{
-		{"seed1", 1, 0, nil},
-		{"seed2020-chains-batch700", 2020, 700, &chains},
-	} {
+	for _, tc := range reportCases {
 		t.Run(tc.name, func(t *testing.T) {
-			normal, compact := execPair(t, Options{
-				Scale: 2000, Seed: tc.seed, BatchSize: tc.batch, Chains: tc.chains,
-			})
-			var nb, cb strings.Builder
-			Report(&nb, normal)
-			Report(&cb, compact)
-			if nb.String() != cb.String() {
-				t.Error("compact report differs from default-path report")
+			run, err := Execute(context.Background(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, sd := range []*SnapshotData{compact.Y2016, compact.Y2020} {
+			if got, want := reportHash(run), reportHash(residentRun(t, tc.opts)); got != want {
+				t.Errorf("Execute report %s differs from the resident reference %s", got, want)
+			}
+			for _, sd := range []*SnapshotData{run.Y2016, run.Y2020} {
 				if sd.Compact == nil {
-					t.Fatalf("%s: compact run carries no CompactGraph", sd.Snapshot)
-				}
-				if !sd.World.Streamed {
-					t.Errorf("%s: compact world not marked Streamed", sd.Snapshot)
+					t.Fatalf("%s: run carries no CompactGraph", sd.Snapshot)
 				}
 				if len(sd.World.Pages) != 0 {
-					t.Errorf("%s: %d pages left resident after streamed run", sd.Snapshot, len(sd.World.Pages))
-				}
-			}
-			for _, sd := range []*SnapshotData{normal.Y2016, normal.Y2020} {
-				if sd.Compact != nil {
-					t.Errorf("%s: default run carries a CompactGraph", sd.Snapshot)
+					t.Errorf("%s: %d pages left resident after the run", sd.Snapshot, len(sd.World.Pages))
 				}
 			}
 		})
+	}
+}
+
+// TestExecuteReportGolden pins the same runs' report bytes to the hashes
+// recorded before the resident driver was removed.
+func TestExecuteReportGolden(t *testing.T) {
+	for _, tc := range reportCases {
+		run, err := Execute(context.Background(), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reportHash(run); got != tc.golden {
+			t.Errorf("%s: report hash %s, want %s", tc.name, got, tc.golden)
+		}
+	}
+}
+
+// ablationGolden pins RenderAblation's output at scale 2000 for seeds 1 and
+// 2020, hashed when ablations still re-measured the run's own resident world.
+var ablationGolden = map[int64]string{
+	1:    "afeea64f6ae896d051f081de16b85df456136a4bff5c02e717b1c089bae89bf0",
+	2020: "f28a78e418453569241eef8b254da0879220d38454fb3bd54f222288db16e66d",
+}
+
+// TestAblationGolden: the ablation experiments re-measure the run's own 2020
+// world, whose landing pages are released, so they run on any Execute run —
+// chains and a memory budget included — and print the same bytes.
+func TestAblationGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-measures 2K worlds twenty times")
+	}
+	for seed, want := range ablationGolden {
+		for _, opts := range []Options{
+			{Scale: 2000, Seed: seed},
+			{Scale: 2000, Seed: seed, Chains: &defaultChains, MemBudget: 4 * membudget.GiB},
+		} {
+			run, err := Execute(context.Background(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			if err := RenderAblation(&b, run); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(b.String()))
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("seed %d chains=%v budget=%d: ablation hash %s, want %s",
+					seed, opts.Chains != nil, opts.MemBudget, got, want)
+			}
+		}
 	}
 }
 
@@ -78,9 +157,11 @@ func TestCompactExecuteReportByteIdentical(t *testing.T) {
 // property tests cover random graphs): C_p/I_p for every provider under
 // every report traversal, plus the site-class counts.
 func TestCompactGraphMatchesPointerOnMeasuredRun(t *testing.T) {
-	chains := chain.Default()
-	_, compact := execPair(t, Options{Scale: 2000, Seed: 2020, Chains: &chains})
-	for _, sd := range []*SnapshotData{compact.Y2016, compact.Y2020} {
+	run, err := Execute(context.Background(), Options{Scale: 2000, Seed: 2020, Chains: &defaultChains})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sd := range []*SnapshotData{run.Y2016, run.Y2020} {
 		g, cg := sd.Graph, sd.Compact
 		for _, opts := range []core.TraversalOpts{core.DirectOnly(), core.AllIndirect(), core.AllImplicit()} {
 			for name := range g.Providers {
@@ -109,37 +190,8 @@ func TestCompactGraphMatchesPointerOnMeasuredRun(t *testing.T) {
 	}
 }
 
-// TestCompactRejectsCheckpointing: the option combinations that cannot work
-// fail fast with a clear error.
-func TestCompactRejectsCheckpointing(t *testing.T) {
-	_, err := Execute(context.Background(), Options{
-		Scale: 10, Seed: 1, Compact: true, CheckpointPath: "/tmp/cp",
-	})
-	if !errors.Is(err, ErrStreamedWorld) {
-		t.Fatalf("want ErrStreamedWorld, got %v", err)
-	}
-}
-
-// TestBatchSizeRequiresCompact: a batch size on a resident run is refused
-// instead of silently ignored; MemBudget still implies Compact.
-func TestBatchSizeRequiresCompact(t *testing.T) {
-	_, err := Execute(context.Background(), Options{Scale: 10, Seed: 1, BatchSize: 100})
-	if err == nil || !strings.Contains(err.Error(), "BatchSize") {
-		t.Fatalf("want BatchSize rejection, got %v", err)
-	}
-	run, err := Execute(context.Background(), Options{
-		Scale: 50, Seed: 1, BatchSize: 16, MemBudget: 64 * membudget.GiB,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Y2020.Compact == nil {
-		t.Error("MemBudget with BatchSize did not run the compact path")
-	}
-}
-
 // TestCompactMemBudgetEnforced: an impossibly small budget fails fast with
-// the greppable budget error, and a workable budget implies Compact.
+// the greppable budget error, and a workable budget completes.
 func TestCompactMemBudgetEnforced(t *testing.T) {
 	_, err := Execute(context.Background(), Options{
 		Scale: 2000, Seed: 1, MemBudget: 1, // one byte: over budget at the first batch boundary
@@ -159,21 +211,6 @@ func TestCompactMemBudgetEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	if run.Y2020.Compact == nil {
-		t.Error("MemBudget did not imply the compact path")
-	}
-}
-
-// TestAblationsRejectStreamedWorlds: re-measuring consumers fail with a
-// clear error instead of silently measuring a page-less world.
-func TestAblationsRejectStreamedWorlds(t *testing.T) {
-	run, err := Execute(context.Background(), Options{Scale: 300, Seed: 1, Compact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := HeuristicAblation(context.Background(), run); !errors.Is(err, ErrStreamedWorld) {
-		t.Fatalf("HeuristicAblation on streamed world: %v", err)
-	}
-	if _, err := ThresholdSweep(context.Background(), run, []int{50}); !errors.Is(err, ErrStreamedWorld) {
-		t.Fatalf("ThresholdSweep on streamed world: %v", err)
+		t.Error("budgeted run carries no CompactGraph")
 	}
 }

@@ -6,7 +6,6 @@ package analysis
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -24,13 +23,17 @@ import (
 // SnapshotData bundles everything derived for one snapshot.
 type SnapshotData struct {
 	Snapshot ecosystem.Snapshot
-	World    *ecosystem.World
-	Results  *measure.Results
-	Graph    *core.Graph
-	// Compact is the columnar graph representation, set only on compact
-	// (streamed) runs. Graph is inflated from it, so every pointer-graph
-	// consumer keeps working; Compact is what scale-sensitive callers (serve
-	// snapshots, the bytes/site accounting) should reach for.
+	// World keeps every zone and certificate of the snapshot resident; an
+	// Execute run has released its landing pages batch by batch.
+	World   *ecosystem.World
+	Results *measure.Results
+	Graph   *core.Graph
+	// Compact is the columnar graph representation, set on every Execute
+	// run. Graph is inflated from it, so every pointer-graph consumer keeps
+	// working; Compact is what scale-sensitive callers (serve snapshots, the
+	// bytes/site accounting) should reach for. Callers that assemble
+	// SnapshotData themselves may leave it nil, and every reader handles
+	// that.
 	Compact *core.CompactGraph
 }
 
@@ -79,35 +82,22 @@ type Options struct {
 	// provider nodes to the graphs. Nil leaves every artifact (results,
 	// graphs, reports, checkpoints) byte-identical to a chains-off run.
 	Chains *chain.Config
-	// Compact switches to the streaming/columnar path: sites are
-	// materialized and measured in batches (landing pages released after
-	// each batch), snapshots run sequentially instead of concurrently, and
-	// each snapshot additionally carries a core.CompactGraph. The report
-	// output is byte-identical to the default path. Incompatible with
-	// checkpointing (ErrStreamedWorld): the measurement stream itself can
-	// checkpoint, but the per-site fingerprints a checkpoint is keyed on
-	// (ecosystem.World.SiteFingerprints) hash every zone and landing page,
-	// which a streamed world never holds at once.
-	Compact bool
-	// MemBudget, in bytes, soft-limits live heap on the compact path:
-	// checked at batch boundaries, a run that stays over budget after GC
-	// fails fast with membudget.BudgetError. Setting it implies Compact;
-	// 0 means unlimited.
+	// MemBudget, in bytes, soft-limits live heap: checked at batch
+	// boundaries, a run that stays over budget after GC fails fast with
+	// membudget.BudgetError. A budgeted run measures its snapshots one after
+	// the other, so only one snapshot's working set is live at a time; 0
+	// means unlimited, with the snapshots measured concurrently.
 	MemBudget uint64
-	// BatchSize is the compact path's streaming batch length in sites;
-	// values < 1 mean 8192. Setting it on a non-compact run is an error.
+	// BatchSize is the streaming batch length in sites: each snapshot's
+	// sites are materialized and measured in batches of this many, and a
+	// batch's landing pages are released once it is measured. Values < 1
+	// mean 8192. Reports do not depend on it.
 	BatchSize int
 }
 
-// ErrStreamedWorld is returned for work that needs a resident world — every
-// site's zones and landing pages held at once — asked of a compact
-// (streamed) run, whose pages are released batch by batch. It is wrapped
-// with the reason and the flags to drop.
-var ErrStreamedWorld = errors.New("analysis: needs a resident world, not a compact (streamed) one")
-
-// defaultBatchSize is the compact path's streaming batch length when
-// Options.BatchSize is unset: big enough to amortize per-batch overheads,
-// small enough that one batch's landing pages are memory noise.
+// defaultBatchSize is the streaming batch length when Options.BatchSize is
+// unset: big enough to amortize per-batch overheads, small enough that one
+// batch's landing pages are memory noise.
 const defaultBatchSize = 8192
 
 // Execute generates, materializes and measures both snapshots.
@@ -117,16 +107,6 @@ func Execute(ctx context.Context, opts Options) (*Run, error) {
 	}
 	if opts.Resume && opts.CheckpointPath == "" {
 		return nil, fmt.Errorf("analysis: Resume requires CheckpointPath")
-	}
-	if opts.MemBudget > 0 {
-		opts.Compact = true
-	}
-	if opts.Compact && opts.CheckpointPath != "" {
-		return nil, fmt.Errorf("%w: checkpoints fingerprint every site's zones and landing page; "+
-			"run -checkpoint without -compact/-mem-budget", ErrStreamedWorld)
-	}
-	if opts.BatchSize > 0 && !opts.Compact {
-		return nil, fmt.Errorf("analysis: BatchSize (-batch-size) applies only to compact runs; add -compact or -mem-budget")
 	}
 	if opts.BatchSize < 1 {
 		opts.BatchSize = defaultBatchSize
@@ -160,11 +140,12 @@ func Execute(ctx context.Context, opts Options) (*Run, error) {
 		snaps = []ecosystem.Snapshot{ecosystem.Y2016, ecosystem.Y2020}
 	}
 	// The snapshots are independent: fan them out over the shared pool (one
-	// worker per snapshot — the measurement itself parallelizes inside). On
-	// the compact path they instead run sequentially, so only one snapshot's
-	// working set is live at a time and the memory budget is meaningful.
+	// worker per snapshot — the measurement itself parallelizes inside).
+	// Under a memory budget they instead run one after the other, so only
+	// one snapshot's working set is live at a time and the budget is
+	// meaningful.
 	snapWorkers := len(snaps)
-	if opts.Compact {
+	if opts.MemBudget > 0 {
 		snapWorkers = 1
 	}
 	measured := make([]*SnapshotData, len(snaps))
@@ -191,20 +172,44 @@ func Execute(ctx context.Context, opts Options) (*Run, error) {
 	return run, nil
 }
 
+// measureSnapshot is the one per-snapshot driver: site zones and landing
+// pages are materialized in Options.BatchSize batches, pages are released
+// after their batch is measured, the memory budget is checked at batch
+// boundaries, and the graph is built columnar first (the pointer Graph is
+// inflated from it). Every batch's zones are added before any is resolved,
+// the order Materialize uses: zones stay resident for the whole run anyway,
+// and the site fingerprints a checkpoint is keyed on hash the complete world
+// surface.
 func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.Snapshot, opts Options) (*SnapshotData, error) {
 	defer telemetry.StartSpan("analysis.measure_snapshot").End()
-	if opts.Compact {
-		return measureSnapshotCompact(ctx, u, snap, opts)
-	}
-	w := ecosystem.Materialize(u, snap)
+	acct := membudget.New(opts.MemBudget)
+	c := ecosystem.NewChunked(u, snap)
 	if opts.Chains != nil && opts.Chains.Enabled() {
-		ecosystem.MaterializeChains(u, w, *opts.Chains)
+		c.EnableChains(*opts.Chains)
+	}
+	w := c.World()
+	n := c.Len()
+	eachBatch := func(f func(lo, hi int) error) error {
+		for lo := 0; lo < n; lo += opts.BatchSize {
+			if err := f(lo, min(lo+opts.BatchSize, n)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	err := eachBatch(func(lo, hi int) error {
+		c.AddSites(lo, hi)
+		return acct.Check("zone materialization")
+	})
+	if err != nil {
+		return nil, err
 	}
 	cfg := measureConfig(w, opts)
 	if opts.CheckpointPath != "" {
 		path := fmt.Sprintf("%s.%s", opts.CheckpointPath, snap)
 		cfg.CheckpointLabel = snap.String()
-		cfg.Fingerprints = w.SiteFingerprints()
+		cfg.Fingerprints = c.SiteFingerprints(opts.BatchSize)
 		cfg.OnCheckpoint = func(cp *measure.Checkpoint) error {
 			return measure.SaveCheckpoint(path, cp)
 		}
@@ -216,80 +221,30 @@ func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.
 			cfg.Checkpoint = cp
 		}
 	}
-	res, err := measure.Run(ctx, w.Sites, cfg)
+	st, err := measure.NewStream(c.SiteNames(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	g := BuildGraph(res)
-	g.SetMetricsWorkers(opts.Workers)
-	return &SnapshotData{
-		Snapshot: snap,
-		World:    w,
-		Results:  res,
-		Graph:    g,
-	}, nil
-}
-
-// measureConfig is the measurement configuration of one snapshot's world,
-// shared by the resident and the streamed path.
-func measureConfig(w *ecosystem.World, opts Options) measure.Config {
-	return measure.Config{
-		Resolver:               w.NewResolver(),
-		Certs:                  w.Certs,
-		Pages:                  w,
-		CDNMap:                 measure.CDNMap(w.CNAMEToCDN),
-		Workers:                opts.Workers,
-		ConcentrationThreshold: opts.ConcentrationThreshold,
-		ErrorPolicy:            opts.ErrorPolicy,
-		Chains:                 opts.Chains,
-	}
-}
-
-// measureSnapshotCompact is the streaming/columnar form of measureSnapshot:
-// site zones and landing pages are materialized in Options.BatchSize
-// batches, pages are released after their batch is measured, the memory
-// budget is enforced at batch boundaries, and the graph is built columnar
-// first (the pointer Graph is inflated from it). Produces the identical
-// Results and report output — the equality tests pin this.
-func measureSnapshotCompact(ctx context.Context, u *ecosystem.Universe, snap ecosystem.Snapshot, opts Options) (*SnapshotData, error) {
-	acct := membudget.New(opts.MemBudget)
-	c := ecosystem.NewChunked(u, snap)
-	if opts.Chains != nil && opts.Chains.Enabled() {
-		c.EnableChains(*opts.Chains)
-	}
-	w := c.World()
-	st, err := measure.NewStream(c.SiteNames(), measureConfig(w, opts))
-	if err != nil {
-		return nil, err
-	}
-	n := c.Len()
-	for lo := 0; lo < n; lo += opts.BatchSize {
-		hi := lo + opts.BatchSize
-		if hi > n {
-			hi = n
-		}
-		c.AddSites(lo, hi)
+	err = eachBatch(func(lo, hi int) error {
 		if err := st.ResolveBatch(ctx, lo, hi); err != nil {
-			return nil, err
+			return err
 		}
-		if err := acct.Check("zone materialization"); err != nil {
-			return nil, err
-		}
+		return acct.Check("name resolution")
+	})
+	if err != nil {
+		return nil, err
 	}
 	st.Seal()
-	for lo := 0; lo < n; lo += opts.BatchSize {
-		hi := lo + opts.BatchSize
-		if hi > n {
-			hi = n
-		}
+	err = eachBatch(func(lo, hi int) error {
 		c.MaterializePages(lo, hi)
 		if err := st.MeasureBatch(ctx, lo, hi); err != nil {
-			return nil, err
+			return err
 		}
 		c.ReleasePages(lo, hi)
-		if err := acct.Check("site measurement"); err != nil {
-			return nil, err
-		}
+		return acct.Check("site measurement")
+	})
+	if err != nil {
+		return nil, err
 	}
 	res, err := st.Finish(ctx)
 	if err != nil {
@@ -312,6 +267,20 @@ func measureSnapshotCompact(ctx context.Context, u *ecosystem.Universe, snap eco
 		Graph:    g,
 		Compact:  cg,
 	}, nil
+}
+
+// measureConfig is the measurement configuration of one snapshot's world.
+func measureConfig(w *ecosystem.World, opts Options) measure.Config {
+	return measure.Config{
+		Resolver:               w.NewResolver(),
+		Certs:                  w.Certs,
+		Pages:                  w,
+		CDNMap:                 measure.CDNMap(w.CNAMEToCDN),
+		Workers:                opts.Workers,
+		ConcentrationThreshold: opts.ConcentrationThreshold,
+		ErrorPolicy:            opts.ErrorPolicy,
+		Chains:                 opts.Chains,
+	}
 }
 
 // BuildCompactGraph converts measurement results into the columnar graph,

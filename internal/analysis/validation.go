@@ -39,12 +39,7 @@ func Validate(ctx context.Context, run *Run) (ValidationReport, error) {
 			truth[s.Domain] = s.Snap[ecosystem.Y2020]
 		}
 	}
-	bl := measure.NewBaselines(measure.Config{
-		Resolver: sd.World.NewResolver(),
-		Certs:    sd.World.Certs,
-		Pages:    sd.World,
-		CDNMap:   measure.CDNMap(sd.World.CNAMEToCDN),
-	})
+	bl := measure.NewBaselines(measureConfig(sd.World, Options{}))
 
 	var pairs, combinedOK, tldOK, soaOK int
 	for i := range sd.Results.Sites {

@@ -114,8 +114,8 @@ func RankedProviders(run *Run, snapshot string, svc core.Service, byImpact bool)
 	if err != nil {
 		return nil, err
 	}
-	// Compact runs rank straight off the columnar engine — property-tested
-	// to order identically to the pointer graph's ranking.
+	// Execute runs carry the columnar graph and rank straight off it —
+	// property-tested to order identically to the pointer graph's ranking.
 	if sd.Compact != nil {
 		return sd.Compact.TopProviders(svc, core.AllIndirect(), byImpact, 0), nil
 	}

@@ -47,8 +47,9 @@ type Config struct {
 	// Seed drives chain materialization. It is independent of the
 	// ecosystem seed: chains are derived per site from a hash of this
 	// seed and the site name, so enabling chains never perturbs the
-	// generator's RNG stream.
-	Seed int64 `json:"seed,omitempty"`
+	// generator's RNG stream. Zero is a seed like any other, so it is
+	// always encoded: an omitted seed decodes to Default's.
+	Seed int64 `json:"seed"`
 }
 
 // Default returns the stock chain configuration used by -chains.

@@ -7,30 +7,35 @@ import (
 	"depscope/internal/webpage"
 )
 
-// Chunked is the streaming counterpart of Materialize, built for runs whose
-// landing pages do not fit in memory at once. Zones, certificates and the
-// CNAME→CDN map are still fully resident — the measurement's inter-service
-// passes and the validation baselines resolve against them after the site
-// sweep — but pages exist only between MaterializePages and ReleasePages
-// for one batch at a time. Materialize is this type driven with a single
-// batch, so a chunked world with all pages materialized is byte-identical
-// to Materialize's output; the invariants tests pin this via
-// SiteFingerprints and the page digests of TestPagesGolden.
+// Chunked is the materializer every measured run drives: it builds a
+// snapshot's world in batches so that landing pages never need to be
+// resident at once. Zones, certificates and the CNAME→CDN map are fully
+// resident once added — the measurement's inter-service passes and the
+// validation baselines resolve against them after the site sweep — but
+// pages exist only between MaterializePages and ReleasePages for one batch
+// at a time. Materialize is this type driven with a single batch, so a
+// chunked world with all pages materialized is byte-identical to
+// Materialize's output; the invariants tests pin this via SiteFingerprints
+// and the page digests of TestPagesGolden.
 //
 // Each MaterializePages call builds its batch's pages through the shared
 // page routine: in parallel over contiguous chunks of the batch, one RNG
 // per task reseeded per site, inserted into World.Pages in rank order.
 //
-// The intended driving sequence (see analysis.Execute's compact path):
+// The driving sequence (see analysis.Execute):
 //
 //	c := NewChunked(u, snap)
 //	c.EnableChains(cfg)                  // optional, before any AddSites
 //	for each batch: c.AddSites(lo, hi)   // zones + certs + CNAME entries
+//	for each batch: ... resolve the batch ...
 //	... seal the measurement ...
 //	for each batch:
 //	    c.MaterializePages(lo, hi)       // pages (+ chain growth)
 //	    ... measure the batch ...
 //	    c.ReleasePages(lo, hi)
+//
+// A checkpointed run calls SiteFingerprints once every batch's zones are
+// added, before the measurement starts.
 type Chunked struct {
 	m       *materializer
 	pending []*Site    // existing sites of the snapshot, rank order
@@ -40,14 +45,6 @@ type Chunked struct {
 // NewChunked builds the base world — provider and external zones — and the
 // ranked list of sites to stream. No site data is materialized yet.
 func NewChunked(u *Universe, snap Snapshot) *Chunked {
-	c := newChunked(u, snap)
-	c.m.w.Streamed = true
-	return c
-}
-
-// newChunked is NewChunked without marking the world streamed: Materialize
-// drives it with one batch and keeps every page.
-func newChunked(u *Universe, snap Snapshot) *Chunked {
 	w := &World{
 		Snapshot:   snap,
 		Scale:      u.Scale,
@@ -136,4 +133,29 @@ func (c *Chunked) ReleasePages(lo, hi int) {
 	for _, s := range c.pending[lo:hi] {
 		delete(c.m.w.Pages, s.Domain)
 	}
+}
+
+// SiteFingerprints returns every site's content fingerprint, equal to
+// World.SiteFingerprints of the same world with every page resident. It
+// needs every site's zones (the surface hash covers the CNAME→CDN entries
+// site zones add) and no live pages: it hashes the surface once, then
+// materializes, fingerprints and releases the pages batch by batch; a batch
+// below 1 means one batch of every site.
+func (c *Chunked) SiteFingerprints(batch int) map[string]string {
+	w, n := c.m.w, c.Len()
+	if len(w.Sites) != n || len(w.Pages) != 0 {
+		panic("ecosystem: Chunked.SiteFingerprints needs every site's zones and no live pages")
+	}
+	if batch < 1 {
+		batch = n
+	}
+	surface := w.surfaceHash()
+	out := make(map[string]string, n)
+	for lo := 0; lo < n; lo += batch {
+		hi := min(lo+batch, n)
+		c.MaterializePages(lo, hi)
+		w.fingerprintSites(surface, w.Sites[lo:hi], out)
+		c.ReleasePages(lo, hi)
+	}
+	return out
 }

@@ -22,17 +22,24 @@ import (
 
 // SiteFingerprints returns the content fingerprint of every site in the
 // world, keyed by site domain. Fingerprints are deterministic across
-// processes for the same materialized content.
+// processes for the same materialized content. It is the one-batch case of
+// Chunked.SiteFingerprints: every zone and landing page is resident.
 func (w *World) SiteFingerprints() map[string]string {
+	out := make(map[string]string, len(w.Sites))
+	w.fingerprintSites(w.surfaceHash(), w.Sites, out)
+	return out
+}
+
+// surfaceHash hashes the world surface every site fingerprint folds in:
+// every zone not owned by a site, plus the CNAME→CDN map and the snapshot
+// identity. Site zones add CNAME→CDN entries, so it needs every site's zones.
+func (w *World) surfaceHash() []byte {
 	owned := make(map[string]bool, 3*len(w.Sites))
 	for _, d := range w.Sites {
 		for _, origin := range siteOrigins(d) {
 			owned[origin] = true
 		}
 	}
-
-	// World hash: every zone not owned by a site, plus the CNAME→CDN map
-	// and the snapshot identity.
 	wh := sha256.New()
 	fmt.Fprintf(wh, "snapshot=%s scale=%d\n", w.Snapshot, w.Scale)
 	for _, origin := range w.Zones.Origins() {
@@ -49,12 +56,16 @@ func (w *World) SiteFingerprints() map[string]string {
 	for _, line := range cnames {
 		fmt.Fprintln(wh, line)
 	}
-	worldSum := wh.Sum(nil)
+	return wh.Sum(nil)
+}
 
-	out := make(map[string]string, len(w.Sites))
-	for _, d := range w.Sites {
+// fingerprintSites stores into out the fingerprint of each of sites: the
+// surface hash folded with the site's zones, certificate and landing page
+// (as currently materialized).
+func (w *World) fingerprintSites(surface []byte, sites []string, out map[string]string) {
+	for _, d := range sites {
 		h := sha256.New()
-		h.Write(worldSum)
+		h.Write(surface)
 		for _, origin := range siteOrigins(d) {
 			hashZone(h, w, origin)
 		}
@@ -70,7 +81,6 @@ func (w *World) SiteFingerprints() map[string]string {
 		}
 		out[d] = hex.EncodeToString(h.Sum(nil))
 	}
-	return out
 }
 
 // siteOrigins lists the zone origins attributable to one site: its own

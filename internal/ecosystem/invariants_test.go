@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"depscope/internal/chain"
@@ -193,37 +194,56 @@ func chunkedWorld(t *testing.T, u *Universe, snap Snapshot, cfg *chain.Config, b
 // monolithic one: for the same universe, a chunked world with every batch
 // materialized has the identical ranked site list and identical per-site
 // content fingerprints (zones, certificates, pages, chain growth, CNAME→CDN
-// map — everything the measurement can observe), for both snapshots and
-// across awkward batch sizes.
+// map — everything the measurement can observe), for both snapshots, with
+// and without chains, and across awkward batch sizes. The streamed
+// fingerprint pass (Chunked.SiteFingerprints, pages live one batch at a
+// time) yields the same fingerprints.
 func TestChunkedMatchesMonolithic(t *testing.T) {
 	u, err := Generate(Options{Scale: 400, Seed: 2020})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := chain.Default()
-	for _, snap := range []Snapshot{Y2016, Y2020} {
-		mono := Materialize(u, snap)
-		MaterializeChains(u, mono, cfg)
-		want := mono.SiteFingerprints()
-		for _, batch := range []int{1000, 64, 31} {
-			w := chunkedWorld(t, u, snap, &cfg, batch)
-			if len(w.Sites) != len(mono.Sites) {
-				t.Fatalf("%s batch %d: %d sites, want %d", snap, batch, len(w.Sites), len(mono.Sites))
+	chains := chain.Default()
+	for _, cfg := range []*chain.Config{nil, &chains} {
+		for _, snap := range []Snapshot{Y2016, Y2020} {
+			mono := Materialize(u, snap)
+			if cfg != nil {
+				MaterializeChains(u, mono, *cfg)
 			}
-			for i := range w.Sites {
-				if w.Sites[i] != mono.Sites[i] {
-					t.Fatalf("%s batch %d: site order diverges at %d: %s vs %s",
-						snap, batch, i, w.Sites[i], mono.Sites[i])
+			want := mono.SiteFingerprints()
+			for _, batch := range []int{1000, 64, 31} {
+				w := chunkedWorld(t, u, snap, cfg, batch)
+				if len(w.Sites) != len(mono.Sites) {
+					t.Fatalf("%s batch %d: %d sites, want %d", snap, batch, len(w.Sites), len(mono.Sites))
 				}
-			}
-			got := w.SiteFingerprints()
-			mismatches := 0
-			for site, fp := range want {
-				if got[site] != fp {
-					t.Errorf("%s batch %d: fingerprint mismatch for %s", snap, batch, site)
-					if mismatches++; mismatches > 3 {
-						t.Fatal("too many fingerprint mismatches")
+				for i := range w.Sites {
+					if w.Sites[i] != mono.Sites[i] {
+						t.Fatalf("%s batch %d: site order diverges at %d: %s vs %s",
+							snap, batch, i, w.Sites[i], mono.Sites[i])
 					}
+				}
+				got := w.SiteFingerprints()
+				mismatches := 0
+				for site, fp := range want {
+					if got[site] != fp {
+						t.Errorf("%s batch %d: fingerprint mismatch for %s", snap, batch, site)
+						if mismatches++; mismatches > 3 {
+							t.Fatal("too many fingerprint mismatches")
+						}
+					}
+				}
+
+				c := NewChunked(u, snap)
+				if cfg != nil {
+					c.EnableChains(*cfg)
+				}
+				c.AddSites(0, c.Len())
+				if !reflect.DeepEqual(c.SiteFingerprints(batch), want) {
+					t.Errorf("%s chains=%t batch %d: streamed fingerprints differ from the resident world's",
+						snap, cfg != nil, batch)
+				}
+				if n := len(c.World().Pages); n != 0 {
+					t.Errorf("%s chains=%t batch %d: %d pages left resident", snap, cfg != nil, batch, n)
 				}
 			}
 		}

@@ -21,17 +21,12 @@ type World struct {
 	Zones *dnszone.Store
 	// Certs holds the certificate served by each HTTPS site.
 	Certs *certs.Store
-	// Pages holds each site's landing page.
+	// Pages holds the landing pages currently materialized: every site's
+	// after Materialize, none after a streamed run released its batches.
 	Pages map[string]*webpage.Page
 	// CNAMEToCDN is the self-populated CNAME-suffix → CDN-name map of the
 	// paper's §3.3, including the known private CDNs.
 	CNAMEToCDN map[string]string
-	// Streamed marks a world built by the chunked/streaming path: landing
-	// pages are materialized per batch and released after measurement, so
-	// Pages must not be relied on after the run. Consumers that re-measure
-	// (ablations, sweeps) check this flag and fail with a clear error
-	// instead of silently measuring a page-less world.
-	Streamed bool
 }
 
 // Page returns the landing page of site, or nil.
@@ -53,7 +48,7 @@ var externalDomains = []string{"ext-analytics.com", "ext-fonts.net", "ext-widget
 // CNAME→CDN map. It is the streaming materializer (Chunked) driven with one
 // batch covering every site, with no page released.
 func Materialize(u *Universe, snap Snapshot) *World {
-	c := newChunked(u, snap)
+	c := NewChunked(u, snap)
 	c.AddSites(0, c.Len())
 	c.MaterializePages(0, c.Len())
 	return c.World()

@@ -88,7 +88,10 @@ type Config struct {
 	// seeded back. See checkpoint.go.
 	Checkpoint *Checkpoint
 	// Fingerprints maps site → content fingerprint of everything the
-	// measurement can observe about it (ecosystem.World.SiteFingerprints).
+	// measurement can observe about it (ecosystem.World.SiteFingerprints of a
+	// resident world, or ecosystem.Chunked.SiteFingerprints of a streamed one;
+	// the two agree). It is read from NewStream on, so a streamed run computes
+	// it before the stream starts.
 	// A checkpointed entry is reused only when its recorded fingerprint
 	// equals the current one; with no fingerprints at all, entries match on
 	// equal empty strings — a plain same-universe resume.

@@ -81,7 +81,8 @@ type BudgetError struct {
 	Limit uint64
 }
 
-// Error renders the greppable failure line the scale-smoke target asserts on.
+// Error renders the greppable failure line TestGateMemBudget (make
+// bench-gates) asserts on.
 func (e *BudgetError) Error() string {
 	return fmt.Sprintf("membudget: memory budget exceeded during %s: live heap %s over the %s budget "+
 		"(raise -mem-budget, lower -scale, or shrink the batch size)",
