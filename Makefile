@@ -35,8 +35,10 @@ race:
 # mc-baseline Monte-Carlo sweep and the K=25 mitigation plan
 # (internal/incident), the per-site breakdown, the Execute report, the
 # ablation experiments and the -outage and robustness reports
-# (internal/analysis), and the landing pages with their chains
-# (internal/ecosystem).
+# (internal/analysis), the landing pages with their chains
+# (internal/ecosystem), the served provider rankings before and after a
+# delta (internal/serve), and the dynincident and evolution example
+# outputs.
 golden:
 	$(GO) test -run 'Golden|Pinned' -count=1 -v ./...
 
@@ -60,8 +62,9 @@ bench-gates:
 # docs-check re-runs the documentation drift tests on their own (-count=1
 # bypasses the test cache): every relative link/anchor in the curated docs
 # must resolve, every flag documented in a flag table must exist in a
-# cmd/ binary, and every `make <target>` the docs name must be a target
-# defined here.
+# cmd/ binary, every `make <target>` the docs name must be a target
+# defined here, and every test, benchmark or fuzz name the docs cite must
+# be a func in the tree.
 docs-check:
 	$(GO) test -run 'TestDoc' -count=1 .
 

@@ -1,14 +1,16 @@
 package depscope
 
 // Documentation drift checks, wired into `make docs-check` (and through it
-// into `make verify`). Three invariants:
+// into `make verify`). Four invariants:
 //
 //   - every relative markdown link (and its #anchor, if any) in the curated
 //     docs resolves to a real file and a real heading;
 //   - every flag documented in a flag table (`| `-name ...` rows) is an
 //     actual flag.Xxx("name", ...) definition in some cmd/ binary;
 //   - every `make <target>` the docs, the CI workflow and the verify skill
-//     name is a target the Makefile defines.
+//     name is a target the Makefile defines;
+//   - every Test*/Benchmark*/Fuzz* name the narrative docs cite in inline
+//     code is a func in the tree.
 //
 // All walk the committed sources, so they need no network and no build
 // artifacts; a doc edit that invents a flag or breaks a link fails go test.
@@ -212,6 +214,74 @@ func TestDocMakeTargets(t *testing.T) {
 			for _, m := range refs {
 				if !defined[m[1]] {
 					t.Errorf("%s:%d: names `make %s`, which the Makefile does not define", doc, n+1, m[1])
+				}
+			}
+		}
+	}
+}
+
+var (
+	testFuncDef = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	codeSpan    = regexp.MustCompile("`[^`]+`")
+	testName    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*\*?`)
+)
+
+// TestDocTestNamesExist checks that every Test*/Benchmark*/Fuzz* name the
+// narrative docs cite in inline code (README, DESIGN, EXPERIMENTS and
+// docs/*.md) is a func somewhere in the tree — a cited subtest needs its
+// parent, and a trailing * names a prefix some func must start with — so a
+// renamed or deleted test cannot leave a stale citation behind.
+func TestDocTestNamesExist(t *testing.T) {
+	var defined []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFuncDef.FindAllStringSubmatch(string(data), -1) {
+			defined = append(defined, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(defined) == 0 {
+		t.Fatal("no test funcs found in the tree")
+	}
+	exists := func(name string) bool {
+		prefix, isPrefix := strings.CutSuffix(name, "*")
+		for _, fn := range defined {
+			if fn == name || (isPrefix && strings.HasPrefix(fn, prefix)) {
+				return true
+			}
+		}
+		return false
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("read %s: %v", doc, err)
+		}
+		for n, line := range strings.Split(string(data), "\n") {
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, name := range testName.FindAllString(span, -1) {
+					if !exists(name) {
+						t.Errorf("%s:%d: cites %s, which no func in the tree defines", doc, n+1, name)
+					}
 				}
 			}
 		}

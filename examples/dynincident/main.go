@@ -7,7 +7,10 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"sort"
 
 	"depscope/internal/analysis"
 	"depscope/internal/core"
@@ -16,52 +19,67 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	ctx := context.Background()
+	if err := replay(context.Background(), os.Stdout, 8000); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// replay measures the 2016 snapshot of a generated world of the given scale
+// and writes the Dyn outage replay to w.
+func replay(ctx context.Context, w io.Writer, scale int) error {
 	run, err := analysis.Execute(ctx, analysis.Options{
-		Scale:     8000,
+		Scale:     scale,
 		Seed:      2016,
 		Snapshots: []ecosystem.Snapshot{ecosystem.Y2016},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	g := run.Y2016.Graph
 	const dyn = "dynect.net"
 
-	fmt.Println("=== October 21, 2016: Dyn goes down ===")
+	fmt.Fprintln(w, "=== October 21, 2016: Dyn goes down ===")
 	direct := g.ImpactSet(dyn, core.DirectOnly())
 	full := g.ImpactSet(dyn, core.AllIndirect())
-	fmt.Printf("sites dark via their own Dyn dependency:  %d\n", len(direct))
-	fmt.Printf("sites dark including provider chains:     %d\n", len(full))
+	fmt.Fprintf(w, "sites dark via their own Dyn dependency:  %d\n", len(direct))
+	fmt.Fprintf(w, "sites dark including provider chains:     %d\n", len(full))
 
 	// Who are the intermediaries? Providers critically running on Dyn.
-	fmt.Println("\nproviders that fell with Dyn:")
-	for name, p := range g.Providers {
-		for svc, d := range p.Deps {
-			if !d.Class.Critical() {
+	fmt.Fprintln(w, "\nproviders that fell with Dyn:")
+	names := make([]string, 0, len(g.Providers))
+	for name := range g.Providers {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		p := g.Providers[name]
+		for _, svc := range core.AllServices {
+			d, ok := p.Deps[svc]
+			if !ok || !d.Class.Critical() {
 				continue
 			}
 			for _, dep := range d.Providers {
 				if dep == dyn {
-					fmt.Printf("  %-24s (%s of %d sites)\n", name, svc,
+					fmt.Fprintf(w, "  %-24s (%s of %d sites)\n", name, svc,
 						g.Concentration(name, core.DirectOnly()))
 				}
 			}
 		}
 	}
 
-	// Collateral victims: dark only because of the chain.
+	// Collateral victims: dark only because of the chain. The sample lists
+	// the best-ranked ones.
 	collateral := 0
 	var sample []string
-	for site := range full {
-		if !direct[site] {
+	for _, s := range g.Sites {
+		if full[s.Name] && !direct[s.Name] {
 			collateral++
 			if len(sample) < 5 {
-				sample = append(sample, site)
+				sample = append(sample, s.Name)
 			}
 		}
 	}
-	fmt.Printf("\ncollateral victims (the Pinterest effect): %d sites, e.g. %v\n", collateral, sample)
+	fmt.Fprintf(w, "\ncollateral victims (the Pinterest effect): %d sites, e.g. %v\n", collateral, sample)
 
 	// Sites that used Dyn but stayed up thanks to redundancy — the lesson
 	// the paper wants everyone to learn.
@@ -77,5 +95,6 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("Dyn customers that stayed up (redundant DNS): %d\n", survived)
+	fmt.Fprintf(w, "Dyn customers that stayed up (redundant DNS): %d\n", survived)
+	return nil
 }

@@ -163,12 +163,13 @@ func TestCompactGraphMatchesPointerOnMeasuredRun(t *testing.T) {
 	}
 	for _, sd := range []*SnapshotData{run.Y2016, run.Y2020} {
 		g, cg := sd.Graph, sd.Compact
+		eng := cg.Metrics()
 		for _, opts := range []core.TraversalOpts{core.DirectOnly(), core.AllIndirect(), core.AllImplicit()} {
 			for name := range g.Providers {
-				if got, want := cg.Concentration(name, opts), len(g.ConcentrationSet(name, opts)); got != want {
+				if got, want := eng.Concentration(name, opts), len(g.ConcentrationSet(name, opts)); got != want {
 					t.Fatalf("%s via %v: C(%s) = %d, want %d", sd.Snapshot, opts.ViaProviders, name, got, want)
 				}
-				if got, want := cg.Impact(name, opts), len(g.ImpactSet(name, opts)); got != want {
+				if got, want := eng.Impact(name, opts), len(g.ImpactSet(name, opts)); got != want {
 					t.Fatalf("%s via %v: I(%s) = %d, want %d", sd.Snapshot, opts.ViaProviders, name, got, want)
 				}
 			}

@@ -16,27 +16,17 @@ import (
 // SnapshotGraph resolves an incident scenario's snapshot spec ("2016",
 // "2020", or empty for 2020) to the measured graph of this run.
 func SnapshotGraph(run *Run, snapshot string) (*core.Graph, error) {
-	sd, err := snapshotData(run, snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return sd.Graph, nil
-}
-
-// snapshotData resolves a snapshot name to its full SnapshotData, for
-// callers that can exploit the columnar representation when present.
-func snapshotData(run *Run, snapshot string) (*SnapshotData, error) {
 	switch snapshot {
 	case "2016":
 		if run.Y2016 == nil {
 			return nil, fmt.Errorf("analysis: the 2016 snapshot was not measured in this run")
 		}
-		return run.Y2016, nil
+		return run.Y2016.Graph, nil
 	case "", "2020":
 		if run.Y2020 == nil {
 			return nil, fmt.Errorf("analysis: the 2020 snapshot was not measured in this run")
 		}
-		return run.Y2020, nil
+		return run.Y2020.Graph, nil
 	}
 	return nil, fmt.Errorf("analysis: unknown snapshot %q (want 2016 or 2020)", snapshot)
 }

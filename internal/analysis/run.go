@@ -29,11 +29,10 @@ type SnapshotData struct {
 	Results *measure.Results
 	Graph   *core.Graph
 	// Compact is the columnar graph representation, set on every Execute
-	// run. Graph is inflated from it, so every pointer-graph consumer keeps
-	// working; Compact is what scale-sensitive callers (serve snapshots, the
-	// bytes/site accounting) should reach for. Callers that assemble
-	// SnapshotData themselves may leave it nil, and every reader handles
-	// that.
+	// run. Graph is inflated from it, and every report, view, ranking and
+	// site set reads Graph and its metrics engine; Compact backs the
+	// bytes/site accounting. Callers that assemble SnapshotData themselves
+	// may leave it nil, and every reader handles that.
 	Compact *core.CompactGraph
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Query-friendly read-only views over a Run, exported for the depserver
-// query API (internal/serve). Everything here reads the immutable measured
+// query API (internal/serve). Everything here reads the immutable pointer
 // graph — map lookups and bounded walks, no locks — so a server can call it
 // on the request hot path against a published snapshot. The only exception
 // is RankedProviders, which goes through the graph's metrics engine (a
@@ -109,15 +109,13 @@ func SiteNames(run *Run, snapshot string) ([]string, error) {
 // concentration (byImpact false) or impact (byImpact true) under the full
 // indirect traversal. It consults the graph's metrics engine, which caches
 // the batch propagation — call it at snapshot-build time, not per request.
+// Every snapshot ranks off its pointer graph's engine, whether Execute built
+// it or a delta derived it, and ranking warms the engine Graph.Apply carries
+// to the next delta.
 func RankedProviders(run *Run, snapshot string, svc core.Service, byImpact bool) ([]core.ProviderStat, error) {
-	sd, err := snapshotData(run, snapshot)
+	g, err := SnapshotGraph(run, snapshot)
 	if err != nil {
 		return nil, err
 	}
-	// Execute runs carry the columnar graph and rank straight off it —
-	// property-tested to order identically to the pointer graph's ranking.
-	if sd.Compact != nil {
-		return sd.Compact.TopProviders(svc, core.AllIndirect(), byImpact, 0), nil
-	}
-	return sd.Graph.TopProviders(svc, core.AllIndirect(), byImpact, 0), nil
+	return g.TopProviders(svc, core.AllIndirect(), byImpact, 0), nil
 }

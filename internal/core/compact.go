@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"depscope/internal/intern"
@@ -21,11 +20,13 @@ import (
 // propagation runs over the compact form directly — Metrics() materializes
 // a MetricsEngine from the arrays without ever building a Graph.
 //
-// The pointer Graph remains the interchange form for renderers and
-// experiments; Inflate() reconstructs it exactly (the analysis layer pins
-// report bytes equal between the two paths). The compact form is what a
-// 1M-site run holds while measuring, and what bytes/site accounting is
-// reported over.
+// The pointer Graph remains the interchange form for renderers, experiments
+// and serving, and its own metrics engine answers every C_p/I_p query about
+// a snapshot — counts, rankings and site sets alike. Inflate() reconstructs
+// it exactly (the analysis layer pins report bytes equal between the two
+// paths). The compact form is what a 1M-site run holds while measuring, and
+// what bytes/site accounting is reported over; its engine (Metrics) is the
+// columnar propagation the property tests hold equal to the pointer one.
 
 // classAbsent marks "site has no dependency entry for this service" in the
 // per-service class column — distinct from ClassNone, which is a real
@@ -72,14 +73,6 @@ type CompactGraph struct {
 	provClass  [4][]uint8
 	provDepOff [4][]uint32
 	provDepIDs [4][]uint32
-
-	// Derived indexes for TopProviders filtering, built once on demand:
-	// which names have public third-party users (bitmask per service,
-	// Resource included) and which are private-infrastructure targets.
-	idxOnce     sync.Once
-	publicUsers map[uint32]uint8
-	privUsed    map[uint32]bool
-	provIdx     map[uint32]int
 
 	metricsMu      sync.Mutex
 	metricsWorkers int
@@ -150,16 +143,6 @@ func (cg *CompactGraph) Metrics() *MetricsEngine {
 		cg.metrics = cg.buildEngine(cg.metricsWorkers)
 	}
 	return cg.metrics
-}
-
-// Concentration returns |C_p| under opts, from the batched engine.
-func (cg *CompactGraph) Concentration(p string, opts TraversalOpts) int {
-	return cg.Metrics().Concentration(p, opts)
-}
-
-// Impact returns |I_p| under opts, from the batched engine.
-func (cg *CompactGraph) Impact(p string, opts TraversalOpts) int {
-	return cg.Metrics().Impact(p, opts)
 }
 
 // buildEngine materializes a MetricsEngine whose universe, direct-user site
@@ -286,90 +269,6 @@ func (cg *CompactGraph) buildEngine(workers int) *MetricsEngine {
 	// straight to propagation.
 	e.initOnce.Do(func() {})
 	return e
-}
-
-// buildIndexes derives the TopProviders filter indexes from the columns.
-func (cg *CompactGraph) buildIndexes() {
-	cg.publicUsers = make(map[uint32]uint8)
-	cg.privUsed = make(map[uint32]bool)
-	cg.provIdx = make(map[uint32]int, len(cg.provNames))
-	for p, id := range cg.provNames {
-		cg.provIdx[id] = p
-	}
-	for svc := 0; svc < nSiteServices; svc++ {
-		for i, c := range cg.siteClass[svc] {
-			if c == classAbsent || !DepClass(c).UsesThird() {
-				continue
-			}
-			for _, id := range cg.depIDs[svc][cg.depOff[svc][i]:cg.depOff[svc][i+1]] {
-				cg.publicUsers[id] |= 1 << uint(svc)
-			}
-		}
-	}
-	for _, id := range cg.chainIDs {
-		cg.publicUsers[id] |= 1 << uint(Resource)
-	}
-	for _, id := range cg.privIDs {
-		cg.privUsed[id] = true
-	}
-}
-
-// TopProviders ranks the providers of svc by the chosen metric under opts,
-// descending; n <= 0 returns all. It applies the same candidate collection
-// and filtering as Graph.TopProviders: names used as a third party for svc
-// plus declared providers of svc; a declared provider of a different
-// service is excluded, as is a pure private-infrastructure node (private
-// owners but no public users under any service).
-func (cg *CompactGraph) TopProviders(svc Service, opts TraversalOpts, byImpact bool, n int) []ProviderStat {
-	cg.idxOnce.Do(cg.buildIndexes)
-	eng := cg.Metrics()
-	var stats []ProviderStat
-	seen := make(map[uint32]bool)
-	collect := func(id uint32) {
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		if p, ok := cg.provIdx[id]; ok && Service(cg.provSvc[p]) != svc {
-			return
-		}
-		if cg.privUsed[id] && cg.publicUsers[id] == 0 {
-			return
-		}
-		name := cg.dict.Name(id)
-		stats = append(stats, ProviderStat{
-			Name:          name,
-			Service:       svc,
-			Concentration: eng.Concentration(name, opts),
-			Impact:        eng.Impact(name, opts),
-		})
-	}
-	bit := uint8(1) << uint(svc)
-	for id, mask := range cg.publicUsers {
-		if mask&bit != 0 {
-			collect(id)
-		}
-	}
-	for p, id := range cg.provNames {
-		if Service(cg.provSvc[p]) == svc {
-			collect(id)
-		}
-	}
-	sort.Slice(stats, func(i, j int) bool {
-		a, b := stats[i], stats[j]
-		ka, kb := a.Concentration, b.Concentration
-		if byImpact {
-			ka, kb = a.Impact, b.Impact
-		}
-		if ka != kb {
-			return ka > kb
-		}
-		return a.Name < b.Name
-	})
-	if n > 0 && len(stats) > n {
-		stats = stats[:n]
-	}
-	return stats
 }
 
 // Bytes returns the graph's columnar resident size: the sum of all column

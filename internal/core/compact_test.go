@@ -159,9 +159,9 @@ func universeNames(g *Graph, cg *CompactGraph) []string {
 }
 
 // TestCompactGraphMetricsEqualRandom is the tentpole property test: on
-// random graphs, the compact engine's C_p/I_p equal the pointer graph's for
-// every name under every traversal, as do site-class counts, TopProviders
-// rankings, and the fully-inflated round trip.
+// random graphs, the compact engine's C_p/I_p equal the recursive oracle's
+// for every name under every traversal, as do site-class counts and the
+// fully-inflated round trip.
 func TestCompactGraphMetricsEqualRandom(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -172,14 +172,15 @@ func TestCompactGraphMetricsEqualRandom(t *testing.T) {
 		if cg.NSites() != len(g.Sites) {
 			t.Fatalf("seed %d: NSites = %d, want %d", seed, cg.NSites(), len(g.Sites))
 		}
+		eng := cg.Metrics()
 		for _, opts := range traversalVariants() {
 			for _, name := range universeNames(g, cg) {
-				wantC := len(g.ConcentrationSet(name, opts))
-				wantI := len(g.ImpactSet(name, opts))
-				if got := cg.Concentration(name, opts); got != wantC {
+				wantC := len(g.concentrationSetRecursive(name, opts))
+				wantI := len(g.impactSetRecursive(name, opts))
+				if got := eng.Concentration(name, opts); got != wantC {
 					t.Fatalf("seed %d via %v: C(%s) = %d, want %d", seed, opts.ViaProviders, name, got, wantC)
 				}
-				if got := cg.Impact(name, opts); got != wantI {
+				if got := eng.Impact(name, opts); got != wantI {
 					t.Fatalf("seed %d via %v: I(%s) = %d, want %d", seed, opts.ViaProviders, name, got, wantI)
 				}
 			}
@@ -198,17 +199,6 @@ func TestCompactGraphMetricsEqualRandom(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: ClassCounts(%s) = %v, want %v", seed, svc, got, want)
-			}
-		}
-
-		for _, svc := range AllServices {
-			for _, byImpact := range []bool{false, true} {
-				want := g.topProvidersRecursive(svc, AllIndirect(), byImpact, 10)
-				got := cg.TopProviders(svc, AllIndirect(), byImpact, 10)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: TopProviders(%s, byImpact=%v)\n got %v\nwant %v",
-						seed, svc, byImpact, got, want)
-				}
 			}
 		}
 
@@ -252,11 +242,8 @@ func TestCompactGraphEmpty(t *testing.T) {
 	if cg.NSites() != 0 || cg.NProviders() != 0 {
 		t.Fatalf("empty graph: %d sites, %d providers", cg.NSites(), cg.NProviders())
 	}
-	if got := cg.Concentration("anything", AllIndirect()); got != 0 {
+	if got := cg.Metrics().Concentration("anything", AllIndirect()); got != 0 {
 		t.Fatalf("empty graph concentration = %d", got)
-	}
-	if tp := cg.TopProviders(DNS, AllIndirect(), false, 5); len(tp) != 0 {
-		t.Fatalf("empty graph TopProviders = %v", tp)
 	}
 	g := cg.Inflate()
 	if len(g.Sites) != 0 || len(g.Providers) != 0 {

@@ -377,9 +377,9 @@ func (ng *Graph) indexSite(s *Site) {
 	})
 }
 
-// forEachChainProvider visits each distinct chain-edge provider of s once,
-// matching NewGraph's indexChainEdges dedup so delta-built indexes stay
-// identical to from-scratch ones.
+// forEachChainProvider visits each distinct chain-edge provider of s once:
+// the one dedup NewGraph and the delta path both index Resource users
+// through, so delta-built indexes stay identical to from-scratch ones.
 func forEachChainProvider(s *Site, fn func(string)) {
 	if len(s.Chains) == 0 {
 		return

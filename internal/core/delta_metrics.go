@@ -111,12 +111,17 @@ func (e *MetricsEngine) ApplyDelta(ng *Graph, eff *DeltaEffect) (*MetricsEngine,
 // existing rows but never changes them.
 func (e *MetricsEngine) patchInit(ne *MetricsEngine, eff *DeltaEffect, touchedIDs []int) {
 	ne.siteID = e.siteID
+	ne.siteNames = e.siteNames
 	ne.nSiteIDs = e.nSiteIDs
 	if len(eff.AddedSites) > 0 {
 		ne.siteID = maps.Clone(e.siteID)
+		// Clipped so appending copies: e and its other successors keep
+		// sharing the old backing array.
+		ne.siteNames = slices.Clip(e.siteNames)
 		for _, s := range eff.AddedSites {
 			if _, ok := ne.siteID[s.Name]; !ok {
 				ne.siteID[s.Name] = int32(ne.nSiteIDs)
+				ne.siteNames = append(ne.siteNames, s.Name)
 				ne.nSiteIDs++
 			}
 		}

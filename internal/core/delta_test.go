@@ -217,11 +217,11 @@ func deltaStreamAgrees(t *testing.T, seed int64) bool {
 			label := "seed " + itoa(int(seed&0xffff)) + " step " + itoa(step)
 			// Per-name queries first, before Counts touches the entry.
 			for name := range ref.Providers {
-				if ng.Concentration(name, opts) != len(ref.ConcentrationSet(name, opts)) {
+				if ng.Concentration(name, opts) != len(ref.concentrationSetRecursive(name, opts)) {
 					t.Logf("%s: per-name C(%s) diverged", label, name)
 					return false
 				}
-				if ng.Impact(name, opts) != len(ref.ImpactSet(name, opts)) {
+				if ng.Impact(name, opts) != len(ref.impactSetRecursive(name, opts)) {
 					t.Logf("%s: per-name I(%s) diverged", label, name)
 					return false
 				}

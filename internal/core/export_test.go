@@ -6,11 +6,67 @@ import (
 	"testing"
 )
 
+// concentrationSetRecursive is the seed recursive walk of the §2.2 C_p
+// formula: the oracle the metrics engine's counts, rankings and site sets
+// are held against, kept out of production code.
+func (g *Graph) concentrationSetRecursive(p string, opts TraversalOpts) map[string]bool {
+	out := make(map[string]bool)
+	g.gather(p, opts, false, out, map[string]bool{p: true})
+	return out
+}
+
+// impactSetRecursive is the seed recursive walk of the §2.2 I_p formula.
+func (g *Graph) impactSetRecursive(p string, opts TraversalOpts) map[string]bool {
+	out := make(map[string]bool)
+	g.gather(p, opts, true, out, map[string]bool{p: true})
+	return out
+}
+
+// gather unions D^p_w (or E^p_w) with the recursion over providers using p.
+// visited implements the \{p} exclusion of the formulas, generalized to the
+// whole recursion path so provider cycles terminate.
+func (g *Graph) gather(p string, opts TraversalOpts, critical bool, out map[string]bool, visited map[string]bool) {
+	users := g.usersOf
+	if critical {
+		users = g.criticalUsersOf
+	}
+	for _, svcUsers := range users {
+		for _, s := range svcUsers[p] {
+			out[s.Name] = true
+		}
+	}
+	for _, s := range g.privateUsersOf[p] {
+		out[s.Name] = true
+	}
+	for _, k := range g.providerUsersOf[p] {
+		if visited[k.Name] || !opts.allows(k.Service) {
+			continue
+		}
+		// Does k depend on p in the required (critical) way?
+		usesP := false
+		for _, d := range k.Deps {
+			if !d.Class.UsesThird() || (critical && !d.Class.Critical()) {
+				continue
+			}
+			for _, dep := range d.Providers {
+				if dep == p {
+					usesP = true
+				}
+			}
+		}
+		if !usesP {
+			continue
+		}
+		visited[k.Name] = true
+		g.gather(k.Name, opts, critical, out, visited)
+	}
+}
+
 // topProvidersRecursive is the seed per-provider ranking, the reference
 // that equivalence tests and benchmarks hold the batched engine against.
 func (g *Graph) topProvidersRecursive(svc Service, opts TraversalOpts, byImpact bool, n int) []ProviderStat {
 	return g.topProviders(svc, byImpact, n, func(pname string) (int, int) {
-		return len(g.ConcentrationSet(pname, opts)), len(g.ImpactSet(pname, opts))
+		return len(g.concentrationSetRecursive(pname, opts)), len(g.impactSetRecursive(pname, opts))
 	})
 }
 

@@ -1,9 +1,10 @@
 // Package core implements the paper's analytical contribution: the
 // dependency graph over websites and third-party providers, and the
 // actionable metrics of §2.2 — critical dependency, provider concentration
-// C_p and provider impact I_p, both computed transitively over inter-service
-// dependencies with the recursive set-union formulas (including the \{p}
-// exclusion that guards against cycles).
+// C_p and provider impact I_p, both defined transitively over inter-service
+// dependencies by the recursive set-union formulas (including the \{p}
+// exclusion that guards against cycles) and computed for every provider at
+// once by the batched metrics engine (metrics.go).
 package core
 
 import (
@@ -223,7 +224,10 @@ func NewGraph(sites []*Site, providers []*Provider) *Graph {
 		// critical dependency (the vendor serves an object the page runs).
 		// Multiple edges to the same vendor at different depths collapse to
 		// one index entry per site.
-		indexChainEdges(g.usersOf[Resource], g.criticalUsersOf[Resource], s)
+		forEachChainProvider(s, func(pname string) {
+			g.usersOf[Resource][pname] = append(g.usersOf[Resource][pname], s)
+			g.criticalUsersOf[Resource][pname] = append(g.criticalUsersOf[Resource][pname], s)
+		})
 	}
 	for _, p := range providers {
 		for _, d := range p.Deps {
@@ -236,29 +240,6 @@ func NewGraph(sites []*Site, providers []*Provider) *Graph {
 		}
 	}
 	return g
-}
-
-// indexChainEdges records s's chain edges into the Resource user indexes,
-// de-duplicating multiple edges to the same vendor — NewGraph and the delta
-// path share it so a delta-built graph indexes identically.
-func indexChainEdges(users, critical map[string][]*Site, s *Site) {
-	if len(s.Chains) == 0 {
-		return
-	}
-	var seen map[string]bool
-	if len(s.Chains) > 1 {
-		seen = make(map[string]bool, len(s.Chains))
-	}
-	for _, e := range s.Chains {
-		if seen != nil {
-			if seen[e.Provider] {
-				continue
-			}
-			seen[e.Provider] = true
-		}
-		users[e.Provider] = append(users[e.Provider], s)
-		critical[e.Provider] = append(critical[e.Provider], s)
-	}
 }
 
 // Site returns a site node by name, or nil. The index is built on first
@@ -326,69 +307,27 @@ func (o TraversalOpts) allows(svc Service) bool {
 
 // ConcentrationSet returns the set of websites directly or indirectly
 // dependent on provider p (§2.2 C_p), traversing provider edges per opts.
+// It reads the metrics engine's dependent-site bitset for p, the set
+// Concentration counts.
 func (g *Graph) ConcentrationSet(p string, opts TraversalOpts) map[string]bool {
-	out := make(map[string]bool)
-	g.gather(p, opts, false, out, map[string]bool{p: true})
-	return out
+	return g.Metrics().siteSet(p, opts, false)
 }
 
 // ImpactSet returns the set of websites critically dependent on p directly
-// or transitively (§2.2 I_p).
+// or transitively (§2.2 I_p), read off the metrics engine like
+// ConcentrationSet.
 func (g *Graph) ImpactSet(p string, opts TraversalOpts) map[string]bool {
-	out := make(map[string]bool)
-	g.gather(p, opts, true, out, map[string]bool{p: true})
-	return out
-}
-
-// gather unions D^p_w (or E^p_w) with the recursion over providers using p.
-// visited implements the \{p} exclusion of the formulas, generalized to the
-// whole recursion path so provider cycles terminate.
-func (g *Graph) gather(p string, opts TraversalOpts, critical bool, out map[string]bool, visited map[string]bool) {
-	users := g.usersOf
-	if critical {
-		users = g.criticalUsersOf
-	}
-	for _, svcUsers := range users {
-		for _, s := range svcUsers[p] {
-			out[s.Name] = true
-		}
-	}
-	for _, s := range g.privateUsersOf[p] {
-		out[s.Name] = true
-	}
-	for _, k := range g.providerUsersOf[p] {
-		if visited[k.Name] || !opts.allows(k.Service) {
-			continue
-		}
-		// Does k depend on p in the required (critical) way?
-		usesP := false
-		for _, d := range k.Deps {
-			if !d.Class.UsesThird() || (critical && !d.Class.Critical()) {
-				continue
-			}
-			for _, dep := range d.Providers {
-				if dep == p {
-					usesP = true
-				}
-			}
-		}
-		if !usesP {
-			continue
-		}
-		visited[k.Name] = true
-		g.gather(k.Name, opts, critical, out, visited)
-	}
+	return g.Metrics().siteSet(p, opts, true)
 }
 
 // Concentration returns |C_p|, served by the batched metrics engine: the
 // first query for a traversal computes counts for every provider at once and
-// later queries are map lookups. It always equals len(ConcentrationSet).
+// later queries are map lookups.
 func (g *Graph) Concentration(p string, opts TraversalOpts) int {
 	return g.Metrics().Concentration(p, opts)
 }
 
-// Impact returns |I_p|, served by the batched metrics engine. It always
-// equals len(ImpactSet).
+// Impact returns |I_p|, served by the batched metrics engine.
 func (g *Graph) Impact(p string, opts TraversalOpts) int {
 	return g.Metrics().Impact(p, opts)
 }

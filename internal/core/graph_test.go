@@ -60,31 +60,37 @@ func TestDirectConcentrationAndImpact(t *testing.T) {
 	}
 }
 
+// The hand-derived expectations below hold both the engine's site sets and
+// the recursive oracle to the paper's incident chains.
+
 func TestIndirectImpactViaCDN(t *testing.T) {
 	g := paperGraph()
 	// The Dyn incident chain: pinterest is critically dependent on Fastly,
 	// which is critically dependent on Dyn.
-	set := g.ImpactSet("Dyn", AllIndirect())
-	if !set["twitter.com"] || !set["pinterest.com"] {
-		t.Errorf("I(Dyn) with indirection = %v, want twitter+pinterest", set)
-	}
-	if set["spotify.com"] || set["netflix.com"] {
-		t.Errorf("redundant sites must not be in I(Dyn): %v", set)
+	for _, set := range []map[string]bool{g.ImpactSet("Dyn", AllIndirect()), g.impactSetRecursive("Dyn", AllIndirect())} {
+		if !set["twitter.com"] || !set["pinterest.com"] {
+			t.Errorf("I(Dyn) with indirection = %v, want twitter+pinterest", set)
+		}
+		if set["spotify.com"] || set["netflix.com"] {
+			t.Errorf("redundant sites must not be in I(Dyn): %v", set)
+		}
 	}
 	// Concentration additionally counts the redundant users.
-	cset := g.ConcentrationSet("Dyn", AllIndirect())
-	for _, w := range []string{"twitter.com", "pinterest.com", "spotify.com", "netflix.com"} {
-		if !cset[w] {
-			t.Errorf("C(Dyn) missing %s: %v", w, cset)
+	for _, cset := range []map[string]bool{g.ConcentrationSet("Dyn", AllIndirect()), g.concentrationSetRecursive("Dyn", AllIndirect())} {
+		for _, w := range []string{"twitter.com", "pinterest.com", "spotify.com", "netflix.com"} {
+			if !cset[w] {
+				t.Errorf("C(Dyn) missing %s: %v", w, cset)
+			}
 		}
 	}
 }
 
 func TestIndirectImpactViaCA(t *testing.T) {
 	g := paperGraph()
-	set := g.ImpactSet("Verisign DNS", AllIndirect())
-	if !set["netflix.com"] || len(set) != 1 {
-		t.Errorf("I(Verisign DNS) = %v, want netflix only", set)
+	for _, set := range []map[string]bool{g.ImpactSet("Verisign DNS", AllIndirect()), g.impactSetRecursive("Verisign DNS", AllIndirect())} {
+		if !set["netflix.com"] || len(set) != 1 {
+			t.Errorf("I(Verisign DNS) = %v, want netflix only", set)
+		}
 	}
 	// With CA edges disabled, Verisign has no impact.
 	if i := g.Impact("Verisign DNS", TraversalOpts{ViaProviders: []Service{CDN}}); i != 0 {

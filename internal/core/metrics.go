@@ -25,9 +25,11 @@ import (
 //
 // Results are cached per traversal key. Graphs are immutable after NewGraph
 // (nothing in the package mutates Sites, Providers or the indexes), so cache
-// entries never need invalidation. The batch pass is the only fill strategy:
-// the recursive set walks (ConcentrationSet, ImpactSet) remain the reference
-// the property tests hold it against, not a code path queries take.
+// entries never need invalidation. The engine is the graph's one C_p/I_p
+// computation: counts and rankings read the per-component counts, and the
+// site sets (ConcentrationSet, ImpactSet) walk the retained per-component
+// bitsets. The recursive set formulas survive only as the test oracle the
+// property tests hold it against.
 
 // MetricsEngine computes provider concentration |C_p| and impact |I_p| for
 // all providers of a Graph in one batched pass and caches the result per
@@ -52,8 +54,10 @@ type MetricsEngine struct {
 	// Sites slice, ids are never reused or shifted: an engine carried
 	// across deltas (ApplyDelta) keeps ids for removed sites and appends
 	// fresh ones for additions, so retained bitsets stay comparable.
-	siteID   map[string]int32
-	nSiteIDs int // bitset width: ids handed out so far
+	// siteNames is its inverse (bitset index → site name).
+	siteID    map[string]int32
+	siteNames []string
+	nSiteIDs  int // bitset width: ids handed out so far
 
 	mu      sync.Mutex
 	workers int
@@ -137,6 +141,32 @@ func (e *MetricsEngine) Impact(p string, opts TraversalOpts) int {
 	return e.entry(opts).imp[p]
 }
 
+// siteSet returns the member sites of p's dependent-site bitset under opts
+// (the impact set when critical, else the concentration set): the set the
+// counts are popcounts of. It walks only the set bits of the bitset itself,
+// whose width is that of the site-id space when the bitset was built — a
+// component a delta left clean keeps its narrower bitset while later ids
+// are appended.
+func (e *MetricsEngine) siteSet(p string, opts TraversalOpts, critical bool) map[string]bool {
+	ent := e.entry(opts)
+	st := ent.stateConc
+	if critical {
+		st = ent.stateImp
+	}
+	id, ok := e.ids[p]
+	if !ok || st == nil {
+		return map[string]bool{}
+	}
+	c := st.comp[id]
+	out := make(map[string]bool, st.counts[c])
+	for w, word := range st.sets[c] {
+		for ; word != 0; word &= word - 1 {
+			out[e.siteNames[w*64+bits.TrailingZeros64(word)]] = true
+		}
+	}
+	return out
+}
+
 // Counts returns |C_p| and |I_p| for every provider under opts. The maps are
 // shared cache state; callers must not mutate them.
 func (e *MetricsEngine) Counts(opts TraversalOpts) (conc, imp map[string]int) {
@@ -207,10 +237,12 @@ func (e *MetricsEngine) init() {
 	}
 
 	e.siteID = make(map[string]int32, len(g.Sites))
+	e.siteNames = make([]string, len(g.Sites))
 	for i, s := range g.Sites {
 		if _, ok := e.siteID[s.Name]; !ok {
 			e.siteID[s.Name] = int32(i)
 		}
+		e.siteNames[i] = s.Name
 	}
 	e.nSiteIDs = len(g.Sites)
 	e.baseAll = make([][]int32, len(e.names))

@@ -20,10 +20,10 @@ func TestMetricsEngineMatchesSetsOnPaperGraph(t *testing.T) {
 	}
 	for _, opts := range optsList {
 		for _, name := range names {
-			if got, want := g.Concentration(name, opts), len(g.ConcentrationSet(name, opts)); got != want {
+			if got, want := g.Concentration(name, opts), len(g.concentrationSetRecursive(name, opts)); got != want {
 				t.Errorf("C(%s, %v) = %d, want %d", name, opts, got, want)
 			}
-			if got, want := g.Impact(name, opts), len(g.ImpactSet(name, opts)); got != want {
+			if got, want := g.Impact(name, opts), len(g.impactSetRecursive(name, opts)); got != want {
 				t.Errorf("I(%s, %v) = %d, want %d", name, opts, got, want)
 			}
 		}
@@ -141,10 +141,10 @@ func TestMetricsStrategiesAgree(t *testing.T) {
 	for _, opts := range optsList {
 		e := NewMetricsEngine(g, 0)
 		for _, name := range []string{"prov0", "prov7", "prov299", "absent"} {
-			if got, want := e.Concentration(name, opts), len(g.ConcentrationSet(name, opts)); got != want {
+			if got, want := e.Concentration(name, opts), len(g.concentrationSetRecursive(name, opts)); got != want {
 				t.Errorf("opts %v: C(%s) = %d, reference walk = %d", opts, name, got, want)
 			}
-			if got, want := e.Impact(name, opts), len(g.ImpactSet(name, opts)); got != want {
+			if got, want := e.Impact(name, opts), len(g.impactSetRecursive(name, opts)); got != want {
 				t.Errorf("opts %v: I(%s) = %d, reference walk = %d", opts, name, got, want)
 			}
 		}
@@ -153,10 +153,10 @@ func TestMetricsStrategiesAgree(t *testing.T) {
 			t.Errorf("opts %v: Counts has %d/%d names, universe %d", opts, len(conc), len(imp), len(e.names))
 		}
 		for _, name := range e.names {
-			if got, want := conc[name], len(g.ConcentrationSet(name, opts)); got != want {
+			if got, want := conc[name], len(g.concentrationSetRecursive(name, opts)); got != want {
 				t.Errorf("opts %v: Counts C(%s) = %d, reference walk = %d", opts, name, got, want)
 			}
-			if got, want := imp[name], len(g.ImpactSet(name, opts)); got != want {
+			if got, want := imp[name], len(g.impactSetRecursive(name, opts)); got != want {
 				t.Errorf("opts %v: Counts I(%s) = %d, reference walk = %d", opts, name, got, want)
 			}
 		}

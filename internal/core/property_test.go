@@ -182,11 +182,11 @@ func TestPropertyBatchedEngineMatchesRecursive(t *testing.T) {
 		g := randomGraph(seed)
 		for _, opts := range optsList {
 			for name := range g.Providers {
-				if g.Concentration(name, opts) != len(g.ConcentrationSet(name, opts)) {
+				if g.Concentration(name, opts) != len(g.concentrationSetRecursive(name, opts)) {
 					t.Logf("seed %d: C(%s) mismatch", seed, name)
 					return false
 				}
-				if g.Impact(name, opts) != len(g.ImpactSet(name, opts)) {
+				if g.Impact(name, opts) != len(g.impactSetRecursive(name, opts)) {
 					t.Logf("seed %d: I(%s) mismatch", seed, name)
 					return false
 				}

@@ -299,20 +299,16 @@ func newOutageSim(g *Graph, via uint8) *OutageSim {
 			s.siteArrs[i] = append(s.siteArrs[i], simArr{svc: svc, class: ClassPrivate, private: true, provs: idsOf(names)})
 		}
 		// Chain edges: one critical pseudo-arrangement per distinct vendor,
-		// mirroring indexChainEdges — a down vendor takes the site down, no
-		// redundancy. Included under every traversal key (gather unions a
-		// provider's chain users unconditionally too); the via filter only
-		// decides whether the cascade may *continue* through vendor nodes.
+		// the dedup the Resource user index applies — a down vendor takes
+		// the site down, no redundancy. Included under every traversal key
+		// (a provider's chain users are direct users under every key too);
+		// the via filter only decides whether the cascade may *continue*
+		// through vendor nodes.
 		if len(site.Chains) > 0 {
 			seen[Resource] = true
-			chainSeen := make(map[string]bool, len(site.Chains))
-			for _, ce := range site.Chains {
-				if chainSeen[ce.Provider] {
-					continue
-				}
-				chainSeen[ce.Provider] = true
-				s.siteArrs[i] = append(s.siteArrs[i], simArr{svc: Resource, class: ClassSingleThird, provs: idsOf([]string{ce.Provider})})
-			}
+			forEachChainProvider(site, func(pname string) {
+				s.siteArrs[i] = append(s.siteArrs[i], simArr{svc: Resource, class: ClassSingleThird, provs: idsOf([]string{pname})})
+			})
 		}
 		s.consumed[i] = len(seen)
 	}

@@ -17,8 +17,8 @@ func TestPropertySimulateMatchesMetricSets(t *testing.T) {
 			sim := g.OutageSim(opts)
 			for _, name := range g.ProviderNames() {
 				res := sim.Run([]string{name}, OutageOpts{})
-				imp := g.ImpactSet(name, opts)
-				conc := g.ConcentrationSet(name, opts)
+				imp := g.impactSetRecursive(name, opts)
+				conc := g.concentrationSetRecursive(name, opts)
 				down, affected := 0, 0
 				for i, s := range g.Sites {
 					isDown := res.Outcomes[i] == SiteDown
@@ -70,7 +70,7 @@ func TestPropertySimulateMultiTargetUnion(t *testing.T) {
 		res := sim.Run(targets, OutageOpts{})
 		union := make(map[string]bool)
 		for _, tgt := range targets {
-			for s := range g.ImpactSet(tgt, AllIndirect()) {
+			for s := range g.impactSetRecursive(tgt, AllIndirect()) {
 				union[s] = true
 			}
 		}
