@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt examples race golden verify alloc-guards bench-gates docs-check bench-smoke bench
+.PHONY: all build test vet fmt examples race golden verify alloc-guards bench-gates docs-check fuzz-smoke bench-smoke bench
 
 all: build test
 
@@ -63,10 +63,24 @@ bench-gates:
 # bypasses the test cache): every relative link/anchor in the curated docs
 # must resolve, every flag documented in a flag table must exist in a
 # cmd/ binary, every `make <target>` the docs name must be a target
-# defined here, and every test, benchmark or fuzz name the docs cite must
-# be a func in the tree.
+# defined here, every test, benchmark or fuzz name the docs cite must be a
+# func in the tree, and every example program must have a test.
 docs-check:
-	$(GO) test -run 'TestDoc' -count=1 .
+	$(GO) test -run 'TestDoc|TestEveryExampleHasTest' -count=1 .
+
+# fuzz-smoke runs every `func Fuzz*` in the module with -fuzz for 2s each
+# (plain go test only replays their seed corpora). Targets are found by
+# scanning the _test.go files, so a new fuzz target joins without an edit
+# here; bench/ is a module of its own and is skipped. A failing input is
+# written under the package's testdata/fuzz, as go test -fuzz always does.
+fuzz-smoke:
+	@grep -rl --include='*_test.go' --exclude-dir=bench --exclude-dir=.git '^func Fuzz' . | sort | \
+	while read -r f; do \
+		for fn in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$f"); do \
+			echo "fuzz-smoke: $$fn in $$(dirname $$f)"; \
+			$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime 2s -parallel 2 "$$(dirname $$f)" || exit 1; \
+		done; \
+	done
 
 # bench-smoke vets and tests the repo benchmark harness under bench/ (a Go
 # module of its own, so ./... from the root never reaches it). It builds
@@ -80,10 +94,11 @@ bench-smoke:
 # suite, the race-enabled suite (which covers the pipeline cancellation,
 # simulation-abort and pool-shutdown tests), the golden byte-pinning tests,
 # the allocation budgets, the performance and memory-budget gates, the
-# example builds, the documentation drift checks, and the benchmark
-# harness's vet and smoke tests (whose serve-10k smoke drives a depserver
-# built from this tree and fails on any failed request).
-verify: build vet fmt test race golden examples alloc-guards bench-gates docs-check bench-smoke
+# example builds, the documentation drift checks, a 2s fuzzing run of every
+# fuzz target, and the benchmark harness's vet and smoke tests (whose
+# serve-10k smoke drives a depserver built from this tree and fails on any
+# failed request).
+verify: build vet fmt test race golden examples alloc-guards bench-gates docs-check fuzz-smoke bench-smoke
 
 # bench runs the repo benchmark (bench/README.md) once over every workload
 # and prints the end-to-end result. For one workload, traced runs, result

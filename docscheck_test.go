@@ -1,7 +1,7 @@
 package depscope
 
 // Documentation drift checks, wired into `make docs-check` (and through it
-// into `make verify`). Four invariants:
+// into `make verify`). Five invariants:
 //
 //   - every relative markdown link (and its #anchor, if any) in the curated
 //     docs resolves to a real file and a real heading;
@@ -10,7 +10,8 @@ package depscope
 //   - every `make <target>` the docs, the CI workflow and the verify skill
 //     name is a target the Makefile defines;
 //   - every Test*/Benchmark*/Fuzz* name the narrative docs cite in inline
-//     code is a func in the tree.
+//     code is a func in the tree;
+//   - every example program under examples/ has a Test func.
 //
 // All walk the committed sources, so they need no network and no build
 // artifacts; a doc edit that invents a flag or breaks a link fails go test.
@@ -285,5 +286,42 @@ func TestDocTestNamesExist(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEveryExampleHasTest checks that every example program under
+// examples/ ships a _test.go file defining at least one Test func, so an
+// example cannot rot into a program nobody runs.
+func TestEveryExampleHasTest(t *testing.T) {
+	dirs, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		n++
+		tests, err := filepath.Glob(filepath.Join("examples", d.Name(), "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, path := range tests {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range testFuncDef.FindAllStringSubmatch(string(data), -1) {
+				found = found || strings.HasPrefix(m[1], "Test")
+			}
+		}
+		if !found {
+			t.Errorf("examples/%s has no Test func in a _test.go file", d.Name())
+		}
+	}
+	if n == 0 {
+		t.Fatal("no example programs found under examples/")
 	}
 }

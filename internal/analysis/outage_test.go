@@ -113,3 +113,31 @@ func TestOutageMatchesImpactSets(t *testing.T) {
 		}
 	}
 }
+
+// dotGolden hashes the DOT rendering of the scale-2000, seed-2020 graph.
+const dotGolden = "02554952705895f2d3cf85e2ff72f038bb8f4e63206ee4524399651035f725a0"
+
+// TestWriteDOTGolden pins depscope -dot: three renders of one 2K graph (the
+// 200 sites the CLI writes) are byte-identical, and their hash is pinned.
+func TestWriteDOTGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures a 2K world")
+	}
+	run := run2K(t, 2020)
+	var first string
+	for i := 0; i < 3; i++ {
+		var sb strings.Builder
+		if err := WriteDOT(&sb, run, 200); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = sb.String()
+		} else if sb.String() != first {
+			t.Fatalf("render %d differs from render 0", i)
+		}
+	}
+	h := sha256.Sum256([]byte(first))
+	if got := hex.EncodeToString(h[:]); got != dotGolden {
+		t.Errorf("DOT hash %s, want pinned %s", got, dotGolden)
+	}
+}

@@ -2,23 +2,24 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"depscope/internal/intern"
 )
 
 // This file implements the columnar graph backend. Graph is a pointer-and-
-// map structure — map[string]*Provider, per-site Deps maps, string-keyed
-// user indexes — which is the right shape for the report renderers but the
-// wrong one at 1M sites: the resident set is dominated by map headers,
+// map structure — map[string]*Provider, per-site Deps maps — which is the
+// right shape for the report renderers but the wrong one at 1M sites: the resident set is dominated by map headers,
 // string headers and per-site allocations, every one a pointer the GC must
 // scan. CompactGraph stores the same graph as struct-of-arrays: every
 // site/provider name is a dense uint32 into the process-wide intern.Dict,
 // and all per-site variable-length data (dependency provider lists, private
 // infrastructure, chain edges) lives in CSR-style offset+value arrays. Site
 // row indexes double as the metrics engine's bitset indexes, so the batch
-// propagation runs over the compact form directly — Metrics() materializes
-// a MetricsEngine from the arrays without ever building a Graph.
+// propagation runs over the compact form directly — Metrics() feeds the
+// columns to the engine's one direct-user table builder (table.go) without
+// ever building a Graph.
 //
 // The pointer Graph remains the interchange form for renderers, experiments
 // and serving, and its own metrics engine answers every C_p/I_p query about
@@ -145,125 +146,52 @@ func (cg *CompactGraph) Metrics() *MetricsEngine {
 	return cg.metrics
 }
 
-// buildEngine materializes a MetricsEngine whose universe, direct-user site
-// rows and reverse dependency edges come straight from the columns. The
-// resulting counts are property-tested equal to a pointer-graph engine over
-// Inflate()'s output.
+// buildEngine materializes a MetricsEngine whose direct-user table comes
+// straight from the columns, through the same builder init feeds from a
+// pointer graph; site rows are the bitset indexes. The resulting counts are
+// property-tested equal to a pointer-graph engine over Inflate()'s output.
 func (cg *CompactGraph) buildEngine(workers int) *MetricsEngine {
 	e := &MetricsEngine{workers: workers, cache: make(map[uint8]*metricsEntry)}
-
-	// Universe: declared providers, third-party dependency targets, chain
-	// vendors, private-infrastructure nodes, provider dependency targets —
-	// the same membership rule as init (insertion order differs, which
-	// only permutes internal ids, never counts).
-	e.ids = make(map[string]int)
-	add := func(id uint32) int {
-		name := cg.dict.Name(id)
-		u, ok := e.ids[name]
-		if !ok {
-			u = len(e.names)
-			e.ids[name] = u
-			e.names = append(e.names, name)
-		}
-		return u
-	}
-	for _, id := range cg.provNames {
-		add(id)
-	}
-	for svc := 0; svc < nSiteServices; svc++ {
-		for i, c := range cg.siteClass[svc] {
-			if c == classAbsent || !DepClass(c).UsesThird() {
-				continue
-			}
-			for _, id := range cg.depIDs[svc][cg.depOff[svc][i]:cg.depOff[svc][i+1]] {
-				add(id)
-			}
-		}
-	}
-	for _, id := range cg.chainIDs {
-		add(id)
-	}
-	for _, id := range cg.privIDs {
-		add(id)
-	}
-	for svc := 0; svc < 4; svc++ {
-		for p := range cg.provNames {
-			c := cg.provClass[svc][p]
-			if c == classAbsent || !DepClass(c).UsesThird() {
-				continue
-			}
-			for _, id := range cg.provDepIDs[svc][cg.provDepOff[svc][p]:cg.provDepOff[svc][p+1]] {
-				add(id)
-			}
-		}
-	}
-
-	// Direct-user site rows. Appending the same row twice is harmless (the
-	// propagation sets bits), so no per-site dedup is needed.
-	n := len(e.names)
 	e.nSiteIDs = len(cg.siteNames)
-	e.baseAll = make([][]int32, n)
-	e.baseCrit = make([][]int32, n)
-	for svc := 0; svc < nSiteServices; svc++ {
-		for i, c := range cg.siteClass[svc] {
-			cls := DepClass(c)
-			if c == classAbsent || !cls.UsesThird() {
-				continue
-			}
-			for _, id := range cg.depIDs[svc][cg.depOff[svc][i]:cg.depOff[svc][i+1]] {
-				u := e.ids[cg.dict.Name(id)]
-				e.baseAll[u] = append(e.baseAll[u], int32(i))
-				if cls.Critical() {
-					e.baseCrit[u] = append(e.baseCrit[u], int32(i))
-				}
-			}
-		}
-	}
-	for i := 0; i < len(cg.siteNames); i++ {
-		// Chain edges: every edge is critical by construction.
-		for k := cg.chainOff[i]; k < cg.chainOff[i+1]; k++ {
-			u := e.ids[cg.dict.Name(cg.chainIDs[k])]
-			e.baseAll[u] = append(e.baseAll[u], int32(i))
-			e.baseCrit[u] = append(e.baseCrit[u], int32(i))
-		}
-		// Private infrastructure: always a critical dependency of the owner.
-		for k := cg.privOff[i]; k < cg.privOff[i+1]; k++ {
-			u := e.ids[cg.dict.Name(cg.privIDs[k])]
-			e.baseAll[u] = append(e.baseAll[u], int32(i))
-			e.baseCrit[u] = append(e.baseCrit[u], int32(i))
-		}
-	}
-
-	// Reverse dependency edges: for each declared provider k depending on
-	// target t, an edge t → k carrying k's service and whether any of k's
-	// dependencies on t is critical — the same (target, dependent) dedup
-	// with critical-OR the pointer engine applies.
-	e.edges = make([][]metricEdge, n)
-	type edgeKey struct{ t, k int }
-	seen := make(map[edgeKey]int)
-	for p := range cg.provNames {
-		kid := int32(e.ids[cg.dict.Name(cg.provNames[p])])
-		ksvc := Service(cg.provSvc[p])
-		for svc := 0; svc < 4; svc++ {
-			c := cg.provClass[svc][p]
-			cls := DepClass(c)
-			if c == classAbsent || !cls.UsesThird() {
-				continue
-			}
-			for _, id := range cg.provDepIDs[svc][cg.provDepOff[svc][p]:cg.provDepOff[svc][p+1]] {
-				t := e.ids[cg.dict.Name(id)]
-				key := edgeKey{t, p}
-				if j, ok := seen[key]; ok {
-					if cls.Critical() {
-						e.edges[t][j].critical = true
-					}
+	name := cg.dict.Name
+	e.buildTable(func(t tableFeed) {
+		for i := range cg.siteNames {
+			site := int32(i)
+			for svc := 0; svc < nSiteServices; svc++ {
+				c := cg.siteClass[svc][i]
+				if c == classAbsent {
 					continue
 				}
-				seen[key] = len(e.edges[t])
-				e.edges[t] = append(e.edges[t], metricEdge{to: kid, svc: ksvc, critical: cls.Critical()})
+				if k, ok := depUse(Service(svc), DepClass(c)); ok {
+					for _, id := range cg.depIDs[svc][cg.depOff[svc][i]:cg.depOff[svc][i+1]] {
+						t.use(site, name(id), k)
+					}
+				}
+			}
+			for _, id := range cg.privIDs[cg.privOff[i]:cg.privOff[i+1]] {
+				t.use(site, name(id), privateUse)
+			}
+			// Chain edges keep per-depth duplicates; each vendor is one use.
+			chain := cg.chainIDs[cg.chainOff[i]:cg.chainOff[i+1]]
+			for k, id := range chain {
+				if !slices.Contains(chain[:k], id) {
+					t.use(site, name(id), chainUse)
+				}
 			}
 		}
-	}
+		for p, pid := range cg.provNames {
+			t.provider(name(pid))
+			for svc := 0; svc < 4; svc++ {
+				c := cg.provClass[svc][p]
+				if c == classAbsent {
+					continue
+				}
+				for _, id := range cg.provDepIDs[svc][cg.provDepOff[svc][p]:cg.provDepOff[svc][p+1]] {
+					t.dependency(name(pid), Service(cg.provSvc[p]), DepClass(c), name(id))
+				}
+			}
+		}
+	})
 
 	// The engine is born initialized: consume the once so entry() goes
 	// straight to propagation.

@@ -140,19 +140,32 @@ func universeNames(g *Graph, cg *CompactGraph) []string {
 			names = append(names, n)
 		}
 	}
-	for name := range g.Providers {
+	for name, p := range g.Providers {
 		add(name)
-	}
-	for _, svcUsers := range g.usersOf {
-		for name := range svcUsers {
-			add(name)
+		for _, d := range p.Deps {
+			if d.Class.UsesThird() {
+				for _, t := range d.Providers {
+					add(t)
+				}
+			}
 		}
 	}
-	for name := range g.privateUsersOf {
-		add(name)
-	}
-	for name := range g.providerUsersOf {
-		add(name)
+	for _, s := range g.Sites {
+		for _, d := range s.Deps {
+			if d.Class.UsesThird() {
+				for _, p := range d.Providers {
+					add(p)
+				}
+			}
+		}
+		for _, infra := range s.PrivateInfra {
+			for _, p := range infra {
+				add(p)
+			}
+		}
+		for _, e := range s.Chains {
+			add(e.Provider)
+		}
 	}
 	add("never-seen-provider") // zero on both sides
 	return names

@@ -14,12 +14,13 @@ import (
 // the ROADMAP's continuous-evolution timelines need many snapshots, not two.
 //
 // Apply never mutates the receiver. The new graph shares every untouched
-// Site and Provider node with the old one; indexes are cloned at the map
-// level and patched copy-on-write at the slice level, so both graphs stay
-// independently valid (and independently cacheable) after the call. The
-// metrics engine is carried across the delta when possible — see
+// Site and Provider node with the old one, and a site an op edits is
+// replaced by an edited copy, so both graphs stay independently valid (and
+// independently cacheable) after the call. The metrics engine, which holds
+// the direct-user table, is carried across the delta when possible — see
 // MetricsEngine.ApplyDelta in delta_metrics.go — so applying a single-site
-// delta does not pay for a from-scratch condensation and propagation.
+// delta patches the rows of the sites it unlinks and links instead of
+// paying for a from-scratch table, condensation and propagation.
 
 // OpKind identifies one delta operation.
 type OpKind uint8
@@ -117,8 +118,9 @@ type ApplyStats struct {
 // DeltaEffect summarizes a delta's touched surface. Graph.Apply computes
 // it; MetricsEngine.ApplyDelta consumes it to decide what to recompute.
 type DeltaEffect struct {
-	// Touched holds the provider names whose direct-user lists an op
-	// actually edited — only these need their base rows re-derived.
+	// Touched holds the provider names an op actually edited: the names
+	// the unlinked and linked site nodes reference, and provider nodes set
+	// or removed together with their dependency targets.
 	Touched map[string]bool
 	// Dirty holds every provider name whose concentration or impact count
 	// may differ on the new graph: the touched names plus everything those
@@ -128,6 +130,10 @@ type DeltaEffect struct {
 	Dirty map[string]bool
 	// AddedSites are site nodes new to the universe, in application order.
 	AddedSites []*Site
+	// Links lists, in op order, every site node the delta unlinked from the
+	// graph or linked into it: a removal unlinks, an addition links, and an
+	// edit unlinks the old node and links its replacement.
+	Links []SiteLink
 	// RemovedSites counts removed site nodes.
 	RemovedSites int
 	// Structural is true when provider nodes (and thus provider-to-provider
@@ -135,23 +141,25 @@ type DeltaEffect struct {
 	Structural bool
 }
 
+// SiteLink is one entry of DeltaEffect.Links.
+type SiteLink struct {
+	Site   *Site
+	Linked bool // false: the node was unlinked
+}
+
 // Apply produces a new graph with d applied. The receiver is never
-// mutated: untouched nodes are shared, indexes are patched copy-on-write,
-// and the receiver's cached metrics engine (if any) is carried forward
-// incrementally. An empty delta returns the receiver itself.
+// mutated: untouched nodes are shared, and the receiver's cached metrics
+// engine (if any) is carried forward incrementally. An empty delta returns
+// the receiver itself.
 func (g *Graph) Apply(d Delta) (*Graph, ApplyStats, error) {
 	stats := ApplyStats{Ops: len(d.Ops)}
 	if len(d.Ops) == 0 {
 		return g, stats, nil
 	}
 	ng := &Graph{
-		Sites:           slices.Clone(g.Sites),
-		Providers:       maps.Clone(g.Providers),
-		usersOf:         cloneUserIndex(g.usersOf),
-		criticalUsersOf: cloneUserIndex(g.criticalUsersOf),
-		providerUsersOf: maps.Clone(g.providerUsersOf),
-		privateUsersOf:  maps.Clone(g.privateUsersOf),
-		metricsWorkers:  g.metricsWorkers,
+		Sites:          slices.Clone(g.Sites),
+		Providers:      maps.Clone(g.Providers),
+		metricsWorkers: g.metricsWorkers,
 	}
 	// ng's own site index stays unbuilt (it is lazily derived from ng.Sites
 	// on first query); op lookups go through the base graph's index plus an
@@ -186,16 +194,6 @@ func (g *Graph) Apply(d Delta) (*Graph, ApplyStats, error) {
 	return ng, stats, nil
 }
 
-// cloneUserIndex clones the two-level service→provider→sites index at the
-// map level; the site slices stay shared until an op patches them.
-func cloneUserIndex(in map[Service]map[string][]*Site) map[Service]map[string][]*Site {
-	out := make(map[Service]map[string][]*Site, len(in))
-	for svc, m := range in {
-		out[svc] = maps.Clone(m)
-	}
-	return out
-}
-
 // applyCtx threads one Apply call's working state: the base graph, whose
 // already-built site index serves name lookups, and an overlay of the site
 // nodes this delta has replaced (nil recording a removal) so later ops in
@@ -214,9 +212,9 @@ func (cx *applyCtx) site(name string) *Site {
 	return cx.base.Site(name)
 }
 
-// applyOp applies one op to cx.ng (which owns its top-level indexes but
-// still shares slices with the original graph), recording the touched
-// surface.
+// applyOp applies one op to cx.ng (which owns its Sites slice and
+// Providers map but shares their nodes with the original graph), recording
+// the touched surface.
 func (cx *applyCtx) applyOp(op *Op, eff *DeltaEffect) error {
 	ng := cx.ng
 	switch op.Kind {
@@ -230,7 +228,7 @@ func (cx *applyCtx) applyOp(op *Op, eff *DeltaEffect) error {
 		}
 		ng.Sites = append(ng.Sites, s)
 		cx.touched[s.Name] = s
-		ng.indexSite(s)
+		eff.link(s, true)
 		markSiteDirty(eff.Touched, s)
 		eff.AddedSites = append(eff.AddedSites, s)
 		return nil
@@ -240,7 +238,7 @@ func (cx *applyCtx) applyOp(op *Op, eff *DeltaEffect) error {
 		if s == nil {
 			return fmt.Errorf("unknown site %q", op.Name)
 		}
-		ng.unindexSite(s)
+		eff.link(s, false)
 		cx.touched[op.Name] = nil
 		i := slices.Index(ng.Sites, s)
 		if i >= 0 {
@@ -285,11 +283,9 @@ func (cx *applyCtx) applyOp(op *Op, eff *DeltaEffect) error {
 			return fmt.Errorf("provider payload missing or unnamed")
 		}
 		if old := ng.Providers[p.Name]; old != nil {
-			ng.unindexProvider(old)
 			markProviderDirty(eff.Touched, old)
 		}
 		ng.Providers[p.Name] = p
-		ng.indexProvider(p)
 		markProviderDirty(eff.Touched, p)
 		eff.Touched[p.Name] = true
 		eff.Structural = true
@@ -300,7 +296,6 @@ func (cx *applyCtx) applyOp(op *Op, eff *DeltaEffect) error {
 		if p == nil {
 			return fmt.Errorf("unknown provider %q", op.Name)
 		}
-		ng.unindexProvider(p)
 		delete(ng.Providers, op.Name)
 		markProviderDirty(eff.Touched, p)
 		eff.Touched[op.Name] = true
@@ -311,8 +306,8 @@ func (cx *applyCtx) applyOp(op *Op, eff *DeltaEffect) error {
 }
 
 // replaceSiteDep swaps in a copy of the site with svc's arrangement set to
-// d (or deleted for the zero Dep), re-pointing every index entry at the
-// copy so neither graph sees a half-edited node.
+// d (or deleted for the zero Dep), so neither graph sees a half-edited
+// node.
 func (cx *applyCtx) replaceSiteDep(name string, svc Service, d Dep, eff *DeltaEffect) error {
 	ng := cx.ng
 	s := cx.site(name)
@@ -344,141 +339,18 @@ func (cx *applyCtx) replaceSiteDep(name string, svc Service, d Dep, eff *DeltaEf
 		ns.Deps[svc] = d
 	}
 
-	ng.unindexSite(s)
 	if i := slices.Index(ng.Sites, s); i >= 0 {
 		ng.Sites[i] = ns
 	}
 	cx.touched[name] = ns
-	ng.indexSite(ns)
+	eff.link(s, false)
+	eff.link(ns, true)
 	return nil
 }
 
-// indexSite mirrors NewGraph's per-site indexing with copy-on-append slices.
-func (ng *Graph) indexSite(s *Site) {
-	for svc, d := range s.Deps {
-		if !d.Class.UsesThird() {
-			continue
-		}
-		for _, pname := range d.Providers {
-			ng.usersOf[svc][pname] = appendCopy(ng.usersOf[svc][pname], s)
-			if d.Class.Critical() {
-				ng.criticalUsersOf[svc][pname] = appendCopy(ng.criticalUsersOf[svc][pname], s)
-			}
-		}
-	}
-	for _, infra := range s.PrivateInfra {
-		for _, pname := range infra {
-			ng.privateUsersOf[pname] = appendCopy(ng.privateUsersOf[pname], s)
-		}
-	}
-	forEachChainProvider(s, func(pname string) {
-		ng.usersOf[Resource][pname] = appendCopy(ng.usersOf[Resource][pname], s)
-		ng.criticalUsersOf[Resource][pname] = appendCopy(ng.criticalUsersOf[Resource][pname], s)
-	})
-}
-
-// forEachChainProvider visits each distinct chain-edge provider of s once:
-// the one dedup NewGraph and the delta path both index Resource users
-// through, so delta-built indexes stay identical to from-scratch ones.
-func forEachChainProvider(s *Site, fn func(string)) {
-	if len(s.Chains) == 0 {
-		return
-	}
-	var seen map[string]bool
-	if len(s.Chains) > 1 {
-		seen = make(map[string]bool, len(s.Chains))
-	}
-	for _, e := range s.Chains {
-		if seen != nil {
-			if seen[e.Provider] {
-				continue
-			}
-			seen[e.Provider] = true
-		}
-		fn(e.Provider)
-	}
-}
-
-// unindexSite removes every index entry pointing at s (by node identity).
-func (ng *Graph) unindexSite(s *Site) {
-	for svc, d := range s.Deps {
-		if !d.Class.UsesThird() {
-			continue
-		}
-		for _, pname := range d.Providers {
-			setOrDelete(ng.usersOf[svc], pname, removeNode(ng.usersOf[svc][pname], s))
-			if d.Class.Critical() {
-				setOrDelete(ng.criticalUsersOf[svc], pname, removeNode(ng.criticalUsersOf[svc][pname], s))
-			}
-		}
-	}
-	for _, infra := range s.PrivateInfra {
-		for _, pname := range infra {
-			setOrDelete(ng.privateUsersOf, pname, removeNode(ng.privateUsersOf[pname], s))
-		}
-	}
-	forEachChainProvider(s, func(pname string) {
-		setOrDelete(ng.usersOf[Resource], pname, removeNode(ng.usersOf[Resource][pname], s))
-		setOrDelete(ng.criticalUsersOf[Resource], pname, removeNode(ng.criticalUsersOf[Resource][pname], s))
-	})
-}
-
-// indexProvider mirrors NewGraph's provider-edge indexing.
-func (ng *Graph) indexProvider(p *Provider) {
-	for _, d := range p.Deps {
-		if !d.Class.UsesThird() {
-			continue
-		}
-		for _, dep := range d.Providers {
-			ng.providerUsersOf[dep] = appendCopy(ng.providerUsersOf[dep], p)
-		}
-	}
-}
-
-func (ng *Graph) unindexProvider(p *Provider) {
-	for _, d := range p.Deps {
-		if !d.Class.UsesThird() {
-			continue
-		}
-		for _, dep := range d.Providers {
-			setOrDelete(ng.providerUsersOf, dep, removeNode(ng.providerUsersOf[dep], p))
-		}
-	}
-}
-
-// appendCopy appends v to a freshly allocated copy of in — never into a
-// slice the original graph may share.
-func appendCopy[T any](in []T, v T) []T {
-	out := make([]T, len(in)+1)
-	copy(out, in)
-	out[len(in)] = v
-	return out
-}
-
-// removeNode filters every occurrence of v (by identity) out of a fresh
-// copy of in; it returns in unchanged when v is absent.
-func removeNode[T comparable](in []T, v T) []T {
-	if !slices.Contains(in, v) {
-		return in
-	}
-	out := make([]T, 0, len(in)-1)
-	for _, x := range in {
-		if x != v {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// setOrDelete stores a patched slice back into the index, dropping the key
-// entirely when the list is empty (NewGraph never creates empty entries, so
-// this keeps the delta-built universe identical to a from-scratch one).
-func setOrDelete[T any](m map[string][]T, key string, v []T) {
-	if len(v) == 0 {
-		delete(m, key)
-		return
-	}
-	m[key] = v
+// link records one site node unlinked from or linked into the graph.
+func (eff *DeltaEffect) link(s *Site, linked bool) {
+	eff.Links = append(eff.Links, SiteLink{Site: s, Linked: linked})
 }
 
 // markSiteDirty seeds the touched set with every provider name a site's

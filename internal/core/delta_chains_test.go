@@ -92,7 +92,7 @@ func TestApplyChainSiteAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The chained site is a user of the vendor under any traversal (chain
-	// edges are direct user edges in the Resource index)...
+	// edges are direct-user entries of the Resource service)...
 	if got := ng.Impact("vendor.net", AllImplicit()); got != 1 {
 		t.Errorf("implicit I(vendor.net) = %d, want 1", got)
 	}

@@ -14,7 +14,8 @@ import (
 //
 //   - the universe and site-id space are append-only (removed names keep
 //     their ids with empty rows), so retained bitsets stay comparable;
-//   - direct-user rows are recomputed only for dirty names;
+//   - the direct-user table (table.go) is patched for the site nodes the
+//     delta unlinked and linked, copying only the rows it edits;
 //   - for each cached traversal, only the components that can reach a dirty
 //     name's component through the condensation (i.e. the SCCs/levels the
 //     touched nodes feed) are re-unioned, in ascending (sinks-first)
@@ -82,15 +83,9 @@ func (e *MetricsEngine) ApplyDelta(ng *Graph, eff *DeltaEffect) (*MetricsEngine,
 		dirtyIDs = append(dirtyIDs, ids[name])
 	}
 	sort.Ints(dirtyIDs)
-	touchedIDs := make([]int, 0, len(eff.Touched))
-	for name := range eff.Touched {
-		touchedIDs = append(touchedIDs, ids[name])
-	}
-	sort.Ints(touchedIDs)
-
 	// Every ready entry ran init() before its fill, so the base state is
 	// there to carry.
-	e.patchInit(ne, eff, touchedIDs)
+	e.patchInit(ne, eff)
 
 	carried := 0
 	for key, ent := range entries {
@@ -104,12 +99,13 @@ func (e *MetricsEngine) ApplyDelta(ng *Graph, eff *DeltaEffect) (*MetricsEngine,
 	return ne, carried
 }
 
-// patchInit carries the rest of the init() state onto ne, whose universe the
-// caller already set: stable site ids (extended for added sites), reverse
-// edges (valid verbatim — the delta was not structural) and direct-user rows
-// recomputed for touched names only: the wider dirty closure re-unions
-// existing rows but never changes them.
-func (e *MetricsEngine) patchInit(ne *MetricsEngine, eff *DeltaEffect, touchedIDs []int) {
+// patchInit carries the rest of the init() state onto ne, whose universe
+// the caller already set: stable site ids (extended for added sites),
+// reverse edges (valid verbatim — the delta was not structural) and the
+// direct-user table, patched by replaying eff.Links in op order. Each row
+// an unlink or link edits is copied on its first edit, so e and its other
+// successors keep the rows they share.
+func (e *MetricsEngine) patchInit(ne *MetricsEngine, eff *DeltaEffect) {
 	ne.siteID = e.siteID
 	ne.siteNames = e.siteNames
 	ne.nSiteIDs = e.nSiteIDs
@@ -131,8 +127,24 @@ func (e *MetricsEngine) patchInit(ne *MetricsEngine, eff *DeltaEffect, touchedID
 	ne.baseAll = growRows(e.baseAll, n)
 	ne.baseCrit = growRows(e.baseCrit, n)
 	ne.edges = growRows(e.edges, n)
-	for _, u := range touchedIDs {
-		ne.baseAll[u], ne.baseCrit[u] = siteBaseRows(ne.g, ne.names[u], ne.siteID)
+	ne.users = make([]userCounts, n)
+	copy(ne.users, e.users)
+	owned := make(map[int]bool)
+	for _, l := range eff.Links {
+		site := ne.siteID[l.Site.Name]
+		siteUses(l.Site, func(name string, k use) {
+			u := ne.ids[name]
+			if !owned[u] {
+				owned[u] = true
+				ne.baseAll[u] = slices.Clone(ne.baseAll[u])
+				ne.baseCrit[u] = slices.Clone(ne.baseCrit[u])
+			}
+			if l.Linked {
+				ne.link(u, site, k)
+			} else {
+				ne.unlink(u, site, k)
+			}
+		})
 	}
 	ne.initOnce.Do(func() {})
 }

@@ -39,11 +39,24 @@ func (g *Graph) WriteDOT(w io.Writer, maxSites int) error {
 	for _, name := range providers {
 		declProvider(name, g.Providers[name].Service)
 	}
-	// Leaf providers referenced only by edges (e.g. DNS providers).
-	for svc, users := range g.usersOf {
-		for name := range users {
-			declProvider(name, svc)
-		}
+	// Leaf providers referenced only by edges (e.g. DNS providers), in
+	// name order, each labeled with the first service (in AllServices
+	// order) a site uses it for.
+	leafSvc := map[string]Service{}
+	for _, s := range g.Sites {
+		siteUses(s, func(name string, k use) {
+			if svc, ok := leafSvc[name]; !k.private && (!ok || k.svc < svc) {
+				leafSvc[name] = k.svc
+			}
+		})
+	}
+	leaves := make([]string, 0, len(leafSvc))
+	for name := range leafSvc {
+		leaves = append(leaves, name)
+	}
+	sort.Strings(leaves)
+	for _, name := range leaves {
+		declProvider(name, leafSvc[name])
 	}
 
 	edge := func(from, to string, critical bool, svc Service) {
@@ -70,24 +83,22 @@ func (g *Graph) WriteDOT(w io.Writer, maxSites int) error {
 		}
 		n++
 		fmt.Fprintf(&b, "  %q [shape=box];\n", s.Name)
-		for svc, d := range s.Deps {
-			if !d.Class.UsesThird() {
-				continue
-			}
-			for _, p := range d.Providers {
-				edge(s.Name, p, d.Class.Critical(), svc)
+		for _, svc := range AllServices {
+			if d := s.Deps[svc]; d.Class.UsesThird() {
+				for _, p := range d.Providers {
+					edge(s.Name, p, d.Class.Critical(), svc)
+				}
 			}
 		}
 	}
 	for _, name := range providers {
 		p := g.Providers[name]
-		for svc, d := range p.Deps {
-			if !d.Class.UsesThird() {
-				continue
-			}
-			for _, dep := range d.Providers {
-				declProvider(dep, svc)
-				edge(p.Name, dep, d.Class.Critical(), svc)
+		for _, svc := range AllServices {
+			if d := p.Deps[svc]; d.Class.UsesThird() {
+				for _, dep := range d.Providers {
+					declProvider(dep, svc)
+					edge(p.Name, dep, d.Class.Critical(), svc)
+				}
 			}
 		}
 	}

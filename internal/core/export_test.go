@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -24,34 +25,36 @@ func (g *Graph) impactSetRecursive(p string, opts TraversalOpts) map[string]bool
 
 // gather unions D^p_w (or E^p_w) with the recursion over providers using p.
 // visited implements the \{p} exclusion of the formulas, generalized to the
-// whole recursion path so provider cycles terminate.
+// whole recursion path so provider cycles terminate. Direct users come from
+// a scan of Sites and dependants from a scan of Providers, never from the
+// metrics engine's table, so the oracle stays independent of the engine.
 func (g *Graph) gather(p string, opts TraversalOpts, critical bool, out map[string]bool, visited map[string]bool) {
-	users := g.usersOf
-	if critical {
-		users = g.criticalUsersOf
-	}
-	for _, svcUsers := range users {
-		for _, s := range svcUsers[p] {
-			out[s.Name] = true
+	for _, s := range g.Sites {
+		for _, d := range s.Deps {
+			if d.Class.UsesThird() && (!critical || d.Class.Critical()) && slices.Contains(d.Providers, p) {
+				out[s.Name] = true
+			}
+		}
+		for _, infra := range s.PrivateInfra {
+			if slices.Contains(infra, p) {
+				out[s.Name] = true
+			}
+		}
+		for _, e := range s.Chains {
+			if e.Provider == p {
+				out[s.Name] = true
+			}
 		}
 	}
-	for _, s := range g.privateUsersOf[p] {
-		out[s.Name] = true
-	}
-	for _, k := range g.providerUsersOf[p] {
+	for _, k := range g.Providers {
 		if visited[k.Name] || !opts.allows(k.Service) {
 			continue
 		}
 		// Does k depend on p in the required (critical) way?
 		usesP := false
 		for _, d := range k.Deps {
-			if !d.Class.UsesThird() || (critical && !d.Class.Critical()) {
-				continue
-			}
-			for _, dep := range d.Providers {
-				if dep == p {
-					usesP = true
-				}
+			if d.Class.UsesThird() && (!critical || d.Class.Critical()) && slices.Contains(d.Providers, p) {
+				usesP = true
 			}
 		}
 		if !usesP {

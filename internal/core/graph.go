@@ -4,7 +4,10 @@
 // C_p and provider impact I_p, both defined transitively over inter-service
 // dependencies by the recursive set-union formulas (including the \{p}
 // exclusion that guards against cycles) and computed for every provider at
-// once by the batched metrics engine (metrics.go).
+// once by the batched metrics engine (metrics.go). A Graph holds nodes
+// only; the relation the formulas recurse over — which sites use which
+// provider directly or critically — is the engine's one direct-user table
+// (table.go).
 package core
 
 import (
@@ -36,7 +39,7 @@ const (
 var Services = []Service{DNS, CDN, CA}
 
 // AllServices additionally includes the transitive Resource kind — the list
-// traversal plumbing (cache keys, index construction) iterates.
+// traversal plumbing (cache keys, per-service user counts) iterates.
 var AllServices = []Service{DNS, CDN, CA, Resource}
 
 // String names the service.
@@ -159,19 +162,10 @@ type Graph struct {
 	// through the metrics engine.
 	siteOnce  sync.Once
 	siteIndex map[string]int32 // name → index into Sites
-	// usersOf[service][provider] caches direct site users.
-	usersOf map[Service]map[string][]*Site
-	// criticalUsersOf likewise for critical users only.
-	criticalUsersOf map[Service]map[string][]*Site
-	// providerUsersOf[provider] lists providers directly using it.
-	providerUsersOf map[string][]*Provider
-	// privateUsersOf[provider] lists sites owning that private
-	// infrastructure node (always a critical dependency).
-	privateUsersOf map[string][]*Site
 
-	// The batched metrics engine (metrics.go) is created lazily and caches
-	// per-traversal results; the graph is immutable after NewGraph, so the
-	// cache never invalidates.
+	// The batched metrics engine (metrics.go) is created lazily; it holds
+	// the direct-user table and caches per-traversal results. The graph is
+	// immutable after NewGraph, so neither ever invalidates.
 	metricsMu      sync.Mutex
 	metricsWorkers int
 	metrics        *MetricsEngine
@@ -182,62 +176,16 @@ type Graph struct {
 	sims  map[uint8]*OutageSim
 }
 
-// NewGraph builds a graph and its indexes.
+// NewGraph builds a graph over the given nodes. It derives nothing: the
+// direct-user table lives in the metrics engine (table.go), built on first
+// query.
 func NewGraph(sites []*Site, providers []*Provider) *Graph {
 	g := &Graph{
-		Sites:           sites,
-		Providers:       make(map[string]*Provider, len(providers)),
-		usersOf:         make(map[Service]map[string][]*Site),
-		criticalUsersOf: make(map[Service]map[string][]*Site),
-		providerUsersOf: make(map[string][]*Provider),
-		privateUsersOf:  make(map[string][]*Site),
-	}
-	for _, svc := range AllServices {
-		g.usersOf[svc] = make(map[string][]*Site)
-		g.criticalUsersOf[svc] = make(map[string][]*Site)
+		Sites:     sites,
+		Providers: make(map[string]*Provider, len(providers)),
 	}
 	for _, p := range providers {
 		g.Providers[p.Name] = p
-	}
-	for _, s := range sites {
-		for svc, d := range s.Deps {
-			if !d.Class.UsesThird() {
-				continue
-			}
-			for _, pname := range d.Providers {
-				g.usersOf[svc][pname] = append(g.usersOf[svc][pname], s)
-				if d.Class.Critical() {
-					g.criticalUsersOf[svc][pname] = append(g.criticalUsersOf[svc][pname], s)
-				}
-			}
-		}
-		// A site is critically dependent on its own private infrastructure,
-		// so transitive impact flows through those provider nodes — but they
-		// are kept out of the public third-party indexes so concentration
-		// rankings and CDFs only see real third parties.
-		for _, infra := range s.PrivateInfra {
-			for _, pname := range infra {
-				g.privateUsersOf[pname] = append(g.privateUsersOf[pname], s)
-			}
-		}
-		// Resource-chain edges index under the Resource service, each one a
-		// critical dependency (the vendor serves an object the page runs).
-		// Multiple edges to the same vendor at different depths collapse to
-		// one index entry per site.
-		forEachChainProvider(s, func(pname string) {
-			g.usersOf[Resource][pname] = append(g.usersOf[Resource][pname], s)
-			g.criticalUsersOf[Resource][pname] = append(g.criticalUsersOf[Resource][pname], s)
-		})
-	}
-	for _, p := range providers {
-		for _, d := range p.Deps {
-			if !d.Class.UsesThird() {
-				continue
-			}
-			for _, dep := range d.Providers {
-				g.providerUsersOf[dep] = append(g.providerUsersOf[dep], p)
-			}
-		}
 	}
 	return g
 }
@@ -379,16 +327,6 @@ func (g *Graph) topProviders(svc Service, byImpact bool, n int, metrics func(str
 		stats = stats[:n]
 	}
 	return stats
-}
-
-// hasPublicUsers reports whether any site uses pname as a third party.
-func (g *Graph) hasPublicUsers(pname string) bool {
-	for _, svcUsers := range g.usersOf {
-		if len(svcUsers[pname]) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // walkAll is the closure gate of the site-side critical-dependency walks:

@@ -24,12 +24,13 @@ import (
 //  3. fan the per-level component work across a worker pool.
 //
 // Results are cached per traversal key. Graphs are immutable after NewGraph
-// (nothing in the package mutates Sites, Providers or the indexes), so cache
-// entries never need invalidation. The engine is the graph's one C_p/I_p
-// computation: counts and rankings read the per-component counts, and the
-// site sets (ConcentrationSet, ImpactSet) walk the retained per-component
-// bitsets. The recursive set formulas survive only as the test oracle the
-// property tests hold it against.
+// (nothing in the package mutates Sites or Providers), so cache entries
+// never need invalidation. The engine is the graph's one C_p/I_p
+// computation and holds its one direct-user table (table.go): counts and
+// rankings read the per-component counts, the ranking candidates read the
+// table's user counts, and the site sets (ConcentrationSet, ImpactSet) walk
+// the retained per-component bitsets. The recursive set formulas survive
+// only as the test oracle the property tests hold it against.
 
 // MetricsEngine computes provider concentration |C_p| and impact |I_p| for
 // all providers of a Graph in one batched pass and caches the result per
@@ -38,18 +39,20 @@ import (
 type MetricsEngine struct {
 	g *Graph
 
-	// initOnce guards init(): the universe (names, ids), the direct-user
-	// rows and the reverse edges the propagation and the outage simulator
-	// walk. Engines built by CompactGraph and ApplyDelta are born
-	// initialized and consume it with a no-op.
+	// initOnce guards init(): the direct-user table (table.go) — the
+	// universe (names, ids), the direct-user rows, the user counts and the
+	// reverse edges the propagation and the outage simulator walk. Engines
+	// built by CompactGraph and ApplyDelta are born initialized and consume
+	// it with a no-op.
 	initOnce sync.Once
 	names    []string       // provider id → name (every name a query can hit)
 	ids      map[string]int // provider name → id
 	edges    [][]metricEdge // edges[p] = providers depending on p
-	// Direct-user site ids per provider, resolved once so propagation is
-	// pure integer work shared by every traversal key and both metrics.
-	baseAll  [][]int32 // third-party users of any class + private owners
-	baseCrit [][]int32 // critical users + private owners
+	// Direct-user site ids per provider, so propagation is pure integer
+	// work shared by every traversal key and both metrics.
+	baseAll  [][]int32    // third-party users of any class + private owners
+	baseCrit [][]int32    // critical users + private owners
+	users    []userCounts // per-name user counts, per service
 	// siteID assigns each site name a stable bitset index. Unlike the
 	// Sites slice, ids are never reused or shifted: an engine carried
 	// across deltas (ApplyDelta) keeps ids for removed sites and appends
@@ -206,36 +209,11 @@ func (e *MetricsEngine) entry(opts TraversalOpts) *metricsEntry {
 	return ent
 }
 
-// init builds the provider universe — every name a query can return a
-// non-zero count for: declared providers, third-party user indexes,
-// private-infrastructure nodes and depended-upon names — then resolves the
-// per-name direct-user site lists and the reverse dependency edges shared by
-// every traversal key, the state the batch propagation and the outage
-// simulator walk.
+// init builds the engine's direct-user table from the graph's nodes: stable
+// site ids (the first occurrence of a name owns it), then the one table
+// builder fed from Sites and Providers.
 func (e *MetricsEngine) init() {
 	g := e.g
-	e.ids = make(map[string]int)
-	add := func(name string) {
-		if _, ok := e.ids[name]; !ok {
-			e.ids[name] = len(e.names)
-			e.names = append(e.names, name)
-		}
-	}
-	for name := range g.Providers {
-		add(name)
-	}
-	for _, svcUsers := range g.usersOf {
-		for name := range svcUsers {
-			add(name)
-		}
-	}
-	for name := range g.privateUsersOf {
-		add(name)
-	}
-	for name := range g.providerUsersOf {
-		add(name)
-	}
-
 	e.siteID = make(map[string]int32, len(g.Sites))
 	e.siteNames = make([]string, len(g.Sites))
 	for i, s := range g.Sites {
@@ -245,70 +223,20 @@ func (e *MetricsEngine) init() {
 		e.siteNames[i] = s.Name
 	}
 	e.nSiteIDs = len(g.Sites)
-	e.baseAll = make([][]int32, len(e.names))
-	e.baseCrit = make([][]int32, len(e.names))
-	for u, name := range e.names {
-		e.baseAll[u], e.baseCrit[u] = siteBaseRows(g, name, e.siteID)
-	}
-
-	e.edges = make([][]metricEdge, len(e.names))
-	for pname, users := range g.providerUsersOf {
-		pid := e.ids[pname]
-		idx := make(map[string]int, len(users))
-		for _, k := range users {
-			crit := providerDependsCritically(k, pname)
-			if j, ok := idx[k.Name]; ok {
-				if crit {
-					e.edges[pid][j].critical = true
+	e.buildTable(func(t tableFeed) {
+		for _, s := range g.Sites {
+			id := e.siteID[s.Name]
+			siteUses(s, func(name string, k use) { t.use(id, name, k) })
+		}
+		for _, p := range g.Providers {
+			t.provider(p.Name)
+			for _, d := range p.Deps {
+				for _, target := range d.Providers {
+					t.dependency(p.Name, p.Service, d.Class, target)
 				}
-				continue
-			}
-			idx[k.Name] = len(e.edges[pid])
-			e.edges[pid] = append(e.edges[pid], metricEdge{
-				to:       int32(e.ids[k.Name]),
-				svc:      k.Service,
-				critical: crit,
-			})
-		}
-	}
-}
-
-// siteBaseRows resolves one name's direct-user site id lists — the init()
-// inner loop, shared with the ApplyDelta patch path so both produce
-// identical rows for a given graph.
-func siteBaseRows(g *Graph, name string, siteID map[string]int32) (all, crit []int32) {
-	for _, svcUsers := range g.usersOf {
-		for _, s := range svcUsers[name] {
-			all = append(all, siteID[s.Name])
-		}
-	}
-	for _, svcUsers := range g.criticalUsersOf {
-		for _, s := range svcUsers[name] {
-			crit = append(crit, siteID[s.Name])
-		}
-	}
-	for _, s := range g.privateUsersOf[name] {
-		id := siteID[s.Name]
-		all = append(all, id)
-		crit = append(crit, id)
-	}
-	return all, crit
-}
-
-// providerDependsCritically reports whether k lists pname in a critical
-// dependency — the edge filter the impact recursion applies.
-func providerDependsCritically(k *Provider, pname string) bool {
-	for _, d := range k.Deps {
-		if !d.Class.Critical() {
-			continue
-		}
-		for _, dep := range d.Providers {
-			if dep == pname {
-				return true
 			}
 		}
-	}
-	return false
+	})
 }
 
 // propagate computes one metric (concentration, or impact when critical) for

@@ -299,7 +299,7 @@ func newOutageSim(g *Graph, via uint8) *OutageSim {
 			s.siteArrs[i] = append(s.siteArrs[i], simArr{svc: svc, class: ClassPrivate, private: true, provs: idsOf(names)})
 		}
 		// Chain edges: one critical pseudo-arrangement per distinct vendor,
-		// the dedup the Resource user index applies — a down vendor takes
+		// the dedup the direct-user table applies — a down vendor takes
 		// the site down, no redundancy. Included under every traversal key
 		// (a provider's chain users are direct users under every key too);
 		// the via filter only decides whether the cascade may *continue*
@@ -727,22 +727,21 @@ func (g *Graph) EachProviderName(fn func(name string)) {
 // candidate set TopProviders ranks: names sites use for svc plus declared
 // provider nodes of svc, excluding pure private-infrastructure nodes (a
 // site's own CDN or PKI domain), through which impact flows but which are
-// not third parties. Sorted.
+// not third parties. A name declared for another service is never a
+// candidate. Read off the direct-user table's counts. Sorted.
 func (g *Graph) ProvidersOfService(svc Service) []string {
-	seen := make(map[string]bool)
-	for pname := range g.usersOf[svc] {
-		if p, ok := g.Providers[pname]; !ok || p.Service == svc {
-			seen[pname] = true
+	names, users := g.tableUsers()
+	var out []string
+	for u, name := range names {
+		c := &users[u]
+		if p, ok := g.Providers[name]; ok {
+			if p.Service != svc || (c.private > 0 && !c.usedPublicly()) {
+				continue
+			}
+		} else if !c.usedFor(svc) {
+			continue
 		}
-	}
-	for pname, p := range g.Providers {
-		if p.Service == svc && (len(g.privateUsersOf[pname]) == 0 || g.hasPublicUsers(pname)) {
-			seen[pname] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for pname := range seen {
-		out = append(out, pname)
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out

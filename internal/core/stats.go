@@ -125,8 +125,16 @@ func ConcentrationCDF(g *Graph, svc Service) []CDFPoint {
 		name  string
 		users []*Site
 	}
-	var list []pc
-	for name, users := range g.usersOf[svc] {
+	byName := make(map[string][]*Site)
+	for _, s := range g.Sites {
+		siteUses(s, func(name string, k use) {
+			if !k.private && k.svc == svc {
+				byName[name] = append(byName[name], s)
+			}
+		})
+	}
+	list := make([]pc, 0, len(byName))
+	for name, users := range byName {
 		list = append(list, pc{name, users})
 	}
 	sort.Slice(list, func(i, j int) bool {
@@ -166,7 +174,15 @@ func ProvidersForCoverage(cdf []CDFPoint, target float64) int {
 	return 0
 }
 
-// DistinctProviders counts providers with at least one direct site user.
+// DistinctProviders counts providers with at least one site using them as
+// a third party for svc, read off the direct-user table's counts.
 func DistinctProviders(g *Graph, svc Service) int {
-	return len(g.usersOf[svc])
+	_, users := g.tableUsers()
+	n := 0
+	for u := range users {
+		if users[u].usedFor(svc) {
+			n++
+		}
+	}
+	return n
 }

@@ -2,7 +2,6 @@ package incident
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -91,14 +90,12 @@ type RecoverySpec struct {
 	MeanMinutes float64 `json:"mean_minutes,omitempty"`
 }
 
-// ParseSweep decodes and validates a sweep document. Unknown fields are
-// rejected, like ParseScenario.
+// ParseSweep decodes and validates a sweep document. Unknown fields and
+// trailing data are rejected, like ParseScenario.
 func ParseSweep(r io.Reader) (*SweepSpec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var sp SweepSpec
-	if err := dec.Decode(&sp); err != nil {
-		return nil, fmt.Errorf("incident: parse sweep spec: %w", err)
+	if err := decodeStrict(r, &sp, "sweep spec"); err != nil {
+		return nil, err
 	}
 	if err := sp.Validate(); err != nil {
 		return nil, err

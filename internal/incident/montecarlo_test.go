@@ -28,6 +28,7 @@ func TestParseSweepRejectsBadInput(t *testing.T) {
 		{"empty targets", `{"name":"x","targets":{}}`, "select nothing"},
 		{"bad recovery steps", `{"name":"x","recovery":{"steps":100}}`, "out of range"},
 		{"bad recovery mean", `{"name":"x","recovery":{"mean_minutes":-5}}`, "negative"},
+		{"trailing data", `{"name":"x","scenarios":10} {"garbage"`, "trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -79,19 +79,31 @@ func (t Targets) empty() bool {
 }
 
 // ParseScenario decodes and validates a scenario document. Unknown fields
-// are rejected so a typoed selector fails loudly instead of simulating the
-// wrong outage.
+// and trailing data are rejected so a typoed selector or a botched edit
+// fails loudly instead of simulating the wrong outage.
 func ParseScenario(r io.Reader) (*Scenario, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var sc Scenario
-	if err := dec.Decode(&sc); err != nil {
-		return nil, fmt.Errorf("incident: parse scenario: %w", err)
+	if err := decodeStrict(r, &sc, "scenario"); err != nil {
+		return nil, err
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	return &sc, nil
+}
+
+// decodeStrict decodes exactly one JSON document of kind what into v,
+// rejecting unknown fields and any data after the document.
+func decodeStrict(r io.Reader, v any, what string) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("incident: parse %s: %w", what, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("incident: parse %s: trailing data after %s object", what, what)
+	}
+	return nil
 }
 
 // parseService maps a scenario service name onto core.Service.

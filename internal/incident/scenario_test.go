@@ -62,6 +62,7 @@ func TestParseScenarioRejectsBadInput(t *testing.T) {
 		{"topk without service", `{"name":"x","targets":{"top_k":3}}`, "top_k needs top_k_service"},
 		{"negative topk", `{"name":"x","targets":{"top_k":-1,"top_k_service":"dns"}}`, "must be positive"},
 		{"empty stage", `{"name":"x","stages":[{"name":"w1","targets":{}}]}`, "stage 1"},
+		{"trailing data", `{"name":"a","targets":{"providers":["dynect.net"]}} {"garbage"`, "trailing data"},
 	}
 	for _, tc := range cases {
 		_, err := ParseScenario(strings.NewReader(tc.doc))
