@@ -32,22 +32,24 @@ race:
 # (-count=1 bypasses the test cache) so an intentional output change
 # surfaces the new hashes to pin: the measurement pinning test and the
 # chain-pass golden (internal/measure), the Dyn replay, the
-# mc-baseline Monte-Carlo sweep and the K=25 mitigation plan
-# (internal/incident), the per-site breakdown, the Execute report, the
-# ablation experiments and the -outage and robustness reports
-# (internal/analysis), the landing pages with their chains
-# (internal/ecosystem), the served provider rankings before and after a
-# delta (internal/serve), and the dynincident and evolution example
-# outputs.
+# mc-baseline Monte-Carlo sweep, the other three sweep presets
+# (mc-entity-storm, mc-dns-deep, mc-dyn-recovery) and the K=25
+# mitigation plan (internal/incident), the per-site breakdown, the
+# Execute report, the ablation experiments and the -outage and
+# robustness reports (internal/analysis), the landing pages with their
+# chains (internal/ecosystem), the served provider rankings before and
+# after a delta (internal/serve), and the dynincident and evolution
+# example outputs.
 golden:
 	$(GO) test -run 'Golden|Pinned' -count=1 -v ./...
 
 # alloc-guards re-runs the allocation-budget tests on their own (-count=1
 # bypasses the test cache): resolver cache hits, interner hit paths, the
-# compiled CDN-map matcher and the outage simulator's RunCounts with a
-# warmed scratch must stay within their per-op budgets.
+# compiled CDN-map matcher, the outage simulator's RunCounts with a
+# warmed scratch and the Monte-Carlo generator's reseed and draws
+# (internal/rng) must stay within their per-op budgets.
 alloc-guards:
-	$(GO) test -run 'Alloc' -count=1 ./internal/resolver/ ./internal/measure/ ./internal/intern/ ./internal/core/
+	$(GO) test -run 'Alloc' -count=1 ./internal/resolver/ ./internal/measure/ ./internal/intern/ ./internal/core/ ./internal/rng/
 
 # bench-gates re-runs the hard performance and memory gates on their own
 # (-count=1 bypasses the test cache; the gate files are built !race, since

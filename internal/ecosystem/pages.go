@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"depscope/internal/conc"
+	"depscope/internal/rng"
 	"depscope/internal/webpage"
 )
 
@@ -27,15 +28,16 @@ const pageChunk = 256
 // chains when ch is non-nil — and stores them in World.Pages. Contiguous
 // chunks of sites are built in parallel on the shared pool (GOMAXPROCS
 // workers) into a slice indexed by rank, each task owning one RNG that it
-// reseeds per site; the map inserts then run in rank order on the calling
-// goroutine. A page is a pure function of (universe, snapshot, chain
-// config, site), so the pages cannot depend on scheduling or worker count.
+// reseeds per site (an rng.Source: math/rand's stream with a jump-ahead
+// Seed); the map inserts then run in rank order on the calling goroutine.
+// A page is a pure function of (universe, snapshot, chain config, site), so
+// the pages cannot depend on scheduling or worker count.
 func (m *materializer) buildPages(sites []*Site, ch *chainPlan) {
 	pages := make([]*webpage.Page, len(sites))
 	conc.Do((len(sites)+pageChunk-1)/pageChunk, 0, func(t int) {
 		b := pageBuilder{snap: m.snap, chains: ch}
 		if ch != nil {
-			b.rng = rand.New(rand.NewSource(ch.cfg.Seed))
+			b.rng = rand.New(rng.NewSource(ch.cfg.Seed))
 		}
 		lo := t * pageChunk
 		for i := lo; i < min(lo+pageChunk, len(sites)); i++ {

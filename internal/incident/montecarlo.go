@@ -11,6 +11,7 @@ import (
 
 	"depscope/internal/conc"
 	"depscope/internal/core"
+	"depscope/internal/rng"
 	"depscope/internal/telemetry"
 )
 
@@ -499,9 +500,10 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 		failedIdx := make([]int, 0, len(pool))
 		var recTimes []float64
 		// One generator per chunk, reseeded per scenario: Seed restarts the
-		// stream exactly as a fresh rand.NewSource(mix(seed, i)) would,
-		// without allocating a ~5 KB source per scenario.
-		rng := rand.New(rand.NewSource(0))
+		// stream exactly as a fresh math/rand source seeded with mix(seed, i)
+		// would, without allocating a ~5 KB source per scenario, and
+		// rng.Source's jump-ahead Seed costs a fifth of math/rand's.
+		gen := rand.New(rng.NewSource(0))
 		lo, hi := ci*chunkSize, (ci+1)*chunkSize
 		if hi > n {
 			hi = n
@@ -510,11 +512,11 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			rng.Seed(mix(seed, int64(i)))
+			gen.Seed(mix(seed, int64(i)))
 			ids = ids[:0]
 			failedIdx = failedIdx[:0]
 			for _, grp := range groups {
-				if rng.Float64() < grp.prob {
+				if gen.Float64() < grp.prob {
 					for _, m := range grp.members {
 						ids = append(ids, pool[m].id)
 						failedIdx = append(failedIdx, m)
@@ -542,7 +544,7 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 				recTimes = recTimes[:0]
 				ttr := 0.0
 				for range failedIdx {
-					r := rng.ExpFloat64() * meanMin
+					r := gen.ExpFloat64() * meanMin
 					recTimes = append(recTimes, r)
 					if r > ttr {
 						ttr = r

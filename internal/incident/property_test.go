@@ -199,6 +199,40 @@ func TestSweepGolden(t *testing.T) {
 	}
 }
 
+// sweepPresetGoldens pins the other sweep presets at scale 2000, seed 2020:
+// correlated entity groups (mc-entity-storm), a deep fixed-target DNS sweep
+// (mc-dns-deep) and the ExpFloat64 recovery draws (mc-dyn-recovery). Each
+// exercises a part of the random stream mc-baseline does not. Same re-pin
+// procedure as TestSweepGolden.
+var sweepPresetGoldens = map[string]string{
+	"mc-entity-storm": "dc949266c68bab8d5690bf70babb064bdc78e98e94dea475450e48e7b2f79a1a",
+	"mc-dns-deep":     "c6da495ecabd130fab0cdbe282eb3afbff48d1101f1cc7ed4456499d73fa25e4",
+	"mc-dyn-recovery": "b8468bb24a7b5b701bcaf3fdec1eabd92ab7f6836a078a1fb9440dd2a7f84577",
+}
+
+// TestSweepPresetsGolden pins every sweep preset TestSweepGolden does not.
+func TestSweepPresetsGolden(t *testing.T) {
+	run := runAt(t, 2020)
+	for name, want := range sweepPresetGoldens {
+		sp, ok := incident.SweepPreset(name)
+		if !ok {
+			t.Fatalf("%s preset missing", name)
+		}
+		rep, err := analysis.MonteCarloSweep(context.Background(), run, sp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s report hash %s, want pinned %s", name, got, want)
+		}
+	}
+}
+
 // mitigationGolden pins the K=25 mitigation plan for the 2020 snapshot at
 // scale 2000, seed 2020. Same re-pin procedure as the other goldens.
 const mitigationGolden = "d9f0e537eb1a842991348adf441c8bf082c219e8657e3e474707bdeec510566e"

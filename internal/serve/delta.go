@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -155,8 +156,12 @@ func (m *Manager) handleDelta(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusForbidden, "the delta API is disabled (start depserver with -allow-delta)")
 		return
 	}
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req deltaRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad delta request: %v", err)

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -85,6 +87,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// maxBodyBytes bounds the body of every POST endpoint (/incident, /v1/sweep,
+// /v1/delta), so one request cannot grow the heap without limit. A scenario
+// or sweep spec naming hundreds of providers, or a delta of a few thousand
+// ops, fits well inside it.
+const maxBodyBytes = 1 << 20
+
+// readBody reads a POST body of at most maxBodyBytes. A longer body is
+// answered 413 and a failed read 400; either way it returns false after
+// writing the error.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		return nil, false
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "read request body: %v", err)
+		return nil, false
+	}
+	return b, true
 }
 
 // snapshot resolves the snapshot for a query request, mapping a cold-build
@@ -300,8 +325,12 @@ func (m *Manager) handleIncident(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case http.MethodPost:
+		body, ok := readBody(w, r)
+		if !ok {
+			return
+		}
 		var err error
-		if sc, err = incident.ParseScenario(r.Body); err != nil {
+		if sc, err = incident.ParseScenario(bytes.NewReader(body)); err != nil {
 			httpError(w, http.StatusBadRequest, "bad scenario: %v", err)
 			return
 		}
@@ -344,8 +373,12 @@ func (m *Manager) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case http.MethodPost:
+		body, ok := readBody(w, r)
+		if !ok {
+			return
+		}
 		var err error
-		if sp, err = incident.ParseSweep(r.Body); err != nil {
+		if sp, err = incident.ParseSweep(bytes.NewReader(body)); err != nil {
 			httpError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
 			return
 		}
