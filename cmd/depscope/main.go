@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -42,48 +43,34 @@ import (
 	"depscope/internal/telemetry"
 )
 
-// loadSweep resolves the -sweep argument: a path to a sweep-spec JSON file,
-// or the name of a built-in Monte-Carlo preset.
-func loadSweep(arg string) (*incident.SweepSpec, error) {
-	if _, err := os.Stat(arg); err == nil {
-		f, err := os.Open(arg)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		sp, err := incident.ParseSweep(f)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", arg, err)
-		}
-		return sp, nil
+// parseFile decodes the file at path with parse, naming the path in a
+// decode error.
+func parseFile[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
 	}
-	if sp, ok := incident.SweepPreset(arg); ok {
-		return sp, nil
+	defer f.Close()
+	v, err := parse(f)
+	if err != nil {
+		return v, fmt.Errorf("%s: %w", path, err)
 	}
-	return nil, fmt.Errorf("unknown sweep spec %q: not a file, and not a preset (%s)",
-		arg, strings.Join(incident.SweepPresetNames(), ", "))
+	return v, nil
 }
 
-// loadScenario resolves the -incident argument: a path to a scenario JSON
-// file, or the name of a built-in preset.
-func loadScenario(arg string) (*incident.Scenario, error) {
+// loadSpec resolves an -incident or -sweep argument: a path to a JSON file
+// (decoded with parse), or the name of a built-in preset. kind names the
+// argument in the error when it is neither.
+func loadSpec[T any](arg, kind string, parse func(io.Reader) (*T, error), preset func(string) (*T, bool), names func() []string) (*T, error) {
 	if _, err := os.Stat(arg); err == nil {
-		f, err := os.Open(arg)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		sc, err := incident.ParseScenario(f)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", arg, err)
-		}
-		return sc, nil
+		return parseFile(arg, parse)
 	}
-	if sc, ok := incident.Preset(arg); ok {
-		return sc, nil
+	if spec, ok := preset(arg); ok {
+		return spec, nil
 	}
-	return nil, fmt.Errorf("unknown incident scenario %q: not a file, and not a preset (%s)",
-		arg, strings.Join(incident.PresetNames(), ", "))
+	return nil, fmt.Errorf("unknown %s %q: not a file, and not a preset (%s)",
+		kind, arg, strings.Join(names(), ", "))
 }
 
 func main() {
@@ -132,14 +119,14 @@ func main() {
 	// a preset name or scenario file fails in milliseconds, not minutes.
 	var scenario *incident.Scenario
 	if *incidentIn != "" {
-		scenario, err = loadScenario(*incidentIn)
+		scenario, err = loadSpec(*incidentIn, "incident scenario", incident.ParseScenario, incident.Preset, incident.PresetNames)
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
 	var sweep *incident.SweepSpec
 	if *sweepIn != "" {
-		sweep, err = loadSweep(*sweepIn)
+		sweep, err = loadSpec(*sweepIn, "sweep spec", incident.ParseSweep, incident.SweepPreset, incident.SweepPresetNames)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -149,14 +136,9 @@ func main() {
 	}
 	var chainCfg *chain.Config
 	if *chainsCfg != "" {
-		f, err := os.Open(*chainsCfg)
+		cfg, err := parseFile(*chainsCfg, chain.ParseConfig)
 		if err != nil {
 			log.Fatal(err)
-		}
-		cfg, err := chain.ParseConfig(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("%s: %v", *chainsCfg, err)
 		}
 		chainCfg = &cfg
 	} else if *chainsOn {
@@ -177,14 +159,8 @@ func main() {
 	}
 	var stream *analysis.DeltaStream
 	if *timelineIn != "" {
-		f, err := os.Open(*timelineIn)
-		if err != nil {
+		if stream, err = parseFile(*timelineIn, analysis.ParseDeltaStream); err != nil {
 			log.Fatal(err)
-		}
-		stream, err = analysis.ParseDeltaStream(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("%s: %v", *timelineIn, err)
 		}
 	}
 

@@ -6,7 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"depscope/internal/incident"
 )
+
+func loadScenario(arg string) (*incident.Scenario, error) {
+	return loadSpec(arg, "incident scenario", incident.ParseScenario, incident.Preset, incident.PresetNames)
+}
 
 func TestLoadScenario(t *testing.T) {
 	// Presets resolve by name.

@@ -38,20 +38,9 @@ func Outage(run *Run, provider string) OutageReport {
 		Provider:   provider,
 		Direct:     g.OutageSim(core.DirectOnly()).Run(targets, core.OutageOpts{}).Down,
 		Transitive: res.Down,
+		// One hop only: the simulator's DownProviders is the whole cascade.
+		AffectedProviders: g.CriticalDependents(provider),
 	}
-	// One hop only: the simulator's DownProviders is the whole cascade.
-	for name, p := range g.Providers {
-		for _, d := range p.Deps {
-			if d.Class.Critical() {
-				for _, dep := range d.Providers {
-					if dep == provider {
-						rep.AffectedProviders = append(rep.AffectedProviders, name)
-					}
-				}
-			}
-		}
-	}
-	sort.Strings(rep.AffectedProviders)
 	var sites []*core.Site
 	for i, s := range g.Sites {
 		if res.Outcomes[i] == core.SiteDown {

@@ -30,9 +30,9 @@ type SnapshotData struct {
 	Graph   *core.Graph
 	// Compact is the columnar graph representation, set on every Execute
 	// run. Graph is inflated from it, and every report, view, ranking and
-	// site set reads Graph and its metrics engine; Compact backs the
-	// bytes/site accounting. Callers that assemble SnapshotData themselves
-	// may leave it nil, and every reader handles that.
+	// site set reads Graph and its metrics engine; no program path reads
+	// Compact, which is kept for the benchmark harness and the tests.
+	// Callers that assemble SnapshotData themselves may leave it nil.
 	Compact *core.CompactGraph
 }
 

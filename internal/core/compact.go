@@ -86,25 +86,6 @@ func (cg *CompactGraph) NSites() int { return len(cg.siteNames) }
 // NProviders returns the number of declared provider nodes.
 func (cg *CompactGraph) NProviders() int { return len(cg.provNames) }
 
-// SiteName returns site row i's name.
-func (cg *CompactGraph) SiteName(i int) string { return cg.dict.Name(cg.siteNames[i]) }
-
-// SiteRank returns site row i's rank.
-func (cg *CompactGraph) SiteRank(i int) int { return int(cg.siteRanks[i]) }
-
-// SiteClass returns site row i's dependency class for svc and whether the
-// site has an entry for that service at all.
-func (cg *CompactGraph) SiteClass(svc Service, i int) (DepClass, bool) {
-	if int(svc) >= nSiteServices {
-		return ClassNone, false
-	}
-	c := cg.siteClass[svc][i]
-	if c == classAbsent {
-		return ClassNone, false
-	}
-	return DepClass(c), true
-}
-
 // ClassCounts tallies sites per dependency class for svc, counting only
 // sites that have an entry for the service — the same population the
 // pointer graph's Deps maps define.

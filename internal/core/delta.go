@@ -226,10 +226,13 @@ func (cx *applyCtx) applyOp(op *Op, eff *DeltaEffect) error {
 		if cx.site(s.Name) != nil {
 			return fmt.Errorf("site %q already exists", s.Name)
 		}
+		if err := checkSite(s); err != nil {
+			return err
+		}
 		ng.Sites = append(ng.Sites, s)
 		cx.touched[s.Name] = s
 		eff.link(s, true)
-		markSiteDirty(eff.Touched, s)
+		siteUses(s, func(name string, _ use) { eff.Touched[name] = true })
 		eff.AddedSites = append(eff.AddedSites, s)
 		return nil
 
@@ -244,7 +247,7 @@ func (cx *applyCtx) applyOp(op *Op, eff *DeltaEffect) error {
 		if i >= 0 {
 			ng.Sites = slices.Delete(ng.Sites, i, i+1)
 		}
-		markSiteDirty(eff.Touched, s)
+		siteUses(s, func(name string, _ use) { eff.Touched[name] = true })
 		eff.RemovedSites++
 		return nil
 
@@ -314,9 +317,6 @@ func (cx *applyCtx) replaceSiteDep(name string, svc Service, d Dep, eff *DeltaEf
 	if s == nil {
 		return fmt.Errorf("unknown site %q", name)
 	}
-	if d.Class.UsesThird() && len(d.Providers) == 0 {
-		return fmt.Errorf("site %q: class %s requires providers", name, d.Class)
-	}
 	if old, ok := s.Deps[svc]; ok {
 		markDepDirty(eff.Touched, old)
 	}
@@ -338,6 +338,9 @@ func (cx *applyCtx) replaceSiteDep(name string, svc Service, d Dep, eff *DeltaEf
 	} else {
 		ns.Deps[svc] = d
 	}
+	if err := checkSite(ns); err != nil {
+		return err
+	}
 
 	if i := slices.Index(ng.Sites, s); i >= 0 {
 		ng.Sites[i] = ns
@@ -348,25 +351,21 @@ func (cx *applyCtx) replaceSiteDep(name string, svc Service, d Dep, eff *DeltaEf
 	return nil
 }
 
+// checkSite rejects a site node a delta would link with a third-party
+// arrangement that names no provider: the class promises a third party the
+// graph could not resolve.
+func checkSite(s *Site) error {
+	for _, svc := range AllServices {
+		if d := s.Deps[svc]; d.Class.UsesThird() && len(d.Providers) == 0 {
+			return fmt.Errorf("site %q: class %s requires providers", s.Name, d.Class)
+		}
+	}
+	return nil
+}
+
 // link records one site node unlinked from or linked into the graph.
 func (eff *DeltaEffect) link(s *Site, linked bool) {
 	eff.Links = append(eff.Links, SiteLink{Site: s, Linked: linked})
-}
-
-// markSiteDirty seeds the touched set with every provider name a site's
-// arrangements and private infrastructure reference.
-func markSiteDirty(dirty map[string]bool, s *Site) {
-	for _, d := range s.Deps {
-		markDepDirty(dirty, d)
-	}
-	for _, infra := range s.PrivateInfra {
-		for _, pname := range infra {
-			dirty[pname] = true
-		}
-	}
-	for _, e := range s.Chains {
-		dirty[e.Provider] = true
-	}
 }
 
 // markProviderDirty seeds the touched set with a provider node's dependency

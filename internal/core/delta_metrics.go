@@ -124,11 +124,10 @@ func (e *MetricsEngine) patchInit(ne *MetricsEngine, eff *DeltaEffect) {
 	}
 
 	n := len(ne.names)
-	ne.baseAll = growRows(e.baseAll, n)
-	ne.baseCrit = growRows(e.baseCrit, n)
-	ne.edges = growRows(e.edges, n)
-	ne.users = make([]userCounts, n)
-	copy(ne.users, e.users)
+	ne.baseAll = grow(e.baseAll, n)
+	ne.baseCrit = grow(e.baseCrit, n)
+	ne.edges = grow(e.edges, n)
+	ne.users = grow(e.users, n)
 	owned := make(map[int]bool)
 	for _, l := range eff.Links {
 		site := ne.siteID[l.Site.Name]
@@ -149,9 +148,10 @@ func (e *MetricsEngine) patchInit(ne *MetricsEngine, eff *DeltaEffect) {
 	ne.initOnce.Do(func() {})
 }
 
-// growRows clones a row slice's spine to n slots; rows stay shared.
-func growRows[T any](in [][]T, n int) [][]T {
-	out := make([][]T, n)
+// grow copies in into a fresh slice of n slots; a slice of rows keeps
+// sharing the rows.
+func grow[E any](in []E, n int) []E {
+	out := make([]E, n)
 	copy(out, in)
 	return out
 }
@@ -192,17 +192,13 @@ func (ne *MetricsEngine) repropagate(oldMap map[string]int, st *propState, criti
 		base = ne.baseCrit
 	}
 
-	comp := make([]int32, n)
-	copy(comp, st.comp)
+	comp := grow(st.comp, n)
 	ncomp := len(st.members)
-	members := growRows(st.members, ncomp+(n-nOld))
-	succ := growRows(st.succ, ncomp+(n-nOld))
-	hasBase := make([]bool, ncomp+(n-nOld))
-	copy(hasBase, st.hasBase)
-	sets := make([]bitset, ncomp+(n-nOld))
-	copy(sets, st.sets)
-	counts := make([]int, ncomp+(n-nOld))
-	copy(counts, st.counts)
+	members := grow(st.members, ncomp+(n-nOld))
+	succ := grow(st.succ, ncomp+(n-nOld))
+	hasBase := grow(st.hasBase, ncomp+(n-nOld))
+	sets := grow(st.sets, ncomp+(n-nOld))
+	counts := grow(st.counts, ncomp+(n-nOld))
 
 	dirtyComp := make(map[int32]bool, len(dirtyIDs))
 	for _, u := range dirtyIDs {
@@ -246,32 +242,10 @@ func (ne *MetricsEngine) repropagate(oldMap map[string]int, st *propState, criti
 		order = append(order, c)
 	}
 	slices.Sort(order)
+	nst := &propState{comp: comp, members: members, succ: succ, hasBase: hasBase, sets: sets, counts: counts}
 	for _, c := range order {
-		hb := false
-		for _, u := range members[c] {
-			if len(base[u]) > 0 {
-				hb = true
-				break
-			}
-		}
-		hasBase[c] = hb
-		ss := succ[c]
-		if !hb && len(ss) == 1 {
-			sets[c] = sets[ss[0]]
-			counts[c] = counts[ss[0]]
-			continue
-		}
-		bs := newBitset(ne.nSiteIDs)
-		for _, u := range members[c] {
-			for _, id := range base[u] {
-				bs.set(int(id))
-			}
-		}
-		for _, sc := range ss {
-			bs.unionWith(sets[sc])
-		}
-		sets[c] = bs
-		counts[c] = bs.count()
+		hasBase[c] = slices.ContainsFunc(members[c], func(u int32) bool { return len(base[u]) > 0 })
+		nst.fill(c, base, ne.nSiteIDs)
 	}
 
 	out := maps.Clone(oldMap)
@@ -283,12 +257,5 @@ func (ne *MetricsEngine) repropagate(oldMap map[string]int, st *propState, criti
 			out[ne.names[u]] = counts[c]
 		}
 	}
-	return out, &propState{
-		comp:    comp,
-		members: members,
-		succ:    succ,
-		hasBase: hasBase,
-		sets:    sets,
-		counts:  counts,
-	}, true
+	return out, nst, true
 }

@@ -358,6 +358,7 @@ func TestApplyValidation(t *testing.T) {
 		{"swap missing service", Delta{Ops: []Op{{Kind: OpSwap, Name: "a.com", Service: CDN, From: "dyn", To: "x"}}}, "no CDN arrangement"},
 		{"dup site", Delta{Ops: []Op{{Kind: OpSiteAdd, Site: &Site{Name: "a.com"}}}}, "already exists"},
 		{"class without providers", Delta{Ops: []Op{{Kind: OpSiteDep, Name: "a.com", Service: DNS, Dep: Dep{Class: ClassSingleThird}}}}, "requires providers"},
+		{"site-add class without providers", Delta{Ops: []Op{{Kind: OpSiteAdd, Site: &Site{Name: "b.example", Deps: map[Service]Dep{DNS: {Class: ClassSingleThird}}}}}}, "requires providers"},
 		{"unknown provider", Delta{Ops: []Op{{Kind: OpProviderRemove, Name: "nope"}}}, "unknown provider"},
 		{"nil payload", Delta{Ops: []Op{{Kind: OpSiteAdd}}}, "payload missing"},
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -129,66 +130,59 @@ type Robustness struct {
 // service contributes equally; a service is safe when the site is private
 // or redundant AND none of its (transitively expanded) critical providers
 // fail together — i.e. the critical-provider set of that service is empty.
+// A private-infrastructure node pins its service through the node's own
+// critical dependencies, not through the node itself.
 func (g *Graph) RobustnessOf(site string) (Robustness, error) {
 	s := g.Site(site)
 	if s == nil {
 		return Robustness{}, fmt.Errorf("core: unknown site %q", site)
 	}
-	out := Robustness{Site: site}
+	var r arrRows
+	return g.robustness(s, &r, g.arrangements().walk(walkAllBits)), nil
+}
 
-	consumed := 0
-	safe := 0
-	criticalSet := map[string]bool{}
+// robustness scores site s, resolving its arrangements into r and walking
+// with w, which it leaves reset.
+func (g *Graph) robustness(s *Site, r *arrRows, w *critWalk) Robustness {
+	out := Robustness{Site: s.Name, Score: 1}
+	arrs := w.t.resolve(r, s)
 	for _, svc := range Services {
-		d, ok := s.Deps[svc]
-		if !ok || d.Class == ClassNone || d.Class == ClassUnknown {
-			continue
-		}
-		consumed++
-		svcCritical := map[string]bool{}
-		if d.Class.Critical() {
-			for _, p := range d.Providers {
-				g.criticalClosure(p, walkAll, svcCritical)
-			}
-		}
-		// Private infrastructure with its own critical chain also pins the
-		// service.
-		for _, p := range s.PrivateInfra[svc] {
-			if prov, ok := g.Providers[p]; ok {
-				for _, pd := range prov.Deps {
-					if pd.Class.Critical() {
-						for _, dep := range pd.Providers {
-							g.criticalClosure(dep, walkAll, svcCritical)
-						}
-					}
+		consumed := false
+		for _, a := range arrs {
+			switch {
+			case Service(a.svc) != svc:
+			case a.kind == arrDep:
+				consumed = true
+				if a.criticalDep() {
+					w.from(r.provs(a))
+				}
+			case a.kind == arrPrivate:
+				for _, p := range r.provs(a) {
+					w.through(p)
 				}
 			}
 		}
-		if len(svcCritical) == 0 {
-			safe++
+		switch {
+		case !consumed:
+		case len(w.reached) == 0:
 			out.RedundantServices = append(out.RedundantServices, svc)
-		} else {
+		default:
 			out.CriticalServices = append(out.CriticalServices, svc)
-			for p := range svcCritical {
-				criticalSet[p] = true
-			}
+			out.CriticalProviders = append(out.CriticalProviders, w.names()...)
 		}
+		w.reset()
 	}
-	if consumed > 0 {
-		out.Score = float64(safe) / float64(consumed)
-	} else {
-		out.Score = 1
-	}
-	for p := range criticalSet {
-		out.CriticalProviders = append(out.CriticalProviders, p)
+	if n := len(out.RedundantServices) + len(out.CriticalServices); n > 0 {
+		out.Score = float64(len(out.RedundantServices)) / float64(n)
 	}
 	sort.Strings(out.CriticalProviders)
+	out.CriticalProviders = slices.Compact(out.CriticalProviders)
 	for _, p := range out.CriticalProviders {
 		if n := g.Impact(p, AllIndirect()); n > out.SharedFate {
 			out.SharedFate = n
 		}
 	}
-	return out, nil
+	return out
 }
 
 // RobustnessDistribution buckets sites by score (0, (0,0.5], (0.5,1), 1)
@@ -215,10 +209,10 @@ func (d *RobustnessDistribution) Add(score float64) {
 // RobustnessAll computes the distribution across all sites.
 func (g *Graph) RobustnessAll() RobustnessDistribution {
 	var d RobustnessDistribution
+	var r arrRows
+	w := g.arrangements().walk(walkAllBits)
 	for _, s := range g.Sites {
-		if r, err := g.RobustnessOf(s.Name); err == nil {
-			d.Add(r.Score)
-		}
+		d.Add(g.robustness(s, &r, w).Score)
 	}
 	return d
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -84,10 +86,10 @@ func RandomGraph(seed int64) *Graph { return randomGraph(seed) }
 func (s *OutageSim) ScanCounts(targets []int32, o OutageOpts) (down, degraded int) {
 	var sc SimScratch
 	s.cascade(targets, o, &sc)
-	for i := range s.g.Sites {
+	for i := 0; i < s.nSites(); i++ {
 		worst := ProviderUp
-		for _, a := range s.siteArrs[i] {
-			if as := arrState(a, sc.state, o.JointFailures); as > worst {
+		for _, a := range s.sites.row(i) {
+			if as := arrState(a, s.sites.provs(a), sc.state, o.JointFailures); as > worst {
 				worst = as
 			}
 		}
@@ -129,7 +131,7 @@ func (s *OutageSim) ScanRun(targets []string, o OutageOpts) *OutageResult {
 		}
 	}
 	s.cascade(ids, o, &sc)
-	n := len(s.g.Sites)
+	n := s.nSites()
 	res := &OutageResult{
 		Outcomes:          make([]SiteOutcome, n),
 		Resilience:        make([]float64, n),
@@ -137,7 +139,7 @@ func (s *OutageSim) ScanRun(targets []string, o OutageOpts) *OutageResult {
 		LostByService:     make(map[Service]int),
 		DegradedByService: make(map[Service]int),
 	}
-	for i := range s.g.Sites {
+	for i := 0; i < n; i++ {
 		res.Resilience[i] = 1
 		s.classify(i, sc.state, isTarget, o.JointFailures, res)
 		if res.Outcomes[i] == SiteUnaffected {
@@ -155,6 +157,178 @@ func (s *OutageSim) ScanRun(targets []string, o OutageOpts) *OutageResult {
 	sort.Strings(res.DownProviders)
 	sort.Strings(res.DegradedProviders)
 	return res
+}
+
+// walkAll is the closure gate of the site-side critical walks in the
+// oracle below: it continues through providers of every service.
+var walkAll = AllImplicit()
+
+// criticalSet is the pointer-map walk the arrangement table's critWalk
+// replaced: the critical closures of the providers of s's critical
+// arrangements. It and criticalClosure read Site.Deps and Graph.Providers
+// directly, so the oracle stays independent of the table.
+func (g *Graph) criticalSet(s *Site, opts TraversalOpts) map[string]bool {
+	set := make(map[string]bool)
+	for _, d := range s.Deps {
+		if !d.Class.Critical() {
+			continue
+		}
+		for _, pname := range d.Providers {
+			g.criticalClosure(pname, opts, set)
+		}
+	}
+	return set
+}
+
+// criticalClosure walks provider-to-provider critical edges. Reaching a
+// provider adds it to set; walking on through it requires opts to allow its
+// service. set doubles as the visited set.
+func (g *Graph) criticalClosure(p string, opts TraversalOpts, set map[string]bool) {
+	if set[p] {
+		return
+	}
+	set[p] = true
+	prov, ok := g.Providers[p]
+	if !ok || !opts.allows(prov.Service) {
+		return
+	}
+	for _, d := range prov.Deps {
+		if !d.Class.Critical() {
+			continue
+		}
+		for _, dep := range d.Providers {
+			g.criticalClosure(dep, opts, set)
+		}
+	}
+}
+
+// robustnessOracle is the pointer-map RobustnessOf.
+func (g *Graph) robustnessOracle(site string) Robustness {
+	s := g.Site(site)
+	out := Robustness{Site: site, Score: 1}
+	consumed := 0
+	all := map[string]bool{}
+	for _, svc := range Services {
+		d, ok := s.Deps[svc]
+		if !ok || d.Class == ClassNone || d.Class == ClassUnknown {
+			continue
+		}
+		consumed++
+		crit := map[string]bool{}
+		if d.Class.Critical() {
+			for _, p := range d.Providers {
+				g.criticalClosure(p, walkAll, crit)
+			}
+		}
+		for _, p := range s.PrivateInfra[svc] {
+			if prov, ok := g.Providers[p]; ok {
+				for _, pd := range prov.Deps {
+					if pd.Class.Critical() {
+						for _, dep := range pd.Providers {
+							g.criticalClosure(dep, walkAll, crit)
+						}
+					}
+				}
+			}
+		}
+		if len(crit) == 0 {
+			out.RedundantServices = append(out.RedundantServices, svc)
+			continue
+		}
+		out.CriticalServices = append(out.CriticalServices, svc)
+		for p := range crit {
+			all[p] = true
+		}
+	}
+	if consumed > 0 {
+		out.Score = float64(len(out.RedundantServices)) / float64(consumed)
+	}
+	for p := range all {
+		out.CriticalProviders = append(out.CriticalProviders, p)
+	}
+	sort.Strings(out.CriticalProviders)
+	for _, p := range out.CriticalProviders {
+		if n := g.Impact(p, AllIndirect()); n > out.SharedFate {
+			out.SharedFate = n
+		}
+	}
+	return out
+}
+
+// chainLines renders mitigation's per-site critical chains as
+// "site service mitigable provider: closure" lines.
+func chainLines(site string, svc Service, mitigable bool, provider string, closure []string) string {
+	sort.Strings(closure)
+	return fmt.Sprintf("%s %s %v %s: %v", site, svc, mitigable, provider, closure)
+}
+
+// CriticalWalkMismatches holds the id walk over the arrangement table
+// against the pointer-map oracle on g: every site's closure under opts,
+// CriticalDepsPerSite both ways, CriticalProviders, RobustnessOf, and
+// mitigation's per-site chain closures under opts. It returns one line per
+// difference.
+func CriticalWalkMismatches(g *Graph, opts TraversalOpts) []string {
+	var bad []string
+	diff := func(what string, got, want any) {
+		if !reflect.DeepEqual(got, want) {
+			bad = append(bad, fmt.Sprintf("%s: got %v, want %v", what, got, want))
+		}
+	}
+	t := g.arrangements()
+	w := t.walk(viaBits(opts))
+	direct, indirect := g.CriticalDepsPerSite(false), g.CriticalDepsPerSite(true)
+	var got, want []string
+	var r arrRows
+	for _, s := range g.Sites {
+		w.fromCriticalDeps(&r, t.resolve(&r, s))
+		diff(s.Name+" walk", w.names(), sortedKeys(g.criticalSet(s, opts)))
+		w.reset()
+		diff(s.Name+" direct deps", direct[s.Name], len(g.criticalSet(s, DirectOnly())))
+		diff(s.Name+" indirect deps", indirect[s.Name], len(g.criticalSet(s, walkAll)))
+		diff(s.Name+" critical providers", g.CriticalProviders(s), sortedKeys(g.criticalSet(s, walkAll)))
+		r, err := g.RobustnessOf(s.Name)
+		diff(s.Name+" robustness", r, g.robustnessOracle(s.Name))
+		diff(s.Name+" robustness error", err, error(nil))
+
+		for _, svc := range Services {
+			if d, ok := s.Deps[svc]; ok && d.Class.Critical() && len(d.Providers) > 0 {
+				set := map[string]bool{}
+				for _, p := range d.Providers {
+					g.criticalClosure(p, opts, set)
+				}
+				want = append(want, chainLines(s.Name, svc, len(d.Providers) == 1, d.Providers[0], sortedKeys(set)))
+			}
+			if infra := s.PrivateInfra[svc]; len(infra) > 0 {
+				set := map[string]bool{}
+				for _, p := range infra {
+					g.criticalClosure(p, opts, set)
+				}
+				want = append(want, chainLines(s.Name, svc, false, "", sortedKeys(set)))
+			}
+		}
+	}
+	for _, ms := range g.siteChains(t, opts) {
+		for _, c := range ms.chains {
+			var closure []string
+			for id, name := range t.e.names {
+				if c.closure.has(id) {
+					closure = append(closure, name)
+				}
+			}
+			got = append(got, chainLines(ms.site.Name, c.svc, c.mitigable, c.provider, closure))
+		}
+	}
+	diff("mitigation chains", got, want)
+	return bad
+}
+
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestWriteDOT(t *testing.T) {

@@ -170,10 +170,13 @@ type Graph struct {
 	metricsWorkers int
 	metrics        *MetricsEngine
 
-	// Cached outage simulators (simulate.go), one per traversal key, built
-	// on the metrics engine's view of the graph.
-	simMu sync.Mutex
-	sims  map[uint8]*OutageSim
+	// The providers' resolved arrangements (arrangements.go) and the outage
+	// simulator's tables (simulate.go), each built on first use and shared
+	// by every traversal.
+	arrOnce sync.Once
+	arrs    *arrTable
+	simOnce sync.Once
+	sim     *simTables
 }
 
 // NewGraph builds a graph over the given nodes. It derives nothing: the
@@ -327,77 +330,4 @@ func (g *Graph) topProviders(svc Service, byImpact bool, n int, metrics func(str
 		stats = stats[:n]
 	}
 	return stats
-}
-
-// walkAll is the closure gate of the site-side critical-dependency walks:
-// it continues through providers of every service. Hoisted so no walk
-// allocates its traversal.
-var walkAll = AllImplicit()
-
-// CriticalDepsPerSite returns, for each site, the number of distinct
-// providers it critically depends on. With indirect true, a provider's own
-// critical dependencies are charged to the sites critically depending on it
-// (§8.1: 25% of sites have ≥3 critical dependencies vs 9.6% direct).
-func (g *Graph) CriticalDepsPerSite(indirect bool) map[string]int {
-	opts := DirectOnly()
-	if indirect {
-		opts = walkAll
-	}
-	out := make(map[string]int, len(g.Sites))
-	for _, s := range g.Sites {
-		out[s.Name] = len(g.criticalSet(s, opts))
-	}
-	return out
-}
-
-// CriticalProviders returns, sorted, every provider s depends on critically,
-// directly or transitively through provider-to-provider critical
-// dependencies — the per-site set CriticalDepsPerSite(true) counts.
-func (g *Graph) CriticalProviders(s *Site) []string {
-	set := g.criticalSet(s, walkAll)
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// criticalSet collects the critical closures of the providers of s's
-// critical arrangements.
-func (g *Graph) criticalSet(s *Site, opts TraversalOpts) map[string]bool {
-	set := make(map[string]bool)
-	for _, d := range s.Deps {
-		if !d.Class.Critical() {
-			continue
-		}
-		for _, pname := range d.Providers {
-			g.criticalClosure(pname, opts, set)
-		}
-	}
-	return set
-}
-
-// criticalClosure is the one walk over provider-to-provider critical
-// edges. Reaching a provider adds it to set; walking on through it requires
-// opts to allow its service. set doubles as the visited set, so one set
-// shared across several roots walks each provider once and ends as the
-// union of the roots' closures.
-func (g *Graph) criticalClosure(p string, opts TraversalOpts, set map[string]bool) {
-	if set[p] {
-		return
-	}
-	set[p] = true
-	prov, ok := g.Providers[p]
-	if !ok || !opts.allows(prov.Service) {
-		return
-	}
-	for _, d := range prov.Deps {
-		if !d.Class.Critical() {
-			continue
-		}
-		for _, dep := range d.Providers {
-			g.criticalClosure(dep, opts, set)
-		}
-	}
 }

@@ -324,49 +324,51 @@ func (e *MetricsEngine) propagate(via uint8, critical bool) (map[string]int, *pr
 		byLevel[level[c]] = append(byLevel[level[c]], int32(c))
 	}
 
-	nSites := e.nSiteIDs
-	sets := make([]bitset, ncomp)
-	counts := make([]int, ncomp)
-	workers := e.workerCount()
-	process := func(c int32) {
-		ss := succ[c]
-		if !hasBase[c] && len(ss) == 1 {
-			// Copy-on-write: a pure pass-through component's set IS its
-			// successor's set. Sets are never mutated after their level
-			// completes, so sharing the slice is safe.
-			sets[c] = sets[ss[0]]
-			counts[c] = counts[ss[0]]
-			return
-		}
-		bs := newBitset(nSites)
-		for _, u := range members[c] {
-			for _, id := range base[u] {
-				bs.set(int(id))
-			}
-		}
-		for _, sc := range ss {
-			bs.unionWith(sets[sc])
-		}
-		sets[c] = bs
-		counts[c] = bs.count()
-	}
-	for _, comps := range byLevel {
-		cs := comps
-		conc.Do(len(cs), workers, func(i int) { process(cs[i]) })
-	}
-
-	out := make(map[string]int, n)
-	for u := 0; u < n; u++ {
-		out[e.names[u]] = counts[comp[u]]
-	}
-	return out, &propState{
+	st := &propState{
 		comp:    comp,
 		members: members,
 		succ:    succ,
 		hasBase: hasBase,
-		sets:    sets,
-		counts:  counts,
+		sets:    make([]bitset, ncomp),
+		counts:  make([]int, ncomp),
 	}
+	workers := e.workerCount()
+	for _, comps := range byLevel {
+		cs := comps
+		conc.Do(len(cs), workers, func(i int) { st.fill(cs[i], base, e.nSiteIDs) })
+	}
+
+	out := make(map[string]int, n)
+	for u := 0; u < n; u++ {
+		out[e.names[u]] = st.counts[comp[u]]
+	}
+	return out, st
+}
+
+// fill computes component c's dependent-site set (of nSites bits) from its
+// members' base rows and its successors' sets, which must be final. A pure
+// pass-through component — no direct users of its own, one successor —
+// shares its successor's set: sets are never mutated once computed, so
+// aliasing the slice is safe. The batch propagation and the delta patch
+// both fill components with it.
+func (st *propState) fill(c int32, base [][]int32, nSites int) {
+	ss := st.succ[c]
+	if !st.hasBase[c] && len(ss) == 1 {
+		st.sets[c] = st.sets[ss[0]]
+		st.counts[c] = st.counts[ss[0]]
+		return
+	}
+	bs := newBitset(nSites)
+	for _, u := range st.members[c] {
+		for _, id := range base[u] {
+			bs.set(int(id))
+		}
+	}
+	for _, sc := range ss {
+		bs.unionWith(st.sets[sc])
+	}
+	st.sets[c] = bs
+	st.counts[c] = bs.count()
 }
 
 // tarjanSCC condenses the directed graph into strongly connected components,

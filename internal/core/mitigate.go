@@ -24,11 +24,10 @@ import (
 // over (site, service) candidates with per-site re-evaluation is exact for
 // the sites it picks; the lazy-re-evaluation heap keeps it near-linear.
 //
-// Closures come from the graph's one critical-provider walk
-// (criticalClosure, which also answers CriticalProviders and RobustnessOf)
-// under the plan's traversal, stored as provider-id bitsets on the metrics
-// engine's universe. The walk follows the same critical edges and service
-// gate as the batch C_p/I_p propagation, so the optimizer's "before" totals
+// Closures come from the graph's one critical-provider walk (critWalk,
+// which also answers CriticalProviders and RobustnessOf) under the plan's
+// traversal, stored as provider-id bitsets on the metrics engine's
+// universe. The walk follows the same critical edges and service gate as the batch C_p/I_p propagation, so the optimizer's "before" totals
 // agree with the engine (the property tests in mitigate_test.go pin both
 // that and the "after" totals against graph surgery).
 
@@ -78,8 +77,8 @@ type MitigationPlan struct {
 // Reduction is the total aggregate-impact reduction of the plan.
 func (p *MitigationPlan) Reduction() int { return p.Before - p.After }
 
-// critChain is one critical dependency chain root of a site: the provider
-// ids of one single-third arrangement or private-infrastructure entry,
+// critChain is one critical dependency chain root of a site: one
+// single-third arrangement or one service's private-infrastructure nodes,
 // resolved to the closure of providers the chain makes the site critically
 // dependent on.
 type critChain struct {
@@ -156,67 +155,15 @@ func (h *candHeap) Pop() any {
 // aggregate impact Σ_p |I_p| the most under opts. Deterministic: ties break
 // by site rank, then service order.
 func (g *Graph) MitigationPlan(k int, opts TraversalOpts) *MitigationPlan {
-	e := g.Metrics()
-	e.initOnce.Do(e.init)
+	t := g.arrangements()
+	e := t.e
 	nbits := len(e.names)
 	plan := &MitigationPlan{K: k}
 	if k <= 0 || nbits == 0 {
 		return plan
 	}
 
-	// A root's closure is the one critical-provider walk (criticalClosure)
-	// under opts, memoized per root and mapped onto the engine's ids.
-	closures := make(map[string]bitset)
-	rootClosure := func(root string) bitset {
-		if bs, ok := closures[root]; ok {
-			return bs
-		}
-		set := make(map[string]bool)
-		g.criticalClosure(root, opts, set)
-		bs := newBitset(nbits)
-		for name := range set {
-			if id, ok := e.ids[name]; ok {
-				bs.set(id)
-			}
-		}
-		closures[root] = bs
-		return bs
-	}
-
-	// Per-site critical chains. Only single-third arrangements are
-	// mitigable; private-infrastructure chains participate in the overlap
-	// union but are never candidates (the site owns that node — adding a
-	// third party would not remove the critical dependency on it).
-	var states []mitigationState
-	for _, s := range g.Sites {
-		var ms mitigationState
-		ms.site = s
-		for _, svc := range Services {
-			if d, ok := s.Deps[svc]; ok && d.Class.Critical() && len(d.Providers) > 0 {
-				cl := newBitset(nbits)
-				for _, pname := range d.Providers {
-					cl.unionWith(rootClosure(pname))
-				}
-				ms.chains = append(ms.chains, critChain{
-					svc:       svc,
-					provider:  d.Providers[0],
-					mitigable: len(d.Providers) == 1,
-					closure:   cl,
-				})
-			}
-			for _, pname := range s.PrivateInfra[svc] {
-				if _, known := e.ids[pname]; known {
-					ms.chains = append(ms.chains, critChain{
-						svc:     svc,
-						closure: rootClosure(pname),
-					})
-				}
-			}
-		}
-		if len(ms.chains) > 0 {
-			states = append(states, ms)
-		}
-	}
+	states := g.siteChains(t, opts)
 
 	// The aggregate objective decomposes per site: Σ_p |I_p| equals the sum
 	// over sites of |union of chain closures| — each (p, w) impact pair is
@@ -333,4 +280,58 @@ func (g *Graph) MitigationPlan(k int, opts TraversalOpts) *MitigationPlan {
 		})
 	}
 	return plan
+}
+
+// siteChains returns the critical chains of every site that has one, in
+// site order: one per single-third arrangement and one per service's
+// private-infrastructure nodes, over the Services. Only single-third
+// arrangements are mitigable; private-infrastructure chains participate in
+// the overlap union but are never candidates (the site owns that node —
+// adding a third party would not remove the critical dependency on it).
+func (g *Graph) siteChains(t *arrTable, opts TraversalOpts) []mitigationState {
+	// A root's closure is the one critical-provider walk under opts,
+	// memoized per root as a bitset over the engine's ids; a chain's
+	// closure is the union of its providers'.
+	nbits := len(t.e.names)
+	w := t.walk(viaBits(opts))
+	closures := make([]bitset, nbits)
+	var r arrRows
+	closure := func(a arr) bitset {
+		cl := newBitset(nbits)
+		provs := r.provs(a)
+		for j, p := range provs {
+			if closures[p] == nil {
+				w.from(provs[j : j+1])
+				closures[p] = newBitset(nbits)
+				for _, q := range w.reached {
+					closures[p].set(int(q))
+				}
+				w.reset()
+			}
+			cl.unionWith(closures[p])
+		}
+		return cl
+	}
+	var states []mitigationState
+	for _, s := range g.Sites {
+		ms := mitigationState{site: s}
+		for _, a := range t.resolve(&r, s) {
+			switch {
+			case Service(a.svc) == Resource:
+			case a.criticalDep() && a.hi > a.lo:
+				ms.chains = append(ms.chains, critChain{
+					svc:       Service(a.svc),
+					provider:  t.e.names[r.provs(a)[0]],
+					mitigable: a.hi-a.lo == 1,
+					closure:   closure(a),
+				})
+			case a.kind == arrPrivate:
+				ms.chains = append(ms.chains, critChain{svc: Service(a.svc), closure: closure(a)})
+			}
+		}
+		if len(ms.chains) > 0 {
+			states = append(states, ms)
+		}
+	}
+	return states
 }

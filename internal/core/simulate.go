@@ -13,12 +13,13 @@ import (
 //
 // The simulator is built from the metrics engine's precomputed view — the
 // provider id universe and the reverse dependency edges that feed its SCC
-// condensation — so both answer over the identical structure. That makes the
-// headline consistency property hold by construction: with one failed
-// provider at full severity, the set of down sites equals I_p membership and
-// the set of affected (down or degraded) sites equals C_p membership. The
-// property tests in simulate_test.go and internal/incident assert exactly
-// that.
+// condensation — and the graph's resolved arrangement table
+// (arrangements.go), so both answer over the identical structure. That
+// makes the headline consistency property hold by construction: with one
+// failed provider at full severity, the set of down sites equals I_p
+// membership and the set of affected (down or degraded) sites equals C_p
+// membership. The property tests in simulate_test.go and internal/incident
+// assert exactly that.
 //
 // Failure propagates along a worklist over the reverse edges, honoring the
 // same TraversalOpts service filter as the C_p/I_p recursion: a provider is
@@ -40,9 +41,10 @@ import (
 // defense metric to outage states: 1 minus the mean penalty over consumed
 // services (lost = 1, degraded = ½, healthy = 0).
 //
-// Sites are classified from the provider side. Construction inverts every
-// site arrangement into provider→site rows, and after a cascade only the
-// rows of the providers that left Up are visited. A row with at least as
+// Sites are classified from the provider side. The graph's first
+// simulation, under any traversal, inverts every site arrangement into
+// provider→site rows that every traversal shares, and after a cascade only
+// the rows of the providers that left Up are visited. A row with at least as
 // many entries as the site bitset has words also gets a prebuilt bitset,
 // which is ORed in word by word; shorter rows set one bit per entry. A
 // dense row's bitset costs at most twice the bytes of its int32 entries
@@ -143,27 +145,6 @@ type OutageResult struct {
 	DegradedProviders []string
 }
 
-// simArr is one actor's dependency arrangement for one service, resolved to
-// provider ids: the unit the cascade and the site classification evaluate.
-type simArr struct {
-	svc     Service
-	class   DepClass
-	private bool // a PrivateInfra pseudo-arrangement: critical by construction
-	provs   []int32
-}
-
-// critical reports whether losing any provider loses the arrangement's
-// service: a single third party, a private-infrastructure node or a chain
-// vendor.
-func (a simArr) critical() bool { return a.private || a.class.Critical() }
-
-// jointArr is one site's multi-third arrangement, the only kind redundancy
-// exhaustion (OutageOpts.JointFailures) can take down.
-type jointArr struct {
-	site  int32
-	provs []int32
-}
-
 // csr is a compressed sparse row table of int32 ids: row r is
 // ids[off[r]:off[r+1]].
 type csr struct {
@@ -191,37 +172,48 @@ func buildCSR(n int, fill func(emit func(row, id int32))) csr {
 	return c
 }
 
-// OutageSim is the reusable simulator for one (Graph, TraversalOpts) pair.
-// Construction resolves every dependency arrangement to metric-engine ids
-// once and inverts the site arrangements into provider→site rows; each Run
-// is then pure integer work over the providers the cascade reaches. Obtain
-// one via Graph.OutageSim. An OutageSim is safe for concurrent Runs.
-type OutageSim struct {
-	g   *Graph
-	e   *MetricsEngine
-	via uint8
-
-	provArrs [][]simArr // per provider id: the provider's own arrangements
-	siteArrs [][]simArr // per site index: third-party + private arrangements
-	consumed []int      // per site: number of consumed services (resilience denominator)
-
-	// Provider→site rows. A site is affected exactly when a non-Up provider
-	// appears in one of its arrangements, and loses a service when a down
-	// provider appears in a critical arrangement or, under JointFailures,
-	// when every provider of one of its multi-third arrangements is down.
-	// siteRows row 2p lists the sites with a critical arrangement naming
-	// provider p, row 2p+1 the other sites naming it; jointRows row p
-	// indexes joint. dense[r] is siteRows row r as a site bitset when the
-	// row has at least as many entries as the bitset has words, else nil.
+// simTables is the simulator's via-independent state, built once per graph
+// from its arrangement table: every traversal's OutageSim shares it. Row i
+// of sites holds Graph.Sites[i]'s arrangements.
+//
+// Provider→site rows: a site is affected exactly when a non-Up provider
+// appears in one of its arrangements, and loses a service when a down
+// provider appears in a critical arrangement or, under JointFailures, when
+// every provider of one of its multi-third arrangements is down. siteRows
+// row 2p lists the sites with a critical arrangement naming provider p, row
+// 2p+1 the other sites naming it; jointRows row p indexes joint. dense[r]
+// is siteRows row r as a site bitset when the row has at least as many
+// entries as the bitset has words, else nil.
+type simTables struct {
+	*arrTable
+	sites     arrRows
 	siteRows  csr
 	dense     []bitset
 	joint     []jointArr
 	jointRows csr
 }
 
+// jointArr is one site's multi-third arrangement, the only kind redundancy
+// exhaustion (OutageOpts.JointFailures) can take down.
+type jointArr struct {
+	site  int32
+	provs []int32
+}
+
+func (s *simTables) nSites() int { return len(s.sites.off) - 1 }
+
+// OutageSim is the simulator for one (Graph, TraversalOpts) pair: the
+// graph's shared simulator tables plus the traversal's service filter. Each
+// Run is pure integer work over the providers the cascade reaches. Obtain
+// one via Graph.OutageSim. An OutageSim is safe for concurrent Runs.
+type OutageSim struct {
+	*simTables
+	via uint8
+}
+
 // unionRow ORs the sites of siteRows row r into b: word by word from the
 // row's dense bitset when it has one, one bit per entry otherwise.
-func (s *OutageSim) unionRow(b bitset, r int32) {
+func (s *simTables) unionRow(b bitset, r int32) {
 	if d := s.dense[r]; d != nil {
 		b.unionWith(d)
 		return
@@ -231,100 +223,32 @@ func (s *OutageSim) unionRow(b bitset, r int32) {
 	}
 }
 
-// OutageSim returns the graph's shared simulator for opts, building it on
-// first use. Like metrics-engine entries, simulators are cached per
-// traversal key — the graph is immutable after NewGraph, so entries never
-// invalidate.
+// OutageSim returns a simulator for opts. The tables behind it are built
+// on the graph's first simulation, under any traversal, and shared by all:
+// the graph is immutable after NewGraph, so they never invalidate.
 func (g *Graph) OutageSim(opts TraversalOpts) *OutageSim {
-	key := viaBits(opts)
-	g.simMu.Lock()
-	defer g.simMu.Unlock()
-	if g.sims == nil {
-		g.sims = make(map[uint8]*OutageSim)
-	}
-	s, ok := g.sims[key]
-	if !ok {
-		s = newOutageSim(g, key)
-		g.sims[key] = s
-	}
-	return s
+	g.simOnce.Do(func() { g.sim = newSimTables(g) })
+	return &OutageSim{simTables: g.sim, via: viaBits(opts)}
 }
 
-func newOutageSim(g *Graph, via uint8) *OutageSim {
-	// Reuse the metrics engine's provider universe and reverse edges; the
-	// engine is built lazily exactly once per graph.
-	e := g.Metrics()
-	e.initOnce.Do(e.init)
-	s := &OutageSim{g: g, e: e, via: via}
-
-	idsOf := func(names []string) []int32 {
-		out := make([]int32, 0, len(names))
-		for _, n := range names {
-			if id, ok := e.ids[n]; ok {
-				out = append(out, int32(id))
-			}
-		}
-		return out
+func newSimTables(g *Graph) *simTables {
+	s := &simTables{arrTable: g.arrangements(), sites: arrRows{off: []int32{0}}}
+	for _, site := range g.Sites {
+		s.addSite(&s.sites, site)
 	}
-
-	s.provArrs = make([][]simArr, len(e.names))
-	for name, p := range g.Providers {
-		id := e.ids[name]
-		for svc, d := range p.Deps {
-			if !d.Class.UsesThird() {
-				continue
-			}
-			s.provArrs[id] = append(s.provArrs[id], simArr{svc: svc, class: d.Class, provs: idsOf(d.Providers)})
-		}
-	}
-
-	s.siteArrs = make([][]simArr, len(g.Sites))
-	s.consumed = make([]int, len(g.Sites))
-	for i, site := range g.Sites {
-		seen := make(map[Service]bool, len(site.Deps))
-		for svc, d := range site.Deps {
-			if d.Class == ClassNone || d.Class == ClassUnknown {
-				continue
-			}
-			seen[svc] = true
-			if d.Class.UsesThird() {
-				s.siteArrs[i] = append(s.siteArrs[i], simArr{svc: svc, class: d.Class, provs: idsOf(d.Providers)})
-			}
-		}
-		for svc, names := range site.PrivateInfra {
-			if len(names) == 0 {
-				continue
-			}
-			seen[svc] = true
-			s.siteArrs[i] = append(s.siteArrs[i], simArr{svc: svc, class: ClassPrivate, private: true, provs: idsOf(names)})
-		}
-		// Chain edges: one critical pseudo-arrangement per distinct vendor,
-		// the dedup the direct-user table applies — a down vendor takes
-		// the site down, no redundancy. Included under every traversal key
-		// (a provider's chain users are direct users under every key too);
-		// the via filter only decides whether the cascade may *continue*
-		// through vendor nodes.
-		if len(site.Chains) > 0 {
-			seen[Resource] = true
-			forEachChainProvider(site, func(pname string) {
-				s.siteArrs[i] = append(s.siteArrs[i], simArr{svc: Resource, class: ClassSingleThird, provs: idsOf([]string{pname})})
-			})
-		}
-		s.consumed[i] = len(seen)
-	}
-
-	n := len(e.names)
+	rows := &s.sites
+	n, nSites := len(s.e.names), len(g.Sites)
 	s.siteRows = buildCSR(2*n, func(emit func(row, id int32)) {
 		// crit[p] / other[p] hold the last site emitted into p's row, plus
 		// one, so each (provider, site) pair lands in exactly one row once.
 		crit, other := make([]int32, n), make([]int32, n)
-		for i, arrs := range s.siteArrs {
-			mark := int32(i) + 1
+		for i := 0; i < nSites; i++ {
+			arrs, mark := rows.row(i), int32(i)+1
 			for _, a := range arrs {
 				if !a.critical() {
 					continue
 				}
-				for _, p := range a.provs {
+				for _, p := range rows.provs(a) {
 					if crit[p] != mark {
 						crit[p] = mark
 						emit(2*p, int32(i))
@@ -332,7 +256,7 @@ func newOutageSim(g *Graph, via uint8) *OutageSim {
 				}
 			}
 			for _, a := range arrs {
-				for _, p := range a.provs {
+				for _, p := range rows.provs(a) {
 					if crit[p] != mark && other[p] != mark {
 						other[p] = mark
 						emit(2*p+1, int32(i))
@@ -343,7 +267,7 @@ func newOutageSim(g *Graph, via uint8) *OutageSim {
 	})
 	// Every site bitset of a run has words words, so a row of at least that
 	// many entries is cheaper to OR in than to set bit by bit.
-	words := (len(s.siteArrs) + 63) / 64
+	words := (nSites + 63) / 64
 	s.dense = make([]bitset, 2*n)
 	for r := range s.dense {
 		row := s.siteRows.row(int32(r))
@@ -356,10 +280,10 @@ func newOutageSim(g *Graph, via uint8) *OutageSim {
 		}
 		s.dense[r] = d
 	}
-	for i, arrs := range s.siteArrs {
-		for _, a := range arrs {
-			if a.class == ClassMultiThird && len(a.provs) > 0 {
-				s.joint = append(s.joint, jointArr{site: int32(i), provs: a.provs})
+	for i := 0; i < nSites; i++ {
+		for _, a := range rows.row(i) {
+			if DepClass(a.class) == ClassMultiThird && a.hi > a.lo {
+				s.joint = append(s.joint, jointArr{site: int32(i), provs: rows.provs(a)})
 			}
 		}
 	}
@@ -373,10 +297,11 @@ func newOutageSim(g *Graph, via uint8) *OutageSim {
 	return s
 }
 
-// arrState evaluates one arrangement against the current provider states.
-func arrState(a simArr, st []ProviderState, joint bool) ProviderState {
-	worst, all := ProviderUp, len(a.provs) > 0
-	for _, p := range a.provs {
+// arrState evaluates arrangement a, with provider ids provs, against the
+// current provider states.
+func arrState(a arr, provs []int32, st []ProviderState, joint bool) ProviderState {
+	worst, all := ProviderUp, len(provs) > 0
+	for _, p := range provs {
 		ps := st[p]
 		if ps > worst {
 			worst = ps
@@ -392,7 +317,7 @@ func arrState(a simArr, st []ProviderState, joint bool) ProviderState {
 	case a.critical():
 		// Critical arrangement: as unhealthy as its unhealthiest provider.
 		return worst
-	case a.class == ClassMultiThird && joint && all:
+	case DepClass(a.class) == ClassMultiThird && joint && all:
 		// Redundancy exhausted: every third party of the arrangement is down.
 		return ProviderDown
 	default:
@@ -407,8 +332,8 @@ func arrState(a simArr, st []ProviderState, joint bool) ProviderState {
 // degrades it.
 func (s *OutageSim) providerState(id int32, st []ProviderState, joint bool) ProviderState {
 	worst := ProviderUp
-	for _, a := range s.provArrs[id] {
-		if as := arrState(a, st, joint); as > worst {
+	for _, a := range s.prov.row(int(id)) {
+		if as := arrState(a, s.prov.provs(a), st, joint); as > worst {
 			worst = as
 			if worst == ProviderDown {
 				break
@@ -490,7 +415,7 @@ func (s *OutageSim) cascade(targets []int32, o OutageOpts, sc *SimScratch) {
 // be in both. Each touched row is ORed in once, from its dense bitset or
 // entry by entry (see unionRow).
 func (s *OutageSim) markSites(o OutageOpts, sc *SimScratch) {
-	words := (len(s.siteArrs) + 63) / 64
+	words := (s.nSites() + 63) / 64
 	if cap(sc.impaired) < words {
 		sc.impaired = make(bitset, words)
 		sc.down = make(bitset, words)
@@ -545,7 +470,7 @@ func (s *OutageSim) Run(targets []string, o OutageOpts) *OutageResult {
 	s.cascade(ids, o, &sc)
 	s.markSites(o, &sc)
 
-	nSites := len(s.g.Sites)
+	nSites := s.nSites()
 	res := &OutageResult{
 		Outcomes:          make([]SiteOutcome, nSites),
 		Resilience:        make([]float64, nSites),
@@ -588,16 +513,13 @@ func (s *OutageSim) classify(i int, state []ProviderState, isTarget []bool, join
 	var svcState [numServices]ProviderState
 	var svcSeen [numServices]bool
 	direct := false
-	for _, a := range s.siteArrs[i] {
-		as := arrState(a, state, joint)
-		if int(a.svc) < len(svcState) {
-			svcSeen[a.svc] = true
-			if as > svcState[a.svc] {
-				svcState[a.svc] = as
-			}
+	for _, a := range s.sites.row(i) {
+		svcSeen[a.svc] = true
+		if as := arrState(a, s.sites.provs(a), state, joint); as > svcState[a.svc] {
+			svcState[a.svc] = as
 		}
 		if !direct {
-			for _, p := range a.provs {
+			for _, p := range s.sites.provs(a) {
 				if isTarget[p] {
 					direct = true
 					break
@@ -607,11 +529,12 @@ func (s *OutageSim) classify(i int, state []ProviderState, isTarget []bool, join
 	}
 	res.Direct[i] = direct
 	outcome := SiteUnaffected
-	penalty := 0.0
+	penalty, consumed := 0.0, 0
 	for svc := range svcState {
 		if !svcSeen[svc] {
 			continue
 		}
+		consumed++
 		switch svcState[svc] {
 		case ProviderDown:
 			res.LostByService[Service(svc)]++
@@ -626,8 +549,8 @@ func (s *OutageSim) classify(i int, state []ProviderState, isTarget []bool, join
 		}
 	}
 	res.Outcomes[i] = outcome
-	if s.consumed[i] > 0 {
-		res.Resilience[i] = 1 - penalty/float64(s.consumed[i])
+	if consumed > 0 {
+		res.Resilience[i] = 1 - penalty/float64(consumed)
 	}
 	switch outcome {
 	case SiteDown:

@@ -63,3 +63,23 @@ func TestBodyLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulationRoutesCancelled: a request whose context is already
+// cancelled gets 408 with the JSON error shape from both simulation routes,
+// however the spec arrives.
+func TestSimulationRoutesCancelled(t *testing.T) {
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPost, "/incident", validBodies["/incident"]},
+		{http.MethodPost, "/v1/sweep", validBodies["/v1/sweep"]},
+		{http.MethodGet, "/v1/sweep?preset=mc-baseline", ""},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)).WithContext(ctx)
+		prewarmedMux(t).ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestTimeout || !strings.Contains(rec.Body.String(), `"error"`) {
+			t.Errorf("%s %s cancelled = %d: %s", tc.method, tc.path, rec.Code, rec.Body.String())
+		}
+	}
+}

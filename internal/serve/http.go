@@ -310,46 +310,10 @@ func (m *Manager) handleProviders(w http.ResponseWriter, r *http.Request) {
 //	GET  /incident?preset=NAME     — simulate a preset
 //	POST /incident                 — simulate the scenario JSON in the body
 func (m *Manager) handleIncident(w http.ResponseWriter, r *http.Request) {
-	var sc *incident.Scenario
-	switch r.Method {
-	case http.MethodGet:
-		name := r.URL.Query().Get("preset")
-		if name == "" {
-			writeJSON(w, http.StatusOK, map[string]any{"presets": incident.PresetNames()})
-			return
-		}
-		var ok bool
-		if sc, ok = incident.Preset(name); !ok {
-			httpError(w, http.StatusBadRequest, "unknown preset %q (have: %s)",
-				name, strings.Join(incident.PresetNames(), ", "))
-			return
-		}
-	case http.MethodPost:
-		body, ok := readBody(w, r)
-		if !ok {
-			return
-		}
-		var err error
-		if sc, err = incident.ParseScenario(bytes.NewReader(body)); err != nil {
-			httpError(w, http.StatusBadRequest, "bad scenario: %v", err)
-			return
-		}
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
-		return
+	if sc, s := readSpec(m, w, r, "preset", "scenario", incident.PresetNames, incident.Preset, incident.ParseScenario); s != nil {
+		rep, err := analysis.SimulateIncident(r.Context(), s.Run, sc)
+		writeRun(w, r, rep, err)
 	}
-	s := m.snapshot(w, r)
-	if s == nil {
-		return
-	}
-	rep, err := analysis.SimulateIncident(r.Context(), s.Run, sc)
-	if err != nil {
-		// The scenario parsed but does not apply to this world (unknown
-		// provider, missing snapshot, ...): the request is at fault.
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
 }
 
 // handleSweep answers:
@@ -358,50 +322,59 @@ func (m *Manager) handleIncident(w http.ResponseWriter, r *http.Request) {
 //	GET  /v1/sweep?preset=NAME  — run a preset Monte-Carlo sweep
 //	POST /v1/sweep              — run the sweep spec JSON in the body
 func (m *Manager) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var sp *incident.SweepSpec
+	if sp, s := readSpec(m, w, r, "sweep preset", "sweep spec", incident.SweepPresetNames, incident.SweepPreset, incident.ParseSweep); s != nil {
+		rep, err := analysis.MonteCarloSweep(r.Context(), s.Run, sp, 0)
+		writeRun(w, r, rep, err)
+	}
+}
+
+// readSpec is the front half of the simulation routes: GET lists the
+// presets (names), GET ?preset=NAME loads one (preset), and POST
+// strict-decodes the capped body (parse); then the snapshot is resolved.
+// It returns a nil snapshot after writing the response: the listing, or
+// the error.
+func readSpec[T any](m *Manager, w http.ResponseWriter, r *http.Request, presetNoun, bodyNoun string,
+	names func() []string, preset func(string) (*T, bool), parse func(io.Reader) (*T, error)) (*T, *Snapshot) {
 	switch r.Method {
 	case http.MethodGet:
 		name := r.URL.Query().Get("preset")
 		if name == "" {
-			writeJSON(w, http.StatusOK, map[string]any{"presets": incident.SweepPresetNames()})
-			return
+			writeJSON(w, http.StatusOK, map[string]any{"presets": names()})
+			return nil, nil
 		}
-		var ok bool
-		if sp, ok = incident.SweepPreset(name); !ok {
-			httpError(w, http.StatusBadRequest, "unknown sweep preset %q (have: %s)",
-				name, strings.Join(incident.SweepPresetNames(), ", "))
-			return
+		if spec, ok := preset(name); ok {
+			return spec, m.snapshot(w, r)
 		}
+		httpError(w, http.StatusBadRequest, "unknown %s %q (have: %s)", presetNoun, name, strings.Join(names(), ", "))
 	case http.MethodPost:
 		body, ok := readBody(w, r)
 		if !ok {
-			return
+			return nil, nil
 		}
-		var err error
-		if sp, err = incident.ParseSweep(bytes.NewReader(body)); err != nil {
-			httpError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
-			return
+		spec, err := parse(bytes.NewReader(body))
+		if err == nil {
+			return spec, m.snapshot(w, r)
 		}
+		httpError(w, http.StatusBadRequest, "bad %s: %v", bodyNoun, err)
 	default:
 		httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
-		return
 	}
-	s := m.snapshot(w, r)
-	if s == nil {
-		return
-	}
-	rep, err := analysis.MonteCarloSweep(r.Context(), s.Run, sp, 0)
-	if err != nil {
-		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
-			httpError(w, http.StatusRequestTimeout, "request cancelled: %v", err)
-			return
-		}
-		// The spec parsed but does not apply to this world (unknown provider,
-		// missing snapshot, empty pool, ...): the request is at fault.
+	return nil, nil
+}
+
+// writeRun answers a simulation or mitigation route with its report, or
+// maps its error: 408 when the request was cancelled, else 400 — the
+// request parsed but does not apply to this world (unknown provider,
+// missing snapshot, empty pool, ...), so the request is at fault.
+func writeRun(w http.ResponseWriter, r *http.Request, rep any, err error) {
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, rep)
+	case errors.Is(err, r.Context().Err()) && r.Context().Err() != nil:
+		httpError(w, http.StatusRequestTimeout, "request cancelled: %v", err)
+	default:
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
 	}
-	writeJSON(w, http.StatusOK, rep)
 }
 
 // handleChains serves the implicit-trust chain summary — direct vs
@@ -457,11 +430,7 @@ func (m *Manager) handleMitigation(w http.ResponseWriter, r *http.Request) {
 		k = maxK
 	}
 	plan, err := analysis.Mitigation(s.Run, k, r.URL.Query().Get("snapshot"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, plan)
+	writeRun(w, r, plan, err)
 }
 
 // intParam parses a non-negative integer query parameter, writing a 400 and
