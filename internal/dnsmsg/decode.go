@@ -308,28 +308,23 @@ func (d *decoder) decodeRDATA(r *Record, end int) error {
 	return nil
 }
 
-// canonMemo caches the slow normalization path per distinct raw input, with
-// results interned so repeated canonicalizations of the same spelling share
-// one string.
-var canonMemo = intern.NewMemo(canonicalNameSlow)
-
 // CanonicalName lowercases a DNS name and ensures a trailing dot, the form
 // used as map keys throughout the zone store and resolver cache. Names that
 // are already canonical — lowercase ASCII with a trailing dot, the common
-// case on the measurement hot path — are returned unchanged without
-// allocating.
+// case on the measurement hot path, where the measurer canonicalizes each
+// name once before asking — are returned unchanged without allocating.
 func CanonicalName(name string) string {
 	for i := 0; i < len(name); i++ {
 		c := name[i]
 		if (c >= 'A' && c <= 'Z') || c <= ' ' || c >= 0x80 {
-			return canonMemo.Get(name)
+			return canonicalNameSlow(name)
 		}
 	}
 	if len(name) == 0 {
 		return "."
 	}
 	if name[len(name)-1] != '.' {
-		return canonMemo.Get(name)
+		return name + "."
 	}
 	return name
 }

@@ -11,6 +11,7 @@ package dnszone
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,8 +26,10 @@ type Zone struct {
 	// SOA is the zone's start-of-authority record data.
 	SOA dnsmsg.SOAData
 
-	mu    sync.RWMutex
-	nodes map[string]map[dnsmsg.Type][]dnsmsg.Record
+	mu sync.RWMutex
+	// nodes maps an owner name to its records, grouped into runs by type in
+	// ascending type order, with insertion order kept within each run.
+	nodes map[string][]dnsmsg.Record
 
 	// soaRec and soaAuth are the prebuilt apex SOA record and a one-record
 	// authority section wrapping it, shared by every NXDOMAIN/NODATA result
@@ -42,7 +45,7 @@ func NewZone(origin string, soa dnsmsg.SOAData) *Zone {
 	z := &Zone{
 		Origin: dnsmsg.CanonicalName(origin),
 		SOA:    soa,
-		nodes:  make(map[string]map[dnsmsg.Type][]dnsmsg.Record),
+		nodes:  make(map[string][]dnsmsg.Record),
 	}
 	z.soaRec = dnsmsg.Record{
 		Name: z.Origin, Type: dnsmsg.TypeSOA, Class: dnsmsg.ClassIN, TTL: 3600,
@@ -66,13 +69,48 @@ func (z *Zone) Add(r dnsmsg.Record) error {
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	types := z.nodes[name]
-	if types == nil {
-		types = make(map[dnsmsg.Type][]dnsmsg.Record)
-		z.nodes[name] = types
+	node := z.nodes[name]
+	// The record goes after every record of a type at or below its own.
+	i := len(node)
+	for i > 0 && node[i-1].Type > r.Type {
+		i--
 	}
-	types[r.Type] = append(types[r.Type], r)
+	if i == len(node) {
+		z.nodes[name] = append(node, r)
+	} else {
+		// Concat copies into a new, exactly sized slice rather than shifting
+		// in place: earlier lookups may still alias runs of the old one.
+		z.nodes[name] = slices.Concat(node[:i], []dnsmsg.Record{r}, node[i:])
+	}
 	return nil
+}
+
+// run returns the records of type t in node, capped so that appending to
+// the result can never write into the node.
+func run(node []dnsmsg.Record, t dnsmsg.Type) []dnsmsg.Record {
+	i := 0
+	for i < len(node) && node[i].Type < t {
+		i++
+	}
+	j := i
+	for j < len(node) && node[j].Type == t {
+		j++
+	}
+	return node[i:j:j]
+}
+
+// answers returns recs as answers for qname: as they are, or, when they come
+// from a wildcard node, copied with their owner renamed to qname.
+func answers(recs []dnsmsg.Record, wild bool, qname string) []dnsmsg.Record {
+	if !wild {
+		return recs
+	}
+	out := make([]dnsmsg.Record, len(recs))
+	for i, r := range recs {
+		r.Name = qname
+		out[i] = r
+	}
+	return out
 }
 
 // MustAdd is Add that panics on error, for generator code building zones
@@ -106,19 +144,18 @@ func (z *Zone) soaAuthority() []dnsmsg.Record {
 	return []dnsmsg.Record{z.SOARecord()}
 }
 
-// lookupNode returns the record set of the node for qname, synthesizing from
-// a wildcard ("*.origin") when the exact node is absent. The second result
-// reports whether the name exists at all (for NXDOMAIN vs NODATA).
-func (z *Zone) lookupNode(qname string) (map[dnsmsg.Type][]dnsmsg.Record, bool) {
+// lookupNode returns the node for qname, or, with wild set, the closest
+// wildcard node ("*.<ancestor>") when there is none. Nodes are never empty,
+// so an empty result means the name does not exist (NXDOMAIN, not NODATA).
+func (z *Zone) lookupNode(qname string) (node []dnsmsg.Record, wild bool) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	if types, ok := z.nodes[qname]; ok {
-		return types, true
+	if node, ok := z.nodes[qname]; ok {
+		return node, false
 	}
-	// Wildcard synthesis: replace the leftmost label(s) with "*" walking up.
-	// The candidate "*.<rest>" keys are assembled in a stack scratch buffer
-	// and probed with the compiler's alloc-free map[string] byte-slice index,
-	// so a miss costs no garbage (the seed split qname into fresh labels).
+	// Walk up the ancestors. Each "*.<rest>" key is assembled in a stack
+	// buffer and probed with the compiler's alloc-free map[string(b)] index,
+	// so a miss costs no garbage.
 	var scratch [64]byte
 	key := scratch[:0]
 	rest := qname
@@ -134,18 +171,8 @@ func (z *Zone) lookupNode(qname string) (map[dnsmsg.Type][]dnsmsg.Record, bool) 
 		}
 		key = append(key[:0], '*', '.')
 		key = append(key, rest...)
-		if types, ok := z.nodes[string(key)]; ok {
-			// Synthesize records at qname.
-			out := make(map[dnsmsg.Type][]dnsmsg.Record, len(types))
-			for t, rs := range types {
-				rs2 := make([]dnsmsg.Record, len(rs))
-				for j, r := range rs {
-					r.Name = qname
-					rs2[j] = r
-				}
-				out[t] = rs2
-			}
-			return out, true
+		if node, ok := z.nodes[string(key)]; ok {
+			return node, true
 		}
 	}
 	return nil, false
@@ -158,16 +185,8 @@ func (z *Zone) AllRecords() []dnsmsg.Record {
 	out := []dnsmsg.Record{z.SOARecord()}
 	for _, name := range z.Names() {
 		node, _ := z.lookupNode(name)
-		types := make([]dnsmsg.Type, 0, len(node))
-		for t := range node {
-			types = append(types, t)
-		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
-			for _, r := range node[t] {
-				if r.Type == dnsmsg.TypeSOA {
-					continue
-				}
+		for _, r := range node {
+			if r.Type != dnsmsg.TypeSOA {
 				out = append(out, r)
 			}
 		}
@@ -302,8 +321,8 @@ func (s *Store) Lookup(qname string, qtype dnsmsg.Type) Result {
 			return Result{RCode: dnsmsg.RCodeRefused}
 		}
 		res.Zone = z
-		node, exists := z.lookupNode(name)
-		if !exists {
+		node, wild := z.lookupNode(name)
+		if len(node) == 0 {
 			if len(res.Answers) > 0 {
 				res.RCode = dnsmsg.RCodeSuccess
 				res.Authority = z.soaAuthority()
@@ -316,17 +335,15 @@ func (s *Store) Lookup(qname string, qtype dnsmsg.Type) Result {
 			}
 		}
 		if qtype == dnsmsg.TypeANY {
-			for _, rs := range node {
-				res.Answers = append(res.Answers, rs...)
-			}
+			res.Answers = append(res.Answers, answers(node, wild, name)...)
 			sortRecords(res.Answers)
 			res.RCode = dnsmsg.RCodeSuccess
 			return res
 		}
-		if rs, ok := node[qtype]; ok && len(rs) > 0 {
+		if rs := answers(run(node, qtype), wild, name); len(rs) > 0 {
 			if res.Answers == nil {
-				// Plain exact hit (no CNAME prefix): alias the node's record
-				// set rather than copying it. Results are read-only by
+				// Plain exact hit (no CNAME prefix): alias the node's run
+				// rather than copying it. Results are read-only by
 				// convention and this is the hottest path in the store.
 				res.Answers = rs
 			} else {
@@ -335,7 +352,7 @@ func (s *Store) Lookup(qname string, qtype dnsmsg.Type) Result {
 			res.RCode = dnsmsg.RCodeSuccess
 			return res
 		}
-		if cn, ok := node[dnsmsg.TypeCNAME]; ok && len(cn) > 0 && qtype != dnsmsg.TypeCNAME {
+		if cn := answers(run(node, dnsmsg.TypeCNAME), wild, name); len(cn) > 0 && qtype != dnsmsg.TypeCNAME {
 			res.Answers = append(res.Answers, cn[0])
 			seen++
 			if seen > maxCNAMEChase {
@@ -393,7 +410,7 @@ func (s *Store) AnswerInto(query, resp *dnsmsg.Message) {
 }
 
 func sortRecords(rs []dnsmsg.Record) {
-	sort.Slice(rs, func(i, j int) bool {
+	sort.SliceStable(rs, func(i, j int) bool {
 		if rs[i].Name != rs[j].Name {
 			return rs[i].Name < rs[j].Name
 		}

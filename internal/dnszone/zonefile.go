@@ -331,36 +331,18 @@ func (z *Zone) WriteTo(w io.Writer) (int64, error) {
 		return total, err
 	}
 
-	names := z.Names()
-	sort.SliceStable(names, func(i, j int) bool {
-		if names[i] == z.Origin {
-			return names[j] != z.Origin
-		}
-		if names[j] == z.Origin {
-			return false
-		}
-		return names[i] < names[j]
+	// The transfer order minus its leading SOA, apex records moved first.
+	recs := z.AllRecords()[1:]
+	sort.SliceStable(recs, func(i, j int) bool {
+		return recs[i].Name == z.Origin && recs[j].Name != z.Origin
 	})
-	for _, name := range names {
-		node, _ := z.lookupNode(name)
-		types := make([]dnsmsg.Type, 0, len(node))
-		for t := range node {
-			types = append(types, t)
+	for i := range recs {
+		line, err := recordLine(&recs[i])
+		if err != nil {
+			return total, err
 		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
-			for _, rec := range node[t] {
-				if rec.Type == dnsmsg.TypeSOA {
-					continue // already emitted at the top
-				}
-				line, err := recordLine(&rec)
-				if err != nil {
-					return total, err
-				}
-				if err := emit("%s\n", line); err != nil {
-					return total, err
-				}
-			}
+		if err := emit("%s\n", line); err != nil {
+			return total, err
 		}
 	}
 	return total, nil

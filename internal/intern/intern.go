@@ -1,7 +1,7 @@
 // Package intern deduplicates hot-path strings so each distinct hostname is
-// allocated once per process instead of once per record. The measurement
-// pipeline decodes and canonicalizes the same few thousand names millions of
-// times (every NS/SOA/CNAME answer repeats the zone's names); interning turns
+// allocated once per process instead of once per record. A measurement over
+// the wire decodes the same few thousand names millions of times (every
+// NS/SOA/CNAME answer repeats the zone's names); interning turns
 // those repeats into map hits and shrinks both steady-state heap and GC scan
 // work. A Pool is sharded so concurrent workers do not serialize on one lock,
 // and the []byte lookup path relies on the compiler's map[string(b)]
@@ -130,38 +130,3 @@ func String(s string) string { return defaultPool.Intern(s) }
 
 // Bytes interns b in the process-wide pool without allocating on hits.
 func Bytes(b []byte) string { return defaultPool.Bytes(b) }
-
-// Memo caches a pure string->string function. Results are interned through
-// the process-wide pool, so memoizing normalization functions (canonical
-// names, registrable domains) both skips recomputation and collapses the
-// outputs onto shared string storage. Safe for concurrent use.
-type Memo struct {
-	fn     func(string) string
-	shards [shardCount]shard
-}
-
-// NewMemo creates a memo table over fn, which must be pure: same input,
-// same output, no side effects the caller depends on.
-func NewMemo(fn func(string) string) *Memo {
-	m := &Memo{fn: fn}
-	for i := range m.shards {
-		m.shards[i].m = make(map[string]string)
-	}
-	return m
-}
-
-// Get returns fn(key), computing it at most once per distinct key.
-func (m *Memo) Get(key string) string {
-	sh := &m.shards[fnv1a(key)&(shardCount-1)]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = defaultPool.Intern(m.fn(key))
-	sh.mu.Lock()
-	sh.m[String(key)] = v
-	sh.mu.Unlock()
-	return v
-}

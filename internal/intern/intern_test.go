@@ -79,50 +79,3 @@ func TestPoolConcurrent(t *testing.T) {
 		t.Fatalf("Len = %d, want 100", p.Len())
 	}
 }
-
-func TestMemoComputesOncePerKey(t *testing.T) {
-	var mu sync.Mutex
-	calls := map[string]int{}
-	m := NewMemo(func(s string) string {
-		mu.Lock()
-		calls[s]++
-		mu.Unlock()
-		return strings.ToUpper(s)
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				key := fmt.Sprintf("k%d", i%5)
-				if got := m.Get(key); got != strings.ToUpper(key) {
-					t.Errorf("Get(%q) = %q", key, got)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for k, n := range calls {
-		// Concurrent first lookups may race to compute, but once a key is
-		// stored every later Get must be a pure map hit.
-		if n > 16 {
-			t.Fatalf("fn called %d times for %q", n, k)
-		}
-	}
-	if m.Get("k0") != "K0" {
-		t.Fatal("memoized value lost")
-	}
-}
-
-func TestMemoHitPathDoesNotAllocate(t *testing.T) {
-	m := NewMemo(strings.ToUpper)
-	m.Get("www.example.com")
-	allocs := testing.AllocsPerRun(200, func() {
-		m.Get("www.example.com")
-	})
-	if allocs > 0 {
-		t.Fatalf("Memo hit path allocates %.1f per run, want 0", allocs)
-	}
-}

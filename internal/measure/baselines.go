@@ -3,6 +3,7 @@ package measure
 import (
 	"context"
 
+	"depscope/internal/dnsmsg"
 	"depscope/internal/publicsuffix"
 )
 
@@ -65,7 +66,7 @@ func (b *Baselines) SOA(ctx context.Context, site, host string) (Classification,
 // CombinedPair applies the full combined heuristic to one pair, using a
 // pre-computed concentration map (as the real pipeline does).
 func (b *Baselines) CombinedPair(ctx context.Context, site, host string, conc map[string]int) (Classification, error) {
-	res, err := b.m.classifySiteDNS(ctx, site, []string{host}, conc)
+	res, err := b.m.classifySiteDNS(ctx, dnsmsg.CanonicalName(site), []string{host}, conc)
 	if err != nil {
 		return Unknown, err
 	}

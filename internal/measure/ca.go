@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"depscope/internal/core"
+	"depscope/internal/dnsmsg"
 	"depscope/internal/publicsuffix"
 )
 
@@ -12,10 +13,11 @@ import (
 // third-party by TLD match, SAN-list match, then SOA comparison. A site
 // with a third-party CA and no OCSP staple is critically dependent; a
 // stapled response removes the criticality (mapped to the redundant
-// private+third class so the impact metrics skip it).
-func (m *measurer) classifySiteCA(ctx context.Context, site string) (SiteCA, error) {
+// private+third class so the impact metrics skip it). fqdn is the site's
+// canonical name.
+func (m *measurer) classifySiteCA(ctx context.Context, fqdn string) (SiteCA, error) {
 	out := SiteCA{}
-	cert := m.getCert(site)
+	cert := m.getCert(fqdn)
 	if cert == nil {
 		out.Class = core.ClassNone
 		return out, nil
@@ -29,9 +31,9 @@ func (m *measurer) classifySiteCA(ctx context.Context, site string) (SiteCA, err
 		return out, nil
 	}
 
-	siteRD := publicsuffix.RegistrableDomain(site)
+	siteRD := publicsuffix.RegistrableDomain(fqdn)
 	sanRDs := cert.SANRegistrableDomains()
-	siteSOA, haveSiteSOA, err := m.cfg.Resolver.SOA(ctx, site)
+	siteSOA, haveSiteSOA, err := m.cfg.Resolver.SOA(ctx, fqdn)
 	if err != nil {
 		return out, err
 	}
@@ -47,7 +49,7 @@ func (m *measurer) classifySiteCA(ctx context.Context, site string) (SiteCA, err
 		case sanRDs[hostRD]:
 			cls = Private
 		default:
-			caSOA, haveCASOA, err := m.softSOA(ctx, host)
+			caSOA, haveCASOA, err := m.softSOA(ctx, dnsmsg.CanonicalName(host))
 			if err != nil {
 				return out, err
 			}

@@ -7,12 +7,13 @@ import (
 	"sync"
 
 	"depscope/internal/core"
+	"depscope/internal/dnsmsg"
 	"depscope/internal/publicsuffix"
 	"depscope/internal/resolver"
 )
 
 // foundPool recycles the per-site CDN-evidence scratch map (CDN name → the
-// CNAME that matched it) across dispatch calls.
+// canonical CNAME that matched it) across dispatch calls.
 var foundPool = sync.Pool{New: func() any {
 	return make(map[string]string, 4)
 }}
@@ -21,7 +22,9 @@ var foundPool = sync.Pool{New: func() any {
 // hosts; hosts belonging to the site (TLD, SAN or SOA evidence) are its
 // internal resources; their CNAME chains are matched against the CNAME→CDN
 // map; each (site, CDN) pair is then classified private or third-party.
-func (m *measurer) classifySiteCDN(ctx context.Context, site string) (SiteCDN, error) {
+// fqdn is the site's canonical name; each page host is canonicalized once
+// per visit, so its SOA and CNAME lookups take the resolver's no-copy path.
+func (m *measurer) classifySiteCDN(ctx context.Context, site, fqdn string) (SiteCDN, error) {
 	out := SiteCDN{}
 	if m.cfg.Pages == nil {
 		out.Class = core.ClassNone
@@ -33,19 +36,22 @@ func (m *measurer) classifySiteCDN(ctx context.Context, site string) (SiteCDN, e
 		return out, nil
 	}
 
-	siteRD := publicsuffix.RegistrableDomain(site)
-	cert := m.getCert(site)
+	siteRD := publicsuffix.RegistrableDomain(fqdn)
+	cert := m.getCert(fqdn)
 	var sanRDs map[string]bool
 	if cert != nil {
 		sanRDs = cert.SANRegistrableDomains()
 	}
-	siteSOA, haveSiteSOA, err := m.cfg.Resolver.SOA(ctx, site)
+	siteSOA, haveSiteSOA, err := m.cfg.Resolver.SOA(ctx, fqdn)
 	if err != nil {
 		return out, err
 	}
 
-	// Identify internal resources.
-	for _, host := range page.Hosts() {
+	// Identify internal resources; internalFQ holds their canonical names.
+	hosts := page.Hosts()
+	internalFQ := make([]string, 0, len(hosts))
+	for _, host := range hosts {
+		fq := dnsmsg.CanonicalName(host)
 		hostRD := publicsuffix.RegistrableDomain(host)
 		internal := hostRD != "" && hostRD == siteRD
 		if !internal && cert != nil && (sanRDs[hostRD] || cert.MatchesSAN(host)) {
@@ -53,7 +59,7 @@ func (m *measurer) classifySiteCDN(ctx context.Context, site string) (SiteCDN, e
 		}
 		if !internal && haveSiteSOA {
 			// SOA evidence: the host's authority shares the site's master.
-			hostSOA, haveHostSOA, err := m.softSOA(ctx, host)
+			hostSOA, haveHostSOA, err := m.softSOA(ctx, fq)
 			if err != nil {
 				return out, err
 			}
@@ -63,6 +69,7 @@ func (m *measurer) classifySiteCDN(ctx context.Context, site string) (SiteCDN, e
 		}
 		if internal {
 			out.InternalHosts = append(out.InternalHosts, host)
+			internalFQ = append(internalFQ, fq)
 		}
 	}
 
@@ -72,15 +79,15 @@ func (m *measurer) classifySiteCDN(ctx context.Context, site string) (SiteCDN, e
 		clear(found)
 		foundPool.Put(found)
 	}()
-	for _, host := range out.InternalHosts {
-		chain, err := m.cfg.Resolver.CNAMEChain(ctx, host)
+	for _, fq := range internalFQ {
+		chain, err := m.cfg.Resolver.CNAMEChain(ctx, fq)
 		if err != nil && !errors.Is(err, resolver.ErrServFail) {
 			return out, err
 		}
 		for _, name := range chain {
 			if cdn, _, ok := m.cdn.Match(name); ok {
 				if _, seen := found[cdn]; !seen {
-					found[cdn] = publicsuffix.Normalize(name)
+					found[cdn] = name
 				}
 			}
 		}

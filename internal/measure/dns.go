@@ -15,20 +15,20 @@ import (
 
 // classifySiteDNS applies the paper's §3.1 combined heuristic to every
 // (site, nameserver) pair and reduces the pairs to a dependency class via
-// entity grouping.
-func (m *measurer) classifySiteDNS(ctx context.Context, site string, nsHosts []string, conc map[string]int) (SiteDNS, error) {
+// entity grouping. fqdn is the site's canonical name.
+func (m *measurer) classifySiteDNS(ctx context.Context, fqdn string, nsHosts []string, conc map[string]int) (SiteDNS, error) {
 	out := SiteDNS{}
 	if len(nsHosts) == 0 {
 		out.Class = core.ClassUnknown
 		return out, nil
 	}
-	siteRD := publicsuffix.RegistrableDomain(site)
-	cert := m.getCert(site)
+	siteRD := publicsuffix.RegistrableDomain(fqdn)
+	cert := m.getCert(fqdn)
 	var sanRDs map[string]bool
 	if cert != nil {
 		sanRDs = cert.SANRegistrableDomains()
 	}
-	siteSOA, haveSiteSOA, err := m.cfg.Resolver.SOA(ctx, site)
+	siteSOA, haveSiteSOA, err := m.cfg.Resolver.SOA(ctx, fqdn)
 	if err != nil {
 		return out, err
 	}
@@ -54,7 +54,7 @@ func (m *measurer) classifySiteDNS(ctx context.Context, site string, nsHosts []s
 		}
 		out.Pairs = append(out.Pairs, pair)
 	}
-	out.Class, out.Providers = reduceDNSPairs(site, out.Pairs)
+	out.Class, out.Providers = reduceDNSPairs(fqdn, out.Pairs)
 	return out, nil
 }
 

@@ -36,7 +36,10 @@ type SiteContext struct {
 	// Result is the slot this site's verdicts accumulate in.
 	Result *SiteResult
 
-	m *measurer
+	// fqdn is Site in canonical form, computed once per stream, so resolver
+	// lookups about the site take the resolver's no-copy path.
+	fqdn string
+	m    *measurer
 }
 
 // Config exposes the run configuration to stage implementations.
@@ -73,7 +76,7 @@ type dnsStage struct{}
 func (dnsStage) Name() string { return "dns" }
 
 func (dnsStage) ClassifySite(ctx context.Context, sc *SiteContext) error {
-	dns, err := sc.m.classifySiteDNS(ctx, sc.Site, sc.NS, sc.Conc)
+	dns, err := sc.m.classifySiteDNS(ctx, sc.fqdn, sc.NS, sc.Conc)
 	if err != nil {
 		sc.Result.DNS = SiteDNS{Class: core.ClassUnknown}
 		return err
@@ -88,7 +91,7 @@ type caStage struct{}
 func (caStage) Name() string { return "ca" }
 
 func (caStage) ClassifySite(ctx context.Context, sc *SiteContext) error {
-	ca, err := sc.m.classifySiteCA(ctx, sc.Site)
+	ca, err := sc.m.classifySiteCA(ctx, sc.fqdn)
 	if err != nil {
 		sc.Result.CA = SiteCA{Class: core.ClassUnknown}
 		return err
@@ -103,7 +106,7 @@ type cdnStage struct{}
 func (cdnStage) Name() string { return "cdn" }
 
 func (cdnStage) ClassifySite(ctx context.Context, sc *SiteContext) error {
-	cdn, err := sc.m.classifySiteCDN(ctx, sc.Site)
+	cdn, err := sc.m.classifySiteCDN(ctx, sc.Site, sc.fqdn)
 	if err != nil {
 		sc.Result.CDN = SiteCDN{Class: core.ClassUnknown}
 		return err

@@ -8,6 +8,7 @@ import (
 
 	"depscope/internal/conc"
 	"depscope/internal/core"
+	"depscope/internal/dnsmsg"
 	"depscope/internal/publicsuffix"
 	"depscope/internal/telemetry"
 )
@@ -37,8 +38,11 @@ import (
 // snapshot every CheckpointEvery completed sites, and the final snapshot in
 // Finish.
 type Stream struct {
-	m      *measurer
-	sites  []string
+	m     *measurer
+	sites []string
+	// fqdns[i] is sites[i] canonicalized once, the form every resolver
+	// question about the site is asked in.
+	fqdns  []string
 	nsSets [][]string
 	res    *Results
 
@@ -81,7 +85,11 @@ func NewStream(sites []string, cfg Config) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{m: m, sites: sites, nsSets: make([][]string, len(sites)), ck: ck}, nil
+	fqdns := make([]string, len(sites))
+	for i, site := range sites {
+		fqdns[i] = dnsmsg.CanonicalName(site)
+	}
+	return &Stream{m: m, sites: sites, fqdns: fqdns, nsSets: make([][]string, len(sites)), ck: ck}, nil
 }
 
 // Len returns the number of sites in the stream.
@@ -107,7 +115,7 @@ func (s *Stream) ResolveBatch(ctx context.Context, lo, hi int) error {
 			return nil
 		}
 		start := time.Now()
-		ns, err := m.cfg.Resolver.NS(ctx, s.sites[i])
+		ns, err := m.cfg.Resolver.NS(ctx, s.fqdns[i])
 		m.resolveHist.ObserveDuration(time.Since(start))
 		m.diag.observe(stageResolve, err)
 		if err != nil {
@@ -186,6 +194,7 @@ func (s *Stream) MeasureBatch(ctx context.Context, lo, hi int) error {
 			NS:     s.nsSets[i],
 			Conc:   s.res.NSConcentration,
 			Result: &s.res.Sites[i],
+			fqdn:   s.fqdns[i],
 			m:      m,
 		}
 		sc.Result.Site, sc.Result.Rank = sc.Site, sc.Rank

@@ -10,18 +10,23 @@
 // exception (!www.ck) rule forms so it behaves like a full implementation.
 package publicsuffix
 
-import (
-	"strings"
-
-	"depscope/internal/intern"
-)
+import "strings"
 
 // List is a compiled set of public-suffix rules.
 type List struct {
-	normal    map[string]bool
-	wildcard  map[string]bool // key is the base: "*.ck" is stored as "ck"
-	exception map[string]bool
+	// rules maps each key to the forms it takes, as bits: "com" is a normal
+	// key, "*.ck" the wildcard key "ck", "!www.ck" the exception key "www.ck".
+	rules map[string]uint8
+	// depth is the most labels any key has; longer candidates cannot match.
+	depth int
 }
+
+// Rule forms, the bits of List.rules values.
+const (
+	normalRule = 1 << iota
+	wildcardRule
+	exceptionRule
+)
 
 // defaultRules is the embedded rule set. It covers every suffix that the
 // synthetic ecosystem generator can emit, the common gTLDs/ccTLDs seen in the
@@ -70,22 +75,20 @@ var defaultList = NewList(defaultRules)
 // exception rules beat wildcard rules, and among the rest the longest
 // matching rule wins; with no match the implicit "*" rule applies.
 func NewList(rules []string) *List {
-	l := &List{
-		normal:    make(map[string]bool, len(rules)),
-		wildcard:  make(map[string]bool),
-		exception: make(map[string]bool),
-	}
+	l := &List{rules: make(map[string]uint8, len(rules))}
 	for _, r := range rules {
 		r = strings.ToLower(strings.TrimSpace(r))
+		key, form := r, uint8(normalRule)
 		switch {
 		case r == "":
+			continue
 		case strings.HasPrefix(r, "!"):
-			l.exception[r[1:]] = true
+			key, form = r[1:], exceptionRule
 		case strings.HasPrefix(r, "*."):
-			l.wildcard[r[2:]] = true
-		default:
-			l.normal[r] = true
+			key, form = r[2:], wildcardRule
 		}
+		l.rules[key] |= form
+		l.depth = max(l.depth, strings.Count(key, ".")+1)
 	}
 	return l
 }
@@ -97,68 +100,58 @@ func Default() *List { return defaultList }
 // rule matched (false means the implicit "*" rule was used, i.e. the last
 // label alone is the suffix).
 func (l *List) PublicSuffix(domain string) (suffix string, explicit bool) {
-	domain = Normalize(domain)
-	if domain == "" {
+	d := Normalize(domain)
+	if d == "" {
 		return "", false
 	}
-	labels := strings.Split(domain, ".")
+	// p is the start of the longest candidate with at most depth labels.
+	p := len(d) + 1
+	for k := 0; k < max(l.depth, 1) && p > 0; k++ {
+		p = strings.LastIndexByte(d[:p-1], '.') + 1
+	}
 	// Scan candidate suffixes from longest to shortest; the first match is
 	// the longest matching rule.
-	for i := 0; i < len(labels); i++ {
-		cand := strings.Join(labels[i:], ".")
-		if l.exception[cand] {
+	for {
+		cand := d[p:]
+		form := l.rules[cand]
+		if form&exceptionRule != 0 {
 			// The suffix for an exception rule is the rule minus its
 			// leftmost label: "!www.ck" makes "ck" the suffix of www.ck.
-			if idx := strings.IndexByte(cand, '.'); idx >= 0 {
-				return cand[idx+1:], true
-			}
-			return cand, true
+			return cand[strings.IndexByte(cand, '.')+1:], true
 		}
-		if i > 0 && l.wildcard[cand] {
+		if form&wildcardRule != 0 && p > 0 {
 			// "*.ck" puts the suffix one label to the left of "ck".
-			return strings.Join(labels[i-1:], "."), true
+			return d[strings.LastIndexByte(d[:p-1], '.')+1:], true
 		}
-		if l.normal[cand] {
+		if form&normalRule != 0 {
 			return cand, true
 		}
+		i := strings.IndexByte(cand, '.')
+		if i < 0 {
+			return cand, false
+		}
+		p += i + 1
 	}
-	return labels[len(labels)-1], false
 }
 
 // RegistrableDomain returns the eTLD+1 of domain: the public suffix plus one
-// label. It returns "" if the domain is itself a public suffix or empty.
+// label. It returns "" if the domain is itself a public suffix or empty. The
+// result is a substring of lowercase ASCII input.
 func (l *List) RegistrableDomain(domain string) string {
 	domain = Normalize(domain)
-	if domain == "" {
-		return ""
-	}
+	// PublicSuffix normalizes again (trimming a second trailing dot, say).
 	suffix, _ := l.PublicSuffix(domain)
-	if domain == suffix {
+	n := len(domain) - len(suffix) - 1
+	if n < 0 || domain[n] != '.' || domain[n+1:] != suffix {
 		return ""
 	}
-	rest := strings.TrimSuffix(domain, "."+suffix)
-	if rest == domain {
-		// Suffix did not align on a label boundary; treat domain as opaque.
-		return ""
-	}
-	labels := strings.Split(rest, ".")
-	return labels[len(labels)-1] + "." + suffix
+	return domain[strings.LastIndexByte(domain[:n], '.')+1:]
 }
 
-// rdMemo caches the default list's eTLD+1 extraction. The pipeline calls
-// tld(x) for every NS host, SAN entry, and CNAME link of every site, but the
-// universe of distinct inputs is the (small) set of hostnames in a run — the
-// split/join work in the generic algorithm dominated the measurement pass's
-// allocation profile before memoization.
-var rdMemo = intern.NewMemo(func(domain string) string {
-	return defaultList.RegistrableDomain(domain)
-})
-
 // RegistrableDomain extracts the eTLD+1 using the default list. This is the
-// paper's tld(x) primitive. Results are memoized per distinct input and
-// interned process-wide.
+// paper's tld(x) primitive.
 func RegistrableDomain(domain string) string {
-	return rdMemo.Get(domain)
+	return defaultList.RegistrableDomain(domain)
 }
 
 // PublicSuffix returns the public suffix of domain using the default list.
@@ -176,9 +169,15 @@ func SameRegistrableDomain(a, b string) bool {
 
 // Normalize lowercases a hostname and strips the trailing dot of a
 // fully-qualified DNS name, the leading "*." of a wildcard SAN entry and
-// surrounding whitespace.
+// surrounding whitespace. Lowercase ASCII input is trimmed without a copy.
 func Normalize(host string) string {
-	host = strings.ToLower(strings.TrimSpace(host))
+	host = strings.TrimSpace(host)
+	for i := 0; i < len(host); i++ {
+		if c := host[i]; c >= 0x80 || 'A' <= c && c <= 'Z' {
+			host = strings.ToLower(host)
+			break
+		}
+	}
 	host = strings.TrimSuffix(host, ".")
 	host = strings.TrimPrefix(host, "*.")
 	return host

@@ -143,6 +143,8 @@ type Resolver struct {
 	// shards has power-of-two length; shardMask == len(shards)-1.
 	shards    []cacheShard
 	shardMask uint64
+	// shardHint is the entry count each shard's cache map is made for.
+	shardHint int
 
 	// Per-instance counters behind Stats, kept off the cache mutexes so the
 	// accounting is lock-free; the same events also feed the process-wide
@@ -187,7 +189,23 @@ func WithShards(n int) Option {
 	}
 }
 
-// New creates a resolver using transport.
+// entriesPerZone is how many cache entries a measurement run leaves per
+// zone of the store it asks: 3.9 and 4.2 in the 2016 and 2020 worlds at 10K
+// sites (43.3K and 46.6K entries over 11.1K and 11.2K zones).
+const entriesPerZone = 4
+
+// expectedEntries sizes the cache from the world the resolver answers for:
+// the zone count of an in-process store, or nothing for a remote server.
+func expectedEntries(t Transport) int {
+	if zd, ok := t.(ZoneDirect); ok && zd.Store != nil {
+		return entriesPerZone * zd.Store.ZoneCount()
+	}
+	return 0
+}
+
+// New creates a resolver using transport. Over an in-process store the
+// cache shards are made for the entries a run over the store's zones
+// leaves, so the cache does not rehash its way up from empty.
 func New(transport Transport, opts ...Option) *Resolver {
 	r := &Resolver{
 		transport: transport,
@@ -202,8 +220,9 @@ func New(transport Transport, opts ...Option) *Resolver {
 		r.shards = make([]cacheShard, defaultShards)
 	}
 	r.shardMask = uint64(len(r.shards) - 1)
+	r.shardHint = expectedEntries(transport) / len(r.shards)
 	for i := range r.shards {
-		r.shards[i].entries = make(map[cacheKey]cacheEntry)
+		r.shards[i].entries = make(map[cacheKey]cacheEntry, r.shardHint)
 		r.shards[i].flights = make(map[cacheKey]*flight)
 	}
 	telShards.Set(int64(len(r.shards)))
@@ -374,7 +393,7 @@ func (r *Resolver) FlushCache() {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		sh.entries = make(map[cacheKey]cacheEntry)
+		sh.entries = make(map[cacheKey]cacheEntry, r.shardHint)
 		sh.mu.Unlock()
 	}
 }
@@ -389,6 +408,9 @@ func (r *Resolver) NS(ctx context.Context, domain string) ([]string, error) {
 	var out []string
 	for _, a := range res.Answers {
 		if a.Type == dnsmsg.TypeNS {
+			if out == nil {
+				out = make([]string, 0, len(res.Answers))
+			}
 			out = append(out, a.Target)
 		}
 	}

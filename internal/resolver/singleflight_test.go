@@ -144,7 +144,7 @@ func TestSingleflightErrorNotCached(t *testing.T) {
 }
 
 // TestCacheHitAllocs guards the resolver's hot path: a cache hit for an
-// already-canonical name must cost at most one allocation.
+// already-canonical name must not allocate.
 func TestCacheHitAllocs(t *testing.T) {
 	r := New(ZoneDirect{testStore()})
 	ctx := context.Background()
@@ -156,8 +156,8 @@ func TestCacheHitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("cache-hit path allocates %.1f per lookup, want <= 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("cache-hit path allocates %.1f per lookup, want 0", allocs)
 	}
 }
 
