@@ -97,7 +97,7 @@ func SmartHome(ctx context.Context, companies []Company) (*SmartHomeReport, erro
 		z := dnszone.NewZone(c.Domain+".", soa(c.Domain))
 		if c.PrivateDNS || len(c.DNSProviders) == 0 {
 			z.MustAdd(dnsmsg.Record{Name: c.Domain + ".", Type: dnsmsg.TypeNS, TTL: 3600, Target: "ns1." + c.Domain + "."})
-			z.MustAdd(dnsmsg.Record{Name: "ns1." + c.Domain + ".", Type: dnsmsg.TypeA, TTL: 3600, IP: []byte{192, 0, 2, 53}})
+			z.MustAdd(dnsmsg.Record{Name: "ns1." + c.Domain + ".", Type: dnsmsg.TypeA, TTL: 3600, Addr: dnsmsg.IPv4(192, 0, 2, 53)})
 		}
 		for _, p := range c.DNSProviders {
 			providers[p] = true
@@ -112,8 +112,8 @@ func SmartHome(ctx context.Context, companies []Company) (*SmartHomeReport, erro
 			MName: "ns1." + p + ".", RName: "ops." + p + ".",
 			Serial: 1, Refresh: 7200, Retry: 900, Expire: 1209600, Minimum: 300,
 		})
-		z.MustAdd(dnsmsg.Record{Name: "ns1." + p + ".", Type: dnsmsg.TypeA, TTL: 3600, IP: []byte{203, 0, 113, 1}})
-		z.MustAdd(dnsmsg.Record{Name: "ns2." + p + ".", Type: dnsmsg.TypeA, TTL: 3600, IP: []byte{203, 0, 113, 2}})
+		z.MustAdd(dnsmsg.Record{Name: "ns1." + p + ".", Type: dnsmsg.TypeA, TTL: 3600, Addr: dnsmsg.IPv4(203, 0, 113, 1)})
+		z.MustAdd(dnsmsg.Record{Name: "ns2." + p + ".", Type: dnsmsg.TypeA, TTL: 3600, Addr: dnsmsg.IPv4(203, 0, 113, 2)})
 		store.AddZone(z)
 	}
 

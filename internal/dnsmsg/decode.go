@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-
-	"depscope/internal/intern"
 )
 
 // Decoding errors.
@@ -20,7 +18,16 @@ var (
 type decoder struct {
 	buf []byte
 	off int
+	// names[:nnames] are the distinct names decoded so far from this
+	// message, the first maxMessageNames of them: see name.
+	names  [maxMessageNames]string
+	nnames int
 }
+
+// maxMessageNames caps a decoder's name table, which is scanned linearly.
+// A typical response names a handful of hosts; the cap keeps a crafted
+// message with thousands of distinct names from costing quadratic time.
+const maxMessageNames = 16
 
 // Unpack parses a wire-format DNS message.
 func Unpack(b []byte) (*Message, error) {
@@ -111,33 +118,46 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 }
 
 // name reads a possibly-compressed domain name starting at the current
-// offset, leaving the offset just past the name.
+// offset, leaving the offset just past the name. Names repeat within a
+// message (every record of a response carries the zone's names), so the
+// decoder returns the string it already made for an equal name instead of
+// allocating another. The table lives only as long as one message's
+// decode: no sequence of messages can grow memory beyond what the decoded
+// messages themselves retain.
 func (d *decoder) name() (string, error) {
-	s, next, err := readName(d.buf, d.off)
+	// RFC 1035 caps a name at 255 octets; the scratch array covers the
+	// presentation form of any legal name without heap growth.
+	var scratch [256]byte
+	b, next, err := readName(d.buf, d.off, scratch[:0])
 	if err != nil {
 		return "", err
 	}
 	d.off = next
+	for _, s := range d.names[:d.nnames] {
+		if s == string(b) {
+			return s, nil
+		}
+	}
+	s := string(b)
+	if d.nnames < maxMessageNames {
+		d.names[d.nnames] = s
+		d.nnames++
+	}
 	return s, nil
 }
 
-// readName decodes the name at off and returns it with the offset of the
-// first byte after the name's in-place representation. The textual form is
-// assembled in a stack scratch buffer and interned, so decoding the same
-// name again (every record of every response repeats the zone's names) is a
-// map hit, not a fresh allocation.
-func readName(buf []byte, off int) (string, int, error) {
-	// RFC 1035 caps a name at 255 octets; the scratch array covers the
-	// presentation form of any legal name without heap growth.
-	var scratch [256]byte
-	name := scratch[:0]
+// readName appends the presentation form of the name at off to dst ("."
+// for the root) and returns it with the offset of the first byte after the
+// name's in-place representation.
+func readName(buf []byte, off int, dst []byte) ([]byte, int, error) {
+	name := dst
 	// A message has at most len(buf) pointers; more indicates a loop.
 	maxJumps := len(buf)
 	jumps := 0
 	next := -1 // offset after the first pointer, i.e. where parsing resumes
 	for {
 		if off >= len(buf) {
-			return "", 0, ErrShortMessage
+			return nil, 0, ErrShortMessage
 		}
 		b := buf[off]
 		switch {
@@ -145,13 +165,13 @@ func readName(buf []byte, off int) (string, int, error) {
 			if next < 0 {
 				next = off + 1
 			}
-			if len(name) == 0 {
-				return ".", next, nil
+			if len(name) == len(dst) {
+				name = append(name, '.')
 			}
-			return intern.Bytes(name), next, nil
+			return name, next, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(buf) {
-				return "", 0, ErrShortMessage
+				return nil, 0, ErrShortMessage
 			}
 			ptr := int(b&0x3F)<<8 | int(buf[off+1])
 			if next < 0 {
@@ -159,19 +179,19 @@ func readName(buf []byte, off int) (string, int, error) {
 			}
 			if ptr >= off {
 				// Forward or self pointers are invalid and can loop.
-				return "", 0, ErrBadPointer
+				return nil, 0, ErrBadPointer
 			}
 			jumps++
 			if jumps > maxJumps {
-				return "", 0, ErrPointerLoop
+				return nil, 0, ErrPointerLoop
 			}
 			off = ptr
 		case b&0xC0 != 0:
-			return "", 0, fmt.Errorf("dnsmsg: reserved label type %#x", b&0xC0)
+			return nil, 0, fmt.Errorf("dnsmsg: reserved label type %#x", b&0xC0)
 		default:
 			n := int(b)
 			if off+1+n > len(buf) {
-				return "", 0, ErrShortMessage
+				return nil, 0, ErrShortMessage
 			}
 			name = append(name, buf[off+1:off+1+n]...)
 			name = append(name, '.')
@@ -238,13 +258,13 @@ func (d *decoder) decodeRDATA(r *Record, end int) error {
 		if err != nil {
 			return err
 		}
-		r.IP = append([]byte(nil), ip...)
+		copy(r.Addr[:], ip)
 	case TypeAAAA:
 		ip, err := d.bytes(16)
 		if err != nil {
 			return err
 		}
-		r.IP = append([]byte(nil), ip...)
+		copy(r.Addr[:], ip)
 	case TypeNS, TypeCNAME, TypePTR:
 		t, err := d.name()
 		if err != nil {
@@ -252,7 +272,8 @@ func (d *decoder) decodeRDATA(r *Record, end int) error {
 		}
 		r.Target = t
 	case TypeSOA:
-		soa := &SOAData{}
+		rd := &Rdata{}
+		soa := &rd.SOA
 		var err error
 		if soa.MName, err = d.name(); err != nil {
 			return err
@@ -275,18 +296,19 @@ func (d *decoder) decodeRDATA(r *Record, end int) error {
 		if soa.Minimum, err = d.uint32(); err != nil {
 			return err
 		}
-		r.SOA = soa
+		r.Data = rd
 	case TypeMX:
-		mx := &MXData{}
+		rd := &Rdata{}
 		var err error
-		if mx.Preference, err = d.uint16(); err != nil {
+		if rd.MX.Preference, err = d.uint16(); err != nil {
 			return err
 		}
-		if mx.Exchange, err = d.name(); err != nil {
+		if rd.MX.Exchange, err = d.name(); err != nil {
 			return err
 		}
-		r.MX = mx
+		r.Data = rd
 	case TypeTXT:
+		var txt []string
 		for d.off < end {
 			n, err := d.uint8()
 			if err != nil {
@@ -296,14 +318,18 @@ func (d *decoder) decodeRDATA(r *Record, end int) error {
 			if err != nil {
 				return err
 			}
-			r.TXT = append(r.TXT, string(s))
+			txt = append(txt, string(s))
 		}
+		r.Data = &Rdata{TXT: txt}
 	default:
 		raw, err := d.bytes(end - d.off)
 		if err != nil {
 			return err
 		}
-		r.Raw = append([]byte(nil), raw...)
+		if len(raw) > 0 {
+			// Empty RDATA (an EDNS0 OPT record, typically) needs no Rdata.
+			r.Data = &Rdata{Raw: append([]byte(nil), raw...)}
+		}
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -56,16 +57,16 @@ func TestQuestionRoundTrip(t *testing.T) {
 
 func sampleRecords() []Record {
 	return []Record{
-		{Name: "example.com.", Type: TypeA, Class: ClassIN, TTL: 300, IP: []byte{93, 184, 216, 34}},
-		{Name: "example.com.", Type: TypeAAAA, Class: ClassIN, TTL: 300, IP: bytes.Repeat([]byte{0x20, 0x01}, 8)},
+		{Name: "example.com.", Type: TypeA, Class: ClassIN, TTL: 300, Addr: IPv4(93, 184, 216, 34)},
+		{Name: "example.com.", Type: TypeAAAA, Class: ClassIN, TTL: 300, Addr: [16]byte(bytes.Repeat([]byte{0x20, 0x01}, 8))},
 		{Name: "example.com.", Type: TypeNS, Class: ClassIN, TTL: 86400, Target: "ns1.dns-example.net."},
 		{Name: "www.example.com.", Type: TypeCNAME, Class: ClassIN, TTL: 60, Target: "edge.cdn-example.net."},
-		{Name: "example.com.", Type: TypeSOA, Class: ClassIN, TTL: 3600, SOA: &SOAData{
+		{Name: "example.com.", Type: TypeSOA, Class: ClassIN, TTL: 3600, Data: &Rdata{SOA: SOAData{
 			MName: "ns1.dns-example.net.", RName: "hostmaster.example.com.",
 			Serial: 2020010101, Refresh: 7200, Retry: 900, Expire: 1209600, Minimum: 300,
-		}},
-		{Name: "example.com.", Type: TypeMX, Class: ClassIN, TTL: 3600, MX: &MXData{Preference: 10, Exchange: "mail.example.com."}},
-		{Name: "example.com.", Type: TypeTXT, Class: ClassIN, TTL: 60, TXT: []string{"v=spf1 -all", "k=v"}},
+		}}},
+		{Name: "example.com.", Type: TypeMX, Class: ClassIN, TTL: 3600, Data: &Rdata{MX: MXData{Preference: 10, Exchange: "mail.example.com."}}},
+		{Name: "example.com.", Type: TypeTXT, Class: ClassIN, TTL: 60, Data: &Rdata{TXT: []string{"v=spf1 -all", "k=v"}}},
 	}
 }
 
@@ -151,7 +152,7 @@ func TestCompressionPointerIntoRDATA(t *testing.T) {
 	m := &Message{Header: Header{Response: true}}
 	m.Answers = append(m.Answers,
 		Record{Name: "a.example.org.", Type: TypeNS, Class: ClassIN, TTL: 1, Target: "ns.provider.net."},
-		Record{Name: "ns.provider.net.", Type: TypeA, Class: ClassIN, TTL: 1, IP: []byte{1, 2, 3, 4}},
+		Record{Name: "ns.provider.net.", Type: TypeA, Class: ClassIN, TTL: 1, Addr: IPv4(1, 2, 3, 4)},
 	)
 	b, err := m.Pack()
 	if err != nil {
@@ -302,19 +303,19 @@ func TestPropertyResponseRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			switch rng.Intn(4) {
 			case 0:
-				ip := make([]byte, 4)
-				rng.Read(ip)
-				m.Answers = append(m.Answers, Record{Name: randName(rng), Type: TypeA, Class: ClassIN, TTL: rng.Uint32(), IP: ip})
+				var ip [16]byte
+				rng.Read(ip[:4])
+				m.Answers = append(m.Answers, Record{Name: randName(rng), Type: TypeA, Class: ClassIN, TTL: rng.Uint32(), Addr: ip})
 			case 1:
 				m.Answers = append(m.Answers, Record{Name: randName(rng), Type: TypeNS, Class: ClassIN, TTL: rng.Uint32(), Target: randName(rng)})
 			case 2:
 				m.Answers = append(m.Answers, Record{Name: randName(rng), Type: TypeCNAME, Class: ClassIN, TTL: rng.Uint32(), Target: randName(rng)})
 			case 3:
-				m.Answers = append(m.Answers, Record{Name: randName(rng), Type: TypeSOA, Class: ClassIN, TTL: rng.Uint32(), SOA: &SOAData{
+				m.Answers = append(m.Answers, Record{Name: randName(rng), Type: TypeSOA, Class: ClassIN, TTL: rng.Uint32(), Data: &Rdata{SOA: SOAData{
 					MName: randName(rng), RName: randName(rng),
 					Serial: rng.Uint32(), Refresh: rng.Uint32(), Retry: rng.Uint32(),
 					Expire: rng.Uint32(), Minimum: rng.Uint32(),
-				}})
+				}}})
 			}
 		}
 		b, err := m.Pack()
@@ -404,7 +405,7 @@ func TestReplyMirrorsQuery(t *testing.T) {
 
 func TestTXTLongStringSplits(t *testing.T) {
 	long := strings.Repeat("t", 600)
-	m := &Message{Answers: []Record{{Name: "a.com.", Type: TypeTXT, Class: ClassIN, TTL: 1, TXT: []string{long}}}}
+	m := &Message{Answers: []Record{{Name: "a.com.", Type: TypeTXT, Class: ClassIN, TTL: 1, Data: &Rdata{TXT: []string{long}}}}}
 	b, err := m.Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +414,7 @@ func TestTXTLongStringSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(got.Answers[0].TXT, "")
+	joined := strings.Join(got.Answers[0].Data.TXT, "")
 	if joined != long {
 		t.Errorf("long TXT round trip lost data: %d bytes back", len(joined))
 	}
@@ -489,5 +490,34 @@ func TestEDNS0ClampsTinySizes(t *testing.T) {
 	m.SetEDNS0(100)
 	if size, ok := m.EDNS0(); !ok || size != 512 {
 		t.Fatalf("clamped size = %d, %v", size, ok)
+	}
+}
+
+// TestRecordLayout pins the record size zone stores are budgeted by: a
+// generated world holds tens of thousands of records, so every byte here is
+// paid per record.
+func TestRecordLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n > 72 {
+		t.Errorf("unsafe.Sizeof(Record{}) = %d, want at most 72", n)
+	}
+}
+
+// TestUnpackSharesNamesWithinMessage checks the decoder's per-message name
+// table: the owner every answer repeats is one string, not one per record.
+func TestUnpackSharesNamesWithinMessage(t *testing.T) {
+	m := &Message{Header: Header{Response: true}, Answers: sampleRecords()}
+	b, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unpack(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := unsafe.StringData(got.Answers[0].Name)
+	for _, r := range got.Answers {
+		if r.Name == got.Answers[0].Name && unsafe.StringData(r.Name) != first {
+			t.Fatalf("owner %s decoded into more than one string", r.Name)
+		}
 	}
 }

@@ -21,9 +21,12 @@ type encoder struct {
 	// base is the offset in buf where the current message starts;
 	// compression pointers are relative to it.
 	base int
-	// ptrs maps a fully-qualified lowercase name suffix to its
+	// ptrs maps a fully-qualified name suffix, as written, to its
 	// message-relative offset for compression-pointer reuse. Offsets beyond
-	// 0x3FFF cannot be encoded as pointers and are not stored.
+	// 0x3FFF cannot be encoded as pointers and are not stored. The match is
+	// case-sensitive: DNS compares names without case, but a pointer to a
+	// differently cased suffix would decode as a different string than the
+	// one packed.
 	ptrs map[string]int
 }
 
@@ -143,7 +146,7 @@ func (e *encoder) name(name string) error {
 		if len(labels[i]) > 63 {
 			return ErrLabelTooLong
 		}
-		suffix := strings.ToLower(strings.Join(labels[i:], "."))
+		suffix := strings.Join(labels[i:], ".")
 		if off, ok := e.ptrs[suffix]; ok {
 			e.uint16(uint16(off) | 0xC000)
 			return nil
@@ -158,9 +161,8 @@ func (e *encoder) name(name string) error {
 	return nil
 }
 
-// nameNoCompress writes a name without emitting a compression pointer.
-// RDATA names inside SOA/NS/CNAME may legally be compressed, so this is
-// only used where a fixed length is required.
+// record writes one resource record, patching RDLENGTH once the RDATA is
+// written.
 func (e *encoder) record(r *Record) error {
 	if err := e.name(r.Name); err != nil {
 		return err
@@ -187,40 +189,39 @@ func (e *encoder) record(r *Record) error {
 func (e *encoder) rdata(r *Record) error {
 	switch r.Type {
 	case TypeA:
-		if len(r.IP) != 4 {
-			return fmt.Errorf("dnsmsg: A record %s needs a 4-byte address, got %d", r.Name, len(r.IP))
-		}
-		e.buf = append(e.buf, r.IP...)
+		e.buf = append(e.buf, r.Addr[:4]...)
 	case TypeAAAA:
-		if len(r.IP) != 16 {
-			return fmt.Errorf("dnsmsg: AAAA record %s needs a 16-byte address, got %d", r.Name, len(r.IP))
-		}
-		e.buf = append(e.buf, r.IP...)
+		e.buf = append(e.buf, r.Addr[:]...)
 	case TypeNS, TypeCNAME, TypePTR:
 		return e.name(r.Target)
 	case TypeSOA:
-		if r.SOA == nil {
-			return fmt.Errorf("dnsmsg: SOA record %s has nil SOA data", r.Name)
+		if r.Data == nil {
+			return fmt.Errorf("dnsmsg: SOA record %s has no SOA data", r.Name)
 		}
-		if err := e.name(r.SOA.MName); err != nil {
+		soa := &r.Data.SOA
+		if err := e.name(soa.MName); err != nil {
 			return err
 		}
-		if err := e.name(r.SOA.RName); err != nil {
+		if err := e.name(soa.RName); err != nil {
 			return err
 		}
-		e.uint32(r.SOA.Serial)
-		e.uint32(r.SOA.Refresh)
-		e.uint32(r.SOA.Retry)
-		e.uint32(r.SOA.Expire)
-		e.uint32(r.SOA.Minimum)
+		e.uint32(soa.Serial)
+		e.uint32(soa.Refresh)
+		e.uint32(soa.Retry)
+		e.uint32(soa.Expire)
+		e.uint32(soa.Minimum)
 	case TypeMX:
-		if r.MX == nil {
-			return fmt.Errorf("dnsmsg: MX record %s has nil MX data", r.Name)
+		if r.Data == nil {
+			return fmt.Errorf("dnsmsg: MX record %s has no MX data", r.Name)
 		}
-		e.uint16(r.MX.Preference)
-		return e.name(r.MX.Exchange)
+		e.uint16(r.Data.MX.Preference)
+		return e.name(r.Data.MX.Exchange)
 	case TypeTXT:
-		for _, s := range r.TXT {
+		var txt []string
+		if r.Data != nil {
+			txt = r.Data.TXT
+		}
+		for _, s := range txt {
 			for len(s) > 255 {
 				e.buf = append(e.buf, 255)
 				e.buf = append(e.buf, s[:255]...)
@@ -229,11 +230,13 @@ func (e *encoder) rdata(r *Record) error {
 			e.buf = append(e.buf, byte(len(s)))
 			e.buf = append(e.buf, s...)
 		}
-		if len(r.TXT) == 0 {
+		if len(txt) == 0 {
 			e.buf = append(e.buf, 0)
 		}
 	default:
-		e.buf = append(e.buf, r.Raw...)
+		if r.Data != nil {
+			e.buf = append(e.buf, r.Data.Raw...)
+		}
 	}
 	return nil
 }

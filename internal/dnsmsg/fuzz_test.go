@@ -59,14 +59,14 @@ func FuzzReadName(f *testing.F) {
 		if off < 0 || off > len(buf) {
 			return
 		}
-		name, next, err := readName(buf, off)
+		name, next, err := readName(buf, off, nil)
 		if err != nil {
 			return
 		}
 		if next < 0 || next > len(buf) {
 			t.Fatalf("next offset %d out of range (len %d)", next, len(buf))
 		}
-		if name == "" {
+		if len(name) == 0 {
 			t.Fatal("empty name without error")
 		}
 	})

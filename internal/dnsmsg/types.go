@@ -163,50 +163,85 @@ type MXData struct {
 	Exchange   string
 }
 
-// Record is a decoded resource record. Exactly one of the Data fields is
-// meaningful, selected by Type:
+// Rdata holds the RDATA of the record types that are neither an address
+// nor a single name. Exactly one field is meaningful, selected by the
+// record's Type: SOA, MX, TXT, or Raw for any type the codec does not
+// know. These types are rare in answers (the generated worlds hold one SOA
+// per zone and no MX or TXT at all), so they sit behind one pointer and
+// cost the common record nothing.
+type Rdata struct {
+	SOA SOAData
+	MX  MXData
+	TXT []string
+	Raw []byte
+}
+
+// Record is a decoded resource record. The RDATA lives where its type puts
+// it:
 //
-//	A/AAAA -> IP (4 or 16 bytes)
+//	A/AAAA -> Addr (A uses the first 4 bytes)
 //	NS/CNAME/PTR -> Target
-//	SOA -> SOA
-//	MX -> MX
-//	TXT -> TXT
+//	SOA/MX/TXT and unknown types -> Data
 //
-// Unknown types round-trip through Raw.
+// The layout is sized for zone stores, which hold records by the tens of
+// thousands: 64 bytes, addresses inline (an A record allocates nothing but
+// its names), and the three pointer words first, so the garbage collector
+// scans 40 bytes of each record rather than all of it.
 type Record struct {
-	Name  string
+	Name   string
+	Target string
+	Data   *Rdata
+
 	Type  Type
 	Class Class
 	TTL   uint32
+	Addr  [16]byte
+}
 
-	IP     []byte
-	Target string
-	SOA    *SOAData
-	MX     *MXData
-	TXT    []string
-	Raw    []byte
+// IPv4 returns the inline address of the A record for a.b.c.d.
+func IPv4(a, b, c, d byte) [16]byte { return [16]byte{a, b, c, d} }
+
+// IP returns the address of an A (4 bytes) or AAAA (16 bytes) record as a
+// slice of r.Addr, and nil for any other type.
+func (r *Record) IP() []byte {
+	switch r.Type {
+	case TypeA:
+		return r.Addr[:4]
+	case TypeAAAA:
+		return r.Addr[:]
+	}
+	return nil
 }
 
 // String formats the record zone-file-style.
 func (r Record) String() string {
 	switch r.Type {
 	case TypeA, TypeAAAA:
-		return fmt.Sprintf("%s %d %s %s %s", r.Name, r.TTL, r.Class, r.Type, ipString(r.IP))
+		return fmt.Sprintf("%s %d %s %s %s", r.Name, r.TTL, r.Class, r.Type, ipString(r.IP()))
 	case TypeNS, TypeCNAME, TypePTR:
 		return fmt.Sprintf("%s %d %s %s %s", r.Name, r.TTL, r.Class, r.Type, r.Target)
 	case TypeSOA:
-		if r.SOA != nil {
+		if r.Data != nil {
+			soa := &r.Data.SOA
 			return fmt.Sprintf("%s %d %s SOA %s %s %d %d %d %d %d", r.Name, r.TTL, r.Class,
-				r.SOA.MName, r.SOA.RName, r.SOA.Serial, r.SOA.Refresh, r.SOA.Retry, r.SOA.Expire, r.SOA.Minimum)
+				soa.MName, soa.RName, soa.Serial, soa.Refresh, soa.Retry, soa.Expire, soa.Minimum)
 		}
 	case TypeMX:
-		if r.MX != nil {
-			return fmt.Sprintf("%s %d %s MX %d %s", r.Name, r.TTL, r.Class, r.MX.Preference, r.MX.Exchange)
+		if r.Data != nil {
+			return fmt.Sprintf("%s %d %s MX %d %s", r.Name, r.TTL, r.Class, r.Data.MX.Preference, r.Data.MX.Exchange)
 		}
 	case TypeTXT:
-		return fmt.Sprintf("%s %d %s TXT %q", r.Name, r.TTL, r.Class, r.TXT)
+		var txt []string
+		if r.Data != nil {
+			txt = r.Data.TXT
+		}
+		return fmt.Sprintf("%s %d %s TXT %q", r.Name, r.TTL, r.Class, txt)
 	}
-	return fmt.Sprintf("%s %d %s %s [%d bytes]", r.Name, r.TTL, r.Class, r.Type, len(r.Raw))
+	var raw []byte
+	if r.Data != nil {
+		raw = r.Data.Raw
+	}
+	return fmt.Sprintf("%s %d %s %s [%d bytes]", r.Name, r.TTL, r.Class, r.Type, len(raw))
 }
 
 func ipString(b []byte) string {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -27,12 +28,12 @@ func testStore() *dnszone.Store {
 		MName: "ns1.provider.net.", RName: "hostmaster.example.com.", Serial: 1,
 	})
 	z.MustAdd(dnsmsg.Record{Name: "example.com.", Type: dnsmsg.TypeNS, TTL: 60, Target: "ns1.provider.net."})
-	z.MustAdd(dnsmsg.Record{Name: "example.com.", Type: dnsmsg.TypeA, TTL: 60, IP: []byte{192, 0, 2, 1}})
+	z.MustAdd(dnsmsg.Record{Name: "example.com.", Type: dnsmsg.TypeA, TTL: 60, Addr: dnsmsg.IPv4(192, 0, 2, 1)})
 	for i := 0; i < 40; i++ {
 		z.MustAdd(dnsmsg.Record{
 			Name: fmt.Sprintf("big.example.com."),
 			Type: dnsmsg.TypeTXT, TTL: 60,
-			TXT: []string{fmt.Sprintf("record-%02d-padding-padding-padding", i)},
+			Data: &dnsmsg.Rdata{TXT: []string{fmt.Sprintf("record-%02d-padding-padding-padding", i)}},
 		})
 	}
 	s.AddZone(z)
@@ -352,5 +353,49 @@ func TestAXFRUnknownZoneRefused(t *testing.T) {
 	_, addr := startServer(t)
 	if _, err := resolverAXFR(t, addr, "not-ours.test."); err == nil {
 		t.Fatal("AXFR of foreign zone succeeded")
+	}
+}
+
+// TestDistinctQueryNamesLeaveNoHeap sends many distinct query names
+// through the server's query path (decode, answer, encode) and requires
+// the live heap to return to its baseline: nothing a client sends may be
+// retained past its exchange. A process-wide name table in the decoder
+// used to keep every name ever decoded (about 85 bytes each).
+func TestDistinctQueryNamesLeaveNoHeap(t *testing.T) {
+	const names = 50000
+	srv := New(testStore(), Config{})
+	buf := make([]byte, 0, 512)
+	exchange := func(i int) {
+		q := dnsmsg.NewQuery(uint16(i), fmt.Sprintf("client-%d.probe-%d.example.com.", i, i*7919), dnsmsg.TypeA)
+		pkt, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, limit := srv.respond(pkt)
+		if resp == nil || resp.Header.RCode != dnsmsg.RCodeNameError {
+			t.Fatalf("query %d: unexpected response %+v", i, resp)
+		}
+		if buf, err = srv.packUDP(resp, limit, buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // warm pools and lazily built state
+		exchange(i)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < names; i++ {
+		exchange(names + i)
+	}
+	after := heap()
+	if after > before && after-before > 1<<20 {
+		t.Fatalf("%d distinct query names left %d bytes of live heap behind (%.1f per name)",
+			names, after-before, float64(after-before)/names)
 	}
 }

@@ -92,7 +92,7 @@ func (o *oracleZone) allRecords() []dnsmsg.Record {
 
 func (o *oracleZone) writeTo(w *bytes.Buffer) {
 	fmt.Fprintf(w, "$ORIGIN %s\n$TTL 3600\n", o.z.Origin)
-	soa := o.z.SOA
+	soa := o.z.SOA()
 	fmt.Fprintf(w, "@ IN SOA %s %s %d %d %d %d %d\n",
 		soa.MName, soa.RName, soa.Serial, soa.Refresh, soa.Retry, soa.Expire, soa.Minimum)
 	names := o.names()
@@ -248,17 +248,15 @@ func randomWorld(rng *rand.Rand) (*Store, *oracleStore, []string, []probe) {
 		r := dnsmsg.Record{Name: owner, Type: oracleTypes[rng.Intn(len(oracleTypes))], TTL: uint32(60 + i)}
 		switch r.Type {
 		case dnsmsg.TypeA:
-			r.IP = []byte{192, 0, 2, byte(i)}
+			r.Addr = dnsmsg.IPv4(192, 0, 2, byte(i))
 		case dnsmsg.TypeAAAA:
-			r.IP = make([]byte, 16)
-			r.IP[15] = byte(i)
+			r.Addr[15] = byte(i)
 		case dnsmsg.TypeTXT:
-			r.TXT = []string{fmt.Sprintf("t%d", i)}
+			r.Data = &dnsmsg.Rdata{TXT: []string{fmt.Sprintf("t%d", i)}}
 		case dnsmsg.TypeMX:
-			r.MX = &dnsmsg.MXData{Preference: uint16(i), Exchange: names[rng.Intn(len(names))]}
+			r.Data = &dnsmsg.Rdata{MX: dnsmsg.MXData{Preference: uint16(i), Exchange: names[rng.Intn(len(names))]}}
 		case dnsmsg.TypeSOA:
-			d := soa(fmt.Sprintf("m%d.%s", i, z.Origin), "ops."+z.Origin)
-			r.SOA = &d
+			r.Data = &dnsmsg.Rdata{SOA: soa(fmt.Sprintf("m%d.%s", i, z.Origin), "ops."+z.Origin)}
 		default:
 			r.Target = names[rng.Intn(len(names))]
 		}
@@ -332,6 +330,9 @@ func TestStoreLookupAllocs(t *testing.T) {
 		{"nx.example.com.", dnsmsg.TypeA},     // NXDOMAIN
 		{"example.com.", dnsmsg.TypeTXT},      // NODATA
 		{"a.img.example.com.", dnsmsg.TypeNS}, // wildcard NODATA
+		// A wildcard owner longer than the runtime's 32-byte stack
+		// conversion buffer is still searched without allocating.
+		{"a.deeply.nested.host.below.img.example.com.", dnsmsg.TypeNS},
 	} {
 		allocs := testing.AllocsPerRun(200, func() {
 			s.Lookup(q.name, q.qtype)

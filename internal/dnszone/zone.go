@@ -15,49 +15,74 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"depscope/internal/dnsmsg"
 )
 
 // Zone is a single zone of authority rooted at Origin.
+//
+// A zone's records are one block: a []dnsmsg.Record sorted by owner name
+// and then by type, with insertion order kept within each (owner, type)
+// run. A node (the records of one owner) and an RRset (one type of one
+// node) are runs of the block, found by binary search, so a lookup hit
+// aliases the block and allocates nothing. Generated zones hold at most
+// ten records, so the block is the whole per-zone structure: there is no
+// map, no lock and no per-owner slice.
+//
+// A zone is built by its creator (NewZone, then Add) and published by
+// Store.AddZone, which trims the block to its exact size. Until then the
+// zone belongs to the goroutine building it, and Add inserts in place.
+// After it, Add copies the block and swaps the copy in atomically, so
+// lookups, transfers and further Adds may run concurrently, and an answer
+// already handed out never changes.
 type Zone struct {
 	// Origin is the zone apex, canonical form ("example.com.").
 	Origin string
-	// SOA is the zone's start-of-authority record data.
-	SOA dnsmsg.SOAData
 
-	mu sync.RWMutex
-	// nodes maps an owner name to its records, grouped into runs by type in
-	// ascending type order, with insertion order kept within each run.
-	nodes map[string][]dnsmsg.Record
-
-	// soaRec and soaAuth are the prebuilt apex SOA record and a one-record
-	// authority section wrapping it, shared by every NXDOMAIN/NODATA result
-	// this zone produces. Lookup results are read-only by convention, so the
-	// sharing is invisible to callers and saves two allocations per miss.
-	soaRec  dnsmsg.Record
-	soaAuth []dnsmsg.Record
+	// soa is the apex SOA's RDATA; the SOA record at the head of the apex
+	// node points here.
+	soa dnsmsg.Rdata
+	// recs points at the current block's header: at head until the first
+	// Add after publication swaps in a fresh one, so a zone that is never
+	// extended after publication spends no allocation on its header. (One
+	// that is keeps its first published block reachable through head.)
+	recs      atomic.Pointer[[]dnsmsg.Record]
+	head      []dnsmsg.Record
+	published atomic.Bool
 }
+
+// buildCap is the capacity a new zone's block starts with: enough for most
+// generated zones (six records at the median), so building one rarely
+// regrows before publication trims it.
+const buildCap = 8
 
 // NewZone creates a zone rooted at origin with the given SOA data. The SOA
 // record itself is installed at the apex.
 func NewZone(origin string, soa dnsmsg.SOAData) *Zone {
-	z := &Zone{
-		Origin: dnsmsg.CanonicalName(origin),
-		SOA:    soa,
-		nodes:  make(map[string][]dnsmsg.Record),
-	}
-	z.soaRec = dnsmsg.Record{
+	z := &Zone{Origin: dnsmsg.CanonicalName(origin), soa: dnsmsg.Rdata{SOA: soa}}
+	z.head = append(make([]dnsmsg.Record, 0, buildCap), dnsmsg.Record{
 		Name: z.Origin, Type: dnsmsg.TypeSOA, Class: dnsmsg.ClassIN, TTL: 3600,
-		SOA: &z.SOA,
-	}
-	z.soaAuth = []dnsmsg.Record{z.soaRec}
-	z.Add(z.soaRec)
+		Data: &z.soa,
+	})
+	z.recs.Store(&z.head)
 	return z
 }
 
+// SOA returns the zone's start-of-authority data.
+func (z *Zone) SOA() dnsmsg.SOAData { return z.soa.SOA }
+
+// block returns the zone's current record block.
+func (z *Zone) block() []dnsmsg.Record {
+	if p := z.recs.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // Add installs a record in the zone. The record name must be at or below the
-// zone origin; out-of-bailiwick records are rejected.
+// zone origin; out-of-bailiwick records are rejected. Before the zone is
+// published, Add must not run concurrently with anything else on the zone.
 func (z *Zone) Add(r dnsmsg.Record) error {
 	name := dnsmsg.CanonicalName(r.Name)
 	if !InBailiwick(name, z.Origin) {
@@ -67,26 +92,69 @@ func (z *Zone) Add(r dnsmsg.Record) error {
 	if r.Class == 0 {
 		r.Class = dnsmsg.ClassIN
 	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	node := z.nodes[name]
-	// The record goes after every record of a type at or below its own.
-	i := len(node)
-	for i > 0 && node[i-1].Type > r.Type {
-		i--
+	for {
+		p := z.recs.Load()
+		var old []dnsmsg.Record
+		if p != nil {
+			old = *p
+		}
+		// The record goes after every record of its owner and a type at or
+		// below its own.
+		i, j := nodeOf(old, name)
+		for i < j && old[i].Type <= r.Type {
+			i++
+		}
+		if !z.published.Load() {
+			z.head = slices.Insert(old, i, r)
+			z.recs.Store(&z.head)
+			return nil
+		}
+		recs := make([]dnsmsg.Record, len(old)+1)
+		copy(recs, old[:i])
+		recs[i] = r
+		copy(recs[i+1:], old[i:])
+		if z.recs.CompareAndSwap(p, &recs) {
+			return nil
+		}
 	}
-	if i == len(node) {
-		z.nodes[name] = append(node, r)
-	} else {
-		// Concat copies into a new, exactly sized slice rather than shifting
-		// in place: earlier lookups may still alias runs of the old one.
-		z.nodes[name] = slices.Concat(node[:i], []dnsmsg.Record{r}, node[i:])
+}
+
+// publish trims the block to its exact size and switches Add to
+// copy-on-write. Store.AddZone calls it before the zone becomes reachable
+// through the store.
+func (z *Zone) publish() {
+	if z.published.Load() {
+		return
 	}
-	return nil
+	if recs := z.block(); cap(recs) != len(recs) {
+		z.head = slices.Clone(recs)
+	}
+	z.recs.Store(&z.head)
+	z.published.Store(true)
+}
+
+// nodeOf returns the bounds [i, j) of the run of recs owned by name, or an
+// empty range at name's insertion point. name is a string or the bytes of
+// one; the comparisons convert without allocating.
+func nodeOf[N string | []byte](recs []dnsmsg.Record, name N) (i, j int) {
+	lo, hi := 0, len(recs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if recs[m].Name < string(name) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	j = lo
+	for j < len(recs) && recs[j].Name == string(name) {
+		j++
+	}
+	return lo, j
 }
 
 // run returns the records of type t in node, capped so that appending to
-// the result can never write into the node.
+// the result can never write into the block.
 func run(node []dnsmsg.Record, t dnsmsg.Type) []dnsmsg.Record {
 	i := 0
 	for i < len(node) && node[i].Type < t {
@@ -121,41 +189,35 @@ func (z *Zone) MustAdd(r dnsmsg.Record) {
 	}
 }
 
-// SOARecord returns the apex SOA as a record. The record's SOA pointer is
+// SOARecord returns the apex SOA as a record. The record's SOA data is
 // shared with the zone; callers must treat it as read-only.
-func (z *Zone) SOARecord() dnsmsg.Record {
-	if z.soaRec.SOA != nil {
-		return z.soaRec
-	}
-	// Zero-value zones (not built through NewZone) fall back to a fresh copy.
-	soa := z.SOA
-	return dnsmsg.Record{
-		Name: z.Origin, Type: dnsmsg.TypeSOA, Class: dnsmsg.ClassIN, TTL: 3600,
-		SOA: &soa,
-	}
-}
+func (z *Zone) SOARecord() dnsmsg.Record { return z.soaAuthority()[0] }
 
-// soaAuthority returns the shared one-record authority section holding the
-// apex SOA, allocating only for zones not built through NewZone.
+// soaAuthority returns a one-record authority section holding the apex
+// SOA. It aliases the block, so NXDOMAIN and NODATA answers allocate
+// nothing; only zones not built through NewZone get a fresh record.
 func (z *Zone) soaAuthority() []dnsmsg.Record {
-	if z.soaAuth != nil {
-		return z.soaAuth
+	recs := z.block()
+	i, j := nodeOf(recs, z.Origin)
+	if soa := run(recs[i:j], dnsmsg.TypeSOA); len(soa) > 0 {
+		return soa[:1:1]
 	}
-	return []dnsmsg.Record{z.SOARecord()}
+	return []dnsmsg.Record{{
+		Name: z.Origin, Type: dnsmsg.TypeSOA, Class: dnsmsg.ClassIN, TTL: 3600,
+		Data: &dnsmsg.Rdata{SOA: z.soa.SOA},
+	}}
 }
 
 // lookupNode returns the node for qname, or, with wild set, the closest
 // wildcard node ("*.<ancestor>") when there is none. Nodes are never empty,
 // so an empty result means the name does not exist (NXDOMAIN, not NODATA).
 func (z *Zone) lookupNode(qname string) (node []dnsmsg.Record, wild bool) {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	if node, ok := z.nodes[qname]; ok {
-		return node, false
+	recs := z.block()
+	if i, j := nodeOf(recs, qname); i < j {
+		return recs[i:j:j], false
 	}
-	// Walk up the ancestors. Each "*.<rest>" key is assembled in a stack
-	// buffer and probed with the compiler's alloc-free map[string(b)] index,
-	// so a miss costs no garbage.
+	// Walk up the ancestors. Each "*.<rest>" owner is assembled in a stack
+	// buffer and searched for as bytes, so a miss costs no garbage.
 	var scratch [64]byte
 	key := scratch[:0]
 	rest := qname
@@ -171,8 +233,8 @@ func (z *Zone) lookupNode(qname string) (node []dnsmsg.Record, wild bool) {
 		}
 		key = append(key[:0], '*', '.')
 		key = append(key, rest...)
-		if node, ok := z.nodes[string(key)]; ok {
-			return node, true
+		if i, j := nodeOf(recs, key); i < j {
+			return recs[i:j:j], true
 		}
 	}
 	return nil, false
@@ -182,13 +244,12 @@ func (z *Zone) lookupNode(qname string) (node []dnsmsg.Record, wild bool) {
 // SOA first, then all other records sorted by owner name and type (the
 // payload of an AXFR zone transfer, RFC 5936).
 func (z *Zone) AllRecords() []dnsmsg.Record {
-	out := []dnsmsg.Record{z.SOARecord()}
-	for _, name := range z.Names() {
-		node, _ := z.lookupNode(name)
-		for _, r := range node {
-			if r.Type != dnsmsg.TypeSOA {
-				out = append(out, r)
-			}
+	recs := z.block()
+	out := make([]dnsmsg.Record, 1, max(len(recs), 1))
+	out[0] = z.SOARecord()
+	for _, r := range recs {
+		if r.Type != dnsmsg.TypeSOA {
+			out = append(out, r)
 		}
 	}
 	return out
@@ -197,13 +258,12 @@ func (z *Zone) AllRecords() []dnsmsg.Record {
 // Names returns all node names in the zone, sorted, mainly for tests and
 // zone dumps.
 func (z *Zone) Names() []string {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	names := make([]string, 0, len(z.nodes))
-	for n := range z.nodes {
-		names = append(names, n)
+	var names []string
+	for _, r := range z.block() {
+		if len(names) == 0 || names[len(names)-1] != r.Name {
+			names = append(names, r.Name)
+		}
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -240,8 +300,11 @@ func NewStore() *Store {
 	return &Store{zones: make(map[string]*Zone)}
 }
 
-// AddZone installs (or replaces) a zone.
+// AddZone publishes a zone, installing or replacing the one with its
+// origin. From here on Add copies the zone's block rather than inserting in
+// place, so the zone may be read and extended concurrently.
 func (s *Store) AddZone(z *Zone) {
+	z.publish()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.zones[z.Origin] = z

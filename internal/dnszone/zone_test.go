@@ -18,17 +18,17 @@ func buildStore(t *testing.T) *Store {
 	site := NewZone("example.com.", soa("ns1.dyn-dns.net.", "hostmaster.example.com."))
 	site.MustAdd(dnsmsg.Record{Name: "example.com.", Type: dnsmsg.TypeNS, TTL: 3600, Target: "ns1.dyn-dns.net."})
 	site.MustAdd(dnsmsg.Record{Name: "example.com.", Type: dnsmsg.TypeNS, TTL: 3600, Target: "ns2.dyn-dns.net."})
-	site.MustAdd(dnsmsg.Record{Name: "example.com.", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{192, 0, 2, 1}})
+	site.MustAdd(dnsmsg.Record{Name: "example.com.", Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(192, 0, 2, 1)})
 	site.MustAdd(dnsmsg.Record{Name: "www.example.com.", Type: dnsmsg.TypeCNAME, TTL: 300, Target: "edge-1234.fastcdn.net."})
-	site.MustAdd(dnsmsg.Record{Name: "*.img.example.com.", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{192, 0, 2, 9}})
+	site.MustAdd(dnsmsg.Record{Name: "*.img.example.com.", Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(192, 0, 2, 9)})
 	s.AddZone(site)
 
 	cdn := NewZone("fastcdn.net.", soa("ns1.fastcdn.net.", "ops.fastcdn.net."))
-	cdn.MustAdd(dnsmsg.Record{Name: "edge-1234.fastcdn.net.", Type: dnsmsg.TypeA, TTL: 60, IP: []byte{198, 51, 100, 7}})
+	cdn.MustAdd(dnsmsg.Record{Name: "edge-1234.fastcdn.net.", Type: dnsmsg.TypeA, TTL: 60, Addr: dnsmsg.IPv4(198, 51, 100, 7)})
 	s.AddZone(cdn)
 
 	dns := NewZone("dyn-dns.net.", soa("ns1.dyn-dns.net.", "ops.dyn-dns.net."))
-	dns.MustAdd(dnsmsg.Record{Name: "ns1.dyn-dns.net.", Type: dnsmsg.TypeA, TTL: 60, IP: []byte{203, 0, 113, 1}})
+	dns.MustAdd(dnsmsg.Record{Name: "ns1.dyn-dns.net.", Type: dnsmsg.TypeA, TTL: 60, Addr: dnsmsg.IPv4(203, 0, 113, 1)})
 	s.AddZone(dns)
 	return s
 }
@@ -91,8 +91,8 @@ func TestLookupNXDOMAIN(t *testing.T) {
 	if len(r.Authority) != 1 || r.Authority[0].Type != dnsmsg.TypeSOA {
 		t.Fatalf("authority should carry SOA: %+v", r.Authority)
 	}
-	if r.Authority[0].SOA.MName != "ns1.dyn-dns.net." {
-		t.Errorf("SOA MName = %q", r.Authority[0].SOA.MName)
+	if r.Authority[0].Data.SOA.MName != "ns1.dyn-dns.net." {
+		t.Errorf("SOA MName = %q", r.Authority[0].Data.SOA.MName)
 	}
 }
 
@@ -176,12 +176,12 @@ func TestCNAMEChaseOutOfAuthority(t *testing.T) {
 
 func TestAddRejectsOutOfBailiwick(t *testing.T) {
 	z := NewZone("example.com.", soa("ns.example.com.", "ops.example.com."))
-	err := z.Add(dnsmsg.Record{Name: "other.org.", Type: dnsmsg.TypeA, IP: []byte{1, 2, 3, 4}})
+	err := z.Add(dnsmsg.Record{Name: "other.org.", Type: dnsmsg.TypeA, Addr: dnsmsg.IPv4(1, 2, 3, 4)})
 	if err == nil {
 		t.Fatal("Add accepted out-of-bailiwick record")
 	}
 	// Suffix match must be on label boundaries.
-	err = z.Add(dnsmsg.Record{Name: "notexample.com.", Type: dnsmsg.TypeA, IP: []byte{1, 2, 3, 4}})
+	err = z.Add(dnsmsg.Record{Name: "notexample.com.", Type: dnsmsg.TypeA, Addr: dnsmsg.IPv4(1, 2, 3, 4)})
 	if err == nil {
 		t.Fatal("Add accepted notexample.com into example.com zone")
 	}
@@ -235,8 +235,8 @@ func TestHandleQuery(t *testing.T) {
 
 func TestZoneNamesSorted(t *testing.T) {
 	z := NewZone("x.test.", soa("ns.x.test.", "ops.x.test."))
-	z.MustAdd(dnsmsg.Record{Name: "b.x.test.", Type: dnsmsg.TypeA, IP: []byte{1, 1, 1, 1}})
-	z.MustAdd(dnsmsg.Record{Name: "a.x.test.", Type: dnsmsg.TypeA, IP: []byte{1, 1, 1, 2}})
+	z.MustAdd(dnsmsg.Record{Name: "b.x.test.", Type: dnsmsg.TypeA, Addr: dnsmsg.IPv4(1, 1, 1, 1)})
+	z.MustAdd(dnsmsg.Record{Name: "a.x.test.", Type: dnsmsg.TypeA, Addr: dnsmsg.IPv4(1, 1, 1, 2)})
 	names := z.Names()
 	if len(names) != 3 { // apex + two nodes
 		t.Fatalf("names: %v", names)
@@ -257,7 +257,7 @@ func TestConcurrentLookupAndAdd(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			z.MustAdd(dnsmsg.Record{
 				Name: fmt.Sprintf("h%d.example.com.", i),
-				Type: dnsmsg.TypeA, TTL: 1, IP: []byte{10, 0, byte(i >> 8), byte(i)},
+				Type: dnsmsg.TypeA, TTL: 1, Addr: dnsmsg.IPv4(10, 0, byte(i>>8), byte(i)),
 			})
 		}
 	}()
@@ -279,5 +279,23 @@ func BenchmarkStoreLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Lookup(fmt.Sprintf("site%d.com.", i%1000), dnsmsg.TypeNS)
+	}
+}
+
+// TestZeroZone: a zone not built through NewZone still answers with an SOA
+// and transfers, publishes and grows like any other.
+func TestZeroZone(t *testing.T) {
+	z := &Zone{Origin: "zero.test."}
+	if got := z.AllRecords(); len(got) != 1 || got[0].Type != dnsmsg.TypeSOA {
+		t.Fatalf("AllRecords of a zero zone = %+v", got)
+	}
+	s := NewStore()
+	s.AddZone(z)
+	z.MustAdd(dnsmsg.Record{Name: "a.zero.test.", Type: dnsmsg.TypeA, Addr: dnsmsg.IPv4(192, 0, 2, 1)})
+	if r := s.Lookup("a.zero.test.", dnsmsg.TypeA); r.RCode != dnsmsg.RCodeSuccess || len(r.Answers) != 1 {
+		t.Fatalf("lookup after Add: %+v", r)
+	}
+	if r := s.Lookup("b.zero.test.", dnsmsg.TypeA); r.RCode != dnsmsg.RCodeNameError || len(r.Authority) != 1 {
+		t.Fatalf("NXDOMAIN: %+v", r)
 	}
 }

@@ -83,7 +83,7 @@ func ParseZone(r io.Reader) (*Zone, error) {
 	if origin == "" {
 		origin = soa.Name
 	}
-	z := NewZone(origin, *soa.SOA)
+	z := NewZone(origin, soa.Data.SOA)
 	for _, rec := range records {
 		if err := z.Add(rec); err != nil {
 			return nil, err
@@ -149,20 +149,18 @@ func parseRecordLine(line, origin, lastOwner string, defaultTTL uint32) (dnsmsg.
 		if len(rdata) != 1 {
 			return rec, "", fmt.Errorf("A needs one address")
 		}
-		ip, err := parseIPv4(rdata[0])
-		if err != nil {
+		if err := parseIPv4(rdata[0], &rec.Addr); err != nil {
 			return rec, "", err
 		}
-		rec.Type, rec.IP = dnsmsg.TypeA, ip
+		rec.Type = dnsmsg.TypeA
 	case "AAAA":
 		if len(rdata) != 1 {
 			return rec, "", fmt.Errorf("AAAA needs one address")
 		}
-		ip, err := parseIPv6(rdata[0])
-		if err != nil {
+		if err := parseIPv6(rdata[0], &rec.Addr); err != nil {
 			return rec, "", err
 		}
-		rec.Type, rec.IP = dnsmsg.TypeAAAA, ip
+		rec.Type = dnsmsg.TypeAAAA
 	case "NS":
 		if len(rdata) != 1 {
 			return rec, "", fmt.Errorf("NS needs one target")
@@ -182,14 +180,15 @@ func parseRecordLine(line, origin, lastOwner string, defaultTTL uint32) (dnsmsg.
 			return rec, "", fmt.Errorf("bad MX preference: %v", err)
 		}
 		rec.Type = dnsmsg.TypeMX
-		rec.MX = &dnsmsg.MXData{Preference: uint16(pref), Exchange: absName(rdata[1], origin)}
+		rec.Data = &dnsmsg.Rdata{MX: dnsmsg.MXData{Preference: uint16(pref), Exchange: absName(rdata[1], origin)}}
 	case "TXT":
 		rec.Type = dnsmsg.TypeTXT
 		raw := strings.TrimSpace(line[strings.Index(line, "TXT")+3:])
-		rec.TXT = parseTXT(raw)
-		if len(rec.TXT) == 0 {
+		txt := parseTXT(raw)
+		if len(txt) == 0 {
 			return rec, "", fmt.Errorf("TXT needs at least one string")
 		}
+		rec.Data = &dnsmsg.Rdata{TXT: txt}
 	case "SOA":
 		if len(rdata) != 7 {
 			return rec, "", fmt.Errorf("SOA needs mname rname serial refresh retry expire minimum")
@@ -203,10 +202,10 @@ func parseRecordLine(line, origin, lastOwner string, defaultTTL uint32) (dnsmsg.
 			nums[i] = uint32(v)
 		}
 		rec.Type = dnsmsg.TypeSOA
-		rec.SOA = &dnsmsg.SOAData{
+		rec.Data = &dnsmsg.Rdata{SOA: dnsmsg.SOAData{
 			MName: absName(rdata[0], origin), RName: absName(rdata[1], origin),
 			Serial: nums[0], Refresh: nums[1], Retry: nums[2], Expire: nums[3], Minimum: nums[4],
-		}
+		}}
 	default:
 		return rec, "", fmt.Errorf("unsupported record type %q", typ)
 	}
@@ -227,27 +226,28 @@ func absName(name, origin string) string {
 	return dnsmsg.CanonicalName(name + "." + strings.TrimSuffix(origin, "."))
 }
 
-func parseIPv4(s string) ([]byte, error) {
+// parseIPv4 parses a dotted-quad address into the first 4 bytes of out.
+func parseIPv4(s string, out *[16]byte) error {
 	parts := strings.Split(s, ".")
 	if len(parts) != 4 {
-		return nil, fmt.Errorf("bad IPv4 address %q", s)
+		return fmt.Errorf("bad IPv4 address %q", s)
 	}
-	out := make([]byte, 4)
 	for i, p := range parts {
 		v, err := strconv.ParseUint(p, 10, 8)
 		if err != nil {
-			return nil, fmt.Errorf("bad IPv4 address %q", s)
+			return fmt.Errorf("bad IPv4 address %q", s)
 		}
 		out[i] = byte(v)
 	}
-	return out, nil
+	return nil
 }
 
-func parseIPv6(s string) ([]byte, error) {
+// parseIPv6 parses an RFC 4291 address into out.
+func parseIPv6(s string, out *[16]byte) error {
 	// Minimal RFC 4291 parser: hex groups with one optional "::" gap.
 	halves := strings.Split(s, "::")
 	if len(halves) > 2 {
-		return nil, fmt.Errorf("bad IPv6 address %q", s)
+		return fmt.Errorf("bad IPv6 address %q", s)
 	}
 	parse := func(part string) ([]byte, error) {
 		if part == "" {
@@ -265,23 +265,23 @@ func parseIPv6(s string) ([]byte, error) {
 	}
 	head, err := parse(halves[0])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var tail []byte
 	if len(halves) == 2 {
 		if tail, err = parse(halves[1]); err != nil {
-			return nil, err
+			return err
 		}
 	} else if len(head) != 16 {
-		return nil, fmt.Errorf("bad IPv6 address %q", s)
+		return fmt.Errorf("bad IPv6 address %q", s)
 	}
 	if len(head)+len(tail) > 16 {
-		return nil, fmt.Errorf("bad IPv6 address %q", s)
+		return fmt.Errorf("bad IPv6 address %q", s)
 	}
-	out := make([]byte, 16)
-	copy(out, head)
+	*out = [16]byte{}
+	copy(out[:], head)
 	copy(out[16-len(tail):], tail)
-	return out, nil
+	return nil
 }
 
 // parseTXT splits quoted character-strings; unquoted text is one string.
@@ -325,7 +325,7 @@ func (z *Zone) WriteTo(w io.Writer) (int64, error) {
 	if err := emit("$ORIGIN %s\n$TTL 3600\n", z.Origin); err != nil {
 		return total, err
 	}
-	soa := z.SOA
+	soa := z.SOA()
 	if err := emit("@ IN SOA %s %s %d %d %d %d %d\n",
 		soa.MName, soa.RName, soa.Serial, soa.Refresh, soa.Retry, soa.Expire, soa.Minimum); err != nil {
 		return total, err
@@ -352,14 +352,21 @@ func recordLine(r *dnsmsg.Record) (string, error) {
 	prefix := fmt.Sprintf("%s %d IN", r.Name, r.TTL)
 	switch r.Type {
 	case dnsmsg.TypeA, dnsmsg.TypeAAAA:
-		return fmt.Sprintf("%s %s %s", prefix, r.Type, ipText(r.IP)), nil
+		return fmt.Sprintf("%s %s %s", prefix, r.Type, ipText(r.IP())), nil
 	case dnsmsg.TypeNS, dnsmsg.TypeCNAME:
 		return fmt.Sprintf("%s %s %s", prefix, r.Type, r.Target), nil
 	case dnsmsg.TypeMX:
-		return fmt.Sprintf("%s MX %d %s", prefix, r.MX.Preference, r.MX.Exchange), nil
+		if r.Data == nil {
+			break
+		}
+		return fmt.Sprintf("%s MX %d %s", prefix, r.Data.MX.Preference, r.Data.MX.Exchange), nil
 	case dnsmsg.TypeTXT:
-		parts := make([]string, len(r.TXT))
-		for i, s := range r.TXT {
+		var txt []string
+		if r.Data != nil {
+			txt = r.Data.TXT
+		}
+		parts := make([]string, len(txt))
+		for i, s := range txt {
 			parts[i] = strconv.Quote(s)
 		}
 		return fmt.Sprintf("%s TXT %s", prefix, strings.Join(parts, " ")), nil

@@ -32,8 +32,8 @@ func TestParseZone(t *testing.T) {
 	if z.Origin != "example.com." {
 		t.Fatalf("origin = %q", z.Origin)
 	}
-	if z.SOA.MName != "ns1.dns-provider.net." || z.SOA.Serial != 2020010101 {
-		t.Fatalf("SOA = %+v", z.SOA)
+	if z.SOA().MName != "ns1.dns-provider.net." || z.SOA().Serial != 2020010101 {
+		t.Fatalf("SOA = %+v", z.SOA())
 	}
 
 	s := NewStore()
@@ -52,17 +52,17 @@ func TestParseZone(t *testing.T) {
 		t.Fatalf("static TTL: %+v", r.Answers)
 	}
 	r = s.Lookup("mail.example.com.", dnsmsg.TypeMX)
-	if len(r.Answers) != 1 || r.Answers[0].MX.Exchange != "mx1.example.com." {
+	if len(r.Answers) != 1 || r.Answers[0].Data.MX.Exchange != "mx1.example.com." {
 		t.Fatalf("MX: %+v", r.Answers)
 	}
 	r = s.Lookup("example.com.", dnsmsg.TypeTXT)
-	if len(r.Answers) != 1 || len(r.Answers[0].TXT) != 2 || r.Answers[0].TXT[0] != "v=spf1 -all" {
+	if len(r.Answers) != 1 || len(r.Answers[0].Data.TXT) != 2 || r.Answers[0].Data.TXT[0] != "v=spf1 -all" {
 		t.Fatalf("TXT: %+v", r.Answers)
 	}
 	r = s.Lookup("ipv6.example.com.", dnsmsg.TypeAAAA)
 	want := append([]byte{0x20, 0x01, 0x0d, 0xb8}, make([]byte, 10)...)
 	want = append(want, 0, 1)
-	if len(r.Answers) != 1 || !bytes.Equal(r.Answers[0].IP, want) {
+	if len(r.Answers) != 1 || !bytes.Equal(r.Answers[0].IP(), want) {
 		t.Fatalf("AAAA: %+v", r.Answers)
 	}
 	r = s.Lookup("a.img.example.com.", dnsmsg.TypeA)
@@ -132,8 +132,8 @@ func TestZoneRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parse: %v\nzone file was:\n%s", err, buf.String())
 	}
-	if z1.Origin != z2.Origin || *&z1.SOA != *&z2.SOA {
-		t.Fatalf("origin/SOA round trip: %+v vs %+v", z1.SOA, z2.SOA)
+	if z1.Origin != z2.Origin || z1.SOA() != z2.SOA() {
+		t.Fatalf("origin/SOA round trip: %+v vs %+v", z1.SOA(), z2.SOA())
 	}
 	n1, n2 := z1.Names(), z2.Names()
 	if len(n1) != len(n2) {
@@ -156,13 +156,15 @@ func TestZoneRoundTrip(t *testing.T) {
 func TestIPv6ParseForms(t *testing.T) {
 	good := []string{"::1", "2001:db8::1", "2001:db8:0:0:0:0:0:1", "::", "fe80::"}
 	for _, s := range good {
-		if _, err := parseIPv6(s); err != nil {
+		var ip [16]byte
+		if err := parseIPv6(s, &ip); err != nil {
 			t.Errorf("parseIPv6(%q): %v", s, err)
 		}
 	}
 	bad := []string{"1::2::3", "2001:db8", "g::1", "1:2:3:4:5:6:7:8:9"}
 	for _, s := range bad {
-		if _, err := parseIPv6(s); err == nil {
+		var ip [16]byte
+		if err := parseIPv6(s, &ip); err == nil {
 			t.Errorf("parseIPv6(%q) accepted", s)
 		}
 	}

@@ -30,6 +30,7 @@ import (
 type chainVendor struct {
 	domain  string // registrable domain; the measured provider identity
 	host    string // static.<domain> — the host chain resources load from
+	fqdn    string // host + ".", which host is a prefix of
 	dnsDep  ProviderDNS
 	cdnProv string // CDN provider name fronting host; "" serves directly
 }
@@ -50,9 +51,11 @@ func chainVendorUniverse(n int) []chainVendor {
 	out := make([]chainVendor, n)
 	for i := range out {
 		domain := fmt.Sprintf("chain-vendor-%02d.net", i)
+		fqdn := "static." + domain + "."
 		v := chainVendor{
 			domain:  domain,
-			host:    "static." + domain,
+			host:    fqdn[:len(fqdn)-1],
+			fqdn:    fqdn,
 			cdnProv: cdnPool[i%len(cdnPool)],
 		}
 		if dns := dnsPool[i%len(dnsPool)]; dns == "" {
@@ -112,16 +115,16 @@ func (m *materializer) chainVendorZone(v *chainVendor) {
 	}
 	z := dnszone.NewZone(origin, soa)
 	m.zoneNS(z, origin, v.domain, v.dnsDep)
-	z.MustAdd(dnsmsg.Record{Name: origin, Type: dnsmsg.TypeA, TTL: 300, IP: []byte{198, 51, 100, 70}})
+	z.MustAdd(dnsmsg.Record{Name: origin, Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(198, 51, 100, 70)})
 	if v.cdnProv != "" {
 		cp := m.u.Providers[v.cdnProv]
 		if cp == nil {
 			panic("ecosystem: chain vendor uses unknown CDN " + v.cdnProv)
 		}
-		z.MustAdd(dnsmsg.Record{Name: v.host + ".", Type: dnsmsg.TypeCNAME, TTL: 300,
+		z.MustAdd(dnsmsg.Record{Name: v.fqdn, Type: dnsmsg.TypeCNAME, TTL: 300,
 			Target: "v-" + slugOf(v.domain) + "." + cp.CNAMESuffix + "."})
 	} else {
-		z.MustAdd(dnsmsg.Record{Name: v.host + ".", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{198, 51, 100, 71}})
+		z.MustAdd(dnsmsg.Record{Name: v.fqdn, Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(198, 51, 100, 71)})
 	}
 	m.w.Zones.AddZone(z)
 }
@@ -129,12 +132,6 @@ func (m *materializer) chainVendorZone(v *chainVendor) {
 // maxChainResources caps per-page chain growth: the fan-out draw has a
 // geometric tail, and a page must stay a page, not a crawl frontier.
 const maxChainResources = 256
-
-// chainNode is a chain frontier entry: a resource that may load children.
-type chainNode struct {
-	idx  int    // 1-based resource index
-	host string // serving host
-}
 
 // growChains appends child resources to page for depths 2..MaxDepth,
 // drawing from b.rng: the page routine builds pages in parallel with one
@@ -144,13 +141,14 @@ type chainNode struct {
 // root; each frontier resource spawns a geometric number of children with
 // mean cfg.FanOut, and each child is vendor-hosted with probability
 // cfg.ThirdPartyRatio or same-host otherwise (a site's own bundle pulling a
-// second internal asset). Children are appended with their known host and
-// parent index.
+// second internal asset). Children are appended with their known host (and
+// its canonical form) and parent index. The frontier holds 1-based
+// resource indexes.
 func (b *pageBuilder) growChains(page *webpage.Page) {
 	cfg, vendors := b.chains.cfg, b.chains.vendors
 	b.frontier = b.frontier[:0]
-	for i, r := range page.Resources {
-		b.frontier = append(b.frontier, chainNode{idx: i + 1, host: r.Host})
+	for i := range page.Resources {
+		b.frontier = append(b.frontier, i+1)
 	}
 	p := cfg.FanOut / (1 + cfg.FanOut)
 	added := 0
@@ -162,16 +160,18 @@ func (b *pageBuilder) growChains(page *webpage.Page) {
 				k++
 			}
 			for j := 0; j < k && added < maxChainResources; j++ {
-				host := parent.host
+				host, fqdn := page.Resources[parent-1].Host, page.Resources[parent-1].FQDN
 				if b.rng.Float64() < cfg.ThirdPartyRatio {
-					host = vendors[b.rng.Intn(len(vendors))].host
+					v := &vendors[b.rng.Intn(len(vendors))]
+					host, fqdn = v.host, v.fqdn
 				}
 				page.Resources = append(page.Resources, webpage.Resource{
 					URL:    "https://" + host + "/chain-d" + strconv.Itoa(depth) + "-" + strconv.Itoa(added) + ".js",
 					Host:   host,
-					Parent: parent.idx,
+					FQDN:   fqdn,
+					Parent: parent,
 				})
-				b.next = append(b.next, chainNode{idx: len(page.Resources), host: host})
+				b.next = append(b.next, len(page.Resources))
 				added++
 			}
 		}

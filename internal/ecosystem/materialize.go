@@ -58,6 +58,9 @@ type materializer struct {
 	u    *Universe
 	w    *World
 	snap Snapshot
+	// ns memoizes nsHosts by provider name, so the NS records of every
+	// zone delegating to one provider share its host-name strings.
+	ns map[string][]string
 }
 
 func (m *materializer) exists(p *Provider) bool {
@@ -67,13 +70,21 @@ func (m *materializer) exists(p *Provider) bool {
 	return p.Exists2020
 }
 
-// nsHosts returns the nameserver host names a provider exposes.
-func nsHosts(p *Provider) []string {
-	var out []string
-	for _, d := range p.NSDomains {
-		out = append(out, "ns1."+d+".", "ns2."+d+".")
+// nsHosts returns the nameserver host names a provider exposes, built
+// once per provider per world.
+func (m *materializer) nsHosts(p *Provider) []string {
+	if hosts, ok := m.ns[p.Name]; ok {
+		return hosts
 	}
-	return out
+	var hosts []string
+	for _, d := range p.NSDomains {
+		hosts = append(hosts, "ns1."+d+".", "ns2."+d+".")
+	}
+	if m.ns == nil {
+		m.ns = make(map[string][]string)
+	}
+	m.ns[p.Name] = hosts
+	return hosts
 }
 
 // soaFor builds a provider zone's SOA: the MName is the provider's first
@@ -113,7 +124,7 @@ func (m *materializer) zoneNS(z *dnszone.Zone, origin, ownDomain string, dep Pro
 		for _, h := range []string{"ns1." + ownDomain + ".", "ns2." + ownDomain + "."} {
 			addNS(h)
 			if dnszone.InBailiwick(h, z.Origin) {
-				z.MustAdd(dnsmsg.Record{Name: h, Type: dnsmsg.TypeA, TTL: 86400, IP: []byte{198, 51, 100, 53}})
+				z.MustAdd(dnsmsg.Record{Name: h, Type: dnsmsg.TypeA, TTL: 86400, Addr: dnsmsg.IPv4(198, 51, 100, 53)})
 			}
 		}
 	}
@@ -122,7 +133,7 @@ func (m *materializer) zoneNS(z *dnszone.Zone, origin, ownDomain string, dep Pro
 		if dp == nil {
 			panic("ecosystem: unknown DNS dependency " + depName)
 		}
-		for _, h := range nsHosts(dp) {
+		for _, h := range m.nsHosts(dp) {
 			addNS(h)
 		}
 	}
@@ -151,8 +162,8 @@ func (m *materializer) dnsProviderZones(p *Provider) {
 		z := dnszone.NewZone(d+".", soaFor(p))
 		z.MustAdd(dnsmsg.Record{Name: d + ".", Type: dnsmsg.TypeNS, TTL: 86400, Target: "ns1." + d + "."})
 		z.MustAdd(dnsmsg.Record{Name: d + ".", Type: dnsmsg.TypeNS, TTL: 86400, Target: "ns2." + d + "."})
-		z.MustAdd(dnsmsg.Record{Name: "ns1." + d + ".", Type: dnsmsg.TypeA, TTL: 86400, IP: []byte{203, 0, 113, 10}})
-		z.MustAdd(dnsmsg.Record{Name: "ns2." + d + ".", Type: dnsmsg.TypeA, TTL: 86400, IP: []byte{203, 0, 113, 11}})
+		z.MustAdd(dnsmsg.Record{Name: "ns1." + d + ".", Type: dnsmsg.TypeA, TTL: 86400, Addr: dnsmsg.IPv4(203, 0, 113, 10)})
+		z.MustAdd(dnsmsg.Record{Name: "ns2." + d + ".", Type: dnsmsg.TypeA, TTL: 86400, Addr: dnsmsg.IPv4(203, 0, 113, 11)})
 		m.w.Zones.AddZone(z)
 	}
 }
@@ -173,8 +184,8 @@ func (m *materializer) cdnProviderZones(p *Provider) {
 	dep := m.dnsDep(p)
 	z := dnszone.NewZone(origin, soa)
 	m.zoneNS(z, origin, p.Domain, dep)
-	z.MustAdd(dnsmsg.Record{Name: origin, Type: dnsmsg.TypeA, TTL: 300, IP: []byte{198, 51, 100, 80}})
-	z.MustAdd(dnsmsg.Record{Name: "*." + p.CNAMESuffix + ".", Type: dnsmsg.TypeA, TTL: 60, IP: []byte{198, 51, 100, 81}})
+	z.MustAdd(dnsmsg.Record{Name: origin, Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(198, 51, 100, 80)})
+	z.MustAdd(dnsmsg.Record{Name: "*." + p.CNAMESuffix + ".", Type: dnsmsg.TypeA, TTL: 60, Addr: dnsmsg.IPv4(198, 51, 100, 81)})
 	m.w.Zones.AddZone(z)
 	m.w.CNAMEToCDN[p.CNAMESuffix] = p.Name
 	// The provider's corporate domain, when distinct from the suffix zone.
@@ -203,10 +214,10 @@ func (m *materializer) caProviderZones(p *Provider) {
 			// shares the zone's SOA.
 			edge := "edge-cdn." + p.Domain + "."
 			z.MustAdd(dnsmsg.Record{Name: name, Type: dnsmsg.TypeCNAME, TTL: 300, Target: edge})
-			z.MustAdd(dnsmsg.Record{Name: edge, Type: dnsmsg.TypeA, TTL: 300, IP: []byte{198, 51, 100, 90}})
+			z.MustAdd(dnsmsg.Record{Name: edge, Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(198, 51, 100, 90)})
 			m.w.CNAMEToCDN["edge-cdn."+p.Domain] = p.Name + " private CDN"
 		default:
-			z.MustAdd(dnsmsg.Record{Name: name, Type: dnsmsg.TypeA, TTL: 300, IP: []byte{198, 51, 100, 91}})
+			z.MustAdd(dnsmsg.Record{Name: name, Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(198, 51, 100, 91)})
 		}
 	}
 	m.w.Zones.AddZone(z)
@@ -219,8 +230,8 @@ func (m *materializer) externalZones() {
 			Serial: 1, Refresh: 7200, Retry: 900, Expire: 1209600, Minimum: 300,
 		})
 		z.MustAdd(dnsmsg.Record{Name: d + ".", Type: dnsmsg.TypeNS, TTL: 86400, Target: "ns1." + d + "."})
-		z.MustAdd(dnsmsg.Record{Name: "ns1." + d + ".", Type: dnsmsg.TypeA, TTL: 86400, IP: []byte{203, 0, 113, 99}})
-		z.MustAdd(dnsmsg.Record{Name: "*." + d + ".", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{203, 0, 113, 98}})
+		z.MustAdd(dnsmsg.Record{Name: "ns1." + d + ".", Type: dnsmsg.TypeA, TTL: 86400, Addr: dnsmsg.IPv4(203, 0, 113, 99)})
+		z.MustAdd(dnsmsg.Record{Name: "*." + d + ".", Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(203, 0, 113, 98)})
 		m.w.Zones.AddZone(z)
 	}
 }
@@ -234,21 +245,22 @@ func pkiDomain(site *Site) string {
 	return base + "-pki.net"
 }
 
-// siteInternalHosts returns the site-owned hosts its landing page loads
-// assets from — the coupling point between the zone half (which wires the
-// hosts into DNS) and the page half (which references them). It is a pure
-// function of the snapshot state so both halves compute identical lists.
+// siteInternalHosts returns the canonical names (trailing dot) of the
+// site-owned hosts its landing page loads assets from — the coupling point
+// between the zone half (which wires the hosts into DNS) and the page half
+// (which references them). It is a pure function of the snapshot state so
+// both halves compute identical lists.
 func siteInternalHosts(s *Site, ss *SiteSnapshot) []string {
 	d := s.Domain
-	hosts := []string{"www." + d}
+	hosts := []string{"www." + d + "."}
 	if ss.CDNMode != DepNone {
-		hosts = append(hosts, "static."+d)
+		hosts = append(hosts, "static."+d+".")
 	}
 	switch {
 	case ss.PrivateCDN && (ss.CDNTrap == TrapPrivateCDNAlias || ss.CDNTrap == TrapPrivateCDNForeignSOA):
-		hosts = append(hosts, "img."+s.AliasDomain())
+		hosts = append(hosts, "img."+s.AliasDomain()+".")
 	case ss.PrivateCDN:
-		hosts = append(hosts, "cdn."+d)
+		hosts = append(hosts, "cdn."+d+".")
 	}
 	return hosts
 }
@@ -269,8 +281,7 @@ func (m *materializer) siteZone(s *Site) {
 	case TrapSOAEqual, TrapUnknown:
 		// The zone's declared master is the provider's nameserver: SOA
 		// comparison against the provider's own zone then matches.
-		p := m.u.Providers[ss.DNSProviders[0]]
-		soa.MName = "ns1." + p.NSDomains[0] + "."
+		soa.MName = m.nsHosts(m.u.Providers[ss.DNSProviders[0]])[0]
 	case TrapVanityNS:
 		soa.MName = "ns1." + s.AliasDomain() + "."
 	}
@@ -286,12 +297,13 @@ func (m *materializer) siteZone(s *Site) {
 		for _, h := range []string{"ns1." + nsDomain + ".", "ns2." + nsDomain + "."} {
 			z.MustAdd(dnsmsg.Record{Name: origin, Type: dnsmsg.TypeNS, TTL: 86400, Target: h})
 			if dnszone.InBailiwick(h, origin) {
-				z.MustAdd(dnsmsg.Record{Name: h, Type: dnsmsg.TypeA, TTL: 86400, IP: []byte{198, 51, 100, 53}})
+				z.MustAdd(dnsmsg.Record{Name: h, Type: dnsmsg.TypeA, TTL: 86400, Addr: dnsmsg.IPv4(198, 51, 100, 53)})
 			}
 		}
 	case DepPrivatePlusThird:
-		z.MustAdd(dnsmsg.Record{Name: origin, Type: dnsmsg.TypeNS, TTL: 86400, Target: "ns1." + d + "."})
-		z.MustAdd(dnsmsg.Record{Name: "ns1." + d + ".", Type: dnsmsg.TypeA, TTL: 86400, IP: []byte{198, 51, 100, 53}})
+		ns1 := "ns1." + d + "."
+		z.MustAdd(dnsmsg.Record{Name: origin, Type: dnsmsg.TypeNS, TTL: 86400, Target: ns1})
+		z.MustAdd(dnsmsg.Record{Name: ns1, Type: dnsmsg.TypeA, TTL: 86400, Addr: dnsmsg.IPv4(198, 51, 100, 53)})
 		fallthrough
 	case DepSingleThird, DepMultiThird:
 		for _, pname := range ss.DNSProviders {
@@ -299,13 +311,13 @@ func (m *materializer) siteZone(s *Site) {
 			if p == nil {
 				panic("ecosystem: site " + d + " uses unknown provider " + pname)
 			}
-			for _, h := range nsHosts(p) {
+			for _, h := range m.nsHosts(p) {
 				z.MustAdd(dnsmsg.Record{Name: origin, Type: dnsmsg.TypeNS, TTL: 86400, Target: h})
 			}
 		}
 	}
 
-	z.MustAdd(dnsmsg.Record{Name: origin, Type: dnsmsg.TypeA, TTL: 300, IP: []byte{192, 0, 2, 1}})
+	z.MustAdd(dnsmsg.Record{Name: origin, Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(192, 0, 2, 1)})
 
 	// --- CDN wiring for the page's internal hosts ---
 	internalHosts := siteInternalHosts(s, &ss)
@@ -316,24 +328,30 @@ func (m *materializer) siteZone(s *Site) {
 	case ss.PrivateCDN && (ss.CDNTrap == TrapPrivateCDNAlias || ss.CDNTrap == TrapPrivateCDNForeignSOA):
 		// Content rides the alias-domain CDN (yahoo/yimg, instagram).
 		m.w.CNAMEToCDN[s.AliasDomain()] = d + " private CDN"
-		z.MustAdd(dnsmsg.Record{Name: "www." + d + ".", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{192, 0, 2, 2}})
+		z.MustAdd(dnsmsg.Record{Name: "www." + d + ".", Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(192, 0, 2, 2)})
 	case ss.PrivateCDN:
 		// In-domain private CDN: cdn.<site> is both suffix and target.
 		host := "cdn." + d
 		m.w.CNAMEToCDN[host] = d + " private CDN"
-		z.MustAdd(dnsmsg.Record{Name: host + ".", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{192, 0, 2, 3}})
-		z.MustAdd(dnsmsg.Record{Name: "www." + d + ".", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{192, 0, 2, 2}})
+		z.MustAdd(dnsmsg.Record{Name: host + ".", Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(192, 0, 2, 3)})
+		z.MustAdd(dnsmsg.Record{Name: "www." + d + ".", Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(192, 0, 2, 2)})
 	case ss.CDNMode != DepNone:
 		// Third-party CDNs: spread the internal hosts over the providers.
 		for i, host := range internalHosts {
 			p := m.u.Providers[ss.CDNProviders[i%len(ss.CDNProviders)]]
 			z.MustAdd(dnsmsg.Record{
-				Name: host + ".", Type: dnsmsg.TypeCNAME, TTL: 300,
+				Name: host, Type: dnsmsg.TypeCNAME, TTL: 300,
 				Target: "c-" + slugOf(d) + "." + p.CNAMESuffix + ".",
 			})
 		}
 	default:
-		z.MustAdd(dnsmsg.Record{Name: "www." + d + ".", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{192, 0, 2, 2}})
+		z.MustAdd(dnsmsg.Record{Name: "www." + d + ".", Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(192, 0, 2, 2)})
+	}
+
+	// --- Revocation hosts of an in-house CA that shares the site's zone ---
+	if ss.HTTPS && ss.PrivateCA && !ss.PrivateCAAlias {
+		z.MustAdd(dnsmsg.Record{Name: "ocsp." + d + ".", Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(192, 0, 2, 8)})
+		z.MustAdd(dnsmsg.Record{Name: "crl." + d + ".", Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(192, 0, 2, 8)})
 	}
 	m.w.Zones.AddZone(z)
 
@@ -365,12 +383,14 @@ func (m *materializer) aliasZone(s *Site, ss *SiteSnapshot) {
 	}
 	z := dnszone.NewZone(origin, soa)
 	m.zoneNS(z, origin, alias, dep)
-	z.MustAdd(dnsmsg.Record{Name: "*." + origin, Type: dnsmsg.TypeA, TTL: 300, IP: []byte{192, 0, 2, 7}})
+	z.MustAdd(dnsmsg.Record{Name: "*." + origin, Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(192, 0, 2, 7)})
 	m.w.Zones.AddZone(z)
 }
 
-// certificate materializes the site's certificate and, for private CAs, the
-// PKI-domain infrastructure.
+// certificate materializes the site's certificate and, for private CAs
+// under a PKI alias domain, that domain's zone. (An in-house CA's
+// revocation hosts live in the site's own zone, which siteZone builds with
+// them.)
 func (m *materializer) certificate(s *Site, ss *SiteSnapshot, hasAlias bool) {
 	d := s.Domain
 	sans := []string{d, "*." + d}
@@ -402,10 +422,6 @@ func (m *materializer) certificate(s *Site, ss *SiteSnapshot, hasAlias bool) {
 		cert.IssuerOrgDomain = d
 		cert.OCSPServers = []string{"http://ocsp." + d + "/status"}
 		cert.CRLDistributionPoints = []string{"http://crl." + d + "/ca.crl"}
-		if z := m.w.Zones.Zone(d + "."); z != nil {
-			z.MustAdd(dnsmsg.Record{Name: "ocsp." + d + ".", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{192, 0, 2, 8}})
-			z.MustAdd(dnsmsg.Record{Name: "crl." + d + ".", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{192, 0, 2, 8}})
-		}
 	}
 	cert.SANs = sans
 	m.w.Certs.Put(d, cert)
@@ -434,7 +450,7 @@ func (m *materializer) pkiZone(s *Site, ss *SiteSnapshot) {
 			z.MustAdd(dnsmsg.Record{Name: host, Type: dnsmsg.TypeCNAME, TTL: 300,
 				Target: "rev-" + slugOf(pki) + "." + akamai.CNAMESuffix + "."})
 		} else {
-			z.MustAdd(dnsmsg.Record{Name: host, Type: dnsmsg.TypeA, TTL: 300, IP: []byte{192, 0, 2, 9}})
+			z.MustAdd(dnsmsg.Record{Name: host, Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(192, 0, 2, 9)})
 		}
 	}
 	m.w.Zones.AddZone(z)

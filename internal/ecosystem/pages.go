@@ -15,8 +15,8 @@ import (
 // externalResources are the shared external objects every landing page
 // loads after its own assets. Their strings are shared by all pages.
 var externalResources = []webpage.Resource{
-	{URL: "https://cdn." + externalDomains[0] + "/analytics.js", Host: "cdn." + externalDomains[0]},
-	{URL: "https://fonts." + externalDomains[1] + "/font.woff2", Host: "fonts." + externalDomains[1]},
+	{URL: "https://cdn." + externalDomains[0] + "/analytics.js", Host: "cdn." + externalDomains[0], FQDN: "cdn." + externalDomains[0] + "."},
+	{URL: "https://fonts." + externalDomains[1] + "/font.woff2", Host: "fonts." + externalDomains[1], FQDN: "fonts." + externalDomains[1] + "."},
 }
 
 // pageChunk is how many rank-consecutive sites one page task builds: large
@@ -55,22 +55,24 @@ type pageBuilder struct {
 	chains *chainPlan // nil: no chain growth
 	rng    *rand.Rand // reseeded per site from chainSeed
 
-	frontier, next []chainNode // growChains' level buffers
+	frontier, next []int // growChains' level buffers
 }
 
 // page builds one website's landing page: an asset per internal host
 // (recomputed from the same snapshot state siteZone wired into DNS) plus
 // the shared external resources, then its chains. Hosts are known, so
-// resources are appended directly rather than re-derived from their URLs.
+// resources are appended directly rather than re-derived from their URLs,
+// each host a slice of the canonical name it comes with.
 func (b *pageBuilder) page(s *Site) *webpage.Page {
 	hosts := siteInternalHosts(s, &s.Snap[b.snap])
 	page := &webpage.Page{
 		Site:      s.Domain,
 		Resources: make([]webpage.Resource, 0, len(hosts)+len(externalResources)),
 	}
-	for _, host := range hosts {
+	for _, fqdn := range hosts {
+		host := fqdn[:len(fqdn)-1]
 		page.Resources = append(page.Resources, webpage.Resource{
-			URL: "https://" + host + "/asset-" + slugOf(host) + ".js", Host: host,
+			URL: "https://" + host + "/asset-" + slugOf(host) + ".js", Host: host, FQDN: fqdn,
 		})
 	}
 	page.Resources = append(page.Resources, externalResources...)

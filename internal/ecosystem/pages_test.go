@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"depscope/internal/chain"
+	"depscope/internal/dnsmsg"
 	"depscope/internal/publicsuffix"
 )
 
@@ -34,8 +35,8 @@ func pageDigest(t *testing.T, w *World) string {
 }
 
 // checkPageHosts asserts every resource's Host is what deriving it from the
-// URL would give (webpage.Page.AddResource's rule), and every Parent points
-// at an earlier resource.
+// URL would give (webpage.Page.AddResource's rule), its FQDN is that host's
+// canonical name, and every Parent points at an earlier resource.
 func checkPageHosts(t *testing.T, w *World) {
 	t.Helper()
 	for _, site := range w.Sites {
@@ -47,6 +48,9 @@ func checkPageHosts(t *testing.T, w *World) {
 			}
 			if want := publicsuffix.Normalize(u.Hostname()); r.Host != want {
 				t.Fatalf("%s resource %d (%s): host %q, want %q", site, i, r.URL, r.Host, want)
+			}
+			if want := dnsmsg.CanonicalName(r.Host); r.FQDN != want {
+				t.Fatalf("%s resource %d (%s): FQDN %q, want %q", site, i, r.URL, r.FQDN, want)
 			}
 			if r.Parent < 0 || r.Parent > i {
 				t.Fatalf("%s resource %d: parent %d does not precede it", site, i, r.Parent)

@@ -1,3 +1,5 @@
+// Package intern maps names to dense IDs: the columnar graph backend stores
+// every site and provider name as a uint32 into a Dict.
 package intern
 
 import (
@@ -11,8 +13,8 @@ import (
 // bytes + backing data, each a GC pointer to scan) to 4-byte integers, and
 // the IDs double as array indexes so lookups lose the map hop. IDs are never
 // reused or removed — a Dict only grows — which is what makes handing out
-// raw uint32s safe. Strings are canonicalized through the process-wide
-// intern pool, so a Dict adds index structure but no second string copy.
+// raw uint32s safe. A Dict keeps the string it is first given for a name,
+// so it adds index structure but no second copy of the name.
 //
 // All methods are safe for concurrent use; the expected pattern is a
 // single-writer builder with concurrent readers afterwards.
@@ -45,7 +47,6 @@ func (d *Dict) ID(s string) uint32 {
 		// garbage; fail loudly rather than alias IDs.
 		panic("intern: Dict overflow")
 	}
-	s = String(s)
 	id = uint32(len(d.names))
 	d.names = append(d.names, s)
 	d.ids[s] = id

@@ -4,8 +4,8 @@ import "testing"
 
 // TestCompiledCDNMapMatchAllocs guards the per-page-host hot path: matching
 // a canonical (lowercase, trailing-dot) name against a compiled CDN map must
-// cost at most one allocation, hit or miss. Normalize returns substrings for
-// such names and the rule scan itself is allocation-free.
+// not allocate, hit or miss. Normalize returns substrings for such names,
+// and the suffix probes are substrings too.
 func TestCompiledCDNMapMatchAllocs(t *testing.T) {
 	m := CDNMap{
 		"fastcdn.test":     "FastCDN",
@@ -24,7 +24,7 @@ func TestCompiledCDNMapMatchAllocs(t *testing.T) {
 			c.Match(n)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("compiled Match allocates %.1f per %d lookups, want <= 1", allocs, len(names))
+	if allocs != 0 {
+		t.Fatalf("compiled Match allocates %.1f per %d lookups, want 0", allocs, len(names))
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"depscope/internal/core"
-	"depscope/internal/dnsmsg"
 	"depscope/internal/publicsuffix"
 	"depscope/internal/resolver"
 )
@@ -22,8 +21,9 @@ var foundPool = sync.Pool{New: func() any {
 // hosts; hosts belonging to the site (TLD, SAN or SOA evidence) are its
 // internal resources; their CNAME chains are matched against the CNAME→CDN
 // map; each (site, CDN) pair is then classified private or third-party.
-// fqdn is the site's canonical name; each page host is canonicalized once
-// per visit, so its SOA and CNAME lookups take the resolver's no-copy path.
+// fqdn is the site's canonical name; each page host's canonical name comes
+// with the page (the page builder made it with the host), so its SOA and
+// CNAME lookups take the resolver's no-copy path without a fresh string.
 func (m *measurer) classifySiteCDN(ctx context.Context, site, fqdn string) (SiteCDN, error) {
 	out := SiteCDN{}
 	if m.cfg.Pages == nil {
@@ -48,10 +48,10 @@ func (m *measurer) classifySiteCDN(ctx context.Context, site, fqdn string) (Site
 	}
 
 	// Identify internal resources; internalFQ holds their canonical names.
-	hosts := page.Hosts()
+	hosts, fqdns := page.HostNames()
 	internalFQ := make([]string, 0, len(hosts))
-	for _, host := range hosts {
-		fq := dnsmsg.CanonicalName(host)
+	for i, host := range hosts {
+		fq := fqdns[i]
 		hostRD := publicsuffix.RegistrableDomain(host)
 		internal := hostRD != "" && hostRD == siteRD
 		if !internal && cert != nil && (sanRDs[hostRD] || cert.MatchesSAN(host)) {

@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"sort"
 	"strings"
 
 	"depscope/internal/publicsuffix"
@@ -24,27 +23,20 @@ func (m CDNMap) Match(name string) (cdn, suffix string, ok bool) {
 	return m.compile().Match(name)
 }
 
-// compiledCDNMap is a CDNMap with every suffix pre-normalized and ordered
-// for first-match-wins lookup, built once per Run.
+// compiledCDNMap is a CDNMap with every suffix pre-normalized into one
+// lookup table, built once per Run.
 type compiledCDNMap struct {
-	rules []cdnRule
+	// bySuffix maps a normalized suffix to its CDN name. Distinct raw keys
+	// that normalize to the same suffix collapse to the lexicographically
+	// smallest CDN name.
+	bySuffix map[string]string
 	// shortest maps CDN name → its shortest raw suffix (the zone apex the
 	// inter-service pass probes); length ties break lexicographically so the
 	// choice never depends on map iteration order.
 	shortest map[string]string
 }
 
-type cdnRule struct {
-	suffix string // normalized
-	dotted string // "." + suffix, precomputed for HasSuffix
-	name   string
-}
-
-// compile normalizes every suffix once. Distinct raw keys that normalize to
-// the same suffix collapse to the lexicographically smallest CDN name, and
-// rules are ordered longest-suffix-first (ties by suffix), so a linear scan
-// returning the first hit reproduces Match's documented tie-breaks exactly:
-// two distinct equal-length suffixes can never both cover one name.
+// compile normalizes every suffix once.
 func (m CDNMap) compile() *compiledCDNMap {
 	bySuffix := make(map[string]string, len(m))
 	shortest := make(map[string]string, len(m))
@@ -61,27 +53,25 @@ func (m CDNMap) compile() *compiledCDNMap {
 			shortest[name] = raw
 		}
 	}
-	c := &compiledCDNMap{shortest: shortest, rules: make([]cdnRule, 0, len(bySuffix))}
-	for s, name := range bySuffix {
-		c.rules = append(c.rules, cdnRule{suffix: s, dotted: "." + s, name: name})
-	}
-	sort.Slice(c.rules, func(i, j int) bool {
-		a, b := c.rules[i].suffix, c.rules[j].suffix
-		if len(a) != len(b) {
-			return len(a) > len(b)
-		}
-		return a < b
-	})
-	return c
+	return &compiledCDNMap{bySuffix: bySuffix, shortest: shortest}
 }
 
-// Match is the hot-path lookup: first rule that covers name wins.
+// Match is the hot-path lookup. The suffixes covering name are name itself
+// and whatever follows each of its dots, so walking the dots left to right
+// probes them longest first, and the first hit is the longest covering
+// suffix. Two distinct suffixes of equal length cannot both cover one name,
+// so this is exactly Match's documented tie-break. The probes are
+// substrings of name and allocate nothing.
 func (c *compiledCDNMap) Match(name string) (cdn, suffix string, ok bool) {
 	name = publicsuffix.Normalize(name)
-	for _, r := range c.rules {
-		if name == r.suffix || strings.HasSuffix(name, r.dotted) {
-			return r.name, r.suffix, true
+	for s := name; ; {
+		if cdn, ok := c.bySuffix[s]; ok {
+			return cdn, s, true
 		}
+		i := strings.IndexByte(s, '.')
+		if i < 0 {
+			return "", "", false
+		}
+		s = s[i+1:]
 	}
-	return "", "", false
 }

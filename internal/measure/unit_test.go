@@ -38,8 +38,8 @@ func microWorld() (*dnszone.Store, *certs.Store, pageMap) {
 
 	addProvider := func(domain string) {
 		z := dnszone.NewZone(domain+".", soaData("ns1."+domain+".", "ops."+domain+"."))
-		z.MustAdd(dnsmsg.Record{Name: "ns1." + domain + ".", Type: dnsmsg.TypeA, TTL: 60, IP: []byte{203, 0, 113, 1}})
-		z.MustAdd(dnsmsg.Record{Name: "ns2." + domain + ".", Type: dnsmsg.TypeA, TTL: 60, IP: []byte{203, 0, 113, 2}})
+		z.MustAdd(dnsmsg.Record{Name: "ns1." + domain + ".", Type: dnsmsg.TypeA, TTL: 60, Addr: dnsmsg.IPv4(203, 0, 113, 1)})
+		z.MustAdd(dnsmsg.Record{Name: "ns2." + domain + ".", Type: dnsmsg.TypeA, TTL: 60, Addr: dnsmsg.IPv4(203, 0, 113, 2)})
 		store.AddZone(z)
 	}
 	for _, d := range []string{"dynect.test", "ultra.test", "brand.test"} {
@@ -48,7 +48,7 @@ func microWorld() (*dnszone.Store, *certs.Store, pageMap) {
 	// Alias provider: two zones, one shared SOA MNAME.
 	for _, d := range []string{"alidns-a.test", "alidns-b.test"} {
 		z := dnszone.NewZone(d+".", soaData("ns1.alidns-a.test.", "ops.alidns-a.test."))
-		z.MustAdd(dnsmsg.Record{Name: "ns1." + d + ".", Type: dnsmsg.TypeA, TTL: 60, IP: []byte{203, 0, 113, 3}})
+		z.MustAdd(dnsmsg.Record{Name: "ns1." + d + ".", Type: dnsmsg.TypeA, TTL: 60, Addr: dnsmsg.IPv4(203, 0, 113, 3)})
 		store.AddZone(z)
 	}
 
@@ -57,7 +57,7 @@ func microWorld() (*dnszone.Store, *certs.Store, pageMap) {
 		for _, h := range nsHosts {
 			z.MustAdd(dnsmsg.Record{Name: domain + ".", Type: dnsmsg.TypeNS, TTL: 60, Target: h})
 		}
-		z.MustAdd(dnsmsg.Record{Name: domain + ".", Type: dnsmsg.TypeA, TTL: 60, IP: []byte{192, 0, 2, 1}})
+		z.MustAdd(dnsmsg.Record{Name: domain + ".", Type: dnsmsg.TypeA, TTL: 60, Addr: dnsmsg.IPv4(192, 0, 2, 1)})
 		store.AddZone(z)
 		pages[domain] = &webpage.Page{Site: domain}
 		return z
@@ -169,7 +169,7 @@ func TestCAClassificationMicro(t *testing.T) {
 	store, cs, pages := microWorld()
 	// plain.test gets a third-party CA whose zone exists with its own SOA.
 	caz := dnszone.NewZone("bigca.test.", soaData("ns1.bigca.test.", "ops.bigca.test."))
-	caz.MustAdd(dnsmsg.Record{Name: "ocsp.bigca.test.", Type: dnsmsg.TypeA, TTL: 60, IP: []byte{203, 0, 113, 9}})
+	caz.MustAdd(dnsmsg.Record{Name: "ocsp.bigca.test.", Type: dnsmsg.TypeA, TTL: 60, Addr: dnsmsg.IPv4(203, 0, 113, 9)})
 	store.AddZone(caz)
 	cs.Put("plain.test", &certs.Certificate{
 		Subject: "plain.test", IssuerCA: "Big CA",
@@ -220,7 +220,7 @@ func TestCDNDetectionMicro(t *testing.T) {
 	store, cs, pages := microWorld()
 	// plain.test serves static content from a CDN-suffixed CNAME.
 	cdnz := dnszone.NewZone("edge-cdn.test.", soaData("ns1.edge-cdn.test.", "ops.edge-cdn.test."))
-	cdnz.MustAdd(dnsmsg.Record{Name: "*.edge-cdn.test.", Type: dnsmsg.TypeA, TTL: 60, IP: []byte{203, 0, 113, 77}})
+	cdnz.MustAdd(dnsmsg.Record{Name: "*.edge-cdn.test.", Type: dnsmsg.TypeA, TTL: 60, Addr: dnsmsg.IPv4(203, 0, 113, 77)})
 	store.AddZone(cdnz)
 	pz := store.Zone("plain.test.")
 	pz.MustAdd(dnsmsg.Record{Name: "static.plain.test.", Type: dnsmsg.TypeCNAME, TTL: 60, Target: "c1.edge-cdn.test."})

@@ -110,7 +110,7 @@ type cacheShard struct {
 // pipeline's worker pool (bounded by GOMAXPROCS) rarely collides on a lock.
 const defaultShards = 64
 
-// fnv1a hashes s with FNV-1a, the same cheap inline hash the interner uses.
+// fnv1a hashes s with FNV-1a, a cheap inline hash.
 func fnv1a(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -426,13 +426,13 @@ func (r *Resolver) SOA(ctx context.Context, name string) (dnsmsg.SOAData, bool, 
 		return dnsmsg.SOAData{}, false, err
 	}
 	for _, a := range res.Answers {
-		if a.Type == dnsmsg.TypeSOA && a.SOA != nil {
-			return *a.SOA, true, nil
+		if a.Type == dnsmsg.TypeSOA && a.Data != nil {
+			return a.Data.SOA, true, nil
 		}
 	}
 	for _, a := range res.Authority {
-		if a.Type == dnsmsg.TypeSOA && a.SOA != nil {
-			return *a.SOA, true, nil
+		if a.Type == dnsmsg.TypeSOA && a.Data != nil {
+			return a.Data.SOA, true, nil
 		}
 	}
 	return dnsmsg.SOAData{}, false, nil
@@ -448,13 +448,13 @@ func (r *Resolver) Authority(ctx context.Context, name string) (origin string, s
 		return "", dnsmsg.SOAData{}, false, err
 	}
 	for _, a := range res.Answers {
-		if a.Type == dnsmsg.TypeSOA && a.SOA != nil {
-			return dnsmsg.CanonicalName(a.Name), *a.SOA, true, nil
+		if a.Type == dnsmsg.TypeSOA && a.Data != nil {
+			return dnsmsg.CanonicalName(a.Name), a.Data.SOA, true, nil
 		}
 	}
 	for _, a := range res.Authority {
-		if a.Type == dnsmsg.TypeSOA && a.SOA != nil {
-			return dnsmsg.CanonicalName(a.Name), *a.SOA, true, nil
+		if a.Type == dnsmsg.TypeSOA && a.Data != nil {
+			return dnsmsg.CanonicalName(a.Name), a.Data.SOA, true, nil
 		}
 	}
 	return "", dnsmsg.SOAData{}, false, nil
@@ -507,8 +507,8 @@ func (r *Resolver) Addrs(ctx context.Context, host string) ([]string, error) {
 	}
 	var out []string
 	for _, a := range res.Answers {
-		if a.Type == dnsmsg.TypeA && len(a.IP) == 4 {
-			out = append(out, fmt.Sprintf("%d.%d.%d.%d", a.IP[0], a.IP[1], a.IP[2], a.IP[3]))
+		if a.Type == dnsmsg.TypeA {
+			out = append(out, fmt.Sprintf("%d.%d.%d.%d", a.Addr[0], a.Addr[1], a.Addr[2], a.Addr[3]))
 		}
 	}
 	return out, nil

@@ -21,21 +21,21 @@ func testStore() *dnszone.Store {
 	})
 	site.MustAdd(dnsmsg.Record{Name: "twitter.test.", Type: dnsmsg.TypeNS, TTL: 300, Target: "ns1.dyn.test."})
 	site.MustAdd(dnsmsg.Record{Name: "twitter.test.", Type: dnsmsg.TypeNS, TTL: 300, Target: "ns2.dyn.test."})
-	site.MustAdd(dnsmsg.Record{Name: "twitter.test.", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{104, 244, 42, 1}})
+	site.MustAdd(dnsmsg.Record{Name: "twitter.test.", Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(104, 244, 42, 1)})
 	site.MustAdd(dnsmsg.Record{Name: "www.twitter.test.", Type: dnsmsg.TypeCNAME, TTL: 300, Target: "edge.fastcdn.test."})
 	s.AddZone(site)
 
 	dyn := dnszone.NewZone("dyn.test.", dnsmsg.SOAData{
 		MName: "ns1.dyn.test.", RName: "ops.dyn.test.", Serial: 1,
 	})
-	dyn.MustAdd(dnsmsg.Record{Name: "ns1.dyn.test.", Type: dnsmsg.TypeA, TTL: 300, IP: []byte{203, 0, 113, 1}})
+	dyn.MustAdd(dnsmsg.Record{Name: "ns1.dyn.test.", Type: dnsmsg.TypeA, TTL: 300, Addr: dnsmsg.IPv4(203, 0, 113, 1)})
 	s.AddZone(dyn)
 
 	cdn := dnszone.NewZone("fastcdn.test.", dnsmsg.SOAData{
 		MName: "ns1.fastcdn.test.", RName: "ops.fastcdn.test.", Serial: 1,
 	})
 	cdn.MustAdd(dnsmsg.Record{Name: "edge.fastcdn.test.", Type: dnsmsg.TypeCNAME, TTL: 60, Target: "pop.fastcdn.test."})
-	cdn.MustAdd(dnsmsg.Record{Name: "pop.fastcdn.test.", Type: dnsmsg.TypeA, TTL: 60, IP: []byte{198, 51, 100, 2}})
+	cdn.MustAdd(dnsmsg.Record{Name: "pop.fastcdn.test.", Type: dnsmsg.TypeA, TTL: 60, Addr: dnsmsg.IPv4(198, 51, 100, 2)})
 	s.AddZone(cdn)
 	return s
 }
@@ -240,7 +240,7 @@ func TestUDPTransportTruncationFallsBackToTCP(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		z.MustAdd(dnsmsg.Record{
 			Name: "txt.big.test.", Type: dnsmsg.TypeTXT, TTL: 60,
-			TXT: []string{fmt.Sprintf("record-%02d-padding-padding-padding", i)},
+			Data: &dnsmsg.Rdata{TXT: []string{fmt.Sprintf("record-%02d-padding-padding-padding", i)}},
 		})
 	}
 	store.AddZone(z)
@@ -318,7 +318,7 @@ func TestEDNS0LargeAnswerOverUDP(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		z.MustAdd(dnsmsg.Record{
 			Name: "txt.edns.test.", Type: dnsmsg.TypeTXT, TTL: 60,
-			TXT: []string{fmt.Sprintf("record-%02d-padding-padding-padding", i)},
+			Data: &dnsmsg.Rdata{TXT: []string{fmt.Sprintf("record-%02d-padding-padding-padding", i)}},
 		})
 	}
 	store.AddZone(z)

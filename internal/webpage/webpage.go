@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"depscope/internal/conc"
+	"depscope/internal/dnsmsg"
 	"depscope/internal/publicsuffix"
 )
 
@@ -30,6 +31,11 @@ type Resource struct {
 	URL string
 	// Host is the lowercase hostname serving the resource.
 	Host string
+	// FQDN is Host in canonical DNS form (trailing dot), set by builders
+	// that create hosts: Host is then FQDN without its dot, sharing its
+	// bytes, so measuring the page canonicalizes none of its hosts. Empty
+	// when unknown (pages built with AddResource or extracted from HTML).
+	FQDN string
 	// Parent links the resource into the page's inclusion tree: 0 means the
 	// page itself loaded it; a positive value j means Resources[j-1] loaded
 	// it (a script pulling in its own script, a stylesheet importing fonts).
@@ -54,6 +60,7 @@ type Page struct {
 	// set (map + sort) per call was pure garbage.
 	hostsMu  sync.Mutex
 	hosts    []string
+	fqdns    []string
 	hostsLen int
 }
 
@@ -61,25 +68,40 @@ type Page struct {
 // is rebuilt whenever len(Resources) has changed since the last call;
 // callers must not modify it.
 func (p *Page) Hosts() []string {
+	hosts, _ := p.HostNames()
+	return hosts
+}
+
+// HostNames returns Hosts together with each host's canonical DNS name
+// (dnsmsg.CanonicalName), index for index. A resource's FQDN supplies the
+// canonical name when its builder set one; otherwise it is made once per
+// cache rebuild. Callers must not modify either slice.
+func (p *Page) HostNames() (hosts, fqdns []string) {
 	p.hostsMu.Lock()
 	defer p.hostsMu.Unlock()
 	if p.hosts != nil && p.hostsLen == len(p.Resources) {
-		return p.hosts
+		return p.hosts, p.fqdns
 	}
-	seen := make(map[string]bool, len(p.Resources))
+	seen := make(map[string]string, len(p.Resources)) // host → FQDN, if known
 	for _, r := range p.Resources {
-		if r.Host != "" {
-			seen[r.Host] = true
+		if r.Host != "" && seen[r.Host] == "" {
+			seen[r.Host] = r.FQDN
 		}
 	}
-	out := make([]string, 0, len(seen))
+	hosts = make([]string, 0, len(seen))
 	for h := range seen {
-		out = append(out, h)
+		hosts = append(hosts, h)
 	}
-	sort.Strings(out)
-	p.hosts = out
+	sort.Strings(hosts)
+	fqdns = make([]string, len(hosts))
+	for i, h := range hosts {
+		if fqdns[i] = seen[h]; fqdns[i] == "" {
+			fqdns[i] = dnsmsg.CanonicalName(h)
+		}
+	}
+	p.hosts, p.fqdns = hosts, fqdns
 	p.hostsLen = len(p.Resources)
-	return out
+	return hosts, fqdns
 }
 
 // AddResource appends a page-level resource by URL, deriving the host.

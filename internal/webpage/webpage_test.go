@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 func TestExtractResourceHosts(t *testing.T) {
@@ -91,6 +92,30 @@ func TestHostsCacheBulkAppend(t *testing.T) {
 	want := []string{"first.example", "second.example"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Hosts after direct append = %v, want %v (stale cache)", got, want)
+	}
+}
+
+// TestHostNamesCanonical: HostNames pairs each host with its canonical
+// name, taking a builder's FQDN as given (no new string) and making the
+// rest once per cache rebuild.
+func TestHostNamesCanonical(t *testing.T) {
+	fqdn := "www.built.example."
+	p := &Page{Site: "built.example", Resources: []Resource{
+		{URL: "https://www.built.example/a.js", Host: fqdn[:len(fqdn)-1], FQDN: fqdn},
+	}}
+	p.AddResource("https://Other.Example/b.js")
+	hosts, fqdns := p.HostNames()
+	if want := []string{"other.example", "www.built.example"}; !reflect.DeepEqual(hosts, want) {
+		t.Fatalf("hosts = %v, want %v", hosts, want)
+	}
+	if want := []string{"other.example.", "www.built.example."}; !reflect.DeepEqual(fqdns, want) {
+		t.Fatalf("fqdns = %v, want %v", fqdns, want)
+	}
+	if unsafe.StringData(fqdns[1]) != unsafe.StringData(fqdn) {
+		t.Error("a builder's FQDN was copied, not reused")
+	}
+	if unsafe.StringData(hosts[1]) != unsafe.StringData(fqdn) {
+		t.Error("the built host is not a slice of its FQDN")
 	}
 }
 
