@@ -68,7 +68,9 @@ bench-gates:
 # must resolve, every flag documented in a flag table must exist in a
 # cmd/ binary, every `make <target>` the docs name must be a target
 # defined here, every test, benchmark or fuzz name the docs cite must be a
-# func in the tree, and every example program must have a test.
+# func in the tree, every counter, gauge and histogram the metric catalog
+# (docs/observability.md) names must be registered in non-test source, and
+# every example program must have a test.
 docs-check:
 	$(GO) test -run 'TestDoc|TestEveryExampleHasTest' -count=1 .
 

@@ -1,7 +1,7 @@
 package depscope
 
 // Documentation drift checks, wired into `make docs-check` (and through it
-// into `make verify`). Five invariants:
+// into `make verify`). Six invariants:
 //
 //   - every relative markdown link (and its #anchor, if any) in the curated
 //     docs resolves to a real file and a real heading;
@@ -11,15 +11,21 @@ package depscope
 //     name is a target the Makefile defines;
 //   - every Test*/Benchmark*/Fuzz* name the narrative docs cite in inline
 //     code is a func in the tree;
-//   - every example program under examples/ has a Test func.
+//   - every example program under examples/ has a Test func;
+//   - every counter, gauge and histogram the docs/observability.md catalog
+//     names is registered by non-test source.
 //
 // All walk the committed sources, so they need no network and no build
 // artifacts; a doc edit that invents a flag or breaks a link fails go test.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -323,5 +329,126 @@ func TestEveryExampleHasTest(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("no example programs found under examples/")
+	}
+}
+
+// metricRow matches a docs/observability.md catalog row of a registry
+// metric: counters, gauges and histograms (spans are named by their dotted
+// span name, so they are not literals in the source).
+var metricRow = regexp.MustCompile("^\\| `([a-z0-9_<>]+)` \\| (?:counter|gauge|histogram)(?:, lazy)? \\|")
+
+// sourceMetricNames collects every string literal in the program's non-test
+// Go source (internal/ and cmd/), plus a pattern for every concatenation
+// that starts with a literal: "serve_"+name+"_seconds" becomes
+// ^serve_[a-z0-9]+_seconds$, so a catalog row that spells out one of the
+// names a loop registers still finds its source.
+func sourceMetricNames(t *testing.T) (map[string]bool, []*regexp.Regexp) {
+	t.Helper()
+	literals := map[string]bool{}
+	var patterns []*regexp.Regexp
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		if s, ok := stringLit(n); ok {
+			literals[s] = true
+		}
+		add, ok := n.(*ast.BinaryExpr)
+		if !ok || add.Op != token.ADD {
+			return true
+		}
+		var re strings.Builder
+		ledByLiteral := false
+		for i, part := range flattenAdd(add, nil) {
+			ast.Inspect(part, visit)
+			if s, ok := stringLit(part); ok {
+				ledByLiteral = ledByLiteral || i == 0
+				re.WriteString(regexp.QuoteMeta(s))
+			} else {
+				re.WriteString("[a-z0-9]+")
+			}
+		}
+		if ledByLiteral {
+			patterns = append(patterns, regexp.MustCompile("^"+re.String()+"$"))
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, visit)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return literals, patterns
+}
+
+// stringLit returns the value of a string literal node.
+func stringLit(n ast.Node) (string, bool) {
+	lit, ok := n.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
+}
+
+// flattenAdd appends the operands of a chain of + expressions, in order.
+func flattenAdd(e ast.Expr, out []ast.Expr) []ast.Expr {
+	if b, ok := e.(*ast.BinaryExpr); ok && b.Op == token.ADD {
+		return flattenAdd(b.Y, flattenAdd(b.X, out))
+	}
+	return append(out, e)
+}
+
+// TestDocMetricsExist checks that every counter, gauge and histogram the
+// docs/observability.md catalog names is registered somewhere in the
+// program: the name is a string literal of non-test source, or matches a
+// literal-led concatenation; a `<placeholder>` row is checked by its
+// literal prefix. A deleted metric cannot leave its catalog row behind.
+func TestDocMetricsExist(t *testing.T) {
+	literals, patterns := sourceMetricNames(t)
+	data, err := os.ReadFile("docs/observability.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for n, line := range strings.Split(string(data), "\n") {
+		m := metricRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		rows++
+		name := m[1]
+		if prefix, _, ok := strings.Cut(name, "<"); ok {
+			if !literals[prefix] {
+				t.Errorf("docs/observability.md:%d: catalogs %s, but no source literal is its prefix %q", n+1, name, prefix)
+			}
+			continue
+		}
+		found := literals[name]
+		for _, re := range patterns {
+			found = found || re.MatchString(name)
+		}
+		if !found {
+			t.Errorf("docs/observability.md:%d: catalogs %s, which no non-test source registers", n+1, name)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no metric rows found in docs/observability.md")
 	}
 }

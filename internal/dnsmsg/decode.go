@@ -308,6 +308,10 @@ func (d *decoder) decodeRDATA(r *Record, end int) error {
 		}
 		r.Data = rd
 	case TypeTXT:
+		// RFC 1035 §3.3.14: TXT-DATA is one or more character-strings.
+		if d.off == end {
+			return fmt.Errorf("dnsmsg: TXT RDATA holds no character-string")
+		}
 		var txt []string
 		for d.off < end {
 			n, err := d.uint8()

@@ -209,6 +209,35 @@ func TestUnpackRejectsTruncatedInput(t *testing.T) {
 	}
 }
 
+// emptyTXTAnswer is a response whose one answer is a TXT record at the root
+// with zero-length RDATA.
+var emptyTXTAnswer = []byte{
+	0, 1, 0x84, 0, 0, 0, 0, 1, 0, 0, 0, 0, // header: ANCOUNT = 1
+	0,                // owner: root
+	0, byte(TypeTXT), // type
+	0, byte(ClassIN), // class
+	0, 0, 0, 60, // TTL
+	0, 0, // RDLENGTH = 0
+}
+
+// TestUnpackRejectsEmptyTXT: TXT RDATA must hold at least one
+// character-string, so zero-length RDATA is malformed (it would otherwise
+// decode as no strings and re-pack as one empty string).
+func TestUnpackRejectsEmptyTXT(t *testing.T) {
+	if m, err := Unpack(emptyTXTAnswer); err == nil {
+		t.Fatalf("Unpack accepted empty TXT RDATA: %+v", m.Answers)
+	}
+	// One empty character-string is the smallest well-formed TXT RDATA.
+	ok := append(append([]byte(nil), emptyTXTAnswer[:len(emptyTXTAnswer)-1]...), 1, 0)
+	m, err := Unpack(ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Answers[0].Data.TXT; !reflect.DeepEqual(got, []string{""}) {
+		t.Fatalf("TXT = %q, want one empty string", got)
+	}
+}
+
 func TestUnpackRejectsPointerLoops(t *testing.T) {
 	// Header claiming one question whose name is a self-pointer.
 	msg := make([]byte, 12, 16)

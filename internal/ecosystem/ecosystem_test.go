@@ -31,6 +31,22 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("site %d differs:\n%+v\n%+v", i, u1.Sites[i], u2.Sites[i])
 		}
 	}
+	// Providers come in one declaration order, not map order.
+	names := func(ps []*Provider) []string {
+		out := make([]string, len(ps))
+		for i, p := range ps {
+			out[i] = p.Name
+		}
+		return out
+	}
+	for _, svc := range []Service{SvcDNS, SvcCDN, SvcCA} {
+		for _, snap := range []Snapshot{Y2016, Y2020} {
+			a, b := names(u1.ProvidersOf(svc, snap)), names(u2.ProvidersOf(svc, snap))
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s providers in %s differ:\n%v\n%v", svc, snap, a, b)
+			}
+		}
+	}
 }
 
 func TestGenerateRejectsBadScale(t *testing.T) {

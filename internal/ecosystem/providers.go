@@ -2,6 +2,7 @@ package ecosystem
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -105,8 +106,15 @@ func buildProviders() []*Provider {
 		"Sav DNS": "sav.com", "Verisign DNS": "verisigndns.com", "Neustar DNS": "neustar.biz",
 		"Comodo DNS": "comododns.net",
 	}
-	for name, domain := range dnsDomains {
-		ps = append(ps, newDNSProvider(name, domain))
+	// Declare them in name order: ranging over the map would reorder
+	// providerOrder, ProvidersOf and the zone insertion order run to run.
+	dnsNames := make([]string, 0, len(dnsDomains))
+	for name := range dnsDomains {
+		dnsNames = append(dnsNames, name)
+	}
+	sort.Strings(dnsNames)
+	for _, name := range dnsNames {
+		ps = append(ps, newDNSProvider(name, dnsDomains[name]))
 	}
 	// Alibaba DNS demonstrates the same-entity alias: nameserver hosts under
 	// two registrable domains sharing one SOA MNAME (alicdn/alibabadns).

@@ -9,18 +9,19 @@ import (
 	"path/filepath"
 	"sync"
 
-	"depscope/internal/resolver"
 	"depscope/internal/telemetry"
 )
 
 // Checkpointed measurement runs. The pipeline's two expensive passes — NS
 // resolution and per-site classification — persist their progress into a
-// Checkpoint as they go: per-site NS sets, completed SiteResults, a content
-// fingerprint of what was measured, and the resolver's warm cache. An
-// interrupted run handed its last checkpoint resumes where it stopped, and
-// a finished run handed an edited universe re-measures only the sites whose
-// fingerprints changed (a provider-side edit changes every fingerprint and
-// forces a full re-run — see ecosystem.World.SiteFingerprints).
+// Checkpoint as they go: per-site NS sets, completed SiteResults and a
+// content fingerprint of what was measured. An interrupted run handed its
+// last checkpoint resumes where it stopped, and a finished run handed an
+// edited universe re-measures only the sites whose fingerprints changed (a
+// provider-side edit changes every fingerprint and forces a full re-run —
+// see ecosystem.World.SiteFingerprints). The resolver's cache is not kept:
+// every re-measured site asks the current zones, so no answer outlives the
+// fingerprint that vouched for it.
 //
 // The checkpoint is the pipeline's only mutable cross-run state, so the
 // codec is strict: a versioned JSON document, unknown fields rejected, a
@@ -28,7 +29,7 @@ import (
 // fails the load with a diagnostic — never a partial resume.
 
 // CheckpointVersion is the file-format version this build reads and writes.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 // Checkpoint is a serialized snapshot of measurement progress.
 type Checkpoint struct {
@@ -40,9 +41,6 @@ type Checkpoint struct {
 	Label string `json:"label,omitempty"`
 	// Sites holds per-site progress, keyed by site domain.
 	Sites map[string]*SiteCheckpoint `json:"sites"`
-	// Resolver is the exported resolver cache, seeded back on resume so
-	// re-measured sites start warm.
-	Resolver []resolver.CachedLookup `json:"resolver,omitempty"`
 }
 
 // SiteCheckpoint is one site's checkpointed progress.
@@ -67,8 +65,6 @@ var (
 		"pass-1 NS sets served from a checkpoint instead of the resolver")
 	ckptSaves = telemetry.Counter("checkpoint_saves_total",
 		"checkpoint snapshots emitted to the configured saver")
-	ckptResolverImported = telemetry.Counter("checkpoint_resolver_entries_imported_total",
-		"resolver cache entries seeded from a checkpoint on resume")
 )
 
 // Encode writes the checkpoint as JSON.
@@ -153,12 +149,11 @@ type ckptRun struct {
 	emit    func(*Checkpoint) error
 	every   int
 	pending int
-	res     *resolver.Resolver
 }
 
 // newCkptRun builds the recorder, or returns nil when the run is not
-// checkpointed. It seeds the resolver cache from the prior checkpoint and
-// keeps only prior entries whose fingerprint still matches the universe.
+// checkpointed. It keeps only prior entries whose fingerprint still matches
+// the universe.
 func newCkptRun(cfg *Config, nSites int) (*ckptRun, error) {
 	if cfg.Checkpoint == nil && cfg.OnCheckpoint == nil {
 		return nil, nil
@@ -173,7 +168,6 @@ func newCkptRun(cfg *Config, nSites int) (*ckptRun, error) {
 		fps:   cfg.Fingerprints,
 		emit:  cfg.OnCheckpoint,
 		every: cfg.CheckpointEvery,
-		res:   cfg.Resolver,
 	}
 	if ck.every <= 0 {
 		ck.every = nSites / 10
@@ -191,7 +185,6 @@ func newCkptRun(cfg *Config, nSites int) (*ckptRun, error) {
 				ck.prior[site] = sc
 			}
 		}
-		ckptResolverImported.Add(int64(cfg.Resolver.ImportCache(prev.Resolver)))
 	}
 	return ck, nil
 }
@@ -275,10 +268,9 @@ func (ck *ckptRun) emitLocked() error {
 		return nil
 	}
 	snap := &Checkpoint{
-		Version:  ck.cp.Version,
-		Label:    ck.cp.Label,
-		Sites:    maps.Clone(ck.cp.Sites),
-		Resolver: ck.res.ExportCache(),
+		Version: ck.cp.Version,
+		Label:   ck.cp.Label,
+		Sites:   maps.Clone(ck.cp.Sites),
 	}
 	ckptSaves.Inc()
 	if err := ck.emit(snap); err != nil {

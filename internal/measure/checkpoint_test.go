@@ -87,6 +87,7 @@ func TestDecodeCheckpointRejectsBadInput(t *testing.T) {
 		{"unknown top-level field", fmt.Sprintf(`{"version":%d,"sites":{},"bogus":1}`, CheckpointVersion), "bogus"},
 		{"unknown site field", fmt.Sprintf(`{"version":%d,"sites":{"a":{"doone":true}}}`, CheckpointVersion), "doone"},
 		{"trailing data", valid + `{"version":1}`, "trailing data"},
+		{"version 1 with resolver cache", `{"version":1,"label":"2020","sites":{},"resolver":[{"name":"a.example.","type":2}]}`, "resolver"},
 		{"not json", "checkpoint v1\x00\x01", "decode checkpoint"},
 	}
 	for _, tc := range cases {
@@ -105,6 +106,7 @@ func TestDecodeCheckpointRejectsBadInput(t *testing.T) {
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte(fmt.Sprintf(`{"version":%d,"sites":{}}`, CheckpointVersion)))
 	f.Add([]byte(fmt.Sprintf(`{"version":%d,"label":"2016","sites":{"a":{"ns_done":true,"ns":["x."]}}}`, CheckpointVersion)))
+	f.Add([]byte(`{"version":1,"sites":{},"resolver":[{"name":"a.example.","type":2}]}`))
 	f.Add([]byte(`{"version":99}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
@@ -205,9 +207,6 @@ func TestResumedRunMatchesUninterrupted(t *testing.T) {
 	if done == 0 || done >= scale {
 		t.Fatalf("checkpoint has %d done sites, want a strict subset of %d", done, scale)
 	}
-	if len(captured.Resolver) == 0 {
-		t.Fatal("checkpoint carries no resolver cache")
-	}
 
 	// Resumed run on a fresh world and resolver.
 	w3 := checkpointWorld(t, scale, seed, ecosystem.Y2020)
@@ -227,42 +226,73 @@ func TestResumedRunMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestEditedUniverseRemeasuresOnlyChangedSites: resuming a finished run with
-// one site's fingerprint changed re-measures exactly that site and still
-// produces results identical to a from-scratch run.
+// moveOneSiteDNS edits u in place: the first single-third, trap-free site
+// of snap's list moves to another characterizable DNS provider. It returns
+// the site's domain.
+func moveOneSiteDNS(t *testing.T, u *ecosystem.Universe, snap ecosystem.Snapshot) string {
+	t.Helper()
+	for _, s := range u.List(snap) {
+		ss := &s.Snap[snap]
+		if ss.DNSMode != ecosystem.DepSingleThird || ss.DNSTrap != ecosystem.TrapNone {
+			continue
+		}
+		for _, p := range u.ProvidersOf(ecosystem.SvcDNS, snap) {
+			if p.Name != ss.DNSProviders[0] && !strings.HasPrefix(p.Name, "Unknown DNS") {
+				ss.DNSProviders = []string{p.Name}
+				return s.Domain
+			}
+		}
+	}
+	t.Fatal("no single-third, trap-free site to edit")
+	return ""
+}
+
+// TestEditedUniverseRemeasuresOnlyChangedSites: resuming a finished run on
+// a universe where one site moved to another DNS provider re-measures
+// exactly that site, against the current zones, and produces results
+// identical to a from-scratch run on the edited universe.
 func TestEditedUniverseRemeasuresOnlyChangedSites(t *testing.T) {
 	const scale, seed = 200, 2020
+	const snap = ecosystem.Y2016
 	ctx := context.Background()
 
-	w := checkpointWorld(t, scale, seed, ecosystem.Y2016)
-	fps := make(map[string]string, len(w.Sites))
-	for _, s := range w.Sites {
-		fps[s] = "fp-" + s
-	}
-
+	w := checkpointWorld(t, scale, seed, snap)
 	var final *Checkpoint
 	cfg := checkpointConfig(w)
 	cfg.CheckpointLabel = "2016"
-	cfg.Fingerprints = fps
+	cfg.Fingerprints = w.SiteFingerprints()
 	cfg.OnCheckpoint = func(cp *Checkpoint) error { final = cp; return nil }
-	ref, err := Run(ctx, w.Sites, cfg)
-	if err != nil {
+	if _, err := Run(ctx, w.Sites, cfg); err != nil {
 		t.Fatal(err)
 	}
-	want := measurementHash(t, ref)
 	if final == nil {
 		t.Fatal("no final checkpoint")
 	}
 
-	// "Edit" one site: its fingerprint no longer matches the checkpoint.
-	edited := w.Sites[scale/2]
-	fps2 := make(map[string]string, len(fps))
-	for k, v := range fps {
-		fps2[k] = v
+	u, err := ecosystem.Generate(ecosystem.Options{Scale: scale, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
 	}
-	fps2[edited] = "fp-changed"
+	edited := moveOneSiteDNS(t, u, snap)
+	fresh := ecosystem.Materialize(u, snap)
+	ref, err := Run(ctx, fresh.Sites, checkpointConfig(fresh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := measurementHash(t, ref)
 
-	w2 := checkpointWorld(t, scale, seed, ecosystem.Y2016)
+	w2 := ecosystem.Materialize(u, snap)
+	fps2 := w2.SiteFingerprints()
+	var changed []string
+	for site, fp := range fps2 {
+		if fp != cfg.Fingerprints[site] {
+			changed = append(changed, site)
+		}
+	}
+	if len(changed) != 1 || changed[0] != edited {
+		t.Fatalf("fingerprints changed for %v, want only %s", changed, edited)
+	}
+
 	cfg2 := checkpointConfig(w2)
 	cfg2.CheckpointLabel = "2016"
 	cfg2.Fingerprints = fps2
@@ -273,10 +303,10 @@ func TestEditedUniverseRemeasuresOnlyChangedSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := ckptReused.Value() - reusedBefore; got != int64(scale-1) {
-		t.Fatalf("reused %d sites, want %d (all but the edited one)", got, scale-1)
+		t.Fatalf("reused %d sites, want %d (all but %s)", got, scale-1, edited)
 	}
 	if got := measurementHash(t, res); got != want {
-		t.Fatalf("incremental re-measurement hash %s, want %s", got, want)
+		t.Fatalf("incremental re-measurement hash %s, want fresh run on the edited universe %s", got, want)
 	}
 }
 
@@ -327,9 +357,6 @@ func TestCheckpointEmissionSequence(t *testing.T) {
 	cfg.OnCheckpoint = func(cp *Checkpoint) error {
 		if cp.Version != CheckpointVersion || cp.Label != "2020" {
 			t.Errorf("emission %d: version %d label %q", len(got), cp.Version, cp.Label)
-		}
-		if len(cp.Resolver) == 0 {
-			t.Errorf("emission %d carries no resolver cache", len(got))
 		}
 		got = append(got, summarizeCheckpoint(cp))
 		last = cp

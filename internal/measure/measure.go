@@ -84,8 +84,9 @@ type Config struct {
 
 	// Checkpoint, when non-nil, resumes from previously recorded progress:
 	// pass-1 NS sets and pass-2 site results whose fingerprints still match
-	// are reused instead of re-measured, and the recorded resolver cache is
-	// seeded back. See checkpoint.go.
+	// are reused instead of re-measured. Every other site is measured
+	// against the current zones: no resolver cache is carried over. See
+	// checkpoint.go.
 	Checkpoint *Checkpoint
 	// Fingerprints maps site → content fingerprint of everything the
 	// measurement can observe about it (ecosystem.World.SiteFingerprints of a

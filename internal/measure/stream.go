@@ -63,8 +63,7 @@ type rdHost struct{ rd, host string }
 
 // NewStream validates cfg and prepares a stream over the full ranked site
 // list (known up front; only the per-site artifacts stream). A prior
-// checkpoint is validated against the run label and its resolver cache
-// seeded back here.
+// checkpoint is validated against the run label here.
 func NewStream(sites []string, cfg Config) (*Stream, error) {
 	if cfg.Resolver == nil {
 		return nil, fmt.Errorf("measure: Config.Resolver is required")

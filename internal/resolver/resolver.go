@@ -134,11 +134,6 @@ type Resolver struct {
 
 	// now is the clock, injectable for cache-expiry tests.
 	now func() time.Time
-	// negTTL is the cache lifetime of NXDOMAIN/NODATA results; zero
-	// disables negative caching.
-	negTTL time.Duration
-	// maxTTL caps positive cache lifetimes.
-	maxTTL time.Duration
 
 	// shards has power-of-two length; shardMask == len(shards)-1.
 	shards    []cacheShard
@@ -159,22 +154,19 @@ func (r *Resolver) shard(key cacheKey) *cacheShard {
 	return &r.shards[h&r.shardMask]
 }
 
+// Cache lifetimes: NXDOMAIN/NODATA results live negativeTTL, and a
+// positive result lives its smallest answer TTL, capped at maxTTL.
+const (
+	negativeTTL = 60 * time.Second
+	maxTTL      = time.Hour
+)
+
 // Option configures a Resolver.
 type Option func(*Resolver)
 
 // WithClock sets the cache clock (for tests).
 func WithClock(now func() time.Time) Option {
 	return func(r *Resolver) { r.now = now }
-}
-
-// WithNegativeTTL sets the negative-cache lifetime.
-func WithNegativeTTL(d time.Duration) Option {
-	return func(r *Resolver) { r.negTTL = d }
-}
-
-// WithMaxTTL caps positive cache lifetimes.
-func WithMaxTTL(d time.Duration) Option {
-	return func(r *Resolver) { r.maxTTL = d }
 }
 
 // WithShards sets the cache shard count, rounded up to the next power of
@@ -210,8 +202,6 @@ func New(transport Transport, opts ...Option) *Resolver {
 	r := &Resolver{
 		transport: transport,
 		now:       time.Now,
-		negTTL:    60 * time.Second,
-		maxTTL:    time.Hour,
 	}
 	for _, o := range opts {
 		o(r)
@@ -366,7 +356,7 @@ func (r *Resolver) exchange(ctx context.Context, key cacheKey, now time.Time) (R
 }
 
 func (r *Resolver) store(key cacheKey, res Result, now time.Time) {
-	ttl := r.negTTL
+	ttl := negativeTTL
 	if len(res.Answers) > 0 {
 		minTTL := time.Duration(res.Answers[0].TTL) * time.Second
 		for _, a := range res.Answers[1:] {
@@ -374,8 +364,8 @@ func (r *Resolver) store(key cacheKey, res Result, now time.Time) {
 				minTTL = d
 			}
 		}
-		if minTTL > r.maxTTL {
-			minTTL = r.maxTTL
+		if minTTL > maxTTL {
+			minTTL = maxTTL
 		}
 		ttl = minTTL
 	}

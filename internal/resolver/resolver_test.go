@@ -155,9 +155,7 @@ func TestCacheHitAndExpiry(t *testing.T) {
 
 func TestNegativeCache(t *testing.T) {
 	clock := time.Unix(1_600_000_000, 0)
-	r := New(ZoneDirect{testStore()},
-		WithClock(func() time.Time { return clock }),
-		WithNegativeTTL(30*time.Second))
+	r := New(ZoneDirect{testStore()}, WithClock(func() time.Time { return clock }))
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		res, err := r.Lookup(ctx, "gone.twitter.test", dnsmsg.TypeA)
@@ -170,6 +168,13 @@ func TestNegativeCache(t *testing.T) {
 	}
 	if s := r.Stats(); s.Hits != 2 {
 		t.Fatalf("negative cache: %+v", s)
+	}
+	clock = clock.Add(negativeTTL + time.Second)
+	if _, err := r.Lookup(ctx, "gone.twitter.test", dnsmsg.TypeA); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Stats(); s.Hits != 2 {
+		t.Fatalf("negative entry served past negativeTTL: %+v", s)
 	}
 }
 

@@ -31,14 +31,12 @@ func (t *countingTransport) Exchange(ctx context.Context, q *dnsmsg.Message) (*d
 }
 
 // TestNegativeCacheExpiry pins the regression the negative cache is prone
-// to: an NXDOMAIN entry older than negTTL must be re-queried, not served
+// to: an NXDOMAIN entry older than negativeTTL must be re-queried, not served
 // stale forever.
 func TestNegativeCacheExpiry(t *testing.T) {
 	clock := time.Unix(1_600_000_000, 0)
 	tr := &countingTransport{inner: ZoneDirect{testStore()}}
-	r := New(tr,
-		WithClock(func() time.Time { return clock }),
-		WithNegativeTTL(30*time.Second))
+	r := New(tr, WithClock(func() time.Time { return clock }))
 	ctx := context.Background()
 
 	lookup := func() {
@@ -53,12 +51,12 @@ func TestNegativeCacheExpiry(t *testing.T) {
 	}
 
 	lookup()
-	clock = clock.Add(29 * time.Second)
-	lookup() // still inside negTTL: served from cache
+	clock = clock.Add(negativeTTL - time.Second)
+	lookup() // still inside negativeTTL: served from cache
 	if got := tr.calls.Load(); got != 1 {
-		t.Fatalf("transport calls inside negTTL = %d, want 1", got)
+		t.Fatalf("transport calls inside negativeTTL = %d, want 1", got)
 	}
-	clock = clock.Add(2 * time.Second) // 31s after the original answer
+	clock = clock.Add(2 * time.Second) // 61s after the original answer
 	lookup()
 	if got := tr.calls.Load(); got != 2 {
 		t.Fatalf("expired negative entry was not re-queried: %d transport calls, want 2", got)
