@@ -44,13 +44,15 @@ golden:
 	$(GO) test -run 'Golden|Pinned' -count=1 -v ./...
 
 # alloc-guards re-runs the allocation-budget tests on their own (-count=1
-# bypasses the test cache): resolver cache hits, zone-store exact hits and
-# misses (internal/dnszone), registrable-domain extraction
-# (internal/publicsuffix), the compiled CDN-map matcher, the outage simulator's RunCounts with a warmed scratch and the
-# Monte-Carlo generator's reseed and draws (internal/rng) must stay within
-# their per-op budgets.
+# bypasses the test cache): the resolver's direct lookups over an
+# in-process store (exact hit, NXDOMAIN, NODATA) and its cache hits over a
+# network transport, zone-store exact hits and misses (internal/dnszone),
+# registrable-domain extraction (internal/publicsuffix), the compiled
+# CDN-map matcher, the outage simulator's RunCounts with a warmed scratch
+# and the Monte-Carlo generator's reseed and draws (internal/rng) must stay
+# within their per-op budgets.
 alloc-guards:
-	$(GO) test -run 'Alloc' -count=1 ./internal/resolver/ ./internal/dnszone/ ./internal/publicsuffix/ ./internal/measure/ ./internal/intern/ ./internal/core/ ./internal/rng/
+	$(GO) test -run 'Alloc' -count=1 ./internal/resolver/ ./internal/dnszone/ ./internal/publicsuffix/ ./internal/measure/ ./internal/core/ ./internal/rng/
 
 # bench-gates re-runs the hard performance and memory gates on their own
 # (-count=1 bypasses the test cache; the gate files are built !race, since

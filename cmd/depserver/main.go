@@ -94,7 +94,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	world := ecosystem.Materialize(u, snap)
+	// The DNS side serves zones only, so no landing page is built.
+	c := ecosystem.NewChunked(u, snap)
+	c.AddSites(0, c.Len())
+	world := c.World()
 	log.Printf("materialized %s snapshot: %d sites, %d zones",
 		snap, len(world.Sites), world.Zones.ZoneCount())
 

@@ -56,9 +56,10 @@ func Report(w io.Writer, run *Run) {
 func pct(f float64) string { return fmt.Sprintf("%5.1f%%", 100*f) }
 
 // RenderErrorSummary prints the per-snapshot pipeline diagnostics: per-stage
-// progress and error counters, the resolver cache hit-rate, and (under
-// conc.Collect) a sample of the recorded per-site errors. It is the
-// error-summary footer of cmd/depscope.
+// progress and error counters, the resolver's lookup count (and its cache
+// hit-rate, for a resolver that has a cache), and (under conc.Collect) a
+// sample of the recorded per-site errors. It is the error-summary footer of
+// cmd/depscope.
 func RenderErrorSummary(w io.Writer, run *Run) {
 	header(w, "Pipeline diagnostics")
 	for _, sd := range []*SnapshotData{run.Y2016, run.Y2020} {
@@ -66,8 +67,11 @@ func RenderErrorSummary(w io.Writer, run *Run) {
 			continue
 		}
 		d := sd.Results.Diagnostics
-		fmt.Fprintf(w, "%s: resolver %d lookups, %.1f%% cache hits\n",
-			sd.Snapshot, d.Resolver.Queries, 100*d.Resolver.HitRate())
+		fmt.Fprintf(w, "%s: resolver %d lookups", sd.Snapshot, d.Resolver.Queries)
+		if d.Resolver.Cached {
+			fmt.Fprintf(w, ", %.1f%% cache hits", 100*d.Resolver.HitRate())
+		}
+		fmt.Fprintln(w)
 		for _, st := range d.Stages {
 			fmt.Fprintf(w, "  %-13s %7d processed  %6d errors\n", st.Stage, st.Sites, st.Errors)
 		}

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"depscope/internal/core"
+	"depscope/internal/ecosystem"
+	"depscope/internal/measure"
+	"depscope/internal/resolver"
 )
 
 // TestExecuteProgressSerialized: the two snapshot goroutines report progress
@@ -56,6 +59,28 @@ func TestExecuteNegativeWorkers(t *testing.T) {
 		stats := sd.Graph.TopProviders(core.DNS, core.AllIndirect(), false, 3)
 		if len(stats) == 0 {
 			t.Error("no DNS providers ranked")
+		}
+	}
+}
+
+// TestRenderErrorSummaryHitShare: the collect-policy footer gives a cache
+// hit share only for a resolver that has a cache; an in-process run's
+// resolver has none, so its line names the lookup count alone.
+func TestRenderErrorSummaryHitShare(t *testing.T) {
+	run := &Run{
+		Y2016: &SnapshotData{Snapshot: ecosystem.Y2016, Results: &measure.Results{
+			Diagnostics: measure.Diagnostics{Resolver: resolver.Stats{Queries: 40}},
+		}},
+		Y2020: &SnapshotData{Snapshot: ecosystem.Y2020, Results: &measure.Results{
+			Diagnostics: measure.Diagnostics{Resolver: resolver.Stats{Queries: 40, Hits: 30, Cached: true}},
+		}},
+	}
+	var b strings.Builder
+	RenderErrorSummary(&b, run)
+	out := b.String()
+	for _, want := range []string{"2016: resolver 40 lookups\n", "2020: resolver 40 lookups, 75.0% cache hits\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("footer lacks %q:\n%s", want, out)
 		}
 	}
 }

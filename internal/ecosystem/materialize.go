@@ -32,8 +32,8 @@ type World struct {
 // Page returns the landing page of site, or nil.
 func (w *World) Page(site string) *webpage.Page { return w.Pages[site] }
 
-// NewResolver returns a caching resolver answering from this world's zones
-// in-process.
+// NewResolver returns a resolver answering from this world's zones
+// in-process; it asks the zone store on every lookup and keeps no cache.
 func (w *World) NewResolver() *resolver.Resolver {
 	return resolver.New(resolver.ZoneDirect{Store: w.Zones})
 }

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -76,22 +77,35 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 	return nil
 }
 
-// DecodeCheckpoint reads a checkpoint, rejecting unknown fields, version
-// mismatches and trailing garbage. Every failure is a hard error: a resume
+// DecodeCheckpoint reads a checkpoint, rejecting version mismatches,
+// trailing garbage and unknown fields. The version is read first, so a file
+// of another format version is refused by its version, not by the first
+// field this build does not know. Every failure is a hard error: a resume
 // either gets the complete recorded state or nothing.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var c Checkpoint
-	if err := dec.Decode(&c); err != nil {
+	var raw json.RawMessage
+	if err := dec.Decode(&raw); err != nil {
 		return nil, fmt.Errorf("measure: decode checkpoint: %w", err)
 	}
-	if c.Version != CheckpointVersion {
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(raw, &head); err != nil {
+		return nil, fmt.Errorf("measure: decode checkpoint: %w", err)
+	}
+	if head.Version != CheckpointVersion {
 		return nil, fmt.Errorf("measure: checkpoint version %d, this build reads version %d",
-			c.Version, CheckpointVersion)
+			head.Version, CheckpointVersion)
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("measure: decode checkpoint: trailing data after checkpoint object")
+	}
+	strict := json.NewDecoder(bytes.NewReader(raw))
+	strict.DisallowUnknownFields()
+	var c Checkpoint
+	if err := strict.Decode(&c); err != nil {
+		return nil, fmt.Errorf("measure: decode checkpoint: %w", err)
 	}
 	return &c, nil
 }

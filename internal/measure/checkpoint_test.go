@@ -87,7 +87,7 @@ func TestDecodeCheckpointRejectsBadInput(t *testing.T) {
 		{"unknown top-level field", fmt.Sprintf(`{"version":%d,"sites":{},"bogus":1}`, CheckpointVersion), "bogus"},
 		{"unknown site field", fmt.Sprintf(`{"version":%d,"sites":{"a":{"doone":true}}}`, CheckpointVersion), "doone"},
 		{"trailing data", valid + `{"version":1}`, "trailing data"},
-		{"version 1 with resolver cache", `{"version":1,"label":"2020","sites":{},"resolver":[{"name":"a.example.","type":2}]}`, "resolver"},
+		{"version 1 with resolver cache", `{"version":1,"label":"2020","sites":{},"resolver":[{"name":"a.example.","type":2}]}`, "version 1"},
 		{"not json", "checkpoint v1\x00\x01", "decode checkpoint"},
 	}
 	for _, tc := range cases {

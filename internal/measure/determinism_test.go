@@ -57,12 +57,9 @@ func TestRunNegativeWorkers(t *testing.T) {
 }
 
 // TestRunResolverHitRateStable: the resolver's Stats snapshot must agree
-// between the live handle and the Diagnostics copy, and the cache must
-// absorb most of the pipeline's lookups — SOA and concentration probes
-// revisit the same provider zones constantly, so a low hit-rate means the
-// cache (or the counters) broke. The exact hit count may vary with worker
-// interleaving (concurrent misses on one key both go to the transport), so
-// the assertion is a band, not an equality.
+// between the live handle and the Diagnostics copy. A world's resolver asks
+// its in-process store directly and has no cache, so every lookup counts as
+// a query and none as a hit.
 func TestRunResolverHitRateStable(t *testing.T) {
 	u, err := ecosystem.Generate(ecosystem.Options{Scale: 500, Seed: 7})
 	if err != nil {
@@ -85,10 +82,7 @@ func TestRunResolverHitRateStable(t *testing.T) {
 	if live != diag {
 		t.Errorf("live stats %+v != diagnostics snapshot %+v", live, diag)
 	}
-	if diag.Queries == 0 || diag.Hits >= diag.Queries {
-		t.Fatalf("implausible stats %+v", diag)
-	}
-	if rate := diag.HitRate(); rate < 0.5 || rate >= 1 {
-		t.Errorf("cache hit rate = %.3f, want within [0.5, 1)", rate)
+	if diag.Queries == 0 || diag.Hits != 0 || diag.Cached {
+		t.Fatalf("stats %+v, want queries, no hits and no cache", diag)
 	}
 }

@@ -20,14 +20,16 @@ var uncharacterizedSites = telemetry.Counter("measure_uncharacterized_sites_tota
 const maxRecordedErrors = 256
 
 // Diagnostics reports what the pipeline runtime observed during a run:
-// per-stage progress counters, the resolver's cache statistics, and — under
-// conc.Collect — the recorded per-site errors.
+// per-stage progress counters, the resolver's query and cache counters,
+// and — under conc.Collect — the recorded per-site errors.
 type Diagnostics struct {
 	// Stages holds one entry per pipeline stage, in pipeline order
 	// (resolve, dns, ca, cdn, interservice).
 	Stages []StageDiag
-	// Resolver is the post-run snapshot of the resolver's counters; its
-	// HitRate is the share of lookups the cache absorbed.
+	// Resolver is the post-run snapshot of the resolver's counters. Its
+	// HitRate is the share of lookups a cached resolver (one over a network
+	// transport) absorbed; a resolver over an in-process store has no cache
+	// (Cached false), so its hit rate is 0.
 	Resolver resolver.Stats
 	// Errors lists the recorded per-site failures (at most
 	// maxRecordedErrors), sorted by site then stage. Empty under

@@ -7,6 +7,7 @@ import (
 
 	"depscope/internal/core"
 	"depscope/internal/ecosystem"
+	"depscope/internal/resolver"
 )
 
 const testScale = 2000
@@ -14,6 +15,7 @@ const testScale = 2000
 type fixture struct {
 	u   *ecosystem.Universe
 	w   *ecosystem.World
+	r   *resolver.Resolver
 	res *Results
 }
 
@@ -31,8 +33,9 @@ func getFixture(t testing.TB, snap ecosystem.Snapshot) *fixture {
 		t.Fatal(err)
 	}
 	w := ecosystem.Materialize(u, snap)
+	r := w.NewResolver()
 	res, err := Run(context.Background(), w.Sites, Config{
-		Resolver: w.NewResolver(),
+		Resolver: r,
 		Certs:    w.Certs,
 		Pages:    w,
 		CDNMap:   CDNMap(w.CNAMEToCDN),
@@ -40,7 +43,7 @@ func getFixture(t testing.TB, snap ecosystem.Snapshot) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fixture{u: u, w: w, res: res}
+	f := &fixture{u: u, w: w, r: r, res: res}
 	fixtures[snap] = f
 	return f
 }

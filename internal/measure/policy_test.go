@@ -161,11 +161,11 @@ func TestRunDiagnosticsHealthy(t *testing.T) {
 	if len(d.Errors) != 0 || d.ErrorsTruncated != 0 {
 		t.Errorf("healthy run recorded errors: %+v", d.Errors)
 	}
-	if d.Resolver.Queries == 0 || d.Resolver.Hits == 0 {
-		t.Fatalf("resolver stats = %+v", d.Resolver)
+	if live := f.r.Stats(); live != d.Resolver {
+		t.Errorf("live stats %+v != diagnostics snapshot %+v", live, d.Resolver)
 	}
-	if rate := d.Resolver.HitRate(); rate <= 0 || rate >= 1 {
-		t.Errorf("hit rate = %v, want within (0,1)", rate)
+	if d.Resolver.Queries == 0 || d.Resolver.Hits != 0 || d.Resolver.Cached {
+		t.Fatalf("resolver stats = %+v, want queries, no hits and no cache", d.Resolver)
 	}
 }
 

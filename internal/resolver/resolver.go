@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"depscope/internal/dnsmsg"
+	"depscope/internal/dnszone"
 	"depscope/internal/telemetry"
 )
 
@@ -25,7 +26,7 @@ var (
 	telDeduped = telemetry.Counter("resolver_singleflight_dedup_total",
 		"lookups that joined an already in-flight transport exchange for the same (name, type)")
 	telShards = telemetry.Gauge("resolver_cache_shards",
-		"cache shard count of the most recently constructed resolver")
+		"cache shard count of the most recently constructed cached resolver")
 )
 
 // lookupHist returns the upstream-latency histogram for one query type,
@@ -51,7 +52,7 @@ func lookupHist(qtype dnsmsg.Type) *telemetry.HistogramMetric {
 		"transport exchange latency of cache-missing lookups of uncommon types", nil)
 }
 
-// Result is the outcome of one cached lookup.
+// Result is the outcome of one lookup.
 type Result struct {
 	RCode     dnsmsg.RCode
 	Answers   []dnsmsg.Record
@@ -124,13 +125,17 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// Resolver is a caching stub resolver over a Transport. The cache is sharded
-// (power-of-two shard count, FNV-hashed keys) so concurrent workers do not
-// serialize on one lock, and misses are deduplicated through a singleflight
-// table: concurrent lookups for the same (name, type) issue exactly one
-// transport exchange.
+// Resolver is a stub resolver over a Transport. Over an in-process store
+// (ZoneDirect) every lookup asks the store, which answers without
+// allocating, so there is nothing to cache. Over any other transport it
+// keeps a TTL cache, sharded (power-of-two shard count, FNV-hashed keys) so
+// concurrent workers do not serialize on one lock, and misses are
+// deduplicated through a singleflight table: concurrent lookups for the
+// same (name, type) issue exactly one transport exchange.
 type Resolver struct {
 	transport Transport
+	// zones is a ZoneDirect transport's store; nil for a cached resolver.
+	zones *dnszone.Store
 
 	// now is the clock, injectable for cache-expiry tests.
 	now func() time.Time
@@ -138,8 +143,6 @@ type Resolver struct {
 	// shards has power-of-two length; shardMask == len(shards)-1.
 	shards    []cacheShard
 	shardMask uint64
-	// shardHint is the entry count each shard's cache map is made for.
-	shardHint int
 
 	// Per-instance counters behind Stats, kept off the cache mutexes so the
 	// accounting is lock-free; the same events also feed the process-wide
@@ -161,7 +164,8 @@ const (
 	maxTTL      = time.Hour
 )
 
-// Option configures a Resolver.
+// Option configures a Resolver's cache; a resolver over ZoneDirect has
+// none, so options do not apply to it.
 type Option func(*Resolver)
 
 // WithClock sets the cache clock (for tests).
@@ -181,27 +185,14 @@ func WithShards(n int) Option {
 	}
 }
 
-// entriesPerZone is how many cache entries a measurement run leaves per
-// zone of the store it asks: 3.9 and 4.2 in the 2016 and 2020 worlds at 10K
-// sites (43.3K and 46.6K entries over 11.1K and 11.2K zones).
-const entriesPerZone = 4
-
-// expectedEntries sizes the cache from the world the resolver answers for:
-// the zone count of an in-process store, or nothing for a remote server.
-func expectedEntries(t Transport) int {
-	if zd, ok := t.(ZoneDirect); ok && zd.Store != nil {
-		return entriesPerZone * zd.Store.ZoneCount()
-	}
-	return 0
-}
-
-// New creates a resolver using transport. Over an in-process store the
-// cache shards are made for the entries a run over the store's zones
-// leaves, so the cache does not rehash its way up from empty.
+// New creates a resolver using transport. Over ZoneDirect the resolver
+// asks the store on every lookup and has no cache; over any other
+// transport (including one that wraps ZoneDirect) it caches.
 func New(transport Transport, opts ...Option) *Resolver {
-	r := &Resolver{
-		transport: transport,
-		now:       time.Now,
+	r := &Resolver{transport: transport, now: time.Now}
+	if zd, ok := transport.(ZoneDirect); ok && zd.Store != nil {
+		r.zones = zd.Store
+		return r
 	}
 	for _, o := range opts {
 		o(r)
@@ -210,16 +201,16 @@ func New(transport Transport, opts ...Option) *Resolver {
 		r.shards = make([]cacheShard, defaultShards)
 	}
 	r.shardMask = uint64(len(r.shards) - 1)
-	r.shardHint = expectedEntries(transport) / len(r.shards)
 	for i := range r.shards {
-		r.shards[i].entries = make(map[cacheKey]cacheEntry, r.shardHint)
+		r.shards[i].entries = make(map[cacheKey]cacheEntry)
 		r.shards[i].flights = make(map[cacheKey]*flight)
 	}
 	telShards.Set(int64(len(r.shards)))
 	return r
 }
 
-// Shards returns the cache shard count (always a power of two).
+// Shards returns the cache shard count: a power of two, or 0 for a
+// resolver over ZoneDirect, which has no cache.
 func (r *Resolver) Shards() int { return len(r.shards) }
 
 // Stats is a point-in-time snapshot of the resolver's query counters.
@@ -227,13 +218,17 @@ type Stats struct {
 	// Queries is the total number of Lookup calls.
 	Queries int64
 	// Hits is how many of them were served from the cache (including
-	// lookups resolved by joining another caller's in-flight exchange).
+	// lookups resolved by joining another caller's in-flight exchange);
+	// always 0 without a cache.
 	Hits int64
 	// Deduped is how many lookups joined an exchange already in flight for
 	// the same (name, type) instead of issuing their own — the singleflight
 	// suppression count. Every deduplicated lookup that succeeds is also a
 	// Hit, so Queries - Hits remains the number of transport exchanges.
 	Deduped int64
+	// Cached reports whether the resolver has a cache at all: false over
+	// ZoneDirect, where every lookup asks the store.
+	Cached bool
 }
 
 // HitRate is the fraction of lookups served from cache, 0 when idle.
@@ -249,7 +244,7 @@ func (s Stats) HitRate() float64 {
 // process-wide telemetry registry aggregates across instances, and it backs
 // the Diagnostics.Resolver field of measurement results.
 func (r *Resolver) Stats() Stats {
-	return Stats{Queries: r.queries.Load(), Hits: r.hits.Load(), Deduped: r.deduped.Load()}
+	return Stats{Queries: r.queries.Load(), Hits: r.hits.Load(), Deduped: r.deduped.Load(), Cached: r.zones == nil}
 }
 
 // queryPool recycles query messages for the miss path. Safe because neither
@@ -259,16 +254,20 @@ var queryPool = sync.Pool{New: func() any {
 	return &dnsmsg.Message{Questions: make([]dnsmsg.Question, 1)}
 }}
 
-// Lookup queries (name, qtype), serving from cache when possible. A miss
-// for a (name, type) that another goroutine is already fetching joins that
-// exchange instead of issuing its own (counted in Stats.Deduped and
+// Lookup queries (name, qtype). Over ZoneDirect it asks the store. Otherwise
+// it serves from cache when possible, and a miss for a (name, type) that
+// another goroutine is already fetching joins that exchange instead of
+// issuing its own (counted in Stats.Deduped and
 // resolver_singleflight_dedup_total).
 func (r *Resolver) Lookup(ctx context.Context, name string, qtype dnsmsg.Type) (Result, error) {
-	key := cacheKey{dnsmsg.CanonicalName(name), qtype}
-	now := r.now()
-
 	r.queries.Add(1)
 	telQueries.Inc()
+	if r.zones != nil {
+		res := r.zones.Lookup(name, qtype)
+		return checkRCode(Result{res.RCode, res.Answers, res.Authority}, name, qtype)
+	}
+	key := cacheKey{dnsmsg.CanonicalName(name), qtype}
+	now := r.now()
 	sh := r.shard(key)
 	sh.mu.Lock()
 	if e, ok := sh.entries[key]; ok && now.Before(e.expires) {
@@ -336,23 +335,23 @@ func (r *Resolver) exchange(ctx context.Context, key cacheKey, now time.Time) (R
 	if err != nil {
 		return Result{}, err
 	}
-	rcode := resp.Header.RCode
-	switch rcode {
-	case dnsmsg.RCodeSuccess, dnsmsg.RCodeNameError:
-	default:
-		releaseResponse(resp)
-		return Result{RCode: rcode}, fmt.Errorf("%w: %s %s -> %s", ErrServFail, key.name, key.qtype, rcode)
-	}
-	res := Result{
-		RCode:     rcode,
-		Answers:   resp.Answers,
-		Authority: resp.Authority,
-	}
+	res, err := checkRCode(Result{resp.Header.RCode, resp.Answers, resp.Authority}, key.name, key.qtype)
 	// Only the record slices are retained; the message wrapper goes back to
 	// the transport pool.
 	releaseResponse(resp)
-	r.store(key, res, now)
-	return res, nil
+	if err == nil {
+		r.store(key, res, now)
+	}
+	return res, err
+}
+
+// checkRCode passes an authority's answer (success or NXDOMAIN) through and
+// turns any other RCODE into ErrServFail.
+func checkRCode(res Result, name string, qtype dnsmsg.Type) (Result, error) {
+	if res.RCode == dnsmsg.RCodeSuccess || res.RCode == dnsmsg.RCodeNameError {
+		return res, nil
+	}
+	return Result{RCode: res.RCode}, fmt.Errorf("%w: %s %s -> %s", ErrServFail, dnsmsg.CanonicalName(name), qtype, res.RCode)
 }
 
 func (r *Resolver) store(key cacheKey, res Result, now time.Time) {
@@ -383,7 +382,7 @@ func (r *Resolver) FlushCache() {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		sh.entries = make(map[cacheKey]cacheEntry, r.shardHint)
+		sh.entries = make(map[cacheKey]cacheEntry)
 		sh.mu.Unlock()
 	}
 }

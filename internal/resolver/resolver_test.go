@@ -125,9 +125,16 @@ func TestAddrsFollowsCNAME(t *testing.T) {
 	}
 }
 
+// cachedStore returns a resolver over the test store behind a wrapping
+// transport: a resolver over ZoneDirect itself has no cache, so the cache's
+// semantics are pinned through a transport that merely wraps it.
+func cachedStore(opts ...Option) *Resolver {
+	return New(&countingTransport{inner: ZoneDirect{testStore()}}, opts...)
+}
+
 func TestCacheHitAndExpiry(t *testing.T) {
 	clock := time.Unix(1_600_000_000, 0)
-	r := New(ZoneDirect{testStore()}, WithClock(func() time.Time { return clock }))
+	r := cachedStore(WithClock(func() time.Time { return clock }))
 	ctx := context.Background()
 
 	if _, err := r.NS(ctx, "twitter.test"); err != nil {
@@ -155,7 +162,7 @@ func TestCacheHitAndExpiry(t *testing.T) {
 
 func TestNegativeCache(t *testing.T) {
 	clock := time.Unix(1_600_000_000, 0)
-	r := New(ZoneDirect{testStore()}, WithClock(func() time.Time { return clock }))
+	r := cachedStore(WithClock(func() time.Time { return clock }))
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		res, err := r.Lookup(ctx, "gone.twitter.test", dnsmsg.TypeA)
@@ -179,7 +186,7 @@ func TestNegativeCache(t *testing.T) {
 }
 
 func TestFlushCache(t *testing.T) {
-	r := New(ZoneDirect{testStore()})
+	r := cachedStore()
 	ctx := context.Background()
 	r.NS(ctx, "twitter.test")
 	r.FlushCache()
@@ -289,7 +296,7 @@ func TestUDPTransportContextCancel(t *testing.T) {
 }
 
 func BenchmarkZoneDirectLookupCached(b *testing.B) {
-	r := New(ZoneDirect{testStore()})
+	r := cachedStore()
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

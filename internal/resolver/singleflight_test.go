@@ -141,10 +141,10 @@ func TestSingleflightErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestCacheHitAllocs guards the resolver's hot path: a cache hit for an
-// already-canonical name must not allocate.
+// TestCacheHitAllocs guards the cached resolver's hot path: a cache hit for
+// an already-canonical name must not allocate.
 func TestCacheHitAllocs(t *testing.T) {
-	r := New(ZoneDirect{testStore()})
+	r := cachedStore()
 	ctx := context.Background()
 	if _, err := r.Lookup(ctx, "twitter.test.", dnsmsg.TypeNS); err != nil {
 		t.Fatal(err)
@@ -164,16 +164,16 @@ func TestWithShardsRounding(t *testing.T) {
 		{0, 1}, {1, 1}, {3, 4}, {4, 4}, {64, 64}, {100, 128},
 	}
 	for _, c := range cases {
-		r := New(ZoneDirect{testStore()}, WithShards(c.in))
+		r := cachedStore(WithShards(c.in))
 		if got := r.Shards(); got != c.want {
 			t.Errorf("WithShards(%d) -> %d shards, want %d", c.in, got, c.want)
 		}
 	}
-	if got := New(ZoneDirect{testStore()}).Shards(); got != 64 {
+	if got := cachedStore().Shards(); got != 64 {
 		t.Errorf("default shards = %d, want 64", got)
 	}
 	// A single-shard resolver must still behave correctly.
-	r := New(ZoneDirect{testStore()}, WithShards(1))
+	r := cachedStore(WithShards(1))
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		if _, err := r.NS(ctx, "twitter.test"); err != nil {

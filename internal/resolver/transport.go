@@ -1,21 +1,21 @@
 // Package resolver implements a DNS stub resolver over pluggable
-// transports, with a TTL cache and the high-level lookups the measurement
-// pipeline needs (NS sets, SOA of authority, CNAME chains, addresses).
+// transports and the high-level lookups the measurement pipeline needs (NS
+// sets, SOA of authority, CNAME chains, addresses).
 //
 // Two transports are provided. UDPTransport speaks the real protocol against
-// a server address (with retry and RFC 1035 TCP fallback on truncation);
-// ZoneDirect consults a dnszone.Store in-process with identical semantics,
-// which keeps the 100K-site bulk pipeline fast. Tests cross-check that the
+// a server address (with retry and RFC 1035 TCP fallback on truncation),
+// and a resolver over it keeps a TTL cache. ZoneDirect consults a
+// dnszone.Store in-process with identical semantics; a resolver over it
+// asks the store on every lookup, with no cache. Tests cross-check that the
 // two paths return the same results.
 //
-// Observability: every resolver instance keeps its own Stats (queries,
-// cache hits — the per-run numbers surfaced in measure.Results.Diagnostics)
-// on a lock-free atomic path, and simultaneously feeds the process-wide
-// telemetry registry: resolver_queries_total, resolver_cache_hits_total,
-// resolver_cache_misses_total, and a per-rrtype upstream-latency histogram
-// (resolver_lookup_ns_seconds etc., recorded only on cache misses, where a
-// transport exchange actually happens). See docs/observability.md for the
-// full catalog.
+// Observability: every resolver keeps its own Stats (queries, cache hits —
+// the per-run numbers surfaced in measure.Results.Diagnostics) on a
+// lock-free atomic path, and feeds the process-wide telemetry registry:
+// resolver_queries_total for every lookup, and for a cached resolver
+// resolver_cache_hits_total, resolver_cache_misses_total and a per-rrtype
+// exchange-latency histogram (resolver_lookup_ns_seconds etc.). See
+// docs/observability.md for the full catalog.
 package resolver
 
 import (
