@@ -78,8 +78,8 @@ var reportCases = []struct {
 }
 
 // TestCompactExecuteReportByteIdentical is the driver's pinning property at
-// the report level: Execute's streamed, columnar run renders the exact same
-// report bytes as the resident reference, and leaves no page resident.
+// the report level: Execute's streamed run renders the exact same report
+// bytes as the resident reference, and leaves no page resident.
 func TestCompactExecuteReportByteIdentical(t *testing.T) {
 	for _, tc := range reportCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,9 +91,6 @@ func TestCompactExecuteReportByteIdentical(t *testing.T) {
 				t.Errorf("Execute report %s differs from the resident reference %s", got, want)
 			}
 			for _, sd := range []*SnapshotData{run.Y2016, run.Y2020} {
-				if sd.Compact == nil {
-					t.Fatalf("%s: run carries no CompactGraph", sd.Snapshot)
-				}
 				if len(sd.World.Pages) != 0 {
 					t.Errorf("%s: %d pages left resident after the run", sd.Snapshot, len(sd.World.Pages))
 				}
@@ -162,7 +159,7 @@ func TestCompactGraphMatchesPointerOnMeasuredRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sd := range []*SnapshotData{run.Y2016, run.Y2020} {
-		g, cg := sd.Graph, sd.Compact
+		g, cg := sd.Graph, BuildCompactGraph(sd.Results)
 		eng := cg.Metrics()
 		for _, opts := range []core.TraversalOpts{core.DirectOnly(), core.AllIndirect(), core.AllImplicit()} {
 			for name := range g.Providers {
@@ -205,13 +202,9 @@ func TestCompactMemBudgetEnforced(t *testing.T) {
 		t.Fatalf("budget failure is not a *membudget.BudgetError: %v", err)
 	}
 
-	run, err := Execute(context.Background(), Options{
+	if _, err := Execute(context.Background(), Options{
 		Scale: 1000, Seed: 1, MemBudget: 64 * membudget.GiB,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if run.Y2020.Compact == nil {
-		t.Error("budgeted run carries no CompactGraph")
 	}
 }

@@ -28,11 +28,10 @@ type SnapshotData struct {
 	World   *ecosystem.World
 	Results *measure.Results
 	Graph   *core.Graph
-	// Compact is the columnar graph representation, set on every Execute
-	// run. Graph is inflated from it, and every report, view, ranking and
-	// site set reads Graph and its metrics engine; no program path reads
-	// Compact, which is kept for the benchmark harness and the tests.
-	// Callers that assemble SnapshotData themselves may leave it nil.
+	// Compact is the columnar graph representation. Execute leaves it nil:
+	// every report, view, ranking and site set reads Graph and its metrics
+	// engine. Only callers that build the columnar graph themselves
+	// (BuildCompactGraph) set it.
 	Compact *core.CompactGraph
 }
 
@@ -174,10 +173,10 @@ func Execute(ctx context.Context, opts Options) (*Run, error) {
 // measureSnapshot is the one per-snapshot driver: site zones and landing
 // pages are materialized in Options.BatchSize batches, pages are released
 // after their batch is measured, the memory budget is checked at batch
-// boundaries, and the graph is built columnar first (the pointer Graph is
-// inflated from it). Every batch's zones are added before any is resolved,
-// the order Materialize uses: zones stay resident for the whole run anyway,
-// and the site fingerprints a checkpoint is keyed on hash the complete world
+// boundaries, and the pointer Graph is built straight from the results.
+// Every batch's zones are added before any is resolved, the order
+// Materialize uses: zones stay resident for the whole run anyway, and the
+// site fingerprints a checkpoint is keyed on hash the complete world
 // surface.
 func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.Snapshot, opts Options) (*SnapshotData, error) {
 	defer telemetry.StartSpan("analysis.measure_snapshot").End()
@@ -252,9 +251,7 @@ func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.
 	if err := acct.Check("inter-service resolution"); err != nil {
 		return nil, err
 	}
-	cg := BuildCompactGraph(res)
-	cg.SetMetricsWorkers(opts.Workers)
-	g := cg.Inflate()
+	g := BuildGraph(res)
 	g.SetMetricsWorkers(opts.Workers)
 	if err := acct.Check("graph build"); err != nil {
 		return nil, err
@@ -264,7 +261,6 @@ func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.
 		World:    w,
 		Results:  res,
 		Graph:    g,
-		Compact:  cg,
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package dnszone
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -42,6 +43,9 @@ func ParseZone(r io.Reader) (*Zone, error) {
 		case "$ORIGIN":
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("dnszone: line %d: $ORIGIN needs one argument", lineNo)
+			}
+			if strings.ContainsRune(fields[1], '"') {
+				return nil, fmt.Errorf("dnszone: line %d: %w", lineNo, errQuotedName)
 			}
 			origin = dnsmsg.CanonicalName(fields[1])
 			continue
@@ -116,14 +120,17 @@ func parseRecordLine(line, origin, lastOwner string, defaultTTL uint32) (dnsmsg.
 	if len(fields) < 2 {
 		return dnsmsg.Record{}, "", fmt.Errorf("short record line")
 	}
-	owner := ""
+	var owner string
+	var err error
 	if startsWithSpace {
 		if lastOwner == "" {
 			return dnsmsg.Record{}, "", fmt.Errorf("record with inherited owner before any owner")
 		}
 		owner = lastOwner
 	} else {
-		owner = absName(fields[0], origin)
+		if owner, err = absName(fields[0], origin); err != nil {
+			return dnsmsg.Record{}, "", err
+		}
 		fields = fields[1:]
 	}
 
@@ -165,12 +172,18 @@ func parseRecordLine(line, origin, lastOwner string, defaultTTL uint32) (dnsmsg.
 		if len(rdata) != 1 {
 			return rec, "", fmt.Errorf("NS needs one target")
 		}
-		rec.Type, rec.Target = dnsmsg.TypeNS, absName(rdata[0], origin)
+		rec.Type = dnsmsg.TypeNS
+		if rec.Target, err = absName(rdata[0], origin); err != nil {
+			return rec, "", err
+		}
 	case "CNAME":
 		if len(rdata) != 1 {
 			return rec, "", fmt.Errorf("CNAME needs one target")
 		}
-		rec.Type, rec.Target = dnsmsg.TypeCNAME, absName(rdata[0], origin)
+		rec.Type = dnsmsg.TypeCNAME
+		if rec.Target, err = absName(rdata[0], origin); err != nil {
+			return rec, "", err
+		}
 	case "MX":
 		if len(rdata) != 2 {
 			return rec, "", fmt.Errorf("MX needs preference and exchange")
@@ -179,8 +192,12 @@ func parseRecordLine(line, origin, lastOwner string, defaultTTL uint32) (dnsmsg.
 		if err != nil {
 			return rec, "", fmt.Errorf("bad MX preference: %v", err)
 		}
+		exchange, err := absName(rdata[1], origin)
+		if err != nil {
+			return rec, "", err
+		}
 		rec.Type = dnsmsg.TypeMX
-		rec.Data = &dnsmsg.Rdata{MX: dnsmsg.MXData{Preference: uint16(pref), Exchange: absName(rdata[1], origin)}}
+		rec.Data = &dnsmsg.Rdata{MX: dnsmsg.MXData{Preference: uint16(pref), Exchange: exchange}}
 	case "TXT":
 		rec.Type = dnsmsg.TypeTXT
 		raw := strings.TrimSpace(line[strings.Index(line, "TXT")+3:])
@@ -201,9 +218,17 @@ func parseRecordLine(line, origin, lastOwner string, defaultTTL uint32) (dnsmsg.
 			}
 			nums[i] = uint32(v)
 		}
+		mname, err := absName(rdata[0], origin)
+		if err != nil {
+			return rec, "", err
+		}
+		rname, err := absName(rdata[1], origin)
+		if err != nil {
+			return rec, "", err
+		}
 		rec.Type = dnsmsg.TypeSOA
 		rec.Data = &dnsmsg.Rdata{SOA: dnsmsg.SOAData{
-			MName: absName(rdata[0], origin), RName: absName(rdata[1], origin),
+			MName: mname, RName: rname,
 			Serial: nums[0], Refresh: nums[1], Retry: nums[2], Expire: nums[3], Minimum: nums[4],
 		}}
 	default:
@@ -212,18 +237,22 @@ func parseRecordLine(line, origin, lastOwner string, defaultTTL uint32) (dnsmsg.
 	return rec, owner, nil
 }
 
+// errQuotedName refuses a name with a double quote in it: stripComment
+// reads a quote as the start of a TXT string, so such a name would not
+// survive a WriteTo and re-parse.
+var errQuotedName = errors.New("name contains a double quote")
+
 // absName resolves a possibly-relative master-file name against the origin.
-func absName(name, origin string) string {
-	if name == "@" {
-		return origin
+func absName(name, origin string) (string, error) {
+	switch {
+	case strings.ContainsRune(name, '"'):
+		return "", fmt.Errorf("%w: %s", errQuotedName, name)
+	case name == "@":
+		return origin, nil
+	case strings.HasSuffix(name, "."), origin == "":
+		return dnsmsg.CanonicalName(name), nil
 	}
-	if strings.HasSuffix(name, ".") {
-		return dnsmsg.CanonicalName(name)
-	}
-	if origin == "" {
-		return dnsmsg.CanonicalName(name)
-	}
-	return dnsmsg.CanonicalName(name + "." + strings.TrimSuffix(origin, "."))
+	return dnsmsg.CanonicalName(name + "." + strings.TrimSuffix(origin, ".")), nil
 }
 
 // parseIPv4 parses a dotted-quad address into the first 4 bytes of out.

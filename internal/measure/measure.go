@@ -210,15 +210,6 @@ type Results struct {
 	// Diagnostics reports per-stage progress counters, resolver cache
 	// statistics and — under conc.Collect — the recorded per-site errors.
 	Diagnostics Diagnostics
-	// Telemetry is a snapshot of the process-wide telemetry registry taken
-	// as the run completed: the same counters and latency histograms
-	// depserver serves at /metrics and depscope prints with -telemetry,
-	// handed to library users programmatically. The registry is cumulative
-	// across the process (concurrent snapshot runs share it), so treat the
-	// values as "as of the end of this run", not per-run deltas. Telemetry
-	// never feeds back into measurement: no field above depends on it, and
-	// the pinning test holds byte-identical with telemetry recording.
-	Telemetry telemetry.Snapshot
 }
 
 // PairStats summarizes (website, nameserver) pair classification.

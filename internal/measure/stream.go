@@ -302,6 +302,5 @@ func (s *Stream) Finish(ctx context.Context) (*Results, error) {
 	}
 
 	res.Diagnostics = m.diag.snapshot(m.stageOrder(), m.cfg.Resolver.Stats())
-	res.Telemetry = telemetry.Default.Snapshot()
 	return res, nil
 }

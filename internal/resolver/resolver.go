@@ -25,8 +25,6 @@ var (
 	telMisses  = telemetry.Counter("resolver_cache_misses_total", "lookups that went to the transport")
 	telDeduped = telemetry.Counter("resolver_singleflight_dedup_total",
 		"lookups that joined an already in-flight transport exchange for the same (name, type)")
-	telShards = telemetry.Gauge("resolver_cache_shards",
-		"cache shard count of the most recently constructed cached resolver")
 )
 
 // lookupHist returns the upstream-latency histogram for one query type,
@@ -72,66 +70,21 @@ type cacheEntry struct {
 	expires time.Time
 }
 
-// flight is one in-progress transport exchange. The done channel is created
-// lazily, under the shard lock, by the first waiter that joins the flight —
-// the uncontended miss (the overwhelmingly common case) never pays for it.
-// res/err are written exactly once before done is closed.
-//
-// Flights are recycled through flightPool: refs counts the leader plus every
-// joined waiter, and whoever drops it to zero clears and repools the struct.
-// Waiters join (and increment refs) only under the shard lock while the
-// flight is still in the table, so the count can never hit zero early.
+// flight is one in-progress transport exchange. res/err are written once,
+// before done is closed; waiters read them only after the close.
 type flight struct {
 	done chan struct{}
-	refs atomic.Int32
 	res  Result
 	err  error
-}
-
-var flightPool = sync.Pool{New: func() any { return new(flight) }}
-
-// release drops one reference; the last holder resets and repools the
-// flight. Callers must not touch the flight after releasing it.
-func (f *flight) release() {
-	if f.refs.Add(-1) == 0 {
-		*f = flight{}
-		flightPool.Put(f)
-	}
-}
-
-// cacheShard is one lock domain of the sharded cache: the TTL entries plus
-// the singleflight table for keys currently being fetched.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[cacheKey]cacheEntry
-	flights map[cacheKey]*flight
-}
-
-// defaultShards is the default cache shard count, sized so the unified
-// pipeline's worker pool (bounded by GOMAXPROCS) rarely collides on a lock.
-const defaultShards = 64
-
-// fnv1a hashes s with FNV-1a, a cheap inline hash.
-func fnv1a(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
 }
 
 // Resolver is a stub resolver over a Transport. Over an in-process store
 // (ZoneDirect) every lookup asks the store, which answers without
 // allocating, so there is nothing to cache. Over any other transport it
-// keeps a TTL cache, sharded (power-of-two shard count, FNV-hashed keys) so
-// concurrent workers do not serialize on one lock, and misses are
-// deduplicated through a singleflight table: concurrent lookups for the
-// same (name, type) issue exactly one transport exchange.
+// keeps a TTL cache, and misses are deduplicated through a singleflight
+// table: concurrent lookups for the same (name, type) issue exactly one
+// transport exchange. One mutex guards both maps; a network exchange costs
+// far more than the lock.
 type Resolver struct {
 	transport Transport
 	// zones is a ZoneDirect transport's store; nil for a cached resolver.
@@ -140,21 +93,15 @@ type Resolver struct {
 	// now is the clock, injectable for cache-expiry tests.
 	now func() time.Time
 
-	// shards has power-of-two length; shardMask == len(shards)-1.
-	shards    []cacheShard
-	shardMask uint64
+	mu      sync.Mutex
+	entries map[cacheKey]cacheEntry
+	flights map[cacheKey]*flight
 
-	// Per-instance counters behind Stats, kept off the cache mutexes so the
-	// accounting is lock-free; the same events also feed the process-wide
-	// telemetry registry (resolver_queries_total and friends).
+	// Per-instance counters behind Stats; the same events also feed the
+	// process-wide telemetry registry (resolver_queries_total and friends).
 	queries atomic.Int64
 	hits    atomic.Int64
 	deduped atomic.Int64
-}
-
-func (r *Resolver) shard(key cacheKey) *cacheShard {
-	h := fnv1a(key.name) ^ uint64(key.qtype)*0x9E3779B97F4A7C15
-	return &r.shards[h&r.shardMask]
 }
 
 // Cache lifetimes: NXDOMAIN/NODATA results live negativeTTL, and a
@@ -173,18 +120,6 @@ func WithClock(now func() time.Time) Option {
 	return func(r *Resolver) { r.now = now }
 }
 
-// WithShards sets the cache shard count, rounded up to the next power of
-// two; values below one select a single shard.
-func WithShards(n int) Option {
-	return func(r *Resolver) {
-		p := 1
-		for p < n {
-			p <<= 1
-		}
-		r.shards = make([]cacheShard, p)
-	}
-}
-
 // New creates a resolver using transport. Over ZoneDirect the resolver
 // asks the store on every lookup and has no cache; over any other
 // transport (including one that wraps ZoneDirect) it caches.
@@ -197,21 +132,10 @@ func New(transport Transport, opts ...Option) *Resolver {
 	for _, o := range opts {
 		o(r)
 	}
-	if r.shards == nil {
-		r.shards = make([]cacheShard, defaultShards)
-	}
-	r.shardMask = uint64(len(r.shards) - 1)
-	for i := range r.shards {
-		r.shards[i].entries = make(map[cacheKey]cacheEntry)
-		r.shards[i].flights = make(map[cacheKey]*flight)
-	}
-	telShards.Set(int64(len(r.shards)))
+	r.entries = make(map[cacheKey]cacheEntry)
+	r.flights = make(map[cacheKey]*flight)
 	return r
 }
-
-// Shards returns the cache shard count: a power of two, or 0 for a
-// resolver over ZoneDirect, which has no cache.
-func (r *Resolver) Shards() int { return len(r.shards) }
 
 // Stats is a point-in-time snapshot of the resolver's query counters.
 type Stats struct {
@@ -224,7 +148,8 @@ type Stats struct {
 	// Deduped is how many lookups joined an exchange already in flight for
 	// the same (name, type) instead of issuing their own — the singleflight
 	// suppression count. Every deduplicated lookup that succeeds is also a
-	// Hit, so Queries - Hits remains the number of transport exchanges.
+	// Hit, so Queries - Hits is the number of transport exchanges plus the
+	// joined lookups that failed or whose context ended first.
 	Deduped int64
 	// Cached reports whether the resolver has a cache at all: false over
 	// ZoneDirect, where every lookup asks the store.
@@ -247,18 +172,12 @@ func (r *Resolver) Stats() Stats {
 	return Stats{Queries: r.queries.Load(), Hits: r.hits.Load(), Deduped: r.deduped.Load(), Cached: r.zones == nil}
 }
 
-// queryPool recycles query messages for the miss path. Safe because neither
-// transport retains the query: UDPTransport packs a private copy and
-// ZoneDirect's Reply copies the question section.
-var queryPool = sync.Pool{New: func() any {
-	return &dnsmsg.Message{Questions: make([]dnsmsg.Question, 1)}
-}}
-
 // Lookup queries (name, qtype). Over ZoneDirect it asks the store. Otherwise
 // it serves from cache when possible, and a miss for a (name, type) that
 // another goroutine is already fetching joins that exchange instead of
 // issuing its own (counted in Stats.Deduped and
-// resolver_singleflight_dedup_total).
+// resolver_singleflight_dedup_total). A joined lookup whose ctx ends first
+// returns ctx.Err() and leaves the exchange running for the others.
 func (r *Resolver) Lookup(ctx context.Context, name string, qtype dnsmsg.Type) (Result, error) {
 	r.queries.Add(1)
 	telQueries.Inc()
@@ -268,81 +187,56 @@ func (r *Resolver) Lookup(ctx context.Context, name string, qtype dnsmsg.Type) (
 	}
 	key := cacheKey{dnsmsg.CanonicalName(name), qtype}
 	now := r.now()
-	sh := r.shard(key)
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok && now.Before(e.expires) {
-		sh.mu.Unlock()
+	r.mu.Lock()
+	if e, ok := r.entries[key]; ok && now.Before(e.expires) {
+		r.mu.Unlock()
 		r.hits.Add(1)
 		telHits.Inc()
 		return e.res, nil
 	}
-	if f, ok := sh.flights[key]; ok {
-		if f.done == nil {
-			f.done = make(chan struct{})
-		}
-		done := f.done
-		f.refs.Add(1)
-		sh.mu.Unlock()
+	if f, ok := r.flights[key]; ok {
+		r.mu.Unlock()
 		r.deduped.Add(1)
 		telDeduped.Inc()
 		select {
-		case <-done:
+		case <-f.done:
 		case <-ctx.Done():
-			f.release()
 			return Result{}, ctx.Err()
 		}
-		res, err := f.res, f.err
-		f.release()
-		if err != nil {
-			return Result{}, err
+		if f.err != nil {
+			return Result{}, f.err
 		}
 		r.hits.Add(1)
 		telHits.Inc()
-		return res, nil
+		return f.res, nil
 	}
-	f := flightPool.Get().(*flight)
-	f.refs.Store(1)
-	sh.flights[key] = f
-	sh.mu.Unlock()
+	f := &flight{done: make(chan struct{})}
+	r.flights[key] = f
+	r.mu.Unlock()
 	telMisses.Inc()
 
-	res, err := r.exchange(ctx, key, now)
-	f.res, f.err = res, err
-	sh.mu.Lock()
-	delete(sh.flights, key)
-	done := f.done
-	sh.mu.Unlock()
-	if done != nil {
-		// Waiters read res/err only after the close, which orders the writes
-		// above ahead of their reads.
-		close(done)
+	f.res, f.err = r.exchange(ctx, key)
+	ttl := cacheTTL(f.res)
+	r.mu.Lock()
+	if f.err == nil && ttl > 0 {
+		r.entries[key] = cacheEntry{res: f.res, expires: now.Add(ttl)}
 	}
-	f.release()
-	return res, err
+	delete(r.flights, key)
+	r.mu.Unlock()
+	close(f.done)
+	return f.res, f.err
 }
 
-// exchange performs the transport round trip for key and caches the result.
-func (r *Resolver) exchange(ctx context.Context, key cacheKey, now time.Time) (Result, error) {
-	q := queryPool.Get().(*dnsmsg.Message)
-	q.Header = dnsmsg.Header{RecursionDesired: true}
-	q.Questions = q.Questions[:1]
-	q.Questions[0] = dnsmsg.Question{Name: key.name, Type: key.qtype, Class: dnsmsg.ClassIN}
-	q.Answers, q.Authority, q.Additional = nil, nil, nil
+// exchange performs the transport round trip for key.
+func (r *Resolver) exchange(ctx context.Context, key cacheKey) (Result, error) {
+	q := dnsmsg.NewQuery(0, key.name, key.qtype)
 	exchangeStart := time.Now()
 	resp, err := r.transport.Exchange(ctx, q)
 	lookupHist(key.qtype).ObserveDuration(time.Since(exchangeStart))
-	queryPool.Put(q)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := checkRCode(Result{resp.Header.RCode, resp.Answers, resp.Authority}, key.name, key.qtype)
-	// Only the record slices are retained; the message wrapper goes back to
-	// the transport pool.
-	releaseResponse(resp)
-	if err == nil {
-		r.store(key, res, now)
-	}
-	return res, err
+	return checkRCode(Result{resp.Header.RCode, resp.Answers, resp.Authority}, key.name, key.qtype)
 }
 
 // checkRCode passes an authority's answer (success or NXDOMAIN) through and
@@ -354,37 +248,25 @@ func checkRCode(res Result, name string, qtype dnsmsg.Type) (Result, error) {
 	return Result{RCode: res.RCode}, fmt.Errorf("%w: %s %s -> %s", ErrServFail, dnsmsg.CanonicalName(name), qtype, res.RCode)
 }
 
-func (r *Resolver) store(key cacheKey, res Result, now time.Time) {
-	ttl := negativeTTL
-	if len(res.Answers) > 0 {
-		minTTL := time.Duration(res.Answers[0].TTL) * time.Second
-		for _, a := range res.Answers[1:] {
-			if d := time.Duration(a.TTL) * time.Second; d < minTTL {
-				minTTL = d
-			}
-		}
-		if minTTL > maxTTL {
-			minTTL = maxTTL
-		}
-		ttl = minTTL
+// cacheTTL is how long res may be served from cache: its smallest answer
+// TTL capped at maxTTL, or negativeTTL when it has no answers. Zero means
+// do not cache.
+func cacheTTL(res Result) time.Duration {
+	if len(res.Answers) == 0 {
+		return negativeTTL
 	}
-	if ttl <= 0 {
-		return
+	ttl := maxTTL
+	for _, a := range res.Answers {
+		ttl = min(ttl, time.Duration(a.TTL)*time.Second)
 	}
-	sh := r.shard(key)
-	sh.mu.Lock()
-	sh.entries[key] = cacheEntry{res: res, expires: now.Add(ttl)}
-	sh.mu.Unlock()
+	return ttl
 }
 
 // FlushCache drops all cached entries (in-flight exchanges are unaffected).
 func (r *Resolver) FlushCache() {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		sh.entries = make(map[cacheKey]cacheEntry)
-		sh.mu.Unlock()
-	}
+	r.mu.Lock()
+	clear(r.entries)
+	r.mu.Unlock()
 }
 
 // NS returns the nameserver host names of domain (the paper's DIG_NS(w)).

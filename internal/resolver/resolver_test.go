@@ -2,7 +2,9 @@ package resolver
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -270,6 +272,81 @@ func TestUDPTransportTruncationFallsBackToTCP(t *testing.T) {
 	}
 	if len(res.Answers) != 40 {
 		t.Fatalf("got %d TXT answers via fallback, want 40", len(res.Answers))
+	}
+}
+
+// echoServer listens on one loopback port for UDP and TCP. Every UDP query
+// is answered with its own bytes plus the QR and TC bits, sending the client
+// to TCP, where the query is echoed back unchanged (QR clear).
+func echoServer(t *testing.T) string {
+	t.Helper()
+	var (
+		pc  net.PacketConn
+		ln  net.Listener
+		err error
+	)
+	for i := 0; i < 10 && ln == nil; i++ {
+		if pc, err = net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		if ln, err = net.Listen("tcp", pc.LocalAddr().String()); err != nil {
+			pc.Close() // the port is taken for TCP; try another
+		}
+	}
+	if ln == nil {
+		t.Fatalf("no port free for both UDP and TCP: %v", err)
+	}
+	t.Cleanup(func() { pc.Close(); ln.Close() })
+	go func() {
+		buf := make([]byte, 4096)
+		for {
+			n, from, err := pc.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			buf[2] |= 0x80 | 0x02 // QR, TC
+			pc.WriteTo(buf[:n], from)
+		}
+	}()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				var lenBuf [2]byte
+				if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+					return
+				}
+				frame := make([]byte, 2+(int(lenBuf[0])<<8|int(lenBuf[1])))
+				copy(frame, lenBuf[:])
+				if _, err := io.ReadFull(conn, frame[2:]); err != nil {
+					return
+				}
+				conn.Write(frame)
+			}()
+		}
+	}()
+	return pc.LocalAddr().String()
+}
+
+// TestTCPFallbackRejectsEchoedQuery: the TCP fallback applies the same
+// response check as UDP, so a peer that echoes the query back is an error,
+// not a NODATA answer to cache.
+func TestTCPFallbackRejectsEchoedQuery(t *testing.T) {
+	tr := NewUDPTransport(echoServer(t))
+	tr.Retries = 0
+	r := New(tr)
+	for i := 0; i < 2; i++ {
+		res, err := r.Lookup(context.Background(), "twitter.test.", dnsmsg.TypeNS)
+		if !errors.Is(err, ErrNotResp) {
+			t.Fatalf("lookup %d: got %+v, %v; want ErrNotResp", i, res, err)
+		}
+	}
+	if s := r.Stats(); s.Hits != 0 {
+		t.Fatalf("an echoed query was cached: %+v", s)
 	}
 }
 

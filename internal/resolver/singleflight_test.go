@@ -2,6 +2,8 @@ package resolver
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,28 +161,69 @@ func TestCacheHitAllocs(t *testing.T) {
 	}
 }
 
-func TestWithShardsRounding(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{0, 1}, {1, 1}, {3, 4}, {4, 4}, {64, 64}, {100, 128},
+// TestSingleflightWaiterCancel: a lookup that joined an in-flight exchange
+// and whose context ends returns context.Canceled at once, while the
+// exchange runs on for the leader and the other waiters; the answer is
+// cached as usual.
+func TestSingleflightWaiterCancel(t *testing.T) {
+	tr := &countingTransport{
+		inner:   ZoneDirect{testStore()},
+		release: make(chan struct{}),
 	}
-	for _, c := range cases {
-		r := cachedStore(WithShards(c.in))
-		if got := r.Shards(); got != c.want {
-			t.Errorf("WithShards(%d) -> %d shards, want %d", c.in, got, c.want)
+	r := New(tr)
+	bg := context.Background()
+	lookup := func(ctx context.Context, out chan<- error) {
+		res, err := r.Lookup(ctx, "twitter.test.", dnsmsg.TypeNS)
+		if err == nil && len(res.Answers) != 2 {
+			err = fmt.Errorf("got %d answers, want 2", len(res.Answers))
+		}
+		out <- err
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s (stats %+v)", what, r.Stats())
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
-	if got := cachedStore().Shards(); got != 64 {
-		t.Errorf("default shards = %d, want 64", got)
+
+	leader := make(chan error, 1)
+	go lookup(bg, leader)
+	waitFor("the leader's exchange", func() bool { return tr.calls.Load() == 1 })
+
+	ctx, cancel := context.WithCancel(bg)
+	cancelled := make(chan error, 1)
+	go lookup(ctx, cancelled)
+	waitFor("the first waiter", func() bool { return r.Stats().Deduped == 1 })
+	cancel()
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
 	}
-	// A single-shard resolver must still behave correctly.
-	r := cachedStore(WithShards(1))
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := r.NS(ctx, "twitter.test"); err != nil {
-			t.Fatal(err)
-		}
+
+	waiter := make(chan error, 1)
+	go lookup(bg, waiter)
+	waitFor("the second waiter", func() bool { return r.Stats().Deduped == 2 })
+	close(tr.release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
 	}
-	if s := r.Stats(); s.Queries != 2 || s.Hits != 1 {
-		t.Fatalf("single-shard stats = %+v", s)
+	if err := <-waiter; err != nil {
+		t.Fatalf("second waiter: %v", err)
+	}
+	if got := tr.calls.Load(); got != 1 {
+		t.Fatalf("transport exchanges = %d, want 1", got)
+	}
+
+	if _, err := r.Lookup(bg, "twitter.test.", dnsmsg.TypeNS); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.calls.Load(); got != 1 {
+		t.Fatalf("lookup after the flight went to the transport: %d exchanges", got)
+	}
+	if s := r.Stats(); s.Queries != 4 || s.Hits != 2 || s.Deduped != 2 {
+		t.Fatalf("stats = %+v, want Queries 4 / Hits 2 / Deduped 2", s)
 	}
 }

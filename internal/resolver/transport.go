@@ -3,15 +3,16 @@
 // sets, SOA of authority, CNAME chains, addresses).
 //
 // Two transports are provided. UDPTransport speaks the real protocol against
-// a server address (with retry and RFC 1035 TCP fallback on truncation),
-// and a resolver over it keeps a TTL cache. ZoneDirect consults a
-// dnszone.Store in-process with identical semantics; a resolver over it
-// asks the store on every lookup, with no cache. Tests cross-check that the
-// two paths return the same results.
+// a server address (random transaction IDs from crypto/rand, retry, and
+// RFC 1035 TCP fallback on truncation), and a resolver over it keeps a TTL
+// cache with singleflight miss deduplication behind one mutex. ZoneDirect
+// consults a dnszone.Store in-process with identical semantics; a resolver
+// over it asks the store on every lookup, with no cache. Tests cross-check
+// that the two paths return the same results.
 //
 // Observability: every resolver keeps its own Stats (queries, cache hits —
-// the per-run numbers surfaced in measure.Results.Diagnostics) on a
-// lock-free atomic path, and feeds the process-wide telemetry registry:
+// the per-run numbers surfaced in measure.Results.Diagnostics) in atomic
+// counters, and feeds the process-wide telemetry registry:
 // resolver_queries_total for every lookup, and for a cached resolver
 // resolver_cache_hits_total, resolver_cache_misses_total and a per-rrtype
 // exchange-latency histogram (resolver_lookup_ns_seconds etc.). See
@@ -20,12 +21,12 @@ package resolver
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"depscope/internal/dnsmsg"
@@ -55,9 +56,6 @@ type UDPTransport struct {
 	// AdvertiseUDPSize is the EDNS(0) payload size offered in queries;
 	// zero disables EDNS entirely (classic 512-byte behaviour).
 	AdvertiseUDPSize uint16
-
-	mu  sync.Mutex
-	rng *rand.Rand
 }
 
 // NewUDPTransport returns a transport for the server at addr, advertising a
@@ -68,24 +66,39 @@ func NewUDPTransport(addr string) *UDPTransport {
 		Timeout:          2 * time.Second,
 		Retries:          2,
 		AdvertiseUDPSize: 4096,
-		rng:              rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 }
 
-func (t *UDPTransport) id() uint16 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rng == nil {
-		t.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+// randomID draws an unpredictable transaction ID, as RFC 5452 asks.
+func randomID() (uint16, error) {
+	var b [2]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return 0, fmt.Errorf("resolver: transaction id: %w", err)
 	}
-	return uint16(t.rng.Intn(1 << 16))
+	return binary.BigEndian.Uint16(b[:]), nil
+}
+
+// checkResponse accepts msg only as the response to the query with
+// transaction ID id: the ID must match and the QR bit must be set.
+func checkResponse(msg *dnsmsg.Message, id uint16) error {
+	if msg.Header.ID != id {
+		return ErrIDMismatch
+	}
+	if !msg.Header.Response {
+		return ErrNotResp
+	}
+	return nil
 }
 
 // Exchange implements Transport. The query's ID is overwritten with a random
-// transaction ID; responses with mismatched IDs are rejected.
+// transaction ID; a reply is accepted only if checkResponse passes.
 func (t *UDPTransport) Exchange(ctx context.Context, query *dnsmsg.Message) (*dnsmsg.Message, error) {
+	id, err := randomID()
+	if err != nil {
+		return nil, err
+	}
 	q := *query
-	q.Header.ID = t.id()
+	q.Header.ID = id
 	if t.AdvertiseUDPSize > 0 {
 		q.Additional = append([]dnsmsg.Record(nil), q.Additional...)
 		q.SetEDNS0(t.AdvertiseUDPSize)
@@ -152,13 +165,14 @@ func (t *UDPTransport) udpOnce(ctx context.Context, wire []byte, id uint16, time
 		if err != nil {
 			continue // garbled datagram; keep waiting until deadline
 		}
-		if resp.Header.ID != id {
+		switch err := checkResponse(resp, id); err {
+		case ErrIDMismatch:
 			continue // stale or spoofed; ignore
+		case nil:
+			return resp, nil
+		default:
+			return nil, err
 		}
-		if !resp.Header.Response {
-			return nil, ErrNotResp
-		}
-		return resp, nil
 	}
 }
 
@@ -195,8 +209,8 @@ func (t *UDPTransport) tcpOnce(ctx context.Context, wire []byte, id uint16, time
 	if err != nil {
 		return nil, err
 	}
-	if resp.Header.ID != id {
-		return nil, ErrIDMismatch
+	if err := checkResponse(resp, id); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }
@@ -208,22 +222,9 @@ type ZoneDirect struct {
 	Store *dnszone.Store
 }
 
-// respPool recycles response message wrappers between ZoneDirect exchanges.
-// The resolver extracts the answer/authority record slices into its cache
-// and releases the wrapper (cleared, so no records are retained) back here.
-var respPool = sync.Pool{New: func() any { return new(dnsmsg.Message) }}
-
-// releaseResponse recycles a response wrapper once its record slices have
-// been extracted. Safe for any transport's messages: only the wrapper is
-// pooled, and it is cleared before reuse.
-func releaseResponse(m *dnsmsg.Message) {
-	*m = dnsmsg.Message{}
-	respPool.Put(m)
-}
-
 // Exchange implements Transport.
 func (z ZoneDirect) Exchange(_ context.Context, query *dnsmsg.Message) (*dnsmsg.Message, error) {
-	resp := respPool.Get().(*dnsmsg.Message)
+	resp := new(dnsmsg.Message)
 	z.Store.AnswerInto(query, resp)
 	return resp, nil
 }
@@ -246,7 +247,11 @@ func AXFR(ctx context.Context, addr, zone string) ([]dnsmsg.Record, error) {
 		return nil, err
 	}
 
-	q := dnsmsg.NewQuery(uint16(time.Now().UnixNano()), zone, dnsmsg.TypeAXFR)
+	id, err := randomID()
+	if err != nil {
+		return nil, err
+	}
+	q := dnsmsg.NewQuery(id, zone, dnsmsg.TypeAXFR)
 	q.Header.RecursionDesired = false
 	wire, err := q.Pack()
 	if err != nil {

@@ -35,10 +35,10 @@ func Example() {
 	// p50 under 1ms: true
 }
 
-// ExampleStart times a region of code with the span API. The span feeds the
+// ExampleStartSpan times a region of code with the span API. The span feeds the
 // histogram named after it ("stage.demo" -> "stage_demo_seconds"), which the
 // Prometheus endpoint and the -telemetry table then expose.
-func ExampleStart() {
+func ExampleStartSpan() {
 	sp := telemetry.StartSpan("stage.demo")
 	// ... the work being timed ...
 	sp.End()

@@ -18,13 +18,15 @@
 // value, so telemetry cannot perturb the deterministic pipeline output (the
 // measure pinning test runs with telemetry enabled and stays byte-identical).
 //
-// Three consumers share the one Default registry:
+// Two consumers share the one Default registry:
 //
 //   - cmd/depserver -http serves it as Prometheus text ([Handler], /metrics),
 //     expvar JSON and pprof;
 //   - cmd/depscope -telemetry prints it as a sorted end-of-run table
-//     ([Snapshot.WriteTable]);
-//   - library users receive it programmatically as measure.Results.Telemetry.
+//     ([Snapshot.WriteTable]).
+//
+// Library users read it with Default.Snapshot. The registry is cumulative
+// across the process, so a snapshot is "as of now", not one run's delta.
 //
 // Metric names follow the Prometheus convention (snake_case, _total suffix
 // for counters, _seconds suffix and base-unit seconds for histograms). Span
@@ -32,8 +34,6 @@
 // sanitized name plus "_seconds" ("measure_dns_seconds"). The full catalog
 // is documented in docs/observability.md.
 package telemetry
-
-import "context"
 
 // Default is the process-wide registry used by the package-level helpers
 // and by all instrumented packages (conc, measure, resolver, dnsserver,
@@ -58,22 +58,3 @@ func Histogram(name, help string, bounds []float64) *HistogramMetric {
 // records its duration into the histogram named after the span (sanitized,
 // "_seconds" suffix) and, when tracing is enabled, into the trace ring.
 func StartSpan(name string) *Span { return Default.StartSpan(name) }
-
-// Start begins a span on the Default registry and stores it in the returned
-// context, so deeper frames can annotate or consult it via FromContext. The
-// span must still be ended by the caller:
-//
-//	ctx, sp := telemetry.Start(ctx, "measure.dns")
-//	defer sp.End()
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	sp := Default.StartSpan(name)
-	return context.WithValue(ctx, spanKey{}, sp), sp
-}
-
-type spanKey struct{}
-
-// FromContext returns the innermost span stored by Start, or nil.
-func FromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(spanKey{}).(*Span)
-	return sp
-}
