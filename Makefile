@@ -50,9 +50,11 @@ golden:
 # registrable-domain extraction (internal/publicsuffix), the compiled
 # CDN-map matcher, the outage simulator's RunCounts with a warmed scratch
 # and the Monte-Carlo generator's reseed and draws (internal/rng) must stay
-# within their per-op budgets.
+# within their per-op budgets; a mitigation plan's allocation count must
+# not grow with its candidates (internal/core), and an outage sweep's
+# bytes must not grow with the site count (internal/incident).
 alloc-guards:
-	$(GO) test -run 'Alloc' -count=1 ./internal/resolver/ ./internal/dnszone/ ./internal/publicsuffix/ ./internal/measure/ ./internal/core/ ./internal/rng/
+	$(GO) test -run 'Alloc' -count=1 ./internal/resolver/ ./internal/dnszone/ ./internal/publicsuffix/ ./internal/measure/ ./internal/core/ ./internal/rng/ ./internal/incident/
 
 # bench-gates re-runs the hard performance and memory gates on their own
 # (-count=1 bypasses the test cache; the gate files are built !race, since

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"sort"
@@ -115,6 +116,18 @@ func (s *OutageSim) RowForms() (dense, sparse int) {
 		}
 	}
 	return dense, sparse
+}
+
+// EngineSiteShifts counts the sites whose metrics-engine site id differs
+// from their Graph.Sites index.
+func (s *OutageSim) EngineSiteShifts() int {
+	n := 0
+	for i, id := range s.engineSite {
+		if int(id) != i {
+			n++
+		}
+	}
+	return n
 }
 
 // ScanRun is the oracle for Run: it classifies every site and lists every
@@ -307,19 +320,47 @@ func CriticalWalkMismatches(g *Graph, opts TraversalOpts) []string {
 			}
 		}
 	}
-	for _, ms := range g.siteChains(t, opts) {
-		for _, c := range ms.chains {
-			var closure []string
-			for id, name := range t.e.names {
-				if c.closure.has(id) {
-					closure = append(closure, name)
-				}
+	p := g.newPlanner(t, opts, 0)
+	for _, c := range p.chains {
+		var closure []string
+		for id, name := range t.e.names {
+			if p.closures[c.closure].has(id) {
+				closure = append(closure, name)
 			}
-			got = append(got, chainLines(ms.site.Name, c.svc, c.mitigable, c.provider, closure))
 		}
+		provider := ""
+		if c.provider >= 0 {
+			provider = t.e.names[c.provider]
+		}
+		got = append(got, chainLines(g.Sites[p.sites[c.site]].Name, Service(c.svc), c.mitigable, provider, closure))
 	}
 	diff("mitigation chains", got, want)
 	return bad
+}
+
+// unionOthers unions the closures of every live chain of ci's site except
+// ci itself; ci = -1 with site si unions them all. It is the planner's gain
+// computation before the once/twice coverage counts, kept as their oracle.
+func (p *planner) unionOthers(si, ci int32) bitset {
+	u := newBitset(len(p.once) * 64)
+	for i := p.off[si]; i < p.off[si+1]; i++ {
+		if i == ci || p.chains[i].removed {
+			continue
+		}
+		u.unionWith(p.closures[p.chains[i].closure])
+	}
+	return u
+}
+
+// gainOf is the oracle for planner.gain: the closure bits of chain ci that
+// no other live chain of its site covers.
+func (p *planner) gainOf(ci int32) int32 {
+	others := p.unionOthers(p.chains[ci].site, ci)
+	gain := 0
+	for w, word := range p.closures[p.chains[ci].closure] {
+		gain += bits.OnesCount64(word &^ others[w])
+	}
+	return int32(gain)
 }
 
 func sortedKeys(set map[string]bool) []string {

@@ -192,7 +192,11 @@ func viaBits(opts TraversalOpts) uint8 {
 }
 
 func (e *MetricsEngine) entry(opts TraversalOpts) *metricsEntry {
-	key := viaBits(opts)
+	return e.entryVia(viaBits(opts))
+}
+
+// entryVia is entry keyed by a traversal's viaBits.
+func (e *MetricsEngine) entryVia(key uint8) *metricsEntry {
 	e.mu.Lock()
 	ent, ok := e.cache[key]
 	if !ok {

@@ -22,14 +22,22 @@ import (
 // to multi-third removes exactly the closure bits no other chain of w also
 // covers. Contributions are independent across sites, so a greedy sweep
 // over (site, service) candidates with per-site re-evaluation is exact for
-// the sites it picks; the lazy-re-evaluation heap keeps it near-linear.
+// the sites it picks: a pick re-scores only its own site's candidates.
+//
+// A site's objective terms come from two coverage counts over its live
+// chains, once (covered by at least one chain) and twice (by at least
+// two): the site contributes |once|, and a chain c gains |c &^ twice|,
+// the bits only c covers. One pair of scratch bitsets serves every site.
 //
 // Closures come from the graph's one critical-provider walk (critWalk,
 // which also answers CriticalProviders and RobustnessOf) under the plan's
 // traversal, stored as provider-id bitsets on the metrics engine's
-// universe. The walk follows the same critical edges and service gate as the batch C_p/I_p propagation, so the optimizer's "before" totals
-// agree with the engine (the property tests in mitigate_test.go pin both
-// that and the "after" totals against graph surgery).
+// universe: one per provider, shared by every chain of that one provider.
+// The walk follows the same critical edges and service gate as the batch
+// C_p/I_p propagation, so the optimizer's "before" totals agree with the
+// engine (the property tests in mitigate_test.go pin both that and the
+// "after" totals against graph surgery). A plan allocates per plan, not
+// per candidate or per chain (TestMitigationPlanAllocs).
 
 // MitigationOption is one ranked recommendation: add a second provider to
 // this site's arrangement for this service.
@@ -82,50 +90,60 @@ func (p *MitigationPlan) Reduction() int { return p.Before - p.After }
 // resolved to the closure of providers the chain makes the site critically
 // dependent on.
 type critChain struct {
-	svc       Service
-	provider  string // sole provider name (mitigable chains only)
-	mitigable bool   // single-third arrangement, not private infra
-	closure   bitset
-	removed   bool
+	site      int32 // index into planner.sites
+	closure   int32 // index into planner.closures
+	provider  int32 // first provider id; -1 for private infrastructure
+	stamp     int32 // the stamp of the chain's one current heap entry
+	svc       uint8 // a Service
+	mitigable bool  // single-third arrangement with one provider
+	removed   bool  // picked: no longer covers the site
 }
 
-// mitigationState is the per-site greedy bookkeeping.
-type mitigationState struct {
-	site   *Site
-	chains []critChain
+// planner is one plan's working state. A site's chains are
+// chains[off[i]:off[i+1]], stored site by site in Sites order, so a chain's
+// index orders candidates by site, then service. once and twice are
+// the coverage counts of the site fill visited last: the providers one live
+// chain of the site covers, and those two or more cover.
+type planner struct {
+	sites       []int32 // Graph.Sites index of each site with a chain
+	off         []int32
+	chains      []critChain
+	closures    []bitset // per provider id, then one union per multi-provider chain
+	once, twice bitset
+	heap        candHeap
 }
 
-// unionOthers unions the closures of every live chain except skip.
-func (ms *mitigationState) unionOthers(skip int, nbits int) bitset {
-	u := newBitset(nbits)
-	for i := range ms.chains {
-		if i == skip || ms.chains[i].removed {
-			continue
+// fill computes once and twice over site si's live chains.
+func (p *planner) fill(si int32) {
+	clear(p.once)
+	clear(p.twice)
+	for i := p.off[si]; i < p.off[si+1]; i++ {
+		if c := &p.chains[i]; !c.removed {
+			for w, word := range p.closures[c.closure] {
+				p.twice[w] |= p.once[w] & word
+				p.once[w] |= word
+			}
 		}
-		u.unionWith(ms.chains[i].closure)
 	}
-	return u
 }
 
-// gainOf computes the current marginal gain of chain ci: the closure bits no
-// other live chain of the site covers.
-func (ms *mitigationState) gainOf(ci int, nbits int) int {
-	others := ms.unionOthers(ci, nbits)
-	gain := 0
-	for w, word := range ms.chains[ci].closure {
-		gain += bits.OnesCount64(word &^ others[w])
+// gain is the marginal gain of chain ci, whose site fill visited last: the
+// closure bits no other live chain of the site covers.
+func (p *planner) gain(ci int32) int32 {
+	n := 0
+	for w, word := range p.closures[p.chains[ci].closure] {
+		n += bits.OnesCount64(word &^ p.twice[w])
 	}
-	return gain
+	return int32(n)
 }
 
 // mitigationCand is one heap entry. Entries are never updated in place:
 // a re-evaluation pushes a fresh entry with a newer stamp and stale entries
 // are discarded on pop.
 type mitigationCand struct {
-	gain  int
-	site  int // index into states
-	chain int
-	stamp int
+	gain  int32
+	chain int32
+	stamp int32
 }
 
 type candHeap []mitigationCand
@@ -134,9 +152,6 @@ func (h candHeap) Len() int { return len(h) }
 func (h candHeap) Less(i, j int) bool {
 	if h[i].gain != h[j].gain {
 		return h[i].gain > h[j].gain
-	}
-	if h[i].site != h[j].site {
-		return h[i].site < h[j].site
 	}
 	return h[i].chain < h[j].chain
 }
@@ -148,6 +163,78 @@ func (h *candHeap) Pop() any {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
+}
+
+// push and pop are heap.Push and heap.Pop through heap.Fix, which moves
+// entries the same way without boxing each one into an interface value.
+func (h *candHeap) push(c mitigationCand) {
+	*h = append(*h, c)
+	heap.Fix(h, len(*h)-1)
+}
+
+func (h *candHeap) pop() mitigationCand {
+	old := *h
+	c, n := old[0], len(old)-1
+	old[0] = old[n]
+	*h = old[:n]
+	if n > 0 {
+		heap.Fix(h, 0)
+	}
+	return c
+}
+
+// seed pushes every mitigable chain with its initial gain and returns the
+// aggregate objective: Σ_p |I_p| equals the sum over sites of |union of
+// chain closures| — each (p, w) impact pair is counted exactly once on
+// each side.
+func (p *planner) seed() int {
+	before := 0
+	for si := range p.sites {
+		p.fill(int32(si))
+		before += p.once.count()
+		for ci := p.off[si]; ci < p.off[si+1]; ci++ {
+			if p.chains[ci].mitigable {
+				p.heap = append(p.heap, mitigationCand{gain: p.gain(ci), chain: ci})
+			}
+		}
+	}
+	heap.Init(&p.heap)
+	return before
+}
+
+// next pops the best current candidate. It reports false once none is left
+// or the best gains nothing. A pop whose stamp is current is exact: every
+// pick re-pushes its site's surviving candidates with their new gains.
+func (p *planner) next() (mitigationCand, bool) {
+	for len(p.heap) > 0 {
+		c := p.heap.pop()
+		if c.stamp == p.chains[c.chain].stamp {
+			return c, c.gain > 0
+		}
+	}
+	return mitigationCand{}, false
+}
+
+// accept picks chain ci: reduction[q] counts each provider q whose impact
+// set loses the site, and the site's surviving candidates are re-pushed.
+// Their gains can only have grown now that this chain no longer shadows
+// them.
+func (p *planner) accept(ci int32, reduction []int) {
+	ch := &p.chains[ci]
+	p.fill(ch.site)
+	for w, word := range p.closures[ch.closure] {
+		for rem := word &^ p.twice[w]; rem != 0; rem &= rem - 1 {
+			reduction[w*64+bits.TrailingZeros64(rem)]++
+		}
+	}
+	ch.removed = true
+	p.fill(ch.site)
+	for i := p.off[ch.site]; i < p.off[ch.site+1]; i++ {
+		if c := &p.chains[i]; c.mitigable && !c.removed {
+			c.stamp++
+			p.heap.push(mitigationCand{gain: p.gain(i), chain: i, stamp: c.stamp})
+		}
+	}
 }
 
 // MitigationPlan greedily selects up to k (site, service) single-third
@@ -163,89 +250,33 @@ func (g *Graph) MitigationPlan(k int, opts TraversalOpts) *MitigationPlan {
 		return plan
 	}
 
-	states := g.siteChains(t, opts)
+	p := g.newPlanner(t, opts, k)
+	plan.Before = p.seed()
+	plan.Candidates = len(p.heap)
 
-	// The aggregate objective decomposes per site: Σ_p |I_p| equals the sum
-	// over sites of |union of chain closures| — each (p, w) impact pair is
-	// counted exactly once on each side.
-	before := 0
-	for i := range states {
-		u := states[i].unionOthers(-1, nbits)
-		before += u.count()
-	}
-	plan.Before = before
-
-	// Seed the heap with every mitigable chain's initial gain.
-	stamps := make(map[[2]int]int)
-	var h candHeap
-	for si := range states {
-		for ci := range states[si].chains {
-			if !states[si].chains[ci].mitigable {
-				continue
-			}
-			plan.Candidates++
-			h = append(h, mitigationCand{
-				gain:  states[si].gainOf(ci, nbits),
-				site:  si,
-				chain: ci,
-			})
-		}
-	}
-	heap.Init(&h)
-
-	// reduction[p] counts the sites the plan removes from I_p.
+	// reduction[q] counts the sites the plan removes from I_q.
 	reduction := make([]int, nbits)
 	cumulative := 0
-	for len(plan.Options) < k && h.Len() > 0 {
-		c := heap.Pop(&h).(mitigationCand)
-		key := [2]int{c.site, c.chain}
-		if c.stamp != stamps[key] {
-			continue // stale: a sibling pick re-evaluated this candidate
+	for len(plan.Options) < k {
+		c, ok := p.next()
+		if !ok {
+			break
 		}
-		ms := &states[c.site]
-		if ms.chains[c.chain].removed {
-			continue
+		if plan.Options == nil {
+			plan.Options = make([]MitigationOption, 0, min(k, plan.Candidates))
 		}
-		cur := ms.gainOf(c.chain, nbits)
-		if cur != c.gain {
-			// Gains only move when a same-site sibling was picked; push the
-			// corrected entry and let the heap re-rank it.
-			stamps[key]++
-			heap.Push(&h, mitigationCand{gain: cur, site: c.site, chain: c.chain, stamp: stamps[key]})
-			continue
-		}
-		if cur == 0 {
-			break // every remaining candidate is fully shadowed
-		}
-
-		// Accept: record which providers lose this site.
-		others := ms.unionOthers(c.chain, nbits)
-		ch := &ms.chains[c.chain]
-		for w, word := range ch.closure {
-			for rem := word &^ others[w]; rem != 0; rem &= rem - 1 {
-				reduction[w*64+bits.TrailingZeros64(rem)]++
-			}
-		}
-		ch.removed = true
-		cumulative += cur
+		p.accept(c.chain, reduction)
+		ch := &p.chains[c.chain]
+		site := g.Sites[p.sites[ch.site]]
+		cumulative += int(c.gain)
 		plan.Options = append(plan.Options, MitigationOption{
-			Site:       ms.site.Name,
-			Rank:       ms.site.Rank,
-			Service:    ch.svc.String(),
-			Provider:   ch.provider,
-			Gain:       cur,
+			Site:       site.Name,
+			Rank:       site.Rank,
+			Service:    Service(ch.svc).String(),
+			Provider:   e.names[ch.provider],
+			Gain:       int(c.gain),
 			Cumulative: cumulative,
 		})
-		// Re-evaluate the site's surviving candidates: their gains can only
-		// have grown now that this chain no longer shadows them.
-		for ci := range ms.chains {
-			if ci == c.chain || ms.chains[ci].removed || !ms.chains[ci].mitigable {
-				continue
-			}
-			k2 := [2]int{c.site, ci}
-			stamps[k2]++
-			heap.Push(&h, mitigationCand{gain: ms.gainOf(ci, nbits), site: c.site, chain: ci, stamp: stamps[k2]})
-		}
 	}
 	plan.After = plan.Before - cumulative
 
@@ -255,7 +286,13 @@ func (g *Graph) MitigationPlan(k int, opts TraversalOpts) *MitigationPlan {
 		id int
 		n  int
 	}
-	var reds []red
+	nReds := 0
+	for _, n := range reduction {
+		if n > 0 {
+			nReds++
+		}
+	}
+	reds := make([]red, 0, nReds)
 	for id, n := range reduction {
 		if n > 0 {
 			reds = append(reds, red{id, n})
@@ -270,6 +307,9 @@ func (g *Graph) MitigationPlan(k int, opts TraversalOpts) *MitigationPlan {
 	if len(reds) > 10 {
 		reds = reds[:10]
 	}
+	if len(reds) > 0 {
+		plan.ProviderDeltas = make([]ProviderImpactDelta, 0, len(reds))
+	}
 	for _, r := range reds {
 		name := e.names[r.id]
 		impBefore := e.Impact(name, opts)
@@ -282,56 +322,94 @@ func (g *Graph) MitigationPlan(k int, opts TraversalOpts) *MitigationPlan {
 	return plan
 }
 
-// siteChains returns the critical chains of every site that has one, in
+// newPlanner resolves the critical chains of every site that has one, in
 // site order: one per single-third arrangement and one per service's
 // private-infrastructure nodes, over the Services. Only single-third
-// arrangements are mitigable; private-infrastructure chains participate in
-// the overlap union but are never candidates (the site owns that node —
-// adding a third party would not remove the critical dependency on it).
-func (g *Graph) siteChains(t *arrTable, opts TraversalOpts) []mitigationState {
-	// A root's closure is the one critical-provider walk under opts,
-	// memoized per root as a bitset over the engine's ids; a chain's
-	// closure is the union of its providers'.
+// arrangements with one provider are mitigable; private-infrastructure
+// chains participate in the overlap counts but are never candidates (the
+// site owns that node — adding a third party would not remove the critical
+// dependency on it).
+//
+// A provider's closure is the one critical-provider walk under opts, walked
+// once per plan into one block of per-provider bitsets over the engine's
+// ids; a chain with one provider shares its provider's bitset, and only a
+// chain with several gets its own union. Every buffer is sized up front: a
+// site has at most one chain per Deps entry and one per PrivateInfra
+// service, and each of at most k picks re-pushes at most its site's other
+// chains.
+func (g *Graph) newPlanner(t *arrTable, opts TraversalOpts, k int) *planner {
 	nbits := len(t.e.names)
-	w := t.walk(viaBits(opts))
-	closures := make([]bitset, nbits)
-	var r arrRows
-	closure := func(a arr) bitset {
-		cl := newBitset(nbits)
-		provs := r.provs(a)
-		for j, p := range provs {
-			if closures[p] == nil {
-				w.from(provs[j : j+1])
-				closures[p] = newBitset(nbits)
-				for _, q := range w.reached {
-					closures[p].set(int(q))
-				}
-				w.reset()
-			}
-			cl.unionWith(closures[p])
-		}
-		return cl
-	}
-	var states []mitigationState
+	words := (nbits + 63) / 64
+	bound := 0
 	for _, s := range g.Sites {
-		ms := mitigationState{site: s}
+		bound += len(s.Deps) + len(s.PrivateInfra)
+	}
+	p := &planner{
+		sites:    make([]int32, 0, len(g.Sites)),
+		off:      make([]int32, 1, len(g.Sites)+1),
+		chains:   make([]critChain, 0, bound),
+		closures: make([]bitset, nbits),
+		once:     make(bitset, words),
+		twice:    make(bitset, words),
+	}
+	block := make([]uint64, nbits*words)
+	w := t.walk(viaBits(opts))
+	closure := func(provs []int32) int32 {
+		for j, q := range provs {
+			if p.closures[q] != nil {
+				continue
+			}
+			cl := bitset(block[int(q)*words : (int(q)+1)*words : (int(q)+1)*words])
+			w.from(provs[j : j+1])
+			for _, r := range w.reached {
+				cl.set(int(r))
+			}
+			w.reset()
+			p.closures[q] = cl
+		}
+		if len(provs) == 1 {
+			return provs[0]
+		}
+		u := newBitset(nbits)
+		for _, q := range provs {
+			u.unionWith(p.closures[q])
+		}
+		p.closures = append(p.closures, u)
+		return int32(len(p.closures) - 1)
+	}
+	var r arrRows
+	candidates, maxChains := 0, 0
+	for i, s := range g.Sites {
+		site, lo := int32(len(p.sites)), len(p.chains)
 		for _, a := range t.resolve(&r, s) {
 			switch {
 			case Service(a.svc) == Resource:
 			case a.criticalDep() && a.hi > a.lo:
-				ms.chains = append(ms.chains, critChain{
-					svc:       Service(a.svc),
-					provider:  t.e.names[r.provs(a)[0]],
+				p.chains = append(p.chains, critChain{
+					site:      site,
+					closure:   closure(r.provs(a)),
+					provider:  r.provs(a)[0],
+					svc:       a.svc,
 					mitigable: a.hi-a.lo == 1,
-					closure:   closure(a),
 				})
+				if a.hi-a.lo == 1 {
+					candidates++
+				}
 			case a.kind == arrPrivate:
-				ms.chains = append(ms.chains, critChain{svc: Service(a.svc), closure: closure(a)})
+				p.chains = append(p.chains, critChain{
+					site:     site,
+					closure:  closure(r.provs(a)),
+					provider: -1,
+					svc:      a.svc,
+				})
 			}
 		}
-		if len(ms.chains) > 0 {
-			states = append(states, ms)
+		if n := len(p.chains) - lo; n > 0 {
+			p.sites = append(p.sites, int32(i))
+			p.off = append(p.off, int32(len(p.chains)))
+			maxChains = max(maxChains, n)
 		}
 	}
-	return states
+	p.heap = make(candHeap, 0, candidates+min(k, candidates)*(maxChains-1))
+	return p
 }

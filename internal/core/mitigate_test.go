@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -201,5 +203,118 @@ func TestMitigationDegenerate(t *testing.T) {
 	empty := NewGraph(nil, nil)
 	if p := empty.MitigationPlan(5, AllIndirect()); len(p.Options) != 0 {
 		t.Fatalf("empty-graph plan should have no options, got %+v", p)
+	}
+}
+
+// TestPropertyMitigationGainsMatchOracle holds the planner's once/twice
+// coverage counts against the union-of-others oracle (export_test.go) at
+// every step of a plan run to exhaustion: every seeded candidate's gain,
+// every accepted pick's gain, and the gain every surviving sibling is
+// re-pushed with. The random graphs run as generated and with two-node
+// private infrastructure added, so chains with their own union closure
+// are covered too.
+func TestPropertyMitigationGainsMatchOracle(t *testing.T) {
+	traversals := []TraversalOpts{
+		AllIndirect(),
+		DirectOnly(),
+		{ViaProviders: []Service{DNS}},
+		{ViaProviders: []Service{CDN, CA}},
+	}
+	check := func(label string, g *Graph, opts TraversalOpts) {
+		t.Helper()
+		p := g.newPlanner(g.arrangements(), opts, len(g.Sites))
+		p.seed()
+		for _, c := range p.heap {
+			if want := p.gainOf(c.chain); c.gain != want {
+				t.Fatalf("%s: seeded chain %d gain %d, oracle %d", label, c.chain, c.gain, want)
+			}
+		}
+		reduction := make([]int, len(p.once)*64)
+		for {
+			c, ok := p.next()
+			if !ok {
+				break
+			}
+			if want := p.gainOf(c.chain); c.gain != want {
+				t.Fatalf("%s: picked chain %d gain %d, oracle %d", label, c.chain, c.gain, want)
+			}
+			p.accept(c.chain, reduction)
+			si := p.chains[c.chain].site
+			for i := p.off[si]; i < p.off[si+1]; i++ {
+				sib := p.chains[i]
+				if !sib.mitigable || sib.removed {
+					continue
+				}
+				j := slices.IndexFunc(p.heap, func(e mitigationCand) bool { return e.chain == i && e.stamp == sib.stamp })
+				if j < 0 {
+					t.Fatalf("%s: sibling chain %d of pick %d has no current heap entry", label, i, c.chain)
+				}
+				if want := p.gainOf(i); p.heap[j].gain != want {
+					t.Fatalf("%s: re-pushed chain %d gain %d, oracle %d", label, i, p.heap[j].gain, want)
+				}
+			}
+		}
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		g := randomGraph(seed)
+		multi := withTwoNodeInfra(g)
+		for _, opts := range traversals {
+			check(fmt.Sprintf("seed %d via %v", seed, opts.ViaProviders), g, opts)
+			check(fmt.Sprintf("seed %d two-node infra via %v", seed, opts.ViaProviders), multi, opts)
+		}
+	}
+}
+
+// withTwoNodeInfra copies g, giving every third site a CDN served by two
+// of its own infrastructure nodes.
+func withTwoNodeInfra(g *Graph) *Graph {
+	names := g.ProviderNames()
+	sites := make([]*Site, len(g.Sites))
+	for i, s := range g.Sites {
+		cp := *s
+		if i%3 == 0 && len(names) > 1 {
+			cp.PrivateInfra = map[Service][]string{CDN: {names[i%len(names)], names[(i+1)%len(names)]}}
+		}
+		sites[i] = &cp
+	}
+	var providers []*Provider
+	for _, p := range g.Providers {
+		providers = append(providers, p)
+	}
+	return NewGraph(sites, providers)
+}
+
+// TestMitigationPlanAllocs guards the planner's allocation shape: a plan
+// allocates per plan, never per candidate, per closure or per heap entry,
+// so doubling and quadrupling a graph's sites (and with them its
+// candidates) over one provider universe adds no allocation.
+func TestMitigationPlanAllocs(t *testing.T) {
+	base := randomGraph(11)
+	allocs := func(copies int) (float64, int) {
+		var sites []*Site
+		for c := 0; c < copies; c++ {
+			for _, s := range base.Sites {
+				cp := *s
+				cp.Name = s.Name + "-" + itoa(c)
+				cp.Rank = len(sites) + 1
+				sites = append(sites, &cp)
+			}
+		}
+		var providers []*Provider
+		for _, p := range base.Providers {
+			providers = append(providers, p)
+		}
+		g := NewGraph(sites, providers)
+		plan := g.MitigationPlan(5, AllIndirect())
+		if len(plan.Options) != 5 {
+			t.Fatalf("%d copies: %d options, want 5", copies, len(plan.Options))
+		}
+		return testing.AllocsPerRun(20, func() { g.MitigationPlan(5, AllIndirect()) }), plan.Candidates
+	}
+	one, cands := allocs(1)
+	for _, copies := range []int{2, 4} {
+		if n, c := allocs(copies); n > one {
+			t.Errorf("%d candidates: %v allocs per plan, %d candidates: %v; want no growth", cands, one, c, n)
+		}
 	}
 }

@@ -183,14 +183,17 @@ func buildCSR(n int, fill func(emit func(row, id int32))) csr {
 // row 2p lists the sites with a critical arrangement naming provider p, row
 // 2p+1 the other sites naming it; jointRows row p indexes joint. dense[r]
 // is siteRows row r as a site bitset when the row has at least as many
-// entries as the bitset has words, else nil.
+// entries as the bitset has words, else nil. engineSite maps a site to the
+// index of its bit in the metrics engine's site sets: the two orders part
+// once a delta removes or adds sites.
 type simTables struct {
 	*arrTable
-	sites     arrRows
-	siteRows  csr
-	dense     []bitset
-	joint     []jointArr
-	jointRows csr
+	sites      arrRows
+	engineSite []int32 // Graph.Sites index → metrics-engine site id
+	siteRows   csr
+	dense      []bitset
+	joint      []jointArr
+	jointRows  csr
 }
 
 // jointArr is one site's multi-third arrangement, the only kind redundancy
@@ -232,9 +235,10 @@ func (g *Graph) OutageSim(opts TraversalOpts) *OutageSim {
 }
 
 func newSimTables(g *Graph) *simTables {
-	s := &simTables{arrTable: g.arrangements(), sites: arrRows{off: []int32{0}}}
-	for _, site := range g.Sites {
+	s := &simTables{arrTable: g.arrangements(), sites: arrRows{off: []int32{0}}, engineSite: make([]int32, len(g.Sites))}
+	for i, site := range g.Sites {
 		s.addSite(&s.sites, site)
+		s.engineSite[i] = s.e.siteID[site.Name]
 	}
 	rows := &s.sites
 	n, nSites := len(s.e.names), len(g.Sites)
@@ -456,31 +460,38 @@ func (s *OutageSim) markSites(o OutageOpts, sc *SimScratch) {
 // the sites markSites finds affected in full, every other site as
 // unaffected with resilience 1. Target names absent from the graph are
 // ignored (they exist nowhere, so nothing depends on them); callers wanting
-// strict validation check Graph.HasProvider first.
+// strict validation check Graph.HasProvider first. Each call allocates a
+// fresh scratch and a fresh result, about 10 bytes per site; a loop of
+// runs reuses both through RunInto.
 func (s *OutageSim) Run(targets []string, o OutageOpts) *OutageResult {
-	var sc SimScratch
-	isTarget := make([]bool, len(s.e.names))
-	ids := make([]int32, 0, len(targets))
+	res := new(OutageResult)
+	s.RunInto(targets, o, new(SimScratch), res)
+	return res
+}
+
+// RunInto is Run over a caller-owned scratch and result: res is
+// overwritten in full, reusing its slices and maps, so a warmed pair
+// allocates only when the down or degraded provider lists outgrow their
+// last length. A SimScratch or OutageResult must not be shared between
+// concurrent runs.
+func (s *OutageSim) RunInto(targets []string, o OutageOpts, sc *SimScratch, res *OutageResult) {
+	n := len(s.e.names)
+	if len(sc.isTarget) < n {
+		sc.isTarget = make([]bool, n)
+	}
+	isTarget := sc.isTarget[:n]
+	ids := sc.ids[:0]
 	for _, t := range targets {
 		if id, ok := s.e.ids[t]; ok {
 			isTarget[id] = true
 			ids = append(ids, int32(id))
 		}
 	}
-	s.cascade(ids, o, &sc)
-	s.markSites(o, &sc)
+	s.cascade(ids, o, sc)
+	s.markSites(o, sc)
 
 	nSites := s.nSites()
-	res := &OutageResult{
-		Outcomes:          make([]SiteOutcome, nSites),
-		Resilience:        make([]float64, nSites),
-		Direct:            make([]bool, nSites),
-		LostByService:     make(map[Service]int),
-		DegradedByService: make(map[Service]int),
-	}
-	for i := range res.Resilience {
-		res.Resilience[i] = 1
-	}
+	res.reset(nSites)
 	// Targets are never Up, so a site outside the affected set names no
 	// target either: Unaffected, resilience 1 and Direct false all hold.
 	for w, down := range sc.down {
@@ -502,7 +513,64 @@ func (s *OutageSim) Run(targets []string, o OutageOpts) *OutageResult {
 	}
 	sort.Strings(res.DownProviders)
 	sort.Strings(res.DegradedProviders)
-	return res
+	for _, id := range ids {
+		isTarget[id] = false
+	}
+	sc.ids = ids
+}
+
+// reset sizes r for nSites sites, every one unaffected with resilience 1.
+func (r *OutageResult) reset(nSites int) {
+	if cap(r.Outcomes) < nSites {
+		r.Outcomes = make([]SiteOutcome, nSites)
+		r.Resilience = make([]float64, nSites)
+		r.Direct = make([]bool, nSites)
+	}
+	r.Outcomes, r.Resilience, r.Direct = r.Outcomes[:nSites], r.Resilience[:nSites], r.Direct[:nSites]
+	clear(r.Outcomes)
+	clear(r.Direct)
+	for i := range r.Resilience {
+		r.Resilience[i] = 1
+	}
+	r.Down, r.Degraded, r.Unaffected = 0, 0, 0
+	if r.LostByService == nil {
+		r.LostByService = make(map[Service]int)
+		r.DegradedByService = make(map[Service]int)
+	} else {
+		clear(r.LostByService)
+		clear(r.DegradedByService)
+	}
+	r.DownProviders = r.DownProviders[:0]
+	r.DegradedProviders = r.DegradedProviders[:0]
+}
+
+// CheckImpact holds res, a run of provider p alone at full severity, against
+// the metrics engine's I_p under the simulator's traversal: it returns
+// |I_p| and whether res's down sites are exactly I_p's members. Equal sizes
+// plus down ⊆ I_p make the sets equal, so the check reads the engine's
+// bitset through engineSite and allocates nothing.
+func (s *OutageSim) CheckImpact(p string, res *OutageResult) (impact int, match bool) {
+	var set bitset
+	if st := s.e.entryVia(s.via).stateImp; st != nil {
+		if id, ok := s.e.ids[p]; ok {
+			c := st.comp[id]
+			set, impact = st.sets[c], st.counts[c]
+		}
+	}
+	if impact != res.Down {
+		return impact, false
+	}
+	for i, out := range res.Outcomes {
+		if out != SiteDown {
+			continue
+		}
+		// A component a delta left clean keeps its narrower bitset, so an
+		// id past its end is not in I_p.
+		if id := int(s.engineSite[i]); id >= len(set)*64 || !set.has(id) {
+			return impact, false
+		}
+	}
+	return impact, true
 }
 
 // classify evaluates site i against the final provider states and records
@@ -577,14 +645,16 @@ func (s *OutageSim) ProviderNameOf(id int32) string {
 	return s.e.names[id]
 }
 
-// SimScratch holds the reusable per-run state of RunCounts so a sampling
-// loop running thousands of simulations allocates nothing after the first.
-// A SimScratch must not be shared between concurrent RunCounts calls; give
+// SimScratch holds the reusable per-run state of RunCounts and RunInto so a
+// sampling loop running thousands of simulations allocates nothing after
+// the first. A SimScratch must not be shared between concurrent runs; give
 // each worker its own.
 type SimScratch struct {
-	state   []ProviderState // per provider id; Up outside touched
-	queue   []int32
-	touched []int32 // providers the last cascade moved off Up
+	state    []ProviderState // per provider id; Up outside touched
+	isTarget []bool          // per provider id; RunInto clears what it set
+	ids      []int32         // RunInto's resolved targets
+	queue    []int32
+	touched  []int32 // providers the last cascade moved off Up
 	// Site bitsets markSites fills: sites/8 bytes each, 2.5 KB at 20K sites.
 	down     bitset
 	impaired bitset

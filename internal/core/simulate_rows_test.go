@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -66,18 +67,21 @@ func checkAgainstScan(t *testing.T, label string, g *core.Graph, optsList []core
 
 	for _, opts := range optsList {
 		sim := g.OutageSim(opts)
-		var sc core.SimScratch // shared across rounds: reuse must not leak state
+		// Shared across rounds: reuse must not leak state.
+		var sc core.SimScratch
+		var res core.OutageResult
 		for _, o := range outageModes {
 			for r := 0; r < rounds; r++ {
-				matchScan(t, fmt.Sprintf("%s via %v", label, opts.ViaProviders), sim, draw(), o, &sc)
+				matchScan(t, fmt.Sprintf("%s via %v", label, opts.ViaProviders), sim, draw(), o, &sc, &res)
 			}
 		}
 	}
 }
 
 // matchScan fails unless RunCounts and Run agree with the scan oracle, and
-// with each other, on one outage of targets under o.
-func matchScan(t *testing.T, label string, sim *core.OutageSim, targets []string, o core.OutageOpts, sc *core.SimScratch) {
+// with each other, on one outage of targets under o, and RunInto over the
+// caller's reused scratch and result agrees with Run.
+func matchScan(t *testing.T, label string, sim *core.OutageSim, targets []string, o core.OutageOpts, sc *core.SimScratch, res *core.OutageResult) {
 	t.Helper()
 	var ids []int32
 	for _, n := range targets {
@@ -100,6 +104,73 @@ func matchScan(t *testing.T, label string, sim *core.OutageSim, targets []string
 		t.Fatalf("%s %+v targets %v: Run counts (%d, %d), RunCounts (%d, %d)",
 			label, o, targets, got.Down, got.Degraded, down, degraded)
 	}
+	sim.RunInto(targets, o, sc, res)
+	// A reused result keeps empty, non-nil provider lists.
+	reused := *res
+	if len(reused.DownProviders) == 0 {
+		reused.DownProviders = nil
+	}
+	if len(reused.DegradedProviders) == 0 {
+		reused.DegradedProviders = nil
+	}
+	if !reflect.DeepEqual(&reused, got) {
+		t.Fatalf("%s %+v targets %v: RunInto differs from Run\nrunInto: %+v\nrun:     %+v",
+			label, o, targets, &reused, got)
+	}
+}
+
+// checkImpactValidation runs every provider's outage alone under
+// AllIndirect and requires CheckImpact to confirm it against the engine's
+// I_p; a result with one down site swapped for an unaffected one, the down
+// count unchanged, must fail it.
+func checkImpactValidation(t *testing.T, label string, g *core.Graph) {
+	t.Helper()
+	sim := g.OutageSim(core.AllIndirect())
+	swapped := false
+	for _, p := range g.ProviderNames() {
+		res := sim.Run([]string{p}, core.OutageOpts{})
+		impact, match := sim.CheckImpact(p, res)
+		if want := g.Impact(p, core.AllIndirect()); impact != want || !match {
+			t.Fatalf("%s %s: CheckImpact = (%d, %v), want (%d, true)", label, p, impact, match, want)
+		}
+		down := slices.Index(res.Outcomes, core.SiteDown)
+		up := slices.Index(res.Outcomes, core.SiteUnaffected)
+		if down < 0 || up < 0 {
+			continue
+		}
+		res.Outcomes[down], res.Outcomes[up] = core.SiteUnaffected, core.SiteDown
+		if _, match := sim.CheckImpact(p, res); match {
+			t.Fatalf("%s %s: CheckImpact matches a down set with a site swapped out", label, p)
+		}
+		swapped = true
+	}
+	if !swapped {
+		t.Fatalf("%s: no provider outage had both down and unaffected sites", label)
+	}
+}
+
+// TestCheckImpactPastNarrowBitset adds a site to a graph of exactly 64
+// sites, all on one provider whose impact component the delta leaves
+// clean: that component keeps its one-word bitset, so the added site's
+// engine id lies past its end. A result that swaps the added site in as
+// down must fail the check, not index past the bitset.
+func TestCheckImpactPastNarrowBitset(t *testing.T) {
+	dep := func(p string) map[core.Service]core.Dep {
+		return map[core.Service]core.Dep{core.DNS: {Class: core.ClassSingleThird, Providers: []string{p}}}
+	}
+	var sites []*core.Site
+	for i := 0; i < 64; i++ {
+		sites = append(sites, &core.Site{Name: fmt.Sprintf("s%d.example", i), Rank: i + 1, Deps: dep("a-dns.net")})
+	}
+	g := core.NewGraph(sites, []*core.Provider{{Name: "a-dns.net", Service: core.DNS}, {Name: "b-dns.net", Service: core.DNS}})
+	g.Metrics().Counts(core.AllIndirect())
+	ng, _, err := g.Apply(core.Delta{Ops: []core.Op{
+		{Kind: core.OpSiteAdd, Site: &core.Site{Name: "added.example", Rank: 65, Deps: dep("b-dns.net")}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkImpactValidation(t, "64 sites plus one", ng)
 }
 
 // checkMeasuredAgainstScan is checkAgainstScan for a measured graph, which
@@ -181,11 +252,19 @@ func TestRunMatchesSiteScanMeasured(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sd := range []*analysis.SnapshotData{run.Y2016, run.Y2020} {
-			checkMeasuredAgainstScan(t, fmt.Sprintf("seed %d %s", seed, sd.Snapshot), sd.Graph, allTraversals, 40, seed)
+			label := fmt.Sprintf("seed %d %s", seed, sd.Snapshot)
+			checkMeasuredAgainstScan(t, label, sd.Graph, allTraversals, 40, seed)
+			checkImpactValidation(t, label, sd.Graph)
 		}
 		if seed == 2020 {
 			ng := applyDelta(t, run.Y2020.Graph)
 			checkMeasuredAgainstScan(t, "seed 2020 after Apply", ng, allTraversals, 40, seed)
+			// The removed site shifts every later site's Sites index off
+			// its engine site id, so only the id table lines the two up.
+			if ng.OutageSim(core.AllIndirect()).EngineSiteShifts() == 0 {
+				t.Fatal("after Apply: every site's engine id still equals its Sites index")
+			}
+			checkImpactValidation(t, "seed 2020 after Apply", ng)
 		}
 	}
 
@@ -285,6 +364,7 @@ func TestRunMatchesSiteScanRowBoundary(t *testing.T) {
 	for _, opts := range allTraversals {
 		sim := g.OutageSim(opts)
 		var sc core.SimScratch
+		var res core.OutageResult
 		for _, o := range outageModes {
 			for mask := 0; mask < 1<<len(names); mask++ {
 				var targets []string
@@ -293,7 +373,7 @@ func TestRunMatchesSiteScanRowBoundary(t *testing.T) {
 						targets = append(targets, n)
 					}
 				}
-				matchScan(t, fmt.Sprintf("boundary via %v", opts.ViaProviders), sim, targets, o, &sc)
+				matchScan(t, fmt.Sprintf("boundary via %v", opts.ViaProviders), sim, targets, o, &sc, &res)
 			}
 		}
 	}

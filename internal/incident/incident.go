@@ -18,6 +18,7 @@ package incident
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"depscope/internal/conc"
 	"depscope/internal/core"
@@ -41,6 +42,19 @@ var (
 // re-simulates the union of all targets so far, so the report shows the
 // incident growing wave by wave.
 func Simulate(ctx context.Context, g *core.Graph, sc *Scenario) (*Report, error) {
+	return simulate(ctx, g, sc, new(simBuffers))
+}
+
+// simBuffers is the simulation state one Sweep chunk reuses across its
+// scenarios: a scratch and two results, which a staged scenario alternates
+// so the previous stage's outcomes stay readable while the next stage
+// fills the other.
+type simBuffers struct {
+	scratch core.SimScratch
+	res     [2]core.OutageResult
+}
+
+func simulate(ctx context.Context, g *core.Graph, sc *Scenario, buf *simBuffers) (*Report, error) {
 	defer telemetry.StartSpan("incident.scenario").End()
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -66,7 +80,7 @@ func Simulate(ctx context.Context, g *core.Graph, sc *Scenario) (*Report, error)
 		prev       []core.SiteOutcome
 		final      *core.OutageResult
 	)
-	for _, st := range sc.stages() {
+	for i, st := range sc.stages() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -82,10 +96,11 @@ func Simulate(ctx context.Context, g *core.Graph, sc *Scenario) (*Report, error)
 				added = append(added, t)
 			}
 		}
-		res := sim.Run(cumulative, core.OutageOpts{
+		res := &buf.res[i%2]
+		sim.RunInto(cumulative, core.OutageOpts{
 			Severity:      sc.severity(),
 			JointFailures: sc.JointFailures,
-		})
+		}, &buf.scratch, res)
 		stagesRun.Inc()
 		sitesEvaluated.Add(int64(len(g.Sites)))
 		targetsFailed.Add(int64(len(added)))
@@ -103,23 +118,12 @@ func Simulate(ctx context.Context, g *core.Graph, sc *Scenario) (*Report, error)
 
 	// A single-provider full-severity scenario must reproduce the metric
 	// engine's I_p exactly — membership, not just count. Record the check
-	// so every report carries its own consistency proof. Equal sizes plus
-	// I_p ⊆ down make the sets equal, so the check costs O(|I_p|).
+	// so every report carries its own consistency proof.
 	if len(cumulative) == 1 && rep.Severity == 1 && final != nil {
-		p := cumulative[0]
-		impact := g.ImpactSet(p, opts)
-		match := len(impact) == final.Down
-		if match {
-			for name := range impact {
-				if i, ok := g.SiteIndex(name); !ok || final.Outcomes[i] != core.SiteDown {
-					match = false
-					break
-				}
-			}
-		}
+		impact, match := sim.CheckImpact(cumulative[0], final)
 		rep.Validation = &Validation{
-			Provider: p,
-			Impact:   len(impact),
+			Provider: cumulative[0],
+			Impact:   impact,
 			SimDown:  final.Down,
 			Match:    match,
 		}
@@ -129,17 +133,26 @@ func Simulate(ctx context.Context, g *core.Graph, sc *Scenario) (*Report, error)
 
 // Sweep simulates scenarios in parallel over the shared worker pool
 // (workers < 1 means GOMAXPROCS) and returns one report per scenario, in
-// order. The first scenario error aborts the sweep; cancellation is prompt
-// and surfaces as an error satisfying errors.Is(err, ctx.Err()).
+// order. The scenarios are dealt round-robin into one chunk per worker,
+// and each chunk reuses one set of simulation buffers. The first scenario
+// error aborts the sweep; cancellation is prompt and surfaces as an error
+// satisfying errors.Is(err, ctx.Err()).
 func Sweep(ctx context.Context, g *core.Graph, scenarios []*Scenario, workers int) ([]*Report, error) {
 	defer telemetry.StartSpan("incident.sweep").End()
 	reports := make([]*Report, len(scenarios))
-	err := conc.ForEach(ctx, len(scenarios), workers, conc.FailFast, func(ctx context.Context, i int) error {
-		rep, err := Simulate(ctx, g, scenarios[i])
-		if err != nil {
-			return err
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	chunks := min(workers, len(scenarios))
+	err := conc.ForEach(ctx, chunks, workers, conc.FailFast, func(ctx context.Context, c int) error {
+		var buf simBuffers
+		for i := c; i < len(scenarios); i += chunks {
+			rep, err := simulate(ctx, g, scenarios[i], &buf)
+			if err != nil {
+				return err
+			}
+			reports[i] = rep
 		}
-		reports[i] = rep
 		return nil
 	})
 	if err != nil {

@@ -498,6 +498,7 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 		var scratch core.SimScratch
 		ids := make([]int32, 0, len(pool))
 		failedIdx := make([]int, 0, len(pool))
+		var stillDown []int32 // a recovery checkpoint's unrecovered ids
 		var recTimes []float64
 		// One generator per chunk, reseeded per scenario: Seed restarts the
 		// stream exactly as a fresh math/rand source seeded with mix(seed, i)
@@ -553,7 +554,7 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 				ttrMinutes[i] = int(math.Round(ttr))
 				for j := 0; j < steps; j++ {
 					t := horizon * float64(j+1) / float64(steps)
-					stillDown := ids[:0:0]
+					stillDown = stillDown[:0]
 					for k, m := range failedIdx {
 						if recTimes[k] > t {
 							stillDown = append(stillDown, pool[m].id)

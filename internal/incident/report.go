@@ -101,7 +101,10 @@ func buildStage(g *core.Graph, name string, targets, added []string, res *core.O
 	for b := range sr.DownByBand {
 		sr.DownByBand[b].Label = "top " + core.BandTop(b, scale)
 	}
-	var downSites []*core.Site
+	// top holds the lowest-ranked down sites so far, in rank order; a site
+	// ranked equal to one already held goes after it, as in Sites order.
+	var top [10]*core.Site
+	nTop := 0
 	resSum := 0.0
 	for i, s := range g.Sites {
 		resSum += res.Resilience[i]
@@ -112,7 +115,14 @@ func buildStage(g *core.Graph, name string, targets, added []string, res *core.O
 			continue
 		}
 		sr.DownByBand[b].Down++
-		downSites = append(downSites, s)
+		if nTop < len(top) || s.Rank < top[nTop-1].Rank {
+			j := min(nTop, len(top)-1)
+			for ; j > 0 && s.Rank < top[j-1].Rank; j-- {
+				top[j] = top[j-1]
+			}
+			top[j] = s
+			nTop = min(nTop+1, len(top))
+		}
 		if res.Direct[i] {
 			sr.DirectDown++
 		} else {
@@ -128,17 +138,17 @@ func buildStage(g *core.Graph, name string, targets, added []string, res *core.O
 		sr.MeanResilience = 1
 	}
 
-	sort.Slice(downSites, func(i, j int) bool { return downSites[i].Rank < downSites[j].Rank })
-	for i := 0; i < len(downSites) && i < 10; i++ {
-		sr.TopDownSites = append(sr.TopDownSites, downSites[i].Name)
+	for _, s := range top[:nTop] {
+		sr.TopDownSites = append(sr.TopDownSites, s.Name)
 	}
 
-	targetSet := make(map[string]bool, len(targets))
-	for _, t := range targets {
-		targetSet[t] = true
-	}
+	// Both lists are sorted, so one merge pass drops the targets.
+	t := sr.Targets
 	for _, p := range res.DownProviders {
-		if !targetSet[p] {
+		for len(t) > 0 && t[0] < p {
+			t = t[1:]
+		}
+		if len(t) == 0 || t[0] != p {
 			sr.CascadedProviders = append(sr.CascadedProviders, p)
 		}
 	}
