@@ -30,8 +30,9 @@ race:
 
 # golden re-runs every byte-pinning golden test in the module on its own
 # (-count=1 bypasses the test cache) so an intentional output change
-# surfaces the new hashes to pin: the measurement pinning test and the
-# chain-pass golden (internal/measure), the Dyn replay, the
+# surfaces the new hashes to pin: the measurement pinning test, the
+# chain-pass golden and the checkpoint emission golden
+# (internal/measure), the Dyn replay, the
 # mc-baseline Monte-Carlo sweep, the other three sweep presets
 # (mc-entity-storm, mc-dns-deep, mc-dyn-recovery) and the K=25
 # mitigation plan (internal/incident), the per-site breakdown, the

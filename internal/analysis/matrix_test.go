@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -99,29 +101,24 @@ func pairwiseCells(cells []matrixCell) []matrixCell {
 }
 
 // rollBackCheckpoint rewrites a finished run's checkpoint file to the state an
-// interrupt mid site-pass leaves: every NS set recorded, but results only for
-// the first half of the ranks. It returns how many results it kept.
+// interrupt mid site-pass leaves: results only for the first half of the
+// ranks. It returns how many results it kept.
 func rollBackCheckpoint(t *testing.T, path string) int {
 	t.Helper()
 	cp, err := measure.LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := 0
-	for _, sc := range cp.Sites {
-		if !sc.Done {
-			t.Fatalf("%s: finished run left an unfinished site", path)
-		}
-		if sc.Result.Rank > len(cp.Sites)/2 {
-			sc.Done, sc.Result = false, nil
-		} else {
-			kept++
+	half := len(cp.Sites) / 2
+	for site, sc := range cp.Sites {
+		if sc.Result.Rank > half {
+			delete(cp.Sites, site)
 		}
 	}
 	if err := measure.SaveCheckpoint(path, cp); err != nil {
 		t.Fatal(err)
 	}
-	return kept
+	return len(cp.Sites)
 }
 
 // TestCombinationMatrix runs every cell (a pairwise-covering subset under
@@ -177,5 +174,53 @@ func TestCombinationMatrix(t *testing.T) {
 				t.Errorf("report hash %s, want the resident reference's %s", got, want)
 			}
 		})
+	}
+}
+
+// TestCompleteResumeWritesNothing: resuming a finished checkpointed run
+// reuses every site of both snapshots, saves no checkpoint, leaves both
+// files byte-identical and renders the same report.
+func TestCompleteResumeWritesNothing(t *testing.T) {
+	const scale = 2000
+	ctx := context.Background()
+	opts := Options{Scale: scale, Seed: 2020, CheckpointPath: filepath.Join(t.TempDir(), "cp")}
+	run, err := Execute(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportHash(run)
+	snaps := []ecosystem.Snapshot{ecosystem.Y2016, ecosystem.Y2020}
+	files := make([][]byte, len(snaps))
+	for i, snap := range snaps {
+		if files[i], err = os.ReadFile(fmt.Sprintf("%s.%s", opts.CheckpointPath, snap)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	saves := telemetry.Counter("checkpoint_saves_total", "")
+	reused := telemetry.Counter("checkpoint_sites_reused_total", "")
+	savesBefore, reusedBefore := saves.Value(), reused.Value()
+	opts.Resume = true
+	run, err = Execute(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := saves.Value() - savesBefore; got != 0 {
+		t.Errorf("resume saved %d checkpoints, want none", got)
+	}
+	if got := reused.Value() - reusedBefore; got != 2*scale {
+		t.Errorf("resume reused %d sites, want %d", got, 2*scale)
+	}
+	for i, snap := range snaps {
+		got, err := os.ReadFile(fmt.Sprintf("%s.%s", opts.CheckpointPath, snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, files[i]) {
+			t.Errorf("resume rewrote the %s checkpoint", snap)
+		}
+	}
+	if got := reportHash(run); got != want {
+		t.Errorf("resumed report hash %s, want %s", got, want)
 	}
 }

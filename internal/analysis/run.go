@@ -61,11 +61,13 @@ type Options struct {
 	// Snapshots limits the run; nil means both.
 	Snapshots []ecosystem.Snapshot
 	// CheckpointPath, when non-empty, enables checkpointed measurement: each
-	// snapshot's progress is saved to "<path>.<year>" (atomic tmp+rename) as
-	// the run advances. With Resume, a checkpoint already at that path is
-	// loaded first and still-valid per-site results are reused instead of
-	// re-measured — after an interrupt, or after editing the universe (only
-	// sites whose content fingerprints changed are re-measured).
+	// snapshot's completed sites are saved to "<path>.<year>" (atomic
+	// tmp+rename) at the end of every batch. With Resume, a checkpoint
+	// already at that path is loaded first and still-valid per-site results
+	// are reused instead of re-measured — after an interrupt, or after
+	// editing the universe (only sites whose content fingerprints changed
+	// are re-measured). A resume that re-measures nothing leaves the files
+	// as they are.
 	CheckpointPath string
 	// Resume requires CheckpointPath; the checkpoint file must exist.
 	Resume bool
@@ -207,7 +209,7 @@ func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.
 	if opts.CheckpointPath != "" {
 		path := fmt.Sprintf("%s.%s", opts.CheckpointPath, snap)
 		cfg.CheckpointLabel = snap.String()
-		cfg.Fingerprints = c.SiteFingerprints(opts.BatchSize)
+		cfg.Fingerprint = w.Fingerprinter()
 		cfg.OnCheckpoint = func(cp *measure.Checkpoint) error {
 			return measure.SaveCheckpoint(path, cp)
 		}

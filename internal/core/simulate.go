@@ -640,11 +640,6 @@ func (s *OutageSim) ProviderID(name string) (int32, bool) {
 	return int32(id), ok
 }
 
-// ProviderNameOf is the inverse of ProviderID.
-func (s *OutageSim) ProviderNameOf(id int32) string {
-	return s.e.names[id]
-}
-
 // SimScratch holds the reusable per-run state of RunCounts and RunInto so a
 // sampling loop running thousands of simulations allocates nothing after
 // the first. A SimScratch must not be shared between concurrent runs; give

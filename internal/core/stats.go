@@ -33,9 +33,6 @@ func (b BandStats) MultiThird() float64 { return frac(b.Multi, b.Total) }
 // MixedFrac returns the fraction using private plus third party.
 func (b BandStats) MixedFrac() float64 { return frac(b.Mixed, b.Total) }
 
-// PrivateFrac returns the fraction using a private deployment only.
-func (b BandStats) PrivateFrac() float64 { return frac(b.Private, b.Total) }
-
 func frac(a, b int) float64 {
 	if b == 0 {
 		return 0

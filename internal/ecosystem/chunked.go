@@ -15,8 +15,8 @@ import (
 // pages exist only between MaterializePages and ReleasePages for one batch
 // at a time. Materialize is this type driven with a single batch, so a
 // chunked world with all pages materialized is byte-identical to
-// Materialize's output; the invariants tests pin this via SiteFingerprints
-// and the page digests of TestPagesGolden.
+// Materialize's output; the invariants tests pin this via the site
+// fingerprints and the page digests of TestPagesGolden.
 //
 // Each MaterializePages call builds its batch's pages through the shared
 // page routine: in parallel over contiguous chunks of the batch, one RNG
@@ -34,8 +34,9 @@ import (
 //	    ... measure the batch ...
 //	    c.ReleasePages(lo, hi)
 //
-// A checkpointed run calls SiteFingerprints once every batch's zones are
-// added, before the measurement starts.
+// A checkpointed run takes World.Fingerprinter once every batch's zones are
+// added, and fingerprints each site during its batch, while its page is
+// live.
 type Chunked struct {
 	m       *materializer
 	pending []*Site    // existing sites of the snapshot, rank order
@@ -133,29 +134,4 @@ func (c *Chunked) ReleasePages(lo, hi int) {
 	for _, s := range c.pending[lo:hi] {
 		delete(c.m.w.Pages, s.Domain)
 	}
-}
-
-// SiteFingerprints returns every site's content fingerprint, equal to
-// World.SiteFingerprints of the same world with every page resident. It
-// needs every site's zones (the surface hash covers the CNAME→CDN entries
-// site zones add) and no live pages: it hashes the surface once, then
-// materializes, fingerprints and releases the pages batch by batch; a batch
-// below 1 means one batch of every site.
-func (c *Chunked) SiteFingerprints(batch int) map[string]string {
-	w, n := c.m.w, c.Len()
-	if len(w.Sites) != n || len(w.Pages) != 0 {
-		panic("ecosystem: Chunked.SiteFingerprints needs every site's zones and no live pages")
-	}
-	if batch < 1 {
-		batch = n
-	}
-	surface := w.surfaceHash()
-	out := make(map[string]string, n)
-	for lo := 0; lo < n; lo += batch {
-		hi := min(lo+batch, n)
-		c.MaterializePages(lo, hi)
-		w.fingerprintSites(surface, w.Sites[lo:hi], out)
-		c.ReleasePages(lo, hi)
-	}
-	return out
 }

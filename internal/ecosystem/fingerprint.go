@@ -20,14 +20,17 @@ import (
 // and with it every site fingerprint — forcing a full re-measurement, since
 // provider infrastructure is visible from every site's classification.
 
-// SiteFingerprints returns the content fingerprint of every site in the
-// world, keyed by site domain. Fingerprints are deterministic across
-// processes for the same materialized content. It is the one-batch case of
-// Chunked.SiteFingerprints: every zone and landing page is resident.
-func (w *World) SiteFingerprints() map[string]string {
-	out := make(map[string]string, len(w.Sites))
-	w.fingerprintSites(w.surfaceHash(), w.Sites, out)
-	return out
+// Fingerprinter returns the content fingerprint function of the world.
+// It needs every site's zones: it hashes the shared surface once, up front.
+// The returned function then fingerprints one site from its zones,
+// certificate and landing page as currently materialized, so a streamed
+// run calls it while the site's page is live; a resident world's
+// fingerprints equal a streamed one's. Fingerprints are deterministic
+// across processes for the same materialized content, and the function is
+// safe for concurrent use while the world is not being changed.
+func (w *World) Fingerprinter() func(site string) string {
+	surface := w.surfaceHash()
+	return func(site string) string { return w.fingerprintSite(surface, site) }
 }
 
 // surfaceHash hashes the world surface every site fingerprint folds in:
@@ -59,28 +62,25 @@ func (w *World) surfaceHash() []byte {
 	return wh.Sum(nil)
 }
 
-// fingerprintSites stores into out the fingerprint of each of sites: the
-// surface hash folded with the site's zones, certificate and landing page
-// (as currently materialized).
-func (w *World) fingerprintSites(surface []byte, sites []string, out map[string]string) {
-	for _, d := range sites {
-		h := sha256.New()
-		h.Write(surface)
-		for _, origin := range siteOrigins(d) {
-			hashZone(h, w, origin)
-		}
-		if c := w.Certs.Get(d); c != nil {
-			fmt.Fprintf(h, "cert subject=%s issuer=%s org=%s stapled=%t sans=%s ocsp=%s cdp=%s\n",
-				c.Subject, c.IssuerCA, c.IssuerOrgDomain, c.Stapled,
-				strings.Join(c.SANs, ","),
-				strings.Join(c.OCSPServers, ","),
-				strings.Join(c.CRLDistributionPoints, ","))
-		}
-		if p := w.Page(d); p != nil {
-			fmt.Fprintln(h, p.RenderHTML())
-		}
-		out[d] = hex.EncodeToString(h.Sum(nil))
+// fingerprintSite folds the surface hash with one site's zones,
+// certificate and landing page.
+func (w *World) fingerprintSite(surface []byte, d string) string {
+	h := sha256.New()
+	h.Write(surface)
+	for _, origin := range siteOrigins(d) {
+		hashZone(h, w, origin)
 	}
+	if c := w.Certs.Get(d); c != nil {
+		fmt.Fprintf(h, "cert subject=%s issuer=%s org=%s stapled=%t sans=%s ocsp=%s cdp=%s\n",
+			c.Subject, c.IssuerCA, c.IssuerOrgDomain, c.Stapled,
+			strings.Join(c.SANs, ","),
+			strings.Join(c.OCSPServers, ","),
+			strings.Join(c.CRLDistributionPoints, ","))
+	}
+	if p := w.Page(d); p != nil {
+		fmt.Fprintln(h, p.RenderHTML())
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // siteOrigins lists the zone origins attributable to one site: its own

@@ -190,14 +190,24 @@ func chunkedWorld(t *testing.T, u *Universe, snap Snapshot, cfg *chain.Config, b
 	return c.World()
 }
 
+// siteFingerprints fingerprints every site of w with its pages resident.
+func siteFingerprints(w *World) map[string]string {
+	fp := w.Fingerprinter()
+	out := make(map[string]string, len(w.Sites))
+	for _, site := range w.Sites {
+		out[site] = fp(site)
+	}
+	return out
+}
+
 // TestChunkedMatchesMonolithic pins the streaming materializer to the
 // monolithic one: for the same universe, a chunked world with every batch
 // materialized has the identical ranked site list and identical per-site
 // content fingerprints (zones, certificates, pages, chain growth, CNAME→CDN
 // map — everything the measurement can observe), for both snapshots, with
-// and without chains, and across awkward batch sizes. The streamed
-// fingerprint pass (Chunked.SiteFingerprints, pages live one batch at a
-// time) yields the same fingerprints.
+// and without chains, and across awkward batch sizes. Fingerprinting each
+// batch through World.Fingerprinter while that batch's pages are live, as a
+// checkpointed run does, yields the same fingerprints.
 func TestChunkedMatchesMonolithic(t *testing.T) {
 	u, err := Generate(Options{Scale: 400, Seed: 2020})
 	if err != nil {
@@ -210,7 +220,7 @@ func TestChunkedMatchesMonolithic(t *testing.T) {
 			if cfg != nil {
 				MaterializeChains(u, mono, *cfg)
 			}
-			want := mono.SiteFingerprints()
+			want := siteFingerprints(mono)
 			for _, batch := range []int{1000, 64, 31} {
 				w := chunkedWorld(t, u, snap, cfg, batch)
 				if len(w.Sites) != len(mono.Sites) {
@@ -222,7 +232,7 @@ func TestChunkedMatchesMonolithic(t *testing.T) {
 							snap, batch, i, w.Sites[i], mono.Sites[i])
 					}
 				}
-				got := w.SiteFingerprints()
+				got := siteFingerprints(w)
 				mismatches := 0
 				for site, fp := range want {
 					if got[site] != fp {
@@ -238,7 +248,17 @@ func TestChunkedMatchesMonolithic(t *testing.T) {
 					c.EnableChains(*cfg)
 				}
 				c.AddSites(0, c.Len())
-				if !reflect.DeepEqual(c.SiteFingerprints(batch), want) {
+				fp := c.World().Fingerprinter()
+				streamed := make(map[string]string, c.Len())
+				for lo := 0; lo < c.Len(); lo += batch {
+					hi := min(lo+batch, c.Len())
+					c.MaterializePages(lo, hi)
+					for _, site := range c.World().Sites[lo:hi] {
+						streamed[site] = fp(site)
+					}
+					c.ReleasePages(lo, hi)
+				}
+				if !reflect.DeepEqual(streamed, want) {
 					t.Errorf("%s chains=%t batch %d: streamed fingerprints differ from the resident world's",
 						snap, cfg != nil, batch)
 				}

@@ -14,7 +14,7 @@ import (
 )
 
 // pageDigest hashes every landing page of w in rank order, resource by
-// resource: URL, Host and Parent. SiteFingerprints only sees the rendered
+// resource: URL, Host and Parent. A site fingerprint only sees the rendered
 // HTML (URLs alone), so a wrong host or parent index slips past it; this
 // digest pins all three fields.
 func pageDigest(t *testing.T, w *World) string {

@@ -3,7 +3,6 @@ package measure
 import (
 	"context"
 
-	"depscope/internal/dnsmsg"
 	"depscope/internal/publicsuffix"
 )
 
@@ -61,17 +60,4 @@ func (b *Baselines) TLD(site, host string) Classification {
 // SOA applies SOA-only classification.
 func (b *Baselines) SOA(ctx context.Context, site, host string) (Classification, error) {
 	return b.m.BaselineSOA(ctx, site, host)
-}
-
-// CombinedPair applies the full combined heuristic to one pair, using a
-// pre-computed concentration map (as the real pipeline does).
-func (b *Baselines) CombinedPair(ctx context.Context, site, host string, conc map[string]int) (Classification, error) {
-	res, err := b.m.classifySiteDNS(ctx, dnsmsg.CanonicalName(site), []string{host}, conc)
-	if err != nil {
-		return Unknown, err
-	}
-	if len(res.Pairs) == 0 {
-		return Unknown, nil
-	}
-	return res.Pairs[0].Class, nil
 }

@@ -8,21 +8,22 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"depscope/internal/telemetry"
 )
 
-// Checkpointed measurement runs. The pipeline's two expensive passes — NS
-// resolution and per-site classification — persist their progress into a
-// Checkpoint as they go: per-site NS sets, completed SiteResults and a
-// content fingerprint of what was measured. An interrupted run handed its
-// last checkpoint resumes where it stopped, and a finished run handed an
-// edited universe re-measures only the sites whose fingerprints changed (a
-// provider-side edit changes every fingerprint and forces a full re-run —
-// see ecosystem.World.SiteFingerprints). The resolver's cache is not kept:
-// every re-measured site asks the current zones, so no answer outlives the
-// fingerprint that vouched for it.
+// Checkpointed measurement runs. A checkpoint holds what a resume can use:
+// one completed SiteResult per measured site and the content fingerprint of
+// what was measured. The stream records a batch's sites once the batch is
+// measured and emits the checkpoint at the end of the batch, so an
+// interrupted run handed its last checkpoint resumes at a batch boundary,
+// and a finished run handed an edited universe re-measures only the sites
+// whose fingerprints changed (a provider-side edit changes every
+// fingerprint and forces a full re-run — see ecosystem.World.Fingerprinter).
+// Pass 1 always runs again: resolving every site's NS set is cheap next to
+// classification, and the current zones answer it. The resolver's cache is
+// not kept either: every re-measured site asks the current zones, so no
+// answer outlives the fingerprint that vouched for it.
 //
 // The checkpoint is the pipeline's only mutable cross-run state, so the
 // codec is strict: a versioned JSON document, unknown fields rejected, a
@@ -30,7 +31,7 @@ import (
 // fails the load with a diagnostic — never a partial resume.
 
 // CheckpointVersion is the file-format version this build reads and writes.
-const CheckpointVersion = 2
+const CheckpointVersion = 3
 
 // Checkpoint is a serialized snapshot of measurement progress.
 type Checkpoint struct {
@@ -40,30 +41,22 @@ type Checkpoint struct {
 	// (and so Run) refuses to resume from a checkpoint whose label differs from the
 	// configured one.
 	Label string `json:"label,omitempty"`
-	// Sites holds per-site progress, keyed by site domain.
+	// Sites holds the completed sites, keyed by site domain.
 	Sites map[string]*SiteCheckpoint `json:"sites"`
 }
 
-// SiteCheckpoint is one site's checkpointed progress.
+// SiteCheckpoint is one completed site.
 type SiteCheckpoint struct {
 	// Fingerprint is the site's content fingerprint at measurement time;
 	// resume reuses the entry only when it matches the current universe.
-	Fingerprint string `json:"fingerprint,omitempty"`
-	// NSDone reports the pass-1 NS set was recorded (NS may still be empty
-	// for sites that did not resolve under a tolerant error policy).
-	NSDone bool     `json:"ns_done,omitempty"`
-	NS     []string `json:"ns,omitempty"`
-	// Done reports pass-2 completed for this site; Result is its outcome.
-	Done   bool        `json:"done,omitempty"`
-	Result *SiteResult `json:"result,omitempty"`
+	Fingerprint string      `json:"fingerprint,omitempty"`
+	Result      *SiteResult `json:"result"`
 }
 
 // Checkpoint telemetry (see docs/observability.md).
 var (
 	ckptReused = telemetry.Counter("checkpoint_sites_reused_total",
 		"checkpointed site results reused without re-measurement")
-	ckptNSReused = telemetry.Counter("checkpoint_ns_reused_total",
-		"pass-1 NS sets served from a checkpoint instead of the resolver")
 	ckptSaves = telemetry.Counter("checkpoint_saves_total",
 		"checkpoint snapshots emitted to the configured saver")
 )
@@ -78,36 +71,45 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 }
 
 // DecodeCheckpoint reads a checkpoint, rejecting version mismatches,
-// trailing garbage and unknown fields. The version is read first, so a file
-// of another format version is refused by its version, not by the first
-// field this build does not know. Every failure is a hard error: a resume
-// either gets the complete recorded state or nothing.
+// trailing garbage, unknown fields and site entries without a result. A
+// valid file is decoded once, strictly; only when that fails is the document
+// probed leniently for its version, so a file of another format version is
+// refused by its version, not by the first field this build does not know.
+// Every failure is a hard error: a resume either gets the complete recorded
+// state or nothing.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	dec := json.NewDecoder(r)
-	var raw json.RawMessage
-	if err := dec.Decode(&raw); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("measure: decode checkpoint: %w", err)
 	}
-	var head struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(raw, &head); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var c Checkpoint
+	if err := dec.Decode(&c); err != nil {
+		var head struct {
+			Version int `json:"version"`
+		}
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&head) == nil && head.Version != CheckpointVersion {
+			return nil, versionError(head.Version)
+		}
 		return nil, fmt.Errorf("measure: decode checkpoint: %w", err)
 	}
-	if head.Version != CheckpointVersion {
-		return nil, fmt.Errorf("measure: checkpoint version %d, this build reads version %d",
-			head.Version, CheckpointVersion)
+	if c.Version != CheckpointVersion {
+		return nil, versionError(c.Version)
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("measure: decode checkpoint: trailing data after checkpoint object")
 	}
-	strict := json.NewDecoder(bytes.NewReader(raw))
-	strict.DisallowUnknownFields()
-	var c Checkpoint
-	if err := strict.Decode(&c); err != nil {
-		return nil, fmt.Errorf("measure: decode checkpoint: %w", err)
+	for site, sc := range c.Sites {
+		if sc == nil || sc.Result == nil {
+			return nil, fmt.Errorf("measure: decode checkpoint: site %q has no result", site)
+		}
 	}
 	return &c, nil
+}
+
+func versionError(v int) error {
+	return fmt.Errorf("measure: checkpoint version %d, this build reads version %d", v, CheckpointVersion)
 }
 
 // LoadCheckpoint reads a checkpoint file.
@@ -151,23 +153,24 @@ func SaveCheckpoint(path string, c *Checkpoint) error {
 }
 
 // ckptRun is the in-run checkpoint recorder: it validates the prior
-// checkpoint against the configured label and fingerprints, answers the
-// passes' "is this already done?" queries, accumulates fresh progress, and
-// emits snapshots through cfg.OnCheckpoint. All methods are safe for
-// concurrent use by the site-pass workers.
+// checkpoint against the configured label, answers the site pass's "is this
+// site already measured?" query, accumulates the completed sites and emits
+// snapshots through cfg.OnCheckpoint. lookup is safe for concurrent use by
+// the site-pass workers; endBatch runs on the stream's own goroutine,
+// between batches.
 type ckptRun struct {
-	mu      sync.Mutex
-	cp      *Checkpoint
-	prior   map[string]*SiteCheckpoint
-	fps     map[string]string
-	emit    func(*Checkpoint) error
-	every   int
-	pending int
+	cp    *Checkpoint
+	prior map[string]*SiteCheckpoint
+	fp    func(site string) string
+	emit  func(*Checkpoint) error
+	// fresh reports that this run has measured a site rather than reused
+	// it. Until then the prior checkpoint — the file on disk — already
+	// holds every entry the run recorded, so there is nothing to emit.
+	fresh bool
 }
 
 // newCkptRun builds the recorder, or returns nil when the run is not
-// checkpointed. It keeps only prior entries whose fingerprint still matches
-// the universe.
+// checkpointed.
 func newCkptRun(cfg *Config, nSites int) (*ckptRun, error) {
 	if cfg.Checkpoint == nil && cfg.OnCheckpoint == nil {
 		return nil, nil
@@ -178,115 +181,51 @@ func newCkptRun(cfg *Config, nSites int) (*ckptRun, error) {
 			Label:   cfg.CheckpointLabel,
 			Sites:   make(map[string]*SiteCheckpoint, nSites),
 		},
-		prior: make(map[string]*SiteCheckpoint),
-		fps:   cfg.Fingerprints,
-		emit:  cfg.OnCheckpoint,
-		every: cfg.CheckpointEvery,
-	}
-	if ck.every <= 0 {
-		ck.every = nSites / 10
-		if ck.every < 200 {
-			ck.every = 200
-		}
+		fp:   cfg.Fingerprint,
+		emit: cfg.OnCheckpoint,
 	}
 	if prev := cfg.Checkpoint; prev != nil {
 		if prev.Label != cfg.CheckpointLabel {
 			return nil, fmt.Errorf("measure: checkpoint label %q does not match run label %q",
 				prev.Label, cfg.CheckpointLabel)
 		}
-		for site, sc := range prev.Sites {
-			if sc != nil && sc.Fingerprint == ck.fps[site] {
-				ck.prior[site] = sc
-			}
-		}
+		ck.prior = prev.Sites
 	}
 	return ck, nil
 }
 
-// The query and emission methods below are no-ops on a nil *ckptRun, so an
-// uncheckpointed stream calls them unconditionally.
-
-// priorNS returns a checkpointed pass-1 NS set still valid for site.
-func (ck *ckptRun) priorNS(site string) ([]string, bool) {
-	if ck == nil {
-		return nil, false
+// lookup fingerprints site, whose page must be live, and returns the
+// fingerprint with the prior result still valid for it (nil when the site
+// must be measured).
+func (ck *ckptRun) lookup(site string) (string, *SiteResult) {
+	fp := ""
+	if ck.fp != nil {
+		fp = ck.fp(site)
 	}
 	sc := ck.prior[site]
-	if sc == nil || !sc.NSDone {
-		return nil, false
-	}
-	ckptNSReused.Inc()
-	return sc.NS, true
-}
-
-// priorResult returns a checkpointed pass-2 result still valid for site.
-func (ck *ckptRun) priorResult(site string) *SiteResult {
-	if ck == nil {
-		return nil
-	}
-	sc := ck.prior[site]
-	if sc == nil || !sc.Done {
-		return nil
+	if sc == nil || sc.Result == nil || sc.Fingerprint != fp {
+		return fp, nil
 	}
 	ckptReused.Inc()
-	return sc.Result
+	return fp, sc.Result
 }
 
-// recordNS records one site's pass-1 outcome.
-func (ck *ckptRun) recordNS(site string, ns []string) {
-	ck.mu.Lock()
-	ck.cp.Sites[site] = &SiteCheckpoint{
-		Fingerprint: ck.fps[site],
-		NSDone:      true,
-		NS:          ns,
+// endBatch records a measured batch — sites with their fingerprints and
+// results, of which measured were measured rather than reused — and emits a
+// snapshot of every site recorded so far, unless this run has reused every
+// site it has seen. Results are copied so the checkpoint never aliases the
+// live Results slice.
+func (ck *ckptRun) endBatch(sites, fps []string, results []SiteResult, measured int) error {
+	for i, site := range sites {
+		r := results[i]
+		ck.cp.Sites[site] = &SiteCheckpoint{Fingerprint: fps[i], Result: &r}
 	}
-	ck.mu.Unlock()
-}
-
-// siteDone records one site's completed pass-2 result and emits a snapshot
-// every `every` completions. The result is copied so the checkpoint never
-// aliases the live Results slice.
-func (ck *ckptRun) siteDone(site string, sr *SiteResult) error {
-	if ck == nil {
+	ck.fresh = ck.fresh || measured > 0
+	if ck.emit == nil || !ck.fresh {
 		return nil
-	}
-	r := *sr
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	sc := &SiteCheckpoint{Fingerprint: ck.fps[site], Done: true, Result: &r}
-	if old := ck.cp.Sites[site]; old != nil {
-		sc.NSDone, sc.NS = old.NSDone, old.NS
-	}
-	ck.cp.Sites[site] = sc
-	ck.pending++
-	if ck.pending < ck.every {
-		return nil
-	}
-	ck.pending = 0
-	return ck.emitLocked()
-}
-
-// emitNow emits a snapshot unconditionally (stage boundaries, end of run).
-func (ck *ckptRun) emitNow() error {
-	if ck == nil {
-		return nil
-	}
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	ck.pending = 0
-	return ck.emitLocked()
-}
-
-func (ck *ckptRun) emitLocked() error {
-	if ck.emit == nil {
-		return nil
-	}
-	snap := &Checkpoint{
-		Version: ck.cp.Version,
-		Label:   ck.cp.Label,
-		Sites:   maps.Clone(ck.cp.Sites),
 	}
 	ckptSaves.Inc()
+	snap := &Checkpoint{Version: ck.cp.Version, Label: ck.cp.Label, Sites: maps.Clone(ck.cp.Sites)}
 	if err := ck.emit(snap); err != nil {
 		return fmt.Errorf("measure: checkpoint save: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,9 +45,6 @@ func TestCheckpointCodecRoundtrip(t *testing.T) {
 		Sites: map[string]*SiteCheckpoint{
 			"a.example": {
 				Fingerprint: "fp-a",
-				NSDone:      true,
-				NS:          []string{"ns1.dyn.example.", "ns2.dyn.example."},
-				Done:        true,
 				Result: &SiteResult{
 					Site: "a.example",
 					Rank: 1,
@@ -57,7 +55,7 @@ func TestCheckpointCodecRoundtrip(t *testing.T) {
 					},
 				},
 			},
-			"b.example": {Fingerprint: "fp-b", NSDone: true},
+			"b.example": {Result: &SiteResult{Site: "b.example", Rank: 2}},
 		},
 	}
 	var buf bytes.Buffer
@@ -88,6 +86,9 @@ func TestDecodeCheckpointRejectsBadInput(t *testing.T) {
 		{"unknown site field", fmt.Sprintf(`{"version":%d,"sites":{"a":{"doone":true}}}`, CheckpointVersion), "doone"},
 		{"trailing data", valid + `{"version":1}`, "trailing data"},
 		{"version 1 with resolver cache", `{"version":1,"label":"2020","sites":{},"resolver":[{"name":"a.example.","type":2}]}`, "version 1"},
+		{"version 2 with NS sets", `{"version":2,"label":"2020","sites":{"a":{"fingerprint":"f","ns_done":true,"ns":["ns1.x."],"done":true,"result":{"Site":"a","Rank":1}}}}`, "checkpoint version 2"},
+		{"site without result", fmt.Sprintf(`{"version":%d,"sites":{"a":{"fingerprint":"f"}}}`, CheckpointVersion), `site "a" has no result`},
+		{"null site", fmt.Sprintf(`{"version":%d,"sites":{"a":null}}`, CheckpointVersion), `site "a" has no result`},
 		{"not json", "checkpoint v1\x00\x01", "decode checkpoint"},
 	}
 	for _, tc := range cases {
@@ -105,16 +106,25 @@ func TestDecodeCheckpointRejectsBadInput(t *testing.T) {
 
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte(fmt.Sprintf(`{"version":%d,"sites":{}}`, CheckpointVersion)))
-	f.Add([]byte(fmt.Sprintf(`{"version":%d,"label":"2016","sites":{"a":{"ns_done":true,"ns":["x."]}}}`, CheckpointVersion)))
-	f.Add([]byte(`{"version":1,"sites":{},"resolver":[{"name":"a.example.","type":2}]}`))
+	f.Add([]byte(fmt.Sprintf(`{"version":%d,"label":"2016","sites":{"a":{"fingerprint":"f","result":{"Site":"a","Rank":1}}}}`, CheckpointVersion)))
+	f.Add([]byte(fmt.Sprintf(`{"version":%d,"sites":{"a":{"fingerprint":"f"}}}`, CheckpointVersion)))
+	f.Add([]byte(`{"version":2,"label":"2016","sites":{"a":{"ns_done":true,"ns":["x."]}}}`))
 	f.Add([]byte(`{"version":99}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := DecodeCheckpoint(bytes.NewReader(data))
-		if err == nil && cp.Version != CheckpointVersion {
+		if err != nil {
+			return
+		}
+		if cp.Version != CheckpointVersion {
 			t.Fatalf("accepted version %d", cp.Version)
+		}
+		for site, sc := range cp.Sites {
+			if sc == nil || sc.Result == nil {
+				t.Fatalf("accepted site %q without a result", site)
+			}
 		}
 	})
 }
@@ -161,12 +171,32 @@ func TestRunRejectsCheckpointLabelMismatch(t *testing.T) {
 // errInterrupted is the sentinel the interrupt tests abort a run with.
 var errInterrupted = errors.New("interrupted for test")
 
+// runBatched is Run with batch boundaries: it drives a Stream over a
+// resident world's sites, measuring batch sites at a time, so a
+// checkpointed run emits at the end of every batch.
+func runBatched(ctx context.Context, sites []string, cfg Config, batch int) (*Results, error) {
+	st, err := NewStream(sites, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.ResolveBatch(ctx, 0, len(sites)); err != nil {
+		return nil, err
+	}
+	st.Seal()
+	for lo := 0; lo < len(sites); lo += batch {
+		if err := st.MeasureBatch(ctx, lo, min(lo+batch, len(sites))); err != nil {
+			return nil, err
+		}
+	}
+	return st.Finish(ctx)
+}
+
 // TestResumedRunMatchesUninterrupted is the checkpoint equivalence pin: a
 // run interrupted mid site-pass and resumed from its last checkpoint
 // produces byte-identical Results (same measurement hash) to an
 // uninterrupted run on the same world.
 func TestResumedRunMatchesUninterrupted(t *testing.T) {
-	const scale, seed = 400, 1
+	const scale, seed, batch = 400, 1, 100
 	ctx := context.Background()
 
 	w := checkpointWorld(t, scale, seed, ecosystem.Y2020)
@@ -176,36 +206,25 @@ func TestResumedRunMatchesUninterrupted(t *testing.T) {
 	}
 	want := measurementHash(t, ref)
 
-	// Interrupted run: abort at the first mid-pass-2 checkpoint emission
-	// (the first emission is the pass-1 boundary), keeping the snapshot.
+	// Interrupted run: abort at the first checkpoint emission, the end of
+	// the first batch, keeping the snapshot.
 	var captured *Checkpoint
-	emissions := 0
 	w2 := checkpointWorld(t, scale, seed, ecosystem.Y2020)
 	cfg := checkpointConfig(w2)
 	cfg.CheckpointLabel = "2020"
-	cfg.CheckpointEvery = 100
 	cfg.OnCheckpoint = func(cp *Checkpoint) error {
-		emissions++
 		captured = cp
-		if emissions >= 2 {
-			return errInterrupted
-		}
-		return nil
+		return errInterrupted
 	}
-	if _, err := Run(ctx, w2.Sites, cfg); !errors.Is(err, errInterrupted) {
+	if _, err := runBatched(ctx, w2.Sites, cfg, batch); !errors.Is(err, errInterrupted) {
 		t.Fatalf("interrupted run error = %v, want %v", err, errInterrupted)
 	}
 	if captured == nil {
 		t.Fatal("no checkpoint captured")
 	}
-	done := 0
-	for _, sc := range captured.Sites {
-		if sc.Done {
-			done++
-		}
-	}
-	if done == 0 || done >= scale {
-		t.Fatalf("checkpoint has %d done sites, want a strict subset of %d", done, scale)
+	done := len(captured.Sites)
+	if done != batch {
+		t.Fatalf("checkpoint has %d sites, want the first batch's %d", done, batch)
 	}
 
 	// Resumed run on a fresh world and resolver.
@@ -260,7 +279,7 @@ func TestEditedUniverseRemeasuresOnlyChangedSites(t *testing.T) {
 	var final *Checkpoint
 	cfg := checkpointConfig(w)
 	cfg.CheckpointLabel = "2016"
-	cfg.Fingerprints = w.SiteFingerprints()
+	cfg.Fingerprint = w.Fingerprinter()
 	cfg.OnCheckpoint = func(cp *Checkpoint) error { final = cp; return nil }
 	if _, err := Run(ctx, w.Sites, cfg); err != nil {
 		t.Fatal(err)
@@ -282,10 +301,10 @@ func TestEditedUniverseRemeasuresOnlyChangedSites(t *testing.T) {
 	want := measurementHash(t, ref)
 
 	w2 := ecosystem.Materialize(u, snap)
-	fps2 := w2.SiteFingerprints()
+	fp2 := w2.Fingerprinter()
 	var changed []string
-	for site, fp := range fps2 {
-		if fp != cfg.Fingerprints[site] {
+	for site, sc := range final.Sites {
+		if fp2(site) != sc.Fingerprint {
 			changed = append(changed, site)
 		}
 	}
@@ -295,7 +314,7 @@ func TestEditedUniverseRemeasuresOnlyChangedSites(t *testing.T) {
 
 	cfg2 := checkpointConfig(w2)
 	cfg2.CheckpointLabel = "2016"
-	cfg2.Fingerprints = fps2
+	cfg2.Fingerprint = fp2
 	cfg2.Checkpoint = final
 	reusedBefore := ckptReused.Value()
 	res, err := Run(ctx, w2.Sites, cfg2)
@@ -310,25 +329,24 @@ func TestEditedUniverseRemeasuresOnlyChangedSites(t *testing.T) {
 	}
 }
 
-// ckptEmission summarizes one OnCheckpoint snapshot: how many sites carry a
-// pass-1 NS set and how many a completed pass-2 result.
-type ckptEmission struct{ NSDone, Done int }
-
-func summarizeCheckpoint(cp *Checkpoint) ckptEmission {
-	var e ckptEmission
-	for _, sc := range cp.Sites {
-		if sc.NSDone {
-			e.NSDone++
+// checkpointSizes returns the number of sites each emitted snapshot holds,
+// failing the test on an entry without a result.
+func checkpointSizes(t *testing.T, cps []*Checkpoint) []int {
+	t.Helper()
+	var out []int
+	for _, cp := range cps {
+		for site, sc := range cp.Sites {
+			if sc == nil || sc.Result == nil {
+				t.Fatalf("checkpoint entry %s has no result", site)
+			}
 		}
-		if sc.Done {
-			e.Done++
-		}
+		out = append(out, len(cp.Sites))
 	}
-	return e
+	return out
 }
 
-// checkpointSitesHash hashes the JSON encoding of a checkpoint's per-site
-// progress (encoding/json sorts the map keys, so it is canonical).
+// checkpointSitesHash hashes the JSON encoding of a checkpoint's completed
+// sites (encoding/json sorts the map keys, so it is canonical).
 func checkpointSitesHash(t *testing.T, cp *Checkpoint) string {
 	t.Helper()
 	b, err := json.Marshal(cp.Sites)
@@ -340,36 +358,64 @@ func checkpointSitesHash(t *testing.T, cp *Checkpoint) string {
 }
 
 // finalCheckpointGolden is the Sites hash of the final checkpoint a 400-site
-// seed-1 2020 run emits; captured before checkpointing moved into Stream.
-const finalCheckpointGolden = "4f4a0adfc86d3ad187897f91a8d5920575a5b7af8bfbc8a266b4d1e3d20944f4"
+// seed-1 2020 run emits.
+const finalCheckpointGolden = "f72d67fd9ce795358d0a54b30b8efb217da3066e85c70da69a3f04f4f3ba26cc"
 
-// TestCheckpointEmissionSequence pins when a checkpointed Run emits: one
-// pass-1 boundary snapshot (every NS set, no results), one snapshot per
-// CheckpointEvery completed sites, then the final snapshot of the whole run.
-func TestCheckpointEmissionSequence(t *testing.T) {
-	const scale = 400
+// TestCheckpointEmissionGolden pins when a checkpointed stream emits — once
+// at the end of every batch, each snapshot holding every site completed so
+// far — and the final snapshot's content. A resume of that final snapshot
+// reuses every site and emits nothing.
+func TestCheckpointEmissionGolden(t *testing.T) {
+	const scale, batch = 400, 100
+	ctx := context.Background()
 	w := checkpointWorld(t, scale, 1, ecosystem.Y2020)
 	cfg := checkpointConfig(w)
 	cfg.CheckpointLabel = "2020"
-	cfg.CheckpointEvery = 100
-	var got []ckptEmission
-	var last *Checkpoint
+	var emitted []*Checkpoint
 	cfg.OnCheckpoint = func(cp *Checkpoint) error {
 		if cp.Version != CheckpointVersion || cp.Label != "2020" {
-			t.Errorf("emission %d: version %d label %q", len(got), cp.Version, cp.Label)
+			t.Errorf("emission %d: version %d label %q", len(emitted), cp.Version, cp.Label)
 		}
-		got = append(got, summarizeCheckpoint(cp))
-		last = cp
+		emitted = append(emitted, cp)
 		return nil
 	}
-	if _, err := Run(context.Background(), w.Sites, cfg); err != nil {
+	if _, err := runBatched(ctx, w.Sites, cfg, batch); err != nil {
 		t.Fatal(err)
 	}
-	want := []ckptEmission{{scale, 0}, {scale, 100}, {scale, 200}, {scale, 300}, {scale, 400}, {scale, 400}}
-	if !reflect.DeepEqual(got, want) {
+	if got, want := checkpointSizes(t, emitted), []int{100, 200, 300, 400}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("emission sequence %v, want %v", got, want)
 	}
+	last := emitted[len(emitted)-1]
 	if h := checkpointSitesHash(t, last); h != finalCheckpointGolden {
 		t.Errorf("final checkpoint sites hash %s, want %s", h, finalCheckpointGolden)
+	}
+
+	emitted = nil
+	cfg.Checkpoint = last
+	reusedBefore := ckptReused.Value()
+	if _, err := runBatched(ctx, w.Sites, cfg, batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := ckptReused.Value() - reusedBefore; got != scale {
+		t.Errorf("complete resume reused %d sites, want %d", got, scale)
+	}
+	if len(emitted) != 0 {
+		t.Errorf("complete resume emitted %d checkpoints, want none", len(emitted))
+	}
+
+	// Missing the top site, the resume measures it in the first batch and
+	// from then on emits at the end of every batch, reused ones included.
+	emitted = nil
+	partial := &Checkpoint{Version: last.Version, Label: last.Label, Sites: maps.Clone(last.Sites)}
+	delete(partial.Sites, w.Sites[0])
+	cfg.Checkpoint = partial
+	if _, err := runBatched(ctx, w.Sites, cfg, batch); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := checkpointSizes(t, emitted), []int{100, 200, 300, 400}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("partial resume emission sequence %v, want %v", got, want)
+	}
+	if h := checkpointSitesHash(t, emitted[len(emitted)-1]); h != finalCheckpointGolden {
+		t.Errorf("partial resume final checkpoint sites hash %s, want %s", h, finalCheckpointGolden)
 	}
 }

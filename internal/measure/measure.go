@@ -83,29 +83,24 @@ type Config struct {
 	Chains *chain.Config
 
 	// Checkpoint, when non-nil, resumes from previously recorded progress:
-	// pass-1 NS sets and pass-2 site results whose fingerprints still match
-	// are reused instead of re-measured. Every other site is measured
-	// against the current zones: no resolver cache is carried over. See
-	// checkpoint.go.
+	// site results whose fingerprints still match are reused instead of
+	// re-measured. Pass 1 and every other site are measured against the
+	// current zones: no resolver cache is carried over. See checkpoint.go.
 	Checkpoint *Checkpoint
-	// Fingerprints maps site → content fingerprint of everything the
-	// measurement can observe about it (ecosystem.World.SiteFingerprints of a
-	// resident world, or ecosystem.Chunked.SiteFingerprints of a streamed one;
-	// the two agree). It is read from NewStream on, so a streamed run computes
-	// it before the stream starts.
-	// A checkpointed entry is reused only when its recorded fingerprint
-	// equals the current one; with no fingerprints at all, entries match on
-	// equal empty strings — a plain same-universe resume.
-	Fingerprints map[string]string
-	// OnCheckpoint, when set, receives progress snapshots: after pass 1
-	// (as the first MeasureBatch starts), every CheckpointEvery site
-	// completions during pass 2, and at the end of the run (in Finish).
+	// Fingerprint returns a site's content fingerprint: a hash of
+	// everything the measurement can observe about it
+	// (ecosystem.World.Fingerprinter). A checkpointed stream calls it from
+	// the site-pass workers while the site's page is live, so it must be
+	// safe for concurrent use. A checkpointed entry is reused only when its
+	// recorded fingerprint equals the current one; with no Fingerprint,
+	// entries match on equal empty strings — a plain same-universe resume.
+	Fingerprint func(site string) string
+	// OnCheckpoint, when set, receives a snapshot of every completed site
+	// at the end of each MeasureBatch, once the run has measured a site
+	// rather than reused it; the last batch's snapshot is the complete run.
 	// The callback owns the snapshot (typically SaveCheckpoint); a returned
 	// error aborts the run.
 	OnCheckpoint func(*Checkpoint) error
-	// CheckpointEvery is the site-completion interval between OnCheckpoint
-	// emissions during pass 2; values < 1 mean len(sites)/10, at least 200.
-	CheckpointEvery int
 	// CheckpointLabel tags emitted checkpoints and guards resume: a prior
 	// checkpoint with a different label is refused.
 	CheckpointLabel string

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"depscope/internal/conc"
@@ -33,10 +34,11 @@ import (
 // are still live, and resolved in Finish).
 //
 // A checkpointed stream (Config.Checkpoint / Config.OnCheckpoint) reuses
-// still-valid NS sets in ResolveBatch and site results in MeasureBatch, and
-// emits the pass-1 boundary snapshot as the first MeasureBatch starts, one
-// snapshot every CheckpointEvery completed sites, and the final snapshot in
-// Finish.
+// still-valid site results in MeasureBatch, records the batch's completed
+// sites once the batch is measured, and emits one snapshot at the end of
+// every batch once the run has measured a site itself. The last batch's
+// snapshot is the complete run; a resume that reuses every site emits
+// nothing, since the prior checkpoint already holds every entry.
 type Stream struct {
 	m     *measurer
 	sites []string
@@ -48,9 +50,8 @@ type Stream struct {
 
 	ck *ckptRun // nil unless checkpointed
 
-	sealed    bool
-	measuring bool // the first MeasureBatch has emitted the pass-1 snapshot
-	finished  bool
+	sealed   bool
+	finished bool
 
 	// hostCand[i] holds site i's deduplicated (registrable domain, host)
 	// resource pairs, captured during the site's batch. Finish filters them
@@ -107,12 +108,8 @@ func (s *Stream) ResolveBatch(ctx context.Context, lo, hi int) error {
 	}
 	m := s.m
 	defer telemetry.StartSpan("measure.resolve_pass").End()
-	err := conc.ForEach(ctx, hi-lo, m.cfg.Workers, conc.FailFast, func(ctx context.Context, j int) error {
+	return conc.ForEach(ctx, hi-lo, m.cfg.Workers, conc.FailFast, func(ctx context.Context, j int) error {
 		i := lo + j
-		if ns, ok := s.ck.priorNS(s.sites[i]); ok {
-			s.nsSets[i] = ns
-			return nil
-		}
 		start := time.Now()
 		ns, err := m.cfg.Resolver.NS(ctx, s.fqdns[i])
 		m.resolveHist.ObserveDuration(time.Since(start))
@@ -129,13 +126,6 @@ func (s *Stream) ResolveBatch(ctx context.Context, lo, hi int) error {
 		s.nsSets[i] = ns
 		return nil
 	})
-	if err != nil || s.ck == nil {
-		return err
-	}
-	for i := lo; i < hi; i++ {
-		s.ck.recordNS(s.sites[i], s.nsSets[i])
-	}
-	return nil
 }
 
 // Seal closes pass 1: the concentration signal is computed over the full
@@ -164,28 +154,37 @@ func (s *Stream) Seal() {
 // whose pages must currently be materialized. Work within the batch fans
 // out index-placed over the worker pool, so results are independent of the
 // worker count. For chain runs it then captures the batch's vendor-host
-// candidates sequentially, before the caller releases the pages.
+// candidates sequentially, before the caller releases the pages. A
+// checkpointed stream fingerprints each site on the worker pool while its
+// page is live, reuses the prior result when the fingerprints match, and
+// once the batch is measured records its sites and emits the checkpoint.
 func (s *Stream) MeasureBatch(ctx context.Context, lo, hi int) error {
 	if !s.sealed {
 		panic("measure: Stream.MeasureBatch before Seal")
 	}
-	if !s.measuring {
-		s.measuring = true
-		if err := s.ck.emitNow(); err != nil {
-			return err
-		}
-	}
 	m := s.m
+	// fps[j] is site lo+j's fingerprint, taken while its page is live; nil
+	// unless checkpointed.
+	var fps []string
+	var reused atomic.Int64
+	if s.ck != nil {
+		fps = make([]string, hi-lo)
+	}
 	sitePass := telemetry.StartSpan("measure.site_pass")
 	err := conc.ForEach(ctx, hi-lo, m.cfg.Workers, conc.FailFast, func(ctx context.Context, j int) error {
 		i := lo + j
-		if prior := s.ck.priorResult(s.sites[i]); prior != nil {
-			// Reuse the checkpointed result, re-anchoring identity and rank
-			// in case the edited universe reordered the list.
-			r := &s.res.Sites[i]
-			*r = *prior
-			r.Site, r.Rank = s.sites[i], i+1
-			return s.ck.siteDone(r.Site, r)
+		if s.ck != nil {
+			var prior *SiteResult
+			fps[j], prior = s.ck.lookup(s.sites[i])
+			if prior != nil {
+				// Reuse the checkpointed result, re-anchoring identity and
+				// rank in case the edited universe reordered the list.
+				r := &s.res.Sites[i]
+				*r = *prior
+				r.Site, r.Rank = s.sites[i], i+1
+				reused.Add(1)
+				return nil
+			}
 		}
 		sc := &SiteContext{
 			Site:   s.sites[i],
@@ -197,10 +196,7 @@ func (s *Stream) MeasureBatch(ctx context.Context, lo, hi int) error {
 			m:      m,
 		}
 		sc.Result.Site, sc.Result.Rank = sc.Site, sc.Rank
-		if err := m.dispatch(ctx, sc); err != nil {
-			return err
-		}
-		return s.ck.siteDone(sc.Site, sc.Result)
+		return m.dispatch(ctx, sc)
 	})
 	sitePass.End()
 	if err != nil {
@@ -239,12 +235,16 @@ func (s *Stream) MeasureBatch(ctx context.Context, lo, hi int) error {
 			s.hostCand[i] = cand
 		}
 	}
-	return nil
+
+	if s.ck == nil {
+		return nil
+	}
+	return s.ck.endBatch(s.sites[lo:hi], fps, s.res.Sites[lo:hi], hi-lo-int(reused.Load()))
 }
 
 // Finish runs the cross-site pair accounting and the pass-3/pass-4
-// inter-service measurements, emits the final checkpoint snapshot, and
-// returns the completed Results. Pages may
+// inter-service measurements and returns the completed Results. It emits no
+// checkpoint: the last batch's snapshot already holds every site. Pages may
 // already be fully released: pass 3 needs only the per-site aggregates and
 // the resident zones, and pass 4 replays the vendor-host candidates
 // captured batch by batch.
@@ -295,12 +295,6 @@ func (s *Stream) Finish(ctx context.Context) (*Results, error) {
 			return nil, err
 		}
 	}
-	// Final snapshot: the complete run, usable later as the baseline for an
-	// edited-universe incremental re-measurement.
-	if err := s.ck.emitNow(); err != nil {
-		return nil, err
-	}
-
 	res.Diagnostics = m.diag.snapshot(m.stageOrder(), m.cfg.Resolver.Stats())
 	return res, nil
 }

@@ -167,10 +167,12 @@ func TestStreamWorkerDeterminism(t *testing.T) {
 }
 
 // TestStreamCheckpointsMatchRun: a checkpointed multi-batch stream ends on a
-// final checkpoint whose per-site progress encodes identically to Run's, and
-// a fresh stream resumed from one of its mid-pass snapshots reproduces the
+// final checkpoint whose completed sites encode identically to Run's, and a
+// fresh stream resumed from one of its mid-pass snapshots reproduces the
 // uninterrupted measurement — chain pass included, whose host candidates
-// must be captured for reused sites too.
+// must be captured for reused sites too. The resume emits nothing while it
+// only reuses sites, then a snapshot at the end of every later batch that
+// again holds every site, the reused ones included.
 func TestStreamCheckpointsMatchRun(t *testing.T) {
 	const scale, seed, batch = 300, 2020, 37
 	cfg := chain.Default()
@@ -199,7 +201,6 @@ func TestStreamCheckpointsMatchRun(t *testing.T) {
 	var emitted []*Checkpoint
 	res, err := streamRun(u, ecosystem.Y2020, &cfg, 4, batch, func(c *Config) {
 		c.CheckpointLabel = "2020"
-		c.CheckpointEvery = 100
 		c.OnCheckpoint = func(cp *Checkpoint) error { emitted = append(emitted, cp); return nil }
 	})
 	if err != nil {
@@ -208,28 +209,36 @@ func TestStreamCheckpointsMatchRun(t *testing.T) {
 	if got := streamHash(t, res); got != want {
 		t.Fatalf("checkpointed stream hash %s, want %s", got, want)
 	}
-	var seq []ckptEmission
-	for _, cp := range emitted {
-		seq = append(seq, summarizeCheckpoint(cp))
+	var wantSeq []int
+	for hi := batch; hi < scale+batch; hi += batch {
+		wantSeq = append(wantSeq, min(hi, scale))
 	}
-	wantSeq := []ckptEmission{{scale, 0}, {scale, 100}, {scale, 200}, {scale, 300}, {scale, 300}}
-	if !reflect.DeepEqual(seq, wantSeq) {
+	if seq := checkpointSizes(t, emitted); !reflect.DeepEqual(seq, wantSeq) {
 		t.Fatalf("stream emission sequence %v, want %v", seq, wantSeq)
 	}
-	if got, wantSites := checkpointSitesHash(t, emitted[len(emitted)-1]), checkpointSitesHash(t, runFinal); got != wantSites {
-		t.Fatalf("stream final checkpoint sites hash %s, want Run's %s", got, wantSites)
+	runFinalHash := checkpointSitesHash(t, runFinal)
+	if got := checkpointSitesHash(t, emitted[len(emitted)-1]); got != runFinalHash {
+		t.Fatalf("stream final checkpoint sites hash %s, want Run's %s", got, runFinalHash)
 	}
 
+	var reemitted []*Checkpoint
 	reusedBefore := ckptReused.Value()
 	resumed, err := streamRun(u, ecosystem.Y2020, &cfg, 4, batch, func(c *Config) {
 		c.CheckpointLabel = "2020"
 		c.Checkpoint = emitted[1]
+		c.OnCheckpoint = func(cp *Checkpoint) error { reemitted = append(reemitted, cp); return nil }
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ckptReused.Value() - reusedBefore; got != 100 {
-		t.Fatalf("resumed stream reused %d checkpointed sites, want 100", got)
+	if got := ckptReused.Value() - reusedBefore; got != 2*batch {
+		t.Fatalf("resumed stream reused %d checkpointed sites, want %d", got, 2*batch)
+	}
+	if seq := checkpointSizes(t, reemitted); !reflect.DeepEqual(seq, wantSeq[2:]) {
+		t.Fatalf("resumed stream emission sequence %v, want %v", seq, wantSeq[2:])
+	}
+	if got := checkpointSitesHash(t, reemitted[len(reemitted)-1]); got != runFinalHash {
+		t.Fatalf("resumed stream final checkpoint sites hash %s, want Run's %s", got, runFinalHash)
 	}
 	if got := streamHash(t, resumed); got != want {
 		t.Fatalf("resumed stream hash %s, want uninterrupted %s", got, want)
