@@ -308,20 +308,15 @@ func BenchmarkHiddenDependencies(b *testing.B) {
 func BenchmarkValidationAccuracy(b *testing.B) {
 	run := benchFixture(b)
 	sd := run.Y2020
-	bl := measure.NewBaselines(measure.Config{
-		Resolver: sd.World.NewResolver(),
-		Certs:    sd.World.Certs,
-		Pages:    sd.World,
-		CDNMap:   measure.CDNMap(sd.World.CNAMEToCDN),
-	})
+	r := sd.World.NewResolver()
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for s := 0; s < 100; s++ {
 			sr := &sd.Results.Sites[s]
 			for _, pair := range sr.DNS.Pairs {
-				bl.TLD(sr.Site, pair.Host)
-				if _, err := bl.SOA(ctx, sr.Site, pair.Host); err != nil {
+				measure.BaselineTLD(sr.Site, pair.Host)
+				if _, err := measure.BaselineSOA(ctx, r, sr.Site, pair.Host); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -39,7 +39,7 @@ func Validate(ctx context.Context, run *Run) (ValidationReport, error) {
 			truth[s.Domain] = s.Snap[ecosystem.Y2020]
 		}
 	}
-	bl := measure.NewBaselines(measureConfig(sd.World, Options{}))
+	r := sd.World.NewResolver()
 
 	var pairs, combinedOK, tldOK, soaOK int
 	for i := range sd.Results.Sites {
@@ -63,10 +63,10 @@ func Validate(ctx context.Context, run *Run) (ValidationReport, error) {
 			if pair.Class == want {
 				combinedOK++
 			}
-			if bl.TLD(sr.Site, pair.Host) == want {
+			if measure.BaselineTLD(sr.Site, pair.Host) == want {
 				tldOK++
 			}
-			got, err := bl.SOA(ctx, sr.Site, pair.Host)
+			got, err := measure.BaselineSOA(ctx, r, sr.Site, pair.Host)
 			if err != nil {
 				return rep, err
 			}

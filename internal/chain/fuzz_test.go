@@ -3,6 +3,7 @@ package chain
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -37,6 +38,37 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		if rt != c {
 			t.Fatalf("round trip drifted: %+v became %+v via %s", c, rt, b)
+		}
+	})
+}
+
+// FuzzParseSummary drives the strict GET /v1/chains client decoder with
+// arbitrary bytes. A summary either fails to parse, or survives a
+// json.Marshal → ParseSummary round trip unchanged.
+func FuzzParseSummary(f *testing.F) {
+	sum, err := json.Marshal(Summarize(chainedGraph(), 10))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sum)
+	f.Add([]byte(`{"sites":3,"mean_depth":1.5,"depth_histogram":null,"top_implicit":[],"comparison":[{"provider":"p"}]}`))
+	f.Add([]byte(`{"sites":3,"surprise":true}`))
+	f.Add([]byte(`{"sites":3} {"sites":4}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSummary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", s, err)
+		}
+		rt, err := ParseSummary(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("round trip of %s: %v", b, err)
+		}
+		if !reflect.DeepEqual(rt, s) {
+			t.Fatalf("round trip drifted: %+v became %+v via %s", s, rt, b)
 		}
 	})
 }

@@ -27,6 +27,10 @@ import (
 //
 // Decoding rejects unknown fields everywhere — a typoed key fails loudly
 // instead of silently dropping half an edit.
+//
+// An empty list (ops, providers, chains) decodes as nil, the value the
+// encoder omits or writes it from, so a decoded delta encodes and decodes
+// again to an equal value.
 
 type wireDelta struct {
 	Ops []wireOp `json:"ops"`
@@ -131,7 +135,7 @@ func checkTrailing(dec *json.Decoder) error {
 }
 
 func (w wireDelta) toDelta() (Delta, error) {
-	d := Delta{Ops: make([]Op, 0, len(w.Ops))}
+	var d Delta
 	for i, wo := range w.Ops {
 		op, err := wo.toOp()
 		if err != nil {
@@ -232,7 +236,9 @@ func (ws *wireSite) toSite() (*Site, error) {
 			return nil, fmt.Errorf("chain edge %d: needs a provider and depth >= 1", i)
 		}
 	}
-	s.Chains = ws.Chains
+	if len(ws.Chains) > 0 {
+		s.Chains = ws.Chains
+	}
 	return s, nil
 }
 
@@ -261,7 +267,11 @@ func (wd wireDep) toDep() (Dep, error) {
 	if err != nil {
 		return Dep{}, err
 	}
-	return Dep{Class: c, Providers: wd.Providers}, nil
+	dep := Dep{Class: c}
+	if len(wd.Providers) > 0 {
+		dep.Providers = wd.Providers
+	}
+	return dep, nil
 }
 
 func toWireOp(op *Op) wireOp {

@@ -121,13 +121,13 @@ func (sp *SweepSpec) Validate() error {
 		return fmt.Errorf("incident: unknown snapshot %q (want 2016 or 2020)", sp.Snapshot)
 	}
 	if sp.Service != "" {
-		if _, err := parseService(sp.Service); err != nil {
-			return err
+		if _, err := core.ParseService(sp.Service); err != nil {
+			return fmt.Errorf("incident: %w", err)
 		}
 	}
 	for _, v := range sp.Via {
-		if _, err := parseService(v); err != nil {
-			return err
+		if _, err := core.ParseService(v); err != nil {
+			return fmt.Errorf("incident: %w", err)
 		}
 	}
 	switch sp.Correlate {
@@ -323,7 +323,7 @@ func buildPool(g *core.Graph, sp *SweepSpec, opts core.TraversalOpts, sim *core.
 
 	services := core.Services
 	if sp.Service != "" {
-		svc, err := parseService(sp.Service)
+		svc, err := core.ParseService(sp.Service)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -106,21 +106,6 @@ func decodeStrict(r io.Reader, v any, what string) error {
 	return nil
 }
 
-// parseService maps a scenario service name onto core.Service.
-func parseService(s string) (core.Service, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "dns":
-		return core.DNS, nil
-	case "cdn":
-		return core.CDN, nil
-	case "ca":
-		return core.CA, nil
-	case "resource":
-		return core.Resource, nil
-	}
-	return 0, fmt.Errorf("incident: unknown service %q (want dns, cdn, ca or resource)", s)
-}
-
 func (t Targets) validate() error {
 	if t.empty() {
 		return fmt.Errorf("incident: targets select nothing (set providers, entity, service or top_k)")
@@ -129,7 +114,7 @@ func (t Targets) validate() error {
 		return fmt.Errorf("incident: top_k must be positive, got %d", t.TopK)
 	}
 	if t.TopK > 0 {
-		if _, err := parseService(t.TopKService); err != nil {
+		if _, err := core.ParseService(t.TopKService); err != nil {
 			return fmt.Errorf("incident: top_k needs top_k_service: %w", err)
 		}
 	}
@@ -140,8 +125,8 @@ func (t Targets) validate() error {
 		return fmt.Errorf("incident: min_chain_depth only shapes the top_k ranking; set top_k")
 	}
 	if t.Service != "" {
-		if _, err := parseService(t.Service); err != nil {
-			return err
+		if _, err := core.ParseService(t.Service); err != nil {
+			return fmt.Errorf("incident: %w", err)
 		}
 	}
 	return nil
@@ -158,8 +143,8 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("incident: unknown snapshot %q (want 2016 or 2020)", s.Snapshot)
 	}
 	for _, v := range s.Via {
-		if _, err := parseService(v); err != nil {
-			return err
+		if _, err := core.ParseService(v); err != nil {
+			return fmt.Errorf("incident: %w", err)
 		}
 	}
 	if len(s.Stages) == 0 {
@@ -186,7 +171,7 @@ func viaTraversal(via []string) (core.TraversalOpts, error) {
 	}
 	var opts core.TraversalOpts
 	for _, v := range via {
-		svc, err := parseService(v)
+		svc, err := core.ParseService(v)
 		if err != nil {
 			return opts, err
 		}
@@ -260,7 +245,7 @@ func ResolveTargets(g *core.Graph, t Targets, opts core.TraversalOpts) ([]string
 	}
 
 	if t.Service != "" {
-		svc, err := parseService(t.Service)
+		svc, err := core.ParseService(t.Service)
 		if err != nil {
 			return nil, err
 		}
@@ -274,7 +259,7 @@ func ResolveTargets(g *core.Graph, t Targets, opts core.TraversalOpts) ([]string
 	}
 
 	if t.TopK > 0 {
-		svc, err := parseService(t.TopKService)
+		svc, err := core.ParseService(t.TopKService)
 		if err != nil {
 			return nil, err
 		}

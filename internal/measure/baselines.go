@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"depscope/internal/publicsuffix"
+	"depscope/internal/resolver"
 )
 
 // Baseline classifiers reproduce the two strawmen the paper evaluates its
@@ -20,13 +21,13 @@ func BaselineTLD(site, host string) Classification {
 	return Third
 }
 
-// BaselineSOA classifies a pair by SOA-record comparison only.
-func (m *measurer) BaselineSOA(ctx context.Context, site, host string) (Classification, error) {
-	siteSOA, okS, err := m.cfg.Resolver.SOA(ctx, site)
+// BaselineSOA classifies a pair by SOA-record comparison only, asking r.
+func BaselineSOA(ctx context.Context, r *resolver.Resolver, site, host string) (Classification, error) {
+	siteSOA, okS, err := r.SOA(ctx, site)
 	if err != nil {
 		return Unknown, err
 	}
-	hostSOA, okH, err := m.cfg.Resolver.SOA(ctx, host)
+	hostSOA, okH, err := r.SOA(ctx, host)
 	if err != nil {
 		return Unknown, err
 	}
@@ -37,27 +38,4 @@ func (m *measurer) BaselineSOA(ctx context.Context, site, host string) (Classifi
 		return Private, nil
 	}
 	return Third, nil
-}
-
-// Baselines exposes the strawman classifiers bound to a configuration.
-type Baselines struct {
-	m *measurer
-}
-
-// NewBaselines builds baseline classifiers over cfg.
-func NewBaselines(cfg Config) *Baselines {
-	if cfg.ConcentrationThreshold == 0 {
-		cfg.ConcentrationThreshold = 50
-	}
-	return &Baselines{m: &measurer{cfg: cfg}}
-}
-
-// TLD applies TLD-only classification.
-func (b *Baselines) TLD(site, host string) Classification {
-	return BaselineTLD(site, host)
-}
-
-// SOA applies SOA-only classification.
-func (b *Baselines) SOA(ctx context.Context, site, host string) (Classification, error) {
-	return b.m.BaselineSOA(ctx, site, host)
 }

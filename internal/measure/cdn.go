@@ -12,7 +12,7 @@ import (
 )
 
 // foundPool recycles the per-site CDN-evidence scratch map (CDN name → the
-// canonical CNAME that matched it) across dispatch calls.
+// canonical CNAME that matched it) across sites.
 var foundPool = sync.Pool{New: func() any {
 	return make(map[string]string, 4)
 }}

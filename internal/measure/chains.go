@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"depscope/internal/conc"
 	"depscope/internal/core"
@@ -22,7 +23,7 @@ import (
 // provider nodes whose outages can cascade.
 //
 // Everything here is gated on Config.Chains: with chains disabled the
-// stage is never registered, SiteResult.Chains stays nil (and is omitted
+// chain classifier never runs, SiteResult.Chains stays nil (and is omitted
 // from JSON), and Results is byte-identical to the pre-chain pipeline.
 
 var (
@@ -42,27 +43,6 @@ var (
 type ChainRef struct {
 	Provider string `json:"provider"`
 	Depth    int    `json:"depth"`
-}
-
-// chainEnabled reports whether this run classifies chains.
-func (m *measurer) chainEnabled() bool {
-	return m.cfg.Chains != nil && m.cfg.Chains.Enabled()
-}
-
-// chainStage reduces a page's resource tree to depth-annotated vendor
-// references. Registered only when Config.Chains enables chains.
-type chainStage struct{}
-
-func (chainStage) Name() string { return "chain" }
-
-func (chainStage) ClassifySite(ctx context.Context, sc *SiteContext) error {
-	refs, err := sc.m.classifySiteChains(ctx, sc.Site)
-	if err != nil {
-		sc.Result.Chains = nil
-		return err
-	}
-	sc.Result.Chains = refs
-	return nil
 }
 
 // classifySiteChains walks the page's inclusion tree. A resource host is a
@@ -177,28 +157,21 @@ func (m *measurer) chainResolve(ctx context.Context, res *Results, vendors map[s
 	cdnDeps := make([]*ProviderDep, len(vendorList))
 	err := conc.ForEach(ctx, len(vendorList), m.cfg.Workers, conc.FailFast, func(ctx context.Context, i int) error {
 		vendor := vendorList[i]
+		start := time.Now()
 		cls, deps, err := m.classifyOwnerDNS(ctx, vendor, res.NSConcentration)
-		m.diag.observe(stageInterService, err)
-		if err != nil {
-			if m.cfg.ErrorPolicy == conc.Collect {
-				m.diag.record(vendor, stageInterService, err)
-			} else {
-				return fmt.Errorf("chain %s dns: %w", vendor, err)
-			}
-		} else {
+		if abort := m.observe(stageInterService, start, vendor, err); abort != nil {
+			return fmt.Errorf("chain %s dns: %w", vendor, abort)
+		}
+		if err == nil {
 			dnsDeps[i] = &ProviderDep{Provider: vendor, Service: core.DNS, Class: cls, Deps: deps}
 		}
 
+		start = time.Now()
 		cdnCls, cdeps, err := m.classifyCACDN(ctx, vendor, vendorHosts[vendor])
-		m.diag.observe(stageInterService, err)
-		if err != nil {
-			if m.cfg.ErrorPolicy == conc.Collect {
-				m.diag.record(vendor, stageInterService, err)
-				return nil
-			}
-			return fmt.Errorf("chain %s cdn: %w", vendor, err)
+		if abort := m.observe(stageInterService, start, vendor, err); abort != nil {
+			return fmt.Errorf("chain %s cdn: %w", vendor, abort)
 		}
-		if cdnCls != core.ClassNone {
+		if err == nil && cdnCls != core.ClassNone {
 			cdnDeps[i] = &ProviderDep{Provider: vendor, Service: core.CDN, Class: cdnCls, Deps: cdeps}
 		}
 		return nil

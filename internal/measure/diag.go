@@ -3,14 +3,48 @@ package measure
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
+	"depscope/internal/conc"
 	"depscope/internal/resolver"
 	"depscope/internal/telemetry"
 )
 
-// Pipeline-wide telemetry. Per-stage counters are created lazily under the
-// collector lock (stage names are dynamic) and cached per stage entry, so
-// the steady state is one atomic add per observation.
+// stage is one step of the pipeline, as Diagnostics and telemetry name it.
+// The order of the constants is the pipeline order.
+type stage uint8
+
+const (
+	stageResolve stage = iota
+	stageDNS
+	stageCA
+	stageCDN
+	stageChain // only on chain-enabled runs
+	stageInterService
+	numStages
+)
+
+var stageNames = [numStages]string{"resolve", "dns", "ca", "cdn", "chain", "interservice"}
+
+func (st stage) String() string { return stageNames[st] }
+
+// stageTelemetry holds every stage's process-wide series
+// (measure_<stage>_sites_total, measure_<stage>_errors_total,
+// measure_<stage>_seconds), registered at package init so /metrics lists
+// the whole catalog before the first run and the hot path does no lookup.
+var stageTelemetry = func() (t [numStages]struct {
+	sites, errors *telemetry.CounterMetric
+	seconds       *telemetry.HistogramMetric
+}) {
+	for st, name := range stageNames {
+		t[st].sites = telemetry.Counter("measure_"+name+"_sites_total", "sites (or providers) dispatched through the "+name+" stage")
+		t[st].errors = telemetry.Counter("measure_"+name+"_errors_total", "failed classifications in the "+name+" stage")
+		t[st].seconds = telemetry.Histogram("measure_"+name+"_seconds", "per-site (or per-provider) latency of the "+name+" stage", nil)
+	}
+	return t
+}()
+
 var uncharacterizedSites = telemetry.Counter("measure_uncharacterized_sites_total",
 	"sites whose DNS measurement ended uncharacterized (dead site or no classifiable pair)")
 
@@ -24,7 +58,7 @@ const maxRecordedErrors = 256
 // and — under conc.Collect — the recorded per-site errors.
 type Diagnostics struct {
 	// Stages holds one entry per pipeline stage, in pipeline order
-	// (resolve, dns, ca, cdn, interservice).
+	// (resolve, dns, ca, cdn, [chain,] interservice).
 	Stages []StageDiag
 	// Resolver is the post-run snapshot of the resolver's counters. Its
 	// HitRate is the share of lookups a cached resolver (one over a network
@@ -65,73 +99,59 @@ type SiteError struct {
 	Err   string
 }
 
-// diagCollector accumulates stage counters and errors from concurrent
-// workers, mirroring every observation into the shared telemetry registry
-// (measure_<stage>_sites_total / measure_<stage>_errors_total).
+// diagCollector accumulates one run's stage counters and error samples from
+// concurrent workers. The counters are atomic; only recording an error
+// sample takes the mutex.
 type diagCollector struct {
+	sites, errors [numStages]atomic.Int64
+
 	mu     sync.Mutex
-	stages map[string]*stageEntry
 	errs   []SiteError
 	capped int
 }
 
-// stageEntry pairs the per-run counters with their process-wide telemetry
-// twins, resolved once per stage name.
-type stageEntry struct {
-	diag         StageDiag
-	sitesMetric  *telemetry.CounterMetric
-	errorsMetric *telemetry.CounterMetric
-}
-
-func newDiagCollector() *diagCollector {
-	return &diagCollector{stages: make(map[string]*stageEntry)}
-}
-
-// observe counts one classification attempt of stage, failed when err != nil.
-func (d *diagCollector) observe(stage string, err error) {
-	d.mu.Lock()
-	se, ok := d.stages[stage]
-	if !ok {
-		se = &stageEntry{
-			diag:         StageDiag{Stage: stage},
-			sitesMetric:  telemetry.Counter("measure_"+stage+"_sites_total", "sites dispatched through the "+stage+" stage"),
-			errorsMetric: telemetry.Counter("measure_"+stage+"_errors_total", "failed classifications in the "+stage+" stage"),
-		}
-		d.stages[stage] = se
+// observe settles one classification of subject by stage st, begun at
+// start: it counts the attempt in the run's diagnostics and in telemetry,
+// and applies the error policy to a failure. Under conc.Collect the failure
+// is recorded and observe returns nil, so the caller keeps going with the
+// subject uncharacterized; under conc.FailFast it returns err for the
+// caller to wrap and abort with.
+func (m *measurer) observe(st stage, start time.Time, subject string, err error) error {
+	tm := &stageTelemetry[st]
+	tm.seconds.ObserveDuration(time.Since(start))
+	tm.sites.Inc()
+	m.diag.sites[st].Add(1)
+	if err == nil {
+		return nil
 	}
-	se.diag.Sites++
-	se.sitesMetric.Inc()
-	if err != nil {
-		se.diag.Errors++
-		se.errorsMetric.Inc()
+	tm.errors.Inc()
+	m.diag.errors[st].Add(1)
+	if m.cfg.ErrorPolicy != conc.Collect {
+		return err
 	}
-	d.mu.Unlock()
-}
-
-// record keeps one per-site error, up to the cap.
-func (d *diagCollector) record(site, stage string, err error) {
+	d := m.diag
 	d.mu.Lock()
 	if len(d.errs) < maxRecordedErrors {
-		d.errs = append(d.errs, SiteError{Site: site, Stage: stage, Err: err.Error()})
+		d.errs = append(d.errs, SiteError{Site: subject, Stage: st.String(), Err: err.Error()})
 	} else {
 		d.capped++
 	}
 	d.mu.Unlock()
+	return nil
 }
 
-// snapshot freezes the collector into a Diagnostics value. Stage entries
-// follow order (stages that never ran are included with zero counters) and
-// errors are sorted so concurrent collection never shows through.
-func (d *diagCollector) snapshot(order []string, rs resolver.Stats) Diagnostics {
+// snapshot freezes the collector into a Diagnostics value. Every stage of
+// the run is listed in pipeline order, the chain stage only when chains is
+// set, and errors are sorted so concurrent collection never shows through.
+func (d *diagCollector) snapshot(chains bool, rs resolver.Stats) Diagnostics {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := Diagnostics{Resolver: rs, ErrorsTruncated: d.capped}
-	for _, name := range order {
-		if se, ok := d.stages[name]; ok {
-			out.Stages = append(out.Stages, se.diag)
-		} else {
-			out.Stages = append(out.Stages, StageDiag{Stage: name})
+	for st := range numStages {
+		if st == stageChain && !chains {
+			continue
 		}
+		out.Stages = append(out.Stages, StageDiag{Stage: st.String(), Sites: int(d.sites[st].Load()), Errors: int(d.errors[st].Load())})
 	}
 	out.Errors = append(out.Errors, d.errs...)
 	sort.Slice(out.Errors, func(i, j int) bool {

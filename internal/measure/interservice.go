@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"depscope/internal/conc"
 	"depscope/internal/core"
@@ -71,16 +72,14 @@ func (m *measurer) interService(ctx context.Context, res *Results) error {
 		if apex == "" {
 			apex = suffix
 		}
+		start := time.Now()
 		cls, deps, err := m.classifyOwnerDNS(ctx, apex, res.NSConcentration)
-		m.diag.observe(stageInterService, err)
-		if err != nil {
-			if m.cfg.ErrorPolicy == conc.Collect {
-				m.diag.record(cdn, stageInterService, err)
-				return nil
-			}
-			return fmt.Errorf("interservice %s dns: %w", cdn, err)
+		if abort := m.observe(stageInterService, start, cdn, err); abort != nil {
+			return fmt.Errorf("interservice %s dns: %w", cdn, abort)
 		}
-		cdnDeps[i] = &ProviderDep{Provider: cdn, Service: core.DNS, Class: cls, Deps: deps}
+		if err == nil {
+			cdnDeps[i] = &ProviderDep{Provider: cdn, Service: core.DNS, Class: cls, Deps: deps}
+		}
 		return nil
 	})
 	if err != nil {
@@ -102,28 +101,23 @@ func (m *measurer) interService(ctx context.Context, res *Results) error {
 	caCDNDeps := make([]*ProviderDep, len(caList))
 	err = conc.ForEach(ctx, len(caList), m.cfg.Workers, conc.FailFast, func(ctx context.Context, i int) error {
 		ca := caList[i]
+		start := time.Now()
 		cls, deps, err := m.classifyOwnerDNS(ctx, ca, res.NSConcentration)
-		m.diag.observe(stageInterService, err)
-		if err != nil {
-			if m.cfg.ErrorPolicy == conc.Collect {
-				m.diag.record(ca, stageInterService, err)
-			} else {
-				return fmt.Errorf("interservice %s dns: %w", ca, err)
-			}
-		} else {
+		if abort := m.observe(stageInterService, start, ca, err); abort != nil {
+			return fmt.Errorf("interservice %s dns: %w", ca, abort)
+		}
+		if err == nil {
 			caDNSDeps[i] = &ProviderDep{Provider: ca, Service: core.DNS, Class: cls, Deps: deps}
 		}
 
+		start = time.Now()
 		cdnCls, cdnDeps, err := m.classifyCACDN(ctx, ca, caHosts[ca])
-		m.diag.observe(stageInterService, err)
-		if err != nil {
-			if m.cfg.ErrorPolicy == conc.Collect {
-				m.diag.record(ca, stageInterService, err)
-				return nil
-			}
-			return fmt.Errorf("interservice %s cdn: %w", ca, err)
+		if abort := m.observe(stageInterService, start, ca, err); abort != nil {
+			return fmt.Errorf("interservice %s cdn: %w", ca, abort)
 		}
-		caCDNDeps[i] = &ProviderDep{Provider: ca, Service: core.CDN, Class: cdnCls, Deps: cdnDeps}
+		if err == nil {
+			caCDNDeps[i] = &ProviderDep{Provider: ca, Service: core.CDN, Class: cdnCls, Deps: cdnDeps}
+		}
 		return nil
 	})
 	if err != nil {

@@ -10,11 +10,12 @@
 // labels lives in the test suite, mirroring the paper's manually verified
 // 100-site samples.
 //
-// Structurally the pipeline is a staged runtime: pass 1 resolves every
-// site's NS set (the concentration signal needs the full population), pass 2
-// visits each site exactly once and dispatches it through the registered
-// Stage classifiers (DNS, CA, CDN), and pass 3 measures provider-to-provider
-// dependencies. All fan-out goes through the shared internal/conc pool, and
+// Structurally the pipeline is a fixed sequence of passes: pass 1 resolves
+// every site's NS set (the concentration signal needs the full population),
+// pass 2 visits each site exactly once and runs the DNS, CA and CDN
+// classifiers (plus the chain classifier on chain runs), pass 3 measures
+// provider-to-provider dependencies, and pass 4 resolves chain vendors.
+// All fan-out goes through the shared internal/conc pool, and
 // Config.ErrorPolicy decides whether a per-site failure aborts the run
 // (conc.FailFast) or yields an uncharacterized SiteResult plus a recorded
 // error in Results.Diagnostics (conc.Collect) — the paper itself tolerates
@@ -74,9 +75,9 @@ type Config struct {
 	// quantify each rule's contribution.
 	DisableSAN, DisableSOA, DisableConcentration bool
 
-	// Chains, when non-nil and enabled (MaxDepth > 1), registers the chain
-	// classifier stage: each page's resource-inclusion tree is reduced to
-	// depth-annotated vendor references (SiteResult.Chains) and every
+	// Chains, when non-nil and enabled (MaxDepth > 1), adds the chain
+	// classifier to the site pass: each page's resource-inclusion tree is
+	// reduced to depth-annotated vendor references (SiteResult.Chains) and every
 	// discovered vendor's own DNS/CDN arrangement is resolved into
 	// Results.ResourceToDNS / ResourceToCDN. Nil or disabled leaves the
 	// pipeline byte-identical to the pre-chain behavior.
@@ -254,48 +255,55 @@ func Run(ctx context.Context, sites []string, cfg Config) (*Results, error) {
 
 type measurer struct {
 	cfg    Config
+	chains bool // Config.Chains is set and enabled
 	cdn    *compiledCDNMap
-	stages []Stage
 	diag   *diagCollector
-	// stageHists are the per-stage site-latency histograms
-	// (measure_<stage>_seconds), parallel to stages and resolved once per
-	// run so the per-site hot path is a clock read and an atomic observe,
-	// not a registry lookup or span allocation.
-	stageHists  []*telemetry.HistogramMetric
-	resolveHist *telemetry.HistogramMetric
 }
 
-func (m *measurer) initTelemetry() {
-	m.stageHists = make([]*telemetry.HistogramMetric, len(m.stages))
-	for i, st := range m.stages {
-		m.stageHists[i] = telemetry.Histogram("measure_"+st.Name()+"_seconds",
-			"per-site latency of the "+st.Name()+" classifier stage", nil)
+// classifySite measures one site with the DNS, CA and CDN classifiers and,
+// on chain runs, the chain classifier, in that order. A classifier that
+// fails leaves its sub-result uncharacterized, so that under conc.Collect
+// the site comes back well-formed; the remaining classifiers still run, as
+// a dead domain must not cost the site its CA or CDN measurement. Under
+// conc.FailFast the first failure aborts the run.
+func (m *measurer) classifySite(ctx context.Context, r *SiteResult, fqdn string, ns []string, nsConc map[string]int) error {
+	var err error
+	start := time.Now()
+	if r.DNS, err = m.classifySiteDNS(ctx, fqdn, ns, nsConc); err != nil {
+		r.DNS = SiteDNS{Class: core.ClassUnknown}
 	}
-	m.resolveHist = telemetry.Histogram("measure_resolve_seconds",
-		"per-site latency of the pass-1 NS resolution", nil)
-}
-
-// dispatch runs one site through every stage. Under conc.FailFast the first
-// stage error aborts; under conc.Collect the failing stage's sub-result is
-// left uncharacterized (the stage resets it before returning the error), the
-// error is recorded, and the remaining stages still run — a dead domain must
-// not cost the site its CA or CDN measurement, let alone the whole run.
-func (m *measurer) dispatch(ctx context.Context, sc *SiteContext) error {
-	for si, st := range m.stages {
-		start := time.Now()
-		err := st.ClassifySite(ctx, sc)
-		m.stageHists[si].ObserveDuration(time.Since(start))
-		m.diag.observe(st.Name(), err)
-		if err == nil {
-			continue
-		}
-		if m.cfg.ErrorPolicy == conc.Collect {
-			m.diag.record(sc.Site, st.Name(), err)
-			continue
-		}
-		return fmt.Errorf("site %s %s: %w", sc.Site, st.Name(), err)
+	if err = m.observe(stageDNS, start, r.Site, err); err != nil {
+		return siteError(r.Site, stageDNS, err)
+	}
+	start = time.Now()
+	if r.CA, err = m.classifySiteCA(ctx, fqdn); err != nil {
+		r.CA = SiteCA{Class: core.ClassUnknown}
+	}
+	if err = m.observe(stageCA, start, r.Site, err); err != nil {
+		return siteError(r.Site, stageCA, err)
+	}
+	start = time.Now()
+	if r.CDN, err = m.classifySiteCDN(ctx, r.Site, fqdn); err != nil {
+		r.CDN = SiteCDN{Class: core.ClassUnknown}
+	}
+	if err = m.observe(stageCDN, start, r.Site, err); err != nil {
+		return siteError(r.Site, stageCDN, err)
+	}
+	if !m.chains {
+		return nil
+	}
+	start = time.Now()
+	if r.Chains, err = m.classifySiteChains(ctx, r.Site); err != nil {
+		r.Chains = nil
+	}
+	if err = m.observe(stageChain, start, r.Site, err); err != nil {
+		return siteError(r.Site, stageChain, err)
 	}
 	return nil
+}
+
+func siteError(site string, st stage, err error) error {
+	return fmt.Errorf("site %s %s: %w", site, st, err)
 }
 
 // concentration counts, per nameserver registrable domain, the number of

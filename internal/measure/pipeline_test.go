@@ -243,12 +243,7 @@ func TestPipelineRecoversCDNGroundTruth(t *testing.T) {
 func TestValidationAccuracy(t *testing.T) {
 	f := getFixture(t, ecosystem.Y2020)
 	truth := siteTruth(f, ecosystem.Y2020)
-	b := NewBaselines(Config{
-		Resolver: f.w.NewResolver(),
-		Certs:    f.w.Certs,
-		Pages:    f.w,
-		CDNMap:   CDNMap(f.w.CNAMEToCDN),
-	})
+	r := f.w.NewResolver()
 	ctx := context.Background()
 
 	// The paper validates on a 100-site random sample; with a 2K-site world
@@ -282,10 +277,10 @@ func TestValidationAccuracy(t *testing.T) {
 				want = Private
 			}
 			pairs++
-			if got := b.TLD(sr.Site, pair.Host); got == want {
+			if got := BaselineTLD(sr.Site, pair.Host); got == want {
 				tldOK++
 			}
-			got, err := b.SOA(ctx, sr.Site, pair.Host)
+			got, err := BaselineSOA(ctx, r, sr.Site, pair.Host)
 			if err != nil {
 				t.Fatal(err)
 			}

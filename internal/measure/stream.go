@@ -74,13 +74,9 @@ func NewStream(sites []string, cfg Config) (*Stream, error) {
 	}
 	m := &measurer{
 		cfg:    cfg,
-		stages: defaultStages(),
-		diag:   newDiagCollector(),
+		chains: cfg.Chains != nil && cfg.Chains.Enabled(),
+		diag:   &diagCollector{},
 	}
-	if m.chainEnabled() {
-		m.stages = append(m.stages, chainStage{})
-	}
-	m.initTelemetry()
 	ck, err := newCkptRun(&cfg, len(sites))
 	if err != nil {
 		return nil, err
@@ -91,12 +87,6 @@ func NewStream(sites []string, cfg Config) (*Stream, error) {
 	}
 	return &Stream{m: m, sites: sites, fqdns: fqdns, nsSets: make([][]string, len(sites)), ck: ck}, nil
 }
-
-// Len returns the number of sites in the stream.
-func (s *Stream) Len() int { return len(s.sites) }
-
-// SiteResult exposes site i's (possibly not yet measured) result row.
-func (s *Stream) SiteResult(i int) *SiteResult { return &s.res.Sites[i] }
 
 // ResolveBatch runs the pass-1 NS resolution for sites [lo, hi). The
 // sites' zones must be materialized; pages are not needed. Under conc.Collect
@@ -112,18 +102,13 @@ func (s *Stream) ResolveBatch(ctx context.Context, lo, hi int) error {
 		i := lo + j
 		start := time.Now()
 		ns, err := m.cfg.Resolver.NS(ctx, s.fqdns[i])
-		m.resolveHist.ObserveDuration(time.Since(start))
-		m.diag.observe(stageResolve, err)
-		if err != nil {
-			if m.cfg.ErrorPolicy == conc.Collect {
-				m.diag.record(s.sites[i], stageResolve, err)
-				s.nsSets[i] = nil
-				return nil
-			}
-			return fmt.Errorf("NS(%s): %w", s.sites[i], err)
+		if abort := m.observe(stageResolve, start, s.sites[i], err); abort != nil {
+			return fmt.Errorf("NS(%s): %w", s.sites[i], abort)
 		}
-		sort.Strings(ns)
-		s.nsSets[i] = ns
+		if err == nil {
+			sort.Strings(ns)
+			s.nsSets[i] = ns
+		}
 		return nil
 	})
 }
@@ -145,7 +130,7 @@ func (s *Stream) Seal() {
 		CAToCDN:         make(map[string]ProviderDep),
 	}
 	s.res.Sites = make([]SiteResult, len(s.sites))
-	if s.m.chainEnabled() {
+	if s.m.chains {
 		s.hostCand = make([][]rdHost, len(s.sites))
 	}
 }
@@ -186,17 +171,9 @@ func (s *Stream) MeasureBatch(ctx context.Context, lo, hi int) error {
 				return nil
 			}
 		}
-		sc := &SiteContext{
-			Site:   s.sites[i],
-			Rank:   i + 1,
-			NS:     s.nsSets[i],
-			Conc:   s.res.NSConcentration,
-			Result: &s.res.Sites[i],
-			fqdn:   s.fqdns[i],
-			m:      m,
-		}
-		sc.Result.Site, sc.Result.Rank = sc.Site, sc.Rank
-		return m.dispatch(ctx, sc)
+		r := &s.res.Sites[i]
+		r.Site, r.Rank = s.sites[i], i+1
+		return m.classifySite(ctx, r, s.fqdns[i], s.nsSets[i], s.res.NSConcentration)
 	})
 	sitePass.End()
 	if err != nil {
@@ -287,7 +264,7 @@ func (s *Stream) Finish(ctx context.Context) (*Results, error) {
 		return nil, err
 	}
 
-	if m.chainEnabled() {
+	if m.chains {
 		chainPass := telemetry.StartSpan("measure.chain_pass")
 		err = s.chainFinish(ctx, res)
 		chainPass.End()
@@ -295,6 +272,6 @@ func (s *Stream) Finish(ctx context.Context) (*Results, error) {
 			return nil, err
 		}
 	}
-	res.Diagnostics = m.diag.snapshot(m.stageOrder(), m.cfg.Resolver.Stats())
+	res.Diagnostics = m.diag.snapshot(m.chains, m.cfg.Resolver.Stats())
 	return res, nil
 }

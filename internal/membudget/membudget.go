@@ -50,10 +50,13 @@ func Parse(s string) (uint64, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(t, 64)
-	if err != nil || v < 0 {
+	b := v * float64(mult)
+	// The range check also refuses NaN and ±Inf: converting any of them, or
+	// a size of 2^64 bytes or more, to uint64 is implementation-defined.
+	if err != nil || !(b >= 0 && b < 0x1p64) {
 		return 0, fmt.Errorf("membudget: invalid size %q", s)
 	}
-	return uint64(v * float64(mult)), nil
+	return uint64(b), nil
 }
 
 // Format renders bytes with the largest unit that keeps a short mantissa.

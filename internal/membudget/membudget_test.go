@@ -33,7 +33,7 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "x", "GiB", "-1", "-1GiB", "1XB"} {
+	for _, bad := range []string{"", "x", "GiB", "-1", "-1GiB", "1XB", "nan", "inf", "1e30GiB"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q): want error", bad)
 		}
