@@ -1,7 +1,7 @@
 package depscope
 
 // Documentation drift checks, wired into `make docs-check` (and through it
-// into `make verify`). Six invariants:
+// into `make verify`). Seven invariants:
 //
 //   - every relative markdown link (and its #anchor, if any) in the curated
 //     docs resolves to a real file and a real heading;
@@ -13,7 +13,9 @@ package depscope
 //     code is a func in the tree;
 //   - every example program under examples/ has a Test func;
 //   - every counter, gauge and histogram the docs/observability.md catalog
-//     names is registered by non-test source.
+//     names is registered by non-test source;
+//   - every package under internal/ has a row in DESIGN.md's system
+//     inventory, and every package a row names exists.
 //
 // All walk the committed sources, so they need no network and no build
 // artifacts; a doc edit that invents a flag or breaks a link fails go test.
@@ -291,6 +293,51 @@ func TestDocTestNamesExist(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// inventoryPackage matches a package path in DESIGN.md's inventory table.
+var inventoryPackage = regexp.MustCompile("`(internal/[a-z0-9]+)`")
+
+// TestDocPackageInventory checks DESIGN.md §3 against the tree: every
+// directory under internal/ is named in the Package column of some row, and
+// every internal/ package a row names is a directory.
+func TestDocPackageInventory(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			inTable = strings.HasPrefix(line, "## 3. System inventory")
+			continue
+		}
+		cells := strings.Split(line, "|")
+		if !inTable || len(cells) < 5 {
+			continue
+		}
+		for _, m := range inventoryPackage.FindAllStringSubmatch(cells[3], -1) {
+			named[m[1]] = true
+		}
+	}
+	if len(named) == 0 {
+		t.Fatal("DESIGN.md: no package rows found under \"## 3. System inventory\"")
+	}
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if pkg := "internal/" + d.Name(); d.IsDir() && !named[pkg] {
+			t.Errorf("%s has no row in DESIGN.md §3", pkg)
+		}
+	}
+	for pkg := range named {
+		if fi, err := os.Stat(pkg); err != nil || !fi.IsDir() {
+			t.Errorf("DESIGN.md §3 names %s, which is not a package", pkg)
 		}
 	}
 }

@@ -44,10 +44,11 @@ func audit(ctx context.Context, w io.Writer, scale int, site string) error {
 
 	if site == "" {
 		// Pick the first site with a critical DNS dependency and a CDN.
-		for i := range sd.Results.Sites {
-			sr := &sd.Results.Sites[i]
-			if sr.DNS.Class.Critical() && sr.CDN.UsesCDN && sr.CA.HTTPS {
-				site = sr.Site
+		for _, s := range sd.Graph.Sites {
+			_, cdn := s.Deps[core.CDN]
+			_, ca := s.Deps[core.CA]
+			if s.Deps[core.DNS].Class.Critical() && cdn && ca {
+				site = s.Name
 				break
 			}
 		}

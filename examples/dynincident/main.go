@@ -83,12 +83,10 @@ func replay(ctx context.Context, w io.Writer, scale int) error {
 
 	// Sites that used Dyn but stayed up thanks to redundancy — the lesson
 	// the paper wants everyone to learn.
-	res := run.Y2016.Results
 	survived := 0
-	for i := range res.Sites {
-		sr := &res.Sites[i]
-		if sr.DNS.Class.Redundant() {
-			for _, p := range sr.DNS.Providers {
+	for _, s := range run.Y2016.Graph.Sites {
+		if d := s.Deps[core.DNS]; d.Class.Redundant() {
+			for _, p := range d.Providers {
 				if p == dyn {
 					survived++
 				}

@@ -28,26 +28,39 @@ type DatasetSummary struct {
 
 // Table1 summarizes the 2020 dataset.
 func Table1(run *Run) DatasetSummary {
-	return datasetSummary("Table 1: 2020 dataset ("+strconv.Itoa(run.Scale)+" sites)", run.Y2020.Results)
-}
-
-func datasetSummary(title string, res *measure.Results) DatasetSummary {
-	out := DatasetSummary{Title: title}
-	for i := range res.Sites {
-		sr := &res.Sites[i]
-		if sr.DNS.Class != core.ClassUnknown {
+	out := DatasetSummary{Title: "Table 1: 2020 dataset (" + strconv.Itoa(run.Scale) + " sites)"}
+	for _, s := range run.Y2020.Graph.Sites {
+		if consumes(s, core.DNS) {
 			out.CharacterizedDNS++
 		}
-		if sr.CDN.UsesCDN {
+		if consumes(s, core.CDN) {
 			out.UsingCDN++
 			out.CharacterizedCDN++
 		}
-		if sr.CA.HTTPS {
+		if consumes(s, core.CA) {
 			out.SupportingHTTPS++
 			out.CharacterizedHTTPS++
 		}
 	}
 	return out
+}
+
+// consumes reports whether site s counts in svc's population: characterized
+// sites for DNS, CDN users for CDN, HTTPS sites for CA.
+func consumes(s *core.Site, svc core.Service) bool {
+	d, ok := s.Deps[svc]
+	return ok && (svc != core.DNS || d.Class != core.ClassUnknown)
+}
+
+// serviceSites counts svc's population in g (see consumes).
+func serviceSites(g *core.Graph, svc core.Service) int {
+	n := 0
+	for _, s := range g.Sites {
+		if consumes(s, svc) {
+			n++
+		}
+	}
+	return n
 }
 
 // ComparisonSummary reproduces Table 2: the comparison population is the
@@ -63,37 +76,27 @@ type ComparisonSummary struct {
 // Table2 summarizes the comparison dataset.
 func Table2(run *Run) ComparisonSummary {
 	out := ComparisonSummary{}
-	res16 := indexResults(run.Y2016.Results)
-	res20 := indexResults(run.Y2020.Results)
+	g16, g20 := run.Y2016.Graph, run.Y2020.Graph
 	total, dead := 0, 0
 	for _, s := range run.Universe.List(ecosystem.Y2016) {
 		total++
-		r16 := res16[s.Domain]
-		r20, alive := res20[s.Domain]
-		if !alive {
+		s16, s20 := g16.Site(s.Domain), g20.Site(s.Domain)
+		if s20 == nil {
 			dead++
 			continue
 		}
-		if r16.DNS.Class != core.ClassUnknown && r20.DNS.Class != core.ClassUnknown {
+		if consumes(s16, core.DNS) && consumes(s20, core.DNS) {
 			out.CharacterizedDNS++
 		}
-		if r16.CDN.UsesCDN || r20.CDN.UsesCDN {
+		if consumes(s16, core.CDN) || consumes(s20, core.CDN) {
 			out.UsingCDNEither++
 			out.CharacterizedCDN++
 		}
-		if r16.CA.HTTPS || r20.CA.HTTPS {
+		if consumes(s16, core.CA) || consumes(s20, core.CA) {
 			out.HTTPSEither++
 		}
 	}
 	out.DeadFraction = float64(dead) / float64(total)
-	return out
-}
-
-func indexResults(res *measure.Results) map[string]*measure.SiteResult {
-	out := make(map[string]*measure.SiteResult, len(res.Sites))
-	for i := range res.Sites {
-		out[res.Sites[i].Site] = &res.Sites[i]
-	}
 	return out
 }
 
@@ -155,22 +158,12 @@ func caBands(res *measure.Results, scale int) [4]CABandRow {
 
 // ------------------------------------------------------------- Tables 3–5
 
-// dnsClasses extracts measured site→service classes for trend computation.
-func classesOf(res *measure.Results, svc core.Service) core.SiteClasses {
-	out := make(core.SiteClasses, len(res.Sites))
-	for i := range res.Sites {
-		sr := &res.Sites[i]
-		switch svc {
-		case core.DNS:
-			out[sr.Site] = sr.DNS.Class
-		case core.CDN:
-			if sr.CDN.UsesCDN {
-				out[sr.Site] = sr.CDN.Class
-			}
-		case core.CA:
-			if sr.CA.HTTPS {
-				out[sr.Site] = sr.CA.Class
-			}
+// classesOf maps each site of g consuming svc to its class there.
+func classesOf(g *core.Graph, svc core.Service) core.SiteClasses {
+	out := make(core.SiteClasses, len(g.Sites))
+	for _, s := range g.Sites {
+		if d, ok := s.Deps[svc]; ok {
+			out[s.Name] = d.Class
 		}
 	}
 	return out
@@ -188,16 +181,16 @@ func ranks2016(run *Run) map[string]int {
 // Table3 computes the website→DNS trend table.
 func Table3(run *Run) [4]core.TrendRow {
 	return core.ModeTrends(
-		classesOf(run.Y2016.Results, core.DNS),
-		classesOf(run.Y2020.Results, core.DNS),
+		classesOf(run.Y2016.Graph, core.DNS),
+		classesOf(run.Y2020.Graph, core.DNS),
 		ranks2016(run), run.Scale)
 }
 
 // Table4 computes the website→CDN trend table.
 func Table4(run *Run) [4]core.TrendRow {
 	return core.ModeTrends(
-		classesOf(run.Y2016.Results, core.CDN),
-		classesOf(run.Y2020.Results, core.CDN),
+		classesOf(run.Y2016.Graph, core.CDN),
+		classesOf(run.Y2020.Graph, core.CDN),
 		ranks2016(run), run.Scale)
 }
 
@@ -232,7 +225,7 @@ type ProviderRow struct {
 // characterized sites; CDN: CDN users; CA: HTTPS sites).
 func Figure5(run *Run, svc core.Service, n int) []ProviderRow {
 	sd := run.Y2020
-	denom := serviceDenominator(sd.Results, svc)
+	denom := serviceSites(sd.Graph, svc)
 	stats := sd.Graph.TopProviders(svc, core.DirectOnly(), false, n)
 	out := make([]ProviderRow, 0, len(stats))
 	for _, st := range stats {
@@ -259,42 +252,20 @@ func Figure5Band(run *Run, svc core.Service, band, n int) []ProviderRow {
 	denom := 0
 	usage := make(map[string]map[string]bool)
 	critical := make(map[string]map[string]bool)
-	for i := range sd.Results.Sites {
-		sr := &sd.Results.Sites[i]
-		if sr.Rank > maxRank {
+	for _, s := range sd.Graph.Sites {
+		if s.Rank > maxRank || !consumes(s, svc) {
 			continue
 		}
-		var class core.DepClass
-		var providers []string
-		switch svc {
-		case core.DNS:
-			class, providers = sr.DNS.Class, sr.DNS.Providers
-			if class == core.ClassUnknown {
-				continue
-			}
-		case core.CDN:
-			if !sr.CDN.UsesCDN {
-				continue
-			}
-			class, providers = sr.CDN.Class, sr.CDN.Third
-		case core.CA:
-			if !sr.CA.HTTPS {
-				continue
-			}
-			class = sr.CA.Class
-			if sr.CA.Third {
-				providers = []string{sr.CA.CAName}
-			}
-		}
 		denom++
-		for _, pname := range providers {
+		d := s.Deps[svc]
+		for _, pname := range d.Providers {
 			if usage[pname] == nil {
 				usage[pname] = make(map[string]bool)
 				critical[pname] = make(map[string]bool)
 			}
-			usage[pname][sr.Site] = true
-			if class.Critical() {
-				critical[pname][sr.Site] = true
+			usage[pname][s.Name] = true
+			if d.Class.Critical() {
+				critical[pname][s.Name] = true
 			}
 		}
 	}
@@ -316,28 +287,6 @@ func Figure5Band(run *Run, svc core.Service, band, n int) []ProviderRow {
 		rows = rows[:n]
 	}
 	return rows
-}
-
-func serviceDenominator(res *measure.Results, svc core.Service) int {
-	n := 0
-	for i := range res.Sites {
-		sr := &res.Sites[i]
-		switch svc {
-		case core.DNS:
-			if sr.DNS.Class != core.ClassUnknown {
-				n++
-			}
-		case core.CDN:
-			if sr.CDN.UsesCDN {
-				n++
-			}
-		case core.CA:
-			if sr.CA.HTTPS {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // --------------------------------------------------------------- Figure 6
@@ -439,9 +388,9 @@ func Amplification(run *Run, target core.Service, via core.Service, n int) []Amp
 	sd := run.Y2020
 	// Fig 7/9 normalize by DNS-characterized sites; Fig 8 ("percent of the
 	// top-100K websites") by the full list.
-	denom := serviceDenominator(sd.Results, core.DNS)
+	denom := serviceSites(sd.Graph, core.DNS)
 	if target == core.CDN {
-		denom = len(sd.Results.Sites)
+		denom = len(sd.Graph.Sites)
 	}
 	opts := core.TraversalOpts{ViaProviders: []core.Service{via}}
 	stats := sd.Graph.TopProviders(target, opts, false, n)
@@ -485,7 +434,7 @@ func TopKImpactShare(run *Run, target core.Service, opts core.TraversalOpts, k i
 			union[site] = true
 		}
 	}
-	return frac(len(union), serviceDenominator(sd.Results, core.DNS))
+	return frac(len(union), serviceSites(sd.Graph, core.DNS))
 }
 
 // ------------------------------------------------------- Tables 7, 8, 9

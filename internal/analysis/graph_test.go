@@ -73,17 +73,17 @@ func TestBuildGraph(t *testing.T) {
 }
 
 func TestServiceDenominator(t *testing.T) {
-	res := &measure.Results{Sites: []measure.SiteResult{
+	g := BuildGraph(&measure.Results{Sites: []measure.SiteResult{
 		{Site: "a.com", DNS: measure.SiteDNS{Class: core.ClassPrivate}, CA: measure.SiteCA{HTTPS: true}},
 		{Site: "b.com", DNS: measure.SiteDNS{Class: core.ClassUnknown}, CDN: measure.SiteCDN{UsesCDN: true}},
-	}}
-	if got := serviceDenominator(res, core.DNS); got != 1 {
+	}})
+	if got := serviceSites(g, core.DNS); got != 1 {
 		t.Errorf("DNS denominator = %d", got)
 	}
-	if got := serviceDenominator(res, core.CDN); got != 1 {
+	if got := serviceSites(g, core.CDN); got != 1 {
 		t.Errorf("CDN denominator = %d", got)
 	}
-	if got := serviceDenominator(res, core.CA); got != 1 {
+	if got := serviceSites(g, core.CA); got != 1 {
 		t.Errorf("CA denominator = %d", got)
 	}
 }

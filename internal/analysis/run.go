@@ -25,7 +25,10 @@ type SnapshotData struct {
 	Snapshot ecosystem.Snapshot
 	// World keeps every zone and certificate of the snapshot resident; an
 	// Execute run has released its landing pages batch by batch.
-	World   *ecosystem.World
+	World *ecosystem.World
+	// Results is the raw measurement. The tables read each site's
+	// arrangements from Graph; Results serves only what the graph does not
+	// hold: OCSP stapling, the inter-service maps, NS pairs and diagnostics.
 	Results *measure.Results
 	Graph   *core.Graph
 	// Compact is the columnar graph representation. Execute leaves it nil:
@@ -281,95 +284,87 @@ func measureConfig(w *ecosystem.World, opts Options) measure.Config {
 }
 
 // BuildCompactGraph converts measurement results into the columnar graph,
-// mirroring BuildGraph edge for edge: the property tests pin that the two
-// representations score identically and inflate to equal pointer graphs.
+// projecting each site as BuildGraph does: the property tests pin that the
+// two representations score identically and inflate to equal pointer
+// graphs.
 func BuildCompactGraph(res *measure.Results) *core.CompactGraph {
 	b := core.NewCompactBuilder()
+	node := core.Site{Deps: make(map[core.Service]core.Dep, 3)}
 	for i := range res.Sites {
-		sr := &res.Sites[i]
-		b.AddSite(sr.Site, sr.Rank)
-		b.SetDep(core.DNS, sr.DNS.Class, sr.DNS.Providers)
-		if sr.CDN.UsesCDN {
-			b.SetDep(core.CDN, sr.CDN.Class, sr.CDN.Third)
-		}
-		if sr.CA.HTTPS {
-			var provs []string
-			if sr.CA.Third {
-				provs = []string{sr.CA.CAName}
+		projectSite(res, &res.Sites[i], &node)
+		b.AddSite(node.Name, node.Rank)
+		for _, svc := range []core.Service{core.DNS, core.CDN, core.CA} {
+			if d, ok := node.Deps[svc]; ok {
+				b.SetDep(svc, d.Class, d.Providers)
 			}
-			b.SetDep(core.CA, sr.CA.Class, provs)
 		}
-		for _, pc := range sr.CDN.PrivateCDNs {
-			b.AddPrivateCandidate(core.CDN, pc)
+		for _, svc := range []core.Service{core.CDN, core.CA} {
+			for _, name := range node.PrivateInfra[svc] {
+				b.AddPrivate(svc, name)
+			}
 		}
-		if sr.CA.HTTPS && !sr.CA.Third && sr.CA.CAName != "" {
-			b.AddPrivateCandidate(core.CA, sr.CA.CAName)
-		}
-		for _, cr := range sr.Chains {
-			b.AddChain(cr.Provider, cr.Depth)
+		for _, e := range node.Chains {
+			b.AddChain(e.Provider, e.Depth)
 		}
 	}
-	exists := func(svc core.Service, name string) bool {
-		switch svc {
-		case core.CDN:
-			_, ok := res.CDNToDNS[name]
-			return ok
-		case core.CA:
-			_, ok := res.CAToDNS[name]
-			return ok
-		}
-		return false
-	}
-	return b.Build(buildProviderNodes(res), exists)
+	return b.Build(buildProviderNodes(res))
 }
 
 // BuildGraph converts measurement results into the core dependency graph.
 func BuildGraph(res *measure.Results) *core.Graph {
-	var sites []*core.Site
+	sites := make([]*core.Site, len(res.Sites))
 	for i := range res.Sites {
-		sr := &res.Sites[i]
-		node := &core.Site{
-			Name: sr.Site,
-			Rank: sr.Rank,
-			Deps: make(map[core.Service]core.Dep),
-		}
-		node.Deps[core.DNS] = core.Dep{Class: sr.DNS.Class, Providers: sr.DNS.Providers}
-		if sr.CDN.UsesCDN {
-			node.Deps[core.CDN] = core.Dep{Class: sr.CDN.Class, Providers: sr.CDN.Third}
-		}
-		if sr.CA.HTTPS {
-			var caDep core.Dep
-			caDep.Class = sr.CA.Class
-			if sr.CA.Third {
-				caDep.Providers = []string{sr.CA.CAName}
-			}
-			node.Deps[core.CA] = caDep
-		}
-		// Private infrastructure with its own measured dependency structure.
-		for _, pc := range sr.CDN.PrivateCDNs {
-			if _, ok := res.CDNToDNS[pc]; ok {
-				if node.PrivateInfra == nil {
-					node.PrivateInfra = make(map[core.Service][]string)
-				}
-				node.PrivateInfra[core.CDN] = append(node.PrivateInfra[core.CDN], pc)
-			}
-		}
-		if sr.CA.HTTPS && !sr.CA.Third && sr.CA.CAName != "" {
-			if _, ok := res.CAToDNS[sr.CA.CAName]; ok {
-				if node.PrivateInfra == nil {
-					node.PrivateInfra = make(map[core.Service][]string)
-				}
-				node.PrivateInfra[core.CA] = append(node.PrivateInfra[core.CA], sr.CA.CAName)
-			}
-		}
-		// Implicit-trust edges (chain runs only; nil otherwise).
-		for _, cr := range sr.Chains {
-			node.Chains = append(node.Chains, core.ChainEdge{Provider: cr.Provider, Depth: cr.Depth})
-		}
-		sites = append(sites, node)
+		node := &core.Site{Deps: make(map[core.Service]core.Dep)}
+		projectSite(res, &res.Sites[i], node)
+		sites[i] = node
 	}
-
 	return core.NewGraph(sites, buildProviderNodes(res))
+}
+
+// projectSite is the one rule for which measured fields make a site's
+// arrangements, shared by BuildGraph and BuildCompactGraph. It overwrites
+// node, reusing its maps and Chains storage:
+//   - DNS is always present, ClassUnknown when unmeasurable;
+//   - CDN is present only when the site uses one, CA only when it serves
+//     HTTPS, and the CA is named only when it is a third party;
+//   - PrivateInfra lists the site's own CDNs, then its own CA, each only
+//     when the results characterize it as a provider node;
+//   - Chains are the implicit-trust edges (chain runs only; nil otherwise).
+func projectSite(res *measure.Results, sr *measure.SiteResult, node *core.Site) {
+	node.Name, node.Rank = sr.Site, sr.Rank
+	clear(node.Deps)
+	node.Deps[core.DNS] = core.Dep{Class: sr.DNS.Class, Providers: sr.DNS.Providers}
+	if sr.CDN.UsesCDN {
+		node.Deps[core.CDN] = core.Dep{Class: sr.CDN.Class, Providers: sr.CDN.Third}
+	}
+	if sr.CA.HTTPS {
+		caDep := core.Dep{Class: sr.CA.Class}
+		if sr.CA.Third {
+			caDep.Providers = []string{sr.CA.CAName}
+		}
+		node.Deps[core.CA] = caDep
+	}
+	clear(node.PrivateInfra)
+	private := func(svc core.Service, name string) {
+		if node.PrivateInfra == nil {
+			node.PrivateInfra = make(map[core.Service][]string)
+		}
+		node.PrivateInfra[svc] = append(node.PrivateInfra[svc], name)
+	}
+	for _, pc := range sr.CDN.PrivateCDNs {
+		if _, ok := res.CDNToDNS[pc]; ok {
+			private(core.CDN, pc)
+		}
+	}
+	if sr.CA.HTTPS && !sr.CA.Third && sr.CA.CAName != "" {
+		if _, ok := res.CAToDNS[sr.CA.CAName]; ok {
+			private(core.CA, sr.CA.CAName)
+		}
+	}
+	node.Chains = node.Chains[:0]
+	for _, cr := range sr.Chains {
+		node.Chains = append(node.Chains, core.ChainEdge{Provider: cr.Provider, Depth: cr.Depth})
+	}
 }
 
 // buildProviderNodes derives the provider-side node set from the measured

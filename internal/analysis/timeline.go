@@ -1,12 +1,12 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
 	"depscope/internal/core"
+	"depscope/internal/strictjson"
 )
 
 // Timelines replay an ordered stream of graph deltas against a measured
@@ -38,14 +38,9 @@ type DeltaStream struct {
 // ParseDeltaStream decodes a delta stream, rejecting unknown fields at every
 // level (the nested deltas use the strict core codec).
 func ParseDeltaStream(r io.Reader) (*DeltaStream, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var ds DeltaStream
-	if err := dec.Decode(&ds); err != nil {
+	if err := strictjson.Decode(r, &ds); err != nil {
 		return nil, fmt.Errorf("decode delta stream: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("decode delta stream: trailing data after stream object")
 	}
 	return &ds, nil
 }

@@ -16,7 +16,6 @@
 package chain
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -24,6 +23,7 @@ import (
 	"strings"
 
 	"depscope/internal/core"
+	"depscope/internal/strictjson"
 )
 
 // Config tunes chain synthesis and classification. The zero value is
@@ -87,13 +87,8 @@ func (c Config) Enabled() bool { return c.MaxDepth > 1 }
 // configuration.
 func ParseConfig(r io.Reader) (Config, error) {
 	c := Default()
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	if err := strictjson.Decode(r, &c); err != nil {
 		return Config{}, fmt.Errorf("decode chain config: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return Config{}, fmt.Errorf("decode chain config: trailing data after config object")
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err
@@ -151,14 +146,9 @@ type Summary struct {
 // ParseConfig — clients of /v1/chains use it to fail loudly on schema
 // drift.
 func ParseSummary(r io.Reader) (*Summary, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Summary
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(r, &s); err != nil {
 		return nil, fmt.Errorf("decode chain summary: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("decode chain summary: trailing data after summary object")
 	}
 	return &s, nil
 }

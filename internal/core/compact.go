@@ -281,13 +281,6 @@ func (cg *CompactGraph) Inflate() *Graph {
 type CompactBuilder struct {
 	g *CompactGraph
 
-	// Private-infrastructure *candidates* per site: whether a candidate
-	// becomes a node is only known once the inter-service passes finish, so
-	// Build resolves them against an existence predicate.
-	candOff []uint32
-	candSvc []uint8
-	candIDs []uint32
-
 	open  bool // a site row is open
 	built bool
 }
@@ -308,12 +301,12 @@ func (b *CompactBuilder) closeRow() {
 		g.depOff[svc] = append(g.depOff[svc], uint32(len(g.depIDs[svc])))
 	}
 	g.chainOff = append(g.chainOff, uint32(len(g.chainIDs)))
-	b.candOff = append(b.candOff, uint32(len(b.candIDs)))
+	g.privOff = append(g.privOff, uint32(len(g.privIDs)))
 	b.open = false
 }
 
-// AddSite opens a new site row; subsequent SetDep/AddPrivateCandidate/
-// AddChain calls apply to it until the next AddSite or Build.
+// AddSite opens a new site row; subsequent SetDep/AddPrivate/AddChain
+// calls apply to it until the next AddSite or Build.
 func (b *CompactBuilder) AddSite(name string, rank int) {
 	if b.built {
 		panic("core: CompactBuilder used after Build")
@@ -326,7 +319,7 @@ func (b *CompactBuilder) AddSite(name string, rank int) {
 			g.depOff[svc] = append(g.depOff[svc], 0)
 		}
 		g.chainOff = append(g.chainOff, 0)
-		b.candOff = append(b.candOff, 0)
+		g.privOff = append(g.privOff, 0)
 	}
 	g.siteNames = append(g.siteNames, g.dict.ID(name))
 	g.siteRanks = append(g.siteRanks, int32(rank))
@@ -355,15 +348,15 @@ func (b *CompactBuilder) SetDep(svc Service, class DepClass, providers []string)
 	}
 }
 
-// AddPrivateCandidate records a private-infrastructure candidate for the
-// open site; Build keeps it only if the measurement resolved the named node
-// (the same condition BuildGraph applies via the results maps).
-func (b *CompactBuilder) AddPrivateCandidate(svc Service, name string) {
+// AddPrivate records a private-infrastructure node the open site depends
+// on (Site.PrivateInfra).
+func (b *CompactBuilder) AddPrivate(svc Service, name string) {
 	if !b.open {
-		panic("core: AddPrivateCandidate before AddSite")
+		panic("core: AddPrivate before AddSite")
 	}
-	b.candSvc = append(b.candSvc, uint8(svc))
-	b.candIDs = append(b.candIDs, b.g.dict.ID(name))
+	g := b.g
+	g.privSvc = append(g.privSvc, uint8(svc))
+	g.privIDs = append(g.privIDs, g.dict.ID(name))
 }
 
 // AddChain records one chain edge (vendor, min depth) for the open site.
@@ -377,11 +370,8 @@ func (b *CompactBuilder) AddChain(provider string, depth int) {
 }
 
 // Build finalizes the graph: declared provider nodes are laid out into the
-// provider columns, and each site's private-infrastructure candidates are
-// resolved through exists (service, name) — candidates for nodes the
-// measurement never materialized are dropped, exactly as BuildGraph drops
-// them by consulting the results maps. The builder is unusable afterwards.
-func (b *CompactBuilder) Build(providers []*Provider, exists func(Service, string) bool) *CompactGraph {
+// provider columns. The builder is unusable afterwards.
+func (b *CompactBuilder) Build(providers []*Provider) *CompactGraph {
 	if b.built {
 		panic("core: CompactBuilder.Build called twice")
 	}
@@ -394,24 +384,8 @@ func (b *CompactBuilder) Build(providers []*Provider, exists func(Service, strin
 			g.depOff[svc] = []uint32{0}
 		}
 		g.chainOff = []uint32{0}
-		b.candOff = []uint32{0}
+		g.privOff = []uint32{0}
 	}
-
-	// Resolve private-infrastructure candidates into the final CSR.
-	g.privOff = make([]uint32, 1, len(g.siteNames)+1)
-	for i := 0; i < len(g.siteNames); i++ {
-		for k := b.candOff[i]; k < b.candOff[i+1]; k++ {
-			svc := Service(b.candSvc[k])
-			name := g.dict.Name(b.candIDs[k])
-			if !exists(svc, name) {
-				continue
-			}
-			g.privSvc = append(g.privSvc, b.candSvc[k])
-			g.privIDs = append(g.privIDs, b.candIDs[k])
-		}
-		g.privOff = append(g.privOff, uint32(len(g.privIDs)))
-	}
-	b.candOff, b.candSvc, b.candIDs = nil, nil, nil
 
 	// Provider columns.
 	for svc := 0; svc < 4; svc++ {

@@ -41,9 +41,6 @@ func randomGraphSpec(t *testing.T, rng *rand.Rand, nSites, nProviders int) (*Gra
 
 	b := NewCompactBuilder()
 	sites := make([]*Site, nSites)
-	// Some private candidates should fail the existence check, as they do
-	// when the inter-service pass cannot resolve a node.
-	exists := func(_ Service, name string) bool { return name != "own-cdn-b" }
 	for i := range sites {
 		name := fmt.Sprintf("site-%03d.com", i)
 		s := &Site{Name: name, Rank: i + 1, Deps: make(map[Service]Dep)}
@@ -67,13 +64,11 @@ func randomGraphSpec(t *testing.T, rng *rand.Rand, nSites, nProviders int) (*Gra
 		if rng.Intn(4) == 0 {
 			cand := privNames[rng.Intn(len(privNames))]
 			svc := Services[rng.Intn(2)+1] // CDN or CA
-			if exists(svc, cand) {
-				if s.PrivateInfra == nil {
-					s.PrivateInfra = make(map[Service][]string)
-				}
-				s.PrivateInfra[svc] = append(s.PrivateInfra[svc], cand)
+			if s.PrivateInfra == nil {
+				s.PrivateInfra = make(map[Service][]string)
 			}
-			b.AddPrivateCandidate(svc, cand)
+			s.PrivateInfra[svc] = append(s.PrivateInfra[svc], cand)
+			b.AddPrivate(svc, cand)
 		}
 		if rng.Intn(3) == 0 {
 			for _, v := range pick(vendorNames, 1+rng.Intn(2)) {
@@ -115,7 +110,7 @@ func randomGraphSpec(t *testing.T, rng *rand.Rand, nSites, nProviders int) (*Gra
 		})
 	}
 
-	return NewGraph(sites, providers), b.Build(providers, exists)
+	return NewGraph(sites, providers), b.Build(providers)
 }
 
 // traversalVariants are the opts the report surfaces actually query.
@@ -251,7 +246,7 @@ func TestCompactGraphMetricsEqualRandom(t *testing.T) {
 
 // TestCompactGraphEmpty: a zero-row build must not panic anywhere.
 func TestCompactGraphEmpty(t *testing.T) {
-	cg := NewCompactBuilder().Build(nil, func(Service, string) bool { return false })
+	cg := NewCompactBuilder().Build(nil)
 	if cg.NSites() != 0 || cg.NProviders() != 0 {
 		t.Fatalf("empty graph: %d sites, %d providers", cg.NSites(), cg.NProviders())
 	}
@@ -306,7 +301,7 @@ func TestCompactBuilderPanics(t *testing.T) {
 	})
 	mustPanic("double Build", func() {
 		b := NewCompactBuilder()
-		b.Build(nil, func(Service, string) bool { return true })
-		b.Build(nil, func(Service, string) bool { return true })
+		b.Build(nil)
+		b.Build(nil)
 	})
 }

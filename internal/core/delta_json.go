@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"depscope/internal/strictjson"
 )
 
 // The delta wire format. One codec serves every consumer — the depserver's
@@ -96,14 +98,9 @@ func ParseDepClass(s string) (DepClass, error) {
 // ParseDelta decodes the wire format, rejecting unknown fields and unknown
 // op/service/class names.
 func ParseDelta(r io.Reader) (Delta, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var w wireDelta
-	if err := dec.Decode(&w); err != nil {
+	if err := strictjson.Decode(r, &w); err != nil {
 		return Delta{}, fmt.Errorf("decode delta: %w", err)
-	}
-	if err := checkTrailing(dec); err != nil {
-		return Delta{}, err
 	}
 	return w.toDelta()
 }
@@ -125,13 +122,6 @@ func (d Delta) MarshalJSON() ([]byte, error) {
 		w.Ops = append(w.Ops, toWireOp(&d.Ops[i]))
 	}
 	return json.Marshal(w)
-}
-
-func checkTrailing(dec *json.Decoder) error {
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("decode delta: trailing data after delta object")
-	}
-	return nil
 }
 
 func (w wireDelta) toDelta() (Delta, error) {
@@ -207,28 +197,16 @@ func (wo wireOp) toOp() (Op, error) {
 
 func (ws *wireSite) toSite() (*Site, error) {
 	s := &Site{Name: ws.Name, Rank: ws.Rank}
+	var err error
 	if len(ws.Deps) > 0 {
-		s.Deps = make(map[Service]Dep, len(ws.Deps))
-		for svcName, wd := range ws.Deps {
-			svc, err := ParseService(svcName)
-			if err != nil {
-				return nil, err
-			}
-			dep, err := wd.toDep()
-			if err != nil {
-				return nil, err
-			}
-			s.Deps[svc] = dep
+		if s.Deps, err = byService(ws.Deps, wireDep.toDep); err != nil {
+			return nil, err
 		}
 	}
 	if len(ws.PrivateInfra) > 0 {
-		s.PrivateInfra = make(map[Service][]string, len(ws.PrivateInfra))
-		for svcName, infra := range ws.PrivateInfra {
-			svc, err := ParseService(svcName)
-			if err != nil {
-				return nil, err
-			}
-			s.PrivateInfra[svc] = infra
+		same := func(infra []string) ([]string, error) { return infra, nil }
+		if s.PrivateInfra, err = byService(ws.PrivateInfra, same); err != nil {
+			return nil, err
 		}
 	}
 	for i, e := range ws.Chains {
@@ -247,19 +225,31 @@ func (wp *wireProvider) toProvider() (*Provider, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Provider{Name: wp.Name, Service: svc, Deps: map[Service]Dep{}}
-	for svcName, wd := range wp.Deps {
-		dsvc, err := ParseService(svcName)
-		if err != nil {
-			return nil, err
-		}
-		dep, err := wd.toDep()
-		if err != nil {
-			return nil, err
-		}
-		p.Deps[dsvc] = dep
+	deps, err := byService(wp.Deps, wireDep.toDep)
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	return &Provider{Name: wp.Name, Service: svc, Deps: deps}, nil
+}
+
+// byService converts a wire object keyed by service name. Two keys naming
+// the same service ("dns" and "DNS") are refused: which one would win
+// depends on map iteration order.
+func byService[W, V any](m map[string]W, conv func(W) (V, error)) (map[Service]V, error) {
+	out := make(map[Service]V, len(m))
+	for name, w := range m {
+		svc, err := ParseService(name)
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := out[svc]; dup {
+			return nil, fmt.Errorf("service %s is keyed twice (keys differ only in case)", svc)
+		}
+		if out[svc], err = conv(w); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func (wd wireDep) toDep() (Dep, error) {

@@ -441,6 +441,40 @@ func TestDeltaJSONRoundtrip(t *testing.T) {
 	}
 }
 
+// TestParseDeltaRefusesCaseVariantServiceKeys: two keys of one deps or
+// private_infra object that name the same service decoded to whichever the
+// map iteration visited last, so one document gave different deltas from
+// run to run. Such a document is refused; a lone upper-case key still
+// decodes.
+func TestParseDeltaRefusesCaseVariantServiceKeys(t *testing.T) {
+	for name, in := range map[string]string{
+		"site deps": `{"ops":[{"op":"site-add","site":{"name":"a.com","deps":{
+			"dns":{"class":"single-third","providers":["a"]},
+			"DNS":{"class":"single-third","providers":["b"]}}}}]}`,
+		"site private_infra": `{"ops":[{"op":"site-add","site":{"name":"a.com",
+			"private_infra":{"cdn":["x"],"Cdn":["y"]}}}]}`,
+		"provider deps": `{"ops":[{"op":"provider-set","provider":{"name":"p","service":"cdn","deps":{
+			"dns":{"class":"private"},"dNs":{"class":"single-third","providers":["b"]}}}}]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Each decode visits the keys in a fresh map order.
+			for i := 0; i < 20; i++ {
+				if _, err := ParseDelta(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "keyed twice") {
+					t.Fatalf("err = %v, want a duplicate-service refusal", err)
+				}
+			}
+		})
+	}
+	d, err := ParseDelta(strings.NewReader(`{"ops":[{"op":"site-add","site":{"name":"a.com","deps":{
+		"DNS":{"class":"single-third","providers":["b"]}}}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Ops[0].Site.Deps[DNS].Providers; !reflect.DeepEqual(got, []string{"b"}) {
+		t.Errorf("lone DNS key: providers = %v, want [b]", got)
+	}
+}
+
 func TestParseDeltaRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name, in, want string

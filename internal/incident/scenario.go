@@ -1,7 +1,6 @@
 package incident
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -9,6 +8,7 @@ import (
 
 	"depscope/internal/core"
 	"depscope/internal/publicsuffix"
+	"depscope/internal/strictjson"
 )
 
 // Scenario is one what-if outage specification, the JSON document
@@ -95,13 +95,8 @@ func ParseScenario(r io.Reader) (*Scenario, error) {
 // decodeStrict decodes exactly one JSON document of kind what into v,
 // rejecting unknown fields and any data after the document.
 func decodeStrict(r io.Reader, v any, what string) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := strictjson.Decode(r, v); err != nil {
 		return fmt.Errorf("incident: parse %s: %w", what, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("incident: parse %s: trailing data after %s object", what, what)
 	}
 	return nil
 }

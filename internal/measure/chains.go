@@ -2,11 +2,9 @@ package measure
 
 import (
 	"context"
-	"fmt"
+	"maps"
 	"sort"
-	"time"
 
-	"depscope/internal/conc"
 	"depscope/internal/core"
 	"depscope/internal/publicsuffix"
 	"depscope/internal/telemetry"
@@ -143,49 +141,9 @@ func (s *Stream) chainFinish(ctx context.Context, res *Results) error {
 	for _, hosts := range vendorHosts {
 		sort.Strings(hosts)
 	}
-	return s.m.chainResolve(ctx, res, vendors, vendorHosts)
-}
-
-// chainResolve resolves every vendor's own DNS/CDN arrangement into
-// Results.ResourceToDNS / ResourceToCDN, given the vendor population and
-// each vendor's observed resource hosts.
-func (m *measurer) chainResolve(ctx context.Context, res *Results, vendors map[string]bool, vendorHosts map[string][]string) error {
-	res.ResourceToDNS = make(map[string]ProviderDep)
-	res.ResourceToCDN = make(map[string]ProviderDep)
-	vendorList := sortedKeys(vendors)
-	dnsDeps := make([]*ProviderDep, len(vendorList))
-	cdnDeps := make([]*ProviderDep, len(vendorList))
-	err := conc.ForEach(ctx, len(vendorList), m.cfg.Workers, conc.FailFast, func(ctx context.Context, i int) error {
-		vendor := vendorList[i]
-		start := time.Now()
-		cls, deps, err := m.classifyOwnerDNS(ctx, vendor, res.NSConcentration)
-		if abort := m.observe(stageInterService, start, vendor, err); abort != nil {
-			return fmt.Errorf("chain %s dns: %w", vendor, abort)
-		}
-		if err == nil {
-			dnsDeps[i] = &ProviderDep{Provider: vendor, Service: core.DNS, Class: cls, Deps: deps}
-		}
-
-		start = time.Now()
-		cdnCls, cdeps, err := m.classifyCACDN(ctx, vendor, vendorHosts[vendor])
-		if abort := m.observe(stageInterService, start, vendor, err); abort != nil {
-			return fmt.Errorf("chain %s cdn: %w", vendor, abort)
-		}
-		if err == nil && cdnCls != core.ClassNone {
-			cdnDeps[i] = &ProviderDep{Provider: vendor, Service: core.CDN, Class: cdnCls, Deps: cdeps}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i := range vendorList {
-		if dnsDeps[i] != nil {
-			res.ResourceToDNS[vendorList[i]] = *dnsDeps[i]
-		}
-		if cdnDeps[i] != nil {
-			res.ResourceToCDN[vendorList[i]] = *cdnDeps[i]
-		}
-	}
-	return nil
+	var err error
+	res.ResourceToDNS, res.ResourceToCDN, err = s.m.ownerDeps(ctx, "chain", sortedKeys(vendors), vendorHosts, res.NSConcentration)
+	// A vendor that no CDN fronts has no CDN arrangement.
+	maps.DeleteFunc(res.ResourceToCDN, func(_ string, d ProviderDep) bool { return d.Class == core.ClassNone })
+	return err
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"depscope/internal/strictjson"
 	"depscope/internal/telemetry"
 )
 
@@ -82,10 +83,8 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("measure: decode checkpoint: %w", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var c Checkpoint
-	if err := dec.Decode(&c); err != nil {
+	if err := strictjson.Decode(bytes.NewReader(data), &c); err != nil {
 		var head struct {
 			Version int `json:"version"`
 		}
@@ -96,9 +95,6 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	if c.Version != CheckpointVersion {
 		return nil, versionError(c.Version)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("measure: decode checkpoint: trailing data after checkpoint object")
 	}
 	for site, sc := range c.Sites {
 		if sc == nil || sc.Result == nil {

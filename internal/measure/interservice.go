@@ -97,41 +97,53 @@ func (m *measurer) interService(ctx context.Context, res *Results) error {
 		caList = append(caList, ca)
 	}
 	sort.Strings(caList)
-	caDNSDeps := make([]*ProviderDep, len(caList))
-	caCDNDeps := make([]*ProviderDep, len(caList))
-	err = conc.ForEach(ctx, len(caList), m.cfg.Workers, conc.FailFast, func(ctx context.Context, i int) error {
-		ca := caList[i]
+	res.CAToDNS, res.CAToCDN, err = m.ownerDeps(ctx, "interservice", caList, caHosts, res.NSConcentration)
+	return err
+}
+
+// ownerDeps measures each owner's own DNS arrangement (classifyOwnerDNS) and
+// the CDNs fronting its hosts (classifyCACDN) over the conc pool. CAs and
+// chain vendors are measured this way; pass names the pass in an aborting
+// error ("interservice", "chain"). An owner whose classification failed
+// under conc.Collect is omitted from that map.
+func (m *measurer) ownerDeps(ctx context.Context, pass string, owners []string, hosts map[string][]string, nsConc map[string]int) (toDNS, toCDN map[string]ProviderDep, err error) {
+	dnsDeps := make([]ProviderDep, len(owners))
+	cdnDeps := make([]ProviderDep, len(owners))
+	err = conc.ForEach(ctx, len(owners), m.cfg.Workers, conc.FailFast, func(ctx context.Context, i int) error {
+		owner := owners[i]
 		start := time.Now()
-		cls, deps, err := m.classifyOwnerDNS(ctx, ca, res.NSConcentration)
-		if abort := m.observe(stageInterService, start, ca, err); abort != nil {
-			return fmt.Errorf("interservice %s dns: %w", ca, abort)
+		cls, deps, err := m.classifyOwnerDNS(ctx, owner, nsConc)
+		if abort := m.observe(stageInterService, start, owner, err); abort != nil {
+			return fmt.Errorf("%s %s dns: %w", pass, owner, abort)
 		}
 		if err == nil {
-			caDNSDeps[i] = &ProviderDep{Provider: ca, Service: core.DNS, Class: cls, Deps: deps}
+			dnsDeps[i] = ProviderDep{Provider: owner, Service: core.DNS, Class: cls, Deps: deps}
 		}
 
 		start = time.Now()
-		cdnCls, cdnDeps, err := m.classifyCACDN(ctx, ca, caHosts[ca])
-		if abort := m.observe(stageInterService, start, ca, err); abort != nil {
-			return fmt.Errorf("interservice %s cdn: %w", ca, abort)
+		cls, deps, err = m.classifyCACDN(ctx, owner, hosts[owner])
+		if abort := m.observe(stageInterService, start, owner, err); abort != nil {
+			return fmt.Errorf("%s %s cdn: %w", pass, owner, abort)
 		}
 		if err == nil {
-			caCDNDeps[i] = &ProviderDep{Provider: ca, Service: core.CDN, Class: cdnCls, Deps: cdnDeps}
+			cdnDeps[i] = ProviderDep{Provider: owner, Service: core.CDN, Class: cls, Deps: deps}
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	for i := range caList {
-		if caDNSDeps[i] != nil {
-			res.CAToDNS[caList[i]] = *caDNSDeps[i]
+	toDNS = make(map[string]ProviderDep, len(owners))
+	toCDN = make(map[string]ProviderDep, len(owners))
+	for i, owner := range owners {
+		if dnsDeps[i].Provider != "" {
+			toDNS[owner] = dnsDeps[i]
 		}
-		if caCDNDeps[i] != nil {
-			res.CAToCDN[caList[i]] = *caCDNDeps[i]
+		if cdnDeps[i].Provider != "" {
+			toCDN[owner] = cdnDeps[i]
 		}
 	}
-	return nil
+	return toDNS, toCDN, nil
 }
 
 func sortedKeys(set map[string]bool) []string {

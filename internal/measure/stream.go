@@ -126,8 +126,6 @@ func (s *Stream) Seal() {
 	s.res = &Results{
 		NSConcentration: concentration(s.nsSets),
 		CDNToDNS:        make(map[string]ProviderDep),
-		CAToDNS:         make(map[string]ProviderDep),
-		CAToCDN:         make(map[string]ProviderDep),
 	}
 	s.res.Sites = make([]SiteResult, len(s.sites))
 	if s.m.chains {

@@ -2,15 +2,14 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"depscope/internal/analysis"
 	"depscope/internal/core"
+	"depscope/internal/strictjson"
 	"depscope/internal/telemetry"
 )
 
@@ -161,14 +160,8 @@ func (m *Manager) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req deltaRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := strictjson.Decode(bytes.NewReader(body), &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad delta request: %v", err)
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		httpError(w, http.StatusBadRequest, "bad delta request: trailing data after request object")
 		return
 	}
 	if len(req.Delta.Ops) == 0 {
