@@ -25,6 +25,9 @@ fmt:
 examples:
 	$(GO) build ./examples/...
 
+# race runs the whole suite under the race detector, among it depserver's
+# DNS listener answering queries while a snapshot build measures the world
+# it serves (cmd/depserver).
 race:
 	$(GO) test -race ./...
 
@@ -39,8 +42,9 @@ race:
 # Execute report, the ablation experiments and the -outage and
 # robustness reports (internal/analysis), the landing pages with their
 # chains (internal/ecosystem), the served provider rankings before and
-# after a delta (internal/serve), and the dynincident and evolution
-# example outputs.
+# after a delta (internal/serve), the snapshot depserver publishes from
+# the world its DNS listener serves against a standalone run
+# (cmd/depserver), and the dynincident and evolution example outputs.
 golden:
 	$(GO) test -run 'Golden|Pinned' -count=1 -v ./...
 

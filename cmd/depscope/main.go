@@ -96,7 +96,7 @@ func main() {
 		mitigateK  = flag.Int("mitigate", 0, "print a greedy mitigation plan: the K sites that should add a second provider to shrink aggregate impact the most (see docs/risk.md)")
 		chainsOn   = flag.Bool("chains", false, "measure transitive resource-inclusion chains: implicitly-trusted script/font vendors become a fourth dependency type (see docs/chains.md)")
 		chainsCfg  = flag.String("chain-config", "", "chain configuration JSON file overriding the -chains defaults (implies -chains; see docs/chains.md)")
-		memBudget  = flag.String("mem-budget", "", "soft live-heap limit for the run, e.g. 8GiB (checked at batch boundaries, over-budget runs fail fast; the snapshots are then measured one after the other; see docs/scale.md)")
+		memBudget  = flag.String("mem-budget", "", "soft live-heap limit for the run, e.g. 8GiB (checked at batch boundaries, over-budget runs fail fast; the snapshots are then measured one after the other, so one world is held at a time; see docs/scale.md)")
 		batchSize  = flag.Int("batch-size", 0, "streaming batch length in sites: sites are materialized and measured in batches with landing pages released as the run advances (values < 1 mean 8192)")
 	)
 	// -compact is accepted and ignored: every run streams. It remains only so

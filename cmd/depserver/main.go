@@ -67,10 +67,10 @@ func run() error {
 		prewarm      = flag.Bool("prewarm", false, "build the analysis snapshot at startup (in the background) instead of on the first query")
 		delta        = flag.Bool("allow-delta", false, "enable the mutating POST /v1/delta endpoint (incremental snapshot edits; see docs/incremental.md)")
 		verbose      = flag.Bool("v", false, "log every query")
-		zonefile     = flag.String("zonefile", "", "additionally serve a zone from this RFC 1035 master file")
+		zonefile     = flag.String("zonefile", "", "additionally serve a zone from this RFC 1035 master file (it joins the world the snapshot builds measure)")
 		export       = flag.String("export", "", "write the zone of this domain to stdout as a master file and exit")
 		chainsOn     = flag.Bool("chains", false, "measure transitive resource-inclusion chains in the analysis snapshot and serve GET /v1/chains (see docs/chains.md)")
-		memBudgetStr = flag.String("mem-budget", "", "soft live-heap limit for snapshot builds, e.g. 8GiB (checked at batch boundaries; see docs/scale.md)")
+		memBudgetStr = flag.String("mem-budget", "", "soft live-heap limit for snapshot builds, e.g. 8GiB (checked at batch boundaries; a budgeted build measures the snapshots one after the other, so besides the served world it holds one world at a time; see docs/scale.md)")
 	)
 	flag.Parse()
 
@@ -90,13 +90,15 @@ func run() error {
 		return fmt.Errorf("unsupported year %d", *year)
 	}
 
-	u, err := ecosystem.Generate(ecosystem.Options{Scale: *scale, Seed: *seed})
+	var chainCfg *chain.Config
+	if *chainsOn {
+		cfg := chain.Default()
+		chainCfg = &cfg
+	}
+	c, err := materialize(*scale, *seed, snap, chainCfg)
 	if err != nil {
 		return err
 	}
-	// The DNS side serves zones only, so no landing page is built.
-	c := ecosystem.NewChunked(u, snap)
-	c.AddSites(0, c.Len())
 	world := c.World()
 	log.Printf("materialized %s snapshot: %d sites, %d zones",
 		snap, len(world.Sites), world.Zones.ZoneCount())
@@ -110,17 +112,11 @@ func run() error {
 		return err
 	}
 	if *zonefile != "" {
-		f, err := os.Open(*zonefile)
+		origin, err := addZoneFile(world.Zones, *zonefile)
 		if err != nil {
 			return err
 		}
-		z, err := dnszone.ParseZone(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		world.Zones.AddZone(z)
-		log.Printf("loaded extra zone %s from %s", z.Origin, *zonefile)
+		log.Printf("loaded extra zone %s from %s", origin, *zonefile)
 	}
 
 	cfg := dnsserver.Config{Addr: *addr}
@@ -139,23 +135,17 @@ func run() error {
 	errc := make(chan error, 2)
 	if *httpAddr != "" {
 		// The query API serves immutable analysis snapshots built by this
-		// manager. Builds run under the signal context, so SIGTERM cancels a
-		// measurement in flight; a failed build is retried with backoff on
-		// the next request, never cached.
+		// manager, one build at a time, each measuring the world the DNS
+		// listener serves. Builds run under the signal context, so SIGTERM
+		// cancels a measurement in flight; a failed build is retried with
+		// backoff on the next request, never cached.
 		opts := []serve.Option{serve.WithSeed(*seed)}
 		if *delta {
 			opts = append(opts, serve.WithDeltaAPI())
 		}
-		var chainCfg *chain.Config
-		if *chainsOn {
-			cfg := chain.Default()
-			chainCfg = &cfg
-		}
-		mgr := serve.NewManager(ctx, func(bctx context.Context) (*analysis.Run, error) {
-			return analysis.Execute(bctx, analysis.Options{
-				Scale: *scale, Seed: *seed, Chains: chainCfg, MemBudget: memBudget,
-			})
-		}, opts...)
+		mgr := serve.NewManager(ctx, builder(c, analysis.Options{
+			Scale: *scale, Seed: *seed, Chains: chainCfg, MemBudget: memBudget,
+		}), opts...)
 		if *prewarm {
 			mgr.Prewarm()
 		}
@@ -199,4 +189,51 @@ func startAdmin(httpAddr string, mgr *serve.Manager, errc chan<- error) (*http.S
 		}
 	}()
 	return hs, nil
+}
+
+// materialize generates the process's one universe and materializes the
+// listener's snapshot of it once: provider zones, the chain vendors' zones
+// under -chains, then every site's zones. The DNS listener serves this
+// world, and every snapshot build measures it in place (builder), so a
+// depserver holds one universe and one world of its year. No landing page
+// is built here; a build makes and releases them batch by batch.
+func materialize(scale int, seed int64, snap ecosystem.Snapshot, chains *chain.Config) (*ecosystem.Chunked, error) {
+	u, err := ecosystem.Generate(ecosystem.Options{Scale: scale, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	c := ecosystem.NewChunked(u, snap)
+	if chains != nil && chains.Enabled() {
+		c.EnableChains(*chains)
+	}
+	c.AddSites(0, c.Len())
+	return c, nil
+}
+
+// builder is the serve manager's snapshot build: an analysis run over c's
+// universe that measures c's world in place and materializes only the
+// other year. The manager runs one build at a time, which Execute needs of
+// a shared world; a retried build re-measures the same world.
+func builder(c *ecosystem.Chunked, opts analysis.Options) serve.Builder {
+	opts.Materialized = c
+	return func(ctx context.Context) (*analysis.Run, error) {
+		return analysis.Execute(ctx, opts)
+	}
+}
+
+// addZoneFile parses the RFC 1035 master file at path into store. The
+// zone is then part of the world the snapshot builds measure, not only of
+// what the listener serves.
+func addZoneFile(store *dnszone.Store, path string) (origin string, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	z, err := dnszone.ParseZone(f)
+	f.Close()
+	if err != nil {
+		return "", err
+	}
+	store.AddZone(z)
+	return z.Origin, nil
 }

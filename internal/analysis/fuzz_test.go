@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -38,6 +39,13 @@ func FuzzParseDeltaStream(f *testing.F) {
 		`{"steps":[]}`,
 		`{"steps":[]}{"steps":[]}`,
 	} {
+		f.Add([]byte(doc))
+	}
+	// A key that names a field only in another case is refused.
+	for _, doc := range []string{`{"BAse": "0000", "steps": [{}]}`} {
+		if _, err := ParseDeltaStream(strings.NewReader(doc)); err == nil {
+			f.Fatalf("case-variant stream %s accepted", doc)
+		}
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -24,7 +24,11 @@ import (
 type SnapshotData struct {
 	Snapshot ecosystem.Snapshot
 	// World keeps every zone and certificate of the snapshot resident; an
-	// Execute run has released its landing pages batch by batch.
+	// Execute run has released its landing pages batch by batch. Execute
+	// keeps only the 2020 world, which validation (BaselineSOA over its
+	// resolver), the ablations and examples/audit read after measurement.
+	// Nothing reads the 2016 world once its graph is built, so Execute
+	// leaves Y2016.World nil and the world is collectable from then on.
 	World *ecosystem.World
 	// Results is the raw measurement. The tables read each site's
 	// arrangements from Graph; Results serves only what the graph does not
@@ -96,6 +100,16 @@ type Options struct {
 	// batch's landing pages are released once it is measured. Values < 1
 	// mean 8192. Reports do not depend on it.
 	BatchSize int
+	// Materialized, when set, is one snapshot whose zones its caller has
+	// already materialized: ecosystem.NewChunked, then EnableChains with
+	// *Chains when Chains is enabled, then AddSites over every site.
+	// Execute measures its universe instead of generating one (Scale and
+	// Seed must match it), and measures that snapshot's world in place
+	// instead of materializing a copy; the other snapshot is materialized
+	// from the same universe. depserver passes the world its DNS listener
+	// serves. Every run builds and releases landing pages in the world, so
+	// two runs must not measure one Materialized world at once.
+	Materialized *ecosystem.Chunked
 }
 
 // defaultBatchSize is the streaming batch length when Options.BatchSize is
@@ -111,6 +125,9 @@ func Execute(ctx context.Context, opts Options) (*Run, error) {
 	if opts.Resume && opts.CheckpointPath == "" {
 		return nil, fmt.Errorf("analysis: Resume requires CheckpointPath")
 	}
+	if err := checkMaterialized(opts); err != nil {
+		return nil, err
+	}
 	if opts.BatchSize < 1 {
 		opts.BatchSize = defaultBatchSize
 	}
@@ -118,11 +135,17 @@ func Execute(ctx context.Context, opts Options) (*Run, error) {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	defer telemetry.StartSpan("analysis.execute").End()
-	genSpan := telemetry.StartSpan("analysis.generate")
-	u, err := ecosystem.Generate(ecosystem.Options{Scale: opts.Scale, Seed: opts.Seed})
-	genSpan.End()
-	if err != nil {
-		return nil, err
+	var u *ecosystem.Universe
+	if opts.Materialized != nil {
+		u = opts.Materialized.Universe()
+	} else {
+		genSpan := telemetry.StartSpan("analysis.generate")
+		var err error
+		u, err = ecosystem.Generate(ecosystem.Options{Scale: opts.Scale, Seed: opts.Seed})
+		genSpan.End()
+		if err != nil {
+			return nil, err
+		}
 	}
 	run := &Run{Scale: opts.Scale, Universe: u}
 	// The two snapshot goroutines below report progress concurrently;
@@ -152,7 +175,7 @@ func Execute(ctx context.Context, opts Options) (*Run, error) {
 		snapWorkers = 1
 	}
 	measured := make([]*SnapshotData, len(snaps))
-	err = conc.ForEach(ctx, len(snaps), snapWorkers, conc.FailFast, func(ctx context.Context, i int) error {
+	err := conc.ForEach(ctx, len(snaps), snapWorkers, conc.FailFast, func(ctx context.Context, i int) error {
 		sd, err := measureSnapshot(ctx, u, snaps[i], opts)
 		if err != nil {
 			return fmt.Errorf("analysis: snapshot %s: %w", snaps[i], err)
@@ -175,6 +198,29 @@ func Execute(ctx context.Context, opts Options) (*Run, error) {
 	return run, nil
 }
 
+// checkMaterialized refuses an Options.Materialized world that is not the
+// one the options describe: another scale or seed, or other chains.
+func checkMaterialized(opts Options) error {
+	c := opts.Materialized
+	if c == nil {
+		return nil
+	}
+	if u := c.Universe(); u.Scale != opts.Scale || u.Seed != opts.Seed {
+		return fmt.Errorf("analysis: materialized world is of scale %d seed %d, options ask for scale %d seed %d",
+			u.Scale, u.Seed, opts.Scale, opts.Seed)
+	}
+	cfg, on := c.Chains()
+	want := opts.Chains != nil && opts.Chains.Enabled()
+	if on != want || on && cfg != *opts.Chains {
+		return fmt.Errorf("analysis: materialized world's chains do not match Options.Chains")
+	}
+	return nil
+}
+
+// newChunked starts a snapshot's materialization. It is a variable so that
+// the world-lifetime tests can watch each world being made.
+var newChunked = ecosystem.NewChunked
+
 // measureSnapshot is the one per-snapshot driver: site zones and landing
 // pages are materialized in Options.BatchSize batches, pages are released
 // after their batch is measured, the memory budget is checked at batch
@@ -182,13 +228,19 @@ func Execute(ctx context.Context, opts Options) (*Run, error) {
 // Every batch's zones are added before any is resolved, the order
 // Materialize uses: zones stay resident for the whole run anyway, and the
 // site fingerprints a checkpoint is keyed on hash the complete world
-// surface.
+// surface. Options.Materialized is measured in place when it is snap's
+// world: its zones are already added, so the AddSites pass is a no-op.
+// The 2016 world is dropped once its graph is built (see
+// SnapshotData.World).
 func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.Snapshot, opts Options) (*SnapshotData, error) {
 	defer telemetry.StartSpan("analysis.measure_snapshot").End()
 	acct := membudget.New(opts.MemBudget)
-	c := ecosystem.NewChunked(u, snap)
-	if opts.Chains != nil && opts.Chains.Enabled() {
-		c.EnableChains(*opts.Chains)
+	c := opts.Materialized
+	if c == nil || c.World().Snapshot != snap {
+		c = newChunked(u, snap)
+		if opts.Chains != nil && opts.Chains.Enabled() {
+			c.EnableChains(*opts.Chains)
+		}
 	}
 	w := c.World()
 	n := c.Len()
@@ -240,10 +292,11 @@ func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.
 	st.Seal()
 	err = eachBatch(func(lo, hi int) error {
 		c.MaterializePages(lo, hi)
-		if err := st.MeasureBatch(ctx, lo, hi); err != nil {
+		err := st.MeasureBatch(ctx, lo, hi)
+		c.ReleasePages(lo, hi)
+		if err != nil {
 			return err
 		}
-		c.ReleasePages(lo, hi)
 		return acct.Check("site measurement")
 	})
 	if err != nil {
@@ -261,12 +314,11 @@ func measureSnapshot(ctx context.Context, u *ecosystem.Universe, snap ecosystem.
 	if err := acct.Check("graph build"); err != nil {
 		return nil, err
 	}
-	return &SnapshotData{
-		Snapshot: snap,
-		World:    w,
-		Results:  res,
-		Graph:    g,
-	}, nil
+	sd := &SnapshotData{Snapshot: snap, Results: res, Graph: g}
+	if snap != ecosystem.Y2016 {
+		sd.World = w
+	}
+	return sd, nil
 }
 
 // measureConfig is the measurement configuration of one snapshot's world.

@@ -177,6 +177,10 @@ type Graph struct {
 	arrs    *arrTable
 	simOnce sync.Once
 	sim     *simTables
+
+	// bands is the per-site rank band column (Bands), built on first use.
+	bandOnce sync.Once
+	bands    SiteBands
 }
 
 // NewGraph builds a graph over the given nodes. It derives nothing: the

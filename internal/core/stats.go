@@ -59,6 +59,28 @@ func BandOf(rank, scale int) int {
 	}
 }
 
+// SiteBands is a graph's rank band column: the BandOf band of every site,
+// in Sites order, within a list as long as Sites, and the number of sites
+// in each band.
+type SiteBands struct {
+	Of    []uint8
+	Total [4]int
+}
+
+// Bands returns the graph's rank band column. It is built on first use and
+// shared: the incident reports band every stage of every scenario.
+func (g *Graph) Bands() *SiteBands {
+	g.bandOnce.Do(func() {
+		g.bands.Of = make([]uint8, len(g.Sites))
+		for i, s := range g.Sites {
+			b := BandOf(s.Rank, len(g.Sites))
+			g.bands.Of[i] = uint8(b)
+			g.bands.Total[b]++
+		}
+	})
+	return &g.bands
+}
+
 // BandTop names band's rank cutoff in a list of length scale: "25",
 // "2500", "2K". The K suffix is written only for whole thousands.
 func BandTop(band, scale int) string {

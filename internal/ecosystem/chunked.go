@@ -72,6 +72,18 @@ func existingSites(u *Universe, snap Snapshot) []*Site {
 	return out
 }
 
+// Universe returns the universe the stream materializes.
+func (c *Chunked) Universe() *Universe { return c.m.u }
+
+// Chains returns the chain configuration EnableChains switched on, and
+// false when chains are off.
+func (c *Chunked) Chains() (chain.Config, bool) {
+	if c.chains == nil {
+		return chain.Config{}, false
+	}
+	return c.chains.cfg, true
+}
+
 // World returns the (incrementally filled) world. Sites appear in it as
 // AddSites materializes their zones.
 func (c *Chunked) World() *World { return c.m.w }
@@ -106,9 +118,15 @@ func (c *Chunked) EnableChains(cfg chain.Config) {
 }
 
 // AddSites materializes zones, certificates and CNAME→CDN entries for the
-// ranked site range [lo, hi) and appends the names to World.Sites. Ranges
-// must be fed in order, exactly once, starting at 0.
+// ranked site range [lo, hi) and appends the names to World.Sites. New
+// ranges must be fed in order, starting at 0. A range that is already
+// materialized is a no-op, so a measurement can drive every batch through
+// AddSites over a world its caller materialized up front (depserver
+// measures the world its DNS listener serves).
 func (c *Chunked) AddSites(lo, hi int) {
+	if hi <= len(c.m.w.Sites) {
+		return
+	}
 	if lo != len(c.m.w.Sites) {
 		panic("ecosystem: Chunked.AddSites ranges must be contiguous from 0")
 	}

@@ -98,23 +98,27 @@ func buildStage(g *core.Graph, name string, targets, added []string, res *core.O
 	}
 	sort.Strings(sr.Targets)
 
+	bands := g.Bands()
 	for b := range sr.DownByBand {
 		sr.DownByBand[b].Label = "top " + core.BandTop(b, scale)
+		sr.DownByBand[b].Total = bands.Total[b]
+	}
+	// The resilience sum runs in site order: it pins the reported mean.
+	resSum := 0.0
+	for _, r := range res.Resilience {
+		resSum += r
+		sr.ResilienceDist.Add(r)
 	}
 	// top holds the lowest-ranked down sites so far, in rank order; a site
 	// ranked equal to one already held goes after it, as in Sites order.
 	var top [10]*core.Site
 	nTop := 0
-	resSum := 0.0
-	for i, s := range g.Sites {
-		resSum += res.Resilience[i]
-		sr.ResilienceDist.Add(res.Resilience[i])
-		b := core.BandOf(s.Rank, scale)
-		sr.DownByBand[b].Total++
-		if res.Outcomes[i] != core.SiteDown {
+	for i, o := range res.Outcomes {
+		if o != core.SiteDown {
 			continue
 		}
-		sr.DownByBand[b].Down++
+		sr.DownByBand[bands.Of[i]].Down++
+		s := g.Sites[i]
 		if nTop < len(top) || s.Rank < top[nTop-1].Rank {
 			j := min(nTop, len(top)-1)
 			for ; j > 0 && s.Rank < top[j-1].Rank; j-- {

@@ -77,14 +77,17 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 // probed leniently for its version, so a file of another format version is
 // refused by its version, not by the first field this build does not know.
 // Every failure is a hard error: a resume either gets the complete recorded
-// state or nothing.
+// state or nothing. Unlike every other document, a checkpoint's keys still
+// match its fields in any case (strictjson.DecodeFoldCase): the case check
+// is a second pass over a file of several MB, and stays off until the
+// checkpoint is a journal whose records each bound what one decode reads.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("measure: decode checkpoint: %w", err)
 	}
 	var c Checkpoint
-	if err := strictjson.Decode(bytes.NewReader(data), &c); err != nil {
+	if err := strictjson.DecodeFoldCase(bytes.NewReader(data), &c); err != nil {
 		var head struct {
 			Version int `json:"version"`
 		}

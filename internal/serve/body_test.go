@@ -2,11 +2,18 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"depscope/internal/analysis"
+	"depscope/internal/chain"
+	"depscope/internal/core"
+	"depscope/internal/incident"
 )
 
 // validBodies is one request per POST route that succeeds against fakeRun.
@@ -81,5 +88,62 @@ func TestSimulationRoutesCancelled(t *testing.T) {
 		if rec.Code != http.StatusRequestTimeout || !strings.Contains(rec.Body.String(), `"error"`) {
 			t.Errorf("%s %s cancelled = %d: %s", tc.method, tc.path, rec.Code, rec.Body.String())
 		}
+	}
+}
+
+// TestCaseVariantKeysRefused: every decoder of a document that crosses a
+// process boundary, checkpoints aside, refuses a key that names a field
+// only in another case, under its own error prefix, at the top level and
+// nested; the exact-case document decodes.
+func TestCaseVariantKeysRefused(t *testing.T) {
+	parse := func(f func(io.Reader) error) func(string) error {
+		return func(doc string) error { return f(strings.NewReader(doc)) }
+	}
+	mux := prewarmedMux(t)
+	for _, c := range []struct {
+		name, exact, prefix string
+		variants            []string
+		decode              func(string) error
+	}{
+		{"delta", `{"ops": [{"op": "site-remove", "name": "a.com"}]}`, "decode delta: ",
+			[]string{`{"OPS": []}`, `{"ops": [{"Op": "site-remove", "name": "a.com"}]}`},
+			parse(func(r io.Reader) error { _, err := core.ParseDelta(r); return err })},
+		{"delta stream", `{"base": "2016", "steps": [{}]}`, "decode delta stream: ",
+			[]string{`{"BAse": "0000", "steps": [{}]}`, `{"steps": [{"Label": "x"}]}`,
+				`{"steps": [{"delta": {"ops": [{"op": "site-remove", "NAME": "a.com"}]}}]}`},
+			parse(func(r io.Reader) error { _, err := analysis.ParseDeltaStream(r); return err })},
+		{"scenario", `{"name": "x", "targets": {"providers": ["a"]}}`, "incident: parse scenario: ",
+			[]string{`{"Name": "x", "targets": {"providers": ["a"]}}`, `{"name": "x", "targets": {"Providers": ["a"]}}`},
+			parse(func(r io.Reader) error { _, err := incident.ParseScenario(r); return err })},
+		{"sweep", `{"name": "x", "scenarios": 20}`, "incident: parse sweep spec: ",
+			[]string{`{"name": "x", "SCENARIOS": 20}`},
+			parse(func(r io.Reader) error { _, err := incident.ParseSweep(r); return err })},
+		{"chain config", `{"max_depth": 4}`, "decode chain config: ",
+			[]string{`{"Max_Depth": 4}`},
+			parse(func(r io.Reader) error { _, err := chain.ParseConfig(r); return err })},
+		{"chain summary", `{"sites": 1}`, "decode chain summary: ",
+			[]string{`{"Sites": 1}`},
+			parse(func(r io.Reader) error { _, err := chain.ParseSummary(r); return err })},
+		{"POST /v1/delta", validBodies["/v1/delta"], "bad delta request: ",
+			[]string{strings.Replace(validBodies["/v1/delta"], `"delta"`, `"Delta"`, 1),
+				strings.Replace(validBodies["/v1/delta"], `"from"`, `"FROM"`, 1)},
+			func(doc string) error {
+				if code, body := post(mux, "/v1/delta", doc); code != http.StatusOK {
+					return errors.New(body)
+				}
+				return nil
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.decode(c.exact); err != nil {
+				t.Fatalf("exact-case document refused: %v", err)
+			}
+			for _, doc := range c.variants {
+				err := c.decode(doc)
+				if err == nil || !strings.Contains(err.Error(), c.prefix) || !strings.Contains(err.Error(), "does not match the case of") {
+					t.Errorf("%s: error = %v, want a case mismatch under %q", doc, err, c.prefix)
+				}
+			}
+		})
 	}
 }
