@@ -72,16 +72,19 @@ alloc-guards:
 bench-gates:
 	$(GO) test -run '^TestGate' -count=1 . ./internal/core/ ./cmd/depscope/
 
-# docs-check re-runs the documentation drift tests on their own (-count=1
+# docs-check re-runs the documentation and orphan drift tests on their own (-count=1
 # bypasses the test cache): every relative link/anchor in the curated docs
 # must resolve, every flag documented in a flag table must exist in a
 # cmd/ binary, every `make <target>` the docs name must be a target
 # defined here, every test, benchmark or fuzz name the docs cite must be a
 # func in the tree, every counter, gauge and histogram the metric catalog
-# (docs/observability.md) names must be registered in non-test source, and
-# every example program must have a test.
+# (docs/observability.md) names must be registered in non-test source,
+# every example program must have a test, and every declaration under
+# internal/ must be referenced by non-test code of the program or bench/,
+# or be allowlisted with its reason (TestNoOrphanDeclarations, which
+# type-checks both modules).
 docs-check:
-	$(GO) test -run 'TestDoc|TestEveryExampleHasTest' -count=1 .
+	$(GO) test -run 'TestDoc|TestEveryExampleHasTest|TestNoOrphanDeclarations' -count=1 .
 
 # fuzz-smoke runs every `func Fuzz*` in the module with -fuzz for 2s each
 # (plain go test only replays their seed corpora). Targets are found by

@@ -57,7 +57,10 @@ func main() {
 			log.Fatal(err)
 		}
 	case flag.NArg() > 0:
-		list = alexa.FromDomains(flag.Args())
+		var err error
+		if list, err = alexa.FromDomains(flag.Args()); err != nil {
+			log.Fatal(err)
+		}
 	default:
 		log.Fatal("no sites: pass -sites <file> or domains as arguments")
 	}

@@ -27,10 +27,12 @@ func TestAuditAgainstLiveServer(t *testing.T) {
 	}
 	defer srv.Close()
 
-	list := alexa.FromDomains(world.Sites[:40])
 	// Include a domain outside all authority: the Collect error policy must
 	// keep the run alive and report it as unknown.
-	list = append(list, alexa.Entry{Rank: 41, Domain: "not-in-this-world.example"})
+	list, err := alexa.FromDomains(append(world.Sites[:40:40], "not-in-this-world.example"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

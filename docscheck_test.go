@@ -1,7 +1,7 @@
 package depscope
 
-// Documentation drift checks, wired into `make docs-check` (and through it
-// into `make verify`). Seven invariants:
+// Documentation and dead-code drift checks, wired into `make docs-check`
+// (and through it into `make verify`). Eight invariants:
 //
 //   - every relative markdown link (and its #anchor, if any) in the curated
 //     docs resolves to a real file and a real heading;
@@ -15,18 +15,29 @@ package depscope
 //   - every counter, gauge and histogram the docs/observability.md catalog
 //     names is registered by non-test source;
 //   - every package under internal/ has a row in DESIGN.md's system
-//     inventory, and every package a row names exists.
+//     inventory, and every package a row names exists;
+//   - every package-level declaration under internal/ is referenced by
+//     non-test code of either module (the program or bench/), or has a row
+//     with its reason in orphanAllowlist.
 //
 // All walk the committed sources, so they need no network and no build
-// artifacts; a doc edit that invents a flag or breaks a link fails go test.
+// artifacts (the orphan check reads the standard library's export data
+// through the go command); a doc edit that invents a flag or breaks a link
+// fails go test, and so does code that nothing runs.
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -497,5 +508,291 @@ func TestDocMetricsExist(t *testing.T) {
 	}
 	if rows == 0 {
 		t.Fatal("no metric rows found in docs/observability.md")
+	}
+}
+
+// orphanModules maps each module's path to its directory, relative to the
+// repository root: the benchmark harness, and the program it imports. The
+// longer path comes first, so an import under depscope/bench matches it.
+var orphanModules = []struct{ path, dir string }{
+	{"depscope/bench", "bench"},
+	{"depscope", "."},
+}
+
+// The reasons a declaration under internal/ may stay with no non-test
+// reference. "API for external clients" is none of them: nothing outside
+// the module can import internal/.
+const (
+	reasonTestHook = "a test hook, documented as one"
+	reasonColumnar = "the columnar store, reached by bench/ and TestGateCompactBytesPerSite; retired with ROADMAP item 2"
+)
+
+// orphanAllowlist names the declarations under internal/ that no non-test
+// code references but that stay, each with its reason. A key is the
+// package directory, the receiver type of a method, and the name, joined
+// by dots.
+var orphanAllowlist = map[string]string{
+	"internal/resolver.WithClock":           reasonTestHook,
+	"internal/resolver.Resolver.FlushCache": reasonTestHook,
+	"internal/serve.WithBackoff":            reasonTestHook,
+	"internal/core.CompactGraph.NSites":     reasonColumnar,
+	"internal/core.CompactGraph.Bytes":      reasonColumnar,
+}
+
+// reflectedInterfaces are the standard-library interfaces whose methods the
+// program reaches through code it does not spell out: fmt's formatting,
+// encoding/json, sort and container/heap, and net/http's server.
+var reflectedInterfaces = []struct{ pkg, name string }{
+	{"fmt", "Stringer"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+	{"sort", "Interface"},
+	{"container/heap", "Interface"},
+	{"net/http", "Handler"},
+	{"net/http", "ResponseWriter"},
+}
+
+// sourceImporter type-checks the non-test files of the packages in
+// orphanModules from source, each once, into one types.Info; the standard
+// library comes from the compiler's export data.
+type sourceImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	files map[*ast.File]*types.Package
+}
+
+func (im *sourceImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := im.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir := ""
+	for _, m := range orphanModules {
+		if rest, ok := strings.CutPrefix(path, m.path); ok && (rest == "" || rest[0] == '/') {
+			dir = filepath.Join(m.dir, filepath.FromSlash(rest))
+			break
+		}
+	}
+	if dir == "" {
+		return im.std.Import(path)
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(im.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	pkg, err := (&types.Config{Importer: im}).Check(path, im.fset, files, im.info)
+	if err != nil {
+		return nil, err
+	}
+	im.pkgs[path] = pkg
+	for _, f := range files {
+		im.files[f] = pkg
+	}
+	return pkg, nil
+}
+
+// checkModules type-checks the non-test files of every package in
+// orphanModules.
+func checkModules(t *testing.T) *sourceImporter {
+	t.Helper()
+	fset := token.NewFileSet()
+	im := &sourceImporter{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "gc", nil),
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+		pkgs:  map[string]*types.Package{},
+		files: map[*ast.File]*types.Package{},
+	}
+	for _, m := range orphanModules {
+		err := filepath.WalkDir(m.dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if path != m.dir && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			rel, err := filepath.Rel(m.dir, path)
+			if err != nil {
+				return err
+			}
+			_, err = im.Import(strings.TrimSuffix(m.path+"/"+filepath.ToSlash(rel), "/."))
+			if none := (*build.NoGoError)(nil); err == nil || errors.As(err, &none) {
+				return nil
+			}
+			return fmt.Errorf("type-check %s: %w", path, err)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return im
+}
+
+// orphanKey spells a package-level declaration as orphanAllowlist keys it:
+// "internal/resolver.WithClock", "internal/core.Graph.Site".
+func orphanKey(obj types.Object) string {
+	key := strings.TrimPrefix(obj.Pkg().Path(), "depscope/") + "."
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			key += t.(*types.Named).Obj().Name() + "."
+		}
+	}
+	return key + obj.Name()
+}
+
+// origin maps a method or function of an instantiated generic to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return obj
+}
+
+// TestNoOrphanDeclarations type-checks the non-test files of every package
+// in both modules and checks that every package-level func, method, type,
+// var and const under internal/ is referenced by non-test code outside its
+// own declaration; a method's receiver is not a use of its type. A method
+// also counts as used when its receiver type implements an interface that
+// has the method and that non-test code names, or one of
+// reflectedInterfaces. Anything else is dead code: delete it, or give it a
+// row in orphanAllowlist. A row whose declaration is gone, is referenced
+// again, or gives a reason the list does not accept fails too.
+func TestNoOrphanDeclarations(t *testing.T) {
+	im := checkModules(t)
+	info := im.info
+
+	// decls holds the source range of every package-level declaration
+	// under internal/; receiverIdents, every identifier in a method's
+	// receiver; named, every named type the modules declare.
+	type span struct{ pos, end token.Pos }
+	decls := map[types.Object]span{}
+	receiverIdents := map[*ast.Ident]bool{}
+	var named []*types.Named
+	declare := func(internal bool, id *ast.Ident, n ast.Node) {
+		if internal && id.Name != "_" && id.Name != "init" {
+			decls[info.Defs[id]] = span{n.Pos(), n.End()}
+		}
+	}
+	for f, pkg := range im.files {
+		internal := strings.HasPrefix(pkg.Path(), "depscope/internal/")
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil {
+					ast.Inspect(d.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							receiverIdents[id] = true
+						}
+						return true
+					})
+				}
+				declare(internal, d.Name, d)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if n, ok := info.Defs[s.Name].Type().(*types.Named); ok {
+							named = append(named, n)
+						}
+						declare(internal, s.Name, s)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							declare(internal, id, s)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := map[types.Object]bool{}
+	for id, obj := range info.Uses {
+		obj = origin(obj)
+		if sp, ok := decls[obj]; ok && (id.Pos() < sp.pos || id.Pos() >= sp.end) && !receiverIdents[id] {
+			used[obj] = true
+		}
+	}
+
+	// A method reached through an interface: every interface type
+	// non-test code names, and the reflected ones.
+	var ifaces []*types.Interface
+	seen := map[*types.Interface]bool{}
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seen[it] {
+			seen[it] = true
+			ifaces = append(ifaces, it)
+		}
+	}
+	for _, tv := range info.Types {
+		if tv.IsType() {
+			addIface(tv.Type)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for _, r := range reflectedInterfaces {
+		pkg, err := im.Import(r.pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addIface(pkg.Scope().Lookup(r.name).Type())
+	}
+	for _, n := range named {
+		if n.TypeParams().Len() > 0 || types.IsInterface(n) {
+			continue
+		}
+		ptr := types.NewPointer(n)
+		for _, it := range ifaces {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name()); obj != nil {
+					used[origin(obj)] = true
+				}
+			}
+		}
+	}
+
+	declared := map[string]types.Object{}
+	var orphans []string
+	for obj, sp := range decls {
+		key := orphanKey(obj)
+		declared[key] = obj
+		if !used[obj] && orphanAllowlist[key] == "" {
+			orphans = append(orphans, fmt.Sprintf("%s: %s", im.fset.Position(sp.pos), key))
+		}
+	}
+	sort.Strings(orphans)
+	for _, o := range orphans {
+		t.Errorf("%s: no non-test code references it; delete it, or give it a row in orphanAllowlist", o)
+	}
+	for key, reason := range orphanAllowlist {
+		switch obj, ok := declared[key]; {
+		case reason != reasonTestHook && reason != reasonColumnar:
+			t.Errorf("orphanAllowlist gives %s the reason %q, which is not one of the reasons it accepts", key, reason)
+		case !ok:
+			t.Errorf("orphanAllowlist names %s, which is not declared; delete its row", key)
+		case used[obj]:
+			t.Errorf("orphanAllowlist names %s, which non-test code references; delete its row", key)
+		}
 	}
 }

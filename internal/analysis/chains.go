@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"depscope/internal/chain"
-	"depscope/internal/core"
 )
 
 // ChainSummary computes the chain analysis for one snapshot of the run,
@@ -69,15 +68,4 @@ func RenderChains(w io.Writer, run *Run) {
 			pct(frac(r.DirectConcentration, s.Sites)), pct(frac(r.ImplicitConcentration, s.Sites)),
 			pct(frac(r.DirectImpact, s.Sites)), pct(frac(r.ImplicitImpact, s.Sites)))
 	}
-}
-
-// chainEdgesOf converts the graph's chain edges of one site back to the
-// summary form used by tests.
-func chainEdgesOf(g *core.Graph, site string) []core.ChainEdge {
-	for _, s := range g.Sites {
-		if s.Name == site {
-			return s.Chains
-		}
-	}
-	return nil
 }

@@ -182,7 +182,7 @@ func TestAnalyticsCompromisePreset(t *testing.T) {
 	minDepth := 0
 	seen := false
 	for _, site := range g.Sites {
-		for _, e := range chainEdgesOf(g, site.Name) {
+		for _, e := range site.Chains {
 			if e.Provider != vendor {
 				continue
 			}

@@ -165,7 +165,7 @@ func TestCompactGraphMatchesPointerOnMeasuredRun(t *testing.T) {
 		eng := cg.Metrics()
 		for _, opts := range []core.TraversalOpts{core.DirectOnly(), core.AllIndirect(), core.AllImplicit()} {
 			for name := range g.Providers {
-				if got, want := eng.Concentration(name, opts), len(g.ConcentrationSet(name, opts)); got != want {
+				if got, want := eng.Concentration(name, opts), g.Concentration(name, opts); got != want {
 					t.Fatalf("%s via %v: C(%s) = %d, want %d", sd.Snapshot, opts.ViaProviders, name, got, want)
 				}
 				if got, want := eng.Impact(name, opts), len(g.ImpactSet(name, opts)); got != want {
@@ -173,17 +173,22 @@ func TestCompactGraphMatchesPointerOnMeasuredRun(t *testing.T) {
 				}
 			}
 		}
+		inflated := cg.Inflate()
 		for _, svc := range core.Services {
-			want := make(map[core.DepClass]int)
+			want, got := make(map[core.DepClass]int), make(map[core.DepClass]int)
 			for _, s := range g.Sites {
 				if d, ok := s.Deps[svc]; ok {
 					want[d.Class]++
 				}
 			}
-			got := cg.ClassCounts(svc)
+			for _, s := range inflated.Sites {
+				if d, ok := s.Deps[svc]; ok {
+					got[d.Class]++
+				}
+			}
 			for cls, n := range want {
 				if got[cls] != n {
-					t.Fatalf("%s: ClassCounts(%s)[%v] = %d, want %d", sd.Snapshot, svc, cls, got[cls], n)
+					t.Fatalf("%s: %s sites of class %v = %d, want %d", sd.Snapshot, svc, cls, got[cls], n)
 				}
 			}
 		}

@@ -53,18 +53,6 @@ type GraphDiff struct {
 	SitesRemoved []string `json:"sites_removed,omitempty"`
 }
 
-// Empty reports a diff with no changes on any axis.
-func (d *GraphDiff) Empty() bool {
-	return len(d.Providers) == 0 && len(d.SiteChanges) == 0 &&
-		len(d.SitesAdded) == 0 && len(d.SitesRemoved) == 0
-}
-
-// Diff compares this snapshot's graph against prev's, newest receiver first:
-// sd.Diff(prev) reads as "what changed getting here from prev".
-func (sd *SnapshotData) Diff(prev *SnapshotData) *GraphDiff {
-	return DiffGraphs(prev.Graph, sd.Graph)
-}
-
 // DiffGraphs computes the change surface from prev to cur. Metric lookups go
 // through each graph's metrics engine, so diffing a delta-derived graph
 // against its base reuses the carried propagation instead of re-walking

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,4 +66,26 @@ func FuzzParseDeltaStream(f *testing.F) {
 			t.Fatalf("round trip drifted: %+v became %+v via %s", ds, rt, b)
 		}
 	})
+}
+
+// BenchmarkParseDeltaStream decodes a 1 MiB delta stream of small steps,
+// the shape of a long -timeline file: the cost is per nested delta.
+func BenchmarkParseDeltaStream(b *testing.B) {
+	var buf bytes.Buffer
+	buf.WriteString(`{"base": "2016", "steps": [`)
+	for i := 0; buf.Len() < 1<<20; i++ {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		fmt.Fprintf(&buf, `{"label": "s%d", "delta": {"ops": [{"op": "swap", "name": "b.com", "service": "dns", "from": "dns1", "to": "dns2"}]}}`, i)
+	}
+	buf.WriteString(`]}`)
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseDeltaStream(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

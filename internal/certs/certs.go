@@ -12,7 +12,6 @@
 package certs
 
 import (
-	"fmt"
 	"net/url"
 	"strings"
 	"sync"
@@ -164,29 +163,4 @@ func (s *Store) Get(host string) *Certificate {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.certs[host]
-}
-
-// Len returns the number of stored certificates.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.certs)
-}
-
-// Validate performs basic sanity checks on a certificate the generator
-// emits; it guards against malformed synthetic data reaching the pipeline.
-func (c *Certificate) Validate() error {
-	if c.Subject == "" {
-		return fmt.Errorf("certs: certificate without subject")
-	}
-	if c.IssuerCA == "" {
-		return fmt.Errorf("certs: %s: certificate without issuer", c.Subject)
-	}
-	if !c.MatchesSAN(c.Subject) {
-		return fmt.Errorf("certs: %s: subject not covered by SANs %v", c.Subject, c.SANs)
-	}
-	if !c.NotAfter.IsZero() && !c.NotBefore.IsZero() && !c.NotAfter.After(c.NotBefore) {
-		return fmt.Errorf("certs: %s: NotAfter %v before NotBefore %v", c.Subject, c.NotAfter, c.NotBefore)
-	}
-	return nil
 }

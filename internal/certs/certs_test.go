@@ -93,36 +93,6 @@ func TestStore(t *testing.T) {
 	if got := s.Get("vimeo.com"); got != nil {
 		t.Errorf("Get unknown host = %+v", got)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
-	}
-}
-
-func TestValidate(t *testing.T) {
-	good := testCert()
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid cert rejected: %v", err)
-	}
-	noSubject := testCert()
-	noSubject.Subject = ""
-	if noSubject.Validate() == nil {
-		t.Error("accepted empty subject")
-	}
-	noIssuer := testCert()
-	noIssuer.IssuerCA = ""
-	if noIssuer.Validate() == nil {
-		t.Error("accepted empty issuer")
-	}
-	badSAN := testCert()
-	badSAN.Subject = "elsewhere.org"
-	if badSAN.Validate() == nil {
-		t.Error("accepted subject outside SANs")
-	}
-	badTime := testCert()
-	badTime.NotAfter = badTime.NotBefore.Add(-time.Hour)
-	if badTime.Validate() == nil {
-		t.Error("accepted inverted validity")
-	}
 }
 
 // TestLiveTLSFetch mints a real CA and leaf, serves it over crypto/tls with
@@ -168,9 +138,7 @@ func TestLiveTLSFetch(t *testing.T) {
 		if !got.MatchesSAN("www.dropbox.com") {
 			t.Error("SAN list lost in transit")
 		}
-		if err := got.Validate(); err != nil {
-			t.Errorf("fetched cert invalid: %v", err)
-		}
+		checkFetchedLeaf(t, got)
 	})
 
 	t.Run("without staple", func(t *testing.T) {
@@ -186,7 +154,27 @@ func TestLiveTLSFetch(t *testing.T) {
 		if got.Stapled {
 			t.Error("phantom staple observed")
 		}
+		checkFetchedLeaf(t, got)
 	})
+}
+
+// checkFetchedLeaf checks the fields FetchTLS reads from the handshake's
+// leaf besides the issuer and the revocation URLs: the subject, covered by
+// its own SANs, and a validity window that ends after it starts.
+func checkFetchedLeaf(t *testing.T, got *Certificate) {
+	t.Helper()
+	if got.Subject != "dropbox.com" {
+		t.Errorf("subject = %q", got.Subject)
+	}
+	if !got.MatchesSAN(got.Subject) {
+		t.Errorf("subject %q outside SANs %v", got.Subject, got.SANs)
+	}
+	if got.IssuerCA == "" {
+		t.Error("empty issuer")
+	}
+	if !got.NotAfter.After(got.NotBefore) {
+		t.Errorf("validity %v .. %v is empty or inverted", got.NotBefore, got.NotAfter)
+	}
 }
 
 func TestFetchTLSRejectsUntrusted(t *testing.T) {

@@ -142,17 +142,6 @@ type Summary struct {
 	Comparison      []ComparisonRow  `json:"comparison"`
 }
 
-// ParseSummary decodes a Summary under the same strict rules as
-// ParseConfig — clients of /v1/chains use it to fail loudly on schema
-// drift.
-func ParseSummary(r io.Reader) (*Summary, error) {
-	var s Summary
-	if err := strictjson.Decode(r, &s); err != nil {
-		return nil, fmt.Errorf("decode chain summary: %w", err)
-	}
-	return &s, nil
-}
-
 // Summarize computes the chain analysis for g. topN bounds the vendor
 // ranking and the per-service comparison rows; <= 0 means 10. The result
 // depends only on the graph — metric maps come from the deterministic

@@ -2,11 +2,14 @@ package chain
 
 import (
 	"encoding/json"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"depscope/internal/core"
+	"depscope/internal/strictjson"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -76,8 +79,19 @@ func TestParseConfigStrict(t *testing.T) {
 	}
 }
 
-// TestParseSummaryStrict pins the /v1/chains client codec: a served Summary
-// round-trips, schema drift (unknown fields) and trailing bytes fail loudly.
+// parseSummary decodes a GET /v1/chains body the way a client that fails
+// loudly on schema drift does: strictly, into a Summary.
+func parseSummary(r io.Reader) (*Summary, error) {
+	var s Summary
+	if err := strictjson.Decode(r, &s); err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
+// TestParseSummaryStrict pins the /v1/chains wire form: a served Summary
+// round-trips through a strict client decode, and schema drift (unknown
+// fields) and trailing bytes fail loudly.
 func TestParseSummaryStrict(t *testing.T) {
 	orig := &Summary{
 		Sites:           10,
@@ -98,19 +112,18 @@ func TestParseSummaryStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseSummary(strings.NewReader(string(b)))
+	got, err := parseSummary(strings.NewReader(string(b)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, _ := json.Marshal(got)
-	if string(rt) != string(b) {
-		t.Errorf("round trip drifted:\n got %s\nwant %s", rt, b)
+	if !reflect.DeepEqual(got, orig) {
+		t.Errorf("round trip drifted:\n got %+v\nwant %+v", got, orig)
 	}
 
-	if _, err := ParseSummary(strings.NewReader(`{"sites": 1, "surprise": true}`)); err == nil {
+	if _, err := parseSummary(strings.NewReader(`{"sites": 1, "surprise": true}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
-	if _, err := ParseSummary(strings.NewReader(`{"sites": 1}{"sites": 2}`)); err == nil || !strings.Contains(err.Error(), "trailing") {
+	if _, err := parseSummary(strings.NewReader(`{"sites": 1}{"sites": 2}`)); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("trailing object: err = %v, want trailing-data rejection", err)
 	}
 }

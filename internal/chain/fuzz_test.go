@@ -42,9 +42,9 @@ func FuzzParseConfig(f *testing.F) {
 	})
 }
 
-// FuzzParseSummary drives the strict GET /v1/chains client decoder with
+// FuzzParseSummary drives the strict GET /v1/chains client decode with
 // arbitrary bytes. A summary either fails to parse, or survives a
-// json.Marshal → ParseSummary round trip unchanged.
+// json.Marshal → parseSummary round trip unchanged.
 func FuzzParseSummary(f *testing.F) {
 	sum, err := json.Marshal(Summarize(chainedGraph(), 10))
 	if err != nil {
@@ -55,7 +55,7 @@ func FuzzParseSummary(f *testing.F) {
 	f.Add([]byte(`{"sites":3,"surprise":true}`))
 	f.Add([]byte(`{"sites":3} {"sites":4}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ParseSummary(bytes.NewReader(data))
+		s, err := parseSummary(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -63,7 +63,7 @@ func FuzzParseSummary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal %+v: %v", s, err)
 		}
-		rt, err := ParseSummary(bytes.NewReader(b))
+		rt, err := parseSummary(bytes.NewReader(b))
 		if err != nil {
 			t.Fatalf("round trip of %s: %v", b, err)
 		}

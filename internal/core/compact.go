@@ -83,25 +83,6 @@ type CompactGraph struct {
 // NSites returns the number of site rows.
 func (cg *CompactGraph) NSites() int { return len(cg.siteNames) }
 
-// NProviders returns the number of declared provider nodes.
-func (cg *CompactGraph) NProviders() int { return len(cg.provNames) }
-
-// ClassCounts tallies sites per dependency class for svc, counting only
-// sites that have an entry for the service — the same population the
-// pointer graph's Deps maps define.
-func (cg *CompactGraph) ClassCounts(svc Service) map[DepClass]int {
-	out := make(map[DepClass]int)
-	if int(svc) >= nSiteServices {
-		return out
-	}
-	for _, c := range cg.siteClass[svc] {
-		if c != classAbsent {
-			out[DepClass(c)]++
-		}
-	}
-	return out
-}
-
 // SetMetricsWorkers bounds the metrics engine's concurrency (< 1 means
 // GOMAXPROCS), mirroring Graph.SetMetricsWorkers.
 func (cg *CompactGraph) SetMetricsWorkers(n int) {

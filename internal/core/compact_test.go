@@ -194,22 +194,6 @@ func TestCompactGraphMetricsEqualRandom(t *testing.T) {
 			}
 		}
 
-		for _, svc := range Services {
-			want := make(map[DepClass]int)
-			for _, s := range g.Sites {
-				if d, ok := s.Deps[svc]; ok {
-					want[d.Class]++
-				}
-			}
-			got := cg.ClassCounts(svc)
-			if len(got) == 0 && len(want) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: ClassCounts(%s) = %v, want %v", seed, svc, got, want)
-			}
-		}
-
 		// Round trip: the inflated pointer graph must match the original
 		// node-for-node.
 		inf := cg.Inflate()
@@ -247,8 +231,8 @@ func TestCompactGraphMetricsEqualRandom(t *testing.T) {
 // TestCompactGraphEmpty: a zero-row build must not panic anywhere.
 func TestCompactGraphEmpty(t *testing.T) {
 	cg := NewCompactBuilder().Build(nil)
-	if cg.NSites() != 0 || cg.NProviders() != 0 {
-		t.Fatalf("empty graph: %d sites, %d providers", cg.NSites(), cg.NProviders())
+	if cg.NSites() != 0 {
+		t.Fatalf("empty graph: %d sites", cg.NSites())
 	}
 	if got := cg.Metrics().Concentration("anything", AllIndirect()); got != 0 {
 		t.Fatalf("empty graph concentration = %d", got)

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"depscope/internal/strictjson"
@@ -95,19 +93,15 @@ func ParseDepClass(s string) (DepClass, error) {
 	return 0, fmt.Errorf("unknown dependency class %q", s)
 }
 
-// ParseDelta decodes the wire format, rejecting unknown fields and unknown
-// op/service/class names.
-func ParseDelta(r io.Reader) (Delta, error) {
-	var w wireDelta
-	if err := strictjson.Decode(r, &w); err != nil {
-		return Delta{}, fmt.Errorf("decode delta: %w", err)
-	}
-	return w.toDelta()
-}
-
-// UnmarshalJSON decodes the wire format (unknown fields rejected).
+// UnmarshalJSON decodes the wire format from the bytes it is handed,
+// rejecting unknown fields, keys that match a field only in another case,
+// and unknown op/service/class names.
 func (d *Delta) UnmarshalJSON(b []byte) error {
-	nd, err := ParseDelta(bytes.NewReader(b))
+	var w wireDelta
+	if err := strictjson.Unmarshal(b, &w); err != nil {
+		return fmt.Errorf("decode delta: %w", err)
+	}
+	nd, err := w.toDelta()
 	if err != nil {
 		return err
 	}

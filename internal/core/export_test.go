@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"math/bits"
 	"reflect"
 	"slices"
@@ -493,4 +494,33 @@ func TestRobustnessDistributionAdd(t *testing.T) {
 	if want := (RobustnessDistribution{Zero: 1, Low: 2, High: 2, Full: 1}); d != want {
 		t.Errorf("distribution = %+v, want %+v", d, want)
 	}
+}
+
+// ConcentrationSet returns the member sites of C_p as the metrics engine
+// holds them, the set ImpactSet reads for I_p.
+func (g *Graph) ConcentrationSet(p string, opts TraversalOpts) map[string]bool {
+	return g.Metrics().siteSet(p, opts, false)
+}
+
+// ProviderNames returns every provider name the metrics engine (and thus
+// the simulator) knows, sorted.
+func (g *Graph) ProviderNames() []string {
+	var out []string
+	g.EachProviderName(func(name string) { out = append(out, name) })
+	sort.Strings(out)
+	return out
+}
+
+// ParseDelta decodes one delta document from r, as a delta stream's step
+// or a POST /v1/delta body decodes it.
+func ParseDelta(r io.Reader) (Delta, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return Delta{}, err
+	}
+	var d Delta
+	if err := d.UnmarshalJSON(data); err != nil {
+		return Delta{}, err
+	}
+	return d, nil
 }

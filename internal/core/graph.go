@@ -260,17 +260,9 @@ func (o TraversalOpts) allows(svc Service) bool {
 	return false
 }
 
-// ConcentrationSet returns the set of websites directly or indirectly
-// dependent on provider p (§2.2 C_p), traversing provider edges per opts.
-// It reads the metrics engine's dependent-site bitset for p, the set
-// Concentration counts.
-func (g *Graph) ConcentrationSet(p string, opts TraversalOpts) map[string]bool {
-	return g.Metrics().siteSet(p, opts, false)
-}
-
 // ImpactSet returns the set of websites critically dependent on p directly
-// or transitively (§2.2 I_p), read off the metrics engine like
-// ConcentrationSet.
+// or transitively (§2.2 I_p), read off the metrics engine's dependent-site
+// bitset for p.
 func (g *Graph) ImpactSet(p string, opts TraversalOpts) map[string]bool {
 	return g.Metrics().siteSet(p, opts, true)
 }

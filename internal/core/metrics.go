@@ -28,8 +28,8 @@ import (
 // never need invalidation. The engine is the graph's one C_p/I_p
 // computation and holds its one direct-user table (table.go): counts and
 // rankings read the per-component counts, the ranking candidates read the
-// table's user counts, and the site sets (ConcentrationSet, ImpactSet) walk
-// the retained per-component bitsets. The recursive set formulas survive
+// table's user counts, and the site sets (ImpactSet, and C_p's for the
+// tests) walk the retained per-component bitsets. The recursive set formulas survive
 // only as the test oracle the property tests hold it against.
 
 // MetricsEngine computes provider concentration |C_p| and impact |I_p| for

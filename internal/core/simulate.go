@@ -679,21 +679,10 @@ func (s *OutageSim) RunCounts(targets []int32, o OutageOpts, sc *SimScratch) (do
 	return down, degraded
 }
 
-// ProviderNames returns every provider name the metrics engine (and thus
-// the simulator) knows: declared providers, names sites use as third
-// parties, private-infrastructure nodes and depended-upon names. Sorted.
-func (g *Graph) ProviderNames() []string {
-	e := g.Metrics()
-	e.initOnce.Do(e.init)
-	out := append([]string(nil), e.names...)
-	sort.Strings(out)
-	return out
-}
-
-// HasProvider reports whether name is in the ProviderNames universe — any
-// name the metrics engine and the simulator know, including leaf DNS
-// providers and private-infrastructure nodes — without copying or sorting
-// it.
+// HasProvider reports whether name is one the metrics engine and the
+// simulator know: a declared provider, a name sites use as a third party
+// (leaf DNS providers included), a private-infrastructure node or a
+// depended-upon name.
 func (g *Graph) HasProvider(name string) bool {
 	e := g.Metrics()
 	e.initOnce.Do(e.init)
@@ -701,7 +690,7 @@ func (g *Graph) HasProvider(name string) bool {
 	return ok
 }
 
-// EachProviderName calls fn for every ProviderNames entry, in no
+// EachProviderName calls fn for every name HasProvider accepts, in no
 // particular order and without copying the universe.
 func (g *Graph) EachProviderName(fn func(name string)) {
 	e := g.Metrics()

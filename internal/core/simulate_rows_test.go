@@ -121,8 +121,9 @@ func matchScan(t *testing.T, label string, sim *core.OutageSim, targets []string
 
 // checkImpactValidation runs every provider's outage alone under
 // AllIndirect and requires CheckImpact to confirm it against the engine's
-// I_p; a result with one down site swapped for an unaffected one, the down
-// count unchanged, must fail it.
+// I_p, and the affected (down or degraded) sites to be exactly the member
+// sites of the engine's C_p; a result with one down site swapped for an
+// unaffected one, the down count unchanged, must fail CheckImpact.
 func checkImpactValidation(t *testing.T, label string, g *core.Graph) {
 	t.Helper()
 	sim := g.OutageSim(core.AllIndirect())
@@ -132,6 +133,13 @@ func checkImpactValidation(t *testing.T, label string, g *core.Graph) {
 		impact, match := sim.CheckImpact(p, res)
 		if want := g.Impact(p, core.AllIndirect()); impact != want || !match {
 			t.Fatalf("%s %s: CheckImpact = (%d, %v), want (%d, true)", label, p, impact, match, want)
+		}
+		conc := g.ConcentrationSet(p, core.AllIndirect())
+		for i, s := range g.Sites {
+			if affected := res.Outcomes[i] != core.SiteUnaffected; affected != conc[s.Name] {
+				t.Fatalf("%s %s: site %s affected=%v but concentration membership=%v",
+					label, p, s.Name, affected, conc[s.Name])
+			}
 		}
 		down := slices.Index(res.Outcomes, core.SiteDown)
 		up := slices.Index(res.Outcomes, core.SiteUnaffected)

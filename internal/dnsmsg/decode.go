@@ -8,10 +8,9 @@ import (
 
 // Decoding errors.
 var (
-	ErrShortMessage    = errors.New("dnsmsg: message too short")
-	ErrPointerLoop     = errors.New("dnsmsg: compression pointer loop")
-	ErrBadPointer      = errors.New("dnsmsg: compression pointer out of range")
-	ErrTrailingGarbage = errors.New("dnsmsg: trailing bytes after message")
+	ErrShortMessage = errors.New("dnsmsg: message too short")
+	ErrPointerLoop  = errors.New("dnsmsg: compression pointer loop")
+	ErrBadPointer   = errors.New("dnsmsg: compression pointer out of range")
 )
 
 // decoder walks a wire-format message.

@@ -14,7 +14,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	tests := []Header{
 		{},
 		{ID: 0x1234, Response: true, Authoritative: true, RCode: RCodeNameError},
-		{ID: 0xFFFF, OpCode: OpCodeStatus, Truncated: true},
+		{ID: 0xFFFF, OpCode: 2, Truncated: true},
 		{RecursionDesired: true, RecursionAvailable: true, RCode: RCodeRefused},
 	}
 	for _, h := range tests {

@@ -113,11 +113,8 @@ func (rc RCode) String() string {
 // OpCode is a DNS operation code. Only standard queries are supported.
 type OpCode uint8
 
-// Operation codes.
-const (
-	OpCodeQuery  OpCode = 0
-	OpCodeStatus OpCode = 2
-)
+// OpCodeQuery is the operation code of a standard query.
+const OpCodeQuery OpCode = 0
 
 // Header is the 12-byte DNS message header (RFC 1035 §4.1.1), with the
 // count fields implied by the Message slices.

@@ -134,14 +134,6 @@ func (s *Server) Start() (addr string, err error) {
 	return actual.String(), nil
 }
 
-// Addr returns the bound address, valid after Start.
-func (s *Server) Addr() string {
-	if s.udp == nil {
-		return ""
-	}
-	return s.udp.LocalAddr().String()
-}
-
 // Close stops the listeners and waits for in-flight handlers.
 func (s *Server) Close() error {
 	s.mu.Lock()

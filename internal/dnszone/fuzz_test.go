@@ -28,8 +28,8 @@ func FuzzParseZone(f *testing.F) {
 		if z.Origin != z2.Origin {
 			t.Fatalf("origin changed: %q vs %q", z.Origin, z2.Origin)
 		}
-		if len(z.Names()) != len(z2.Names()) {
-			t.Fatalf("node count changed: %d vs %d", len(z.Names()), len(z2.Names()))
+		if len(zoneNames(z)) != len(zoneNames(z2)) {
+			t.Fatalf("node count changed: %d vs %d", len(zoneNames(z)), len(zoneNames(z2)))
 		}
 	})
 }

@@ -255,18 +255,6 @@ func (z *Zone) AllRecords() []dnsmsg.Record {
 	return out
 }
 
-// Names returns all node names in the zone, sorted, mainly for tests and
-// zone dumps.
-func (z *Zone) Names() []string {
-	var names []string
-	for _, r := range z.block() {
-		if len(names) == 0 || names[len(names)-1] != r.Name {
-			names = append(names, r.Name)
-		}
-	}
-	return names
-}
-
 // InBailiwick reports whether name is at or below origin (both canonical).
 func InBailiwick(name, origin string) bool {
 	if origin == "." || name == origin {

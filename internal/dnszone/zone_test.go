@@ -237,7 +237,7 @@ func TestZoneNamesSorted(t *testing.T) {
 	z := NewZone("x.test.", soa("ns.x.test.", "ops.x.test."))
 	z.MustAdd(dnsmsg.Record{Name: "b.x.test.", Type: dnsmsg.TypeA, Addr: dnsmsg.IPv4(1, 1, 1, 1)})
 	z.MustAdd(dnsmsg.Record{Name: "a.x.test.", Type: dnsmsg.TypeA, Addr: dnsmsg.IPv4(1, 1, 1, 2)})
-	names := z.Names()
+	names := zoneNames(z)
 	if len(names) != 3 { // apex + two nodes
 		t.Fatalf("names: %v", names)
 	}
@@ -298,4 +298,16 @@ func TestZeroZone(t *testing.T) {
 	if r := s.Lookup("b.zero.test.", dnsmsg.TypeA); r.RCode != dnsmsg.RCodeNameError || len(r.Authority) != 1 {
 		t.Fatalf("NXDOMAIN: %+v", r)
 	}
+}
+
+// zoneNames returns all node names in z, sorted: the distinct owners of its
+// record block, which the zone keeps sorted by owner.
+func zoneNames(z *Zone) []string {
+	var names []string
+	for _, r := range z.block() {
+		if len(names) == 0 || names[len(names)-1] != r.Name {
+			names = append(names, r.Name)
+		}
+	}
+	return names
 }

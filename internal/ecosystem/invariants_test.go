@@ -30,7 +30,7 @@ func calProviders(t *testing.T) (*Calibration, *Universe) {
 func checkShares(t *testing.T, u *Universe, shares []Share, svc Service, snap Snapshot, table string) {
 	t.Helper()
 	for _, s := range shares {
-		p := u.Provider(s.Provider)
+		p := u.Providers[s.Provider]
 		if p == nil {
 			t.Errorf("%s: provider %q does not exist", table, s.Provider)
 			continue
@@ -64,7 +64,7 @@ func TestCalibrationSharesReferenceRealProviders(t *testing.T) {
 		ca := cal.CA[snap]
 		checkShares(t, u, ca.Shares, SvcCA, snap, "CA shares "+snap.String())
 		for name := range ca.StapleRate {
-			if u.Provider(name) == nil {
+			if u.Providers[name] == nil {
 				t.Errorf("CA staple rate references unknown provider %q", name)
 			}
 		}
@@ -76,7 +76,7 @@ func TestProviderDepsReferenceRealProviders(t *testing.T) {
 	for name, p := range u.Providers {
 		for snap, dep := range p.DNSDeps {
 			for _, d := range dep.Third {
-				dp := u.Provider(d)
+				dp := u.Providers[d]
 				if dp == nil || dp.Service != SvcDNS {
 					t.Errorf("%s: DNS dep %q invalid", name, d)
 					continue
@@ -89,7 +89,7 @@ func TestProviderDepsReferenceRealProviders(t *testing.T) {
 		}
 		for snap, dep := range p.CDNDeps {
 			for _, d := range dep.Third {
-				dp := u.Provider(d)
+				dp := u.Providers[d]
 				if dp == nil || dp.Service != SvcCDN {
 					t.Errorf("%s: CDN dep %q invalid", name, d)
 					continue

@@ -107,7 +107,7 @@ func buildProviders() []*Provider {
 		"Comodo DNS": "comododns.net",
 	}
 	// Declare them in name order: ranging over the map would reorder
-	// providerOrder, ProvidersOf and the zone insertion order run to run.
+	// providerOrder and the zone insertion order run to run.
 	dnsNames := make([]string, 0, len(dnsDomains))
 	for name := range dnsDomains {
 		dnsNames = append(dnsNames, name)

@@ -84,10 +84,6 @@ func (m DepMode) String() string {
 	return fmt.Sprintf("DepMode(%d)", int(m))
 }
 
-// Critical reports whether the mode is a critical dependency (one third
-// party, no redundancy).
-func (m DepMode) Critical() bool { return m == DepSingleThird }
-
 // UsesThird reports whether any third-party provider is involved.
 func (m DepMode) UsesThird() bool {
 	return m == DepSingleThird || m == DepMultiThird || m == DepPrivatePlusThird
@@ -132,40 +128,10 @@ type ProviderDNS struct {
 	Third   []string // names of third-party DNS providers used
 }
 
-// Mode reduces the arrangement to a DepMode.
-func (p ProviderDNS) Mode() DepMode {
-	switch {
-	case p.Private && len(p.Third) == 0:
-		return DepPrivate
-	case p.Private && len(p.Third) > 0:
-		return DepPrivatePlusThird
-	case len(p.Third) == 1:
-		return DepSingleThird
-	case len(p.Third) > 1:
-		return DepMultiThird
-	}
-	return DepNone
-}
-
 // ProviderCDN is a provider's own CDN arrangement in one snapshot.
 type ProviderCDN struct {
 	Private bool
 	Third   []string
-}
-
-// Mode reduces the arrangement to a DepMode.
-func (p ProviderCDN) Mode() DepMode {
-	switch {
-	case p.Private && len(p.Third) == 0:
-		return DepPrivate
-	case p.Private && len(p.Third) > 0:
-		return DepPrivatePlusThird
-	case len(p.Third) == 1:
-		return DepSingleThird
-	case len(p.Third) > 1:
-		return DepMultiThird
-	}
-	return DepNone
 }
 
 // TrapKind marks deliberately hard classification cases planted by the
@@ -288,25 +254,4 @@ func (u *Universe) List(snap Snapshot) []*Site {
 		return u.list2016
 	}
 	return u.list2020
-}
-
-// Provider returns a provider by name, or nil.
-func (u *Universe) Provider(name string) *Provider {
-	return u.Providers[name]
-}
-
-// ProvidersOf returns all providers of a service existing in snap, in
-// declaration order.
-func (u *Universe) ProvidersOf(svc Service, snap Snapshot) []*Provider {
-	var out []*Provider
-	for _, name := range u.providerOrder {
-		p := u.Providers[name]
-		if p.Service != svc {
-			continue
-		}
-		if (snap == Y2016 && p.Exists2016) || (snap == Y2020 && p.Exists2020) {
-			out = append(out, p)
-		}
-	}
-	return out
 }

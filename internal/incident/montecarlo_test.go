@@ -116,7 +116,7 @@ func TestSweepFixedTargetMatchesSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		final := ref.Final()
+		final := &ref.Stages[len(ref.Stages)-1]
 
 		tg := targets
 		sp := &SweepSpec{Name: "mc", Scenarios: 1, Targets: &tg}

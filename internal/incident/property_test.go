@@ -42,8 +42,9 @@ func runAt(t testing.TB, seed int64) *analysis.Run {
 // TestSingleProviderSimulationMatchesImpact is the headline consistency
 // property: for EVERY provider of the measured 2K universe (seeds 1 and
 // 2020, both snapshots), simulating that provider's outage yields exactly
-// the I_p membership as the down-site set and exactly the C_p membership as
-// the affected set.
+// the I_p membership as the down-site set and as many affected sites as
+// C_p counts. The affected set's C_p membership on the same graphs is held
+// by core's TestRunMatchesSiteScanMeasured.
 func TestSingleProviderSimulationMatchesImpact(t *testing.T) {
 	opts := core.AllIndirect()
 	for _, seed := range []int64{1, 2020} {
@@ -52,24 +53,22 @@ func TestSingleProviderSimulationMatchesImpact(t *testing.T) {
 			g := sd.Graph
 			sim := g.OutageSim(opts)
 			checked := 0
-			for _, name := range g.ProviderNames() {
+			for _, name := range incident.ProviderNames(g) {
 				res := sim.Run([]string{name}, core.OutageOpts{})
 				if res.Down != g.Impact(name, opts) {
 					t.Fatalf("seed %d %s %s: simulated %d down, engine I_p = %d",
 						seed, sd.Snapshot, name, res.Down, g.Impact(name, opts))
 				}
+				if affected := res.Down + res.Degraded; affected != g.Concentration(name, opts) {
+					t.Fatalf("seed %d %s %s: simulated %d affected, engine C_p = %d",
+						seed, sd.Snapshot, name, affected, g.Concentration(name, opts))
+				}
 				imp := g.ImpactSet(name, opts)
-				conc := g.ConcentrationSet(name, opts)
 				for i, s := range g.Sites {
 					if (res.Outcomes[i] == core.SiteDown) != imp[s.Name] {
 						t.Fatalf("seed %d %s %s: site %s down=%v but impact membership=%v",
 							seed, sd.Snapshot, name, s.Name,
 							res.Outcomes[i] == core.SiteDown, imp[s.Name])
-					}
-					if (res.Outcomes[i] != core.SiteUnaffected) != conc[s.Name] {
-						t.Fatalf("seed %d %s %s: site %s affected=%v but concentration membership=%v",
-							seed, sd.Snapshot, name, s.Name,
-							res.Outcomes[i] != core.SiteUnaffected, conc[s.Name])
 					}
 				}
 				checked++
@@ -146,8 +145,7 @@ func TestDynReplayGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Structural sanity before the byte pin: Dyn must matter in 2016.
-	f := rep.Final()
-	if f == nil || f.Down == 0 {
+	if len(rep.Stages) == 0 || rep.Stages[len(rep.Stages)-1].Down == 0 {
 		t.Fatalf("Dyn replay shows no impact: %+v", rep)
 	}
 	if rep.Validation == nil || !rep.Validation.Match {

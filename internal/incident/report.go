@@ -173,14 +173,6 @@ func buildStage(g *core.Graph, name string, targets, added []string, res *core.O
 	return sr
 }
 
-// Final returns the last stage — the scenario's end state.
-func (r *Report) Final() *StageReport {
-	if len(r.Stages) == 0 {
-		return nil
-	}
-	return &r.Stages[len(r.Stages)-1]
-}
-
 func pctOf(n, total int) float64 {
 	if total == 0 {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -157,7 +158,7 @@ func TestSimulateStagedAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := rep.Final()
+	f := &rep.Stages[len(rep.Stages)-1]
 	// dynect.net down: s1 (direct critical), s2 degraded DNS but down via
 	// fastly (critical CDN on dyn), s4 down via its private CDN's hidden
 	// dependency. s3 untouched.
@@ -267,13 +268,23 @@ func bigGraph(nSites int) *core.Graph {
 	return core.NewGraph(sites, providers)
 }
 
+// ProviderNames returns every provider name g's metrics engine (and thus
+// the simulator) knows, sorted. It is exported for the external
+// incident_test package.
+func ProviderNames(g *core.Graph) []string {
+	var names []string
+	g.EachProviderName(func(name string) { names = append(names, name) })
+	sort.Strings(names)
+	return names
+}
+
 // TestSweepCancellation aborts a sweep mid-flight. Run under -race (make
 // verify does), it checks both the error contract and that concurrent
 // abort does not race with in-flight simulations.
 func TestSweepCancellation(t *testing.T) {
 	g := bigGraph(4000)
 	var scenarios []*Scenario
-	for _, name := range g.ProviderNames() {
+	for _, name := range ProviderNames(g) {
 		for rep := 0; rep < 8; rep++ {
 			scenarios = append(scenarios, &Scenario{
 				Name:    fmt.Sprintf("%s#%d", name, rep),

@@ -53,14 +53,6 @@ func (d *Dict) ID(s string) uint32 {
 	return id
 }
 
-// Lookup returns s's ID without assigning one.
-func (d *Dict) Lookup(s string) (uint32, bool) {
-	d.mu.RLock()
-	id, ok := d.ids[s]
-	d.mu.RUnlock()
-	return id, ok
-}
-
 // Name returns the string for a previously assigned ID. Unknown IDs panic:
 // they can only come from memory corruption or a cross-Dict mixup, and
 // returning "" would silently merge distinct names downstream.
@@ -73,38 +65,10 @@ func (d *Dict) Name(id uint32) string {
 	return d.names[id]
 }
 
-// Len returns the number of assigned IDs.
-func (d *Dict) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.names)
-}
-
-// Bytes estimates the table's resident size: string headers + backing bytes
-// for the names slice plus a rough map-overhead charge. Used by the compact
-// graph's bytes/site accounting.
-func (d *Dict) Bytes() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	b := uint64(cap(d.names)) * 16 // string headers
-	for _, s := range d.names {
-		b += uint64(len(s))
-	}
-	// map entry: string header + uint32 + bucket overhead, call it 48 bytes.
-	b += uint64(len(d.ids)) * 48
-	return b
-}
-
 // defaultDict is the process-wide name table shared by all compact graphs,
 // so the 2016 and 2020 snapshots (and any delta-derived graphs) share one
 // ID space and one set of name strings.
 var defaultDict = NewDict()
-
-// NameID assigns/returns the process-wide dense ID for s.
-func NameID(s string) uint32 { return defaultDict.ID(s) }
-
-// NameOf returns the string for a process-wide ID.
-func NameOf(id uint32) string { return defaultDict.Name(id) }
 
 // GlobalDict exposes the process-wide name table.
 func GlobalDict() *Dict { return defaultDict }

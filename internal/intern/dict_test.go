@@ -9,9 +9,6 @@ import (
 // TestDictDenseIDs: first-seen order, stability, and round-tripping.
 func TestDictDenseIDs(t *testing.T) {
 	d := NewDict()
-	if d.Len() != 0 {
-		t.Fatalf("empty Dict Len = %d", d.Len())
-	}
 	names := []string{"dyn", "cloudflare", "aws", "dyn", "cloudflare"}
 	want := []uint32{0, 1, 2, 0, 1}
 	for i, n := range names {
@@ -19,22 +16,13 @@ func TestDictDenseIDs(t *testing.T) {
 			t.Fatalf("ID(%q) = %d, want %d", n, id, want[i])
 		}
 	}
-	if d.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", d.Len())
-	}
 	for i, n := range []string{"dyn", "cloudflare", "aws"} {
 		if got := d.Name(uint32(i)); got != n {
 			t.Fatalf("Name(%d) = %q, want %q", i, got, n)
 		}
 	}
-	if id, ok := d.Lookup("cloudflare"); !ok || id != 1 {
-		t.Fatalf("Lookup(cloudflare) = %d,%v", id, ok)
-	}
-	if _, ok := d.Lookup("absent"); ok {
-		t.Fatal("Lookup(absent) reported present")
-	}
-	if d.Bytes() == 0 {
-		t.Fatal("Bytes() = 0 for non-empty dict")
+	if id := d.ID("aws"); id != 2 {
+		t.Fatalf("ID(aws) after assignment = %d, want 2", id)
 	}
 }
 
@@ -66,14 +54,12 @@ func TestDictConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if d.Len() != keys {
-		t.Fatalf("Len = %d, want %d", d.Len(), keys)
-	}
 	seen := make(map[uint32]bool, keys)
 	for i := 0; i < keys; i++ {
-		id, ok := d.Lookup(fmt.Sprintf("name-%03d", i))
-		if !ok || seen[id] {
-			t.Fatalf("name-%03d: ok=%v dup=%v id=%d", i, ok, seen[id], id)
+		name := fmt.Sprintf("name-%03d", i)
+		id := d.ID(name)
+		if seen[id] || id >= keys || d.Name(id) != name {
+			t.Fatalf("%s: dup=%v id=%d name=%q", name, seen[id], id, d.Name(id))
 		}
 		seen[id] = true
 	}
@@ -81,18 +67,15 @@ func TestDictConcurrent(t *testing.T) {
 
 // TestGlobalDict: the process-wide table is shared and stable.
 func TestGlobalDict(t *testing.T) {
-	a := NameID("global-dict-probe-a")
-	b := NameID("global-dict-probe-b")
+	a := GlobalDict().ID("global-dict-probe-a")
+	b := GlobalDict().ID("global-dict-probe-b")
 	if a == b {
 		t.Fatal("distinct names share an ID")
 	}
-	if NameID("global-dict-probe-a") != a {
+	if GlobalDict() != GlobalDict() || GlobalDict().ID("global-dict-probe-a") != a {
 		t.Fatal("ID not stable")
 	}
-	if NameOf(a) != "global-dict-probe-a" {
-		t.Fatalf("NameOf(%d) = %q", a, NameOf(a))
-	}
-	if GlobalDict().Len() < 2 {
-		t.Fatal("global dict unexpectedly small")
+	if name := GlobalDict().Name(a); name != "global-dict-probe-a" {
+		t.Fatalf("Name(%d) = %q", a, name)
 	}
 }

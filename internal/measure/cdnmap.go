@@ -10,19 +10,6 @@ import (
 // map).
 type CDNMap map[string]string
 
-// Match returns the CDN whose suffix covers name. Suffixes are normalized
-// like the name, the longest suffix wins, and ties — equal-length suffixes,
-// or distinct raw keys normalizing to the same suffix — break
-// lexicographically by suffix then CDN name, so attribution never depends on
-// map iteration order.
-//
-// Match compiles the map on every call; the pipeline compiles once at Run
-// start and matches against the compiled form (Match sits on the per-page-
-// host hot path).
-func (m CDNMap) Match(name string) (cdn, suffix string, ok bool) {
-	return m.compile().Match(name)
-}
-
 // compiledCDNMap is a CDNMap with every suffix pre-normalized into one
 // lookup table, built once per Run.
 type compiledCDNMap struct {

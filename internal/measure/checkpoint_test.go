@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -255,8 +256,15 @@ func moveOneSiteDNS(t *testing.T, u *ecosystem.Universe, snap ecosystem.Snapshot
 		if ss.DNSMode != ecosystem.DepSingleThird || ss.DNSTrap != ecosystem.TrapNone {
 			continue
 		}
-		for _, p := range u.ProvidersOf(ecosystem.SvcDNS, snap) {
-			if p.Name != ss.DNSProviders[0] && !strings.HasPrefix(p.Name, "Unknown DNS") {
+		names := make([]string, 0, len(u.Providers))
+		for name := range u.Providers {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			p := u.Providers[name]
+			exists := snap == ecosystem.Y2016 && p.Exists2016 || snap == ecosystem.Y2020 && p.Exists2020
+			if p.Service == ecosystem.SvcDNS && exists && p.Name != ss.DNSProviders[0] && !strings.HasPrefix(p.Name, "Unknown DNS") {
 				ss.DNSProviders = []string{p.Name}
 				return s.Domain
 			}

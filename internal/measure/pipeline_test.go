@@ -147,7 +147,7 @@ func TestPipelineRecoversDNSProviders(t *testing.T) {
 		// provider's primary nameserver domain.
 		want := make(map[string]bool)
 		for _, pname := range ss.DNSProviders {
-			p := f.u.Provider(pname)
+			p := f.u.Providers[pname]
 			want[p.NSDomains[0]] = true
 		}
 		if len(sr.DNS.Providers) != len(want) {
@@ -185,7 +185,7 @@ func TestPipelineRecoversCAGroundTruth(t *testing.T) {
 				sr.Site, sr.CA.Third, wantThird, ss.CA, ss.PrivateCAAlias)
 		}
 		if wantThird {
-			p := f.u.Provider(ss.CA)
+			p := f.u.Providers[ss.CA]
 			if sr.CA.CAName != p.Domain {
 				t.Fatalf("site %s: CA identity got %q want %q", sr.Site, sr.CA.CAName, p.Domain)
 			}
@@ -368,18 +368,18 @@ func TestRunRequiresResolver(t *testing.T) {
 
 func TestCDNMapMatch(t *testing.T) {
 	m := CDNMap{"cloudfront.net": "Amazon CloudFront", "cdn.cloudflare.net": "Cloudflare CDN", "net": "bogus"}
-	if cdn, _, ok := m.Match("d123.cloudfront.net."); !ok || cdn != "Amazon CloudFront" {
+	if cdn, _, ok := m.compile().Match("d123.cloudfront.net."); !ok || cdn != "Amazon CloudFront" {
 		t.Errorf("match = %q %v", cdn, ok)
 	}
 	// Longest suffix wins.
-	if cdn, _, _ := m.Match("x.cdn.cloudflare.net"); cdn != "Cloudflare CDN" {
+	if cdn, _, _ := m.compile().Match("x.cdn.cloudflare.net"); cdn != "Cloudflare CDN" {
 		t.Errorf("longest match = %q", cdn)
 	}
-	if _, _, ok := m.Match("example.org"); ok {
+	if _, _, ok := m.compile().Match("example.org"); ok {
 		t.Error("matched unrelated host")
 	}
 	// Suffix must align on a label boundary.
-	if cdn, _, _ := m.Match("evilcloudfront.net"); cdn == "Amazon CloudFront" {
+	if cdn, _, _ := m.compile().Match("evilcloudfront.net"); cdn == "Amazon CloudFront" {
 		t.Error("matched across label boundary")
 	}
 }

@@ -224,9 +224,10 @@ func TestCDNDetectionMicro(t *testing.T) {
 	store.AddZone(cdnz)
 	pz := store.Zone("plain.test.")
 	pz.MustAdd(dnsmsg.Record{Name: "static.plain.test.", Type: dnsmsg.TypeCNAME, TTL: 60, Target: "c1.edge-cdn.test."})
-	pages["plain.test"] = &webpage.Page{Site: "plain.test"}
-	pages["plain.test"].AddResource("https://static.plain.test/app.js")
-	pages["plain.test"].AddResource("https://cdn.elsewhere-external.test/lib.js") // external, must be skipped
+	pages["plain.test"] = &webpage.Page{Site: "plain.test", Resources: []webpage.Resource{
+		{URL: "https://static.plain.test/app.js", Host: "static.plain.test"},
+		{URL: "https://cdn.elsewhere-external.test/lib.js", Host: "cdn.elsewhere-external.test"}, // external, must be skipped
+	}}
 
 	cfg := microConfig(store, cs, pages, 2)
 	cfg.CDNMap = CDNMap{"edge-cdn.test": "EdgeCDN"}

@@ -93,12 +93,10 @@ func (e *BudgetError) Error() string {
 }
 
 // Accountant tracks live heap against a soft limit. The zero limit means
-// unlimited: Check never fails and only records the peak. An Accountant is
-// meant to be polled from one goroutine at batch boundaries; it is not
-// synchronized.
+// unlimited: Check never fails. An Accountant is meant to be polled from
+// one goroutine at batch boundaries; it is not synchronized.
 type Accountant struct {
 	limit uint64
-	peak  uint64
 	// readMemStats is a test seam; production always uses runtime.ReadMemStats.
 	readMemStats func(*runtime.MemStats)
 }
@@ -108,12 +106,6 @@ func New(limit uint64) *Accountant {
 	return &Accountant{limit: limit, readMemStats: runtime.ReadMemStats}
 }
 
-// Limit returns the configured budget (0 = unlimited).
-func (a *Accountant) Limit() uint64 { return a.limit }
-
-// Peak returns the largest live heap any Check observed.
-func (a *Accountant) Peak() uint64 { return a.peak }
-
 // Check samples the live heap. Over the limit it forces one collection —
 // most batch overshoot is garbage from the batch just released — and fails
 // with a *BudgetError only if the heap is still over afterwards. phase names
@@ -121,17 +113,11 @@ func (a *Accountant) Peak() uint64 { return a.peak }
 func (a *Accountant) Check(phase string) error {
 	var ms runtime.MemStats
 	a.readMemStats(&ms)
-	if ms.HeapAlloc > a.peak {
-		a.peak = ms.HeapAlloc
-	}
 	if a.limit == 0 || ms.HeapAlloc <= a.limit {
 		return nil
 	}
 	runtime.GC()
 	a.readMemStats(&ms)
-	if ms.HeapAlloc > a.peak {
-		a.peak = ms.HeapAlloc
-	}
 	if ms.HeapAlloc <= a.limit {
 		return nil
 	}

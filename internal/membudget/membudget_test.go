@@ -57,14 +57,11 @@ func TestFormat(t *testing.T) {
 	}
 }
 
-// TestCheckUnlimited: a zero limit never fails but still tracks the peak.
+// TestCheckUnlimited: a zero limit never fails.
 func TestCheckUnlimited(t *testing.T) {
 	a := New(0)
 	if err := a.Check("phase"); err != nil {
 		t.Fatalf("unlimited Check: %v", err)
-	}
-	if a.Peak() == 0 {
-		t.Fatal("unlimited Check recorded no peak")
 	}
 }
 
@@ -93,9 +90,6 @@ func TestCheckOverLimit(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "memory budget exceeded") {
 		t.Fatalf("error message not greppable: %q", err.Error())
-	}
-	if a.Peak() != 250 {
-		t.Fatalf("Peak = %d, want 250", a.Peak())
 	}
 }
 

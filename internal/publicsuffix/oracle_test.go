@@ -117,7 +117,7 @@ var oracleCases = []string{
 
 func TestDirectMatchesOracleCases(t *testing.T) {
 	for _, h := range oracleCases {
-		checkAgainstOracle(t, Default(), defaultOracle, h)
+		checkAgainstOracle(t, defaultList, defaultOracle, h)
 	}
 	// Normalizing twice is part of the contract: the second pass trims the
 	// second trailing dot, so the suffix no longer ends the domain.
@@ -163,7 +163,7 @@ func randomHost(rng *rand.Rand) string {
 func TestPropertyDirectMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for i := 0; i < 20000; i++ {
-		checkAgainstOracle(t, Default(), defaultOracle, randomHost(rng))
+		checkAgainstOracle(t, defaultList, defaultOracle, randomHost(rng))
 	}
 }
 
@@ -199,7 +199,7 @@ func FuzzRegistrableDomain(f *testing.F) {
 		f.Add(h)
 	}
 	f.Fuzz(func(t *testing.T, host string) {
-		checkAgainstOracle(t, Default(), defaultOracle, host)
+		checkAgainstOracle(t, defaultList, defaultOracle, host)
 	})
 }
 
@@ -208,7 +208,7 @@ func TestRegistrableDomainAllocs(t *testing.T) {
 		"a.x.co.bd", "a.city.kawasaki.jp", "site.github.io", "www.ck"} {
 		allocs := testing.AllocsPerRun(200, func() {
 			RegistrableDomain(h)
-			PublicSuffix(h)
+			defaultList.PublicSuffix(h)
 		})
 		if allocs != 0 {
 			t.Errorf("RegistrableDomain(%q) allocates %.1f per run, want 0", h, allocs)

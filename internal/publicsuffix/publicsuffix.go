@@ -93,9 +93,6 @@ func NewList(rules []string) *List {
 	return l
 }
 
-// Default returns the embedded default list.
-func Default() *List { return defaultList }
-
 // PublicSuffix returns the public suffix of domain and whether any explicit
 // rule matched (false means the implicit "*" rule was used, i.e. the last
 // label alone is the suffix).
@@ -152,12 +149,6 @@ func (l *List) RegistrableDomain(domain string) string {
 // paper's tld(x) primitive.
 func RegistrableDomain(domain string) string {
 	return defaultList.RegistrableDomain(domain)
-}
-
-// PublicSuffix returns the public suffix of domain using the default list.
-func PublicSuffix(domain string) string {
-	s, _ := defaultList.PublicSuffix(domain)
-	return s
 }
 
 // SameRegistrableDomain reports whether two hostnames share an eTLD+1. Hosts

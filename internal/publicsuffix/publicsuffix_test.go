@@ -31,7 +31,7 @@ func TestPublicSuffix(t *testing.T) {
 		{"Example.COM.", "com", true},
 	}
 	for _, tt := range tests {
-		got, explicit := Default().PublicSuffix(tt.domain)
+		got, explicit := defaultList.PublicSuffix(tt.domain)
 		if got != tt.suffix || explicit != tt.explicit {
 			t.Errorf("PublicSuffix(%q) = (%q, %v), want (%q, %v)",
 				tt.domain, got, explicit, tt.suffix, tt.explicit)
@@ -144,7 +144,7 @@ func TestPropertyRegistrableDomainStructure(t *testing.T) {
 		if !strings.HasSuffix(domain, rd) {
 			return false
 		}
-		ps, _ := Default().PublicSuffix(domain)
+		ps, _ := defaultList.PublicSuffix(domain)
 		return strings.Count(rd, ".") == strings.Count(ps, ".")+1 &&
 			strings.HasSuffix(rd, ps)
 	}

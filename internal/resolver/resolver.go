@@ -57,9 +57,6 @@ type Result struct {
 	Authority []dnsmsg.Record
 }
 
-// NXDomain reports whether the lookup said the name does not exist.
-func (r Result) NXDomain() bool { return r.RCode == dnsmsg.RCodeNameError }
-
 type cacheKey struct {
 	name  string
 	qtype dnsmsg.Type
@@ -115,7 +112,8 @@ const (
 // none, so options do not apply to it.
 type Option func(*Resolver)
 
-// WithClock sets the cache clock (for tests).
+// WithClock sets the cache clock. It is a test hook: tests step a fake
+// clock through TTL expiry; every program keeps time.Now.
 func WithClock(now func() time.Time) Option {
 	return func(r *Resolver) { r.now = now }
 }
@@ -263,6 +261,7 @@ func cacheTTL(res Result) time.Duration {
 }
 
 // FlushCache drops all cached entries (in-flight exchanges are unaffected).
+// It is a test hook: tests call it so that every lookup reaches the server.
 func (r *Resolver) FlushCache() {
 	r.mu.Lock()
 	clear(r.entries)
@@ -309,28 +308,6 @@ func (r *Resolver) SOA(ctx context.Context, name string) (dnsmsg.SOAData, bool, 
 	return dnsmsg.SOAData{}, false, nil
 }
 
-// Authority returns the zone of authority governing name: the owner name of
-// the SOA record visible for it (answer section at a zone apex, authority
-// section for NODATA/NXDOMAIN) along with the SOA data. ok is false when no
-// SOA is visible.
-func (r *Resolver) Authority(ctx context.Context, name string) (origin string, soa dnsmsg.SOAData, ok bool, err error) {
-	res, err := r.Lookup(ctx, name, dnsmsg.TypeSOA)
-	if err != nil {
-		return "", dnsmsg.SOAData{}, false, err
-	}
-	for _, a := range res.Answers {
-		if a.Type == dnsmsg.TypeSOA && a.Data != nil {
-			return dnsmsg.CanonicalName(a.Name), a.Data.SOA, true, nil
-		}
-	}
-	for _, a := range res.Authority {
-		if a.Type == dnsmsg.TypeSOA && a.Data != nil {
-			return dnsmsg.CanonicalName(a.Name), a.Data.SOA, true, nil
-		}
-	}
-	return "", dnsmsg.SOAData{}, false, nil
-}
-
 // CNAME returns the canonical-name target of host, or "" when host has no
 // CNAME record (the paper's dig CNAME probe used for CDN detection).
 func (r *Resolver) CNAME(ctx context.Context, host string) (string, error) {
@@ -368,19 +345,4 @@ func (r *Resolver) CNAMEChain(ctx context.Context, host string) ([]string, error
 		chain = append(chain, target)
 	}
 	return chain, fmt.Errorf("resolver: CNAME chain for %s too long", host)
-}
-
-// Addrs returns the IPv4 addresses of host, following CNAMEs.
-func (r *Resolver) Addrs(ctx context.Context, host string) ([]string, error) {
-	res, err := r.Lookup(ctx, host, dnsmsg.TypeA)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, a := range res.Answers {
-		if a.Type == dnsmsg.TypeA {
-			out = append(out, fmt.Sprintf("%d.%d.%d.%d", a.Addr[0], a.Addr[1], a.Addr[2], a.Addr[3]))
-		}
-	}
-	return out, nil
 }

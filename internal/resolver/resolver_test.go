@@ -116,13 +116,27 @@ func TestCNAMEChainLoopDetected(t *testing.T) {
 	}
 }
 
+// TestAddrsFollowsCNAME checks an A lookup of a CNAME'd host answers with
+// the chain and the address at its end.
 func TestAddrsFollowsCNAME(t *testing.T) {
 	r := New(ZoneDirect{testStore()})
-	addrs, err := r.Addrs(context.Background(), "www.twitter.test")
+	res, err := r.Lookup(context.Background(), "www.twitter.test", dnsmsg.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(addrs) != 1 || addrs[0] != "198.51.100.2" {
+	var cnames, addrs []string
+	for _, a := range res.Answers {
+		switch a.Type {
+		case dnsmsg.TypeCNAME:
+			cnames = append(cnames, a.Target)
+		case dnsmsg.TypeA:
+			addrs = append(addrs, fmt.Sprintf("%d.%d.%d.%d", a.Addr[0], a.Addr[1], a.Addr[2], a.Addr[3]))
+		}
+	}
+	if !reflect.DeepEqual(cnames, []string{"edge.fastcdn.test.", "pop.fastcdn.test."}) {
+		t.Errorf("cnames = %v", cnames)
+	}
+	if !reflect.DeepEqual(addrs, []string{"198.51.100.2"}) {
 		t.Errorf("addrs = %v", addrs)
 	}
 }
@@ -171,7 +185,7 @@ func TestNegativeCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.NXDomain() {
+		if res.RCode != dnsmsg.RCodeNameError {
 			t.Fatal("expected NXDOMAIN")
 		}
 	}

@@ -47,7 +47,7 @@ func TestNegativeCacheExpiry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.NXDomain() {
+		if res.RCode != dnsmsg.RCodeNameError {
 			t.Fatal("expected NXDOMAIN")
 		}
 	}

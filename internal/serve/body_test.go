@@ -107,7 +107,14 @@ func TestCaseVariantKeysRefused(t *testing.T) {
 	}{
 		{"delta", `{"ops": [{"op": "site-remove", "name": "a.com"}]}`, "decode delta: ",
 			[]string{`{"OPS": []}`, `{"ops": [{"Op": "site-remove", "name": "a.com"}]}`},
-			parse(func(r io.Reader) error { _, err := core.ParseDelta(r); return err })},
+			parse(func(r io.Reader) error {
+				data, err := io.ReadAll(r)
+				if err != nil {
+					return err
+				}
+				var d core.Delta
+				return d.UnmarshalJSON(data)
+			})},
 		{"delta stream", `{"base": "2016", "steps": [{}]}`, "decode delta stream: ",
 			[]string{`{"BAse": "0000", "steps": [{}]}`, `{"steps": [{"Label": "x"}]}`,
 				`{"steps": [{"delta": {"ops": [{"op": "site-remove", "NAME": "a.com"}]}}]}`},
@@ -121,9 +128,6 @@ func TestCaseVariantKeysRefused(t *testing.T) {
 		{"chain config", `{"max_depth": 4}`, "decode chain config: ",
 			[]string{`{"Max_Depth": 4}`},
 			parse(func(r io.Reader) error { _, err := chain.ParseConfig(r); return err })},
-		{"chain summary", `{"sites": 1}`, "decode chain summary: ",
-			[]string{`{"Sites": 1}`},
-			parse(func(r io.Reader) error { _, err := chain.ParseSummary(r); return err })},
 		{"POST /v1/delta", validBodies["/v1/delta"], "bad delta request: ",
 			[]string{strings.Replace(validBodies["/v1/delta"], `"delta"`, `"Delta"`, 1),
 				strings.Replace(validBodies["/v1/delta"], `"from"`, `"FROM"`, 1)},

@@ -12,6 +12,7 @@ import (
 	"depscope/internal/core"
 	"depscope/internal/ecosystem"
 	"depscope/internal/measure"
+	"depscope/internal/strictjson"
 )
 
 // fakeChainRun extends fakeRun's two-site world with resource chains: a.com
@@ -54,8 +55,8 @@ func TestChainsEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /v1/chains = %d: %s", code, body)
 	}
-	s, err := chain.ParseSummary(bytes.NewReader(body))
-	if err != nil {
+	var s chain.Summary
+	if err := strictjson.Decode(bytes.NewReader(body), &s); err != nil {
 		t.Fatalf("response is not a strict chain.Summary: %v\n%s", err, body)
 	}
 	if s.Sites != 2 || s.SitesWithChains != 2 || s.Edges != 2 || s.Vendors != 1 {

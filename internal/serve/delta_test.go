@@ -58,8 +58,8 @@ func TestApplyDeltaRepublishes(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("ApplyDelta triggered %d builds, want the initial 1 only", calls.Load())
 	}
-	info := s2.Delta()
-	if info == nil || info.BaseVersion != s1.Version || info.Snapshot != "2020" || info.Diff.Empty() {
+	info := s2.delta
+	if info == nil || info.BaseVersion != s1.Version || info.Snapshot != "2020" || len(info.Diff.Providers) == 0 {
 		t.Fatalf("delta info = %+v", info)
 	}
 	// The old snapshot is untouched: b.com still names dns1.com there.

@@ -120,7 +120,7 @@ func TestFirstDeltaAfterExecutePatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := next.Delta().Stats; st.Rebuilt || st.PatchedEntries < 1 {
+	if st := next.delta.Stats; st.Rebuilt || st.PatchedEntries < 1 {
 		t.Fatalf("first delta after Execute: rebuilt=%v patched=%d, want a patch", st.Rebuilt, st.PatchedEntries)
 	}
 }

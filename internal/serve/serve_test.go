@@ -275,27 +275,6 @@ func TestRequestCancellationDetaches(t *testing.T) {
 	}
 }
 
-// TestRebuildPublishesNewVersion pins atomic swap semantics: the old
-// snapshot serves until the new one lands, versions are monotonic.
-func TestRebuildPublishesNewVersion(t *testing.T) {
-	var calls atomic.Int64
-	m := NewManager(context.Background(), instantBuilder(&calls))
-	s1, err := m.Get(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := m.Rebuild(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2 == s1 || s2.Version != s1.Version+1 {
-		t.Fatalf("rebuild: v%d -> v%d (same pointer: %v)", s1.Version, s2.Version, s1 == s2)
-	}
-	if m.Current() != s2 {
-		t.Error("Current() does not serve the rebuilt snapshot")
-	}
-}
-
 // TestPrewarm builds in the background, retrying a transient failure.
 func TestPrewarm(t *testing.T) {
 	var calls atomic.Int64
@@ -478,8 +457,8 @@ func TestBuildFailureIs503(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesWithSwap hammers every endpoint while snapshots are
-// rebuilt and swapped underneath — run under -race this pins the lock-free
+// TestConcurrentQueriesWithSwap hammers every endpoint while deltas
+// republish snapshots underneath — run under -race this pins the lock-free
 // publish: readers only ever see a fully built snapshot.
 func TestConcurrentQueriesWithSwap(t *testing.T) {
 	var calls atomic.Int64
@@ -521,9 +500,9 @@ func TestConcurrentQueriesWithSwap(t *testing.T) {
 	}
 	var lastVersion uint64
 	for i := 0; i < 5; i++ {
-		snap, err := m.Rebuild(context.Background())
+		snap, err := m.ApplyDelta("2020", swapDelta(i), m.Current().Version)
 		if err != nil {
-			t.Fatalf("rebuild %d: %v", i, err)
+			t.Fatalf("delta %d: %v", i, err)
 		}
 		lastVersion = snap.Version
 	}
@@ -533,7 +512,7 @@ func TestConcurrentQueriesWithSwap(t *testing.T) {
 		t.Errorf("%d requests failed during snapshot swaps", failures.Load())
 	}
 	if lastVersion != 6 {
-		t.Errorf("final version = %d, want 6 (1 initial + 5 rebuilds)", lastVersion)
+		t.Errorf("final version = %d, want 6 (1 initial + 5 deltas)", lastVersion)
 	}
 }
 

@@ -89,10 +89,6 @@ type Snapshot struct {
 	delta *DeltaInfo
 }
 
-// Delta reports how this snapshot was derived from its predecessor via
-// ApplyDelta, or nil for a from-scratch build.
-func (s *Snapshot) Delta() *DeltaInfo { return s.delta }
-
 func newSnapshot(run *analysis.Run, version uint64, seed int64, builtAt time.Time, dur time.Duration) *Snapshot {
 	s := &Snapshot{
 		Version:       version,
@@ -219,6 +215,8 @@ type Option func(*Manager)
 
 // WithBackoff sets the failure-retry window: after the Nth consecutive
 // failure the next build attempt is gated min<<(N-1) away, capped at max.
+// It is a test hook: tests shorten the window; depserver keeps the default
+// of 1s doubling to 30s.
 func WithBackoff(min, max time.Duration) Option {
 	return func(m *Manager) { m.minRetry, m.maxRetry = min, max }
 }
@@ -242,28 +240,12 @@ func (m *Manager) Get(ctx context.Context) (*Snapshot, error) {
 	if s := m.cur.Load(); s != nil {
 		return s, nil
 	}
-	snap, call, err := m.startOrJoin(false)
+	snap, call, err := m.startOrJoin()
 	if err != nil {
 		return nil, err
 	}
 	if snap != nil {
 		return snap, nil
-	}
-	select {
-	case <-call.done:
-		return call.snap, call.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Rebuild forces a fresh build (joining one already in flight) and returns
-// the snapshot it publishes. The previous snapshot stays published — and
-// requests keep being served from it, lock-free — until the new one lands.
-func (m *Manager) Rebuild(ctx context.Context) (*Snapshot, error) {
-	_, call, err := m.startOrJoin(true)
-	if err != nil {
-		return nil, err
 	}
 	select {
 	case <-call.done:
@@ -315,23 +297,20 @@ func (m *Manager) Status() Status {
 
 // startOrJoin returns either an already-published snapshot (double-checked
 // under the lock), an in-flight or freshly started build to wait on, or the
-// backoff-gated last failure. force (Rebuild) skips the published-snapshot
-// and backoff short-circuits but still joins an in-flight build.
-func (m *Manager) startOrJoin(force bool) (*Snapshot, *buildCall, error) {
+// backoff-gated last failure.
+func (m *Manager) startOrJoin() (*Snapshot, *buildCall, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if c := m.inflight; c != nil {
 		telCoalesced.Inc()
 		return nil, c, nil
 	}
-	if !force {
-		if s := m.cur.Load(); s != nil {
-			return s, nil, nil
-		}
-		if m.failures > 0 && m.now().Before(m.nextTry) {
-			return nil, nil, fmt.Errorf("serve: snapshot build failed (next retry in %s): %w",
-				m.nextTry.Sub(m.now()).Round(time.Millisecond), m.lastErr)
-		}
+	if s := m.cur.Load(); s != nil {
+		return s, nil, nil
+	}
+	if m.failures > 0 && m.now().Before(m.nextTry) {
+		return nil, nil, fmt.Errorf("serve: snapshot build failed (next retry in %s): %w",
+			m.nextTry.Sub(m.now()).Round(time.Millisecond), m.lastErr)
 	}
 	if err := m.lifecycle.Err(); err != nil {
 		return nil, nil, fmt.Errorf("serve: server shutting down: %w", err)

@@ -34,6 +34,12 @@ func Decode(r io.Reader, v any) error {
 	if err != nil {
 		return err
 	}
+	return Unmarshal(data, v)
+}
+
+// Unmarshal is Decode over a document already in memory, such as the bytes
+// a json.Unmarshaler is handed.
+func Unmarshal(data []byte, v any) error {
 	if err := DecodeFoldCase(bytes.NewReader(data), v); err != nil {
 		return err
 	}

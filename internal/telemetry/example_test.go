@@ -26,11 +26,11 @@ func Example() {
 	inflight.Add(-1)
 
 	s := reg.Snapshot()
-	fmt.Println("metrics:", s.MetricNames())
+	fmt.Println("metrics:", s.Counters[0].Name, s.Gauges[0].Name, s.Histograms[0].Name)
 	fmt.Println("queries:", s.Counters[0].Value)
 	fmt.Println("p50 under 1ms:", s.Histograms[0].Quantile(0.5) < 0.001)
 	// Output:
-	// metrics: [conc_inflight_tasks lookup_seconds resolver_queries_total]
+	// metrics: resolver_queries_total conc_inflight_tasks lookup_seconds
 	// queries: 3
 	// p50 under 1ms: true
 }

@@ -111,9 +111,6 @@ type CounterMetric struct {
 
 func (*CounterMetric) kind() string { return "counter" }
 
-// Name returns the sanitized metric name.
-func (c *CounterMetric) Name() string { return c.name }
-
 // Add increments the counter by n (n < 0 is a programming error and ignored).
 func (c *CounterMetric) Add(n int64) {
 	if n > 0 {
@@ -148,9 +145,6 @@ type GaugeMetric struct {
 }
 
 func (*GaugeMetric) kind() string { return "gauge" }
-
-// Name returns the sanitized metric name.
-func (g *GaugeMetric) Name() string { return g.name }
 
 // Set stores v.
 func (g *GaugeMetric) Set(v int64) { g.v.Store(v) }
@@ -188,9 +182,6 @@ type HistogramMetric struct {
 
 func (*HistogramMetric) kind() string { return "histogram" }
 
-// Name returns the sanitized metric name.
-func (h *HistogramMetric) Name() string { return h.name }
-
 // Observe records v. Bucket semantics follow Prometheus: v lands in the
 // first bucket whose upper bound is >= v (bounds are inclusive), values
 // beyond the last bound land in +Inf.
@@ -209,9 +200,6 @@ func (h *HistogramMetric) Observe(v float64) {
 
 // ObserveDuration records d in seconds, the histogram base unit.
 func (h *HistogramMetric) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations so far.
-func (h *HistogramMetric) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *HistogramMetric) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }

@@ -119,22 +119,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// MetricNames returns every metric name in the snapshot, sorted.
-func (s Snapshot) MetricNames() []string {
-	var names []string
-	for _, c := range s.Counters {
-		names = append(names, c.Name)
-	}
-	for _, g := range s.Gauges {
-		names = append(names, g.Name)
-	}
-	for _, h := range s.Histograms {
-		names = append(names, h.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // WriteTable renders the snapshot as a human-readable, name-sorted table —
 // the backend of depscope -telemetry. Histogram rows summarize count, mean
 // and estimated p50/p99 (durations formatted as such).

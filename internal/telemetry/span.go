@@ -25,9 +25,6 @@ func (r *Registry) StartSpan(name string) *Span {
 	}
 }
 
-// Name returns the span's (unsanitized) name.
-func (s *Span) Name() string { return s.name }
-
 // End stops the span, records its duration, and returns it. End must be
 // called exactly once.
 func (s *Span) End() time.Duration {

@@ -38,7 +38,7 @@ func TestConcurrentCounters(t *testing.T) {
 	if got := g.Value(); got != 0 {
 		t.Errorf("gauge = %d, want 0", got)
 	}
-	if got := h.Count(); got != workers*perWorker {
+	if got := h.count.Load(); got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 	want := float64(workers*perWorker) * 0.001
