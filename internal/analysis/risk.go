@@ -36,7 +36,7 @@ func MonteCarloSweep(ctx context.Context, run *Run, sp *incident.SweepSpec, work
 // Mitigation computes a greedy K-option mitigation plan against the named
 // snapshot under the full indirect traversal (the headline C_p/I_p view).
 func Mitigation(run *Run, k int, snapshot string) (*core.MitigationPlan, error) {
-	defer telemetry.StartSpan("analysis.mitigation").End()
+	defer telemetry.StartSpan("analysis.mitigate").End()
 	g, err := SnapshotGraph(run, snapshot)
 	if err != nil {
 		return nil, err

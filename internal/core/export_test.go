@@ -524,3 +524,28 @@ func ParseDelta(r io.Reader) (Delta, error) {
 	}
 	return d, nil
 }
+
+// Sites lists the closure's down and affected sites by Graph.Sites index,
+// ascending, whichever row form holds them.
+func (c *Closure) Sites() (down, affected []int32) {
+	return c.down.members(), c.affected.members()
+}
+
+func (rs *rowSet) members() []int32 {
+	if rs.dense == nil {
+		return slices.Clone(rs.ids)
+	}
+	var out []int32
+	for i := 0; i < 64*len(rs.dense); i++ {
+		if rs.dense.has(i) {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// Forms reports whether the closure's down and affected sets are held as
+// bitsets.
+func (c *Closure) Forms() (downDense, affectedDense bool) {
+	return c.down.dense != nil, c.affected.dense != nil
+}

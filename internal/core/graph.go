@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Service is an infrastructure service type.
@@ -172,11 +173,12 @@ type Graph struct {
 
 	// The providers' resolved arrangements (arrangements.go) and the outage
 	// simulator's tables (simulate.go), each built on first use and shared
-	// by every traversal.
+	// by every traversal. sim is atomic so the mitigation planner can read
+	// the tables' site rows when they exist without building them.
 	arrOnce sync.Once
 	arrs    *arrTable
 	simOnce sync.Once
-	sim     *simTables
+	sim     atomic.Pointer[simTables]
 
 	// bands is the per-site rank band column (Bands), built on first use.
 	bandOnce sync.Once

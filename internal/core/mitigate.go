@@ -377,11 +377,17 @@ func (g *Graph) newPlanner(t *arrTable, opts TraversalOpts, k int) *planner {
 		p.closures = append(p.closures, u)
 		return int32(len(p.closures) - 1)
 	}
-	var r arrRows
+	// A site's arrangements come from the simulator's resolved rows when an
+	// outage simulation has built them, else are resolved here one by one.
+	var resolved arrRows
+	r, siteArrs := &resolved, func(i int) []arr { return t.resolve(&resolved, g.Sites[i]) }
+	if sim := g.sim.Load(); sim != nil {
+		r, siteArrs = &sim.sites, sim.sites.row
+	}
 	candidates, maxChains := 0, 0
-	for i, s := range g.Sites {
+	for i := range g.Sites {
 		site, lo := int32(len(p.sites)), len(p.chains)
-		for _, a := range t.resolve(&r, s) {
+		for _, a := range siteArrs(i) {
 			switch {
 			case Service(a.svc) == Resource:
 			case a.criticalDep() && a.hi > a.lo:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -309,12 +310,57 @@ func TestMitigationPlanAllocs(t *testing.T) {
 		if len(plan.Options) != 5 {
 			t.Fatalf("%d copies: %d options, want 5", copies, len(plan.Options))
 		}
-		return testing.AllocsPerRun(20, func() { g.MitigationPlan(5, AllIndirect()) }), plan.Candidates
+		n := testing.AllocsPerRun(20, func() { g.MitigationPlan(5, AllIndirect()) })
+		// Once a simulation has built the site rows, the planner reads them.
+		g.OutageSim(AllIndirect())
+		if withRows := testing.AllocsPerRun(20, func() { g.MitigationPlan(5, AllIndirect()) }); withRows > n {
+			t.Errorf("%d copies: %v allocs per plan over the simulator's rows, %v without", copies, withRows, n)
+		}
+		return n, plan.Candidates
 	}
 	one, cands := allocs(1)
 	for _, copies := range []int{2, 4} {
 		if n, c := allocs(copies); n > one {
 			t.Errorf("%d candidates: %v allocs per plan, %d candidates: %v; want no growth", cands, one, c, n)
 		}
+	}
+}
+
+// TestMitigationPlanOverSimRows holds a plan over the simulator's resolved
+// site rows to the plan that resolves every site itself, on random graphs
+// with chains and two-node private infrastructure, for every traversal.
+func TestMitigationPlanOverSimRows(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		g := withTwoNodeInfra(randomChainGraph(seed, 0))
+		var before []*MitigationPlan
+		for _, opts := range siteSetViews {
+			before = append(before, g.MitigationPlan(8, opts))
+		}
+		if g.sim.Load() != nil {
+			t.Fatal("a plan built the simulator's tables")
+		}
+		g.OutageSim(DirectOnly())
+		for i, opts := range siteSetViews {
+			if after := g.MitigationPlan(8, opts); !reflect.DeepEqual(after, before[i]) {
+				t.Fatalf("seed %d via %v: plan over the simulator's rows\n%+v\nwant\n%+v", seed, opts.ViaProviders, after, before[i])
+			}
+		}
+		// Plans racing the tables' first build agree too.
+		fresh := withTwoNodeInfra(randomChainGraph(seed, 0))
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if w == 0 {
+					fresh.OutageSim(AllIndirect())
+					return
+				}
+				if got := fresh.MitigationPlan(8, siteSetViews[0]); !reflect.DeepEqual(got, before[0]) {
+					t.Errorf("seed %d: a plan racing the simulator's build differs", seed)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

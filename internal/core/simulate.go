@@ -181,7 +181,10 @@ func buildCSR(n int, fill func(emit func(row, id int32))) csr {
 // provider appears in a critical arrangement or, under JointFailures, when
 // every provider of one of its multi-third arrangements is down. siteRows
 // row 2p lists the sites with a critical arrangement naming provider p, row
-// 2p+1 the other sites naming it; jointRows row p indexes joint. dense[r]
+// 2p+1 the other sites naming it. Row p of jointRows holds one record per
+// multi-third arrangement naming provider p: the site id, the count m of
+// the arrangement's other providers, then their m ids, so the joint check
+// reads each record in one sequential pass. dense[r]
 // is siteRows row r as a site bitset when the row has at least as many
 // entries as the bitset has words, else nil. engineSite maps a site to the
 // index of its bit in the metrics engine's site sets: the two orders part
@@ -192,15 +195,7 @@ type simTables struct {
 	engineSite []int32 // Graph.Sites index → metrics-engine site id
 	siteRows   csr
 	dense      []bitset
-	joint      []jointArr
 	jointRows  csr
-}
-
-// jointArr is one site's multi-third arrangement, the only kind redundancy
-// exhaustion (OutageOpts.JointFailures) can take down.
-type jointArr struct {
-	site  int32
-	provs []int32
 }
 
 func (s *simTables) nSites() int { return len(s.sites.off) - 1 }
@@ -230,8 +225,8 @@ func (s *simTables) unionRow(b bitset, r int32) {
 // on the graph's first simulation, under any traversal, and shared by all:
 // the graph is immutable after NewGraph, so they never invalidate.
 func (g *Graph) OutageSim(opts TraversalOpts) *OutageSim {
-	g.simOnce.Do(func() { g.sim = newSimTables(g) })
-	return &OutageSim{simTables: g.sim, via: viaBits(opts)}
+	g.simOnce.Do(func() { g.sim.Store(newSimTables(g)) })
+	return &OutageSim{simTables: g.sim.Load(), via: viaBits(opts)}
 }
 
 func newSimTables(g *Graph) *simTables {
@@ -284,17 +279,25 @@ func newSimTables(g *Graph) *simTables {
 		}
 		s.dense[r] = d
 	}
-	for i := 0; i < nSites; i++ {
-		for _, a := range rows.row(i) {
-			if DepClass(a.class) == ClassMultiThird && a.hi > a.lo {
-				s.joint = append(s.joint, jointArr{site: int32(i), provs: rows.provs(a)})
-			}
-		}
-	}
+	// Multi-third arrangements are the only kind redundancy exhaustion
+	// (OutageOpts.JointFailures) can take down. A provider named twice in
+	// one arrangement gets two records, each listing the other occurrence.
 	s.jointRows = buildCSR(n, func(emit func(row, id int32)) {
-		for j, a := range s.joint {
-			for _, p := range a.provs {
-				emit(p, int32(j))
+		for i := 0; i < nSites; i++ {
+			for _, a := range rows.row(i) {
+				if DepClass(a.class) != ClassMultiThird || a.hi == a.lo {
+					continue
+				}
+				provs := rows.provs(a)
+				for k, p := range provs {
+					emit(p, int32(i))
+					emit(p, int32(len(provs)-1))
+					for l, q := range provs {
+						if l != k {
+							emit(p, q)
+						}
+					}
+				}
 			}
 		}
 	})
@@ -419,15 +422,7 @@ func (s *OutageSim) cascade(targets []int32, o OutageOpts, sc *SimScratch) {
 // be in both. Each touched row is ORed in once, from its dense bitset or
 // entry by entry (see unionRow).
 func (s *OutageSim) markSites(o OutageOpts, sc *SimScratch) {
-	words := (s.nSites() + 63) / 64
-	if cap(sc.impaired) < words {
-		sc.impaired = make(bitset, words)
-		sc.down = make(bitset, words)
-	}
-	sc.impaired = sc.impaired[:words]
-	sc.down = sc.down[:words]
-	clear(sc.impaired)
-	clear(sc.down)
+	sc.sizeSites(s.nSites())
 	state := sc.state
 	for _, p := range sc.touched {
 		if state[p] != ProviderDown {
@@ -440,18 +435,20 @@ func (s *OutageSim) markSites(o OutageOpts, sc *SimScratch) {
 		if !o.JointFailures {
 			continue
 		}
-	arrs:
-		for _, j := range s.jointRows.row(p) {
-			a := s.joint[j]
-			if sc.down.has(int(a.site)) {
+		row := s.jointRows.row(p)
+	records:
+		for len(row) > 0 {
+			site, others := row[0], row[2:2+row[1]]
+			row = row[2+row[1]:]
+			if sc.down.has(int(site)) {
 				continue
 			}
-			for _, q := range a.provs {
+			for _, q := range others {
 				if state[q] != ProviderDown {
-					continue arrs
+					continue records
 				}
 			}
-			sc.down.set(int(a.site))
+			sc.down.set(int(site))
 		}
 	}
 }
@@ -650,9 +647,23 @@ type SimScratch struct {
 	ids      []int32         // RunInto's resolved targets
 	queue    []int32
 	touched  []int32 // providers the last cascade moved off Up
-	// Site bitsets markSites fills: sites/8 bytes each, 2.5 KB at 20K sites.
+	// Site bitsets markSites and UnionCounts fill: sites/8 bytes each,
+	// 2.5 KB at 20K sites.
 	down     bitset
 	impaired bitset
+}
+
+// sizeSites makes sc.down and sc.impaired empty bitsets over nSites sites.
+func (sc *SimScratch) sizeSites(nSites int) {
+	words := (nSites + 63) / 64
+	if cap(sc.impaired) < words {
+		sc.impaired = make(bitset, words)
+		sc.down = make(bitset, words)
+	}
+	sc.impaired = sc.impaired[:words]
+	sc.down = sc.down[:words]
+	clear(sc.impaired)
+	clear(sc.down)
 }
 
 // RunCounts simulates the outage of the given provider ids under o and

@@ -204,7 +204,7 @@ func TestSimulateSeverity(t *testing.T) {
 
 // TestRunCountsAllocs guards the Monte-Carlo inner loop: with a warmed
 // SimScratch, RunCounts allocates nothing, in every outage mode, including
-// when markSites ORs in a dense row.
+// when markSites ORs in a dense row, and neither does UnionCounts.
 func TestRunCountsAllocs(t *testing.T) {
 	g := randomGraph(7)
 	sim := g.OutageSim(AllIndirect())
@@ -219,17 +219,23 @@ func TestRunCountsAllocs(t *testing.T) {
 	ids = ids[:(len(ids)+1)/2]
 	modes := []OutageOpts{{}, {Severity: 0.5}, {JointFailures: true}}
 	var sc SimScratch
+	var closures []*Closure
+	for _, id := range ids {
+		c := sim.Closure([]int32{id}, OutageOpts{}, &sc)
+		closures = append(closures, &c)
+	}
 	run := func() {
 		for _, o := range modes {
 			sim.RunCounts(ids, o, &sc)
 		}
+		sim.UnionCounts(closures, &sc)
 	}
 	run()
 	if down, _ := sim.RunCounts(ids, OutageOpts{}, &sc); down == 0 {
 		t.Fatal("fixture takes no site down; the guard would measure nothing")
 	}
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Errorf("RunCounts with a warmed scratch: %v allocs per run, want 0", allocs)
+		t.Errorf("RunCounts and UnionCounts with a warmed scratch: %v allocs per run, want 0", allocs)
 	}
 }
 

@@ -138,23 +138,31 @@ type CDFPoint struct {
 
 // ConcentrationCDF sorts providers of svc by direct site coverage and
 // returns the cumulative distinct-site coverage curve, normalized by the
-// number of sites using any third-party provider of svc.
+// number of sites using any third-party provider of svc. A site using a
+// provider twice in one arrangement counts twice toward its coverage rank.
 func ConcentrationCDF(g *Graph, svc Service) []CDFPoint {
 	type pc struct {
 		name  string
-		users []*Site
+		users []int32 // Graph.Sites indices
 	}
-	byName := make(map[string][]*Site)
-	for _, s := range g.Sites {
-		siteUses(s, func(name string, k use) {
-			if !k.private && k.svc == svc {
-				byName[name] = append(byName[name], s)
+	byName := make(map[string]int) // name → index in list
+	var list []pc
+	denom := 0 // the sites with a provider, all covered by the full list
+	for i, s := range g.Sites {
+		d := s.Deps[svc]
+		if !d.Class.UsesThird() || len(d.Providers) == 0 {
+			continue
+		}
+		denom++
+		for _, name := range d.Providers {
+			j, ok := byName[name]
+			if !ok {
+				j = len(list)
+				byName[name] = j
+				list = append(list, pc{name: name})
 			}
-		})
-	}
-	list := make([]pc, 0, len(byName))
-	for name, users := range byName {
-		list = append(list, pc{name, users})
+			list[j].users = append(list[j].users, int32(i))
+		}
 	}
 	sort.Slice(list, func(i, j int) bool {
 		if len(list[i].users) != len(list[j].users) {
@@ -162,20 +170,17 @@ func ConcentrationCDF(g *Graph, svc Service) []CDFPoint {
 		}
 		return list[i].name < list[j].name
 	})
-	all := make(map[string]bool)
-	for _, p := range list {
-		for _, s := range p.users {
-			all[s.Name] = true
-		}
-	}
-	denom := len(all)
-	covered := make(map[string]bool)
+	covered := make([]bool, len(g.Sites))
+	n := 0
 	out := make([]CDFPoint, 0, len(list))
 	for i, p := range list {
-		for _, s := range p.users {
-			covered[s.Name] = true
+		for _, si := range p.users {
+			if !covered[si] {
+				covered[si] = true
+				n++
+			}
 		}
-		out = append(out, CDFPoint{Providers: i + 1, Coverage: frac(len(covered), denom)})
+		out = append(out, CDFPoint{Providers: i + 1, Coverage: frac(n, denom)})
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package incident_test
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -104,6 +105,58 @@ func TestSimulateAllocs(t *testing.T) {
 	}
 }
 
+// TestMonteCarloAllocs guards the Monte-Carlo sweep's allocation shape: a
+// sweep allocates per worker, per failure unit and per report, and per
+// scenario only its outputs. Doubling Scenarios may add at most those
+// output bytes: 8 for each of the down, degraded and failure-count entries
+// and for summarize's sorted copy of each, and with recovery steps the same
+// again for the time-to-recover entry and every step's entry, plus 1 KiB
+// for what the runtime allocates beside the sweep (a few dozen bytes in
+// some runs). The arms cover the closure path (independent and correlated
+// failures, recovery checkpoints) and the cascade a joint sweep keeps.
+func TestMonteCarloAllocs(t *testing.T) {
+	g, _ := sweepFixture(t)
+	recovery, _ := incident.SweepPreset("mc-baseline")
+	recovery.Recovery = &incident.RecoverySpec{Steps: 4}
+	arms := []struct {
+		name string
+		spec func() *incident.SweepSpec
+	}{
+		{"baseline", func() *incident.SweepSpec { sp, _ := incident.SweepPreset("mc-baseline"); return sp }},
+		{"entity-storm", func() *incident.SweepSpec { sp, _ := incident.SweepPreset("mc-entity-storm"); return sp }},
+		{"dns-deep", func() *incident.SweepSpec { sp, _ := incident.SweepPreset("mc-dns-deep"); return sp }},
+		{"recovery", func() *incident.SweepSpec { sp := *recovery; return &sp }},
+	}
+	const n = 4096
+	for _, arm := range arms {
+		sweepBytes := func(scenarios int) uint64 {
+			best := uint64(math.MaxUint64)
+			for r := 0; r < 5; r++ {
+				sp := arm.spec()
+				sp.Scenarios = scenarios
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := incident.MonteCarlo(context.Background(), g, sp, 2); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				best = min(best, after.TotalAlloc-before.TotalAlloc)
+			}
+			return best
+		}
+		perScenario := 8 * 2 * 3
+		if sp := arm.spec(); sp.Recovery != nil {
+			perScenario += 8 * 2 * (1 + sp.Recovery.Steps)
+		}
+		a, b := sweepBytes(n), sweepBytes(2*n)
+		t.Logf("%s: %d bytes at %d scenarios, %d at %d: %.1f bytes per added scenario (budget %d)",
+			arm.name, a, n, b, 2*n, float64(int64(b)-int64(a))/n, perScenario)
+		if budget := int64(n*perScenario + 1024); int64(b)-int64(a) > budget {
+			t.Errorf("%s: %d more scenarios allocate %d more bytes, want at most %d", arm.name, n, int64(b)-int64(a), budget)
+		}
+	}
+}
+
 // BenchmarkIncidentSweep fans the top-100 providers' single-outage
 // scenarios through Sweep at scale 2K. bench/'s risk-20k workload runs the
 // same sweep at 20K as part of each timed round.
@@ -137,23 +190,33 @@ func BenchmarkMitigationPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkIncidentMonteCarlo samples 1000 C_p-weighted randomized failure
-// scenarios per iteration at scale 2K (the mc-baseline shape) and reports
-// scenarios/sec alongside ns/op.
+// BenchmarkIncidentMonteCarlo samples 1000 randomized failure scenarios
+// per iteration at scale 2K and reports scenarios/sec alongside ns/op, in
+// three arms: baseline (the mc-baseline shape, C_p-weighted independent
+// failures), entity-storm (correlated groups) and dns-deep (the full DNS
+// pool under joint failures, the arm that keeps the cascade).
 func BenchmarkIncidentMonteCarlo(b *testing.B) {
 	g, _ := sweepFixture(b)
 	const scenarios = 1000
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		spec := &incident.SweepSpec{Name: "bench-mc", Scenarios: scenarios, Seed: 1}
-		rep, err := incident.MonteCarlo(context.Background(), g, spec, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Scenarios != scenarios {
-			b.Fatalf("ran %d scenarios, want %d", rep.Scenarios, scenarios)
-		}
+	for _, arm := range []struct{ name, preset string }{
+		{"baseline", "mc-baseline"},
+		{"entity-storm", "mc-entity-storm"},
+		{"dns-deep", "mc-dns-deep"},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				spec, _ := incident.SweepPreset(arm.preset)
+				spec.Scenarios = scenarios
+				rep, err := incident.MonteCarlo(context.Background(), g, spec, 8)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Scenarios != scenarios {
+					b.Fatalf("ran %d scenarios, want %d", rep.Scenarios, scenarios)
+				}
+			}
+			b.ReportMetric(float64(scenarios*b.N)/b.Elapsed().Seconds(), "scenarios/sec")
+		})
 	}
-	b.ReportMetric(float64(scenarios*b.N)/b.Elapsed().Seconds(), "scenarios/sec")
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -33,9 +34,11 @@ import (
 var (
 	sweepRuns      = telemetry.Counter("sweep_runs_total", "Monte-Carlo incident sweeps completed")
 	sweepScenarios = telemetry.Counter("sweep_scenarios_total", "randomized failure scenarios sampled across all sweeps")
-	sweepCascades  = telemetry.Counter("sweep_cascades_total", "outage cascades evaluated by sweeps (scenarios plus recovery checkpoints)")
+	sweepCascades  = telemetry.Counter("sweep_cascades_total", "outages evaluated by sweeps (scenarios plus recovery checkpoints)")
 	sweepLastP99   = telemetry.Gauge("sweep_last_p99_down", "P99 sites-down of the most recent Monte-Carlo sweep")
 	sweepLastMax   = telemetry.Gauge("sweep_last_max_down", "max sites-down of the most recent Monte-Carlo sweep")
+
+	sweepLastClosureBytes = telemetry.Gauge("sweep_last_closure_bytes", "bytes the failure-unit closures of the most recent Monte-Carlo sweep held (0 under joint failures)")
 )
 
 // SweepSpec is the Monte-Carlo sweep specification, the JSON document
@@ -433,13 +436,44 @@ func summarize(values []int) DistSummary {
 	}
 }
 
-// mcChunk is one worker chunk's private accumulators, merged in chunk order
-// after the fan-out so the report is independent of scheduling.
-type mcChunk struct {
+// mcWorker is one worker's scratch and accumulators. At most workers
+// chunks run at once and each borrows an idle mcWorker, so a sweep
+// allocates per worker, not per chunk or scenario. The accumulators are
+// sums and maxima, so merging them in any order gives the same report.
+type mcWorker struct {
 	failCount []int
 	sumDown   []int
 	maxDown   []int
-	cascades  int
+	scratch   core.SimScratch
+	gen       *rand.Rand
+	failedIdx []int           // the scenario's failed pool members
+	recTimes  []float64       // their recovery times, in failedIdx order
+	ids       []int32         // an outage's provider ids, for a cascade
+	fired     []*core.Closure // an outage's unit closures, for a union
+}
+
+// unitClosures runs each failure unit's cascade once, units[i] holding
+// unit i's provider ids, and keeps its closure.
+func unitClosures(ctx context.Context, sim *core.OutageSim, units [][]int32, oo core.OutageOpts, workers int) ([]core.Closure, error) {
+	const chunkSize = 16
+	cl := make([]core.Closure, len(units))
+	err := conc.ForEach(ctx, (len(units)+chunkSize-1)/chunkSize, workers, conc.FailFast, func(ctx context.Context, ci int) error {
+		var sc core.SimScratch
+		for i := ci * chunkSize; i < min((ci+1)*chunkSize, len(units)); i++ {
+			cl[i] = sim.Closure(units[i], oo, &sc)
+		}
+		return nil
+	})
+	return cl, err
+}
+
+// closuresBytes is the memory cl's site sets hold.
+func closuresBytes(cl []core.Closure) int {
+	n := 0
+	for i := range cl {
+		n += cl[i].Bytes()
+	}
+	return n
 }
 
 // MonteCarlo runs a seeded randomized failure sweep against g and aggregates
@@ -474,79 +508,129 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 		horizon = 3 * meanMin
 	}
 
+	// Without joint failures an outage is the union of its failure units'
+	// closures (internal/core/closure.go), so each unit's cascade runs once
+	// here and a scenario only unions the closures of the groups that
+	// fired. The recovery checkpoints fail candidates one by one, so they
+	// get one closure per candidate; a pool of singleton groups (group i
+	// is candidate i) shares the groups'. Under JointFailures every outage
+	// runs its own cascade.
+	union := !oo.JointFailures
+	var groupCl, candCl []core.Closure
+	closureBytes := 0
+	if union {
+		units := make([][]int32, len(groups))
+		for gi, grp := range groups {
+			for _, m := range grp.members {
+				units[gi] = append(units[gi], pool[m].id)
+			}
+		}
+		if groupCl, err = unitClosures(ctx, sim, units, oo, workers); err != nil {
+			return nil, err
+		}
+		candCl = groupCl
+		if steps > 0 && len(groups) < len(pool) {
+			units = make([][]int32, len(pool))
+			for m := range pool {
+				units[m] = []int32{pool[m].id}
+			}
+			if candCl, err = unitClosures(ctx, sim, units, oo, workers); err != nil {
+				return nil, err
+			}
+			closureBytes += closuresBytes(candCl)
+		}
+		closureBytes += closuresBytes(groupCl)
+	}
+	// count evaluates the worker's current outage: the union of wk.fired,
+	// or under JointFailures the cascade of wk.ids.
+	count := func(wk *mcWorker) (down, degraded int) {
+		if union {
+			return sim.UnionCounts(wk.fired, &wk.scratch)
+		}
+		return sim.RunCounts(wk.ids, oo, &wk.scratch)
+	}
+
 	// Per-scenario outputs, indexed by scenario so ordering never depends on
 	// workers.
 	downs := make([]int, n)
 	degradeds := make([]int, n)
 	nfails := make([]int, n)
-	ttrMinutes := make([]int, n)
+	var ttrMinutes []int
 	var stepDowns [][]int // [step][scenario]
-	for j := 0; j < steps; j++ {
-		stepDowns = append(stepDowns, make([]int, n))
+	if steps > 0 {
+		ttrMinutes = make([]int, n)
+		stepDowns = make([][]int, steps)
+		for j := range stepDowns {
+			stepDowns[j] = make([]int, n)
+		}
 	}
 
 	const chunkSize = 64
 	nChunks := (n + chunkSize - 1) / chunkSize
-	chunks := make([]mcChunk, nChunks)
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	mcWorkers := make([]mcWorker, min(workers, nChunks))
+	idle := make(chan *mcWorker, len(mcWorkers))
+	for w := range mcWorkers {
+		wk := &mcWorkers[w]
+		wk.failCount = make([]int, len(pool))
+		wk.sumDown = make([]int, len(pool))
+		wk.maxDown = make([]int, len(pool))
+		// One generator per worker, reseeded per scenario: Seed restarts
+		// the stream exactly as a fresh math/rand source seeded with
+		// mix(seed, i) would, without allocating a ~5 KB source per
+		// scenario, and rng.Source's jump-ahead Seed costs a fifth of
+		// math/rand's.
+		wk.gen = rand.New(rng.NewSource(0))
+		idle <- wk
+	}
 	seed := sp.seed()
 
-	err = conc.ForEach(ctx, nChunks, workers, conc.FailFast, func(ctx context.Context, ci int) error {
-		acc := &chunks[ci]
-		acc.failCount = make([]int, len(pool))
-		acc.sumDown = make([]int, len(pool))
-		acc.maxDown = make([]int, len(pool))
-		var scratch core.SimScratch
-		ids := make([]int32, 0, len(pool))
-		failedIdx := make([]int, 0, len(pool))
-		var stillDown []int32 // a recovery checkpoint's unrecovered ids
-		var recTimes []float64
-		// One generator per chunk, reseeded per scenario: Seed restarts the
-		// stream exactly as a fresh math/rand source seeded with mix(seed, i)
-		// would, without allocating a ~5 KB source per scenario, and
-		// rng.Source's jump-ahead Seed costs a fifth of math/rand's.
-		gen := rand.New(rng.NewSource(0))
-		lo, hi := ci*chunkSize, (ci+1)*chunkSize
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
+	err = conc.ForEach(ctx, nChunks, len(mcWorkers), conc.FailFast, func(ctx context.Context, ci int) error {
+		wk := <-idle
+		defer func() { idle <- wk }()
+		gen := wk.gen
+		for i := ci * chunkSize; i < min((ci+1)*chunkSize, n); i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			gen.Seed(mix(seed, int64(i)))
-			ids = ids[:0]
-			failedIdx = failedIdx[:0]
-			for _, grp := range groups {
+			wk.failedIdx, wk.ids, wk.fired = wk.failedIdx[:0], wk.ids[:0], wk.fired[:0]
+			for gi, grp := range groups {
 				if gen.Float64() < grp.prob {
-					for _, m := range grp.members {
-						ids = append(ids, pool[m].id)
-						failedIdx = append(failedIdx, m)
+					wk.failedIdx = append(wk.failedIdx, grp.members...)
+					if union {
+						wk.fired = append(wk.fired, &groupCl[gi])
 					}
 				}
 			}
-			down, degraded := sim.RunCounts(ids, oo, &scratch)
-			acc.cascades++
+			if !union {
+				for _, m := range wk.failedIdx {
+					wk.ids = append(wk.ids, pool[m].id)
+				}
+			}
+			down, degraded := count(wk)
 			downs[i] = down
 			degradeds[i] = degraded
-			nfails[i] = len(ids)
-			for _, m := range failedIdx {
-				acc.failCount[m]++
-				acc.sumDown[m] += down
-				if down > acc.maxDown[m] {
-					acc.maxDown[m] = down
+			nfails[i] = len(wk.failedIdx)
+			for _, m := range wk.failedIdx {
+				wk.failCount[m]++
+				wk.sumDown[m] += down
+				if down > wk.maxDown[m] {
+					wk.maxDown[m] = down
 				}
 			}
 
 			if steps > 0 {
 				// Draw a recovery time per failed provider, in pool order, so
-				// the rng stream is scheduling-independent; then re-run the
-				// cascade with only the still-down providers at each
-				// checkpoint.
-				recTimes = recTimes[:0]
+				// the rng stream is scheduling-independent; then count the
+				// outage of only the still-down providers at each checkpoint.
+				wk.recTimes = wk.recTimes[:0]
 				ttr := 0.0
-				for range failedIdx {
+				for range wk.failedIdx {
 					r := gen.ExpFloat64() * meanMin
-					recTimes = append(recTimes, r)
+					wk.recTimes = append(wk.recTimes, r)
 					if r > ttr {
 						ttr = r
 					}
@@ -554,15 +638,17 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 				ttrMinutes[i] = int(math.Round(ttr))
 				for j := 0; j < steps; j++ {
 					t := horizon * float64(j+1) / float64(steps)
-					stillDown = stillDown[:0]
-					for k, m := range failedIdx {
-						if recTimes[k] > t {
-							stillDown = append(stillDown, pool[m].id)
+					wk.ids, wk.fired = wk.ids[:0], wk.fired[:0]
+					for k, m := range wk.failedIdx {
+						switch {
+						case wk.recTimes[k] <= t:
+						case union:
+							wk.fired = append(wk.fired, &candCl[m])
+						default:
+							wk.ids = append(wk.ids, pool[m].id)
 						}
 					}
-					d, _ := sim.RunCounts(stillDown, oo, &scratch)
-					acc.cascades++
-					stepDowns[j][i] = d
+					stepDowns[j][i], _ = count(wk)
 				}
 			}
 		}
@@ -572,19 +658,15 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 		return nil, err
 	}
 
-	// Merge chunk accumulators in chunk order.
 	failCount := make([]int, len(pool))
 	sumDown := make([]int, len(pool))
 	maxDown := make([]int, len(pool))
-	cascades := 0
-	for _, acc := range chunks {
-		cascades += acc.cascades
+	for w := range mcWorkers {
+		wk := &mcWorkers[w]
 		for i := range pool {
-			failCount[i] += acc.failCount[i]
-			sumDown[i] += acc.sumDown[i]
-			if acc.maxDown[i] > maxDown[i] {
-				maxDown[i] = acc.maxDown[i]
-			}
+			failCount[i] += wk.failCount[i]
+			sumDown[i] += wk.sumDown[i]
+			maxDown[i] = max(maxDown[i], wk.maxDown[i])
 		}
 	}
 
@@ -660,7 +742,8 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 
 	sweepRuns.Inc()
 	sweepScenarios.Add(int64(n))
-	sweepCascades.Add(int64(cascades))
+	sweepCascades.Add(int64(n * (1 + steps)))
+	sweepLastClosureBytes.Set(int64(closureBytes))
 	sweepLastP99.Set(int64(rep.Down.P99))
 	sweepLastMax.Set(int64(rep.Down.Max))
 	return rep, nil
