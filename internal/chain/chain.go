@@ -196,12 +196,12 @@ func Summarize(g *core.Graph, topN int) *Summary {
 	}
 
 	eng := g.Metrics()
-	implC, implI := eng.Counts(core.AllImplicit())
+	impl, dir := core.AllImplicit(), core.AllIndirect()
 	for name, va := range agg {
 		s.TopImplicit = append(s.TopImplicit, VendorExposure{
 			Provider:      name,
-			Concentration: implC[name],
-			Impact:        implI[name],
+			Concentration: eng.Concentration(name, impl),
+			Impact:        eng.Impact(name, impl),
 			Sites:         va.sites,
 			Weighted:      va.weighted,
 			MinDepth:      va.min,
@@ -224,16 +224,15 @@ func Summarize(g *core.Graph, topN int) *Summary {
 
 	// Direct vs implicit: the same providers the direct rankings surface,
 	// with their counts recomputed under the chain-aware traversal.
-	dirC, dirI := eng.Counts(core.AllIndirect())
 	for _, svc := range core.Services {
-		for _, ps := range g.TopProviders(svc, core.AllIndirect(), false, topN) {
+		for _, ps := range g.TopProviders(svc, dir, false, topN) {
 			s.Comparison = append(s.Comparison, ComparisonRow{
 				Provider:              ps.Name,
 				Service:               strings.ToLower(svc.String()),
-				DirectConcentration:   dirC[ps.Name],
-				ImplicitConcentration: implC[ps.Name],
-				DirectImpact:          dirI[ps.Name],
-				ImplicitImpact:        implI[ps.Name],
+				DirectConcentration:   ps.Concentration,
+				ImplicitConcentration: eng.Concentration(ps.Name, impl),
+				DirectImpact:          ps.Impact,
+				ImplicitImpact:        eng.Impact(ps.Name, impl),
 			})
 		}
 	}

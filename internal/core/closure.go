@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // This file holds the closure form of the outage simulator. Without
 // JointFailures every provider's and every site's health is a join (a
@@ -23,45 +20,6 @@ import (
 // providers fail in two different units is lost together but only degraded
 // by either alone. So a closure refuses JointFailures, and a joint sweep
 // keeps the full cascade (RunCounts).
-
-// rowSet is a set of site indices in the simulator's row form: a bitset
-// when the set has at least as many members as the bitset has words, sorted
-// ids otherwise. Like a dense provider→site row, it costs at most twice
-// the bytes of its int32 ids.
-type rowSet struct {
-	dense bitset
-	ids   []int32
-	n     int
-}
-
-// newRowSet copies the members of site bitset b into the row form.
-func newRowSet(b bitset) rowSet {
-	n := b.count()
-	if n >= len(b) {
-		return rowSet{dense: slices.Clone(b), n: n}
-	}
-	rs := rowSet{ids: make([]int32, 0, n), n: n}
-	for w, word := range b {
-		for ; word != 0; word &= word - 1 {
-			rs.ids = append(rs.ids, int32(w*64+bits.TrailingZeros64(word)))
-		}
-	}
-	return rs
-}
-
-// unionInto ORs the set into b: word by word when dense, bit by bit
-// otherwise.
-func (rs *rowSet) unionInto(b bitset) {
-	if rs.dense != nil {
-		b.unionWith(rs.dense)
-		return
-	}
-	for _, i := range rs.ids {
-		b.set(int(i))
-	}
-}
-
-func (rs *rowSet) bytes() int { return 8*len(rs.dense) + 4*len(rs.ids) }
 
 // Closure is the outcome of one failure unit's outage on its own: the
 // sites it takes down and the sites it affects (down or degraded). For one
@@ -83,7 +41,10 @@ func (s *OutageSim) Closure(targets []int32, o OutageOpts, sc *SimScratch) Closu
 	s.cascade(targets, o, sc)
 	s.markSites(o, sc)
 	sc.impaired.unionWith(sc.down)
-	return Closure{down: newRowSet(sc.down), affected: newRowSet(sc.impaired)}
+	down, affected := bitsetRowSet(sc.down), bitsetRowSet(sc.impaired)
+	// A dense set holds the scratch bitset itself; keep a copy instead.
+	down.dense, affected.dense = slices.Clone(down.dense), slices.Clone(affected.dense)
+	return Closure{down: down, affected: affected}
 }
 
 // UnionCounts counts the outage of every unit in cs together, from their
@@ -102,9 +63,5 @@ func (s *OutageSim) UnionCounts(cs []*Closure, sc *SimScratch) (down, degraded i
 		c.down.unionInto(sc.down)
 		c.affected.unionInto(sc.impaired)
 	}
-	for w, d := range sc.down {
-		down += bits.OnesCount64(d)
-		degraded += bits.OnesCount64(sc.impaired[w] &^ d)
-	}
-	return down, degraded
+	return sc.counts()
 }

@@ -16,7 +16,7 @@ import (
 // site/provider name is a dense uint32 into the process-wide intern.Dict,
 // and all per-site variable-length data (dependency provider lists, private
 // infrastructure, chain edges) lives in CSR-style offset+value arrays. Site
-// row indexes double as the metrics engine's bitset indexes, so the batch
+// row indexes double as the metrics engine's site ids, so the batch
 // propagation runs over the compact form directly — Metrics() feeds the
 // columns to the engine's one direct-user table builder (table.go) without
 // ever building a Graph.
@@ -43,7 +43,7 @@ const nSiteServices = 3
 type CompactGraph struct {
 	dict *intern.Dict
 
-	// Site columns; the row index is the site's bitset index.
+	// Site columns; the row index is the site's engine site id.
 	siteNames []uint32 // dict ids
 	siteRanks []int32
 
@@ -96,7 +96,7 @@ func (cg *CompactGraph) SetMetricsWorkers(n int) {
 }
 
 // Metrics returns the graph's batched metrics engine, built directly over
-// the columnar arrays on first use: site rows are the bitset indexes, so
+// the columnar arrays on first use: site rows are the engine site ids, so
 // the engine's init() never runs — names, bases and edges are materialized
 // here and the SCC/propagation machinery consumes them as-is.
 func (cg *CompactGraph) Metrics() *MetricsEngine {
@@ -110,7 +110,7 @@ func (cg *CompactGraph) Metrics() *MetricsEngine {
 
 // buildEngine materializes a MetricsEngine whose direct-user table comes
 // straight from the columns, through the same builder init feeds from a
-// pointer graph; site rows are the bitset indexes. The resulting counts are
+// pointer graph; site rows are the engine site ids. The resulting counts are
 // property-tested equal to a pointer-graph engine over Inflate()'s output.
 func (cg *CompactGraph) buildEngine(workers int) *MetricsEngine {
 	e := &MetricsEngine{workers: workers, cache: make(map[uint8]*metricsEntry)}

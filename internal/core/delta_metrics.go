@@ -8,12 +8,12 @@ import (
 
 // This file carries a MetricsEngine across a graph delta. The engine's
 // expensive artifacts — the provider universe, the per-name direct-user
-// rows, the SCC condensation and the per-component dependent-site bitsets —
+// rows, the SCC condensation and the per-component dependent-site sets —
 // are all keyed by structure a small delta barely touches, so instead of
 // rebuilding them the new graph's engine patches copies:
 //
 //   - the universe and site-id space are append-only (removed names keep
-//     their ids with empty rows), so retained bitsets stay comparable;
+//     their ids with empty rows), so retained sets stay comparable;
 //   - the direct-user table (table.go) is patched for the site nodes the
 //     delta unlinked and linked, copying only the rows it edits;
 //   - for each cached traversal, only the components that can reach a dirty
@@ -163,14 +163,11 @@ func (ne *MetricsEngine) patchEntry(ent *metricsEntry, dirtyIDs []int) *metricsE
 	if ent.stateConc == nil || ent.stateImp == nil {
 		return nil
 	}
-	nent := &metricsEntry{}
-	var ok bool
-	nent.conc, nent.stateConc, ok = ne.repropagate(ent.conc, ent.stateConc, false, dirtyIDs)
-	if !ok {
-		return nil
+	nent := &metricsEntry{
+		stateConc: ne.repropagate(ent.stateConc, false, dirtyIDs),
+		stateImp:  ne.repropagate(ent.stateImp, true, dirtyIDs),
 	}
-	nent.imp, nent.stateImp, ok = ne.repropagate(ent.imp, ent.stateImp, true, dirtyIDs)
-	if !ok {
+	if nent.stateConc == nil || nent.stateImp == nil {
 		return nil
 	}
 	nent.once.Do(func() {})
@@ -184,7 +181,8 @@ func (ne *MetricsEngine) patchEntry(ent *metricsEntry, dirtyIDs []int) *metricsE
 // structural), and dirty components are re-unioned in ascending component
 // order so recomputed successors are always final before their
 // predecessors read them. Untouched components keep their published sets.
-func (ne *MetricsEngine) repropagate(oldMap map[string]int, st *propState, critical bool, dirtyIDs []int) (map[string]int, *propState, bool) {
+// It returns nil when so much is dirty that a fresh propagation is cheaper.
+func (ne *MetricsEngine) repropagate(st *propState, critical bool, dirtyIDs []int) *propState {
 	nOld := len(st.comp)
 	n := len(ne.names)
 	base := ne.baseAll
@@ -196,9 +194,7 @@ func (ne *MetricsEngine) repropagate(oldMap map[string]int, st *propState, criti
 	ncomp := len(st.members)
 	members := grow(st.members, ncomp+(n-nOld))
 	succ := grow(st.succ, ncomp+(n-nOld))
-	hasBase := grow(st.hasBase, ncomp+(n-nOld))
 	sets := grow(st.sets, ncomp+(n-nOld))
-	counts := grow(st.counts, ncomp+(n-nOld))
 
 	dirtyComp := make(map[int32]bool, len(dirtyIDs))
 	for _, u := range dirtyIDs {
@@ -214,9 +210,7 @@ func (ne *MetricsEngine) repropagate(oldMap map[string]int, st *propState, criti
 	}
 	members = members[:ncomp]
 	succ = succ[:ncomp]
-	hasBase = hasBase[:ncomp]
 	sets = sets[:ncomp]
-	counts = counts[:ncomp]
 
 	// Mark every component that can reach a dirty one through the
 	// condensation (its set unions theirs). Successor ids are always
@@ -234,7 +228,7 @@ func (ne *MetricsEngine) repropagate(oldMap map[string]int, st *propState, criti
 		}
 	}
 	if len(dirtyComp) > deltaDirtyLimit(ncomp) {
-		return nil, nil, false
+		return nil
 	}
 
 	order := make([]int32, 0, len(dirtyComp))
@@ -242,20 +236,9 @@ func (ne *MetricsEngine) repropagate(oldMap map[string]int, st *propState, criti
 		order = append(order, c)
 	}
 	slices.Sort(order)
-	nst := &propState{comp: comp, members: members, succ: succ, hasBase: hasBase, sets: sets, counts: counts}
+	nst := &propState{comp: comp, members: members, succ: succ, sets: sets}
 	for _, c := range order {
-		hasBase[c] = slices.ContainsFunc(members[c], func(u int32) bool { return len(base[u]) > 0 })
 		nst.fill(c, base, ne.nSiteIDs)
 	}
-
-	out := maps.Clone(oldMap)
-	if out == nil {
-		out = make(map[string]int, n)
-	}
-	for c := range dirtyComp {
-		for _, u := range members[c] {
-			out[ne.names[u]] = counts[c]
-		}
-	}
-	return out, nst, true
+	return nst
 }

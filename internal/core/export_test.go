@@ -108,11 +108,11 @@ func (s *OutageSim) ScanCounts(targets []int32, o OutageOpts) (down, degraded in
 // RowForms counts the non-empty provider→site rows markSites ORs in from a
 // dense bitset and those it walks entry by entry.
 func (s *OutageSim) RowForms() (dense, sparse int) {
-	for r, d := range s.dense {
+	for _, row := range s.siteRows {
 		switch {
-		case d != nil:
+		case row.dense != nil:
 			dense++
-		case len(s.siteRows.row(int32(r))) > 0:
+		case row.n > 0:
 			sparse++
 		}
 	}
@@ -528,20 +528,7 @@ func ParseDelta(r io.Reader) (Delta, error) {
 // Sites lists the closure's down and affected sites by Graph.Sites index,
 // ascending, whichever row form holds them.
 func (c *Closure) Sites() (down, affected []int32) {
-	return c.down.members(), c.affected.members()
-}
-
-func (rs *rowSet) members() []int32 {
-	if rs.dense == nil {
-		return slices.Clone(rs.ids)
-	}
-	var out []int32
-	for i := 0; i < 64*len(rs.dense); i++ {
-		if rs.dense.has(i) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
+	return c.down.appendTo(nil), c.affected.appendTo(nil)
 }
 
 // Forms reports whether the closure's down and affected sets are held as

@@ -264,14 +264,14 @@ func (o TraversalOpts) allows(svc Service) bool {
 
 // ImpactSet returns the set of websites critically dependent on p directly
 // or transitively (§2.2 I_p), read off the metrics engine's dependent-site
-// bitset for p.
+// set for p.
 func (g *Graph) ImpactSet(p string, opts TraversalOpts) map[string]bool {
 	return g.Metrics().siteSet(p, opts, true)
 }
 
 // Concentration returns |C_p|, served by the batched metrics engine: the
-// first query for a traversal computes counts for every provider at once and
-// later queries are map lookups.
+// first query for a traversal computes every provider's set at once and
+// later queries read a set's size.
 func (g *Graph) Concentration(p string, opts TraversalOpts) int {
 	return g.Metrics().Concentration(p, opts)
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,18 +19,18 @@ import (
 //  1. condense the (traversal-filtered) provider graph into strongly
 //     connected components — mutually dependent providers share one
 //     dependent-site set by definition;
-//  2. propagate site bitsets through the condensation DAG sinks-first, with
-//     copy-on-write sharing for pass-through components;
+//  2. propagate site sets (rowSet, siteset.go) through the condensation
+//     DAG sinks-first, with copy-on-write sharing for pass-through ones;
 //  3. fan the per-level component work across a worker pool.
 //
 // Results are cached per traversal key. Graphs are immutable after NewGraph
 // (nothing in the package mutates Sites or Providers), so cache entries
 // never need invalidation. The engine is the graph's one C_p/I_p
 // computation and holds its one direct-user table (table.go): counts and
-// rankings read the per-component counts, the ranking candidates read the
-// table's user counts, and the site sets (ImpactSet, and C_p's for the
-// tests) walk the retained per-component bitsets. The recursive set formulas survive
-// only as the test oracle the property tests hold it against.
+// rankings read the retained per-component sets' sizes, the ranking
+// candidates read the table's user counts, and the site sets (ImpactSet,
+// and C_p's for the tests) walk their members. The recursive set formulas
+// survive only as the test oracle the property tests hold it against.
 
 // MetricsEngine computes provider concentration |C_p| and impact |I_p| for
 // all providers of a Graph in one batched pass and caches the result per
@@ -53,14 +53,14 @@ type MetricsEngine struct {
 	baseAll  [][]int32    // third-party users of any class + private owners
 	baseCrit [][]int32    // critical users + private owners
 	users    []userCounts // per-name user counts, per service
-	// siteID assigns each site name a stable bitset index. Unlike the
-	// Sites slice, ids are never reused or shifted: an engine carried
-	// across deltas (ApplyDelta) keeps ids for removed sites and appends
-	// fresh ones for additions, so retained bitsets stay comparable.
-	// siteNames is its inverse (bitset index → site name).
+	// siteID assigns each site name a stable set id. Unlike the Sites
+	// slice, ids are never reused or shifted: an engine carried across
+	// deltas (ApplyDelta) keeps ids for removed sites and appends fresh
+	// ones for additions, so retained sets stay comparable. siteNames is
+	// its inverse (set id → site name).
 	siteID    map[string]int32
 	siteNames []string
-	nSiteIDs  int // bitset width: ids handed out so far
+	nSiteIDs  int // id space: ids handed out so far
 
 	mu      sync.Mutex
 	workers int
@@ -78,36 +78,32 @@ type metricEdge struct {
 }
 
 // metricsEntry is one cached (TraversalOpts) result; once guards the
-// propagation so concurrent first queries fill it exactly once. conc and imp
-// are complete maps, immutable after once, so reads are lock-free.
+// propagation so concurrent first queries fill it exactly once. The states
+// are immutable after once, so reads are lock-free.
 type metricsEntry struct {
 	once sync.Once
-	conc map[string]int
-	imp  map[string]int
 
 	// ready flips after once's body completes, so ApplyDelta can tell a
 	// fully built entry from one whose first fill is still in flight (the
-	// fields above are unsafe to read until then).
+	// fields below are unsafe to read until then).
 	ready atomic.Bool
 
-	// The propagation state (condensation, per-component site bitsets) is
-	// retained so a later ApplyDelta can recompute only the components
-	// reachable from touched names instead of re-propagating the whole DAG.
-	// nil when the graph has no providers or no sites.
+	// Each metric's propagation state (condensation, per-component site
+	// sets): a count is a set's size, and ApplyDelta recomputes only the
+	// components reachable from touched names instead of re-propagating
+	// the whole DAG. nil when the graph has no providers or no sites.
 	stateConc *propState
 	stateImp  *propState
 }
 
 // propState is the retained output of one propagate() pass: the filtered
 // condensation and the per-component dependent-site sets. Immutable after
-// publication; ApplyDelta patches a copy (sharing untouched bitsets).
+// publication; ApplyDelta patches a copy (sharing untouched sets).
 type propState struct {
 	comp    []int32   // name id → component
 	members [][]int32 // component → member name ids
 	succ    [][]int32 // component → successor components (always smaller ids)
-	hasBase []bool    // component contributes direct users of its own
-	sets    []bitset  // component → dependent-site bitset
-	counts  []int     // component → popcount of sets
+	sets    []rowSet  // component → dependent-site set
 }
 
 // NewMetricsEngine builds an engine over g with its own cache. Most callers
@@ -136,45 +132,50 @@ func (e *MetricsEngine) workerCount() int {
 
 // Concentration returns |C_p| under opts.
 func (e *MetricsEngine) Concentration(p string, opts TraversalOpts) int {
-	return e.entry(opts).conc[p]
+	return e.setOf(e.entry(opts).stateConc, p).n
 }
 
 // Impact returns |I_p| under opts.
 func (e *MetricsEngine) Impact(p string, opts TraversalOpts) int {
-	return e.entry(opts).imp[p]
+	return e.setOf(e.entry(opts).stateImp, p).n
 }
 
-// siteSet returns the member sites of p's dependent-site bitset under opts
+// setOf returns p's dependent-site set in st, empty when st is nil or p is
+// a name the engine never saw.
+func (e *MetricsEngine) setOf(st *propState, p string) rowSet {
+	id, ok := e.ids[p]
+	if !ok || st == nil {
+		return rowSet{}
+	}
+	return st.sets[st.comp[id]]
+}
+
+// siteSet returns the member sites of p's dependent-site set under opts
 // (the impact set when critical, else the concentration set): the set the
-// counts are popcounts of. It walks only the set bits of the bitset itself,
-// whose width is that of the site-id space when the bitset was built — a
-// component a delta left clean keeps its narrower bitset while later ids
-// are appended.
+// counts are the sizes of.
 func (e *MetricsEngine) siteSet(p string, opts TraversalOpts, critical bool) map[string]bool {
 	ent := e.entry(opts)
 	st := ent.stateConc
 	if critical {
 		st = ent.stateImp
 	}
-	id, ok := e.ids[p]
-	if !ok || st == nil {
-		return map[string]bool{}
-	}
-	c := st.comp[id]
-	out := make(map[string]bool, st.counts[c])
-	for w, word := range st.sets[c] {
-		for ; word != 0; word &= word - 1 {
-			out[e.siteNames[w*64+bits.TrailingZeros64(word)]] = true
-		}
+	set := e.setOf(st, p)
+	out := make(map[string]bool, set.n)
+	for _, id := range set.appendTo(nil) {
+		out[e.siteNames[id]] = true
 	}
 	return out
 }
 
-// Counts returns |C_p| and |I_p| for every provider under opts. The maps are
-// shared cache state; callers must not mutate them.
+// Counts returns |C_p| and |I_p| for every provider under opts, as fresh
+// maps; a reader of a few names should ask Concentration and Impact.
 func (e *MetricsEngine) Counts(opts TraversalOpts) (conc, imp map[string]int) {
 	ent := e.entry(opts)
-	return ent.conc, ent.imp
+	conc, imp = make(map[string]int, len(e.names)), make(map[string]int, len(e.names))
+	for _, name := range e.names {
+		conc[name], imp[name] = e.setOf(ent.stateConc, name).n, e.setOf(ent.stateImp, name).n
+	}
+	return conc, imp
 }
 
 // viaBits folds TraversalOpts into the cache key. Only the canonical
@@ -206,8 +207,8 @@ func (e *MetricsEngine) entryVia(key uint8) *metricsEntry {
 	e.mu.Unlock()
 	ent.once.Do(func() {
 		e.initOnce.Do(e.init)
-		ent.conc, ent.stateConc = e.propagate(key, false)
-		ent.imp, ent.stateImp = e.propagate(key, true)
+		ent.stateConc = e.propagate(key, false)
+		ent.stateImp = e.propagate(key, true)
 		ent.ready.Store(true)
 	})
 	return ent
@@ -245,16 +246,15 @@ func (e *MetricsEngine) init() {
 
 // propagate computes one metric (concentration, or impact when critical) for
 // every provider: SCC condensation of the filtered edges, then a sinks-first
-// sweep unioning site bitsets up the DAG, parallel within each depth level.
-// Alongside the count map it returns the propagation state it built, which
-// the entry retains so ApplyDelta can patch instead of re-propagating.
-func (e *MetricsEngine) propagate(via uint8, critical bool) (map[string]int, *propState) {
+// sweep unioning site sets up the DAG, parallel within each depth level. It
+// returns the propagation state it built, which the entry retains: counts
+// are its sets' sizes, and ApplyDelta patches it instead of re-propagating.
+func (e *MetricsEngine) propagate(via uint8, critical bool) *propState {
 	n := len(e.names)
-	// Degenerate inputs: with no providers or no sites every count is zero.
-	// Return an empty map (lookups yield 0) instead of condensing an empty
-	// graph and allocating a zero-width bitset view per component.
+	// Degenerate inputs: with no providers or no sites every count is zero,
+	// which a nil state answers without condensing an empty graph.
 	if n == 0 || e.nSiteIDs == 0 {
-		return map[string]int{}, nil
+		return nil
 	}
 	base := e.baseAll
 	if critical {
@@ -298,15 +298,6 @@ func (e *MetricsEngine) propagate(via uint8, critical bool) (map[string]int, *pr
 		}
 	}
 
-	// Does the component contribute any direct users of its own? Needed up
-	// front so pass-through components can alias instead of copy.
-	hasBase := make([]bool, ncomp)
-	for u := 0; u < n; u++ {
-		if len(base[u]) > 0 {
-			hasBase[comp[u]] = true
-		}
-	}
-
 	// Depth levels over the DAG: a component is ready once every successor's
 	// set exists, so all components of one level union independently.
 	level := make([]int32, ncomp)
@@ -328,38 +319,47 @@ func (e *MetricsEngine) propagate(via uint8, critical bool) (map[string]int, *pr
 		byLevel[level[c]] = append(byLevel[level[c]], int32(c))
 	}
 
-	st := &propState{
-		comp:    comp,
-		members: members,
-		succ:    succ,
-		hasBase: hasBase,
-		sets:    make([]bitset, ncomp),
-		counts:  make([]int, ncomp),
-	}
+	st := &propState{comp: comp, members: members, succ: succ, sets: make([]rowSet, ncomp)}
 	workers := e.workerCount()
 	for _, comps := range byLevel {
 		cs := comps
 		conc.Do(len(cs), workers, func(i int) { st.fill(cs[i], base, e.nSiteIDs) })
 	}
-
-	out := make(map[string]int, n)
-	for u := 0; u < n; u++ {
-		out[e.names[u]] = st.counts[comp[u]]
-	}
-	return out, st
+	return st
 }
 
-// fill computes component c's dependent-site set (of nSites bits) from its
-// members' base rows and its successors' sets, which must be final. A pure
-// pass-through component — no direct users of its own, one successor —
-// shares its successor's set: sets are never mutated once computed, so
-// aliasing the slice is safe. The batch propagation and the delta patch
-// both fill components with it.
+// fill computes component c's dependent-site set, over site ids below
+// nSites, from its members' base rows and its successors' sets, which must
+// be final. The candidates — the base rows' entries and the successors'
+// members, repeats included — decide the work. A pure pass-through
+// component (no direct users of its own, one successor) shares its
+// successor's set: sets are never mutated once computed, so aliasing is
+// safe. Fewer candidates than a site bitset has words are merged as sorted
+// ids; more are ORed into a bitset, kept in whichever form is smaller. The
+// batch propagation and the delta patch both fill components with it.
 func (st *propState) fill(c int32, base [][]int32, nSites int) {
-	ss := st.succ[c]
-	if !st.hasBase[c] && len(ss) == 1 {
+	ss, own := st.succ[c], 0
+	for _, u := range st.members[c] {
+		own += len(base[u])
+	}
+	if own == 0 && len(ss) == 1 {
 		st.sets[c] = st.sets[ss[0]]
-		st.counts[c] = st.counts[ss[0]]
+		return
+	}
+	candidates := own
+	for _, sc := range ss {
+		candidates += st.sets[sc].n
+	}
+	if words := (nSites + 63) / 64; candidates < words {
+		ids := make([]int32, 0, candidates)
+		for _, u := range st.members[c] {
+			ids = append(ids, base[u]...)
+		}
+		for _, sc := range ss {
+			ids = st.sets[sc].appendTo(ids)
+		}
+		slices.Sort(ids)
+		st.sets[c] = idRowSet(slices.Compact(ids), words)
 		return
 	}
 	bs := newBitset(nSites)
@@ -369,10 +369,9 @@ func (st *propState) fill(c int32, base [][]int32, nSites int) {
 		}
 	}
 	for _, sc := range ss {
-		bs.unionWith(st.sets[sc])
+		st.sets[sc].unionInto(bs)
 	}
-	st.sets[c] = bs
-	st.counts[c] = bs.count()
+	st.sets[c] = bitsetRowSet(bs)
 }
 
 // tarjanSCC condenses the directed graph into strongly connected components,
@@ -445,29 +444,6 @@ func tarjanSCC(n int, adj [][]int32) (comp []int32, ncomp int) {
 type sccFrame struct {
 	v  int32
 	ei int
-}
-
-// bitset is a fixed-width set over site indices.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i int) { b[uint(i)/64] |= 1 << (uint(i) % 64) }
-
-func (b bitset) has(i int) bool { return b[uint(i)/64]&(1<<(uint(i)%64)) != 0 }
-
-func (b bitset) unionWith(o bitset) {
-	for i, w := range o {
-		b[i] |= w
-	}
-}
-
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Metrics returns the graph's shared batched metrics engine, creating it on

@@ -94,23 +94,29 @@ func TestMetricsEngineCycleChain(t *testing.T) {
 	}
 }
 
-// TestMetricsEngineCountsShared verifies the cache: two Counts calls for the
-// same traversal return the same maps, and different traversals differ.
-func TestMetricsEngineCountsShared(t *testing.T) {
+// TestMetricsEngineCountsMatchLookups: Counts holds, for every name of the
+// universe and every traversal, the counts Concentration and Impact answer
+// one name at a time, and different traversals differ.
+func TestMetricsEngineCountsMatchLookups(t *testing.T) {
 	g := paperGraph()
-	c1, i1 := g.Metrics().Counts(AllIndirect())
-	c2, i2 := g.Metrics().Counts(AllIndirect())
-	if &c1 == nil || !sameMap(c1, c2) || !sameMap(i1, i2) {
-		t.Error("repeated Counts did not return the cached maps")
+	e := g.Metrics()
+	for _, opts := range []TraversalOpts{DirectOnly(), AllIndirect(), AllImplicit(), {ViaProviders: []Service{CA}}} {
+		conc, imp := e.Counts(opts)
+		if len(conc) != len(e.names) || len(imp) != len(e.names) {
+			t.Fatalf("via %v: Counts holds %d and %d names, the universe %d", opts.ViaProviders, len(conc), len(imp), len(e.names))
+		}
+		for _, name := range e.names {
+			if conc[name] != e.Concentration(name, opts) || imp[name] != e.Impact(name, opts) {
+				t.Errorf("via %v: Counts(%s) = (%d, %d), lookups (%d, %d)", opts.ViaProviders, name,
+					conc[name], imp[name], e.Concentration(name, opts), e.Impact(name, opts))
+			}
+		}
 	}
-	cd, _ := g.Metrics().Counts(DirectOnly())
-	if cd["Dyn"] != 3 || c1["Dyn"] != 4 {
-		t.Errorf("direct C(Dyn) = %d, indirect = %d; want 3 and 4", cd["Dyn"], c1["Dyn"])
+	cd, _ := e.Counts(DirectOnly())
+	ci, _ := e.Counts(AllIndirect())
+	if cd["Dyn"] != 3 || ci["Dyn"] != 4 {
+		t.Errorf("direct C(Dyn) = %d, indirect = %d; want 3 and 4", cd["Dyn"], ci["Dyn"])
 	}
-}
-
-func sameMap(a, b map[string]int) bool {
-	return len(a) == len(b) && reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
 }
 
 // TestTopProvidersBatchedEqualsRecursive checks the full ranking path on the

@@ -170,7 +170,9 @@ func TestPropertyDirectConcentrationMatchesManualCount(t *testing.T) {
 // Property: the batched metrics engine agrees exactly with the seed
 // per-provider recursion — counts match the recursive set sizes for every
 // provider and traversal, and TopProviders returns byte-identical
-// ProviderStat slices to the recursive reference implementation.
+// ProviderStat slices to the recursive reference implementation. The
+// graphs are padded to two to four bitset words (see padFiller), so the
+// engine holds sets in both forms; the test fails if either never occurs.
 func TestPropertyBatchedEngineMatchesRecursive(t *testing.T) {
 	optsList := []TraversalOpts{
 		DirectOnly(),
@@ -178,9 +180,13 @@ func TestPropertyBatchedEngineMatchesRecursive(t *testing.T) {
 		{ViaProviders: []Service{CA}},
 		{ViaProviders: []Service{DNS, CDN}},
 	}
+	var dense, sparse int
 	f := func(seed int64) bool {
 		g := randomGraph(seed)
-		for _, opts := range optsList {
+		g = NewGraph(padFiller(g.Sites, providerList(g), 64*int(2+uint64(seed)%3)))
+		forms := map[string]bool{}
+		for view, opts := range optsList {
+			setForms(g, view, opts, forms)
 			for name := range g.Providers {
 				if g.Concentration(name, opts) != len(g.concentrationSetRecursive(name, opts)) {
 					t.Logf("seed %d: C(%s) mismatch", seed, name)
@@ -203,10 +209,21 @@ func TestPropertyBatchedEngineMatchesRecursive(t *testing.T) {
 				}
 			}
 		}
+		for _, d := range forms {
+			if d {
+				dense++
+			} else {
+				sparse++
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+	t.Logf("%d dense and %d sparse sets", dense, sparse)
+	if dense == 0 || sparse == 0 {
+		t.Errorf("%d dense and %d sparse sets, want both forms", dense, sparse)
 	}
 }
 

@@ -44,11 +44,10 @@ import (
 // Sites are classified from the provider side. The graph's first
 // simulation, under any traversal, inverts every site arrangement into
 // provider→site rows that every traversal shares, and after a cascade only
-// the rows of the providers that left Up are visited. A row with at least as
-// many entries as the site bitset has words also gets a prebuilt bitset,
-// which is ORed in word by word; shorter rows set one bit per entry. A
-// dense row's bitset costs at most twice the bytes of its int32 entries
-// (8 bytes a word, at most one word per entry). A run therefore costs
+// the rows of the providers that left Up are visited. Each row is a rowSet
+// (siteset.go): a row with at least as many entries as the site bitset has
+// words is held as a bitset, which is ORed in word by word; a shorter row is
+// sorted ids, which set one bit each. A run therefore costs
 // O(Σ min(row length, sites/64) over the touched providers' rows +
 // sites/64), where a pass over every site's arrangements would cost
 // O(sites × arrangements). An arrangement is non-Up exactly when one of its
@@ -184,17 +183,14 @@ func buildCSR(n int, fill func(emit func(row, id int32))) csr {
 // 2p+1 the other sites naming it. Row p of jointRows holds one record per
 // multi-third arrangement naming provider p: the site id, the count m of
 // the arrangement's other providers, then their m ids, so the joint check
-// reads each record in one sequential pass. dense[r]
-// is siteRows row r as a site bitset when the row has at least as many
-// entries as the bitset has words, else nil. engineSite maps a site to the
+// reads each record in one sequential pass. engineSite maps a site to the
 // index of its bit in the metrics engine's site sets: the two orders part
 // once a delta removes or adds sites.
 type simTables struct {
 	*arrTable
 	sites      arrRows
 	engineSite []int32 // Graph.Sites index → metrics-engine site id
-	siteRows   csr
-	dense      []bitset
+	siteRows   []rowSet
 	jointRows  csr
 }
 
@@ -207,18 +203,6 @@ func (s *simTables) nSites() int { return len(s.sites.off) - 1 }
 type OutageSim struct {
 	*simTables
 	via uint8
-}
-
-// unionRow ORs the sites of siteRows row r into b: word by word from the
-// row's dense bitset when it has one, one bit per entry otherwise.
-func (s *simTables) unionRow(b bitset, r int32) {
-	if d := s.dense[r]; d != nil {
-		b.unionWith(d)
-		return
-	}
-	for _, i := range s.siteRows.row(r) {
-		b.set(int(i))
-	}
 }
 
 // OutageSim returns a simulator for opts. The tables behind it are built
@@ -237,7 +221,7 @@ func newSimTables(g *Graph) *simTables {
 	}
 	rows := &s.sites
 	n, nSites := len(s.e.names), len(g.Sites)
-	s.siteRows = buildCSR(2*n, func(emit func(row, id int32)) {
+	rowIDs := buildCSR(2*n, func(emit func(row, id int32)) {
 		// crit[p] / other[p] hold the last site emitted into p's row, plus
 		// one, so each (provider, site) pair lands in exactly one row once.
 		crit, other := make([]int32, n), make([]int32, n)
@@ -265,19 +249,12 @@ func newSimTables(g *Graph) *simTables {
 		}
 	})
 	// Every site bitset of a run has words words, so a row of at least that
-	// many entries is cheaper to OR in than to set bit by bit.
+	// many entries is cheaper to OR in than to set bit by bit. Sites are
+	// emitted in ascending order, so each row is sorted.
 	words := (nSites + 63) / 64
-	s.dense = make([]bitset, 2*n)
-	for r := range s.dense {
-		row := s.siteRows.row(int32(r))
-		if len(row) == 0 || len(row) < words {
-			continue
-		}
-		d := make(bitset, words)
-		for _, i := range row {
-			d.set(int(i))
-		}
-		s.dense[r] = d
+	s.siteRows = make([]rowSet, 2*n)
+	for r := range s.siteRows {
+		s.siteRows[r] = idRowSet(rowIDs.row(int32(r)), words)
 	}
 	// Multi-third arrangements are the only kind redundancy exhaustion
 	// (OutageOpts.JointFailures) can take down. A provider named twice in
@@ -419,19 +396,18 @@ func (s *OutageSim) cascade(targets []int32, o OutageOpts, sc *SimScratch) {
 // sites naming a non-Up provider. Their union is exactly the sites with a
 // non-Up arrangement, since an arrangement is non-Up exactly when one of
 // its providers is; sites in neither are unaffected, and a site's bit may
-// be in both. Each touched row is ORed in once, from its dense bitset or
-// entry by entry (see unionRow).
+// be in both. Each touched row is ORed in once, in its row form.
 func (s *OutageSim) markSites(o OutageOpts, sc *SimScratch) {
 	sc.sizeSites(s.nSites())
 	state := sc.state
 	for _, p := range sc.touched {
 		if state[p] != ProviderDown {
-			s.unionRow(sc.impaired, 2*p)
-			s.unionRow(sc.impaired, 2*p+1)
+			s.siteRows[2*p].unionInto(sc.impaired)
+			s.siteRows[2*p+1].unionInto(sc.impaired)
 			continue
 		}
-		s.unionRow(sc.down, 2*p)
-		s.unionRow(sc.impaired, 2*p+1)
+		s.siteRows[2*p].unionInto(sc.down)
+		s.siteRows[2*p+1].unionInto(sc.impaired)
 		if !o.JointFailures {
 			continue
 		}
@@ -545,29 +521,18 @@ func (r *OutageResult) reset(nSites int) {
 // the metrics engine's I_p under the simulator's traversal: it returns
 // |I_p| and whether res's down sites are exactly I_p's members. Equal sizes
 // plus down ⊆ I_p make the sets equal, so the check reads the engine's
-// bitset through engineSite and allocates nothing.
+// site set through engineSite and allocates nothing.
 func (s *OutageSim) CheckImpact(p string, res *OutageResult) (impact int, match bool) {
-	var set bitset
-	if st := s.e.entryVia(s.via).stateImp; st != nil {
-		if id, ok := s.e.ids[p]; ok {
-			c := st.comp[id]
-			set, impact = st.sets[c], st.counts[c]
-		}
-	}
-	if impact != res.Down {
-		return impact, false
+	set := s.e.setOf(s.e.entryVia(s.via).stateImp, p)
+	if set.n != res.Down {
+		return set.n, false
 	}
 	for i, out := range res.Outcomes {
-		if out != SiteDown {
-			continue
-		}
-		// A component a delta left clean keeps its narrower bitset, so an
-		// id past its end is not in I_p.
-		if id := int(s.engineSite[i]); id >= len(set)*64 || !set.has(id) {
-			return impact, false
+		if out == SiteDown && !set.has(s.engineSite[i]) {
+			return set.n, false
 		}
 	}
-	return impact, true
+	return set.n, true
 }
 
 // classify evaluates site i against the final provider states and records
@@ -653,6 +618,16 @@ type SimScratch struct {
 	impaired bitset
 }
 
+// counts returns the marked sites' outcome counts: down = |down| and
+// degraded = |impaired \ down|.
+func (sc *SimScratch) counts() (down, degraded int) {
+	for w, d := range sc.down {
+		down += bits.OnesCount64(d)
+		degraded += bits.OnesCount64(sc.impaired[w] &^ d)
+	}
+	return down, degraded
+}
+
 // sizeSites makes sc.down and sc.impaired empty bitsets over nSites sites.
 func (sc *SimScratch) sizeSites(nSites int) {
 	words := (nSites + 63) / 64
@@ -672,10 +647,10 @@ func (sc *SimScratch) sizeSites(nSites int) {
 // the provider→site rows of the touched providers — down = |D| and
 // degraded = |A \ D|, where A is the sites with an arrangement naming a
 // non-Up provider and D ⊆ A the sites that lost a service (see markSites).
-// Rows with at least sites/64 entries are ORed in from prebuilt bitsets, so
-// a scenario costs O(Σ min(row length, sites/64) over the touched
-// providers' rows + sites/64), not O(sites × arrangements), and with a
-// warmed SimScratch allocates nothing.
+// Rows with at least sites/64 entries are ORed in as bitsets, so a scenario
+// costs O(Σ min(row length, sites/64) over the touched providers' rows +
+// sites/64), not O(sites × arrangements), and with a warmed SimScratch
+// allocates nothing.
 // Unknown ids are the caller's bug; obtain ids via ProviderID.
 func (s *OutageSim) RunCounts(targets []int32, o OutageOpts, sc *SimScratch) (down, degraded int) {
 	s.cascade(targets, o, sc)
@@ -683,11 +658,7 @@ func (s *OutageSim) RunCounts(targets []int32, o OutageOpts, sc *SimScratch) (do
 		return 0, 0
 	}
 	s.markSites(o, sc)
-	for w, d := range sc.down {
-		down += bits.OnesCount64(d)
-		degraded += bits.OnesCount64(sc.impaired[w] &^ d)
-	}
-	return down, degraded
+	return sc.counts()
 }
 
 // HasProvider reports whether name is one the metrics engine and the

@@ -121,7 +121,7 @@ func (e *MetricsEngine) buildTable(feed func(tableFeed)) {
 // provider declares a provider node.
 func (t tableFeed) provider(name string) { t.e.nameID(name) }
 
-// use records that the site with bitset index site uses name as k says.
+// use records that the site with engine site id site uses name as k says.
 func (t tableFeed) use(site int32, name string, k use) {
 	t.e.link(t.e.nameID(name), site, k)
 }

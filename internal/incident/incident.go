@@ -118,8 +118,10 @@ func simulate(ctx context.Context, g *core.Graph, sc *Scenario, buf *simBuffers)
 
 	// A single-provider full-severity scenario must reproduce the metric
 	// engine's I_p exactly — membership, not just count. Record the check
-	// so every report carries its own consistency proof.
-	if len(cumulative) == 1 && rep.Severity == 1 && final != nil {
+	// so every report carries its own consistency proof. Joint failures
+	// are outside I_p's semantics: redundancy exhaustion legitimately takes
+	// down sites whose every arrangement is redundant, so they get none.
+	if len(cumulative) == 1 && rep.Severity == 1 && !sc.JointFailures && final != nil {
 		impact, match := sim.CheckImpact(cumulative[0], final)
 		rep.Validation = &Validation{
 			Provider: cumulative[0],

@@ -22,8 +22,9 @@ type Report struct {
 	// Stages holds one entry per simulated stage (a single entry for an
 	// unstaged scenario); the last entry is the final state.
 	Stages []StageReport `json:"stages"`
-	// Validation is present for single-provider full-severity scenarios:
-	// the simulated down set checked against I_p membership.
+	// Validation is present for single-provider full-severity scenarios
+	// without joint failures: the simulated down set checked against I_p
+	// membership.
 	Validation *Validation `json:"validation,omitempty"`
 }
 

@@ -216,6 +216,47 @@ func TestSimulateStagedAndValidation(t *testing.T) {
 	}
 }
 
+// TestJointFailuresCarryNoValidation: redundancy exhaustion takes down a
+// site outside I_p, so a joint-failure report must not carry the I_p check
+// (it would read as a mismatch), while the same scenario without joint
+// failures carries a matching one.
+func TestJointFailuresCarryNoValidation(t *testing.T) {
+	// b.net's DNS is a.net alone, so a.net's outage downs b.net, and with
+	// it every provider of s1's redundant DNS arrangement.
+	g := core.NewGraph([]*core.Site{
+		{Name: "s1", Rank: 1, Deps: map[core.Service]core.Dep{
+			core.DNS: {Class: core.ClassMultiThird, Providers: []string{"a.net", "b.net"}},
+		}},
+		{Name: "s2", Rank: 2, Deps: map[core.Service]core.Dep{
+			core.DNS: {Class: core.ClassSingleThird, Providers: []string{"a.net"}},
+		}},
+	}, []*core.Provider{
+		{Name: "a.net", Service: core.DNS},
+		{Name: "b.net", Service: core.DNS, Deps: map[core.Service]core.Dep{
+			core.DNS: {Class: core.ClassSingleThird, Providers: []string{"a.net"}},
+		}},
+	})
+	for _, joint := range []bool{false, true} {
+		rep, err := Simulate(context.Background(), g, &Scenario{
+			Name:          "a",
+			Targets:       Targets{Providers: []string{"a.net"}},
+			JointFailures: joint,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		down := rep.Stages[len(rep.Stages)-1].Down
+		switch {
+		case joint && down != 2:
+			t.Fatalf("joint: %d sites down, want 2 (s1 by redundancy exhaustion)", down)
+		case joint && rep.Validation != nil:
+			t.Errorf("joint-failure report carries an I_p validation: %+v", rep.Validation)
+		case !joint && (rep.Validation == nil || !rep.Validation.Match || down != 1):
+			t.Errorf("non-joint: %d sites down, validation %+v; want 1 and a match", down, rep.Validation)
+		}
+	}
+}
+
 func TestPresetsAreValid(t *testing.T) {
 	names := PresetNames()
 	if len(names) < 4 {
