@@ -53,8 +53,9 @@ golden:
 # in-process store (exact hit, NXDOMAIN, NODATA) and its cache hits over a
 # network transport, zone-store exact hits and misses (internal/dnszone),
 # registrable-domain extraction (internal/publicsuffix), the compiled
-# CDN-map matcher, the outage simulator's RunCounts with a warmed scratch
-# and the Monte-Carlo generator's reseed and draws (internal/rng) must stay
+# CDN-map matcher, the outage simulator's closure union counts (joint
+# failures included) with a warmed scratch and the Monte-Carlo generator's
+# reseed and draws (internal/rng) must stay
 # within their per-op budgets; a mitigation plan's allocation count must
 # not grow with its candidates (internal/core), and an outage sweep's
 # bytes must not grow with the site count (internal/incident).

@@ -33,13 +33,14 @@ func padSites(g *core.Graph, n int) *core.Graph {
 }
 
 // TestClosureUnionMatchesRunCounts holds the closure form of the simulator
-// to the cascade it replaces in non-joint sweeps: over random graphs, with
-// and without chain vendors and padded past one bitset word, under every
-// traversal at severity 1 and 0.5, the union counts of any set of failure
-// units (singletons, multi-member groups, and subsets of singletons as a
-// recovery checkpoint takes them) equal RunCounts over the units' provider
-// ids. A single provider's closure at full severity holds exactly its I_p
-// as down sites and its C_p as affected sites.
+// to the cascade it replaces in sweeps: over random graphs, with and
+// without chain vendors and padded past one bitset word, under every
+// traversal at severity 1 and 0.5, with and without joint failures, the
+// union counts of any set of failure units (singletons, multi-member
+// groups, and subsets of singletons as a recovery checkpoint takes them)
+// equal RunCounts over the units' provider ids. A single provider's closure
+// at full severity holds exactly its I_p as down sites and its C_p as
+// affected sites.
 func TestClosureUnionMatchesRunCounts(t *testing.T) {
 	var denseSets, sparseSets int
 	for seed := int64(1); seed <= 30; seed++ {
@@ -71,9 +72,8 @@ func checkClosures(t *testing.T, label string, g *core.Graph, seed int64) (dense
 		for i, n := range names {
 			ids[i], _ = sim.ProviderID(n)
 		}
-		for _, sev := range []float64{1, 0.5} {
-			o := core.OutageOpts{Severity: sev}
-			where := fmt.Sprintf("%s via %v severity %v", label, opts.ViaProviders, sev)
+		for _, o := range outageModes {
+			where := fmt.Sprintf("%s via %v %+v", label, opts.ViaProviders, o)
 			var sc, oracle core.SimScratch
 			single := make([]core.Closure, len(ids))
 			for i, id := range ids {
@@ -92,7 +92,7 @@ func checkClosures(t *testing.T, label string, g *core.Graph, seed int64) (dense
 						sparseSets++
 					}
 				}
-				if sev != 1 {
+				if o != (core.OutageOpts{}) {
 					continue
 				}
 				if got, want := siteNames(g, down), g.ImpactSet(names[i], opts); !maps.Equal(got, want) {
@@ -124,7 +124,7 @@ func checkClosures(t *testing.T, label string, g *core.Graph, seed int64) (dense
 					targets = append(targets, unit...)
 				}
 				check := func(kind string, cs []*core.Closure, targets []int32) {
-					gotDown, gotDeg := sim.UnionCounts(cs, &sc)
+					gotDown, gotDeg := sim.UnionCounts(cs, o, &sc)
 					wantDown, wantDeg := sim.RunCounts(targets, o, &oracle)
 					if gotDown != wantDown || gotDeg != wantDeg {
 						t.Fatalf("%s: %s %v: union counts (%d, %d), RunCounts (%d, %d)",
@@ -147,15 +147,67 @@ func siteNames(g *core.Graph, idx []int32) map[string]bool {
 	return out
 }
 
-// A closure refuses joint failures: redundancy exhaustion is not a union.
-func TestClosureRefusesJointFailures(t *testing.T) {
-	g := core.RandomGraph(3)
+// TestClosureJointRepair holds the repair of a union under joint failures
+// to the cascade on a graph built by hand, where each outage exhausts one
+// kind of redundancy that no single failure unit exhausts:
+//   - a site's two DNS providers fail in two units;
+//   - a CDN's two DNS providers fail in two units, so the CDN goes down and
+//     takes down the site that depends on it critically;
+//   - one unit fails the only provider of a multi-third arrangement that
+//     names it twice.
+//
+// Without joint failures each outage only degrades its site.
+func TestClosureJointRepair(t *testing.T) {
+	dns := func(cls core.DepClass, provs ...string) map[core.Service]core.Dep {
+		return map[core.Service]core.Dep{core.DNS: {Class: cls, Providers: provs}}
+	}
+	g := core.NewGraph([]*core.Site{
+		{Name: "redundant.example", Rank: 1, Deps: dns(core.ClassMultiThird, "a.example", "b.example")},
+		{Name: "cdn-user.example", Rank: 2, Deps: map[core.Service]core.Dep{
+			core.CDN: {Class: core.ClassSingleThird, Providers: []string{"cdn.example"}},
+		}},
+		{Name: "twice.example", Rank: 3, Deps: dns(core.ClassMultiThird, "e.example", "e.example")},
+		{Name: "bystander.example", Rank: 4, Deps: dns(core.ClassSingleThird, "f.example")},
+	}, []*core.Provider{
+		{Name: "cdn.example", Service: core.CDN, Deps: dns(core.ClassMultiThird, "c.example", "d.example")},
+	})
 	sim := g.OutageSim(core.AllIndirect())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Closure under JointFailures did not panic")
+	cases := []struct {
+		name  string
+		units [][]string
+	}{
+		{"site redundancy", [][]string{{"a.example"}, {"b.example"}}},
+		{"provider redundancy", [][]string{{"c.example"}, {"d.example"}}},
+		{"provider named twice", [][]string{{"e.example"}}},
+	}
+	for _, c := range cases {
+		for _, o := range []core.OutageOpts{{}, {JointFailures: true}} {
+			var sc, oracle core.SimScratch
+			var cs []*core.Closure
+			var targets []int32
+			for _, unit := range c.units {
+				var ids []int32
+				for _, n := range unit {
+					id, ok := sim.ProviderID(n)
+					if !ok {
+						t.Fatalf("%s: no provider %s", c.name, n)
+					}
+					ids = append(ids, id)
+				}
+				cl := sim.Closure(ids, o, &sc)
+				cs = append(cs, &cl)
+				targets = append(targets, ids...)
+			}
+			wantDown, wantDeg := 0, 1
+			if o.JointFailures {
+				wantDown, wantDeg = 1, 0
+			}
+			down, deg := sim.UnionCounts(cs, o, &sc)
+			oDown, oDeg := sim.RunCounts(targets, o, &oracle)
+			if down != wantDown || deg != wantDeg || oDown != wantDown || oDeg != wantDeg {
+				t.Errorf("%s %+v: union counts (%d, %d), RunCounts (%d, %d), want (%d, %d)",
+					c.name, o, down, deg, oDown, oDeg, wantDown, wantDeg)
+			}
 		}
-	}()
-	var sc core.SimScratch
-	sim.Closure(nil, core.OutageOpts{JointFailures: true}, &sc)
+	}
 }

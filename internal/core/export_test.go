@@ -81,6 +81,21 @@ func (g *Graph) topProvidersRecursive(svc Service, opts TraversalOpts, byImpact 
 // core_test package.
 func RandomGraph(seed int64) *Graph { return randomGraph(seed) }
 
+// RunCounts simulates the outage of the given provider ids under o with
+// the full cascade and returns only the aggregate outcome counts: down =
+// |D| and degraded = |A \ D|, where A is the sites with an arrangement
+// naming a non-Up provider and D ⊆ A the sites that lost a service (see
+// markSites). It is the oracle for UnionCounts, which sweeps count with,
+// and is kept out of production code.
+func (s *OutageSim) RunCounts(targets []int32, o OutageOpts, sc *SimScratch) (down, degraded int) {
+	s.cascade(targets, o, sc)
+	if len(sc.touched) == 0 {
+		return 0, 0
+	}
+	s.markSites(o, sc)
+	return sc.counts()
+}
+
 // ScanCounts is the per-site scan RunCounts answered with before the
 // provider→site rows: the same cascade, then every site's arrangements
 // evaluated against the final provider states. It is the test oracle for
@@ -528,11 +543,14 @@ func ParseDelta(r io.Reader) (Delta, error) {
 // Sites lists the closure's down and affected sites by Graph.Sites index,
 // ascending, whichever row form holds them.
 func (c *Closure) Sites() (down, affected []int32) {
-	return c.down.appendTo(nil), c.affected.appendTo(nil)
+	down = c.down.appendTo(nil)
+	affected = c.degraded.appendTo(slices.Clone(down))
+	slices.Sort(affected)
+	return down, affected
 }
 
-// Forms reports whether the closure's down and affected sets are held as
+// Forms reports whether the closure's down and degraded sets are held as
 // bitsets.
-func (c *Closure) Forms() (downDense, affectedDense bool) {
-	return c.down.dense != nil, c.affected.dense != nil
+func (c *Closure) Forms() (downDense, degradedDense bool) {
+	return c.down.dense != nil, c.degraded.dense != nil
 }

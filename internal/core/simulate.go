@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -52,7 +54,11 @@ import (
 // sites/64), where a pass over every site's arrangements would cost
 // O(sites × arrangements). An arrangement is non-Up exactly when one of its
 // providers is, so the rows find every affected site; the test oracle in
-// export_test.go is that full scan.
+// export_test.go is that full scan. Under JointFailures the sites that lose
+// a multi-third arrangement come from the joint sets instead: each distinct
+// provider set of such an arrangement, checked at most once per run. A
+// Monte-Carlo sweep runs no cascade per scenario: it counts unions of
+// failure-unit closures (closure.go).
 
 // ProviderState is a provider's health during a simulated outage. Order
 // matters: states only ever escalate (up → degraded → down).
@@ -180,18 +186,31 @@ func buildCSR(n int, fill func(emit func(row, id int32))) csr {
 // provider appears in a critical arrangement or, under JointFailures, when
 // every provider of one of its multi-third arrangements is down. siteRows
 // row 2p lists the sites with a critical arrangement naming provider p, row
-// 2p+1 the other sites naming it. Row p of jointRows holds one record per
-// multi-third arrangement naming provider p: the site id, the count m of
-// the arrangement's other providers, then their m ids, so the joint check
-// reads each record in one sequential pass. engineSite maps a site to the
-// index of its bit in the metrics engine's site sets: the two orders part
-// once a delta removes or adds sites.
+// 2p+1 the other sites naming it; the joint sets hold the multi-third
+// arrangements. jointProvs lists the providers with a multi-third
+// arrangement of their own: from a join of non-joint states, only they can
+// rate higher under the joint rule before any dependency of theirs rises,
+// so the repair of a joint union starts from them (closure.go). engineSite
+// maps a site to the index of its bit in the metrics engine's site sets:
+// the two orders part once a delta removes or adds sites.
 type simTables struct {
 	*arrTable
 	sites      arrRows
 	engineSite []int32 // Graph.Sites index → metrics-engine site id
 	siteRows   []rowSet
-	jointRows  csr
+	joint      jointSets
+	jointProvs []int32
+}
+
+// jointSets holds each distinct provider set of a site multi-third
+// arrangement once: set j's providers are provs[j], sorted and distinct,
+// and sites[j] the sites with such an arrangement. Row p of byMin
+// lists the sets whose smallest provider is p, so a run reads each set at
+// most once, and only when that provider is down.
+type jointSets struct {
+	provs [][]int32
+	sites []rowSet
+	byMin csr
 }
 
 func (s *simTables) nSites() int { return len(s.sites.off) - 1 }
@@ -256,29 +275,62 @@ func newSimTables(g *Graph) *simTables {
 	for r := range s.siteRows {
 		s.siteRows[r] = idRowSet(rowIDs.row(int32(r)), words)
 	}
-	// Multi-third arrangements are the only kind redundancy exhaustion
-	// (OutageOpts.JointFailures) can take down. A provider named twice in
-	// one arrangement gets two records, each listing the other occurrence.
-	s.jointRows = buildCSR(n, func(emit func(row, id int32)) {
-		for i := 0; i < nSites; i++ {
-			for _, a := range rows.row(i) {
-				if DepClass(a.class) != ClassMultiThird || a.hi == a.lo {
-					continue
-				}
-				provs := rows.provs(a)
-				for k, p := range provs {
-					emit(p, int32(i))
-					emit(p, int32(len(provs)-1))
-					for l, q := range provs {
-						if l != k {
-							emit(p, q)
-						}
-					}
-				}
+	s.joint = newJointSets(rows, n, words)
+	for p := range s.provSvc {
+		if slices.ContainsFunc(s.prov.row(p), exhaustible) {
+			s.jointProvs = append(s.jointProvs, int32(p))
+		}
+	}
+	return s
+}
+
+// exhaustible reports whether redundancy exhaustion
+// (OutageOpts.JointFailures) can take arrangement a down: a multi-third
+// arrangement naming a provider.
+func exhaustible(a arr) bool { return DepClass(a.class) == ClassMultiThird && a.hi > a.lo }
+
+// newJointSets collects the distinct provider sets of the exhaustible
+// arrangements in rows, whose sites' bitsets have words words. A provider
+// named twice in one arrangement is one member of its set.
+func newJointSets(rows *arrRows, nProvs, words int) jointSets {
+	index := make(map[string]int32) // a set's providers, as bytes → j
+	var sets, sites [][]int32       // set j's providers, set j's sites
+	var key []byte
+	for i := 0; i < len(rows.off)-1; i++ {
+		for _, a := range rows.row(i) {
+			if !exhaustible(a) {
+				continue
+			}
+			provs := slices.Clone(rows.provs(a))
+			slices.Sort(provs)
+			provs = slices.Compact(provs)
+			key = key[:0]
+			for _, p := range provs {
+				key = binary.LittleEndian.AppendUint32(key, uint32(p))
+			}
+			j, ok := index[string(key)]
+			if !ok {
+				j = int32(len(sets))
+				index[string(key)] = j
+				sets, sites = append(sets, provs), append(sites, nil)
+			}
+			// Sites arrive in ascending order; a site with two arrangements
+			// over one set is one member.
+			if l := len(sites[j]); l == 0 || sites[j][l-1] != int32(i) {
+				sites[j] = append(sites[j], int32(i))
 			}
 		}
+	}
+	js := jointSets{provs: sets, sites: make([]rowSet, len(sets))}
+	js.byMin = buildCSR(nProvs, func(emit func(row, id int32)) {
+		for j, provs := range sets {
+			emit(provs[0], int32(j))
+		}
 	})
-	return s
+	for j, ids := range sites {
+		js.sites[j] = idRowSet(ids, words)
+	}
+	return js
 }
 
 // arrState evaluates arrangement a, with provider ids provs, against the
@@ -330,42 +382,61 @@ func (s *OutageSim) providerState(id int32, st []ProviderState, joint bool) Prov
 // cascade runs the outage worklist for targets under o. On return
 // sc.state holds every provider's final state and sc.touched lists, once
 // each, the providers that left Up; every other provider is Up. Run and
-// RunCounts share it, so both answer over the identical fixpoint.
+// Closure share it, so both answer over the identical fixpoint.
 func (s *OutageSim) cascade(targets []int32, o OutageOpts, sc *SimScratch) {
-	// Only the previous cascade's touched providers can be off Up. Reset
-	// them before any resize: sc.state may have been sized by another
-	// simulator with a larger universe.
-	for _, p := range sc.touched {
-		sc.state[p] = ProviderUp
-	}
-	touched := sc.touched[:0]
-	n := len(s.e.names)
-	if len(sc.state) < n {
-		sc.state = make([]ProviderState, n)
-	}
-	state := sc.state[:n]
-
+	state := s.resetStates(sc)
 	targetState := ProviderDown
 	if o.Severity > 0 && o.Severity < 1 {
 		targetState = ProviderDegraded
 	}
-	queue := sc.queue[:0]
 	for _, id := range targets {
 		if state[id] < targetState {
-			if state[id] == ProviderUp {
-				touched = append(touched, id)
-			}
-			state[id] = targetState
-			queue = append(queue, id)
+			sc.raise(id, targetState)
 		}
 	}
+	s.propagate(o.JointFailures, false, sc)
+}
 
-	// Worklist cascade over the metrics engine's reverse edges. States only
-	// escalate and each escalation re-enqueues, so the fixpoint handles
-	// provider cycles and converges after at most 2n wakes.
-	for len(queue) > 0 {
-		p := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+// resetStates makes every provider of the simulator's universe Up in
+// sc.state, with sc.touched empty, and returns the states.
+func (s *OutageSim) resetStates(sc *SimScratch) []ProviderState {
+	// Only the touched providers can be off Up. Reset them before any
+	// resize: sc.state may have been sized by another simulator with a
+	// larger universe.
+	for _, p := range sc.touched {
+		sc.state[p] = ProviderUp
+	}
+	sc.touched = sc.touched[:0]
+	n := len(s.e.names)
+	if len(sc.state) < n {
+		sc.state = make([]ProviderState, n)
+	}
+	return sc.state[:n]
+}
+
+// raise moves provider k up to st, above its current state: k joins
+// sc.touched when it leaves Up, and is queued to wake its dependents.
+func (sc *SimScratch) raise(k int32, st ProviderState) {
+	if sc.state[k] == ProviderUp {
+		sc.touched = append(sc.touched, k)
+	}
+	sc.state[k] = st
+	sc.queue = append(sc.queue, k)
+}
+
+// propagate runs the worklist in sc.queue to its fixpoint over the metrics
+// engine's reverse edges. States only escalate and each escalation
+// re-enqueues, so the fixpoint handles provider cycles and converges after
+// at most 2n wakes. With mark, every provider it dequeues also has its rows
+// ORed into the site bitsets (markRows).
+func (s *OutageSim) propagate(joint, mark bool, sc *SimScratch) {
+	state := sc.state
+	for len(sc.queue) > 0 {
+		p := sc.queue[len(sc.queue)-1]
+		sc.queue = sc.queue[:len(sc.queue)-1]
+		if mark {
+			s.markRows(p, sc)
+		}
 		for _, ed := range s.e.edges[p] {
 			// The same service filter the C_p/I_p recursion applies when
 			// deciding whether to traverse into a dependent provider.
@@ -376,17 +447,11 @@ func (s *OutageSim) cascade(targets []int32, o OutageOpts, sc *SimScratch) {
 			if state[k] == ProviderDown {
 				continue
 			}
-			if ns := s.providerState(k, state, o.JointFailures); ns > state[k] {
-				if state[k] == ProviderUp {
-					touched = append(touched, k)
-				}
-				state[k] = ns
-				queue = append(queue, k)
+			if ns := s.providerState(k, state, joint); ns > state[k] {
+				sc.raise(k, ns)
 			}
 		}
 	}
-	sc.queue = queue
-	sc.touched = touched
 }
 
 // markSites unions the rows of the last cascade's touched providers into
@@ -399,32 +464,43 @@ func (s *OutageSim) cascade(targets []int32, o OutageOpts, sc *SimScratch) {
 // be in both. Each touched row is ORed in once, in its row form.
 func (s *OutageSim) markSites(o OutageOpts, sc *SimScratch) {
 	sc.sizeSites(s.nSites())
+	for _, p := range sc.touched {
+		s.markRows(p, sc)
+	}
+	if o.JointFailures {
+		s.markExhausted(sc)
+	}
+}
+
+// markRows ORs non-Up provider p's rows into the site bitsets: its
+// critical row into sc.down when p is down and into sc.impaired otherwise,
+// its other row into sc.impaired.
+func (s *OutageSim) markRows(p int32, sc *SimScratch) {
+	if sc.state[p] == ProviderDown {
+		s.siteRows[2*p].unionInto(sc.down)
+	} else {
+		s.siteRows[2*p].unionInto(sc.impaired)
+	}
+	s.siteRows[2*p+1].unionInto(sc.impaired)
+}
+
+// markExhausted ORs into sc.down the sites of every joint set whose
+// providers are all down. A set is read only under its smallest provider,
+// so once per run.
+func (s *OutageSim) markExhausted(sc *SimScratch) {
 	state := sc.state
 	for _, p := range sc.touched {
 		if state[p] != ProviderDown {
-			s.siteRows[2*p].unionInto(sc.impaired)
-			s.siteRows[2*p+1].unionInto(sc.impaired)
 			continue
 		}
-		s.siteRows[2*p].unionInto(sc.down)
-		s.siteRows[2*p+1].unionInto(sc.impaired)
-		if !o.JointFailures {
-			continue
-		}
-		row := s.jointRows.row(p)
-	records:
-		for len(row) > 0 {
-			site, others := row[0], row[2:2+row[1]]
-			row = row[2+row[1]:]
-			if sc.down.has(int(site)) {
-				continue
-			}
-			for _, q := range others {
+	sets:
+		for _, j := range s.joint.byMin.row(p) {
+			for _, q := range s.joint.provs[j][1:] {
 				if state[q] != ProviderDown {
-					continue records
+					continue sets
 				}
 			}
-			sc.down.set(int(site))
+			s.joint.sites[j].unionInto(sc.down)
 		}
 	}
 }
@@ -595,23 +671,23 @@ func (s *OutageSim) classify(i int, state []ProviderState, isTarget []bool, join
 const numServices = 4
 
 // ProviderID resolves a provider name to its simulator id — the currency of
-// RunCounts target lists. Sampling loops resolve names once up front and
+// Closure target lists. Sampling loops resolve names once up front and
 // then work in pure integers.
 func (s *OutageSim) ProviderID(name string) (int32, bool) {
 	id, ok := s.e.ids[name]
 	return int32(id), ok
 }
 
-// SimScratch holds the reusable per-run state of RunCounts and RunInto so a
-// sampling loop running thousands of simulations allocates nothing after
-// the first. A SimScratch must not be shared between concurrent runs; give
-// each worker its own.
+// SimScratch holds the reusable per-run state of RunInto, Closure and
+// UnionCounts so a sampling loop running thousands of simulations
+// allocates nothing after the first. A SimScratch must not be shared
+// between concurrent runs; give each worker its own.
 type SimScratch struct {
 	state    []ProviderState // per provider id; Up outside touched
 	isTarget []bool          // per provider id; RunInto clears what it set
 	ids      []int32         // RunInto's resolved targets
 	queue    []int32
-	touched  []int32 // providers the last cascade moved off Up
+	touched  []int32 // providers the last cascade or join moved off Up
 	// Site bitsets markSites and UnionCounts fill: sites/8 bytes each,
 	// 2.5 KB at 20K sites.
 	down     bitset
@@ -639,26 +715,6 @@ func (sc *SimScratch) sizeSites(nSites int) {
 	sc.down = sc.down[:words]
 	clear(sc.impaired)
 	clear(sc.down)
-}
-
-// RunCounts simulates the outage of the given provider ids under o and
-// returns only the aggregate outcome counts. It is the Monte-Carlo inner
-// loop: the same cascade as Run, after which the counts come straight from
-// the provider→site rows of the touched providers — down = |D| and
-// degraded = |A \ D|, where A is the sites with an arrangement naming a
-// non-Up provider and D ⊆ A the sites that lost a service (see markSites).
-// Rows with at least sites/64 entries are ORed in as bitsets, so a scenario
-// costs O(Σ min(row length, sites/64) over the touched providers' rows +
-// sites/64), not O(sites × arrangements), and with a warmed SimScratch
-// allocates nothing.
-// Unknown ids are the caller's bug; obtain ids via ProviderID.
-func (s *OutageSim) RunCounts(targets []int32, o OutageOpts, sc *SimScratch) (down, degraded int) {
-	s.cascade(targets, o, sc)
-	if len(sc.touched) == 0 {
-		return 0, 0
-	}
-	s.markSites(o, sc)
-	return sc.counts()
 }
 
 // HasProvider reports whether name is one the metrics engine and the

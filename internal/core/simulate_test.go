@@ -203,8 +203,9 @@ func TestSimulateSeverity(t *testing.T) {
 }
 
 // TestRunCountsAllocs guards the Monte-Carlo inner loop: with a warmed
-// SimScratch, RunCounts allocates nothing, in every outage mode, including
-// when markSites ORs in a dense row, and neither does UnionCounts.
+// SimScratch, UnionCounts allocates nothing in any outage mode, including
+// under joint failures, where it joins the closures' provider states and
+// repairs the union, and when it ORs in a dense row.
 func TestRunCountsAllocs(t *testing.T) {
 	g := randomGraph(7)
 	sim := g.OutageSim(AllIndirect())
@@ -217,25 +218,28 @@ func TestRunCountsAllocs(t *testing.T) {
 		ids = append(ids, id)
 	}
 	ids = ids[:(len(ids)+1)/2]
-	modes := []OutageOpts{{}, {Severity: 0.5}, {JointFailures: true}}
+	modes := []OutageOpts{{}, {Severity: 0.5}, {JointFailures: true}, {Severity: 0.5, JointFailures: true}}
 	var sc SimScratch
-	var closures []*Closure
-	for _, id := range ids {
-		c := sim.Closure([]int32{id}, OutageOpts{}, &sc)
-		closures = append(closures, &c)
+	closures := make([][]*Closure, len(modes))
+	for m, o := range modes {
+		for _, id := range ids {
+			c := sim.Closure([]int32{id}, o, &sc)
+			closures[m] = append(closures[m], &c)
+		}
 	}
 	run := func() {
-		for _, o := range modes {
-			sim.RunCounts(ids, o, &sc)
+		for m, o := range modes {
+			sim.UnionCounts(closures[m], o, &sc)
 		}
-		sim.UnionCounts(closures, &sc)
 	}
 	run()
-	if down, _ := sim.RunCounts(ids, OutageOpts{}, &sc); down == 0 {
-		t.Fatal("fixture takes no site down; the guard would measure nothing")
+	plain, _ := sim.UnionCounts(closures[0], modes[0], &sc)
+	joint, _ := sim.UnionCounts(closures[2], modes[2], &sc)
+	if plain == 0 || joint == plain {
+		t.Fatalf("fixture takes %d sites down, %d under joint failures; the guard would miss the repair", plain, joint)
 	}
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Errorf("RunCounts and UnionCounts with a warmed scratch: %v allocs per run, want 0", allocs)
+		t.Errorf("UnionCounts with a warmed scratch: %v allocs per run, want 0", allocs)
 	}
 }
 

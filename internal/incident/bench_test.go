@@ -112,27 +112,23 @@ func TestSimulateAllocs(t *testing.T) {
 // and for summarize's sorted copy of each, and with recovery steps the same
 // again for the time-to-recover entry and every step's entry, plus 1 KiB
 // for what the runtime allocates beside the sweep (a few dozen bytes in
-// some runs). The arms cover the closure path (independent and correlated
-// failures, recovery checkpoints) and the cascade a joint sweep keeps.
+// some runs). The arms cover independent and correlated failures, joint
+// failures, and recovery checkpoints with and without joint failures.
 func TestMonteCarloAllocs(t *testing.T) {
 	g, _ := sweepFixture(t)
-	recovery, _ := incident.SweepPreset("mc-baseline")
-	recovery.Recovery = &incident.RecoverySpec{Steps: 4}
-	arms := []struct {
-		name string
-		spec func() *incident.SweepSpec
-	}{
-		{"baseline", func() *incident.SweepSpec { sp, _ := incident.SweepPreset("mc-baseline"); return sp }},
-		{"entity-storm", func() *incident.SweepSpec { sp, _ := incident.SweepPreset("mc-entity-storm"); return sp }},
-		{"dns-deep", func() *incident.SweepSpec { sp, _ := incident.SweepPreset("mc-dns-deep"); return sp }},
-		{"recovery", func() *incident.SweepSpec { sp := *recovery; return &sp }},
+	arms := []struct{ name, spec string }{
+		{"baseline", "mc-baseline"},
+		{"entity-storm", "mc-entity-storm"},
+		{"dns-deep", "mc-dns-deep"},
+		{"recovery", "mc-baseline+recovery"},
+		{"joint-recovery", "mc-dns-deep+recovery"},
 	}
 	const n = 4096
 	for _, arm := range arms {
 		sweepBytes := func(scenarios int) uint64 {
 			best := uint64(math.MaxUint64)
 			for r := 0; r < 5; r++ {
-				sp := arm.spec()
+				sp, _ := sweepSpec(arm.spec)
 				sp.Scenarios = scenarios
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
@@ -145,7 +141,7 @@ func TestMonteCarloAllocs(t *testing.T) {
 			return best
 		}
 		perScenario := 8 * 2 * 3
-		if sp := arm.spec(); sp.Recovery != nil {
+		if sp, _ := sweepSpec(arm.spec); sp.Recovery != nil {
 			perScenario += 8 * 2 * (1 + sp.Recovery.Steps)
 		}
 		a, b := sweepBytes(n), sweepBytes(2*n)
@@ -194,7 +190,7 @@ func BenchmarkMitigationPlan(b *testing.B) {
 // per iteration at scale 2K and reports scenarios/sec alongside ns/op, in
 // three arms: baseline (the mc-baseline shape, C_p-weighted independent
 // failures), entity-storm (correlated groups) and dns-deep (the full DNS
-// pool under joint failures, the arm that keeps the cascade).
+// pool under joint failures, where each closure union is repaired).
 func BenchmarkIncidentMonteCarlo(b *testing.B) {
 	g, _ := sweepFixture(b)
 	const scenarios = 1000

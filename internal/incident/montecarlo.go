@@ -38,7 +38,7 @@ var (
 	sweepLastP99   = telemetry.Gauge("sweep_last_p99_down", "P99 sites-down of the most recent Monte-Carlo sweep")
 	sweepLastMax   = telemetry.Gauge("sweep_last_max_down", "max sites-down of the most recent Monte-Carlo sweep")
 
-	sweepLastClosureBytes = telemetry.Gauge("sweep_last_closure_bytes", "bytes the failure-unit closures of the most recent Monte-Carlo sweep held (0 under joint failures)")
+	sweepLastClosureBytes = telemetry.Gauge("sweep_last_closure_bytes", "bytes the failure-unit closures (provider states and site sets) of the most recent Monte-Carlo sweep held")
 )
 
 // SweepSpec is the Monte-Carlo sweep specification, the JSON document
@@ -448,8 +448,7 @@ type mcWorker struct {
 	gen       *rand.Rand
 	failedIdx []int           // the scenario's failed pool members
 	recTimes  []float64       // their recovery times, in failedIdx order
-	ids       []int32         // an outage's provider ids, for a cascade
-	fired     []*core.Closure // an outage's unit closures, for a union
+	fired     []*core.Closure // an outage's unit closures
 }
 
 // unitClosures runs each failure unit's cascade once, units[i] holding
@@ -467,7 +466,7 @@ func unitClosures(ctx context.Context, sim *core.OutageSim, units [][]int32, oo 
 	return cl, err
 }
 
-// closuresBytes is the memory cl's site sets hold.
+// closuresBytes is the memory cl's provider states and site sets hold.
 func closuresBytes(cl []core.Closure) int {
 	n := 0
 	for i := range cl {
@@ -508,46 +507,32 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 		horizon = 3 * meanMin
 	}
 
-	// Without joint failures an outage is the union of its failure units'
-	// closures (internal/core/closure.go), so each unit's cascade runs once
-	// here and a scenario only unions the closures of the groups that
-	// fired. The recovery checkpoints fail candidates one by one, so they
-	// get one closure per candidate; a pool of singleton groups (group i
-	// is candidate i) shares the groups'. Under JointFailures every outage
-	// runs its own cascade.
-	union := !oo.JointFailures
-	var groupCl, candCl []core.Closure
-	closureBytes := 0
-	if union {
-		units := make([][]int32, len(groups))
-		for gi, grp := range groups {
-			for _, m := range grp.members {
-				units[gi] = append(units[gi], pool[m].id)
-			}
+	// An outage is counted from its failure units' closures
+	// (internal/core/closure.go), so each unit's cascade runs once here and
+	// a scenario only unions the closures of the groups that fired,
+	// repairing the union under JointFailures. The recovery checkpoints
+	// fail candidates one by one, so they get one closure per candidate; a
+	// pool of singleton groups (group i is candidate i) shares the groups'.
+	units := make([][]int32, len(groups))
+	for gi, grp := range groups {
+		for _, m := range grp.members {
+			units[gi] = append(units[gi], pool[m].id)
 		}
-		if groupCl, err = unitClosures(ctx, sim, units, oo, workers); err != nil {
+	}
+	groupCl, err := unitClosures(ctx, sim, units, oo, workers)
+	if err != nil {
+		return nil, err
+	}
+	candCl, closureBytes := groupCl, closuresBytes(groupCl)
+	if steps > 0 && len(groups) < len(pool) {
+		units = make([][]int32, len(pool))
+		for m := range pool {
+			units[m] = []int32{pool[m].id}
+		}
+		if candCl, err = unitClosures(ctx, sim, units, oo, workers); err != nil {
 			return nil, err
 		}
-		candCl = groupCl
-		if steps > 0 && len(groups) < len(pool) {
-			units = make([][]int32, len(pool))
-			for m := range pool {
-				units[m] = []int32{pool[m].id}
-			}
-			if candCl, err = unitClosures(ctx, sim, units, oo, workers); err != nil {
-				return nil, err
-			}
-			closureBytes += closuresBytes(candCl)
-		}
-		closureBytes += closuresBytes(groupCl)
-	}
-	// count evaluates the worker's current outage: the union of wk.fired,
-	// or under JointFailures the cascade of wk.ids.
-	count := func(wk *mcWorker) (down, degraded int) {
-		if union {
-			return sim.UnionCounts(wk.fired, &wk.scratch)
-		}
-		return sim.RunCounts(wk.ids, oo, &wk.scratch)
+		closureBytes += closuresBytes(candCl)
 	}
 
 	// Per-scenario outputs, indexed by scenario so ordering never depends on
@@ -596,21 +581,14 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 				return err
 			}
 			gen.Seed(mix(seed, int64(i)))
-			wk.failedIdx, wk.ids, wk.fired = wk.failedIdx[:0], wk.ids[:0], wk.fired[:0]
+			wk.failedIdx, wk.fired = wk.failedIdx[:0], wk.fired[:0]
 			for gi, grp := range groups {
 				if gen.Float64() < grp.prob {
 					wk.failedIdx = append(wk.failedIdx, grp.members...)
-					if union {
-						wk.fired = append(wk.fired, &groupCl[gi])
-					}
+					wk.fired = append(wk.fired, &groupCl[gi])
 				}
 			}
-			if !union {
-				for _, m := range wk.failedIdx {
-					wk.ids = append(wk.ids, pool[m].id)
-				}
-			}
-			down, degraded := count(wk)
+			down, degraded := sim.UnionCounts(wk.fired, oo, &wk.scratch)
 			downs[i] = down
 			degradeds[i] = degraded
 			nfails[i] = len(wk.failedIdx)
@@ -638,17 +616,13 @@ func MonteCarlo(ctx context.Context, g *core.Graph, sp *SweepSpec, workers int) 
 				ttrMinutes[i] = int(math.Round(ttr))
 				for j := 0; j < steps; j++ {
 					t := horizon * float64(j+1) / float64(steps)
-					wk.ids, wk.fired = wk.ids[:0], wk.fired[:0]
+					wk.fired = wk.fired[:0]
 					for k, m := range wk.failedIdx {
-						switch {
-						case wk.recTimes[k] <= t:
-						case union:
+						if wk.recTimes[k] > t {
 							wk.fired = append(wk.fired, &candCl[m])
-						default:
-							wk.ids = append(wk.ids, pool[m].id)
 						}
 					}
-					stepDowns[j][i], _ = count(wk)
+					stepDowns[j][i], _ = sim.UnionCounts(wk.fired, oo, &wk.scratch)
 				}
 			}
 		}

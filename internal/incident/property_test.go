@@ -200,19 +200,32 @@ func TestSweepGolden(t *testing.T) {
 // sweepPresetGoldens pins the other sweep presets at scale 2000, seed 2020:
 // correlated entity groups (mc-entity-storm), a deep fixed-target DNS sweep
 // (mc-dns-deep) and the ExpFloat64 recovery draws (mc-dyn-recovery). Each
-// exercises a part of the random stream mc-baseline does not. Same re-pin
-// procedure as TestSweepGolden.
+// exercises a part of the random stream mc-baseline does not. The
+// mc-dns-deep+recovery variant counts recovery checkpoints under joint
+// failures, which no preset does. Same re-pin procedure as TestSweepGolden.
 var sweepPresetGoldens = map[string]string{
-	"mc-entity-storm": "dc949266c68bab8d5690bf70babb064bdc78e98e94dea475450e48e7b2f79a1a",
-	"mc-dns-deep":     "c6da495ecabd130fab0cdbe282eb3afbff48d1101f1cc7ed4456499d73fa25e4",
-	"mc-dyn-recovery": "b8468bb24a7b5b701bcaf3fdec1eabd92ab7f6836a078a1fb9440dd2a7f84577",
+	"mc-entity-storm":      "dc949266c68bab8d5690bf70babb064bdc78e98e94dea475450e48e7b2f79a1a",
+	"mc-dns-deep":          "c6da495ecabd130fab0cdbe282eb3afbff48d1101f1cc7ed4456499d73fa25e4",
+	"mc-dyn-recovery":      "b8468bb24a7b5b701bcaf3fdec1eabd92ab7f6836a078a1fb9440dd2a7f84577",
+	"mc-dns-deep+recovery": "b220318063fe2c68e557de1293360228e05c81d2f29ae4b837cfb9d6e96b0baf",
+}
+
+// sweepSpec returns the spec a key of sweepPresetGoldens names: a preset,
+// or with a "+recovery" suffix that preset with four recovery checkpoints.
+func sweepSpec(key string) (*incident.SweepSpec, bool) {
+	name, recovery := strings.CutSuffix(key, "+recovery")
+	sp, ok := incident.SweepPreset(name)
+	if ok && recovery {
+		sp.Recovery = &incident.RecoverySpec{Steps: 4}
+	}
+	return sp, ok
 }
 
 // TestSweepPresetsGolden pins every sweep preset TestSweepGolden does not.
 func TestSweepPresetsGolden(t *testing.T) {
 	run := runAt(t, 2020)
 	for name, want := range sweepPresetGoldens {
-		sp, ok := incident.SweepPreset(name)
+		sp, ok := sweepSpec(name)
 		if !ok {
 			t.Fatalf("%s preset missing", name)
 		}
